@@ -37,6 +37,7 @@ from .reduction import (
     FiberLinearFunction,
     MomentumMapData,
     PGMap,
+    Resolved,
     bracket_closure_check,
     certify_pgmap,
     characteristic_identity_check,

@@ -7,71 +7,19 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 
 
-def _copy(mat) -> Matrix:
-    return [[Fraction(x) for x in row] for row in mat]
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def invert(mat) -> Matrix:
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
-    a = _copy(mat)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    inv = identity(n)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-def rank(mat) -> int:
-    a = _copy(mat)
-    if not a or not a[0]:
-        return 0
-    rows, cols = len(a), len(a[0])
-    r = 0
+def _rref(mat) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of a copy of ``mat``, with its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    rows, cols = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
     for col in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    return r
-
-
-def kernel_basis(mat) -> list[list[Fraction]]:
-    """Basis of the right null space of a rows-by-cols matrix."""
-    a = _copy(mat)
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
         pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
         if pivot is None:
             continue
@@ -83,12 +31,32 @@ def kernel_basis(mat) -> list[list[Fraction]]:
                 factor = a[i][col]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    return a, pivots
+
+
+def invert(mat) -> Matrix:
+    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    a, pivots = _rref([list(row) + unit for row, unit in zip(mat, identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in a]
+
+
+def rank(mat) -> int:
+    return len(_rref(mat)[1])
+
+
+def kernel_basis(mat) -> list[list[Fraction]]:
+    """Basis of the right null space of a rows-by-cols matrix."""
+    a, pivots = _rref(mat)
+    cols = len(a[0]) if a else 0
     basis = []
-    for f in free:
+    for f in range(cols):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * cols
         vec[f] = Fraction(1)
         for row_idx, pcol in enumerate(pivots):

@@ -11,33 +11,31 @@ check fails, 2 on parse or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
 
-from .bialgebra import LieBialgebra
-from .chart import Chart, DifferentialForm, exterior_derivative, jacobi_check
+from .bialgebra import abelian_bialgebra
+from .chart import Chart, DifferentialForm, exterior_derivative
 from .errors import NotSymplecticActionError, ParseError, UnknownCatalogError, UnverifiedInputError
 from .oracle import DEFAULT_FD_STEP, FD_TOLERANCE, SamplePlan, fd_derivative_check
 from .poly import Polynomial
 from .problemfile import ProblemFile, catalog, catalog_names, parse_problem
 from .reduction import (
+    Resolved,
     bracket_closure_check,
     certify_pgmap,
     characteristic_identity_check,
     comomentum_components,
     cotangent_momentum_relation,
-    hamiltonian_comomentum,
     hamiltonian_pgmap,
     level_set_tangency_check,
     symplectic_pgmap,
-    tangent_generator,
     tangent_generator_check,
-    tangent_generator_direct,
 )
 from .report import CheckReport, emit_reports, make_report
-from .tangent import complete_lift_bivector, one_form_lift_residuals, tangent_chart, verify_tangent_lift_identity
-from .oracle import sample_residual
+from .tangent import d_T, one_form_lift_residuals, tangent_chart, verify_tangent_lift_identity
 
 COMMANDS = (
     "check-poisson",
@@ -72,9 +70,12 @@ def _random_one_form(rng: random.Random, chart: Chart, max_degree: int = 3) -> D
 
 
 # -- individual commands --------------------------------------------------------
+#
+# Every command takes the problem, a function returning the problem's one
+# Resolved value (built on first call) and the sampling plan.
 
 
-def _cmd_check_poisson(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
+def _cmd_check_poisson(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
     reports = []
     if problem.symplectic is not None:
         omega = problem.symplectic
@@ -85,25 +86,20 @@ def _cmd_check_poisson(problem: ProblemFile, plan: SamplePlan | None) -> list[Ch
                 {"d(omega)": exterior_derivative(omega.two_form)},
             )
         )
-    pi = problem.poisson_structure
-    residual = jacobi_check(pi.bivector)
+    pi = resolve().pi
     chart = pi.chart
     residuals = {
         f"[pi,pi][{','.join(chart.coords[i] for i in idx)}]": poly
-        for idx, poly in residual.components.items()
-    } or {"[pi,pi]": residual}
-    samples = ()
-    if plan is not None:
-        samples = tuple((name, sample_residual(res, plan)) for name, res in residuals.items())
+        for idx, poly in pi.jacobiator.components.items()
+    } or {"[pi,pi]": pi.jacobiator}
     reports.append(
-        make_report("poisson-jacobi", "[pi, pi] = 0 (Schouten bracket)", residuals, samples=samples)
+        make_report("poisson-jacobi", "[pi, pi] = 0 (Schouten bracket)", residuals, plan=plan)
     )
     return reports
 
 
-def _cmd_lift(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
-    pi = problem.poisson_structure
-    lifted = complete_lift_bivector(pi)
+def _cmd_lift(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+    lifted = resolve().pi_tm
     chart = lifted.chart
     entries = {
         f"pi_TM[{','.join(chart.coords[i] for i in idx)}]": poly
@@ -119,12 +115,12 @@ def _cmd_lift(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport
     ]
 
 
-def _cmd_verify_lift(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
-    pi = problem.poisson_structure
-    return [verify_tangent_lift_identity(pi, complete_lift_bivector(pi), plan=plan)]
+def _cmd_verify_lift(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+    r = resolve()
+    return [verify_tangent_lift_identity(r.pi, r.pi_tm, plan=plan)]
 
 
-def _cmd_verify_lemma(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
+def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
     chart = problem.chart
     plan = plan or SamplePlan.uniform()
     rng = random.Random(plan.seed)
@@ -152,24 +148,6 @@ def _require_pgmap(problem: ProblemFile):
     return problem.pgmap
 
 
-def _cmd_certify(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
-    pg = _require_pgmap(problem)
-    b = pg.bialgebra
-    reports = [b.check_jacobi(), b.check_cocycle(), b.check_cojacobi()]
-    try:
-        reports.append(certify_pgmap(pg, problem.poisson_structure, plan=plan))
-    except UnverifiedInputError as exc:
-        reports.append(
-            CheckReport(
-                check_id="pgmap-certification",
-                identity="phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
-                verdict="fail",
-                residuals=(("unverified-input", str(exc)),),
-            )
-        )
-    return reports
-
-
 def _guarded(check_id: str, identity: str, thunk) -> list[CheckReport]:
     try:
         result = thunk()
@@ -185,34 +163,41 @@ def _guarded(check_id: str, identity: str, thunk) -> list[CheckReport]:
     return result if isinstance(result, list) else [result]
 
 
-def _cmd_bracket_closure(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
-    pg = _require_pgmap(problem)
-    return _guarded(
-        "bracket-closure",
-        "{c_i, c_j}_TM = c_[e_i, e_j] for the fiber-linear momentum components",
-        lambda: bracket_closure_check(pg, problem.poisson_structure, plan=plan),
+def _cmd_certify(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+    b = _require_pgmap(problem).bialgebra
+    return [b.check_jacobi(), b.check_cocycle(), b.check_cojacobi()] + _guarded(
+        "pgmap-certification",
+        "phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
+        lambda: certify_pgmap(resolve(), plan=plan),
     )
 
 
-def _cmd_tangent_generator(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
-    pg = _require_pgmap(problem)
-    pi = problem.poisson_structure
+def _cmd_bracket_closure(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+    _require_pgmap(problem)
+    return _guarded(
+        "bracket-closure",
+        "{c_i, c_j}_TM = c_[e_i, e_j] for the fiber-linear momentum components",
+        lambda: bracket_closure_check(resolve(), plan=plan),
+    )
+
+
+def _cmd_tangent_generator(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+    basis = _require_pgmap(problem).bialgebra.basis
 
     def build():
-        b = pg.bialgebra
+        r = resolve()
+        check = tangent_generator_check(r, plan=plan)
         fields = {}
-        for i in range(b.dim):
-            unit = [0] * b.dim
-            unit[i] = 1
-            fields[f"via-lift-formula[{b.basis[i]}]"] = tangent_generator(pg, pi, unit)
-            fields[f"via-complete-lift[{b.basis[i]}]"] = tangent_generator_direct(pg, pi, unit)
+        for name, (lifted, direct) in zip(basis, r.generators):
+            fields[f"via-lift-formula[{name}]"] = lifted
+            fields[f"via-complete-lift[{name}]"] = direct
         listing = make_report(
             "tangent-generator-fields",
             "lifted generators by both defining formulas",
             fields,
             informative=True,
         )
-        return [listing, tangent_generator_check(pg, pi, plan=plan)]
+        return [listing, check]
 
     return _guarded(
         "tangent-generator-agreement",
@@ -221,26 +206,24 @@ def _cmd_tangent_generator(problem: ProblemFile, plan: SamplePlan | None) -> lis
     )
 
 
-def _cmd_characteristic(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
-    pg = _require_pgmap(problem)
+def _cmd_characteristic(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+    _require_pgmap(problem)
     return _guarded(
         "characteristic-identity",
         "i_T(d phi_i) = sum gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j)",
-        lambda: characteristic_identity_check(pg, problem.poisson_structure, plan=plan),
+        lambda: characteristic_identity_check(resolve(), plan=plan),
     )
 
 
-def _cmd_hamiltonian(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
+def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
     if problem.momentum is None:
         raise ParseError(f"problem {problem.name!r} has no momentum block")
     momentum = problem.momentum
     chart = momentum.chart
-    bialgebra = problem.bialgebra or LieBialgebra(
-        tuple(f"e{i+1}" for i in range(len(momentum.components))), {}, {}, verify=True
+    bialgebra = problem.bialgebra or abelian_bialgebra(
+        tuple(f"e{i+1}" for i in range(len(momentum.components)))
     )
     tc = tangent_chart(chart)
-    from .tangent import d_T
-
     pg_exact = hamiltonian_pgmap(momentum, bialgebra)
     via_pg = comomentum_components(pg_exact, tc)
     residuals = {}
@@ -266,7 +249,7 @@ def _cmd_hamiltonian(problem: ProblemFile, plan: SamplePlan | None) -> list[Chec
     return reports
 
 
-def _cmd_symplectic(problem: ProblemFile, plan: SamplePlan | None) -> list[CheckReport]:
+def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
     if problem.symplectic is None:
         raise ParseError(f"problem {problem.name!r} has no symplectic block")
     if problem.action is None:
@@ -327,27 +310,24 @@ _DISPATCH = {
 
 def run_checks(problem: ProblemFile, command: str, plan: SamplePlan | None = None,
                fd_step: Fraction = DEFAULT_FD_STEP) -> list[CheckReport]:
-    """Run one command (or 'all' applicable ones) against a problem."""
+    """Run one command (or 'all' applicable ones) against a problem.
+
+    The commands of one call share one Resolved value, so pi, pi_TM and the
+    pgmap certification are each computed at most once per call."""
+    resolve = functools.cache(lambda: Resolved(problem.poisson_structure, problem.pgmap))
     if command == "all":
-        reports: list[CheckReport] = []
-        reports += _cmd_check_poisson(problem, plan)
-        reports += _cmd_lift(problem, plan)
-        reports += _cmd_verify_lift(problem, plan)
-        reports += _cmd_verify_lemma(problem, plan)
+        steps = ["check-poisson", "lift", "verify-lift", "verify-lemma"]
         if problem.pgmap is not None:
-            reports += _cmd_certify(problem, plan)
-            reports += _cmd_bracket_closure(problem, plan)
-            reports += _cmd_tangent_generator(problem, plan)
-            reports += _cmd_characteristic(problem, plan)
+            steps += ["certify-pgmap", "bracket-closure", "tangent-generator", "characteristic-identity"]
         if problem.momentum is not None:
-            reports += _cmd_hamiltonian(problem, plan)
+            steps.append("hamiltonian")
         if problem.symplectic is not None and problem.action is not None:
-            reports += _cmd_symplectic(problem, plan)
-        reports += _cmd_oracle_fd(problem, plan, fd_step)
-        return reports
+            steps.append("symplectic")
+        reports = [rep for step in steps for rep in _DISPATCH[step](problem, resolve, plan)]
+        return reports + _cmd_oracle_fd(problem, plan, fd_step)
     if command not in _DISPATCH:
         raise ParseError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-    return _DISPATCH[command](problem, plan)
+    return _DISPATCH[command](problem, resolve, plan)
 
 
 # -- entry point --------------------------------------------------------------------
@@ -410,7 +390,11 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, ZeroDivisionError):
             print(f"error: bad --box value {args.box!r}", file=sys.stderr)
             return 2
-    plan = SamplePlan(count, seed, box)
+    try:
+        plan = SamplePlan(count, seed, box)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     fd_step = problem.fd_step
     if args.fd_step is not None:
         try:

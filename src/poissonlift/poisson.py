@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _linalg
 from .chart import (
@@ -33,27 +34,15 @@ from .errors import ChartMismatchError, DegreeError, NotPoissonError
 from .poly import Polynomial
 
 
-def full_matrix(bivector: Multivector) -> list[list[Polynomial]]:
-    """Antisymmetric n-by-n component matrix P with P[i][j] = pi^(ij)."""
-    if bivector.degree != 2:
-        raise DegreeError("component matrix takes a bivector")
-    chart = bivector.chart
+def full_matrix(tensor) -> list[list[Polynomial]]:
+    """Antisymmetric n-by-n component matrix of a bivector or a 2-form,
+    with entry [i][j] the (ij) component."""
+    if tensor.degree != 2:
+        raise DegreeError("component matrix takes a bivector or a 2-form")
+    chart = tensor.chart
     n = chart.dim
     mat = [[chart.zero_poly() for _ in range(n)] for _ in range(n)]
-    for (i, j), poly in bivector.components.items():
-        mat[i][j] = poly
-        mat[j][i] = -poly
-    return mat
-
-
-def form_matrix(two_form: DifferentialForm) -> list[list[Polynomial]]:
-    """Antisymmetric component matrix W with W[i][j] = omega_(ij)."""
-    if two_form.degree != 2:
-        raise DegreeError("component matrix takes a 2-form")
-    chart = two_form.chart
-    n = chart.dim
-    mat = [[chart.zero_poly() for _ in range(n)] for _ in range(n)]
-    for (i, j), poly in two_form.components.items():
+    for (i, j), poly in tensor.components.items():
         mat[i][j] = poly
         mat[j][i] = -poly
     return mat
@@ -63,24 +52,34 @@ def form_matrix(two_form: DifferentialForm) -> list[list[Polynomial]]:
 class PoissonStructure:
     """A bivector field together with an exact Jacobi verdict.
 
-    ``jacobi_verified`` can only be True when [pi, pi] = 0 holds exactly;
-    the constructor re-checks the claim, so the flag cannot lie.  Bivectors
-    failing the identity can still be carried around (flag False) for
-    negative tests, but operations that need a Poisson structure refuse
-    them."""
+    Unless the verdict is given as False, the constructor evaluates
+    [pi, pi] once, keeps it as ``jacobiator`` and sets ``jacobi_verified``
+    to whether it vanishes; a claimed True is checked the same way, so the
+    flag cannot lie.  Bivectors failing the identity can still be carried
+    around (flag False) for negative tests, but operations that need a
+    Poisson structure refuse them."""
 
     bivector: Multivector
-    jacobi_verified: bool
+    jacobi_verified: bool | None = None
 
     def __post_init__(self):
         if self.bivector.degree != 2:
             raise DegreeError("a Poisson structure is a degree-2 multivector")
-        if self.jacobi_verified and not jacobi_check(self.bivector).is_zero():
+        if self.jacobi_verified is False:
+            return
+        holds = self.jacobiator.is_zero()
+        if self.jacobi_verified and not holds:
             raise NotPoissonError("jacobi_verified claimed but [pi, pi] != 0")
+        object.__setattr__(self, "jacobi_verified", holds)
+
+    @cached_property
+    def jacobiator(self) -> Multivector:
+        """[pi, pi], evaluated on first use and then kept."""
+        return jacobi_check(self.bivector)
 
     @classmethod
     def from_bivector(cls, bivector: Multivector) -> "PoissonStructure":
-        return cls(bivector, jacobi_check(bivector).is_zero())
+        return cls(bivector)
 
     @property
     def chart(self) -> Chart:
@@ -187,7 +186,7 @@ class SymplecticForm:
 
     def _pairing_is_identity(self) -> bool:
         chart = self.two_form.chart
-        w = form_matrix(self.two_form)
+        w = full_matrix(self.two_form)
         p = full_matrix(self.inverse_bivector)
         n = chart.dim
         for i in range(n):
@@ -211,7 +210,7 @@ class SymplecticForm:
         """
         chart = two_form.chart
         if inverse is None:
-            mat = form_matrix(two_form)
+            mat = full_matrix(two_form)
             if any(not entry.is_constant() for row in mat for entry in row):
                 raise ValueError("non-constant symplectic matrix: supply the inverse bivector")
             const = [[entry.constant_value() for entry in row] for row in mat]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bialgebra import LieBialgebra
 from .chart import Chart, Multivector
@@ -53,8 +54,10 @@ class ProblemFile:
     plan: SamplePlan | None = None
     fd_step: Fraction = DEFAULT_FD_STEP
 
-    @property
+    @cached_property
     def poisson_structure(self) -> PoissonStructure:
+        """The declared Poisson structure, or the symplectic form's inverse,
+        built and Jacobi-checked on first access."""
         if self.poisson is not None:
             return self.poisson
         if self.symplectic is not None:

@@ -9,19 +9,22 @@ A certified family phi: g -> 1-forms satisfies, for the attached bialgebra,
     (ii) d(phi_i)   = sum_(j<k) gamma^(jk)_i phi_j ^ phi_k
 
 and the induced fiber-linear functions c_i = i_T(phi_i) then close under the
-lifted Poisson bracket: {c_i, c_j}_TM = c_[e_i, e_j].  Checks that require
-certified inputs accept require_certified=False so that negative controls can
-observe the nonzero residuals directly.
+lifted Poisson bracket: {c_i, c_j}_TM = c_[e_i, e_j].  The lifted checks
+take a ``Resolved`` value, which certifies the map and lifts pi once and
+passes both on.  Checks that require certified inputs accept
+require_certified=False so that negative controls can observe the nonzero
+residuals directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import _linalg
-from .bialgebra import LieBialgebra
+from .bialgebra import LieBialgebra, abelian_bialgebra
 from .chart import (
     Chart,
     DifferentialForm,
@@ -37,12 +40,12 @@ from .errors import (
     NotSymplecticActionError,
     UnverifiedInputError,
 )
-from .oracle import SamplePlan, sample_residual
+from .oracle import SamplePlan
 from .poisson import (
     PoissonStructure,
     SymplecticForm,
     differential,
-    form_matrix,
+    full_matrix,
     hamiltonian_vf,
     koszul_bracket,
     poisson_bracket,
@@ -146,37 +149,67 @@ def pgmap_residuals(pg: PGMap, pi: PoissonStructure) -> dict[str, DifferentialFo
     return residuals
 
 
-def certify_pgmap(pg: PGMap, pi: PoissonStructure, plan: SamplePlan | None = None) -> CheckReport:
+class Resolved:
+    """A Poisson structure ``pi``, optionally a map ``pg``, and what the lifted
+    checks derive from them, each member computed on first use and then kept:
+    the tangent chart ``tc``, the complete lift ``pi_tm`` (Jacobi-proved once),
+    the axiom residuals ``certification`` and the lifted ``generators``.
+
+    Computing a member twice gives the same value, so an instance can be
+    shared without locks.  Checks call ``require`` before reading members
+    that presuppose a certified map."""
+
+    def __init__(self, pi: PoissonStructure, pg: PGMap | None = None):
+        self.pi = pi
+        self.pg = pg
+
+    @cached_property
+    def tc(self) -> TangentChart:
+        return tangent_chart(self.pi.chart)
+
+    @cached_property
+    def pi_tm(self) -> PoissonStructure:
+        return complete_lift_bivector(self.pi, self.tc)
+
+    @cached_property
+    def certification(self) -> dict[str, DifferentialForm]:
+        """Residuals of both axioms of ``pg`` against ``pi``."""
+        return pgmap_residuals(self.pg, self.pi)
+
+    @cached_property
+    def generators(self) -> tuple[tuple[Multivector, Multivector], ...]:
+        """Per basis element: its lifted generator by the lift formula and
+        the complete lift of its base generator."""
+        dim = self.pg.bialgebra.dim
+        units = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        return tuple((tangent_generator(self, unit), tangent_generator_direct(self, unit))
+                     for unit in units)
+
+    def require(self, certified: bool = True) -> None:
+        """Refuse unverified bialgebra or Poisson data and, when ``certified``,
+        a map with a nonzero axiom residual."""
+        if not self.pi.jacobi_verified:
+            raise UnverifiedInputError("Poisson structure is not Jacobi-verified")
+        if not self.pg.bialgebra.verified:
+            raise UnverifiedInputError("bialgebra failed (or skipped) its structure checks")
+        if self.pg.chart != self.pi.chart:
+            raise ChartMismatchError("map images and Poisson structure on different charts")
+        if not certified:
+            return
+        bad = [name for name, res in self.certification.items() if not res.is_zero()]
+        if bad:
+            raise UnverifiedInputError(f"map is not certified; failing residuals: {', '.join(bad)}")
+
+
+def certify_pgmap(r: Resolved, plan: SamplePlan | None = None) -> CheckReport:
     """Exact verdict on both axioms; requires verified bialgebra and Poisson data."""
-    _require_verified_inputs(pg, pi)
-    residuals = pgmap_residuals(pg, pi)
-    samples = ()
-    if plan is not None:
-        samples = tuple((name, sample_residual(res, plan)) for name, res in residuals.items())
+    r.require(certified=False)
     return make_report(
         "pgmap-certification",
         "phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
-        residuals,
-        samples=samples,
+        r.certification,
+        plan=plan,
     )
-
-
-def _require_verified_inputs(pg: PGMap, pi: PoissonStructure) -> None:
-    if not pi.jacobi_verified:
-        raise UnverifiedInputError("Poisson structure is not Jacobi-verified")
-    if not pg.bialgebra.verified:
-        raise UnverifiedInputError("bialgebra failed (or skipped) its structure checks")
-    if pg.chart != pi.chart:
-        raise ChartMismatchError("map images and Poisson structure on different charts")
-
-
-def _require_certified(pg: PGMap, pi: PoissonStructure, require_certified: bool) -> None:
-    _require_verified_inputs(pg, pi)
-    if not require_certified:
-        return
-    bad = [name for name, res in pgmap_residuals(pg, pi).items() if not res.is_zero()]
-    if bad:
-        raise UnverifiedInputError(f"map is not certified; failing residuals: {', '.join(bad)}")
 
 
 # -- generators and fiber-linear functions ---------------------------------------
@@ -201,16 +234,15 @@ def comomentum_components(pg: PGMap, tc: TangentChart | None = None) -> list[Pol
 # -- bracket closure of the zero level set ----------------------------------------
 
 
-def bracket_closure_residuals(pg: PGMap, pi: PoissonStructure) -> dict[str, Polynomial]:
+def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
     """{c_i, c_j}_TM - c_[e_i, e_j] for every ordered basis pair."""
-    b = pg.bialgebra
-    tc = tangent_chart(pg.chart)
-    pi_tm = complete_lift_bivector(pi, tc)
-    c = comomentum_components(pg, tc)
+    b = r.pg.bialgebra
+    tc = r.tc
+    c = comomentum_components(r.pg, tc)
     residuals: dict[str, Polynomial] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
-            lifted = poisson_bracket(pi_tm, c[i], c[j])
+            lifted = poisson_bracket(r.pi_tm, c[i], c[j])
             expected = tc.total.zero_poly()
             for k, coeff in enumerate(b.bracket(i, j)):
                 if coeff != 0:
@@ -219,86 +251,64 @@ def bracket_closure_residuals(pg: PGMap, pi: PoissonStructure) -> dict[str, Poly
     return residuals
 
 
-def bracket_closure_check(pg: PGMap, pi: PoissonStructure, *, require_certified: bool = True,
+def bracket_closure_check(r: Resolved, *, require_certified: bool = True,
                           plan: SamplePlan | None = None) -> CheckReport:
     """Certifies that the zero level set of c is coisotropic: the lifted
     bracket of generators lands back in the generated ideal."""
-    _require_certified(pg, pi, require_certified)
-    residuals = bracket_closure_residuals(pg, pi)
-    samples = ()
-    if plan is not None:
-        samples = tuple((name, sample_residual(res, plan)) for name, res in residuals.items())
+    r.require(require_certified)
     return make_report(
         "bracket-closure",
         "{c_i, c_j}_TM = c_[e_i, e_j] for the fiber-linear momentum components",
-        residuals,
-        samples=samples,
+        bracket_closure_residuals(r),
+        plan=plan,
     )
 
 
 # -- lifted generators --------------------------------------------------------------
 
 
-def tangent_generator(pg: PGMap, pi: PoissonStructure, xs: Sequence,
-                      require_certified: bool = True) -> Multivector:
+def tangent_generator(r: Resolved, xs: Sequence) -> Multivector:
     """Lifted generator X_(i_T phi_x) + pi_TM#(i_T d phi_x) on the tangent chart."""
-    _require_certified(pg, pi, require_certified)
-    tc = tangent_chart(pg.chart)
-    pi_tm = complete_lift_bivector(pi, tc)
-    phi = pg.image(xs)
-    hamiltonian_part = hamiltonian_vf(pi_tm, i_T(tc, phi).as_poly())
+    tc = r.tc
+    phi = r.pg.image(xs)
+    hamiltonian_part = hamiltonian_vf(r.pi_tm, i_T(tc, phi).as_poly())
     twist = i_T(tc, exterior_derivative(phi))
     if twist.is_zero():
         return hamiltonian_part
-    return hamiltonian_part + sharp(pi_tm, twist)
+    return hamiltonian_part + sharp(r.pi_tm, twist)
 
 
-def tangent_generator_direct(pg: PGMap, pi: PoissonStructure, xs: Sequence,
-                             require_certified: bool = True) -> Multivector:
+def tangent_generator_direct(r: Resolved, xs: Sequence) -> Multivector:
     """Complete lift of the base generator; must agree with tangent_generator."""
-    _require_certified(pg, pi, require_certified)
-    tc = tangent_chart(pg.chart)
-    return complete_lift_vf(tc, generator(pg, pi, xs))
+    return complete_lift_vf(r.tc, generator(r.pg, r.pi, xs))
 
 
-def tangent_generator_residuals(pg: PGMap, pi: PoissonStructure,
-                                require_certified: bool = True) -> dict[str, Multivector]:
-    b = pg.bialgebra
-    residuals = {}
-    for i in range(b.dim):
-        unit = [Fraction(0)] * b.dim
-        unit[i] = Fraction(1)
-        lhs = tangent_generator(pg, pi, unit, require_certified)
-        rhs = tangent_generator_direct(pg, pi, unit, require_certified)
-        residuals[f"generator[{b.basis[i]}]"] = lhs - rhs
-    return residuals
-
-
-def tangent_generator_check(pg: PGMap, pi: PoissonStructure, *, require_certified: bool = True,
+def tangent_generator_check(r: Resolved, *, require_certified: bool = True,
                             plan: SamplePlan | None = None) -> CheckReport:
-    residuals = tangent_generator_residuals(pg, pi, require_certified)
-    samples = ()
-    if plan is not None:
-        samples = tuple((name, sample_residual(res, plan)) for name, res in residuals.items())
+    r.require(require_certified)
+    residuals = {
+        f"generator[{name}]": lifted - direct
+        for name, (lifted, direct) in zip(r.pg.bialgebra.basis, r.generators)
+    }
     return make_report(
         "tangent-generator-agreement",
         "X_(i_T phi) + pi_TM#(i_T d phi) equals the complete lift of pi#(phi)",
         residuals,
-        samples=samples,
+        plan=plan,
     )
 
 
 # -- the ideal-coefficient identity ----------------------------------------------------
 
 
-def characteristic_identity_residuals(pg: PGMap) -> dict[str, DifferentialForm]:
+def characteristic_identity_residuals(r: Resolved) -> dict[str, DifferentialForm]:
     """i_T(d phi_i) - sum_(j<k) gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j).
 
     A formal consequence of the cobracket axiom; exhibits the lifted
     generator minus the Hamiltonian field of c_i with coefficients in the
     ideal generated by the c_j."""
+    pg, tc = r.pg, r.tc
     b = pg.bialgebra
-    tc = tangent_chart(pg.chart)
     c = comomentum_components(pg, tc)
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
@@ -312,19 +322,14 @@ def characteristic_identity_residuals(pg: PGMap) -> dict[str, DifferentialForm]:
     return residuals
 
 
-def characteristic_identity_check(pg: PGMap, pi: PoissonStructure, *,
-                                  require_certified: bool = True,
+def characteristic_identity_check(r: Resolved, *, require_certified: bool = True,
                                   plan: SamplePlan | None = None) -> CheckReport:
-    _require_certified(pg, pi, require_certified)
-    residuals = characteristic_identity_residuals(pg)
-    samples = ()
-    if plan is not None:
-        samples = tuple((name, sample_residual(res, plan)) for name, res in residuals.items())
+    r.require(require_certified)
     return make_report(
         "characteristic-identity",
         "i_T(d phi_i) = sum gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j)",
-        residuals,
-        samples=samples,
+        characteristic_identity_residuals(r),
+        plan=plan,
     )
 
 
@@ -415,12 +420,6 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
 # -- symplectic actions --------------------------------------------------------------------
 
 
-def _abelian_for(generators: Sequence[Multivector]) -> LieBialgebra:
-    from .bialgebra import abelian_bialgebra
-
-    return abelian_bialgebra(tuple(f"e{i + 1}" for i in range(len(generators))))
-
-
 def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
                      bialgebra: LieBialgebra | None = None) -> tuple[PGMap, CheckReport]:
     """Images i_X(omega) for a family of symplectic generators.
@@ -437,7 +436,7 @@ def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
         if not lie.is_zero():
             raise NotSymplecticActionError(index, lie.to_string())
     if bialgebra is None:
-        bialgebra = _abelian_for(generators)
+        bialgebra = abelian_bialgebra(tuple(f"e{i + 1}" for i in range(len(generators))))
     images = tuple(omega.flat(field) for field in generators)
     pg = PGMap(bialgebra, chart, images)
     residuals = {
@@ -463,7 +462,7 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
     tc = tangent_chart(chart)
     tstar = cotangent_chart(chart)
     n = chart.dim
-    w = form_matrix(omega.two_form)
+    w = full_matrix(omega.two_form)
     flat_images: dict[str, Polynomial] = {c: tc.total.coord_poly(c) for c in chart.coords}
     for k, ck in enumerate(chart.coords):
         total = tc.total.zero_poly()
@@ -490,20 +489,9 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
         residuals, variant = minus, "c = +(j . omega_flat)"
     else:
         residuals, variant = plus, "c = -(j . omega_flat)"
-    samples = ()
-    if plan is not None:
-        samples = tuple((name, sample_residual(res, plan)) for name, res in residuals.items())
     return make_report(
         "cotangent-momentum-relation",
         f"tangent and cotangent momenta agree through omega_flat: {variant}",
         residuals,
-        samples=samples,
+        plan=plan,
     )
-
-
-# -- helper for randomized certified families ------------------------------------------------
-
-
-def pgmap_from_momentum(momentum: MomentumMapData, bialgebra: LieBialgebra) -> PGMap:
-    """Alias of hamiltonian_pgmap, kept for symmetry with the exact pipeline."""
-    return hamiltonian_pgmap(momentum, bialgebra)

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .oracle import SamplePlan, sample_residual
+
 SCHEMA_VERSION = 1
 
 _VERDICTS = ("pass", "fail", "informative")
@@ -59,13 +61,17 @@ def _text(value) -> str:
 
 
 def make_report(check_id: str, identity: str, residuals, samples=(),
-                informative: bool = False) -> CheckReport:
+                informative: bool = False, plan: SamplePlan | None = None) -> CheckReport:
     """Build a report from named residual values.
 
     ``residuals`` maps names to polynomials, tensors or rationals.  Nonzero
     values are kept in printed form; the verdict is ``pass`` iff none remain
     (or ``informative`` when requested, in which case every value is listed).
+    With a ``plan``, the samples are every residual's largest absolute value
+    over the plan's points.
     """
+    if plan is not None:
+        samples = [(name, sample_residual(res, plan)) for name, res in residuals.items()]
     entries = []
     for name in residuals:
         value = residuals[name]

@@ -38,7 +38,7 @@ from .errors import (
     NameCollisionError,
     NotPoissonError,
 )
-from .oracle import SamplePlan, sample_residual
+from .oracle import SamplePlan
 from .poisson import PoissonStructure, full_matrix
 from .poly import Polynomial
 from .report import CheckReport, make_report
@@ -382,14 +382,11 @@ def verify_tangent_lift_identity(pi: PoissonStructure, candidate,
                                  plan: SamplePlan | None = None) -> CheckReport:
     """Exact check of the lift identity; pass iff every residual is zero."""
     residuals = tangent_lift_residuals(pi, candidate)
-    samples = ()
-    if plan is not None:
-        samples = tuple((name, sample_residual(res, plan)) for name, res in residuals.items())
     return make_report(
         "tangent-lift-identity",
         "pi_TM# . alpha = kappa . T(pi#) on TT*M block coordinates",
         residuals,
-        samples=samples,
+        plan=plan,
     )
 
 
@@ -442,12 +439,9 @@ def one_form_lift_residuals(theta: DifferentialForm) -> dict[str, Polynomial]:
 def verify_lemma_alpha_dT(theta: DifferentialForm, plan: SamplePlan | None = None) -> CheckReport:
     """Exact check that the prolongation-exchange composite equals the complete lift."""
     residuals = one_form_lift_residuals(theta)
-    samples = ()
-    if plan is not None:
-        samples = tuple((name, sample_residual(res, plan)) for name, res in residuals.items())
     return make_report(
         "tangent-prolongation-1form",
         "alpha . T(theta) = d_T(theta) as maps TM -> T*TM",
         residuals,
-        samples=samples,
+        plan=plan,
     )

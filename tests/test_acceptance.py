@@ -21,6 +21,7 @@ from poissonlift import (
     MomentumMapData,
     Multivector,
     PGMap,
+    Resolved,
     PoissonStructure,
     SamplePlan,
     SymplecticForm,
@@ -94,9 +95,9 @@ def _collected_zero_residuals():
         if problem.pgmap is not None:
             pi = problem.poisson_structure
             residuals += [
-                poly for poly in bracket_closure_residuals(problem.pgmap, pi).values()
+                poly for poly in bracket_closure_residuals(Resolved(pi, problem.pgmap)).values()
             ]
-            for form in characteristic_identity_residuals(problem.pgmap).values():
+            for form in characteristic_identity_residuals(Resolved(pi, problem.pgmap)).values():
                 residuals += list(form.components.values()) or [form.chart.zero_poly()]
     return residuals
 
@@ -213,7 +214,7 @@ def test_criterion_4_lifted_generator_agreement():
             problem = catalog(name)
             if problem.pgmap is None:
                 continue
-            report = tangent_generator_check(problem.pgmap, problem.poisson_structure)
+            report = tangent_generator_check(Resolved(problem.poisson_structure, problem.pgmap))
             assert report.verdict == "pass", (name, report.residuals)
         chart = Chart("g", ("x", "y", "z"))
         pi = lie_poisson(so3_bialgebra(), chart)
@@ -231,8 +232,8 @@ def test_criterion_4_lifted_generator_agreement():
                 ),
             )
             pg = hamiltonian_pgmap(momentum, so3_bialgebra())
-            assert certify_pgmap(pg, pi).verdict == "pass"
-            assert tangent_generator_check(pg, pi).verdict == "pass"
+            assert certify_pgmap(Resolved(pi, pg)).verdict == "pass"
+            assert tangent_generator_check(Resolved(pi, pg)).verdict == "pass"
 
 
 def test_criterion_5_closed_images_give_hamiltonian_lift():
@@ -242,10 +243,10 @@ def test_criterion_5_closed_images_give_hamiltonian_lift():
         pi = problem.poisson_structure
         tc = tangent_chart(problem.chart)
         pi_tm = complete_lift_bivector(pi, tc)
-        lifted = tangent_generator(pg, pi, (1,))
+        lifted = tangent_generator(Resolved(pi, pg), (1,))
         c = i_T(tc, pg.images[0]).as_poly()
         assert lifted == hamiltonian_vf(pi_tm, c)
-        assert lifted == tangent_generator_direct(pg, pi, (1,))
+        assert lifted == tangent_generator_direct(Resolved(pi, pg), (1,))
 
 
 def test_criterion_6_bracket_closure_with_negative_control():
@@ -254,7 +255,7 @@ def test_criterion_6_bracket_closure_with_negative_control():
             problem = catalog(name)
             if problem.pgmap is None:
                 continue
-            report = bracket_closure_check(problem.pgmap, problem.poisson_structure)
+            report = bracket_closure_check(Resolved(problem.poisson_structure, problem.pgmap))
             assert report.verdict == "pass", (name, report.residuals)
         # negative control A: a perturbed cobracket entry is detected by the
         # gamma-sensitive checks (the closure residual itself is independent
@@ -263,11 +264,11 @@ def test_criterion_6_bracket_closure_with_negative_control():
         perturbed_gamma = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {1: {(0, 1): 2}})
         assert perturbed_gamma.verified
         pg_gamma = PGMap(perturbed_gamma, base.chart, base.pgmap.images)
-        cert = certify_pgmap(pg_gamma, base.poisson_structure)
+        cert = certify_pgmap(Resolved(base.poisson_structure, pg_gamma))
         assert cert.verdict == "fail"
         assert "cocycle-axiom[e2]" in dict(cert.residuals)
         char = characteristic_identity_check(
-            pg_gamma, base.poisson_structure, require_certified=False
+            Resolved(base.poisson_structure, pg_gamma), require_certified=False
         )
         assert char.verdict == "fail"
         assert "characteristic[e2]" in dict(char.residuals)
@@ -281,9 +282,9 @@ def test_criterion_6_bracket_closure_with_negative_control():
         )
         pg_c = PGMap(perturbed_c, so3.chart, so3.pgmap.images)
         with pytest.raises(UnverifiedInputError):
-            bracket_closure_check(pg_c, so3.poisson_structure)
+            bracket_closure_check(Resolved(so3.poisson_structure, pg_c))
         report = bracket_closure_check(
-            pg_c, so3.poisson_structure, require_certified=False
+            Resolved(so3.poisson_structure, pg_c), require_certified=False
         )
         assert report.verdict == "fail"
         assert dict(report.residuals)["closure[e1,e2]"] == "-v_z"
@@ -293,13 +294,13 @@ def test_criterion_7_characteristic_identity():
     with criterion(7, "ideal-coefficient identity for the lifted generator"):
         problem = catalog("aff1-cobracket")
         assert problem.bialgebra.cobracket_row(1)  # nonzero cobracket entry
-        report = characteristic_identity_check(problem.pgmap, problem.poisson_structure)
+        report = characteristic_identity_check(Resolved(problem.poisson_structure, problem.pgmap))
         assert report.verdict == "pass"
         # axiom-(ii)-violating counterexample fails with a named residual
         chart = Chart("M", ("q", "p"))
         pi = PoissonStructure.from_bivector(parse_multivector("e_q^e_p", chart))
         bad = PGMap(abelian_bialgebra(("e1",)), chart, (parse_form("p*dq", chart),))
-        failing = characteristic_identity_check(bad, pi, require_certified=False)
+        failing = characteristic_identity_check(Resolved(pi, bad), require_certified=False)
         assert failing.verdict == "fail"
         assert "characteristic[e1]" in dict(failing.residuals)
 

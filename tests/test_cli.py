@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from poissonlift import catalog, catalog_names, parse_problem, parse_reports
-from poissonlift.cli import main, run_checks
+from poissonlift import chart, reduction, tangent
+from poissonlift.cli import COMMANDS, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import catalog_text
 
@@ -222,5 +224,50 @@ class TestMainEntry:
         # leading '-' requires the '=' form, as usual with argparse
         assert main(["check-poisson", "so3-coadjoint", "--box=-1,1"]) == 0
 
-    def test_bad_box_flag(self, capsys):
-        assert main(["check-poisson", "so3-coadjoint", "--box", "oops"]) == 2
+    @pytest.mark.parametrize(
+        "flags",
+        [["--box", "oops"], ["--samples", "0"], ["--samples", "-3"], ["--box", "2,-2"]],
+        ids=["box-oops", "samples-zero", "samples-negative", "box-empty"],
+    )
+    def test_bad_box_flag(self, capsys, flags):
+        assert main(["check-poisson", "so3-coadjoint", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "problem",
+        list(catalog_names()) + [str(p) for p in sorted(_CONFORMANCE.glob("valid/*.pf"))],
+        ids=lambda p: Path(p).stem,
+    )
+    def test_every_command_ends_in_a_verdict(self, capsys, problem):
+        for command in COMMANDS:
+            code = main([command, problem, "--samples", "5"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), command
+            assert "Traceback" not in err, command
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Count calls of ``module.name`` made through any poissonlift module
+    that holds it as a global."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("poissonlift") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_all_certifies_and_lifts_once(monkeypatch, name):
+    jacobi = _count_calls(monkeypatch, chart, "jacobi_check")
+    lifts = _count_calls(monkeypatch, tangent, "complete_lift_bivector")
+    residuals = _count_calls(monkeypatch, reduction, "pgmap_residuals")
+    run_checks(catalog(name), "all")
+    assert len(lifts) == 1
+    assert len(residuals) <= 1
+    assert len(jacobi) <= 3

@@ -21,6 +21,7 @@ from poissonlift import (
     MomentumMapData,
     Multivector,
     PGMap,
+    Resolved,
     PoissonStructure,
     SamplePlan,
     SymplecticForm,
@@ -89,22 +90,22 @@ def aff1_setup():
 class TestCertify:
     def test_abelian_exact_image(self, chart_qp, canonical):
         pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
-        assert certify_pgmap(pg, canonical).verdict == "pass"
+        assert certify_pgmap(Resolved(canonical, pg)).verdict == "pass"
 
     def test_so3_exact_images(self, so3, so3_pg):
         # axiom (i) reduces to [df, dg]_pi = d{f, g} for the coordinate duals
-        assert certify_pgmap(so3_pg, so3).verdict == "pass"
+        assert certify_pgmap(Resolved(so3, so3_pg)).verdict == "pass"
 
     def test_momentum_style_counterexample(self, chart_qp, canonical):
         pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("p*dq", chart_qp),))
-        report = certify_pgmap(pg, canonical)
+        report = certify_pgmap(Resolved(canonical, pg))
         assert report.verdict == "fail"
         # d(p dq) = dp^dq = -dq^dp survives as the cobracket-axiom residual
         assert dict(report.residuals)["cocycle-axiom[e1]"] == "-dq^dp"
 
     def test_aff1_family(self):
         _, _, pi, pg = aff1_setup()
-        assert certify_pgmap(pg, pi).verdict == "pass"
+        assert certify_pgmap(Resolved(pi, pg)).verdict == "pass"
 
     def test_refuses_unverified_bialgebra(self, chart_qp, canonical):
         bad = LieBialgebra(
@@ -113,12 +114,12 @@ class TestCertify:
         assert not bad.verified
         pg = PGMap(bad, chart_qp, tuple(parse_form("dq", chart_qp) for _ in range(3)))
         with pytest.raises(UnverifiedInputError):
-            certify_pgmap(pg, canonical)
+            certify_pgmap(Resolved(canonical, pg))
 
     def test_refuses_unverified_poisson(self, chart_xyz, so3_pg):
         bad = PoissonStructure(parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz), False)
         with pytest.raises(UnverifiedInputError):
-            certify_pgmap(so3_pg, bad)
+            certify_pgmap(Resolved(bad, so3_pg))
 
 
 class TestGenerator:
@@ -177,11 +178,11 @@ class TestBracketClosure:
             chart_qp,
             (parse_form("dq", chart_qp), parse_form("dp", chart_qp)),
         )
-        assert bracket_closure_check(pg, canonical).verdict == "pass"
+        assert bracket_closure_check(Resolved(canonical, pg)).verdict == "pass"
 
     def test_so3_closure_exact(self, so3, so3_pg):
         # full symbolic expansion: {v_x, v_y}_TM = v_z and cyclic
-        report = bracket_closure_check(so3_pg, so3)
+        report = bracket_closure_check(Resolved(so3, so3_pg))
         assert report.verdict == "pass"
         tc = tangent_chart(so3_pg.chart)
         pi_tm = complete_lift_bivector(so3, tc)
@@ -192,7 +193,7 @@ class TestBracketClosure:
 
     def test_aff1_closure(self):
         _, _, pi, pg = aff1_setup()
-        assert bracket_closure_check(pg, pi).verdict == "pass"
+        assert bracket_closure_check(Resolved(pi, pg)).verdict == "pass"
 
     def test_perturbed_bracket_constant_detected(self, chart_xyz, so3):
         # negative control: scaling [e1,e2] to 2 e3 keeps a valid Lie algebra
@@ -205,8 +206,8 @@ class TestBracketClosure:
         assert perturbed.verified
         pg = PGMap(perturbed, chart_xyz, tuple(parse_form("d" + c, chart_xyz) for c in "xyz"))
         with pytest.raises(UnverifiedInputError):
-            bracket_closure_check(pg, so3)  # certification fails first
-        report = bracket_closure_check(pg, so3, require_certified=False)
+            bracket_closure_check(Resolved(so3, pg))  # certification fails first
+        report = bracket_closure_check(Resolved(so3, pg), require_certified=False)
         assert report.verdict == "fail"
         # residual {c_1, c_2} - 2 c_3 = v_z - 2 v_z = -v_z
         assert dict(report.residuals)["closure[e1,e2]"] == "-v_z"
@@ -216,25 +217,25 @@ class TestTangentGenerator:
     def test_rotation_both_branches(self, chart_qp, canonical):
         h = parse_poly("1/2*q^2 + 1/2*p^2", chart_qp.coords)
         pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (differential(chart_qp, h),))
-        lifted = tangent_generator(pg, canonical, (1,))
+        lifted = tangent_generator(Resolved(canonical, pg), (1,))
         tc = tangent_chart(chart_qp)
         # complete lift of q e_p - p e_q
         expected = parse_multivector(
             "q*e_p - p*e_q + v_q*e_v_p - v_p*e_v_q", tc.total
         )
         assert lifted == expected
-        assert tangent_generator_direct(pg, canonical, (1,)) == expected
+        assert tangent_generator_direct(Resolved(canonical, pg), (1,)) == expected
         # closed image: the lifted generator is Hamiltonian for c = i_T(dH)
         pi_tm = complete_lift_bivector(canonical, tc)
         c = i_T(tc, pg.images[0]).as_poly()
         assert lifted == hamiltonian_vf(pi_tm, c)
 
     def test_zero_vector(self, so3, so3_pg):
-        assert tangent_generator(so3_pg, so3, (0, 0, 0)).is_zero()
+        assert tangent_generator(Resolved(so3, so3_pg), (0, 0, 0)).is_zero()
 
     def test_so3_matches_complete_lift(self, so3, so3_pg):
         unit = (0, 0, 1)
-        lifted = tangent_generator(so3_pg, so3, unit)
+        lifted = tangent_generator(Resolved(so3, so3_pg), unit)
         tc = tangent_chart(so3_pg.chart)
         direct = complete_lift_vf(tc, generator(so3_pg, so3, unit))
         assert lifted == direct
@@ -243,13 +244,13 @@ class TestTangentGenerator:
         _, _, pi_aff, pg_aff = aff1_setup()
         pg_ab = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
         for pg, pi in ((pg_ab, canonical), (so3_pg, so3), (pg_aff, pi_aff)):
-            assert tangent_generator_check(pg, pi).verdict == "pass"
+            assert tangent_generator_check(Resolved(pi, pg)).verdict == "pass"
 
     def test_abelian_closed_hamiltonian(self, chart_qp, canonical):
         pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
         tc = tangent_chart(chart_qp)
         pi_tm = complete_lift_bivector(canonical, tc)
-        assert tangent_generator(pg, canonical, (1,)) == hamiltonian_vf(
+        assert tangent_generator(Resolved(canonical, pg), (1,)) == hamiltonian_vf(
             pi_tm, tc.total.coord_poly("v_q")
         )
 
@@ -257,20 +258,20 @@ class TestTangentGenerator:
 class TestCharacteristicIdentity:
     def test_zero_cobracket_cases(self, canonical, chart_qp, so3, so3_pg):
         pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
-        assert characteristic_identity_check(pg, canonical).verdict == "pass"
-        assert characteristic_identity_check(so3_pg, so3).verdict == "pass"
+        assert characteristic_identity_check(Resolved(canonical, pg)).verdict == "pass"
+        assert characteristic_identity_check(Resolved(so3, so3_pg)).verdict == "pass"
 
     def test_aff1_nonzero_gamma(self):
         # i_T(d phi_2) = i_T(dq^dp) = v_q dp - v_p dq must match
         # c_1 tau*phi_2 - c_2 tau*phi_1 with c_1 = v_q, c_2 = -p v_q + v_p
         _, _, pi, pg = aff1_setup()
-        assert characteristic_identity_check(pg, pi).verdict == "pass"
+        assert characteristic_identity_check(Resolved(pi, pg)).verdict == "pass"
 
     def test_axiom_violating_family_fails(self, chart_qp, canonical):
         pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("p*dq", chart_qp),))
         with pytest.raises(UnverifiedInputError):
-            characteristic_identity_check(pg, canonical)
-        report = characteristic_identity_check(pg, canonical, require_certified=False)
+            characteristic_identity_check(Resolved(canonical, pg))
+        report = characteristic_identity_check(Resolved(canonical, pg), require_certified=False)
         assert report.verdict == "fail"
         # residual i_T(dp^dq) = v_p dq - v_q dp
         assert dict(report.residuals)["characteristic[e1]"] == "(v_p)*dq + (-v_q)*dp"
@@ -282,10 +283,10 @@ class TestCharacteristicIdentity:
         doubled = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {1: {(0, 1): 2}})
         assert doubled.verified
         pg = PGMap(doubled, chart, (parse_form("dq", chart), parse_form("-p*dq + dp", chart)))
-        cert = certify_pgmap(pg, pi)
+        cert = certify_pgmap(Resolved(pi, pg))
         assert cert.verdict == "fail"
         assert "cocycle-axiom[e2]" in dict(cert.residuals)
-        report = characteristic_identity_check(pg, pi, require_certified=False)
+        report = characteristic_identity_check(Resolved(pi, pg), require_certified=False)
         assert report.verdict == "fail"
         assert "characteristic[e2]" in dict(report.residuals)
 
@@ -441,8 +442,8 @@ class TestRandomizedCertifiedFamilies:
                 ),
             )
             pg = hamiltonian_pgmap(momentum, so3_bialgebra())
-            assert certify_pgmap(pg, so3).verdict == "pass"
-            assert tangent_generator_check(pg, so3).verdict == "pass"
+            assert certify_pgmap(Resolved(so3, pg)).verdict == "pass"
+            assert tangent_generator_check(Resolved(so3, pg)).verdict == "pass"
 
 
 def _cayley_rotation(rng: random.Random):
