@@ -8,14 +8,16 @@ rows over ordered pairs j < k.
 
 Three exact residual checks certify the data: the bracket Jacobi identity,
 the cocycle compatibility of the cobracket with the adjoint action, and the
-Jacobi identity of the dual bracket built from gamma.  A bialgebra built
-with verify=True carries the combined verdict in ``verified``; operations
-downstream refuse unverified inputs.
+Jacobi identity of the dual bracket built from gamma.  The three reports
+are computed once, on first use, and kept in ``structure_checks``; a
+bialgebra built with verify=True carries their combined verdict in
+``verified``, and operations downstream refuse unverified inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .chart import Chart
@@ -86,13 +88,18 @@ class LieBialgebra:
                 rows[i] = acc
         self._cobrackets = rows
 
-        self.verified = False
-        if verify:
-            self.verified = (
-                self.check_jacobi().passed
-                and self.check_cocycle().passed
-                and self.check_cojacobi().passed
-            )
+        self._verify = verify
+
+    @cached_property
+    def structure_checks(self) -> tuple[CheckReport, CheckReport, CheckReport]:
+        """The Jacobi, cocycle and co-Jacobi reports, computed on first use."""
+        return self.check_jacobi(), self.check_cocycle(), self.check_cojacobi()
+
+    @property
+    def verified(self) -> bool:
+        """Whether the bialgebra was built with verify=True and passes all
+        three structure checks."""
+        return self._verify and all(rep.passed for rep in self.structure_checks)
 
     # -- accessors -----------------------------------------------------------
 

@@ -4,7 +4,9 @@ Both kinds of tensor are stored sparsely: a degree-k tensor on an
 n-dimensional chart maps strictly increasing k-tuples of coordinate indices
 to polynomial components.  A degree-0 tensor wraps a single polynomial
 (keyed by the empty tuple).  Components are always normalized to the chart's
-full coordinate universe, in chart order.
+full coordinate universe, in chart order.  The public constructor validates
+and normalizes its input; tensor operations whose components are already in
+that form build their results through the trusted ``_Tensor._make``.
 
 The Schouten bracket is computed by the coordinate formula: writing a
 degree-a multivector as a polynomial in anticommuting symbols xi_i (one per
@@ -77,6 +79,11 @@ def _sort_index(indices: Iterable[int]) -> tuple[Index, int] | None:
     return tuple(seq), sign
 
 
+def _check_degree(chart: Chart, degree: int) -> None:
+    if degree < 0 or degree > chart.dim:
+        raise DegreeError(f"degree {degree} out of range for chart of dim {chart.dim}")
+
+
 class _Tensor:
     """Shared implementation for DifferentialForm and Multivector."""
 
@@ -86,8 +93,7 @@ class _Tensor:
     __slots__ = ("chart", "degree", "_components")
 
     def __init__(self, chart: Chart, degree: int, components: Mapping[Index, Polynomial]):
-        if degree < 0 or degree > chart.dim:
-            raise DegreeError(f"degree {degree} out of range for chart of dim {chart.dim}")
+        _check_degree(chart, degree)
         canon: dict[Index, Polynomial] = {}
         for idx, poly in components.items():
             key = tuple(idx)
@@ -101,16 +107,28 @@ class _Tensor:
                 poly = Polynomial.constant(poly, chart.coords)
             poly = poly.with_variables(chart.coords)
             if not poly.is_zero():
-                canon[key] = canon.get(key, chart.zero_poly()) + poly
+                canon[key] = canon[key] + poly if key in canon else poly
         self.chart = chart
         self.degree = degree
         self._components = {k: p for k, p in canon.items() if not p.is_zero()}
+
+    @classmethod
+    def _make(cls, chart: Chart, degree: int, components: dict[Index, Polynomial]):
+        """Trusted constructor: ``components`` maps strictly increasing index
+        tuples of length ``degree`` to nonzero polynomials over exactly
+        ``chart.coords``.  The tensor takes ownership of the dict."""
+        tensor = object.__new__(cls)
+        tensor.chart = chart
+        tensor.degree = degree
+        tensor._components = components
+        return tensor
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, chart: Chart, degree: int = 0):
-        return cls(chart, degree, {})
+        _check_degree(chart, degree)
+        return cls._make(chart, degree, {})
 
     @classmethod
     def from_poly(cls, chart: Chart, poly: Polynomial | int | Fraction):
@@ -125,16 +143,20 @@ class _Tensor:
 
     @classmethod
     def from_terms(cls, chart: Chart, degree: int, terms: Iterable[tuple[Iterable[int], Polynomial]]):
-        """Assemble from possibly unsorted, possibly repeating index tuples."""
+        """Assemble from possibly unsorted, possibly repeating index tuples of
+        length ``degree`` into the chart's coordinates."""
+        _check_degree(chart, degree)
         acc: dict[Index, Polynomial] = {}
         for idx, poly in terms:
             sorted_idx = _sort_index(idx)
             if sorted_idx is None:
                 continue
             key, sign = sorted_idx
-            add = poly if sign > 0 else -poly
-            acc[key] = acc.get(key, chart.zero_poly()) + add
-        return cls(chart, degree, acc)
+            add = poly.with_variables(chart.coords)
+            if sign < 0:
+                add = -add
+            acc[key] = acc[key] + add if key in acc else add
+        return cls._make(chart, degree, {k: p for k, p in acc.items() if not p.is_zero()})
 
     # -- inspection ---------------------------------------------------------
 
@@ -168,11 +190,15 @@ class _Tensor:
         self._check_compatible(other)
         comps = dict(self._components)
         for idx, poly in other._components.items():
-            comps[idx] = comps.get(idx, self.chart.zero_poly()) + poly
-        return type(self)(self.chart, self.degree, comps)
+            total = comps[idx] + poly if idx in comps else poly
+            if total.is_zero():
+                del comps[idx]
+            else:
+                comps[idx] = total
+        return self._make(self.chart, self.degree, comps)
 
     def __neg__(self):
-        return type(self)(self.chart, self.degree, {k: -p for k, p in self._components.items()})
+        return self._make(self.chart, self.degree, {k: -p for k, p in self._components.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -181,11 +207,15 @@ class _Tensor:
         """Multiplication by a polynomial or rational scalar."""
         if isinstance(scalar, _Tensor):
             raise KindMismatchError("use wedge() for tensor products")
+        coords = self.chart.coords
         if not isinstance(scalar, Polynomial):
-            scalar = Polynomial.constant(scalar, self.chart.coords)
-        return type(self)(
-            self.chart, self.degree, {k: p * scalar for k, p in self._components.items()}
-        )
+            scalar = Polynomial.constant(scalar, coords)
+        comps = {}
+        for k, p in self._components.items():
+            product = (p * scalar).with_variables(coords)
+            if not product.is_zero():
+                comps[k] = product
+        return self._make(self.chart, self.degree, comps)
 
     __rmul__ = __mul__
 
@@ -345,13 +375,16 @@ def _odd_partial(t: Multivector, i: int) -> Multivector:
         pos = idx.index(i)
         rest = idx[:pos] + idx[pos + 1:]
         comps[rest] = poly if pos % 2 == 0 else -poly
-    return Multivector(t.chart, t.degree - 1, comps)
+    return Multivector._make(t.chart, t.degree - 1, comps)
 
 
 def _coeff_derivative(t: Multivector, name: str) -> Multivector:
-    return Multivector(
-        t.chart, t.degree, {k: p.derivative(name) for k, p in t._components.items()}
-    )
+    comps = {}
+    for k, p in t._components.items():
+        dp = p.derivative(name)
+        if not dp.is_zero():
+            comps[k] = dp
+    return Multivector._make(t.chart, t.degree, comps)
 
 
 def _schouten_half(a: Multivector, b: Multivector) -> Multivector:

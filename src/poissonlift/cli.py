@@ -165,7 +165,7 @@ def _guarded(check_id: str, identity: str, thunk) -> list[CheckReport]:
 
 def _cmd_certify(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
     b = _require_pgmap(problem).bialgebra
-    return [b.check_jacobi(), b.check_cocycle(), b.check_cojacobi()] + _guarded(
+    return list(b.structure_checks) + _guarded(
         "pgmap-certification",
         "phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
         lambda: certify_pgmap(resolve(), plan=plan),
@@ -255,10 +255,7 @@ def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan | None) -> l
     if problem.action is None:
         raise ParseError(f"problem {problem.name!r} has no action block")
     try:
-        _, closed_report = symplectic_pgmap(problem.symplectic, problem.action, problem.bialgebra)
-        relation = cotangent_momentum_relation(
-            problem.symplectic, problem.action, problem.bialgebra, plan=plan
-        )
+        pg, closed_report = symplectic_pgmap(problem.symplectic, problem.action, problem.bialgebra)
     except NotSymplecticActionError as exc:
         return [
             CheckReport(
@@ -268,6 +265,7 @@ def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan | None) -> l
                 residuals=((f"L_X(omega)[{exc.index}]", exc.residual_text),),
             )
         ]
+    relation = cotangent_momentum_relation(problem.symplectic, problem.action, pg, plan=plan)
     return [closed_report, relation]
 
 

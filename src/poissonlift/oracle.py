@@ -119,16 +119,24 @@ def _residual_polys(value) -> tuple[tuple[str, ...], list[Polynomial]]:
     return value.chart.coords, list(value.components.values())
 
 
-def sample_residual(value, plan: SamplePlan) -> float:
+def sample_residual(value, plan: SamplePlan,
+                    streams: dict[int, list[tuple[Fraction, ...]]] | None = None) -> float:
     """Maximum absolute value of a polynomial or tensor over the plan's points.
 
-    Exactly-zero residuals report 0.0 by construction.
+    Exactly-zero residuals report 0.0 without drawing a point.  ``streams``
+    holds the point streams already drawn from ``plan``, keyed by variable
+    count; callers sampling several residuals of one plan pass the same dict
+    so that each stream is drawn once.
     """
-    variables, polys = _residual_polys(value)
-    if not polys:
+    if value.is_zero():
         return 0.0
+    variables, polys = _residual_polys(value)
+    if streams is None:
+        streams = {}
+    if len(variables) not in streams:
+        streams[len(variables)] = plan.points(len(variables))
     worst = Fraction(0)
-    for point in plan.points(len(variables)):
+    for point in streams[len(variables)]:
         assignment = dict(zip(variables, point))
         for poly in polys:
             worst = max(worst, abs(poly.substitute(assignment)))

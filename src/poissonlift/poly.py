@@ -12,6 +12,18 @@ operation, the universes are merged into their sorted union and both operands
 are re-indexed.  Operands over identical universes are combined directly, so
 code that fixes a chart's coordinate order up front keeps that order.
 
+Construction has two paths.  The public constructor ``Polynomial(variables,
+terms)`` validates everything: distinct variable names, exponent tuples of
+the right length with nonnegative entries, coefficients coerced to
+``Fraction``, repeated keys summed and zeros dropped.  Arithmetic results are
+built by the internal ``Polynomial._make(variables, terms)`` instead, which
+trusts its input and sets the slots directly.  It relies on the invariant that
+``variables`` is a tuple of distinct names and ``terms`` is a dict whose keys
+are int tuples of length ``len(variables)`` with nonnegative entries and whose
+values are nonzero ``Fraction`` objects.  ``_make`` takes ownership of that
+dict: the caller must have built it freshly and must not keep or mutate it,
+since the polynomial shares it and would otherwise stop being immutable.
+
 For printing, terms are ordered graded-lexicographically (total degree first,
 then exponents against the variable order), highest first.  The printed form
 is valid input for :func:`poissonlift.parser.parse_poly`.
@@ -20,6 +32,7 @@ is valid input for :func:`poissonlift.parser.parse_poly`.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import MissingAssignmentError, UnknownSymbolError
@@ -28,6 +41,15 @@ Exponents = tuple[int, ...]
 
 _RationalLike = (int, Fraction)
 
+_ONE = Fraction(1)
+
+
+def _universe(variables: Iterable[str]) -> tuple[str, ...]:
+    vs = tuple(variables)
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"duplicate variable names in {vs}")
+    return vs
+
 
 class Polynomial:
     """Immutable exact polynomial with rational coefficients."""
@@ -35,9 +57,7 @@ class Polynomial:
     __slots__ = ("variables", "_terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Fraction | int]):
-        vs = tuple(variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate variable names in {vs}")
+        vs = _universe(variables)
         canon: dict[Exponents, Fraction] = {}
         for exps, coeff in terms.items():
             key = tuple(int(e) for e in exps)
@@ -51,25 +71,36 @@ class Polynomial:
         self.variables = vs
         self._terms = {k: c for k, c in canon.items() if c != 0}
 
+    @classmethod
+    def _make(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Trusted constructor for canonical data (see the module docstring);
+        the new polynomial owns ``terms``."""
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly._terms = terms
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Iterable[str] = ()) -> "Polynomial":
-        return cls(variables, {})
+        return cls._make(_universe(variables), {})
 
     @classmethod
     def constant(cls, value: Fraction | int, variables: Iterable[str] = ()) -> "Polynomial":
-        vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): Fraction(value)})
+        vs = _universe(variables)
+        c = Fraction(value)
+        return cls._make(vs, {(0,) * len(vs): c} if c else {})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> "Polynomial":
         """The polynomial ``name`` over ``variables`` (default: just itself)."""
-        vs = tuple(variables) if variables is not None else (name,)
+        vs = _universe(variables) if variables is not None else (name,)
         if name not in vs:
             raise UnknownSymbolError(f"variable {name!r} not in {vs}")
-        exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: Fraction(1)})
+        exps = [0] * len(vs)
+        exps[vs.index(name)] = 1
+        return cls._make(vs, {tuple(exps): _ONE})
 
     # -- inspection --------------------------------------------------------
 
@@ -113,17 +144,19 @@ class Polynomial:
         vs = tuple(variables)
         if vs == self.variables:
             return self
-        missing = [v for v in self.variables if v not in vs]
+        vs = _universe(vs)
+        where = {v: i for i, v in enumerate(vs)}
+        missing = [v for v in self.variables if v not in where]
         if missing:
             raise UnknownSymbolError(f"variables {missing} absent from target universe {vs}")
-        pos = [vs.index(v) for v in self.variables]
+        pos = [where[v] for v in self.variables]
         terms: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
             out = [0] * len(vs)
             for p, e in zip(pos, exps):
                 out[p] = e
             terms[tuple(out)] = coeff
-        return Polynomial(vs, terms)
+        return Polynomial._make(vs, terms)
 
     @staticmethod
     def _aligned(a: "Polynomial", b: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
@@ -143,17 +176,28 @@ class Polynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other, self.variables)
-        a, b = self._aligned(self, other)
+        a, b = self._aligned(self, self._coerce(other, self.variables))
+        if not b._terms:
+            return a
+        if not a._terms:
+            return b
         terms = dict(a._terms)
         for exps, coeff in b._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(a.variables, terms)
+            c = terms.get(exps)
+            if c is None:
+                terms[exps] = coeff
+            else:
+                c += coeff
+                if c:
+                    terms[exps] = c
+                else:
+                    del terms[exps]
+        return Polynomial._make(a.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self._terms.items()})
+        return Polynomial._make(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other, self.variables))
@@ -162,22 +206,31 @@ class Polynomial:
         return self._coerce(other, self.variables) - self
 
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other, self.variables)
-        a, b = self._aligned(self, other)
+        a, b = self._aligned(self, self._coerce(other, self.variables))
         terms: dict[Exponents, Fraction] = {}
         for ea, ca in a._terms.items():
             for eb, cb in b._terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return Polynomial(a.variables, terms)
+                key = tuple(map(add, ea, eb))
+                c = terms.get(key)
+                if c is None:
+                    terms[key] = ca * cb
+                else:
+                    c += ca * cb
+                    if c:
+                        terms[key] = c
+                    else:
+                        del terms[key]
+        return Polynomial._make(a.variables, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integers only")
-        result = Polynomial.constant(1, self.variables)
-        for _ in range(exponent):
+        if exponent == 0:
+            return Polynomial.constant(1, self.variables)
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
@@ -188,15 +241,13 @@ class Polynomial:
         if name not in self.variables:
             raise UnknownSymbolError(f"unknown variable {name!r}; have {self.variables}")
         i = self.variables.index(name)
+        # lowering one exponent is injective on the terms that contain it
         terms: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
-            if exps[i] == 0:
-                continue
-            out = list(exps)
-            out[i] -= 1
-            key = tuple(out)
-            terms[key] = terms.get(key, Fraction(0)) + coeff * exps[i]
-        return Polynomial(self.variables, terms)
+            e = exps[i]
+            if e:
+                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+        return Polynomial._make(self.variables, terms)
 
     def substitute(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
         """Exact evaluation; every variable of the polynomial must be assigned."""
@@ -214,16 +265,24 @@ class Polynomial:
         return total
 
     def compose(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Substitute a polynomial for every variable."""
+        """Substitute a polynomial for every variable.
+
+        The result lives over the sorted union of the universes of the images
+        of the variables that occur in some term.
+        """
         missing = [v for v in self.variables if v not in images]
         if missing:
             raise MissingAssignmentError(f"no image for variables {missing}")
-        acc = Polynomial.zero()
+        used = {i for exps in self._terms for i, e in enumerate(exps) if e}
+        universe = tuple(sorted(set().union(*(images[self.variables[i]].variables for i in used))))
+        lifted = {i: images[self.variables[i]].with_variables(universe) for i in used}
+        unit = (0,) * len(universe)
+        acc = Polynomial._make(universe, {})
         for exps, coeff in self._terms.items():
-            term = Polynomial.constant(coeff)
-            for v, e in zip(self.variables, exps):
+            term = Polynomial._make(universe, {unit: coeff})
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * images[v] ** e
+                    term = term * lifted[i] ** e
             acc = acc + term
         return acc
 

@@ -452,13 +452,19 @@ def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
 
 
 def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Multivector],
-                                bialgebra: LieBialgebra | None = None,
-                                plan: SamplePlan | None = None) -> CheckReport:
+                                pg: PGMap, plan: SamplePlan | None = None) -> CheckReport:
     """Compare the tangent-side momentum c_x = i_T(i_X omega) with the
     cotangent-lift momentum j_x(alpha) = <alpha, X> through the bundle map
-    omega_flat: c + j . omega_flat = 0 (or the consistent opposite sign)."""
-    pg, _ = symplectic_pgmap(omega, generators, bialgebra)
+    omega_flat: c + j . omega_flat = 0 (or the consistent opposite sign).
+
+    ``pg`` is the map :func:`symplectic_pgmap` built from ``omega`` and
+    these generators."""
     chart = omega.chart
+    if pg.chart != chart or len(pg.images) != len(generators):
+        raise DimensionMismatchError(
+            f"PG map has {len(pg.images)} images on {pg.chart.name}, "
+            f"expected {len(generators)} on {chart.name}"
+        )
     tc = tangent_chart(chart)
     tstar = cotangent_chart(chart)
     n = chart.dim

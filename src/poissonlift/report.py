@@ -68,10 +68,11 @@ def make_report(check_id: str, identity: str, residuals, samples=(),
     values are kept in printed form; the verdict is ``pass`` iff none remain
     (or ``informative`` when requested, in which case every value is listed).
     With a ``plan``, the samples are every residual's largest absolute value
-    over the plan's points.
+    over the plan's points, each point stream drawn once per report.
     """
     if plan is not None:
-        samples = [(name, sample_residual(res, plan)) for name, res in residuals.items()]
+        streams: dict = {}
+        samples = [(name, sample_residual(res, plan, streams)) for name, res in residuals.items()]
     entries = []
     for name in residuals:
         value = residuals[name]

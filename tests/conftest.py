@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from poissonlift import Chart, DifferentialForm, Multivector, Polynomial
+from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 3) -> Fraction:
@@ -45,6 +45,20 @@ def rand_multivector(rng: random.Random, chart: Chart, degree: int, max_degree: 
         if rng.random() < 0.8:
             comps[idx] = rand_poly(rng, chart.coords, max_degree)
     return Multivector(chart, degree, comps)
+
+
+def count_bialgebra_checks(monkeypatch) -> list[str]:
+    """Record the name of every LieBialgebra structure check that runs."""
+    calls = []
+    for name in ("check_jacobi", "check_cocycle", "check_cojacobi"):
+        original = getattr(LieBialgebra, name)
+
+        def counted(self, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(LieBialgebra, name, counted)
+    return calls
 
 
 def _increasing_tuples(n: int, k: int):

@@ -50,6 +50,7 @@ from poissonlift import (
     parse_poly,
     sample_residual,
     so3_bialgebra,
+    symplectic_pgmap,
     tangent_chart,
     tangent_generator,
     tangent_generator_check,
@@ -336,7 +337,7 @@ def test_criterion_9_cotangent_momentum_relation():
         rotation = parse_multivector("-p*e_q + q*e_p", chart)
         translation = parse_multivector("e_q", chart)
         for fields in ([rotation], [translation], [rotation, translation]):
-            report = cotangent_momentum_relation(omega, fields)
+            report = cotangent_momentum_relation(omega, fields, symplectic_pgmap(omega, fields)[0])
             assert report.verdict == "pass", report.residuals
             assert "c = -(j . omega_flat)" in report.identity
 

@@ -9,6 +9,8 @@ import pytest
 from poissonlift import LieBialgebra, abelian_bialgebra, so3_bialgebra
 from poissonlift.errors import DimensionMismatchError
 
+from conftest import count_bialgebra_checks
+
 
 def aff1(lam=1) -> LieBialgebra:
     """[e1,e2] = e2 with cobracket delta(e2) = lam e1^e2."""
@@ -138,3 +140,32 @@ def test_catalog_bialgebras_fully_verified():
         assert b.check_cocycle().verdict == "pass"
         assert b.check_cojacobi().verdict == "pass"
         assert b.verified
+
+
+class TestStructureChecksOnce:
+    def test_computed_on_first_use_and_kept(self, monkeypatch):
+        calls = count_bialgebra_checks(monkeypatch)
+        b = aff1()
+        assert calls == []
+        assert b.verified
+        # check_cojacobi runs check_jacobi on the dual
+        assert sorted(calls) == ["check_cocycle", "check_cojacobi", "check_jacobi", "check_jacobi"]
+        reports = b.structure_checks
+        assert [rep.check_id for rep in reports] == [
+            "bialgebra-jacobi", "bialgebra-cocycle", "bialgebra-cojacobi"
+        ]
+        assert b.verified
+        assert len(calls) == 4
+
+    def test_failing_check_means_unverified(self):
+        b = LieBialgebra(("e1", "e2", "e3"), {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)}, {})
+        assert not b.verified
+        assert [rep.verdict for rep in b.structure_checks][0] == "fail"
+
+    def test_verify_false_skips_checks(self, monkeypatch):
+        calls = count_bialgebra_checks(monkeypatch)
+        b = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {}, verify=False)
+        assert b.verified is False
+        assert calls == []
+        assert all(rep.passed for rep in b.structure_checks)
+        assert b.verified is False

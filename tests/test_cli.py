@@ -14,6 +14,8 @@ from poissonlift.cli import COMMANDS, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import catalog_text
 
+from conftest import count_bialgebra_checks
+
 COUNTEREXAMPLE = """
 manifold {
   coords: q, p
@@ -271,3 +273,17 @@ def test_all_certifies_and_lifts_once(monkeypatch, name):
     assert len(lifts) == 1
     assert len(residuals) <= 1
     assert len(jacobi) <= 3
+
+
+def test_symplectic_builds_its_pgmap_once(monkeypatch):
+    calls = _count_calls(monkeypatch, reduction, "symplectic_pgmap")
+    assert main(["symplectic", "canonical-r2-rotation"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_all_runs_each_bialgebra_check_once(monkeypatch, name):
+    calls = count_bialgebra_checks(monkeypatch)
+    run_checks(catalog(name), "all")
+    # check_cojacobi runs check_jacobi once more, on the dual
+    assert len(calls) <= 4

@@ -19,6 +19,7 @@ from poissonlift import (
     sample_residual,
 )
 from poissonlift.errors import MissingAssignmentError
+from poissonlift.report import make_report
 
 from conftest import rand_poly
 
@@ -103,6 +104,43 @@ def test_symbolic_zero_always_samples_zero(chart_qp):
     for _ in range(20):
         f = rand_poly(rng, chart_qp.coords, max_degree=3)
         assert sample_residual(f - f, plan) == 0.0
+
+
+def _count_points(monkeypatch) -> list[int]:
+    calls = []
+    original = SamplePlan.points
+
+    def counted(self, nvars):
+        calls.append(nvars)
+        return original(self, nvars)
+
+    monkeypatch.setattr(SamplePlan, "points", counted)
+    return calls
+
+
+def test_exact_zero_residuals_draw_no_points(monkeypatch, chart_qp):
+    calls = _count_points(monkeypatch)
+    plan = SamplePlan.uniform(count=30, seed=8)
+    assert sample_residual(parse_poly("q - q", chart_qp.coords), plan) == 0.0
+    assert sample_residual(Multivector.zero(chart_qp, 2), plan) == 0.0
+    report = make_report("zero", "0 = 0", {"r": parse_poly("0", ("q",))}, plan=plan)
+    assert report.samples == (("r", 0.0),)
+    assert calls == []
+
+
+def test_one_report_draws_each_stream_once(monkeypatch, chart_qp):
+    plan = SamplePlan.uniform(count=30, seed=9)
+    residuals = {
+        "a": parse_poly("q^2 - p", chart_qp.coords),
+        "b": parse_form("p*dq + dp", chart_qp),
+        "c": parse_poly("0", chart_qp.coords),
+        "d": parse_poly("r^3", ("q", "p", "r")),
+    }
+    expected = [(name, sample_residual(res, plan)) for name, res in residuals.items()]
+    calls = _count_points(monkeypatch)
+    report = make_report("shared", "streams", residuals, plan=plan)
+    assert sorted(calls) == [2, 3]
+    assert list(report.samples) == expected
 
 
 def test_invalid_plans_rejected():

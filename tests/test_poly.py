@@ -121,11 +121,47 @@ class TestSubstitute:
             P("q*p").substitute({"q": 1})
 
 
+class TestPublicConstructor:
+    def test_duplicate_variables(self):
+        with pytest.raises(ValueError):
+            Polynomial(("q", "q"), {})
+        for build in (
+            lambda: Polynomial.zero(("q", "q")),
+            lambda: Polynomial.constant(1, ("q", "q")),
+            lambda: Polynomial.variable("q", ("q", "q")),
+            lambda: P("q").with_variables(("p", "q", "p")),
+        ):
+            with pytest.raises(ValueError):
+                build()
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError):
+            Polynomial(("q", "p"), {(1, -1): 1})
+
+    def test_wrong_length_key(self):
+        with pytest.raises(ValueError):
+            Polynomial(("q", "p"), {(1,): 1})
+        with pytest.raises(ValueError):
+            Polynomial(("q",), {(1, 0): 1})
+
+    def test_coerces_and_drops_zeros(self):
+        poly = Polynomial(("q",), {(1,): 0, (2,): 3, (0,): Fraction(0)})
+        assert poly.terms == {(2,): Fraction(3)}
+        assert all(type(c) is Fraction for c in poly.terms.values())
+
+
 class TestCompose:
     def test_substitute_polynomials(self):
         outer = P("q^2 + p")
         images = {"q": P("q+p"), "p": P("q*p")}
         assert outer.compose(images) == P("(q+p)^2 + q*p")
+
+    def test_result_universe_is_sorted_union_of_used_images(self):
+        outer = P("q^2 + 1")
+        images = {"q": parse_poly("z - a", ("z", "a")), "p": parse_poly("m", ("m",))}
+        assert outer.compose(images).variables == ("a", "z")
+        assert P("3").compose(images).variables == ()
+        assert P("0").compose(images).variables == ()
 
     def test_missing_image(self):
         with pytest.raises(MissingAssignmentError):
@@ -156,6 +192,38 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a + b == b + a
+
+
+def _assert_canonical(poly):
+    assert type(poly.variables) is tuple
+    assert len(set(poly.variables)) == len(poly.variables)
+    for exps, coeff in poly.terms.items():
+        assert type(exps) is tuple and len(exps) == len(poly.variables)
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+    rebuilt = Polynomial(poly.variables, poly.terms)
+    assert rebuilt == poly
+    assert rebuilt.variables == poly.variables
+
+
+@given(polys(), polys(), st.integers(0, 3))
+def test_arithmetic_results_are_canonical(a, b, k):
+    """Every arithmetic result, built through the trusted path, is exactly
+    what the validating constructor would build from its terms."""
+    results = [a + b, a - b, b - a, a * b, -a, a ** k, a + 0, 2 - a, a * 0, a - a]
+    results += [a.derivative(v) for v in a.variables]
+    results.append(a.with_variables(("s", "r", "p", "q")))
+    results.append(a.compose({v: b for v in a.variables}))
+    results.append(a.compose({v: a + Polynomial.variable(v) for v in a.variables}))
+    for result in results:
+        _assert_canonical(result)
+
+
+@given(polys())
+def test_first_power_and_identity_composition(poly):
+    assert poly ** 1 == poly and (poly ** 1).variables == poly.variables
+    identity = {v: Polynomial.variable(v, poly.variables) for v in poly.variables}
+    assert poly.compose(identity) == poly
 
 
 @given(polys(("q", "p", "r")))

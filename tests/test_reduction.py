@@ -53,6 +53,7 @@ from poissonlift import (
     tangent_generator_direct,
 )
 from poissonlift.errors import (
+    DimensionMismatchError,
     LevelSetError,
     NotSymplecticActionError,
     UnverifiedInputError,
@@ -397,18 +398,18 @@ class TestCotangentMomentumRelation:
     def test_rotation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         rotation = parse_multivector("-p*e_q + q*e_p", chart_qp)
-        report = cotangent_momentum_relation(omega, [rotation])
+        report = cotangent_momentum_relation(omega, [rotation], symplectic_pgmap(omega, [rotation])[0])
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
     def test_zero_action(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        report = cotangent_momentum_relation(omega, [Multivector.zero(chart_qp, 1)])
+        report = cotangent_momentum_relation(omega, [Multivector.zero(chart_qp, 1)], symplectic_pgmap(omega, [Multivector.zero(chart_qp, 1)])[0])
         assert report.verdict == "pass"
 
     def test_translation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        report = cotangent_momentum_relation(omega, [parse_multivector("e_q", chart_qp)])
+        report = cotangent_momentum_relation(omega, [parse_multivector("e_q", chart_qp)], symplectic_pgmap(omega, [parse_multivector("e_q", chart_qp)])[0])
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
@@ -419,9 +420,16 @@ class TestCotangentMomentumRelation:
             parse_multivector("e_q", chart_qp),
             parse_multivector("e_p", chart_qp),
         ]
-        report = cotangent_momentum_relation(omega, fields)
+        report = cotangent_momentum_relation(omega, fields, symplectic_pgmap(omega, fields)[0])
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
+
+    def test_pgmap_for_other_generators_rejected(self, chart_qp):
+        omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
+        fields = [parse_multivector("e_q", chart_qp), parse_multivector("e_p", chart_qp)]
+        pg, _ = symplectic_pgmap(omega, fields[:1])
+        with pytest.raises(DimensionMismatchError):
+            cotangent_momentum_relation(omega, fields, pg)
 
 
 class TestRandomizedCertifiedFamilies:
