@@ -58,10 +58,10 @@ from .tangent import (
     CoordinateMap,
     TangentChart,
     base_pullback,
+    bundle_chart,
     canonical_involution,
     complete_lift_bivector,
     complete_lift_vf,
-    cotangent_chart,
     d_T,
     i_T,
     tangent_chart,

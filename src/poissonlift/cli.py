@@ -5,7 +5,8 @@
 
 ``<problem>`` is a path to a problem file or the name of a built-in catalog
 entry.  Exit codes: 0 when every non-informative check passes, 1 when any
-check fails, 2 on parse or validation errors.
+check fails, 2 on parse or validation errors (including a non-positive
+sample count or ``--fd-step`` and an empty ``--box``).
 """
 
 from __future__ import annotations
@@ -398,6 +399,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             fd_step = Fraction(args.fd_step)
         except (ValueError, ZeroDivisionError):
+            fd_step = None
+        if fd_step is None or fd_step <= 0:
             print(f"error: bad --fd-step value {args.fd_step!r}", file=sys.stderr)
             return 2
 

@@ -33,7 +33,7 @@ from functools import cached_property
 from .bialgebra import LieBialgebra
 from .chart import Chart, Multivector
 from .errors import ParseError, UnknownCatalogError
-from .oracle import DEFAULT_FD_STEP, SamplePlan
+from .oracle import DEFAULT_BOX, DEFAULT_FD_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, SamplePlan
 from .parser import _tokenize, parse_form, parse_multivector, parse_poly
 from .poisson import PoissonStructure, SymplecticForm
 from .reduction import MomentumMapData, PGMap
@@ -327,24 +327,41 @@ def _load_levelset(block: _Block, chart: Chart) -> CoordinateMap:
     return CoordinateMap(source, chart, comps)
 
 
+def _positive(value):
+    if value <= 0:
+        raise ValueError("must be positive")
+    return value
+
+
+def _interval(text: str) -> tuple[Fraction, Fraction]:
+    pieces = _split_names(text)
+    if len(pieces) != 2:
+        raise ValueError("box takes 'lo, hi'")
+    lo, hi = Fraction(pieces[0]), Fraction(pieces[1])
+    if lo > hi:
+        raise ValueError(f"empty interval ({lo}, {hi})")
+    return lo, hi
+
+
 def _load_oracle(block: _Block) -> tuple[SamplePlan, Fraction]:
+    """Sampling plan and finite-difference step; a bad value is a ParseError
+    on its entry's line."""
     entries = _entry_map(block, ":")
-    samples = 100
-    seed = 2026
-    lo, hi = Fraction(-2), Fraction(2)
-    fd_step = DEFAULT_FD_STEP
-    if "samples" in entries:
-        samples = int(entries["samples"][1])
-    if "seed" in entries:
-        seed = int(entries["seed"][1])
-    if "box" in entries:
-        lineno, text = entries["box"]
-        pieces = _split_names(text)
-        if len(pieces) != 2:
-            raise ParseError("box takes 'lo, hi'", line=lineno)
-        lo, hi = Fraction(pieces[0]), Fraction(pieces[1])
-    if "fd_step" in entries:
-        fd_step = Fraction(entries["fd_step"][1])
+
+    def read(key, convert, default):
+        if key not in entries:
+            return default
+        lineno, text = entries[key]
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            detail = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            raise ParseError(f"bad oracle {key} {text!r}: {detail}", line=lineno) from exc
+
+    samples = read("samples", lambda text: _positive(int(text)), DEFAULT_SAMPLES)
+    seed = read("seed", int, DEFAULT_SEED)
+    lo, hi = read("box", _interval, DEFAULT_BOX)
+    fd_step = read("fd_step", lambda text: _positive(Fraction(text)), DEFAULT_FD_STEP)
     return SamplePlan.uniform(samples, seed, lo, hi), fd_step
 
 

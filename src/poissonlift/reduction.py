@@ -11,9 +11,9 @@ A certified family phi: g -> 1-forms satisfies, for the attached bialgebra,
 and the induced fiber-linear functions c_i = i_T(phi_i) then close under the
 lifted Poisson bracket: {c_i, c_j}_TM = c_[e_i, e_j].  The lifted checks
 take a ``Resolved`` value, which certifies the map and lifts pi once and
-passes both on.  Checks that require certified inputs accept
-require_certified=False so that negative controls can observe the nonzero
-residuals directly.
+passes both on.  The checks refuse an uncertified map; negative controls
+observe the nonzero residuals through the ``*_residuals`` functions, which
+take no certification step.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ from .tangent import (
     CoordinateMap,
     TangentChart,
     base_pullback,
+    bundle_chart,
     complete_lift_bivector,
     complete_lift_vf,
-    cotangent_chart,
     i_T,
     tangent_chart,
 )
@@ -251,11 +251,10 @@ def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
     return residuals
 
 
-def bracket_closure_check(r: Resolved, *, require_certified: bool = True,
-                          plan: SamplePlan | None = None) -> CheckReport:
+def bracket_closure_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
     """Certifies that the zero level set of c is coisotropic: the lifted
     bracket of generators lands back in the generated ideal."""
-    r.require(require_certified)
+    r.require()
     return make_report(
         "bracket-closure",
         "{c_i, c_j}_TM = c_[e_i, e_j] for the fiber-linear momentum components",
@@ -283,9 +282,8 @@ def tangent_generator_direct(r: Resolved, xs: Sequence) -> Multivector:
     return complete_lift_vf(r.tc, generator(r.pg, r.pi, xs))
 
 
-def tangent_generator_check(r: Resolved, *, require_certified: bool = True,
-                            plan: SamplePlan | None = None) -> CheckReport:
-    r.require(require_certified)
+def tangent_generator_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
+    r.require()
     residuals = {
         f"generator[{name}]": lifted - direct
         for name, (lifted, direct) in zip(r.pg.bialgebra.basis, r.generators)
@@ -322,9 +320,8 @@ def characteristic_identity_residuals(r: Resolved) -> dict[str, DifferentialForm
     return residuals
 
 
-def characteristic_identity_check(r: Resolved, *, require_certified: bool = True,
-                                  plan: SamplePlan | None = None) -> CheckReport:
-    r.require(require_certified)
+def characteristic_identity_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
+    r.require()
     return make_report(
         "characteristic-identity",
         "i_T(d phi_i) = sum gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j)",
@@ -466,7 +463,7 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
             f"expected {len(generators)} on {chart.name}"
         )
     tc = tangent_chart(chart)
-    tstar = cotangent_chart(chart)
+    tstar = bundle_chart(chart, "T*")
     n = chart.dim
     w = full_matrix(omega.two_form)
     flat_images: dict[str, Polynomial] = {c: tc.total.coord_poly(c) for c in chart.coords}

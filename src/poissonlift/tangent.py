@@ -1,27 +1,28 @@
 """The tangent bundle chart, tangent derivations, complete lifts, and the
 coordinate maps that tie them together.
 
-Iterated bundles are represented purely as coordinate tuples with fixed
-block orders and deterministic names derived from the base coordinates:
+Iterated bundles are represented purely as coordinate tuples: one block of
+base coordinates per entry of a fixed block table, each block named by a
+prefix on the base coordinate names (see :func:`bundle_chart`):
 
-    TM    (q, v)            v_<c>
-    T*M   (q, p)            p_<c>
-    TT*M  (q, p, qdot, pdot)  p_<c>, dot_<c>, dot_p_<c>
-    T*TM  (q, v, a, b)      v_<c>, a_<c>, b_<c>   (a: dq-coefficients, b: dv-coefficients)
-    TTM   (q, v, qdot, vdot)  v_<c>, dot_<c>, dot_v_<c>
+    T     TM    (q, v)              v_<c>
+    T*    T*M   (q, p)              p_<c>
+    TT*   TT*M  (q, p, qdot, pdot)  p_<c>, dot_<c>, dot_p_<c>
+    T*T   T*TM  (q, v, a, b)        v_<c>, a_<c>, b_<c>   (a: dq-coefficients, b: dv-coefficients)
+    TT    TTM   (q, v, qdot, vdot)  v_<c>, dot_<c>, dot_v_<c>
 
 The degree -1 tangent derivation i_T kills functions and sends a 1-form
 theta to the fiber-linear function sum_j theta_j(q) v_j; on higher forms it
 is the contraction with the vertical tautological vector sum_j v_j d/dq_j.
-The degree 0 derivation is d_T = i_T d + d i_T, and the complete lift of a
-verified Poisson bivector is
+The degree 0 derivation is d_T = i_T d + d i_T, which on a function f is
+f^c = v_k d_k f, and the complete lift of a verified Poisson bivector is
 
     pi_TM = pi^(ij) e_q_i ^ e_v_j  +  (1/2) v_k d_k pi^(ij) e_v_i ^ e_v_j,
 
 certified against the defining identity pi_TM# . alpha = kappa . T(pi#),
 where alpha is the exchange map TT*M -> T*TM, (q, p, qdot, pdot) |->
 (q, qdot, pdot, p), and kappa the involution flipping the middle blocks of
-TTM.
+TTM.  Both only permute coordinate blocks.
 """
 
 from __future__ import annotations
@@ -43,6 +44,32 @@ from .poisson import PoissonStructure, full_matrix
 from .poly import Polynomial
 from .report import CheckReport, make_report
 
+# Block prefixes of each bundle chart in chart order; "" is the base block.
+_BLOCKS = {
+    "T": ("", "v_"),
+    "T*": ("", "p_"),
+    "TT*": ("", "p_", "dot_", "dot_p_"),
+    "T*T": ("", "v_", "a_", "b_"),
+    "TT": ("", "v_", "dot_", "dot_v_"),
+}
+
+# alpha: TT*M -> T*TM puts TT*M blocks (q, qdot, pdot, p) in the T*TM slots.
+_ALPHA_ORDER = (0, 2, 3, 1)
+
+
+def bundle_chart(base: Chart, kind: str) -> Chart:
+    """The chart of the bundle ``kind`` ("T", "T*", "TT*", "T*T" or "TT")
+    over ``base``: one block of base coordinates per prefix of the kind."""
+    if kind not in _BLOCKS:
+        raise ValueError(f"unknown bundle {kind!r}; choose from {', '.join(_BLOCKS)}")
+    return Chart(f"{kind}{base.name}", tuple(pre + c for pre in _BLOCKS[kind] for c in base.coords))
+
+
+def _in_block_order(items: Sequence, order: Sequence[int]) -> tuple:
+    """Split ``items`` into len(order) equal blocks and put block order[b] in slot b."""
+    n = len(items) // len(order)
+    return tuple(x for b in order for x in items[b * n:(b + 1) * n])
+
 
 @dataclass(frozen=True)
 class TangentChart:
@@ -58,7 +85,7 @@ class TangentChart:
     def fiber_of(self, name: str) -> str:
         if name not in self.base.coords:
             raise ChartMismatchError(f"{name!r} is not a base coordinate")
-        return f"v_{name}"
+        return self.total.coords[self.dim + self.base.index(name)]
 
     def fiber_poly(self, name: str) -> Polynomial:
         return self.total.coord_poly(self.fiber_of(name))
@@ -71,45 +98,7 @@ def tangent_chart(base: Chart) -> TangentChart:
             raise NameCollisionError(
                 f"base coordinate {c!r} already carries the fiber prefix 'v_'"
             )
-    total = Chart(f"T{base.name}", base.coords + tuple(f"v_{c}" for c in base.coords))
-    return TangentChart(base, total)
-
-
-def cotangent_chart(base: Chart) -> Chart:
-    return Chart(f"T*{base.name}", base.coords + tuple(f"p_{c}" for c in base.coords))
-
-
-def double_cotangent_chart(base: Chart) -> Chart:
-    """TT*M block coordinates (q, p, qdot, pdot)."""
-    return Chart(
-        f"TT*{base.name}",
-        base.coords
-        + tuple(f"p_{c}" for c in base.coords)
-        + tuple(f"dot_{c}" for c in base.coords)
-        + tuple(f"dot_p_{c}" for c in base.coords),
-    )
-
-
-def cotangent_tangent_chart(base: Chart) -> Chart:
-    """T*TM block coordinates (q, v, a, b)."""
-    return Chart(
-        f"T*T{base.name}",
-        base.coords
-        + tuple(f"v_{c}" for c in base.coords)
-        + tuple(f"a_{c}" for c in base.coords)
-        + tuple(f"b_{c}" for c in base.coords),
-    )
-
-
-def double_tangent_chart(base: Chart) -> Chart:
-    """TTM block coordinates (q, v, qdot, vdot)."""
-    return Chart(
-        f"TT{base.name}",
-        base.coords
-        + tuple(f"v_{c}" for c in base.coords)
-        + tuple(f"dot_{c}" for c in base.coords)
-        + tuple(f"dot_v_{c}" for c in base.coords),
-    )
+    return TangentChart(base, bundle_chart(base, "T"))
 
 
 @dataclass(frozen=True)
@@ -170,12 +159,26 @@ def pull_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
     return poly.with_variables(tc.total.coords)
 
 
-def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
-    """Pull a form on the base back along TM -> M (components unchanged)."""
+def _require_base(tc: TangentChart, omega: DifferentialForm) -> None:
     if omega.chart != tc.base:
         raise ChartMismatchError(
             f"form lives on {omega.chart.name}, expected base chart {tc.base.name}"
         )
+
+
+def _complete_lift_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
+    """f^c = v_k d_k f on the tangent chart, for f on the base chart."""
+    total = tc.total.zero_poly()
+    for ck in tc.base.coords:
+        d = poly.derivative(ck)
+        if not d.is_zero():
+            total = total + tc.fiber_poly(ck) * pull_poly(tc, d)
+    return total
+
+
+def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
+    """Pull a form on the base back along TM -> M (components unchanged)."""
+    _require_base(tc, omega)
     comps = {idx: pull_poly(tc, p) for idx, p in omega.components.items()}
     return DifferentialForm(tc.total, omega.degree, comps)
 
@@ -185,10 +188,7 @@ def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm
 
 def i_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
     """Degree -1 tangent derivation: zero on functions, theta |-> theta_j v_j."""
-    if omega.chart != tc.base:
-        raise ChartMismatchError(
-            f"form lives on {omega.chart.name}, expected base chart {tc.base.name}"
-        )
+    _require_base(tc, omega)
     if omega.degree == 0:
         return DifferentialForm.zero(tc.total, 0)
     terms = []
@@ -204,10 +204,14 @@ def i_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
 
 
 def d_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
-    """Degree 0 tangent derivation (complete lift of forms): i_T d + d i_T."""
-    first = i_T(tc, exterior_derivative(omega))
+    """Degree 0 tangent derivation (complete lift of forms): i_T d + d i_T.
+
+    On a function it is computed directly as f^c = v_k d_k f, which the
+    Hamiltonian comomentum check compares with i_T(df)."""
     if omega.degree == 0:
-        return first  # i_T omega is the zero function, so the second term vanishes
+        _require_base(tc, omega)
+        return DifferentialForm.from_poly(tc.total, _complete_lift_poly(tc, omega.as_poly()))
+    first = i_T(tc, exterior_derivative(omega))
     second = exterior_derivative(i_T(tc, omega))
     if first.degree != second.degree:
         # d(omega) of a top-degree base form is a degree-clamped zero tensor
@@ -219,42 +223,28 @@ def d_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
 # -- exchange maps -----------------------------------------------------------
 
 
+def _block_permutation(base: Chart, source: str, target: str,
+                       order: Sequence[int]) -> CoordinateMap:
+    """The map between bundle charts whose target block b is source block order[b]."""
+    src = bundle_chart(base, source)
+    comps = tuple(src.coord_poly(c) for c in _in_block_order(src.coords, order))
+    return CoordinateMap(src, bundle_chart(base, target), comps)
+
+
 def tulczyjew_alpha(tc: TangentChart) -> CoordinateMap:
     """The exchange map TT*M -> T*TM, (q, p, qdot, pdot) |-> (q, qdot, pdot, p)."""
-    src = double_cotangent_chart(tc.base)
-    tgt = cotangent_tangent_chart(tc.base)
-    comps = (
-        tuple(src.coord_poly(c) for c in tc.base.coords)
-        + tuple(src.coord_poly(f"dot_{c}") for c in tc.base.coords)
-        + tuple(src.coord_poly(f"dot_p_{c}") for c in tc.base.coords)
-        + tuple(src.coord_poly(f"p_{c}") for c in tc.base.coords)
-    )
-    return CoordinateMap(src, tgt, comps)
+    return _block_permutation(tc.base, "TT*", "T*T", _ALPHA_ORDER)
 
 
 def tulczyjew_alpha_inverse(tc: TangentChart) -> CoordinateMap:
-    """Inverse exchange map T*TM -> TT*M."""
-    src = cotangent_tangent_chart(tc.base)
-    tgt = double_cotangent_chart(tc.base)
-    comps = (
-        tuple(src.coord_poly(c) for c in tc.base.coords)
-        + tuple(src.coord_poly(f"b_{c}") for c in tc.base.coords)
-        + tuple(src.coord_poly(f"v_{c}") for c in tc.base.coords)
-        + tuple(src.coord_poly(f"a_{c}") for c in tc.base.coords)
-    )
-    return CoordinateMap(src, tgt, comps)
+    """Inverse exchange map T*TM -> TT*M, (q, v, a, b) |-> (q, b, v, a)."""
+    inverse = tuple(_ALPHA_ORDER.index(b) for b in range(len(_ALPHA_ORDER)))
+    return _block_permutation(tc.base, "T*T", "TT*", inverse)
 
 
 def canonical_involution(tc: TangentChart) -> CoordinateMap:
     """The flip of the double tangent bundle: (q, v, qdot, vdot) |-> (q, qdot, v, vdot)."""
-    chart = double_tangent_chart(tc.base)
-    comps = (
-        tuple(chart.coord_poly(c) for c in tc.base.coords)
-        + tuple(chart.coord_poly(f"dot_{c}") for c in tc.base.coords)
-        + tuple(chart.coord_poly(f"v_{c}") for c in tc.base.coords)
-        + tuple(chart.coord_poly(f"dot_v_{c}") for c in tc.base.coords)
-    )
-    return CoordinateMap(chart, chart, comps)
+    return _block_permutation(tc.base, "TT", "TT", (0, 2, 1, 3))
 
 
 # -- complete lifts -----------------------------------------------------------
@@ -268,14 +258,7 @@ def complete_lift_vf(tc: TangentChart, field: Multivector) -> Multivector:
     comps: dict[tuple[int, ...], Polynomial] = {}
     for (i,), poly in field.components.items():
         comps[(i,)] = pull_poly(tc, poly)
-        vertical = tc.total.zero_poly()
-        for k, ck in enumerate(tc.base.coords):
-            dpk = poly.derivative(ck)
-            if dpk.is_zero():
-                continue
-            vertical = vertical + tc.fiber_poly(ck) * pull_poly(tc, dpk)
-        if not vertical.is_zero():
-            comps[(n + i,)] = vertical
+        comps[(n + i,)] = _complete_lift_poly(tc, poly)
     return Multivector(tc.total, 1, comps)
 
 
@@ -289,22 +272,10 @@ def complete_lift_bivector(pi: PoissonStructure, tc: TangentChart | None = None)
         raise ChartMismatchError("tangent chart does not extend the structure's chart")
     n = tc.dim
     mat = full_matrix(pi.bivector)
-    comps: dict[tuple[int, ...], Polynomial] = {}
-    for i in range(n):
-        for j in range(n):
-            if not mat[i][j].is_zero():
-                comps[(i, n + j)] = pull_poly(tc, mat[i][j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            vertical = tc.total.zero_poly()
-            for k, ck in enumerate(tc.base.coords):
-                d = mat[i][j].derivative(ck)
-                if not d.is_zero():
-                    vertical = vertical + tc.fiber_poly(ck) * pull_poly(tc, d)
-            if not vertical.is_zero():
-                comps[(n + i, n + j)] = vertical
-    lifted = Multivector(tc.total, 2, comps)
-    return PoissonStructure.from_bivector(lifted)
+    comps = {(i, n + j): pull_poly(tc, mat[i][j]) for i in range(n) for j in range(n)}
+    comps.update({(n + i, n + j): _complete_lift_poly(tc, mat[i][j])
+                  for i in range(n) for j in range(i + 1, n)})
+    return PoissonStructure.from_bivector(Multivector(tc.total, 2, comps))
 
 
 # -- identity checks -----------------------------------------------------------
@@ -323,59 +294,40 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate) -> dict[str, Polynom
     if cand.chart != tc.total or cand.degree != 2:
         raise ChartMismatchError("candidate must be a bivector on the tangent chart")
     n = base.dim
-    zchart = double_cotangent_chart(base)
-
-    def zvar(name: str) -> Polynomial:
-        return zchart.coord_poly(name)
+    zchart = bundle_chart(base, "TT*")
+    z = [zchart.coord_poly(c) for c in zchart.coords]
+    p, qdot, pdot = z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
 
     def on_z(poly: Polynomial) -> Polynomial:
         return poly.with_variables(zchart.coords)
 
     # right-hand side: kappa . T(pi#)
     mat = full_matrix(pi.bivector)
-    rhs_qdot = []
-    rhs_vdot = []
+    rhs = [zchart.zero_poly() for _ in range(2 * n)]  # qdot block, then vdot block
     for j in range(n):
-        qdot = zchart.zero_poly()
-        vdot = zchart.zero_poly()
         for i in range(n):
             pij = on_z(mat[i][j])
             if pij.is_zero():
                 continue
-            qdot = qdot + zvar(f"p_{base.coords[i]}") * pij
-            vdot = vdot + zvar(f"dot_p_{base.coords[i]}") * pij
+            rhs[j] = rhs[j] + p[i] * pij
+            rhs[n + j] = rhs[n + j] + pdot[i] * pij
             for k in range(n):
                 d = mat[i][j].derivative(base.coords[k])
                 if not d.is_zero():
-                    vdot = vdot + zvar(f"p_{base.coords[i]}") * on_z(d) * zvar(f"dot_{base.coords[k]}")
-        rhs_qdot.append(qdot)
-        rhs_vdot.append(vdot)
+                    rhs[n + j] = rhs[n + j] + p[i] * on_z(d) * qdot[k]
 
     # left-hand side: pi_TM# . alpha, with alpha(q, p, qdot, pdot) the covector
     # at (q, v=qdot) whose dq-coefficients are pdot and dv-coefficients are p.
-    subs = {c: zvar(c) for c in base.coords}
-    subs.update({f"v_{c}": zvar(f"dot_{c}") for c in base.coords})
-    cmat = full_matrix(cand)
-    csub = [[entry.compose(subs) for entry in row] for row in cmat]
-    lhs_qdot = []
-    lhs_vdot = []
+    subs = dict(zip(tc.total.coords, z[:n] + qdot))
+    csub = [[entry.compose(subs) for entry in row] for row in full_matrix(cand)]
+    lhs = [zchart.zero_poly() for _ in range(2 * n)]
     for j in range(n):
-        qdot = zchart.zero_poly()
-        vdot = zchart.zero_poly()
         for i in range(n):
-            a_i = zvar(f"dot_p_{base.coords[i]}")
-            b_i = zvar(f"p_{base.coords[i]}")
-            qdot = qdot + a_i * csub[i][j] + b_i * csub[n + i][j]
-            vdot = vdot + a_i * csub[i][n + j] + b_i * csub[n + i][n + j]
-        lhs_qdot.append(qdot)
-        lhs_vdot.append(vdot)
+            lhs[j] = lhs[j] + pdot[i] * csub[i][j] + p[i] * csub[n + i][j]
+            lhs[n + j] = lhs[n + j] + pdot[i] * csub[i][n + j] + p[i] * csub[n + i][n + j]
 
-    residuals: dict[str, Polynomial] = {}
-    for j, c in enumerate(base.coords):
-        residuals[f"dot_{c}"] = rhs_qdot[j] - lhs_qdot[j]
-    for j, c in enumerate(base.coords):
-        residuals[f"dot_v_{c}"] = rhs_vdot[j] - lhs_vdot[j]
-    return residuals
+    names = bundle_chart(base, "TT").coords[2 * n:]  # the (qdot, vdot) blocks of TTM
+    return {name: r - l for name, r, l in zip(names, rhs, lhs)}
 
 
 def verify_tangent_lift_identity(pi: PoissonStructure, candidate,
@@ -394,45 +346,38 @@ def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> Coordina
     """T(theta): TM -> TT*M for a 1-form theta read as the map q |-> (q, theta(q))."""
     if theta.chart != tc.base or theta.degree != 1:
         raise DegreeError("prolongation takes a 1-form on the base chart")
-    base = tc.base
+    n = tc.dim
     src = tc.total
-    tgt = double_cotangent_chart(base)
-    theta_comp = [theta.component((i,)) for i in range(base.dim)]
-    comps = list(src.coord_poly(c) for c in base.coords)
-    comps += [pull_poly(tc, t) for t in theta_comp]
-    comps += [src.coord_poly(f"v_{c}") for c in base.coords]
-    for t in theta_comp:
-        total = src.zero_poly()
-        for k, ck in enumerate(base.coords):
-            d = t.derivative(ck)
-            if not d.is_zero():
-                total = total + pull_poly(tc, d) * src.coord_poly(f"v_{ck}")
-        comps.append(total)
-    return CoordinateMap(src, tgt, tuple(comps))
+    q_v = [src.coord_poly(c) for c in src.coords]
+    theta_comp = [theta.component((i,)) for i in range(n)]
+    comps = (q_v[:n] + [pull_poly(tc, t) for t in theta_comp]
+             + q_v[n:] + [_complete_lift_poly(tc, t) for t in theta_comp])
+    return CoordinateMap(src, bundle_chart(tc.base, "TT*"), tuple(comps))
 
 
 def one_form_as_covector_map(tc: TangentChart, omega: DifferentialForm) -> CoordinateMap:
     """Read a 1-form on TM as the coordinate map TM -> T*TM."""
     if omega.chart != tc.total or omega.degree != 1:
         raise DegreeError("expected a 1-form on the tangent chart")
-    base = tc.base
-    n = base.dim
+    n = tc.dim
     src = tc.total
-    tgt = cotangent_tangent_chart(base)
     comps = [src.coord_poly(c) for c in src.coords]  # q block then v block
     comps += [omega.component((i,)) for i in range(n)]          # dq-coefficients
     comps += [omega.component((n + i,)) for i in range(n)]      # dv-coefficients
-    return CoordinateMap(src, tgt, tuple(comps))
+    return CoordinateMap(src, bundle_chart(tc.base, "T*T"), tuple(comps))
 
 
 def one_form_lift_residuals(theta: DifferentialForm) -> dict[str, Polynomial]:
-    """Residual of alpha . T(theta) = d_T(theta), per T*TM coordinate."""
+    """Residual of alpha . T(theta) = d_T(theta), per T*TM coordinate.
+
+    alpha only permutes coordinate blocks, so alpha . T(theta) is T(theta)
+    with its component blocks taken in alpha's block order."""
     tc = tangent_chart(theta.chart)
-    composed = tulczyjew_alpha(tc).compose(one_form_prolongation(tc, theta))
+    composed = _in_block_order(one_form_prolongation(tc, theta).components, _ALPHA_ORDER)
     direct = one_form_as_covector_map(tc, d_T(tc, theta))
     return {
         name: lhs - rhs
-        for name, lhs, rhs in zip(composed.target.coords, composed.components, direct.components)
+        for name, lhs, rhs in zip(direct.target.coords, composed, direct.components)
     }
 
 

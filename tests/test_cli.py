@@ -228,8 +228,10 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--box", "oops"], ["--samples", "0"], ["--samples", "-3"], ["--box", "2,-2"]],
-        ids=["box-oops", "samples-zero", "samples-negative", "box-empty"],
+        [["--box", "oops"], ["--samples", "0"], ["--samples", "-3"], ["--box", "2,-2"],
+         ["--fd-step", "0"], ["--fd-step", "-1"]],
+        ids=["box-oops", "samples-zero", "samples-negative", "box-empty",
+             "fd-step-zero", "fd-step-negative"],
     )
     def test_bad_box_flag(self, capsys, flags):
         assert main(["check-poisson", "so3-coadjoint", *flags]) == 2

@@ -13,11 +13,15 @@ from poissonlift import (
     DifferentialForm,
     Multivector,
     PoissonStructure,
+    Polynomial,
     base_pullback,
+    bundle_chart,
     canonical_involution,
+    catalog,
     complete_lift_bivector,
     complete_lift_vf,
     d_T,
+    differential,
     exterior_derivative,
     i_T,
     jacobi_check,
@@ -33,10 +37,11 @@ from poissonlift import (
     verify_tangent_lift_identity,
     wedge,
 )
+from poissonlift.cli import run_checks
 from poissonlift.errors import NameCollisionError, NotPoissonError
 from poissonlift.tangent import (
-    double_cotangent_chart,
-    double_tangent_chart,
+    one_form_as_covector_map,
+    one_form_lift_residuals,
     one_form_prolongation,
     tangent_lift_residuals,
 )
@@ -180,6 +185,17 @@ class TestCompleteLiftOfForms:
                 omega = rand_form(rng, chart, rng.randint(0, dim))
                 assert d_T(tc, omega) == _complete_lift_form_oracle(tc, omega)
 
+    def test_functions_lift_to_contracted_differential(self):
+        # d_T f = v_k d_k f must equal i_T(df), the route through 1-forms
+        rng = random.Random(40)
+        for dim in (1, 2, 3):
+            chart = Chart("B", tuple(f"x{i}" for i in range(dim)))
+            tc = tangent_chart(chart)
+            for _ in range(12):
+                f = rand_poly(rng, chart.coords)
+                lifted = d_T(tc, DifferentialForm.from_poly(chart, f))
+                assert lifted == i_T(tc, differential(chart, f))
+
     def test_degree_zero_leibniz(self):
         # d_T(w1 ^ w2) = d_T(w1) ^ tau*w2 + tau*w1 ^ d_T(w2), the degree-0
         # instance of the twisted derivation law (no sign).
@@ -219,19 +235,23 @@ class TestExchangeMaps:
         # (q, p, qdot, pdot) -> (q, qdot, pdot, p)
         assert alpha.evaluate((1, 2, 3, 4)) == (1, 3, 4, 2)
 
-    def test_alpha_inverse(self, chart_qp, tc_qp):
-        alpha = tulczyjew_alpha(tc_qp)
-        inv = tulczyjew_alpha_inverse(tc_qp)
-        assert alpha.compose(inv).is_identity()
-        assert inv.compose(alpha).is_identity()
+    def test_alpha_inverse(self):
+        for dim in (1, 2, 3):
+            tc = tangent_chart(Chart("B", tuple(f"x{i}" for i in range(dim))))
+            alpha = tulczyjew_alpha(tc)
+            inv = tulczyjew_alpha_inverse(tc)
+            assert alpha.compose(inv).is_identity()
+            assert inv.compose(alpha).is_identity()
 
     def test_alpha_dimensions(self, chart_qp, tc_qp):
         alpha = tulczyjew_alpha(tc_qp)
         assert alpha.source.dim == alpha.target.dim == 4 * chart_qp.dim
 
-    def test_involution(self, chart_qp, tc_qp):
-        kappa = canonical_involution(tc_qp)
-        assert kappa.compose(kappa).is_identity()
+    def test_involution(self):
+        for dim in (1, 2, 3):
+            tc = tangent_chart(Chart("B", tuple(f"x{i}" for i in range(dim))))
+            kappa = canonical_involution(tc)
+            assert kappa.compose(kappa).is_identity()
 
     def test_involution_swaps_middle_blocks(self, tc_qp):
         kappa = canonical_involution(tc_qp)
@@ -264,7 +284,7 @@ class TestCompleteLiftVectorField:
         # oracle: build T(X): TM -> TTM by hand, flip the middle blocks with
         # the involution, and read the last 2n components as a field on TM.
         rng = random.Random(36)
-        ttm = double_tangent_chart(chart_qp)
+        ttm = bundle_chart(chart_qp, "TT")
         kappa = canonical_involution(tc_qp)
         n = chart_qp.dim
         for _ in range(10):
@@ -394,11 +414,51 @@ class TestOneFormLiftIdentity:
         # d(qp) = p dq + q dp -> 3*1 + 2*5 = 13; d(p^2) = 2p dp -> 6*5 = 30
         assert values == [2, 3, 6, 9, 1, 5, 13, 30]
 
+    def test_block_order_matches_composition(self):
+        # alpha . T(theta) read off T(theta) in alpha's block order equals the
+        # generic composition of the two coordinate maps
+        rng = random.Random(41)
+        for dim in (1, 2, 3):
+            chart = Chart("B", tuple(f"x{i}" for i in range(dim)))
+            tc = tangent_chart(chart)
+            for _ in range(8):
+                theta = rand_form(rng, chart, 1)
+                composed = tulczyjew_alpha(tc).compose(one_form_prolongation(tc, theta))
+                direct = one_form_as_covector_map(tc, d_T(tc, theta))
+                expected = {
+                    name: lhs - rhs
+                    for name, lhs, rhs in zip(composed.target.coords, composed.components,
+                                              direct.components)
+                }
+                assert one_form_lift_residuals(theta) == expected
+
+    def test_verify_lemma_composes_no_polynomials(self, monkeypatch):
+        calls = []
+        original = Polynomial.compose
+
+        def counted(self, images):
+            calls.append(self)
+            return original(self, images)
+
+        monkeypatch.setattr(Polynomial, "compose", counted)
+        for name in ("aff1-cobracket", "so3-coadjoint"):
+            (report,) = run_checks(catalog(name), "verify-lemma")
+            assert report.verdict == "pass"
+        assert calls == []
+
 
 def test_chart_block_orders(chart_qp):
-    assert double_cotangent_chart(chart_qp).coords == (
-        "q", "p", "p_q", "p_p", "dot_q", "dot_p", "dot_p_q", "dot_p_p",
-    )
-    assert double_tangent_chart(chart_qp).coords == (
-        "q", "p", "v_q", "v_p", "dot_q", "dot_p", "dot_v_q", "dot_v_p",
-    )
+    expected = {
+        "T": ("q", "p", "v_q", "v_p"),
+        "T*": ("q", "p", "p_q", "p_p"),
+        "TT*": ("q", "p", "p_q", "p_p", "dot_q", "dot_p", "dot_p_q", "dot_p_p"),
+        "T*T": ("q", "p", "v_q", "v_p", "a_q", "a_p", "b_q", "b_p"),
+        "TT": ("q", "p", "v_q", "v_p", "dot_q", "dot_p", "dot_v_q", "dot_v_p"),
+    }
+    for kind, coords in expected.items():
+        chart = bundle_chart(chart_qp, kind)
+        assert chart.coords == coords
+        assert chart.name == kind + chart_qp.name
+    assert bundle_chart(chart_qp, "T") == tangent_chart(chart_qp).total
+    with pytest.raises(ValueError):
+        bundle_chart(chart_qp, "TTT")
