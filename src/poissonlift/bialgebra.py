@@ -118,21 +118,6 @@ class LieBialgebra:
     def cobracket_row(self, i: int) -> PairRow:
         return dict(self._cobrackets.get(i, {}))
 
-    def bracket_vectors(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        """Bilinear extension of the bracket to coefficient vectors."""
-        x = self._vector(x)
-        y = self._vector(y)
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in enumerate(self.bracket(i, j)):
-                    out[k] += xi * yj * c
-        return tuple(out)
-
     def _vector(self, xs: Sequence) -> tuple[Fraction, ...]:
         vec = tuple(Fraction(x) for x in xs)
         if len(vec) != self.dim:

@@ -20,11 +20,16 @@ from fractions import Fraction
 from .bialgebra import abelian_bialgebra
 from .chart import Chart, DifferentialForm, exterior_derivative
 from .errors import NotSymplecticActionError, ParseError, UnknownCatalogError, UnverifiedInputError
-from .oracle import DEFAULT_FD_STEP, FD_TOLERANCE, SamplePlan, fd_derivative_check
+from .oracle import FD_TOLERANCE, SamplePlan, fd_derivative_check
 from .poly import Polynomial
 from .problemfile import ProblemFile, catalog, catalog_names, parse_problem
 from .reduction import (
+    BRACKET_CLOSURE,
+    CHARACTERISTIC_IDENTITY,
+    PGMAP_CERTIFICATION,
+    TANGENT_GENERATOR_AGREEMENT,
     Resolved,
+    Statement,
     bracket_closure_check,
     certify_pgmap,
     characteristic_identity_check,
@@ -37,20 +42,6 @@ from .reduction import (
 )
 from .report import CheckReport, emit_reports, make_report
 from .tangent import d_T, one_form_lift_residuals, tangent_chart, verify_tangent_lift_identity
-
-COMMANDS = (
-    "check-poisson",
-    "lift",
-    "verify-lift",
-    "verify-lemma",
-    "certify-pgmap",
-    "bracket-closure",
-    "tangent-generator",
-    "characteristic-identity",
-    "hamiltonian",
-    "symplectic",
-    "all",
-)
 
 
 def _random_poly(rng: random.Random, chart: Chart, max_degree: int = 3) -> Polynomial:
@@ -76,7 +67,7 @@ def _random_one_form(rng: random.Random, chart: Chart, max_degree: int = 3) -> D
 # Resolved value (built on first call) and the sampling plan.
 
 
-def _cmd_check_poisson(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+def _cmd_check_poisson(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     reports = []
     if problem.symplectic is not None:
         omega = problem.symplectic
@@ -99,7 +90,7 @@ def _cmd_check_poisson(problem: ProblemFile, resolve, plan: SamplePlan | None) -
     return reports
 
 
-def _cmd_lift(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+def _cmd_lift(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     lifted = resolve().pi_tm
     chart = lifted.chart
     entries = {
@@ -116,14 +107,13 @@ def _cmd_lift(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[Ch
     ]
 
 
-def _cmd_verify_lift(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+def _cmd_verify_lift(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     r = resolve()
     return [verify_tangent_lift_identity(r.pi, r.pi_tm, plan=plan)]
 
 
-def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
+def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     chart = problem.chart
-    plan = plan or SamplePlan.uniform()
     rng = random.Random(plan.seed)
     count = min(plan.count, 100)
     residuals = {}
@@ -143,53 +133,33 @@ def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan | None) ->
     ]
 
 
-def _require_pgmap(problem: ProblemFile):
-    if problem.pgmap is None:
-        raise ParseError(f"problem {problem.name!r} has no pgmap block")
-    return problem.pgmap
-
-
-def _guarded(check_id: str, identity: str, thunk) -> list[CheckReport]:
+def _guarded(statement: Statement, thunk) -> list[CheckReport]:
+    """The reports of ``thunk``, or the statement's refusal when the lifted
+    check refuses unverified input."""
     try:
         result = thunk()
     except UnverifiedInputError as exc:
-        return [
-            CheckReport(
-                check_id=check_id,
-                identity=identity,
-                verdict="fail",
-                residuals=(("unverified-input", str(exc)),),
-            )
-        ]
+        refusal = (("unverified-input", str(exc)),)
+        return [CheckReport(*statement, verdict="fail", residuals=refusal)]
     return result if isinstance(result, list) else [result]
 
 
-def _cmd_certify(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
-    b = _require_pgmap(problem).bialgebra
-    return list(b.structure_checks) + _guarded(
-        "pgmap-certification",
-        "phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
-        lambda: certify_pgmap(resolve(), plan=plan),
+def _cmd_certify(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
+    return list(problem.pgmap.bialgebra.structure_checks) + _guarded(
+        PGMAP_CERTIFICATION, lambda: certify_pgmap(resolve(), plan=plan)
     )
 
 
-def _cmd_bracket_closure(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
-    _require_pgmap(problem)
-    return _guarded(
-        "bracket-closure",
-        "{c_i, c_j}_TM = c_[e_i, e_j] for the fiber-linear momentum components",
-        lambda: bracket_closure_check(resolve(), plan=plan),
-    )
+def _cmd_bracket_closure(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
+    return _guarded(BRACKET_CLOSURE, lambda: bracket_closure_check(resolve(), plan=plan))
 
 
-def _cmd_tangent_generator(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
-    basis = _require_pgmap(problem).bialgebra.basis
-
+def _cmd_tangent_generator(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     def build():
         r = resolve()
         check = tangent_generator_check(r, plan=plan)
         fields = {}
-        for name, (lifted, direct) in zip(basis, r.generators):
+        for name, (lifted, direct) in zip(problem.pgmap.bialgebra.basis, r.generators):
             fields[f"via-lift-formula[{name}]"] = lifted
             fields[f"via-complete-lift[{name}]"] = direct
         listing = make_report(
@@ -200,25 +170,15 @@ def _cmd_tangent_generator(problem: ProblemFile, resolve, plan: SamplePlan | Non
         )
         return [listing, check]
 
-    return _guarded(
-        "tangent-generator-agreement",
-        "X_(i_T phi) + pi_TM#(i_T d phi) equals the complete lift of pi#(phi)",
-        build,
-    )
+    return _guarded(TANGENT_GENERATOR_AGREEMENT, build)
 
 
-def _cmd_characteristic(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
-    _require_pgmap(problem)
-    return _guarded(
-        "characteristic-identity",
-        "i_T(d phi_i) = sum gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j)",
-        lambda: characteristic_identity_check(resolve(), plan=plan),
-    )
+def _cmd_characteristic(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
+    return _guarded(CHARACTERISTIC_IDENTITY,
+                    lambda: characteristic_identity_check(resolve(), plan=plan))
 
 
-def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
-    if problem.momentum is None:
-        raise ParseError(f"problem {problem.name!r} has no momentum block")
+def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     momentum = problem.momentum
     chart = momentum.chart
     bialgebra = problem.bialgebra or abelian_bialgebra(
@@ -244,17 +204,12 @@ def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan | None) -> 
         )
     ]
     if problem.levelset is not None:
-        effective = plan or problem.plan or SamplePlan.uniform()
-        samples = effective.points(problem.levelset.source.dim)
+        samples = plan.points(problem.levelset.source.dim)
         reports.append(level_set_tangency_check(momentum, problem.levelset, samples))
     return reports
 
 
-def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan | None) -> list[CheckReport]:
-    if problem.symplectic is None:
-        raise ParseError(f"problem {problem.name!r} has no symplectic block")
-    if problem.action is None:
-        raise ParseError(f"problem {problem.name!r} has no action block")
+def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     try:
         pg, closed_report = symplectic_pgmap(problem.symplectic, problem.action, problem.bialgebra)
     except NotSymplecticActionError as exc:
@@ -270,9 +225,8 @@ def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan | None) -> l
     return [closed_report, relation]
 
 
-def _cmd_oracle_fd(problem: ProblemFile, plan: SamplePlan | None, fd_step: Fraction) -> list[CheckReport]:
+def _oracle_fd(problem: ProblemFile, plan: SamplePlan, fd_step: Fraction) -> list[CheckReport]:
     chart = problem.chart
-    plan = plan or problem.plan or SamplePlan.uniform()
     rng = random.Random(plan.seed)
     worst = 0.0
     count = min(plan.count, 100)
@@ -293,40 +247,53 @@ def _cmd_oracle_fd(problem: ProblemFile, plan: SamplePlan | None, fd_step: Fract
     return [report]
 
 
-_DISPATCH = {
-    "check-poisson": _cmd_check_poisson,
-    "lift": _cmd_lift,
-    "verify-lift": _cmd_verify_lift,
-    "verify-lemma": _cmd_verify_lemma,
-    "certify-pgmap": _cmd_certify,
-    "bracket-closure": _cmd_bracket_closure,
-    "tangent-generator": _cmd_tangent_generator,
-    "characteristic-identity": _cmd_characteristic,
-    "hamiltonian": _cmd_hamiltonian,
-    "symplectic": _cmd_symplectic,
+# The command table: command -> (handler, problem blocks it needs).  A
+# command on a problem without one of its blocks is a ParseError; ``all``
+# runs, in table order, every command whose blocks the problem has, and then
+# the finite-difference oracle.
+_TABLE = {
+    "check-poisson": (_cmd_check_poisson, ()),
+    "lift": (_cmd_lift, ()),
+    "verify-lift": (_cmd_verify_lift, ()),
+    "verify-lemma": (_cmd_verify_lemma, ()),
+    "certify-pgmap": (_cmd_certify, ("pgmap",)),
+    "bracket-closure": (_cmd_bracket_closure, ("pgmap",)),
+    "tangent-generator": (_cmd_tangent_generator, ("pgmap",)),
+    "characteristic-identity": (_cmd_characteristic, ("pgmap",)),
+    "hamiltonian": (_cmd_hamiltonian, ("momentum",)),
+    "symplectic": (_cmd_symplectic, ("symplectic", "action")),
 }
+
+COMMANDS = (*_TABLE, "all")
+
+
+def _missing_blocks(problem: ProblemFile, command: str) -> list[str]:
+    return [block for block in _TABLE[command][1] if getattr(problem, block) is None]
 
 
 def run_checks(problem: ProblemFile, command: str, plan: SamplePlan | None = None,
-               fd_step: Fraction = DEFAULT_FD_STEP) -> list[CheckReport]:
+               fd_step: Fraction | None = None) -> list[CheckReport]:
     """Run one command (or 'all' applicable ones) against a problem.
 
-    The commands of one call share one Resolved value, so pi, pi_TM and the
-    pgmap certification are each computed at most once per call."""
-    resolve = functools.cache(lambda: Resolved(problem.poisson_structure, problem.pgmap))
+    ``plan`` and ``fd_step`` default to the problem's own, as on the command
+    line.  The commands of one call share one Resolved value, so pi, pi_TM
+    and the pgmap certification are each computed at most once per call."""
     if command == "all":
-        steps = ["check-poisson", "lift", "verify-lift", "verify-lemma"]
-        if problem.pgmap is not None:
-            steps += ["certify-pgmap", "bracket-closure", "tangent-generator", "characteristic-identity"]
-        if problem.momentum is not None:
-            steps.append("hamiltonian")
-        if problem.symplectic is not None and problem.action is not None:
-            steps.append("symplectic")
-        reports = [rep for step in steps for rep in _DISPATCH[step](problem, resolve, plan)]
-        return reports + _cmd_oracle_fd(problem, plan, fd_step)
-    if command not in _DISPATCH:
+        steps = [name for name in _TABLE if not _missing_blocks(problem, name)]
+    elif command in _TABLE:
+        missing = _missing_blocks(problem, command)
+        if missing:
+            raise ParseError(f"problem {problem.name!r} has no {missing[0]} block")
+        steps = [command]
+    else:
         raise ParseError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-    return _DISPATCH[command](problem, resolve, plan)
+    plan = problem.plan if plan is None else plan
+    fd_step = problem.fd_step if fd_step is None else fd_step
+    resolve = functools.cache(lambda: Resolved(problem.poisson_structure, problem.pgmap))
+    reports = [rep for step in steps for rep in _TABLE[step][0](problem, resolve, plan)]
+    if command == "all":
+        reports += _oracle_fd(problem, plan, fd_step)
+    return reports
 
 
 # -- entry point --------------------------------------------------------------------
@@ -378,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    plan = problem.plan or SamplePlan.uniform()
+    plan = problem.plan
     seed = args.seed if args.seed is not None else plan.seed
     count = args.samples if args.samples is not None else plan.count
     box = plan.box

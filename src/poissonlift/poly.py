@@ -119,20 +119,12 @@ class Polynomial:
         zero = (0,) * len(self.variables)
         return self._terms.get(zero, Fraction(0))
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(exps) for exps in self._terms)
-
     def degree_in(self, names: Iterable[str]) -> int:
         """Maximum combined exponent of the given variables over all terms."""
         idx = [self.variables.index(n) for n in names if n in self.variables]
         if not self._terms or not idx:
             return 0
         return max(sum(exps[i] for i in idx) for exps in self._terms)
-
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
 
     # -- variable universe handling ----------------------------------------
 

@@ -17,10 +17,11 @@ A problem file is UTF-8 text made of named blocks::
     levelset { params: s
                map: s, 0 }        # zero-level parametrization, one polynomial
                                   # per manifold coordinate
-    oracle   { samples: 100  seed: 7  box: -2, 2  fd_step: 1/1000000 }
+    oracle   { samples: 100; seed: 7; box: -2, 2; fd_step: 1/1000000 }
 
-``#`` starts a comment.  Bracket and cocycle entries take rational-linear
-combinations such as ``e3``, ``2 e1 + 1/2 e2`` or ``2 e2^e3``.
+``#`` starts a comment; any block or key not shown here is a ParseError.
+Bracket and cocycle entries take rational-linear combinations such as
+``e3``, ``2 e1 + 1/2 e2`` or ``2 e2^e3``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class ProblemFile:
     momentum: MomentumMapData | None = None
     action: tuple[Multivector, ...] | None = None
     levelset: CoordinateMap | None = None
-    plan: SamplePlan | None = None
+    plan: SamplePlan = SamplePlan.uniform()
     fd_step: Fraction = DEFAULT_FD_STEP
 
     @cached_property
@@ -84,10 +85,18 @@ def _strip_comment(line: str) -> str:
 _BRACES = re.compile(r"([{}])")
 
 
+# The child blocks each block may hold ("" is the file itself).
+_CHILD_BLOCKS = {
+    "": ("manifold", "bialgebra", "pgmap", "momentum", "action", "levelset", "oracle"),
+    "bialgebra": ("bracket", "cocycle"),
+}
+
+
 def _scan_blocks(text: str) -> dict[str, _Block]:
     """Brace-aware block scanner.  A block opens with ``name {`` (content may
     continue on the same line) and closes with ``}``; entries may share a
-    line when separated by ``;``."""
+    line when separated by ``;``, also with the name of a block that opens
+    after them."""
     root: dict[str, _Block] = {}
     stack: list[_Block] = []
 
@@ -105,9 +114,15 @@ def _scan_blocks(text: str) -> dict[str, _Block]:
         buffer = ""
         for segment in _BRACES.split(line):
             if segment == "{":
-                name = buffer.strip()
+                entries, _, name = buffer.rpartition(";")
+                flush(entries, lineno)
+                name = name.strip()
                 if not name.isidentifier():
                     raise ParseError(f"bad block name {name!r}", line=lineno)
+                parent = stack[-1].name if stack else ""
+                if name not in _CHILD_BLOCKS.get(parent, ()):
+                    where = f" in {parent!r}" if parent else ""
+                    raise ParseError(f"unknown block {name!r}{where}", line=lineno)
                 block = _Block(name, lineno, [], {})
                 holder = stack[-1].children if stack else root
                 if name in holder:
@@ -129,7 +144,9 @@ def _scan_blocks(text: str) -> dict[str, _Block]:
     return root
 
 
-def _entry_map(block: _Block, sep: str) -> dict[str, tuple[int, str]]:
+def _entry_map(block: _Block, sep: str,
+               keys: tuple[str, ...] | None = None) -> dict[str, tuple[int, str]]:
+    """The block's ``key<sep>value`` entries; with ``keys``, any other key is an error."""
     out: dict[str, tuple[int, str]] = {}
     for lineno, line in block.entries:
         if sep not in line:
@@ -137,6 +154,8 @@ def _entry_map(block: _Block, sep: str) -> dict[str, tuple[int, str]]:
         key, _, value = line.partition(sep)
         key = key.strip()
         value = value.strip()
+        if keys is not None and key not in keys:
+            raise ParseError(f"unknown key {key!r} in {block.name!r}", line=lineno)
         if key in out:
             raise ParseError(f"duplicate entry {key!r} in {block.name!r}", line=lineno)
         out[key] = (lineno, value)
@@ -217,7 +236,7 @@ def _parse_combo(text: str, names: tuple[str, ...], wedge: bool, lineno: int):
 
 
 def _load_manifold(block: _Block):
-    entries = _entry_map(block, ":")
+    entries = _entry_map(block, ":", ("coords", "poisson", "symplectic", "inverse"))
     if "coords" not in entries:
         raise ParseError("manifold block needs 'coords'", line=block.line)
     coords = _split_names(entries["coords"][1])
@@ -251,7 +270,7 @@ def _load_manifold(block: _Block):
 
 
 def _load_bialgebra(block: _Block) -> LieBialgebra:
-    entries = _entry_map(block, ":")
+    entries = _entry_map(block, ":", ("basis",))
     if "basis" not in entries:
         raise ParseError("bialgebra block needs 'basis'", line=block.line)
     names = _split_names(entries["basis"][1])
@@ -309,7 +328,7 @@ def _load_keyed_forms(block: _Block, bialgebra: LieBialgebra, chart: Chart, kind
 
 
 def _load_levelset(block: _Block, chart: Chart) -> CoordinateMap:
-    entries = _entry_map(block, ":")
+    entries = _entry_map(block, ":", ("params", "map"))
     if "params" not in entries or "map" not in entries:
         raise ParseError("levelset block needs 'params' and 'map'", line=block.line)
     params = _split_names(entries["params"][1])
@@ -346,7 +365,7 @@ def _interval(text: str) -> tuple[Fraction, Fraction]:
 def _load_oracle(block: _Block) -> tuple[SamplePlan, Fraction]:
     """Sampling plan and finite-difference step; a bad value is a ParseError
     on its entry's line."""
-    entries = _entry_map(block, ":")
+    entries = _entry_map(block, ":", ("samples", "seed", "box", "fd_step"))
 
     def read(key, convert, default):
         if key not in entries:

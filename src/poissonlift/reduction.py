@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _linalg
 from .bialgebra import LieBialgebra, abelian_bialgebra
@@ -129,6 +129,31 @@ class MomentumMapData:
         )
 
 
+class Statement(NamedTuple):
+    """The check id and the identity of one lifted check."""
+
+    check_id: str
+    identity: str
+
+
+PGMAP_CERTIFICATION = Statement(
+    "pgmap-certification",
+    "phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
+)
+BRACKET_CLOSURE = Statement(
+    "bracket-closure",
+    "{c_i, c_j}_TM = c_[e_i, e_j] for the fiber-linear momentum components",
+)
+TANGENT_GENERATOR_AGREEMENT = Statement(
+    "tangent-generator-agreement",
+    "X_(i_T phi) + pi_TM#(i_T d phi) equals the complete lift of pi#(phi)",
+)
+CHARACTERISTIC_IDENTITY = Statement(
+    "characteristic-identity",
+    "i_T(d phi_i) = sum gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j)",
+)
+
+
 # -- certification --------------------------------------------------------------
 
 
@@ -204,12 +229,7 @@ class Resolved:
 def certify_pgmap(r: Resolved, plan: SamplePlan | None = None) -> CheckReport:
     """Exact verdict on both axioms; requires verified bialgebra and Poisson data."""
     r.require(certified=False)
-    return make_report(
-        "pgmap-certification",
-        "phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
-        r.certification,
-        plan=plan,
-    )
+    return make_report(*PGMAP_CERTIFICATION, r.certification, plan=plan)
 
 
 # -- generators and fiber-linear functions ---------------------------------------
@@ -255,12 +275,7 @@ def bracket_closure_check(r: Resolved, *, plan: SamplePlan | None = None) -> Che
     """Certifies that the zero level set of c is coisotropic: the lifted
     bracket of generators lands back in the generated ideal."""
     r.require()
-    return make_report(
-        "bracket-closure",
-        "{c_i, c_j}_TM = c_[e_i, e_j] for the fiber-linear momentum components",
-        bracket_closure_residuals(r),
-        plan=plan,
-    )
+    return make_report(*BRACKET_CLOSURE, bracket_closure_residuals(r), plan=plan)
 
 
 # -- lifted generators --------------------------------------------------------------
@@ -288,12 +303,7 @@ def tangent_generator_check(r: Resolved, *, plan: SamplePlan | None = None) -> C
         f"generator[{name}]": lifted - direct
         for name, (lifted, direct) in zip(r.pg.bialgebra.basis, r.generators)
     }
-    return make_report(
-        "tangent-generator-agreement",
-        "X_(i_T phi) + pi_TM#(i_T d phi) equals the complete lift of pi#(phi)",
-        residuals,
-        plan=plan,
-    )
+    return make_report(*TANGENT_GENERATOR_AGREEMENT, residuals, plan=plan)
 
 
 # -- the ideal-coefficient identity ----------------------------------------------------
@@ -322,12 +332,7 @@ def characteristic_identity_residuals(r: Resolved) -> dict[str, DifferentialForm
 
 def characteristic_identity_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
     r.require()
-    return make_report(
-        "characteristic-identity",
-        "i_T(d phi_i) = sum gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j)",
-        characteristic_identity_residuals(r),
-        plan=plan,
-    )
+    return make_report(*CHARACTERISTIC_IDENTITY, characteristic_identity_residuals(r), plan=plan)
 
 
 # -- Hamiltonian special case -----------------------------------------------------------
@@ -452,7 +457,9 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
                                 pg: PGMap, plan: SamplePlan | None = None) -> CheckReport:
     """Compare the tangent-side momentum c_x = i_T(i_X omega) with the
     cotangent-lift momentum j_x(alpha) = <alpha, X> through the bundle map
-    omega_flat: c + j . omega_flat = 0 (or the consistent opposite sign).
+    omega_flat: c + j . omega_flat = sum X^i v_k (omega_ik + omega_ki), which
+    vanishes for every antisymmetric omega; a nonzero residual exposes a sign
+    or convention error in one of the two routes.
 
     ``pg`` is the map :func:`symplectic_pgmap` built from ``omega`` and
     these generators."""
@@ -474,8 +481,7 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
                 total = total + tc.fiber_poly(ci) * w[i][k].with_variables(tc.total.coords)
         flat_images[f"p_{ck}"] = total
     c_polys = comomentum_components(pg, tc)
-    plus: dict[str, Polynomial] = {}
-    minus: dict[str, Polynomial] = {}
+    residuals: dict[str, Polynomial] = {}
     for index, field in enumerate(generators):
         j_fun = tstar.zero_poly()
         for k, ck in enumerate(chart.coords):
@@ -483,18 +489,10 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
             if not comp.is_zero():
                 j_fun = j_fun + tstar.coord_poly(f"p_{ck}") * comp.with_variables(tstar.coords)
         j_through_flat = j_fun.compose(flat_images)
-        name = pg.bialgebra.basis[index]
-        plus[f"relation[{name}]"] = c_polys[index] + j_through_flat
-        minus[f"relation[{name}]"] = c_polys[index] - j_through_flat
-    if all(res.is_zero() for res in plus.values()):
-        residuals, variant = plus, "c = -(j . omega_flat)"
-    elif all(res.is_zero() for res in minus.values()):
-        residuals, variant = minus, "c = +(j . omega_flat)"
-    else:
-        residuals, variant = plus, "c = -(j . omega_flat)"
+        residuals[f"relation[{pg.bialgebra.basis[index]}]"] = c_polys[index] + j_through_flat
     return make_report(
         "cotangent-momentum-relation",
-        f"tangent and cotangent momenta agree through omega_flat: {variant}",
+        "tangent and cotangent momenta agree through omega_flat: c = -(j . omega_flat)",
         residuals,
         plan=plan,
     )

@@ -121,10 +121,6 @@ class CoordinateMap:
             tuple(p.with_variables(self.source.coords) for p in self.components),
         )
 
-    @classmethod
-    def identity(cls, chart: Chart) -> "CoordinateMap":
-        return cls(chart, chart, tuple(chart.coord_poly(c) for c in chart.coords))
-
     def compose(self, inner: "CoordinateMap") -> "CoordinateMap":
         """self after inner."""
         if inner.target != self.source:
@@ -318,8 +314,9 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate) -> dict[str, Polynom
 
     # left-hand side: pi_TM# . alpha, with alpha(q, p, qdot, pdot) the covector
     # at (q, v=qdot) whose dq-coefficients are pdot and dv-coefficients are p.
-    subs = dict(zip(tc.total.coords, z[:n] + qdot))
-    csub = [[entry.compose(subs) for entry in row] for row in full_matrix(cand)]
+    # Setting v = qdot renames the (q, v) terms onto the (q, qdot) blocks.
+    q_qdot = zchart.coords[:n] + zchart.coords[2 * n:3 * n]
+    csub = [[on_z(Polynomial(q_qdot, entry.terms)) for entry in row] for row in full_matrix(cand)]
     lhs = [zchart.zero_poly() for _ in range(2 * n)]
     for j in range(n):
         for i in range(n):

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from poissonlift import catalog, catalog_names, parse_problem, parse_reports
+from poissonlift import catalog, catalog_names, emit_reports, parse_problem, parse_reports
 from poissonlift import chart, reduction, tangent
-from poissonlift.cli import COMMANDS, main, run_checks
+from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import catalog_text
 
@@ -27,6 +28,12 @@ bialgebra {
 pgmap {
   e1 = p*dq
 }
+"""
+
+# A problem whose oracle block sets every value away from its default.
+OWN_ORACLE = """
+manifold { coords: q, p; poisson: p*e_q^e_p }
+oracle { samples: 7; seed: 12; box: -1/2, 3; fd_step: 1/1000 }
 """
 
 
@@ -75,6 +82,25 @@ bialgebra {
 """
         problem = parse_problem(text)
         assert problem.bialgebra.cobracket_row(1) == {(0, 1): Fraction(2)}
+
+    def test_one_line_blocks(self):
+        text = "manifold { coords: q, p; poisson: p*e_q^e_p }\n" \
+               "bialgebra { basis: e1, e2; bracket { [e1,e2] = e2 } }"
+        problem = parse_problem(text)
+        assert problem.bialgebra.basis == ("e1", "e2")
+        assert problem.bialgebra.bracket(0, 1) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("manifold { coords: q, p\n poisson: 0\n frame { } }", 3),
+         ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1\n"
+          "  bracket { [e1,e1] = 0\n    extra { } } }", 4)],
+        ids=["in-manifold", "in-bracket"],
+    )
+    def test_unknown_child_block(self, text, line):
+        with pytest.raises(ParseError, match="unknown block") as err:
+            parse_problem(text)
+        assert err.value.line == line
 
     def test_oracle_block(self):
         text = """
@@ -166,8 +192,6 @@ class TestRunChecks:
 
     def test_structured_and_text_verdicts_agree(self, capsys):
         reports = run_checks(catalog("so3-coadjoint"), "verify-lift")
-        from poissonlift import emit_reports
-
         parsed = parse_reports(emit_reports(reports))
         assert [rep.verdict for rep in parsed] == [rep.verdict for rep in reports]
 
@@ -239,15 +263,53 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "problem",
-        list(catalog_names()) + [str(p) for p in sorted(_CONFORMANCE.glob("valid/*.pf"))],
+        list(catalog_names()) + [str(p) for p in sorted(_CONFORMANCE.glob("valid/*.pf"))]
+        + [str(p) for p in sorted(_CONFORMANCE.glob("invalid/*.pf"))],
         ids=lambda p: Path(p).stem,
     )
     def test_every_command_ends_in_a_verdict(self, capsys, problem):
+        invalid = Path(problem).parent.name == "invalid"
         for command in COMMANDS:
             code = main([command, problem, "--samples", "5"])
             err = capsys.readouterr().err
-            assert code in (0, 1, 2), command
+            assert code in ((2,) if invalid else (0, 1, 2)), command
             assert "Traceback" not in err, command
+            if invalid:
+                assert err.startswith("error:") and "(line " in err, command
+
+    @pytest.mark.parametrize("name", [*catalog_names(), "own-oracle"])
+    def test_run_checks_matches_main(self, tmp_path, capsys, name):
+        if name == "own-oracle":
+            name = str(tmp_path / "problem.pf")
+            Path(name).write_text(OWN_ORACLE)
+        path = tmp_path / "report.txt"
+        main(["all", name, "--report", str(path)])
+        assert emit_reports(run_checks(_load_problem(name), "all")) == path.read_text()
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_all_runs_every_applicable_command(self, name):
+        problem = catalog(name)
+        expected = []
+        for command in COMMANDS[:-1]:
+            try:
+                expected += run_checks(problem, command)
+            except ParseError:  # the problem lacks a block the command needs
+                pass
+        reports = run_checks(problem, "all")
+        assert reports[:-1] == expected
+        assert reports[-1].check_id == "oracle-fd"
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [(command, block) for command, (_, blocks) in _TABLE.items() for block in blocks],
+    ids=lambda value: value,
+)
+def test_command_without_its_block(command, block):
+    # canonical-r2-rotation has every block a command can need
+    problem = dataclasses.replace(catalog("canonical-r2-rotation"), **{block: None})
+    with pytest.raises(ParseError, match=f"^problem 'canonical-r2-rotation' has no {block} block$"):
+        run_checks(problem, command)
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:

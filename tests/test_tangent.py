@@ -433,18 +433,29 @@ class TestOneFormLiftIdentity:
                 assert one_form_lift_residuals(theta) == expected
 
     def test_verify_lemma_composes_no_polynomials(self, monkeypatch):
-        calls = []
-        original = Polynomial.compose
+        assert _compose_calls(monkeypatch, "verify-lemma") == []
 
-        def counted(self, images):
-            calls.append(self)
-            return original(self, images)
 
-        monkeypatch.setattr(Polynomial, "compose", counted)
-        for name in ("aff1-cobracket", "so3-coadjoint"):
-            (report,) = run_checks(catalog(name), "verify-lemma")
-            assert report.verdict == "pass"
-        assert calls == []
+def _compose_calls(monkeypatch, command: str) -> list:
+    """The Polynomial.compose calls of ``command`` on two catalog entries,
+    each of which must pass."""
+    calls = []
+    original = Polynomial.compose
+
+    def counted(self, images):
+        calls.append(self)
+        return original(self, images)
+
+    monkeypatch.setattr(Polynomial, "compose", counted)
+    for name in ("aff1-cobracket", "so3-coadjoint"):
+        (report,) = run_checks(catalog(name), command)
+        assert report.verdict == "pass"
+    return calls
+
+
+def test_verify_lift_composes_no_polynomials(monkeypatch):
+    # setting v = qdot in the candidate is a renaming, not a composition
+    assert _compose_calls(monkeypatch, "verify-lift") == []
 
 
 def test_chart_block_orders(chart_qp):
