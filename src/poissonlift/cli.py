@@ -22,7 +22,7 @@ from .chart import Chart, DifferentialForm, exterior_derivative
 from .errors import NotSymplecticActionError, ParseError, UnknownCatalogError, UnverifiedInputError
 from .oracle import FD_TOLERANCE, SamplePlan, fd_derivative_check
 from .poly import Polynomial
-from .problemfile import ProblemFile, catalog, catalog_names, parse_problem
+from .problemfile import ProblemFile, catalog, catalog_names, oracle_value, parse_problem
 from .reduction import (
     BRACKET_CLOSURE,
     CHARACTERISTIC_IDENTITY,
@@ -332,8 +332,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("problem", help="problem file path or catalog entry name")
     parser.add_argument("--report", help="write a structured report file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--seed", default=None)
+    parser.add_argument("--samples", default=None)
     parser.add_argument("--box", default=None, help="sampling interval LO,HI")
     parser.add_argument("--fd-step", default=None, help="finite-difference step (rational)")
     parser.add_argument("--quiet", action="store_true")
@@ -341,35 +341,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         problem = _load_problem(args.problem)
+        # the flags take the values the problem file's oracle keys take
+        flags = {key: oracle_value(key, getattr(args, key), "--" + key.replace("_", "-"))
+                 for key in ("samples", "seed", "box", "fd_step") if getattr(args, key) is not None}
     except (ParseError, UnknownCatalogError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    plan = problem.plan
-    seed = args.seed if args.seed is not None else plan.seed
-    count = args.samples if args.samples is not None else plan.count
-    box = plan.box
-    if args.box is not None:
-        try:
-            lo_text, hi_text = args.box.split(",")
-            box = ((Fraction(lo_text), Fraction(hi_text)),)
-        except (ValueError, ZeroDivisionError):
-            print(f"error: bad --box value {args.box!r}", file=sys.stderr)
-            return 2
-    try:
-        plan = SamplePlan(count, seed, box)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    fd_step = problem.fd_step
-    if args.fd_step is not None:
-        try:
-            fd_step = Fraction(args.fd_step)
-        except (ValueError, ZeroDivisionError):
-            fd_step = None
-        if fd_step is None or fd_step <= 0:
-            print(f"error: bad --fd-step value {args.fd_step!r}", file=sys.stderr)
-            return 2
+    plan = SamplePlan(flags.get("samples", problem.plan.count), flags.get("seed", problem.plan.seed),
+                      (flags["box"],) if "box" in flags else problem.plan.box)
+    fd_step = flags.get("fd_step", problem.fd_step)
 
     try:
         reports = run_checks(problem, args.command, plan=plan, fd_step=fd_step)

@@ -1,27 +1,9 @@
 """Block-structured problem files and the built-in example catalog.
 
-A problem file is UTF-8 text made of named blocks::
-
-    manifold {
-      coords: q, p
-      poisson: e_q^e_p            # or: symplectic: dq^dp  [inverse: ...]
-    }
-    bialgebra {
-      basis: e1, e2
-      bracket { [e1,e2] = e2 }
-      cocycle { d(e2) = e1^e2 }   # omitted entries default to zero
-    }
-    pgmap    { e1 = dq  ... }     # one 1-form literal per basis element
-    momentum { e1 = p   ... }     # polynomial components of J
-    action   { e1 = -e_q ... }    # generator vector fields
-    levelset { params: s
-               map: s, 0 }        # zero-level parametrization, one polynomial
-                                  # per manifold coordinate
-    oracle   { samples: 100; seed: 7; box: -2, 2; fd_step: 1/1000000 }
-
-``#`` starts a comment; any block or key not shown here is a ParseError.
-Bracket and cocycle entries take rational-linear combinations such as
-``e3``, ``2 e1 + 1/2 e2`` or ``2 e2^e3``.
+A problem file is UTF-8 text made of named blocks of entries, described in
+``docs/problem-file-format.md``.  ``_SCHEMA`` below states every block, key,
+value parser and companion rule once; the scanner, the entry reader and the
+loader all read it.
 """
 
 from __future__ import annotations
@@ -30,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Any, Callable, NamedTuple
 
 from .bialgebra import LieBialgebra
 from .chart import Chart, Multivector
@@ -66,110 +49,28 @@ class ProblemFile:
         raise ParseError(f"problem {self.name!r} declares neither a poisson nor a symplectic block")
 
 
-# -- raw block scanner ---------------------------------------------------------
+def _at(line: int | None, prefix: str, parse: Callable, *args):
+    """``parse(*args)``: the one place where a ValueError or ZeroDivisionError
+    raised while reading input becomes a ParseError, on ``line`` and after
+    ``prefix``."""
+    try:
+        return parse(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else str(exc)
+        raise ParseError(prefix + reason, line=line) from exc
 
 
-@dataclass
-class _Block:
-    name: str
-    line: int
-    entries: list[tuple[int, str]]
-    children: dict[str, "_Block"]
+# -- value parsers ------------------------------------------------------------------
+#
+# Each takes the entry's text and ``env``, the values read so far: key values
+# under their key (``coords`` holds the chart), block values under the block.
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
-_BRACES = re.compile(r"([{}])")
-
-
-# The child blocks each block may hold ("" is the file itself).
-_CHILD_BLOCKS = {
-    "": ("manifold", "bialgebra", "pgmap", "momentum", "action", "levelset", "oracle"),
-    "bialgebra": ("bracket", "cocycle"),
-}
-
-
-def _scan_blocks(text: str) -> dict[str, _Block]:
-    """Brace-aware block scanner.  A block opens with ``name {`` (content may
-    continue on the same line) and closes with ``}``; entries may share a
-    line when separated by ``;``, also with the name of a block that opens
-    after them."""
-    root: dict[str, _Block] = {}
-    stack: list[_Block] = []
-
-    def flush(buffer: str, lineno: int) -> None:
-        for piece in buffer.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if not stack:
-                raise ParseError(f"content outside any block: {piece!r}", line=lineno)
-            stack[-1].entries.append((lineno, piece))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        buffer = ""
-        for segment in _BRACES.split(line):
-            if segment == "{":
-                entries, _, name = buffer.rpartition(";")
-                flush(entries, lineno)
-                name = name.strip()
-                if not name.isidentifier():
-                    raise ParseError(f"bad block name {name!r}", line=lineno)
-                parent = stack[-1].name if stack else ""
-                if name not in _CHILD_BLOCKS.get(parent, ()):
-                    where = f" in {parent!r}" if parent else ""
-                    raise ParseError(f"unknown block {name!r}{where}", line=lineno)
-                block = _Block(name, lineno, [], {})
-                holder = stack[-1].children if stack else root
-                if name in holder:
-                    raise ParseError(f"duplicate block {name!r}", line=lineno)
-                holder[name] = block
-                stack.append(block)
-                buffer = ""
-            elif segment == "}":
-                flush(buffer, lineno)
-                buffer = ""
-                if not stack:
-                    raise ParseError("unmatched '}'", line=lineno)
-                stack.pop()
-            else:
-                buffer += segment
-        flush(buffer, lineno)
-    if stack:
-        raise ParseError(f"block {stack[-1].name!r} is not closed", line=stack[-1].line)
-    return root
-
-
-def _entry_map(block: _Block, sep: str,
-               keys: tuple[str, ...] | None = None) -> dict[str, tuple[int, str]]:
-    """The block's ``key<sep>value`` entries; with ``keys``, any other key is an error."""
-    out: dict[str, tuple[int, str]] = {}
-    for lineno, line in block.entries:
-        if sep not in line:
-            raise ParseError(f"expected '<key>{sep}<value>' in {block.name!r}: {line!r}", line=lineno)
-        key, _, value = line.partition(sep)
-        key = key.strip()
-        value = value.strip()
-        if keys is not None and key not in keys:
-            raise ParseError(f"unknown key {key!r} in {block.name!r}", line=lineno)
-        if key in out:
-            raise ParseError(f"duplicate entry {key!r} in {block.name!r}", line=lineno)
-        out[key] = (lineno, value)
-    return out
-
-
-def _split_names(text: str) -> tuple[str, ...]:
+def _names(text: str, env=None) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# -- rational-linear combinations ------------------------------------------------
-
-
-def _parse_combo(text: str, names: tuple[str, ...], wedge: bool, lineno: int):
+def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
     """Parse ``2 e1^e2 - 1/2 e2^e3`` style combinations.
 
     Returns a dict keyed by basis index (wedge=False) or ordered index pair.
@@ -178,8 +79,8 @@ def _parse_combo(text: str, names: tuple[str, ...], wedge: bool, lineno: int):
     result: dict = {}
     i = 0
 
-    def err(msg, tok):
-        raise ParseError(f"{msg} in {text!r}", line=lineno) from None
+    def err(msg):
+        raise ValueError(f"{msg} in {text!r}")
 
     sign = Fraction(1)
     expect_term = True
@@ -197,7 +98,7 @@ def _parse_combo(text: str, names: tuple[str, ...], wedge: bool, lineno: int):
             if tokens[i].kind == "op" and tokens[i].text == "/":
                 i += 1
                 if tokens[i].kind != "int":
-                    err("expected integer denominator", tokens[i])
+                    err("expected integer denominator")
                 coeff /= int(tokens[i].text)
                 i += 1
             if tokens[i].kind == "op" and tokens[i].text == "*":
@@ -207,18 +108,18 @@ def _parse_combo(text: str, names: tuple[str, ...], wedge: bool, lineno: int):
             if coeff == 0:
                 expect_term = False
                 continue  # a bare 0 term
-            err("expected a basis symbol", tok)
+            err("expected a basis symbol")
         if tok.text not in names:
-            err(f"unknown basis symbol {tok.text!r}", tok)
+            err(f"unknown basis symbol {tok.text!r}")
         first = names.index(tok.text)
         i += 1
         if wedge:
             if not (tokens[i].kind == "op" and tokens[i].text == "^"):
-                err("expected '^' between basis symbols", tokens[i])
+                err("expected '^' between basis symbols")
             i += 1
             tok = tokens[i]
             if tok.kind != "ident" or tok.text not in names:
-                err("expected a basis symbol after '^'", tok)
+                err("expected a basis symbol after '^'")
             second = names.index(tok.text)
             i += 1
             key = (first, second)
@@ -228,132 +129,34 @@ def _parse_combo(text: str, names: tuple[str, ...], wedge: bool, lineno: int):
         sign = Fraction(1)
         expect_term = False
     if expect_term and result:
-        raise ParseError(f"dangling sign in {text!r}", line=lineno)
+        err("dangling sign")
     return result
 
 
-# -- block interpreters ------------------------------------------------------------
+def _bracket_value(text: str, env) -> tuple[Fraction, ...]:
+    combo = _combo(text, env["basis"], wedge=False)
+    return tuple(combo.get(k, Fraction(0)) for k in range(len(env["basis"])))
 
 
-def _load_manifold(block: _Block):
-    entries = _entry_map(block, ":", ("coords", "poisson", "symplectic", "inverse"))
-    if "coords" not in entries:
-        raise ParseError("manifold block needs 'coords'", line=block.line)
-    coords = _split_names(entries["coords"][1])
-    chart = Chart("M", coords)
-    has_poisson = "poisson" in entries
-    has_symplectic = "symplectic" in entries
-    if has_poisson and has_symplectic:
-        raise ParseError("declare at most one of poisson/symplectic", line=block.line)
-    if not has_poisson and not has_symplectic:
-        raise ParseError("manifold block needs 'poisson' or 'symplectic'", line=block.line)
-    poisson = symplectic = None
-    if has_poisson:
-        lineno, text = entries["poisson"]
-        try:
-            bivector = parse_multivector(text, chart, degree=2)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        poisson = PoissonStructure.from_bivector(bivector)
-    else:
-        lineno, text = entries["symplectic"]
-        try:
-            two_form = parse_form(text, chart, degree=2)
-            inverse = None
-            if "inverse" in entries:
-                inv_line, inv_text = entries["inverse"]
-                inverse = parse_multivector(inv_text, chart, degree=2)
-            symplectic = SymplecticForm.from_two_form(two_form, inverse)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    return chart, poisson, symplectic
-
-
-def _load_bialgebra(block: _Block) -> LieBialgebra:
-    entries = _entry_map(block, ":", ("basis",))
-    if "basis" not in entries:
-        raise ParseError("bialgebra block needs 'basis'", line=block.line)
-    names = _split_names(entries["basis"][1])
-    brackets = {}
-    if "bracket" in block.children:
-        for lineno, line in block.children["bracket"].entries:
-            lhs, _, rhs = line.partition("=")
-            lhs = lhs.strip()
-            if not (lhs.startswith("[") and lhs.endswith("]")):
-                raise ParseError(f"bracket entries look like '[e1,e2] = ...': {line!r}", line=lineno)
-            pair = _split_names(lhs[1:-1])
-            if len(pair) != 2 or any(p not in names for p in pair):
-                raise ParseError(f"unknown bracket pair {lhs!r}", line=lineno)
-            i, j = names.index(pair[0]), names.index(pair[1])
-            combo = _parse_combo(rhs.strip(), names, wedge=False, lineno=lineno)
-            vec = [Fraction(0)] * len(names)
-            for k, c in combo.items():
-                vec[k] = c
-            brackets[(i, j)] = tuple(vec)
-    cobrackets = {}
-    if "cocycle" in block.children:
-        for lineno, line in block.children["cocycle"].entries:
-            lhs, _, rhs = line.partition("=")
-            lhs = lhs.strip()
-            if not (lhs.startswith("d(") and lhs.endswith(")")):
-                raise ParseError(f"cocycle entries look like 'd(e1) = ...': {line!r}", line=lineno)
-            name = lhs[2:-1].strip()
-            if name not in names:
-                raise ParseError(f"unknown basis symbol {name!r}", line=lineno)
-            combo = _parse_combo(rhs.strip(), names, wedge=True, lineno=lineno)
-            if combo:
-                cobrackets[names.index(name)] = combo
-    return LieBialgebra(names, brackets, cobrackets)
-
-
-def _load_keyed_forms(block: _Block, bialgebra: LieBialgebra, chart: Chart, kind: str):
-    entries = _entry_map(block, "=")
-    out = {}
-    for key, (lineno, text) in entries.items():
-        if key not in bialgebra.basis:
-            raise ParseError(f"{block.name} key {key!r} is not a bialgebra basis name", line=lineno)
-        try:
-            if kind == "form":
-                out[key] = parse_form(text, chart, degree=1)
-            elif kind == "vector":
-                out[key] = parse_multivector(text, chart, degree=1)
-            else:
-                out[key] = parse_poly(text, chart.coords)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    missing = [name for name in bialgebra.basis if name not in out]
-    if missing:
-        raise ParseError(f"{block.name} block misses entries for {missing}", line=block.line)
-    return tuple(out[name] for name in bialgebra.basis)
-
-
-def _load_levelset(block: _Block, chart: Chart) -> CoordinateMap:
-    entries = _entry_map(block, ":", ("params", "map"))
-    if "params" not in entries or "map" not in entries:
-        raise ParseError("levelset block needs 'params' and 'map'", line=block.line)
-    params = _split_names(entries["params"][1])
-    source = Chart("S", params)
-    lineno, text = entries["map"][0], entries["map"][1]
+def _levelset_map(text: str, env) -> tuple:
     pieces = [p.strip() for p in text.split(",")]
-    if len(pieces) != chart.dim:
-        raise ParseError(
-            f"levelset map needs {chart.dim} components, got {len(pieces)}", line=lineno
-        )
-    try:
-        comps = tuple(parse_poly(piece, params) for piece in pieces)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=lineno) from exc
-    return CoordinateMap(source, chart, comps)
+    dim = env["coords"].dim
+    if len(pieces) != dim:
+        raise ValueError(f"levelset map needs {dim} components, got {len(pieces)}")
+    return tuple(parse_poly(piece, env["params"].coords) for piece in pieces)
 
 
-def _positive(value):
-    if value <= 0:
-        raise ValueError("must be positive")
-    return value
+def _positive(convert: Callable[[str], Any]):
+    def parse(text: str, env):
+        value = convert(text)
+        if value <= 0:
+            raise ValueError("must be positive")
+        return value
+    return parse
 
 
-def _interval(text: str) -> tuple[Fraction, Fraction]:
-    pieces = _split_names(text)
+def _interval(text: str, env) -> tuple[Fraction, Fraction]:
+    pieces = _names(text)
     if len(pieces) != 2:
         raise ValueError("box takes 'lo, hi'")
     lo, hi = Fraction(pieces[0]), Fraction(pieces[1])
@@ -362,55 +165,248 @@ def _interval(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _load_oracle(block: _Block) -> tuple[SamplePlan, Fraction]:
-    """Sampling plan and finite-difference step; a bad value is a ParseError
-    on its entry's line."""
-    entries = _entry_map(block, ":", ("samples", "seed", "box", "fd_step"))
+# -- the schema table --------------------------------------------------------------
 
-    def read(key, convert, default):
-        if key not in entries:
-            return default
-        lineno, text = entries[key]
-        try:
-            return convert(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            detail = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-            raise ParseError(f"bad oracle {key} {text!r}: {detail}", line=lineno) from exc
 
-    samples = read("samples", lambda text: _positive(int(text)), DEFAULT_SAMPLES)
-    seed = read("seed", int, DEFAULT_SEED)
-    lo, hi = read("box", _interval, DEFAULT_BOX)
-    fd_step = read("fd_step", lambda text: _positive(Fraction(text)), DEFAULT_FD_STEP)
-    return SamplePlan.uniform(samples, seed, lo, hi), fd_step
+class _Key(NamedTuple):
+    parse: Callable[[str, dict], Any]
+    required: bool = False
+    default: Any = None
+    requires: tuple[str, ...] = ()  # companions, as for _Spec
+
+
+class _Spec(NamedTuple):
+    """One block of a problem file.
+
+    With ``sep`` ':' the keys are names.  With '=' the block has one key, a
+    pattern whose ``{}`` holes are bialgebra basis names; the block's value
+    is a dict keyed by the tuple of hole indices or, for a required ``{}``
+    key, the tuple of one value per basis element in basis order."""
+
+    parent: str  # "" for the file
+    sep: str
+    keys: dict[str, _Key]
+    requires: tuple[str, ...] = ()  # companion blocks, or "block.key" for an entry
+    one_of: tuple[str, ...] = ()  # keys of which exactly one must be present
+    build: Callable[[dict], Any] | None = None  # env -> the block's value
+    quoted: bool = False  # errors quote the entry: "bad <block> <key> '<text>': ..."
+
+
+# Blocks and keys are read in table order, so the companions of a block and
+# the keys a value parser reads come before it.
+_SCHEMA: dict[str, _Spec] = {
+    "manifold": _Spec("", ":", {
+        "coords": _Key(lambda text, env: Chart("M", _names(text)), required=True),
+        "poisson": _Key(lambda text, env: PoissonStructure.from_bivector(
+            parse_multivector(text, env["coords"], degree=2))),
+        # read before 'symplectic', whose value needs it
+        "inverse": _Key(lambda text, env: parse_multivector(text, env["coords"], degree=2),
+                        requires=("manifold.symplectic",)),
+        "symplectic": _Key(lambda text, env: SymplecticForm.from_two_form(
+            parse_form(text, env["coords"], degree=2), env["inverse"])),
+    }, one_of=("poisson", "symplectic")),
+    "bialgebra": _Spec("", ":", {
+        "basis": _Key(_names, required=True),
+    }, build=lambda env: LieBialgebra(
+        env["basis"], env.get("bracket"), {i: row for (i,), row in env.get("cocycle", {}).items()})),
+    "bracket": _Spec("bialgebra", "=", {"[{},{}]": _Key(_bracket_value)}),
+    "cocycle": _Spec("bialgebra", "=", {
+        "d({})": _Key(lambda text, env: _combo(text, env["basis"], wedge=True)),
+    }),
+    "pgmap": _Spec("", "=", {
+        "{}": _Key(lambda text, env: parse_form(text, env["coords"], degree=1), required=True),
+    }, requires=("bialgebra",),
+        build=lambda env: PGMap(env["bialgebra"], env["coords"], env["pgmap"])),
+    "momentum": _Spec("", "=", {
+        "{}": _Key(lambda text, env: parse_poly(text, env["coords"].coords), required=True),
+    }, requires=("bialgebra",),
+        build=lambda env: MomentumMapData(env["coords"], env["momentum"])),
+    "action": _Spec("", "=", {
+        "{}": _Key(lambda text, env: parse_multivector(text, env["coords"], degree=1), required=True),
+    }, requires=("bialgebra", "manifold.symplectic")),
+    "levelset": _Spec("", ":", {
+        "params": _Key(lambda text, env: Chart("S", _names(text)), required=True),
+        "map": _Key(_levelset_map, required=True),
+    }, requires=("momentum",),
+        build=lambda env: CoordinateMap(env["params"], env["coords"], env["map"])),
+    "oracle": _Spec("", ":", {
+        "samples": _Key(_positive(int), default=DEFAULT_SAMPLES),
+        "seed": _Key(lambda text, env: int(text), default=DEFAULT_SEED),
+        "box": _Key(_interval, default=DEFAULT_BOX),
+        "fd_step": _Key(_positive(Fraction), default=DEFAULT_FD_STEP),
+    }, quoted=True,
+        build=lambda env: SamplePlan.uniform(env["samples"], env["seed"], *env["box"])),
+}
+
+
+def oracle_value(key: str, text: str, source: str):
+    """``text`` read as the oracle block's ``key``; a bad value is a
+    ParseError naming ``source`` (a command-line flag, say)."""
+    return _at(None, f"bad {source} {text!r}: ", _SCHEMA["oracle"].keys[key].parse, text, {})
+
+
+# -- raw block scanner ---------------------------------------------------------
+
+
+@dataclass
+class _Block:
+    name: str
+    line: int
+    entries: list[tuple[int, str]]
+
+
+_BRACES = re.compile(r"([{}])")
+
+
+def _scan_blocks(text: str) -> dict[str, _Block]:
+    """Brace-aware block scanner.  A block opens with ``name {`` (content may
+    continue on the same line) and closes with ``}``; entries may share a
+    line when separated by ``;``, also with the name of a block that opens
+    after them.  Every block name has one parent in the schema, so the
+    blocks come back in one dict."""
+    blocks: dict[str, _Block] = {}
+    stack: list[_Block] = []
+
+    def flush(buffer: str, lineno: int) -> None:
+        for piece in buffer.split(";"):
+            piece = piece.strip()
+            if not piece:
+                continue
+            if not stack:
+                raise ParseError(f"content outside any block: {piece!r}", line=lineno)
+            stack[-1].entries.append((lineno, piece))
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        buffer = ""
+        for segment in _BRACES.split(line):
+            if segment == "{":
+                entries, _, name = buffer.rpartition(";")
+                flush(entries, lineno)
+                name = name.strip()
+                if not name.isidentifier():
+                    raise ParseError(f"bad block name {name!r}", line=lineno)
+                parent = stack[-1].name if stack else ""
+                if name not in _SCHEMA or _SCHEMA[name].parent != parent:
+                    where = f" in {parent!r}" if parent else ""
+                    raise ParseError(f"unknown block {name!r}{where}", line=lineno)
+                if name in blocks:
+                    raise ParseError(f"duplicate block {name!r}", line=lineno)
+                blocks[name] = _Block(name, lineno, [])
+                stack.append(blocks[name])
+                buffer = ""
+            elif segment == "}":
+                flush(buffer, lineno)
+                buffer = ""
+                if not stack:
+                    raise ParseError("unmatched '}'", line=lineno)
+                stack.pop()
+            else:
+                buffer += segment
+        flush(buffer, lineno)
+    if stack:
+        raise ParseError(f"block {stack[-1].name!r} is not closed", line=stack[-1].line)
+    return blocks
+
+
+# -- the loader --------------------------------------------------------------------
+
+
+def _entry_map(block: _Block) -> dict:
+    """The block's entries as key -> (line, value text).  A key is a key name,
+    or for a pattern key the tuple of names in its holes; an unknown or
+    repeated key is an error."""
+    spec = _SCHEMA[block.name]
+    if spec.sep == "=":
+        (pattern,) = spec.keys  # a hole matches any name, with blanks around it
+        regex = re.compile(r"\s*(.*?)\s*".join(map(re.escape, pattern.split("{}"))))
+    out: dict = {}
+    for lineno, line in block.entries:
+        if spec.sep not in line:
+            raise ParseError(f"expected '<key>{spec.sep}<value>' in {block.name!r}: {line!r}", line=lineno)
+        written, _, value = line.partition(spec.sep)
+        key = written = written.strip()
+        if spec.sep == "=":
+            match = regex.fullmatch(written)
+            if match is None:
+                example = pattern.format("e1", "e2")
+                raise ParseError(f"{block.name} entries look like '{example} = ...': {line!r}", line=lineno)
+            key = match.groups()
+        elif key not in spec.keys:
+            raise ParseError(f"unknown key {key!r} in {block.name!r}", line=lineno)
+        if key in out:
+            raise ParseError(f"duplicate entry {written!r} in {block.name!r}", line=lineno)
+        out[key] = (lineno, value.strip())
+    return out
+
+
+def _check_companions(subject: str, requires: tuple[str, ...], entries: dict, line: int):
+    for companion in requires:
+        block, _, key = companion.partition(".")
+        if block not in entries or (key and key not in entries[block]):
+            wanted = f"a {key!r} entry in the {block} block" if key else f"a {block} block"
+            raise ParseError(f"{subject} requires {wanted}", line=line)
+
+
+def _read(name: str, blocks: dict[str, _Block], entries: dict, env: dict) -> None:
+    """Check block ``name``'s companions and required keys, read its entries
+    and then its child blocks into ``env``, and build its value."""
+    block, spec, given = blocks[name], _SCHEMA[name], entries[name]
+    _check_companions(f"{name} block", spec.requires, entries, block.line)
+    if spec.sep == "=":
+        ((_, rule),) = spec.keys.items()
+        names = env["basis"]
+        values = {}
+        for holes, (lineno, text) in given.items():
+            for hole in holes:
+                if hole not in names:
+                    raise ParseError(f"{name} key {hole!r} is not a bialgebra basis name", line=lineno)
+            values[tuple(map(names.index, holes))] = _at(lineno, "", rule.parse, text, env)
+        if rule.required:
+            missing = [basis for i, basis in enumerate(names) if (i,) not in values]
+            if missing:
+                raise ParseError(f"{name} block misses entries for {missing}", line=block.line)
+            values = tuple(values[(i,)] for i in range(len(names)))
+        env[name] = values
+    else:
+        for key, rule in spec.keys.items():
+            if rule.required and key not in given:
+                raise ParseError(f"{name} block needs {key!r}", line=block.line)
+        one_of = [key for key in spec.one_of if key in given]
+        if len(one_of) > 1:
+            raise ParseError(f"declare at most one of {'/'.join(spec.one_of)}", line=block.line)
+        if spec.one_of and not one_of:
+            raise ParseError(f"{name} block needs {' or '.join(map(repr, spec.one_of))}",
+                             line=block.line)
+        for key, rule in spec.keys.items():
+            if key not in given:
+                env[key] = rule.default
+                continue
+            lineno, text = given[key]
+            _check_companions(f"{key!r} entry", rule.requires, entries, lineno)
+            prefix = f"bad {name} {key} {text!r}: " if spec.quoted else ""
+            env[key] = _at(lineno, prefix, rule.parse, text, env)
+    for child, child_spec in _SCHEMA.items():
+        if child_spec.parent == name and child in blocks:
+            _read(child, blocks, entries, env)
+    if spec.build is not None:
+        env[name] = _at(block.line, "", spec.build, env)
 
 
 def parse_problem(text: str, name: str = "<problem>") -> ProblemFile:
     blocks = _scan_blocks(text)
     if "manifold" not in blocks:
         raise ParseError("problem file needs a manifold block", line=1)
-    chart, poisson, symplectic = _load_manifold(blocks["manifold"])
-    problem = ProblemFile(name=name, chart=chart, poisson=poisson, symplectic=symplectic)
-    if "bialgebra" in blocks:
-        problem.bialgebra = _load_bialgebra(blocks["bialgebra"])
-    if "pgmap" in blocks:
-        if problem.bialgebra is None:
-            raise ParseError("pgmap block requires a bialgebra block", line=blocks["pgmap"].line)
-        images = _load_keyed_forms(blocks["pgmap"], problem.bialgebra, chart, "form")
-        problem.pgmap = PGMap(problem.bialgebra, chart, images)
-    if "momentum" in blocks:
-        if problem.bialgebra is None:
-            raise ParseError("momentum block requires a bialgebra block", line=blocks["momentum"].line)
-        comps = _load_keyed_forms(blocks["momentum"], problem.bialgebra, chart, "poly")
-        problem.momentum = MomentumMapData(chart, comps)
-    if "action" in blocks:
-        if problem.bialgebra is None:
-            raise ParseError("action block requires a bialgebra block", line=blocks["action"].line)
-        problem.action = _load_keyed_forms(blocks["action"], problem.bialgebra, chart, "vector")
-    if "levelset" in blocks:
-        problem.levelset = _load_levelset(blocks["levelset"], chart)
-    if "oracle" in blocks:
-        problem.plan, problem.fd_step = _load_oracle(blocks["oracle"])
-    return problem
+    entries = {block: _entry_map(blocks[block]) for block in blocks}
+    env: dict = {}
+    for block, spec in _SCHEMA.items():
+        if spec.parent == "" and block in blocks:
+            _read(block, blocks, entries, env)
+    return ProblemFile(
+        name=name, chart=env["coords"], poisson=env["poisson"], symplectic=env["symplectic"],
+        bialgebra=env.get("bialgebra"), pgmap=env.get("pgmap"), momentum=env.get("momentum"),
+        action=env.get("action"), levelset=env.get("levelset"),
+        plan=env.get("oracle", SamplePlan.uniform()), fd_step=env.get("fd_step", DEFAULT_FD_STEP))
 
 
 # -- built-in catalog -----------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from poissonlift import catalog, catalog_names, emit_reports, parse_problem, par
 from poissonlift import chart, reduction, tangent
 from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
-from poissonlift.problemfile import catalog_text
+from poissonlift.problemfile import _SCHEMA, catalog_text
 
 from conftest import count_bialgebra_checks
 
@@ -116,6 +117,90 @@ oracle { samples: 7
         assert problem.plan.seed == 12
         assert problem.plan.box == ((Fraction(-1, 2), Fraction(3)),)
         assert problem.fd_step == Fraction(1, 1000)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [("manifold { coords: q, p; poisson: e_q^e_p\n inverse: e_q^e_p }", 2,
+          "'inverse' entry requires a 'symplectic' entry"),
+         ("manifold { coords: q, p; poisson: e_q^e_p }\nlevelset { params: s; map: s, 0 }", 2,
+          "levelset block requires a momentum block"),
+         ("manifold { coords: q, p; poisson: e_q^e_p }\nbialgebra { basis: e1 }\n"
+          "action { e1 = e_q }", 3, "action block requires a 'symplectic' entry"),
+         ("manifold { coords: q, p; poisson: p*e_q^e_p }\nbialgebra { basis: e1, e2\n"
+          "  bracket { [e1,e2] = e2\n  [ e1 , e2 ] = e2 } }", 4, "duplicate entry '[ e1 , e2 ]'"),
+         ("manifold { coords: q, p; poisson: p*e_q^e_p }\nbialgebra { basis: e1, e2\n"
+          "  cocycle { d(e2) = e1^e2\n  d(e2) = 0 } }", 4, "duplicate entry 'd(e2)'"),
+         ("manifold { coords: q, q; poisson: 0 }", 1, "coordinate names must be distinct"),
+         ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e1 }", 2,
+          "basis names must be distinct"),
+         ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
+          "  bracket { [e1,e2] = e2; [e2,e1] = e2 } }", 2, "violate antisymmetry"),
+         ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1\n"
+          "  bracket { [e1,e1] = e1 } }", 2, "must vanish")],
+        ids=["inverse-without-symplectic", "levelset-without-momentum", "action-without-symplectic",
+             "repeated-bracket", "repeated-cocycle", "duplicate-coords", "duplicate-basis",
+             "antisymmetry", "diagonal-bracket"],
+    )
+    def test_rule_errors_carry_their_line(self, text, line, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_problem(text)
+        assert err.value.line == line
+
+    def test_bracket_restated_in_the_other_order(self):
+        text = "manifold { coords: q, p; poisson: p*e_q^e_p }\n" \
+               "bialgebra { basis: e1, e2; bracket { [e1,e2] = e2; [e2,e1] = -e2 } }"
+        assert parse_problem(text).bialgebra.bracket(0, 1) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("samples", "0"), ("samples", "x"), ("seed", "1/2"), ("box", "2, -2"), ("box", "1/0, 2"),
+         ("fd_step", "1/0"), ("fd_step", "-1")],
+    )
+    def test_flags_and_oracle_keys_reject_alike(self, capsys, key, text):
+        with pytest.raises(ParseError):
+            parse_problem(f"manifold {{ coords: q, p; poisson: 0 }}\noracle {{ {key}: {text} }}")
+        flag = "--" + key.replace("_", "-")
+        assert main(["check-poisson", "so3-coadjoint", f"{flag}={text}"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad {flag} ")
+
+
+class TestSchema:
+    """The schema table is read in an order that puts companions first, and
+    docs/problem-file-format.md names every block, key and companion rule of
+    it, with no key the table lacks."""
+
+    DOC = (Path(__file__).resolve().parent.parent / "docs" / "problem-file-format.md").read_text()
+
+    def _table_keys(self):
+        rows = [line for line in self.DOC.splitlines() if line.startswith("|")]
+        cells = [row.split("|")[1].strip() for row in rows]
+        return {cell.strip("`").rstrip(":") for cell in cells if cell.startswith("`")}
+
+    def test_every_block_is_named(self):
+        for block in _SCHEMA:
+            assert f"`{block}`" in self.DOC, block
+
+    def test_doc_tables_match_the_named_keys(self):
+        named = {key for spec in _SCHEMA.values() if spec.sep == ":" for key in spec.keys}
+        assert self._table_keys() == named
+
+    def test_companions_come_first(self):
+        order = list(_SCHEMA)
+        for block, spec in _SCHEMA.items():
+            for companion in spec.requires:
+                assert order.index(companion.partition(".")[0]) < order.index(block), block
+
+    def test_every_companion_rule_is_listed(self):
+        section = self.DOC.split("## Companion rules")[1].split("\n## ")[0]
+        bullets = [" ".join(item.split()) for item in section.split("\n* ")[1:]]
+        rules = [(f"`{block}`", companion) for block, spec in _SCHEMA.items()
+                 for companion in spec.requires]
+        rules += [(f"`{key}:`", companion) for spec in _SCHEMA.values()
+                  for key, rule in spec.keys.items() for companion in rule.requires]
+        for subject, companion in rules:
+            block, _, key = companion.partition(".")
+            wanted = f"`{key}:`" if key else f"`{block}`"
+            assert any(subject in item and wanted in item for item in bullets), (subject, companion)
 
 
 _CONFORMANCE = Path(__file__).resolve().parent.parent / "docs" / "conformance"
