@@ -67,7 +67,10 @@ def _at(line: int | None, prefix: str, parse: Callable, *args):
 
 
 def _names(text: str, env=None) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    names = tuple(part.strip() for part in text.split(","))
+    if "" in names:
+        raise ValueError(f"empty entry in {text!r}")
+    return names
 
 
 def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
@@ -91,6 +94,8 @@ def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
             i += 1
             expect_term = True
             continue
+        if not expect_term:
+            err("expected '+' or '-' between terms")
         coeff = Fraction(1)
         if tok.kind == "int":
             coeff = Fraction(int(tok.text))

@@ -125,6 +125,8 @@ def test_criterion_1_tangent_lift_identity():
 
 
 def test_criterion_2_one_form_prolongation():
+    """Seeded random forms of degree up to 3: the guard against a higher-order
+    bug that the affine forms of ``verify-lemma`` would not see."""
     with criterion(2, "alpha . T(theta) = d_T(theta), 50 random 1-forms"):
         rng = random.Random(20260808)
         charts = [Chart("C", tuple(f"x{i}" for i in range(dim))) for dim in (1, 2, 3)]

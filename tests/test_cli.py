@@ -136,10 +136,16 @@ oracle { samples: 7
          ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
           "  bracket { [e1,e2] = e2; [e2,e1] = e2 } }", 2, "violate antisymmetry"),
          ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1\n"
-          "  bracket { [e1,e1] = e1 } }", 2, "must vanish")],
+          "  bracket { [e1,e1] = e1 } }", 2, "must vanish"),
+         ("manifold { coords: q,, p; poisson: 0 }", 1, "empty entry in 'q,, p'"),
+         ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
+          "  bracket { [e1,e2] = e1 e2 } }", 3, "expected '+' or '-' between terms"),
+         ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
+          "  cocycle { d(e1) = e1^e2 e1^e2 } }", 3, "expected '+' or '-' between terms")],
         ids=["inverse-without-symplectic", "levelset-without-momentum", "action-without-symplectic",
              "repeated-bracket", "repeated-cocycle", "duplicate-coords", "duplicate-basis",
-             "antisymmetry", "diagonal-bracket"],
+             "antisymmetry", "diagonal-bracket", "empty-coordinate", "bracket-terms-without-sign",
+             "cocycle-terms-without-sign"],
     )
     def test_rule_errors_carry_their_line(self, text, line, message):
         with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -154,7 +160,7 @@ oracle { samples: 7
     @pytest.mark.parametrize(
         "key, text",
         [("samples", "0"), ("samples", "x"), ("seed", "1/2"), ("box", "2, -2"), ("box", "1/0, 2"),
-         ("fd_step", "1/0"), ("fd_step", "-1")],
+         ("box", "-1,,1"), ("fd_step", "1/0"), ("fd_step", "-1")],
     )
     def test_flags_and_oracle_keys_reject_alike(self, capsys, key, text):
         with pytest.raises(ParseError):
@@ -436,3 +442,56 @@ def test_all_runs_each_bialgebra_check_once(monkeypatch, name):
     run_checks(catalog(name), "all")
     # check_cojacobi runs check_jacobi once more, on the dual
     assert len(calls) <= 4
+
+
+def test_verify_lemma_reads_no_plan(tmp_path, capsys):
+    # the lemma is proved on affine forms, so neither seed nor count matters
+    outputs = []
+    for argv in ([], ["--samples", "3", "--seed", "9"]):
+        path = tmp_path / "report.txt"
+        assert main(["verify-lemma", "so3-coadjoint", "--report", str(path), *argv]) == 0
+        outputs.append((capsys.readouterr().out, path.read_text()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["aff1-cobracket", "so3-coadjoint"])
+def test_verify_lemma_catches_a_wrong_complete_lift(monkeypatch, name):
+    original = tangent._complete_lift_poly
+    monkeypatch.setattr(tangent, "_complete_lift_poly", lambda tc, poly: original(tc, poly) * 2)
+    (report,) = run_checks(catalog(name), "verify-lemma")
+    assert report.verdict == "fail"
+    # f^c only differs on nonconstant coefficients: the x_k*dx_j forms
+    assert report.residuals
+    assert all(re.fullmatch(r"\w+\*d\w+:\w+", label) for label, _ in report.residuals)
+
+
+_QUADRATIC = """
+manifold { coords: q, p; poisson: (q^2 + p)*e_q^e_p }
+bialgebra { basis: e1 }
+pgmap { e1 = q*p*dq - dp }
+momentum { e1 = q^2 - p }
+oracle { fd_step: 1 }
+"""
+
+
+def _oracle_fd_record(text: str):
+    (report,) = [rep for rep in run_checks(parse_problem(text), "all") if rep.check_id == "oracle-fd"]
+    return report
+
+
+def test_oracle_fd_is_exact_on_quadratic_problems():
+    # central differences with step 1 are exact up to degree 2
+    report = _oracle_fd_record(_QUADRATIC)
+    assert report.verdict == "pass"
+    assert report.samples == (("max-relative-error", 0.0),)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("(q^2 + p)*e_q", "(q^3 + p)*e_q"), ("q*p*dq", "q^3*dq"), ("e1 = q^2 - p", "e1 = q^3 - p")],
+    ids=["poisson", "pgmap", "momentum"],
+)
+def test_oracle_fd_differentiates_the_problem(old, new):
+    report = _oracle_fd_record(_QUADRATIC.replace(old, new))
+    assert report.verdict == "fail"
+    assert report.residuals[0][0] == "max-relative-error"
