@@ -299,13 +299,11 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
     chart = omega.chart
     if omega.degree >= chart.dim:
         return DifferentialForm.zero(chart, chart.dim)
-    terms = []
-    for idx, poly in omega._components.items():
-        for i, name in enumerate(chart.coords):
-            dp = poly.derivative(name)
-            if dp.is_zero():
-                continue
-            terms.append(((i,) + idx, dp))
+    terms = [
+        ((chart.index(name),) + idx, poly.derivative(name))
+        for idx, poly in omega._components.items()
+        for name in poly.used_variables()
+    ]
     return DifferentialForm.from_terms(chart, omega.degree + 1, terms)
 
 

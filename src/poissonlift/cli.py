@@ -105,6 +105,7 @@ def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan) -> list[C
     read.  ``test_criterion_2_one_form_prolongation`` keeps seeded random
     forms as a guard against an implementation that is not first-order."""
     chart = problem.chart
+    tc = tangent_chart(chart)
     coefficients = {"": chart.constant_poly(1)}
     coefficients.update({f"{ck}*": chart.coord_poly(ck) for ck in chart.coords})
     residuals = {
@@ -112,7 +113,7 @@ def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan) -> list[C
         for j, cj in enumerate(chart.coords)
         for label, coefficient in coefficients.items()
         for name, poly in one_form_lift_residuals(
-            DifferentialForm(chart, 1, {(j,): coefficient})).items()
+            tc, DifferentialForm(chart, 1, {(j,): coefficient})).items()
         if not poly.is_zero()
     }
     return [

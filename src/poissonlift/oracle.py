@@ -91,14 +91,19 @@ def fd_derivative_check(f: Polynomial, point, h: Fraction = DEFAULT_FD_STEP) -> 
     Returns the maximum guarded relative error
     |fd - exact| / max(1, |exact|) over all variables.  Differences are
     computed in exact rational arithmetic, so for polynomials of degree < 3
-    the result is exactly 0.0.
+    the result is exactly 0.0.  Both fd and exact are 0 for a variable that
+    f does not use, so only the used variables are visited; the point must
+    still assign every variable of f's universe.
     """
     if h <= 0:
         raise ValueError("step must be positive")
     h = Fraction(h)
     assignment = dict(_point_mapping(f.variables, point))
+    missing = [v for v in f.variables if v not in assignment]
+    if missing:
+        raise MissingAssignmentError(f"no value for variables {missing}")
     worst = Fraction(0)
-    for v in f.variables:
+    for v in f.used_variables():
         base = Fraction(assignment[v])
         assignment[v] = base + h
         plus = f.substitute(assignment)

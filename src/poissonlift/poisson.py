@@ -13,6 +13,10 @@ test suite is stated relative to these):
 With these choices, a symplectic form and its inverse bivector (component
 matrices exact mutual inverses) satisfy pi# . omega_flat = id, and for the
 canonical form dq^dp the induced bracket is {q, p} = -1.
+
+The kernels walk only what is nonzero: ``sharp`` and ``poisson_bracket``
+visit the stored components of the bivector, and ``poisson_bracket``
+differentiates each operand once, by the variables it uses.
 """
 
 from __future__ import annotations
@@ -97,16 +101,18 @@ def sharp(pi, alpha: DifferentialForm) -> Multivector:
         raise DegreeError("sharp takes a 1-form")
     if bivector.chart != alpha.chart:
         raise ChartMismatchError("sharp: operands on different charts")
-    chart = bivector.chart
-    mat = full_matrix(bivector)
-    comps = {}
-    for j in range(chart.dim):
-        out = chart.zero_poly()
-        for (i,), a_i in alpha.components.items():
-            out = out + a_i * mat[i][j]
-        if not out.is_zero():
-            comps[(j,)] = out
-    return Multivector(chart, 1, comps)
+    if bivector.degree != 2:
+        raise DegreeError("sharp takes a bivector")
+    a = {i: a_i for (i,), a_i in alpha._components.items()}
+    slots: dict[int, Polynomial] = {}
+    for (i, j), p in bivector._components.items():
+        # pi^(ij) e_i ^ e_j sends alpha to a_i pi^(ij) e_j - a_j pi^(ij) e_i
+        if i in a:
+            slots[j] = slots[j] + a[i] * p if j in slots else a[i] * p
+        if j in a:
+            slots[i] = slots[i] - a[j] * p if i in slots else -(a[j] * p)
+    comps = {(j,): out for j, out in sorted(slots.items()) if not out.is_zero()}
+    return Multivector._make(bivector.chart, 1, comps)
 
 
 def pairing(alpha: DifferentialForm, field: Multivector) -> Polynomial:
@@ -126,16 +132,32 @@ def bivector_pairing(pi, alpha: DifferentialForm, beta: DifferentialForm) -> Pol
     return pairing(beta, sharp(pi, alpha))
 
 
+def _gradient(chart: Chart, f: Polynomial) -> dict[int, Polynomial]:
+    """The nonzero partials of f, keyed by coordinate index."""
+    f = f.with_variables(chart.coords)
+    return {chart.index(name): f.derivative(name) for name in f.used_variables()}
+
+
 def poisson_bracket(pi, f: Polynomial, g: Polynomial) -> Polynomial:
     """{f, g} = pi(df, dg)."""
     bivector = _as_bivector(pi)
     chart = bivector.chart
-    f = f.with_variables(chart.coords)
-    g = g.with_variables(chart.coords)
+    df = _gradient(chart, f)
+    dg = _gradient(chart, g)
     out = chart.zero_poly()
-    for (i, j), p in bivector.components.items():
-        ci, cj = chart.coords[i], chart.coords[j]
-        out = out + p * (f.derivative(ci) * g.derivative(cj) - f.derivative(cj) * g.derivative(ci))
+    for (i, j), p in bivector._components.items():
+        # p (d_i f d_j g - d_j f d_i g), leaving out products of a zero partial
+        ij = i in df and j in dg
+        ji = j in df and i in dg
+        if ij and ji:
+            cross = df[i] * dg[j] - df[j] * dg[i]
+        elif ij:
+            cross = df[i] * dg[j]
+        elif ji:
+            cross = -(df[j] * dg[i])
+        else:
+            continue
+        out = out + p * cross
     return out
 
 
@@ -155,9 +177,10 @@ def koszul_bracket(pi, alpha: DifferentialForm, beta: DifferentialForm) -> Diffe
     if alpha.degree != 1 or beta.degree != 1:
         raise DegreeError("Koszul bracket takes 1-forms")
     chart = _as_bivector(pi).chart
-    first = lie_derivative(sharp(pi, alpha), beta)
+    pi_alpha = sharp(pi, alpha)
+    first = lie_derivative(pi_alpha, beta)
     second = lie_derivative(sharp(pi, beta), alpha)
-    exact = differential(chart, bivector_pairing(pi, alpha, beta))
+    exact = differential(chart, pairing(beta, pi_alpha))  # pi(alpha, beta)
     return first - second - exact
 
 

@@ -119,6 +119,12 @@ class Polynomial:
         zero = (0,) * len(self.variables)
         return self._terms.get(zero, Fraction(0))
 
+    def used_variables(self) -> tuple[str, ...]:
+        """The variables that occur in some term, in universe order; the
+        partial derivative by any other variable of the universe is zero."""
+        used = {i for exps in self._terms for i, e in enumerate(exps) if e}
+        return tuple(v for i, v in enumerate(self.variables) if i in used)
+
     def degree_in(self, names: Iterable[str]) -> int:
         """Maximum combined exponent of the given variables over all terms."""
         idx = [self.variables.index(n) for n in names if n in self.variables]
@@ -192,7 +198,21 @@ class Polynomial:
         return Polynomial._make(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other, self.variables))
+        a, b = self._aligned(self, self._coerce(other, self.variables))
+        if not b._terms:
+            return a
+        terms = dict(a._terms)
+        for exps, coeff in b._terms.items():
+            c = terms.get(exps)
+            if c is None:
+                terms[exps] = -coeff
+            else:
+                c -= coeff
+                if c:
+                    terms[exps] = c
+                else:
+                    del terms[exps]
+        return Polynomial._make(a.variables, terms)
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other, self.variables) - self
@@ -265,16 +285,16 @@ class Polynomial:
         missing = [v for v in self.variables if v not in images]
         if missing:
             raise MissingAssignmentError(f"no image for variables {missing}")
-        used = {i for exps in self._terms for i, e in enumerate(exps) if e}
-        universe = tuple(sorted(set().union(*(images[self.variables[i]].variables for i in used))))
-        lifted = {i: images[self.variables[i]].with_variables(universe) for i in used}
+        used = self.used_variables()
+        universe = tuple(sorted(set().union(*(images[v].variables for v in used))))
+        lifted = {v: images[v].with_variables(universe) for v in used}
         unit = (0,) * len(universe)
         acc = Polynomial._make(universe, {})
         for exps, coeff in self._terms.items():
             term = Polynomial._make(universe, {unit: coeff})
-            for i, e in enumerate(exps):
+            for v, e in zip(self.variables, exps):
                 if e:
-                    term = term * lifted[i] ** e
+                    term = term * lifted[v] ** e
             acc = acc + term
         return acc
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .chart import Chart, DifferentialForm, Multivector, exterior_derivative
@@ -87,8 +88,14 @@ class TangentChart:
             raise ChartMismatchError(f"{name!r} is not a base coordinate")
         return self.total.coords[self.dim + self.base.index(name)]
 
+    @cached_property
+    def coord_polys(self) -> tuple[Polynomial, ...]:
+        """The coordinate functions of the total chart (q block, then v
+        block), built on first use and then kept."""
+        return tuple(self.total.coord_poly(c) for c in self.total.coords)
+
     def fiber_poly(self, name: str) -> Polynomial:
-        return self.total.coord_poly(self.fiber_of(name))
+        return self.coord_polys[self.total.index(self.fiber_of(name))]
 
 
 def tangent_chart(base: Chart) -> TangentChart:
@@ -165,10 +172,8 @@ def _require_base(tc: TangentChart, omega: DifferentialForm) -> None:
 def _complete_lift_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
     """f^c = v_k d_k f on the tangent chart, for f on the base chart."""
     total = tc.total.zero_poly()
-    for ck in tc.base.coords:
-        d = poly.derivative(ck)
-        if not d.is_zero():
-            total = total + tc.fiber_poly(ck) * pull_poly(tc, d)
+    for ck in poly.used_variables():
+        total = total + tc.fiber_poly(ck) * pull_poly(tc, poly.derivative(ck))
     return total
 
 
@@ -345,7 +350,7 @@ def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> Coordina
         raise DegreeError("prolongation takes a 1-form on the base chart")
     n = tc.dim
     src = tc.total
-    q_v = [src.coord_poly(c) for c in src.coords]
+    q_v = list(tc.coord_polys)
     theta_comp = [theta.component((i,)) for i in range(n)]
     comps = (q_v[:n] + [pull_poly(tc, t) for t in theta_comp]
              + q_v[n:] + [_complete_lift_poly(tc, t) for t in theta_comp])
@@ -358,18 +363,17 @@ def one_form_as_covector_map(tc: TangentChart, omega: DifferentialForm) -> Coord
         raise DegreeError("expected a 1-form on the tangent chart")
     n = tc.dim
     src = tc.total
-    comps = [src.coord_poly(c) for c in src.coords]  # q block then v block
+    comps = list(tc.coord_polys)  # q block then v block
     comps += [omega.component((i,)) for i in range(n)]          # dq-coefficients
     comps += [omega.component((n + i,)) for i in range(n)]      # dv-coefficients
     return CoordinateMap(src, bundle_chart(tc.base, "T*T"), tuple(comps))
 
 
-def one_form_lift_residuals(theta: DifferentialForm) -> dict[str, Polynomial]:
+def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[str, Polynomial]:
     """Residual of alpha . T(theta) = d_T(theta), per T*TM coordinate.
 
     alpha only permutes coordinate blocks, so alpha . T(theta) is T(theta)
     with its component blocks taken in alpha's block order."""
-    tc = tangent_chart(theta.chart)
     composed = _in_block_order(one_form_prolongation(tc, theta).components, _ALPHA_ORDER)
     direct = one_form_as_covector_map(tc, d_T(tc, theta))
     return {
@@ -380,7 +384,7 @@ def one_form_lift_residuals(theta: DifferentialForm) -> dict[str, Polynomial]:
 
 def verify_lemma_alpha_dT(theta: DifferentialForm, plan: SamplePlan | None = None) -> CheckReport:
     """Exact check that the prolongation-exchange composite equals the complete lift."""
-    residuals = one_form_lift_residuals(theta)
+    residuals = one_form_lift_residuals(tangent_chart(theta.chart), theta)
     return make_report(
         "tangent-prolongation-1form",
         "alpha . T(theta) = d_T(theta) as maps TM -> T*TM",

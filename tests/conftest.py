@@ -61,6 +61,49 @@ def count_bialgebra_checks(monkeypatch) -> list[str]:
     return calls
 
 
+def count_polynomial_calls(monkeypatch, name: str) -> list:
+    """Record the receiver of every call of the Polynomial method ``name``."""
+    calls = []
+    original = getattr(Polynomial, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, name, counted)
+    return calls
+
+
+def gl_problem(n: int, non_poisson: bool = False) -> str:
+    """Problem text for the Lie-Poisson structure on gl(n)* with the closed
+    pgmap phi_ab = dx_ab, sampled with seed 7.
+
+    ``non_poisson`` adds x11 e_x12^e_x13 to the bivector (n >= 3), which
+    breaks the Jacobi identity, and keeps only the manifold block."""
+    idx = [f"{a}{b}" for a in range(1, n + 1) for b in range(1, n + 1)]
+    brackets, bivector = [], []
+    for k, ab in enumerate(idx):
+        for cd in idx[k + 1:]:
+            # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
+            signed = [("", ab[0] + cd[1])] * (ab[1] == cd[0]) + [("-", cd[0] + ab[1])] * (cd[1] == ab[0])
+            if not signed:
+                continue
+            e_text, x_text = (" + ".join(sign + prefix + e for sign, e in signed).replace("+ -", "- ")
+                              for prefix in "Ex")
+            brackets.append(f"    [E{ab},E{cd}] = {e_text}")
+            bivector.append((f"({x_text})" if len(signed) > 1 else x_text) + f"*e_x{ab}^e_x{cd}")
+    if non_poisson:
+        bivector.append("x11*e_x12^e_x13")
+    poisson = " + ".join(bivector).replace("+ -", "- ")
+    lines = ["manifold {", "  coords: " + ", ".join(f"x{ab}" for ab in idx), f"  poisson: {poisson}", "}"]
+    if not non_poisson:
+        lines += ["bialgebra {", "  basis: " + ", ".join(f"E{ab}" for ab in idx),
+                  "  bracket {", *brackets, "  }", "}"]
+        lines += ["pgmap {", *(f"  E{ab} = dx{ab}" for ab in idx), "}"]
+    lines += ["oracle {", "  samples: 100", "  seed: 7", "  box: -2, 2", "}"]
+    return "\n".join(lines) + "\n"
+
+
 def _increasing_tuples(n: int, k: int):
     if k == 0:
         return [()]

@@ -16,7 +16,7 @@ from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA, catalog_text
 
-from conftest import count_bialgebra_checks
+from conftest import count_bialgebra_checks, count_polynomial_calls, gl_problem
 
 COUNTEREXAMPLE = """
 manifold {
@@ -434,6 +434,20 @@ def test_symplectic_builds_its_pgmap_once(monkeypatch):
     calls = _count_calls(monkeypatch, reduction, "symplectic_pgmap")
     assert main(["symplectic", "canonical-r2-rotation"]) == 0
     assert len(calls) == 1
+
+
+def test_all_on_gl3_walks_only_nonzero_support(monkeypatch):
+    # walking dense coordinate ranges, `all` on gl(3) took 24,030 partial
+    # derivatives and oracle-fd 810 substitutions (nine per polynomial)
+    problem = parse_problem(gl_problem(3))
+    derivatives = count_polynomial_calls(monkeypatch, "derivative")
+    substitutions = count_polynomial_calls(monkeypatch, "substitute")
+    reports = run_checks(problem, "all")
+    assert [rep.check_id for rep in reports if rep.verdict == "fail"] == []
+    assert len(derivatives) <= 6000
+    # the residuals of a passing `all` are exactly zero and never sampled, so
+    # every substitution is oracle-fd's
+    assert len(substitutions) <= 100
 
 
 @pytest.mark.parametrize("name", catalog_names())

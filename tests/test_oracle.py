@@ -61,6 +61,14 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError):
             fd_derivative_check(parse_poly("q", ("q",)), {"q": 0}, Fraction(0))
 
+    @pytest.mark.parametrize("text", ["3", "q^3", "p^3"])
+    @pytest.mark.parametrize("point", [{"q": 1}, {"p": 1}, (1,)])
+    def test_point_must_cover_every_variable(self, text, point):
+        # only the used variables are differentiated, but a point that leaves
+        # a variable of f's universe unassigned is still refused
+        with pytest.raises(MissingAssignmentError):
+            fd_derivative_check(parse_poly(text, ("q", "p")), point)
+
 
 class TestSampleResidual:
     def test_zero_polynomial(self):

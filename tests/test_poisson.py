@@ -7,6 +7,7 @@ Conventions (see the poissonlift.poisson module docstring):
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,12 @@ from poissonlift import (
     PoissonStructure,
     SymplecticForm,
     bivector_pairing,
+    catalog,
+    catalog_names,
+    d_T,
     differential,
+    exterior_derivative,
+    fd_derivative_check,
     hamiltonian_vf,
     jacobi_check,
     koszul_bracket,
@@ -28,12 +34,15 @@ from poissonlift import (
     parse_form,
     parse_multivector,
     parse_poly,
+    parse_problem,
     poisson_bracket,
     sharp,
     so3_bialgebra,
+    tangent_chart,
 )
+from poissonlift.errors import ChartMismatchError, DegreeError, UnknownSymbolError
 
-from conftest import rand_multivector, rand_poly
+from conftest import gl_problem, rand_form, rand_fraction, rand_multivector, rand_poly
 
 
 @pytest.fixture
@@ -253,3 +262,205 @@ def test_lie_poisson_matches_direct_literal(chart_xyz):
     via_constants = lie_poisson(so3_bialgebra(), chart_xyz)
     direct = parse_multivector("z*e_x^e_y - y*e_x^e_z + x*e_y^e_z", chart_xyz)
     assert via_constants.bivector == direct
+
+
+# -- dense references ------------------------------------------------------------
+#
+# The kernels walk only the nonzero components of their operands and
+# differentiate only by the variables a polynomial uses.  The loops below walk
+# every coordinate index instead, and every kernel must agree with them
+# exactly, on Poisson and non-Poisson bivectors alike.
+
+
+def _dense_matrix(bivector):
+    chart = bivector.chart
+    if bivector.degree != 2:
+        raise DegreeError("component matrix takes a bivector")
+    mat = [[chart.zero_poly() for _ in range(chart.dim)] for _ in range(chart.dim)]
+    for (i, j), poly in bivector.components.items():
+        mat[i][j] = poly
+        mat[j][i] = -poly
+    return mat
+
+
+def _dense_sharp(bivector, alpha):
+    if alpha.degree != 1:
+        raise DegreeError("sharp takes a 1-form")
+    if bivector.chart != alpha.chart:
+        raise ChartMismatchError("sharp: operands on different charts")
+    chart = bivector.chart
+    mat = _dense_matrix(bivector)
+    comps = {}
+    for j in range(chart.dim):
+        out = chart.zero_poly()
+        for (i,), a_i in alpha.components.items():
+            out = out + a_i * mat[i][j]
+        comps[(j,)] = out
+    return Multivector(chart, 1, comps)
+
+
+def _dense_bracket(bivector, f, g):
+    chart = bivector.chart
+    f = f.with_variables(chart.coords)
+    g = g.with_variables(chart.coords)
+    out = chart.zero_poly()
+    for (i, j), p in bivector.components.items():
+        ci, cj = chart.coords[i], chart.coords[j]
+        out = out + p * (f.derivative(ci) * g.derivative(cj) - f.derivative(cj) * g.derivative(ci))
+    return out
+
+
+def _dense_d(omega):
+    chart = omega.chart
+    if omega.degree >= chart.dim:
+        return DifferentialForm.zero(chart, chart.dim)
+    terms = []
+    for idx, poly in omega.components.items():
+        for i, name in enumerate(chart.coords):
+            terms.append(((i,) + idx, poly.derivative(name)))
+    return DifferentialForm.from_terms(chart, omega.degree + 1, terms)
+
+
+def _dense_lie_one_form(field, beta):
+    """(L_X beta)_k = X^i d_i beta_k + beta_i d_k X^i, in coordinates."""
+    chart = field.chart
+    comps = {}
+    for k, ck in enumerate(chart.coords):
+        out = chart.zero_poly()
+        for i, ci in enumerate(chart.coords):
+            out = out + field.component((i,)) * beta.component((k,)).derivative(ci)
+            out = out + beta.component((i,)) * field.component((i,)).derivative(ck)
+        comps[(k,)] = out
+    return DifferentialForm(chart, 1, comps)
+
+
+def _dense_koszul(bivector, alpha, beta):
+    first = _dense_lie_one_form(_dense_sharp(bivector, alpha), beta)
+    second = _dense_lie_one_form(_dense_sharp(bivector, beta), alpha)
+    exact = _dense_d(DifferentialForm.from_poly(alpha.chart, pairing(beta, _dense_sharp(bivector, alpha))))
+    return first - second - exact
+
+
+def _dense_function_lift(tc, f):
+    total = tc.total.zero_poly()
+    for ck in tc.base.coords:
+        total = total + tc.fiber_poly(ck) * f.derivative(ck).with_variables(tc.total.coords)
+    return total
+
+
+def _dense_fd(f, point, h):
+    assignment = dict(point)
+    worst = Fraction(0)
+    for v in f.variables:
+        base = assignment[v]
+        assignment[v] = base + h
+        plus = f.substitute(assignment)
+        assignment[v] = base - h
+        minus = f.substitute(assignment)
+        assignment[v] = base
+        exact = f.derivative(v).substitute(assignment)
+        worst = max(worst, abs((plus - minus) / (2 * h) - exact) / max(Fraction(1), abs(exact)))
+    return float(worst)
+
+
+def _operands(rng, chart):
+    """Bivectors (Poisson and not) and 1-forms (full and one-component) on the chart."""
+    i, j = sorted(rng.sample(range(chart.dim), 2))
+    constant = Multivector(chart, 2, {(a, b): chart.constant_poly(rand_fraction(rng))
+                                      for a in range(chart.dim) for b in range(a + 1, chart.dim)
+                                      if rng.random() < 0.6})
+    bivectors = [
+        constant,  # constant bivectors are Poisson
+        Multivector(chart, 2, {(i, j): rand_poly(rng, chart.coords)}),  # so is f e_i^e_j
+        rand_multivector(rng, chart, 2),
+        rand_multivector(rng, chart, 2, max_degree=1),
+    ]
+    forms = [rand_form(rng, chart, 1), rand_form(rng, chart, 1),
+             DifferentialForm(chart, 1, {(rng.randrange(chart.dim),): rand_poly(rng, chart.coords)})]
+    return bivectors, forms
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_kernels_match_dense_references(dim):
+    rng = random.Random(100 + dim)
+    chart = Chart("R", tuple(f"x{k}" for k in range(dim)))
+    tc = tangent_chart(chart)
+    verdicts = set()
+    for _ in range(3):
+        bivectors, forms = _operands(rng, chart)
+        funcs = [rand_poly(rng, chart.coords, max_degree=4, terms=4) for _ in range(3)]
+        funcs.append(chart.constant_poly(rand_fraction(rng)))
+        for bivector in bivectors:
+            verdicts.add(jacobi_check(bivector).is_zero())
+            for alpha in forms:
+                assert sharp(bivector, alpha) == _dense_sharp(bivector, alpha)
+                for beta in forms:
+                    assert koszul_bracket(bivector, alpha, beta) == _dense_koszul(bivector, alpha, beta)
+            for f in funcs:
+                for g in funcs:
+                    bracket = poisson_bracket(bivector, f, g)
+                    assert bracket == _dense_bracket(bivector, f, g)
+                    assert bracket.variables == chart.coords
+        for omega in forms + [rand_form(rng, chart, k) for k in range(dim + 1)]:
+            assert exterior_derivative(omega) == _dense_d(omega)
+        for f in funcs:
+            lifted = d_T(tc, DifferentialForm.from_poly(chart, f)).as_poly()
+            assert lifted == _dense_function_lift(tc, f)
+            assert lifted.variables == tc.total.coords
+            point = {c: rand_fraction(rng) for c in chart.coords}
+            for h in (Fraction(1, 10), Fraction(1, 1000)):
+                assert fd_derivative_check(f, point, h) == _dense_fd(f, point, h)
+    # dim 2 has only Poisson bivectors
+    assert verdicts == ({True} if dim == 2 else {True, False})
+
+
+def test_kernels_keep_their_errors(chart_qp, chart_xyz, so3):
+    dq = parse_form("dq", chart_qp)
+    dx = parse_form("dx", chart_xyz)
+    with pytest.raises(DegreeError):
+        sharp(so3, parse_form("dx^dy", chart_xyz))
+    with pytest.raises(DegreeError):
+        sharp(parse_multivector("e_x", chart_xyz), dx)
+    with pytest.raises(ChartMismatchError):
+        sharp(so3, dq)
+    with pytest.raises(DegreeError):
+        koszul_bracket(so3, dx, parse_form("dx^dy", chart_xyz))
+    with pytest.raises(ChartMismatchError):
+        koszul_bracket(so3, dx, dq)
+    with pytest.raises(UnknownSymbolError):
+        poisson_bracket(so3, parse_poly("x*w", ("x", "w")), chart_xyz.coord_poly("y"))
+    with pytest.raises(UnknownSymbolError):
+        poisson_bracket(so3, chart_xyz.coord_poly("y"), parse_poly("0", ("w",)))
+    with pytest.raises(ChartMismatchError):
+        d_T(tangent_chart(chart_xyz), DifferentialForm.from_poly(chart_qp, chart_qp.coord_poly("q")))
+
+
+# -- a second route for poisson-jacobi ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [*catalog_names(), "gl2", "gl3", "gl3-non-poisson"],
+)
+def test_jacobiator_is_twice_the_cyclic_bracket_sum(problem):
+    """[pi, pi]^(ijk) = 2 ({x_i,{x_j,x_k}} + cyclic): the Schouten bracket
+    against nested Poisson brackets, which share no code with it."""
+    if problem.startswith("gl"):
+        text = gl_problem(int(problem[2]), non_poisson=problem.endswith("non-poisson"))
+        pi = parse_problem(text).poisson_structure
+    else:
+        pi = catalog(problem).poisson_structure
+    chart = pi.chart
+    x = [chart.coord_poly(c) for c in chart.coords]
+
+    def bracket(f, g):
+        return poisson_bracket(pi, f, g)
+
+    nonzero = 0
+    for i, j, k in itertools.combinations(range(chart.dim), 3):
+        cyclic = (bracket(x[i], bracket(x[j], x[k])) + bracket(x[j], bracket(x[k], x[i]))
+                  + bracket(x[k], bracket(x[i], x[j])))
+        assert pi.jacobiator.component((i, j, k)) == 2 * cyclic
+        nonzero += not cyclic.is_zero()
+    assert pi.jacobi_verified == (nonzero == 0)
+    assert nonzero == (5 if problem == "gl3-non-poisson" else 0)

@@ -217,6 +217,11 @@ def test_arithmetic_results_are_canonical(a, b, k):
     results.append(a.compose({v: a + Polynomial.variable(v) for v in a.variables}))
     for result in results:
         _assert_canonical(result)
+    # one-pass subtraction agrees with adding the negation, universe included
+    assert a - b == a + (-b) and (a - b).variables == (a + (-b)).variables
+    assert (a - a).is_zero() and (a - a).variables == a.variables
+    assert (a - 0).variables == a.variables and (2 - a) == 2 + (-a)
+    assert a.used_variables() == tuple(v for v in a.variables if not a.derivative(v).is_zero())
 
 
 @given(polys())

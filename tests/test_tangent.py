@@ -13,7 +13,6 @@ from poissonlift import (
     DifferentialForm,
     Multivector,
     PoissonStructure,
-    Polynomial,
     base_pullback,
     bundle_chart,
     canonical_involution,
@@ -46,7 +45,7 @@ from poissonlift.tangent import (
     tangent_lift_residuals,
 )
 
-from conftest import rand_form, rand_multivector, rand_poly
+from conftest import count_polynomial_calls, rand_form, rand_multivector, rand_poly
 
 
 @pytest.fixture
@@ -430,7 +429,7 @@ class TestOneFormLiftIdentity:
                     for name, lhs, rhs in zip(composed.target.coords, composed.components,
                                               direct.components)
                 }
-                assert one_form_lift_residuals(theta) == expected
+                assert one_form_lift_residuals(tc, theta) == expected
 
     def test_verify_lemma_composes_no_polynomials(self, monkeypatch):
         assert _compose_calls(monkeypatch, "verify-lemma") == []
@@ -439,14 +438,7 @@ class TestOneFormLiftIdentity:
 def _compose_calls(monkeypatch, command: str) -> list:
     """The Polynomial.compose calls of ``command`` on two catalog entries,
     each of which must pass."""
-    calls = []
-    original = Polynomial.compose
-
-    def counted(self, images):
-        calls.append(self)
-        return original(self, images)
-
-    monkeypatch.setattr(Polynomial, "compose", counted)
+    calls = count_polynomial_calls(monkeypatch, "compose")
     for name in ("aff1-cobracket", "so3-coadjoint"):
         (report,) = run_checks(catalog(name), command)
         assert report.verdict == "pass"
