@@ -266,4 +266,4 @@ def lie_poisson(b: LieBialgebra, chart: Chart) -> PoissonStructure:
         )
     constants = {key: vec for key, vec in b._brackets.items()}
     bivector = lie_poisson_bivector(chart, constants)
-    return PoissonStructure.from_bivector(bivector)
+    return PoissonStructure(bivector)

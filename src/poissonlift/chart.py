@@ -18,12 +18,18 @@ coordinate vector field), the bracket is
 where dA/dxi_i is the left odd partial derivative and d_i differentiates
 coefficients.  On two vector fields this reduces to the Lie bracket, and on
 a (vector field, function) pair to the directional derivative.
+
+Every kernel walks stored components only: A . B pairs each stored
+component of A that carries xi_i with each stored component of B whose
+polynomial uses coordinate i, and each component is differentiated only by
+the variables it uses.  Missing components are zero and are never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ChartMismatchError, DegreeError, KindMismatchError
@@ -54,8 +60,14 @@ class Chart:
     def coord_poly(self, name: str) -> Polynomial:
         return Polynomial.variable(name, self.coords)
 
-    def zero_poly(self) -> Polynomial:
+    @cached_property
+    def _zero(self) -> Polynomial:
         return Polynomial.zero(self.coords)
+
+    def zero_poly(self) -> Polynomial:
+        """The zero polynomial over the chart's coordinates; one shared value,
+        which is safe because polynomials are immutable."""
+        return self._zero
 
     def constant_poly(self, value) -> Polynomial:
         return Polynomial.constant(value, self.coords)
@@ -292,6 +304,13 @@ def wedge(a: _Tensor, b: _Tensor) -> _Tensor:
     return type(a).from_terms(a.chart, degree, terms)
 
 
+def _gradient(chart: Chart, poly: Polynomial) -> dict[int, Polynomial]:
+    """The nonzero partials of ``poly`` by the chart's coordinates, keyed by
+    coordinate index; only the variables ``poly`` uses are differentiated."""
+    poly = poly.with_variables(chart.coords)
+    return {chart.index(name): poly.derivative(name) for name in poly.used_variables()}
+
+
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
     """de Rham differential; raises KindMismatch on multivectors."""
     if not isinstance(omega, DifferentialForm):
@@ -300,9 +319,9 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
     if omega.degree >= chart.dim:
         return DifferentialForm.zero(chart, chart.dim)
     terms = [
-        ((chart.index(name),) + idx, poly.derivative(name))
+        ((i,) + idx, partial)
         for idx, poly in omega._components.items()
-        for name in poly.used_variables()
+        for i, partial in _gradient(chart, poly).items()
     ]
     return DifferentialForm.from_terms(chart, omega.degree + 1, terms)
 
@@ -317,27 +336,25 @@ def interior_product(field: Multivector, omega: DifferentialForm) -> Differentia
         raise ChartMismatchError(f"charts differ: {field.chart.name} vs {omega.chart.name}")
     if omega.degree == 0:
         raise DegreeError("interior product of a degree-0 form is undefined")
-    chart = omega.chart
+    x = field._components
     terms = []
     for idx, poly in omega._components.items():
         for pos, i in enumerate(idx):
-            coeff = field.component((i,))
-            if coeff.is_zero():
+            if (i,) not in x:
                 continue
-            rest = idx[:pos] + idx[pos + 1:]
-            contrib = coeff * poly
-            if pos % 2:
-                contrib = -contrib
-            terms.append((rest, contrib))
-    return DifferentialForm.from_terms(chart, omega.degree - 1, terms)
+            contrib = x[(i,)] * poly
+            terms.append((idx[:pos] + idx[pos + 1:], -contrib if pos % 2 else contrib))
+    return DifferentialForm.from_terms(omega.chart, omega.degree - 1, terms)
 
 
 def _apply_vector(field: Multivector, poly: Polynomial) -> Polynomial:
     """Directional derivative X(f)."""
     chart = field.chart
+    partials = _gradient(chart, poly)
     out = chart.zero_poly()
     for (i,), comp in field._components.items():
-        out = out + comp * poly.with_variables(chart.coords).derivative(chart.coords[i])
+        if i in partials:
+            out = out + comp * partials[i]
     return out
 
 
@@ -364,41 +381,26 @@ def lie_derivative(field: Multivector, tensor: _Tensor) -> _Tensor:
     return schouten_bracket(field, tensor)
 
 
-def _odd_partial(t: Multivector, i: int) -> Multivector:
-    """Left derivative with respect to the anticommuting symbol of coordinate i."""
-    comps: dict[Index, Polynomial] = {}
-    for idx, poly in t._components.items():
-        if i not in idx:
-            continue
-        pos = idx.index(i)
-        rest = idx[:pos] + idx[pos + 1:]
-        comps[rest] = poly if pos % 2 == 0 else -poly
-    return Multivector._make(t.chart, t.degree - 1, comps)
-
-
-def _coeff_derivative(t: Multivector, name: str) -> Multivector:
-    comps = {}
-    for k, p in t._components.items():
-        dp = p.derivative(name)
-        if not dp.is_zero():
-            comps[k] = dp
-    return Multivector._make(t.chart, t.degree, comps)
-
-
 def _schouten_half(a: Multivector, b: Multivector) -> Multivector:
+    """A . B = sum_i (dA/dxi_i) ^ (d_i B), over stored components only."""
     chart = a.chart
     deg = a.degree + b.degree - 1
-    out_deg = min(max(deg, 0), chart.dim)
     if a.degree == 0 or deg > chart.dim:
-        return Multivector.zero(chart, out_deg)
-    acc = Multivector.zero(chart, deg)
-    for i, name in enumerate(chart.coords):
-        left = _odd_partial(a, i)
-        right = _coeff_derivative(b, name)
-        if left.is_zero() or right.is_zero():
-            continue
-        acc = acc + wedge(left, right)
-    return acc
+        return Multivector.zero(chart, min(max(deg, 0), chart.dim))
+    b_partials = [(idx, _gradient(chart, poly)) for idx, poly in b._components.items()]
+    terms = []
+    for i in range(chart.dim):
+        for idx_a, poly_a in a._components.items():
+            if i not in idx_a:
+                continue
+            # the left odd partial by xi_i drops i from idx_a with sign (-1)^pos
+            pos = idx_a.index(i)
+            rest = idx_a[:pos] + idx_a[pos + 1:]
+            left = -poly_a if pos % 2 else poly_a
+            for idx_b, partials in b_partials:
+                if i in partials:
+                    terms.append((rest + idx_b, left * partials[i]))
+    return Multivector.from_terms(chart, deg, terms)
 
 
 def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:

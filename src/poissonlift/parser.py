@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .chart import Chart, DifferentialForm, Multivector, _sort_index
+from .chart import Chart, DifferentialForm, Multivector
 from .errors import DegreeError, ParseError, UnknownSymbolError
 from .poly import Polynomial
 
@@ -257,32 +257,24 @@ def _parse_tensor(text: str, chart: Chart, kind: str, degree: int | None):
     cls = DifferentialForm if kind == "form" else Multivector
     parser = _Parser(text, chart.coords, chart=chart, kind=kind)
     terms = parser.parse_expr()
-    collected: list[tuple[Polynomial, tuple[int, ...]]] = []
+    collected: list[tuple[tuple[int, ...], Polynomial]] = []
     degrees = set()
     for coeff, basis in terms:
         if basis is None:
             if coeff.is_zero():
                 continue  # bare zero constrains no degree
             degrees.add(0)
-            collected.append((coeff, ()))
+            collected.append(((), coeff))
         else:
             degrees.add(len(basis))
-            collected.append((coeff, basis))
+            collected.append((basis, coeff))
     if len(degrees) > 1:
         raise DegreeError(f"mixed degrees {sorted(degrees)} in tensor literal {text!r}")
     found = degrees.pop() if degrees else None
     if degree is not None and found is not None and degree != found:
         raise DegreeError(f"expected a degree-{degree} literal, found degree {found}")
     out_degree = found if found is not None else (degree if degree is not None else 0)
-    acc: dict[tuple[int, ...], Polynomial] = {}
-    for coeff, basis in collected:
-        sorted_idx = _sort_index(basis)
-        if sorted_idx is None:
-            continue
-        key, sign = sorted_idx
-        add = coeff if sign > 0 else -coeff
-        acc[key] = acc.get(key, chart.zero_poly()) + add
-    return cls(chart, out_degree, acc)
+    return cls.from_terms(chart, out_degree, collected)
 
 
 def parse_form(text: str, chart: Chart, degree: int | None = None) -> DifferentialForm:

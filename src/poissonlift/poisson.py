@@ -14,9 +14,11 @@ With these choices, a symplectic form and its inverse bivector (component
 matrices exact mutual inverses) satisfy pi# . omega_flat = id, and for the
 canonical form dq^dp the induced bracket is {q, p} = -1.
 
-The kernels walk only what is nonzero: ``sharp`` and ``poisson_bracket``
-visit the stored components of the bivector, and ``poisson_bracket``
-differentiates each operand once, by the variables it uses.
+The kernels walk stored components only, as the chart kernels do: ``sharp``
+and ``poisson_bracket`` visit the stored components of the bivector,
+``pairing`` those of the 1-form, ``poisson_bracket`` differentiates each
+operand once, by the variables it uses, and the symplectic checks read the
+stored components of the 2-form.  No dense component matrix is built.
 """
 
 from __future__ import annotations
@@ -30,26 +32,14 @@ from .chart import (
     Chart,
     DifferentialForm,
     Multivector,
+    _gradient,
     exterior_derivative,
+    interior_product,
     jacobi_check,
     lie_derivative,
 )
 from .errors import ChartMismatchError, DegreeError, NotPoissonError
 from .poly import Polynomial
-
-
-def full_matrix(tensor) -> list[list[Polynomial]]:
-    """Antisymmetric n-by-n component matrix of a bivector or a 2-form,
-    with entry [i][j] the (ij) component."""
-    if tensor.degree != 2:
-        raise DegreeError("component matrix takes a bivector or a 2-form")
-    chart = tensor.chart
-    n = chart.dim
-    mat = [[chart.zero_poly() for _ in range(n)] for _ in range(n)]
-    for (i, j), poly in tensor.components.items():
-        mat[i][j] = poly
-        mat[j][i] = -poly
-    return mat
 
 
 @dataclass(frozen=True)
@@ -80,10 +70,6 @@ class PoissonStructure:
     def jacobiator(self) -> Multivector:
         """[pi, pi], evaluated on first use and then kept."""
         return jacobi_check(self.bivector)
-
-    @classmethod
-    def from_bivector(cls, bivector: Multivector) -> "PoissonStructure":
-        return cls(bivector)
 
     @property
     def chart(self) -> Chart:
@@ -121,21 +107,17 @@ def pairing(alpha: DifferentialForm, field: Multivector) -> Polynomial:
         raise DegreeError("pairing takes a 1-form and a vector field")
     if alpha.chart != field.chart:
         raise ChartMismatchError("pairing: operands on different charts")
+    x = field._components
     out = alpha.chart.zero_poly()
-    for (i,), a_i in alpha.components.items():
-        out = out + a_i * field.component((i,))
+    for (i,), a_i in alpha._components.items():
+        if (i,) in x:
+            out = out + a_i * x[(i,)]
     return out
 
 
 def bivector_pairing(pi, alpha: DifferentialForm, beta: DifferentialForm) -> Polynomial:
     """pi(alpha, beta) = <beta, pi#(alpha)>."""
     return pairing(beta, sharp(pi, alpha))
-
-
-def _gradient(chart: Chart, f: Polynomial) -> dict[int, Polynomial]:
-    """The nonzero partials of f, keyed by coordinate index."""
-    f = f.with_variables(chart.coords)
-    return {chart.index(name): f.derivative(name) for name in f.used_variables()}
 
 
 def poisson_bracket(pi, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -208,19 +190,13 @@ class SymplecticForm:
             raise ValueError("two-form and bivector component matrices are not mutual inverses")
 
     def _pairing_is_identity(self) -> bool:
+        """pi# . omega_flat = id on every coordinate field, which is the
+        product of the two component matrices read row by row."""
         chart = self.two_form.chart
-        w = full_matrix(self.two_form)
-        p = full_matrix(self.inverse_bivector)
-        n = chart.dim
-        for i in range(n):
-            for j in range(n):
-                entry = chart.zero_poly()
-                for k in range(n):
-                    entry = entry + w[i][k] * p[k][j]
-                expected = chart.constant_poly(1 if i == j else 0)
-                if entry != expected:
-                    return False
-        return True
+        return all(
+            sharp(self.inverse_bivector, self.flat(field)) == field
+            for field in (Multivector.basis(chart, c) for c in chart.coords)
+        )
 
     @classmethod
     def from_two_form(cls, two_form: DifferentialForm,
@@ -233,10 +209,14 @@ class SymplecticForm:
         """
         chart = two_form.chart
         if inverse is None:
-            mat = full_matrix(two_form)
-            if any(not entry.is_constant() for row in mat for entry in row):
+            if two_form.degree != 2:
+                raise DegreeError("symplectic data consists of a 2-form and a bivector")
+            if any(not entry.is_constant() for entry in two_form._components.values()):
                 raise ValueError("non-constant symplectic matrix: supply the inverse bivector")
-            const = [[entry.constant_value() for entry in row] for row in mat]
+            const = [[Fraction(0)] * chart.dim for _ in range(chart.dim)]
+            for (i, j), entry in two_form._components.items():
+                const[i][j] = entry.constant_value()
+                const[j][i] = -const[i][j]
             try:
                 inv = _linalg.invert(const)
             except ValueError as exc:
@@ -254,12 +234,10 @@ class SymplecticForm:
         return self.two_form.chart
 
     def poisson(self) -> PoissonStructure:
-        return PoissonStructure.from_bivector(self.inverse_bivector)
+        return PoissonStructure(self.inverse_bivector)
 
     def flat(self, field: Multivector) -> DifferentialForm:
         """omega_flat(X) = i_X omega."""
-        from .chart import interior_product
-
         return interior_product(field, self.two_form)
 
     def is_invariant_under(self, field: Multivector) -> DifferentialForm:

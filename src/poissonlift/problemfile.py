@@ -202,7 +202,7 @@ class _Spec(NamedTuple):
 _SCHEMA: dict[str, _Spec] = {
     "manifold": _Spec("", ":", {
         "coords": _Key(lambda text, env: Chart("M", _names(text)), required=True),
-        "poisson": _Key(lambda text, env: PoissonStructure.from_bivector(
+        "poisson": _Key(lambda text, env: PoissonStructure(
             parse_multivector(text, env["coords"], degree=2))),
         # read before 'symplectic', whose value needs it
         "inverse": _Key(lambda text, env: parse_multivector(text, env["coords"], degree=2),

@@ -45,7 +45,6 @@ from .poisson import (
     PoissonStructure,
     SymplecticForm,
     differential,
-    full_matrix,
     hamiltonian_vf,
     koszul_bracket,
     poisson_bracket,
@@ -471,23 +470,21 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
         )
     tc = tangent_chart(chart)
     tstar = bundle_chart(chart, "T*")
-    n = chart.dim
-    w = full_matrix(omega.two_form)
+    # p_k = sum_i v_i omega_ik, from both orientations of each stored omega_ab
+    v = tc.coord_polys[chart.dim:]
+    flat = [tc.total.zero_poly() for _ in chart.coords]
+    for (a, b), w in omega.two_form._components.items():
+        w = w.with_variables(tc.total.coords)
+        flat[b] = flat[b] + v[a] * w
+        flat[a] = flat[a] - v[b] * w
     flat_images: dict[str, Polynomial] = {c: tc.total.coord_poly(c) for c in chart.coords}
-    for k, ck in enumerate(chart.coords):
-        total = tc.total.zero_poly()
-        for i, ci in enumerate(chart.coords):
-            if not w[i][k].is_zero():
-                total = total + tc.fiber_poly(ci) * w[i][k].with_variables(tc.total.coords)
-        flat_images[f"p_{ck}"] = total
+    flat_images.update({f"p_{ck}": p_k for ck, p_k in zip(chart.coords, flat)})
     c_polys = comomentum_components(pg, tc)
     residuals: dict[str, Polynomial] = {}
     for index, field in enumerate(generators):
         j_fun = tstar.zero_poly()
-        for k, ck in enumerate(chart.coords):
-            comp = field.component((k,))
-            if not comp.is_zero():
-                j_fun = j_fun + tstar.coord_poly(f"p_{ck}") * comp.with_variables(tstar.coords)
+        for (k,), comp in field._components.items():
+            j_fun = j_fun + tstar.coord_poly(f"p_{chart.coords[k]}") * comp.with_variables(tstar.coords)
         j_through_flat = j_fun.compose(flat_images)
         residuals[f"relation[{pg.bialgebra.basis[index]}]"] = c_polys[index] + j_through_flat
     return make_report(

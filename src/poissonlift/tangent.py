@@ -11,11 +11,14 @@ prefix on the base coordinate names (see :func:`bundle_chart`):
     T*T   T*TM  (q, v, a, b)        v_<c>, a_<c>, b_<c>   (a: dq-coefficients, b: dv-coefficients)
     TT    TTM   (q, v, qdot, vdot)  v_<c>, dot_<c>, dot_v_<c>
 
-The degree -1 tangent derivation i_T kills functions and sends a 1-form
-theta to the fiber-linear function sum_j theta_j(q) v_j; on higher forms it
-is the contraction with the vertical tautological vector sum_j v_j d/dq_j.
-The degree 0 derivation is d_T = i_T d + d i_T, which on a function f is
-f^c = v_k d_k f, and the complete lift of a verified Poisson bivector is
+The tangent derivations act on forms on M through their pullback to TM and
+the tautological field T = sum_j v_j d/dq_j of TM (Yano-Ishihara 1973;
+Grabowski-Urbanski 1995): the degree -1 derivation i_T is the contraction
+with T, so it kills functions and sends a 1-form theta to the fiber-linear
+function sum_j theta_j(q) v_j, and the degree 0 derivation d_T = [i_T, d] is
+the Lie derivative along T, which on a function f is f^c = v_k d_k f.  Both
+are the chart kernels ``interior_product`` and ``lie_derivative``; the
+complete lift of a verified Poisson bivector is
 
     pi_TM = pi^(ij) e_q_i ^ e_v_j  +  (1/2) v_k d_k pi^(ij) e_v_i ^ e_v_j,
 
@@ -32,7 +35,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .chart import Chart, DifferentialForm, Multivector, exterior_derivative
+from .chart import (
+    Chart,
+    DifferentialForm,
+    Multivector,
+    _gradient,
+    interior_product,
+    lie_derivative,
+)
 from .errors import (
     ChartMismatchError,
     DegreeError,
@@ -41,7 +51,7 @@ from .errors import (
     NotPoissonError,
 )
 from .oracle import SamplePlan
-from .poisson import PoissonStructure, full_matrix
+from .poisson import PoissonStructure
 from .poly import Polynomial
 from .report import CheckReport, make_report
 
@@ -96,6 +106,12 @@ class TangentChart:
 
     def fiber_poly(self, name: str) -> Polynomial:
         return self.coord_polys[self.total.index(self.fiber_of(name))]
+
+    @cached_property
+    def tautological(self) -> Multivector:
+        """The field T = sum_j v_j d/dq_j on the total chart."""
+        n = self.dim
+        return Multivector._make(self.total, 1, {(j,): self.coord_polys[n + j] for j in range(n)})
 
 
 def tangent_chart(base: Chart) -> TangentChart:
@@ -180,8 +196,8 @@ def _complete_lift_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
 def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
     """Pull a form on the base back along TM -> M (components unchanged)."""
     _require_base(tc, omega)
-    comps = {idx: pull_poly(tc, p) for idx, p in omega.components.items()}
-    return DifferentialForm(tc.total, omega.degree, comps)
+    comps = {idx: pull_poly(tc, p) for idx, p in omega._components.items()}
+    return DifferentialForm._make(tc.total, omega.degree, comps)
 
 
 # -- tangent derivations -----------------------------------------------------
@@ -189,36 +205,18 @@ def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm
 
 def i_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
     """Degree -1 tangent derivation: zero on functions, theta |-> theta_j v_j."""
-    _require_base(tc, omega)
+    pulled = base_pullback(tc, omega)
     if omega.degree == 0:
         return DifferentialForm.zero(tc.total, 0)
-    terms = []
-    for idx, poly in omega.components.items():
-        pulled = pull_poly(tc, poly)
-        for pos, i in enumerate(idx):
-            v = tc.fiber_poly(tc.base.coords[i])
-            contrib = pulled * v
-            if pos % 2:
-                contrib = -contrib
-            terms.append((idx[:pos] + idx[pos + 1:], contrib))
-    return DifferentialForm.from_terms(tc.total, omega.degree - 1, terms)
+    return interior_product(tc.tautological, pulled)
 
 
 def d_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
-    """Degree 0 tangent derivation (complete lift of forms): i_T d + d i_T.
-
-    On a function it is computed directly as f^c = v_k d_k f, which the
-    Hamiltonian comomentum check compares with i_T(df)."""
-    if omega.degree == 0:
-        _require_base(tc, omega)
-        return DifferentialForm.from_poly(tc.total, _complete_lift_poly(tc, omega.as_poly()))
-    first = i_T(tc, exterior_derivative(omega))
-    second = exterior_derivative(i_T(tc, omega))
-    if first.degree != second.degree:
-        # d(omega) of a top-degree base form is a degree-clamped zero tensor
-        assert first.is_zero()
-        return second
-    return first + second
+    """Degree 0 tangent derivation (complete lift of forms): i_T d + d i_T,
+    the Lie derivative along the tautological field; on a function it is
+    f^c = v_k d_k f, which the Hamiltonian comomentum check compares with
+    i_T(df)."""
+    return lie_derivative(tc.tautological, base_pullback(tc, omega))
 
 
 # -- exchange maps -----------------------------------------------------------
@@ -272,11 +270,15 @@ def complete_lift_bivector(pi: PoissonStructure, tc: TangentChart | None = None)
     if tc.base != pi.chart:
         raise ChartMismatchError("tangent chart does not extend the structure's chart")
     n = tc.dim
-    mat = full_matrix(pi.bivector)
-    comps = {(i, n + j): pull_poly(tc, mat[i][j]) for i in range(n) for j in range(n)}
-    comps.update({(n + i, n + j): _complete_lift_poly(tc, mat[i][j])
-                  for i in range(n) for j in range(i + 1, n)})
-    return PoissonStructure.from_bivector(Multivector(tc.total, 2, comps))
+    comps = {}
+    for (i, j), p in pi.bivector._components.items():
+        pulled = pull_poly(tc, p)
+        comps[(i, n + j)] = pulled
+        comps[(j, n + i)] = -pulled
+        lifted = _complete_lift_poly(tc, p)
+        if not lifted.is_zero():
+            comps[(n + i, n + j)] = lifted
+    return PoissonStructure(Multivector._make(tc.total, 2, dict(sorted(comps.items()))))
 
 
 # -- identity checks -----------------------------------------------------------
@@ -302,31 +304,31 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate) -> dict[str, Polynom
     def on_z(poly: Polynomial) -> Polynomial:
         return poly.with_variables(zchart.coords)
 
-    # right-hand side: kappa . T(pi#)
-    mat = full_matrix(pi.bivector)
+    # right-hand side: kappa . T(pi#), from both orientations of each stored
+    # pi^(ab): slot j gets p_i pi^(ij) and slot n + j gets
+    # pdot_i pi^(ij) + p_i qdot_k d_k pi^(ij), with pi^(ba) = -pi^(ab)
     rhs = [zchart.zero_poly() for _ in range(2 * n)]  # qdot block, then vdot block
-    for j in range(n):
-        for i in range(n):
-            pij = on_z(mat[i][j])
-            if pij.is_zero():
-                continue
-            rhs[j] = rhs[j] + p[i] * pij
-            rhs[n + j] = rhs[n + j] + pdot[i] * pij
-            for k in range(n):
-                d = mat[i][j].derivative(base.coords[k])
-                if not d.is_zero():
-                    rhs[n + j] = rhs[n + j] + p[i] * on_z(d) * qdot[k]
+    for (a, b), c in pi.bivector._components.items():
+        cz = on_z(c)
+        dc = zchart.zero_poly()  # qdot_k d_k pi^(ab)
+        for k, partial in _gradient(base, c).items():
+            dc = dc + on_z(partial) * qdot[k]
+        rhs[b] = rhs[b] + p[a] * cz
+        rhs[a] = rhs[a] - p[b] * cz
+        rhs[n + b] = rhs[n + b] + pdot[a] * cz + p[a] * dc
+        rhs[n + a] = rhs[n + a] - pdot[b] * cz - p[b] * dc
 
     # left-hand side: pi_TM# . alpha, with alpha(q, p, qdot, pdot) the covector
-    # at (q, v=qdot) whose dq-coefficients are pdot and dv-coefficients are p.
+    # at (q, v=qdot) whose dq-coefficients xi are pdot and dv-coefficients p,
+    # built the way sharp is: slot b gets xi_a c and slot a gets -xi_b c.
     # Setting v = qdot renames the (q, v) terms onto the (q, qdot) blocks.
     q_qdot = zchart.coords[:n] + zchart.coords[2 * n:3 * n]
-    csub = [[on_z(Polynomial(q_qdot, entry.terms)) for entry in row] for row in full_matrix(cand)]
+    xi = pdot + p
     lhs = [zchart.zero_poly() for _ in range(2 * n)]
-    for j in range(n):
-        for i in range(n):
-            lhs[j] = lhs[j] + pdot[i] * csub[i][j] + p[i] * csub[n + i][j]
-            lhs[n + j] = lhs[n + j] + pdot[i] * csub[i][n + j] + p[i] * csub[n + i][n + j]
+    for (a, b), c in cand._components.items():
+        cz = on_z(Polynomial(q_qdot, c.terms))
+        lhs[b] = lhs[b] + xi[a] * cz
+        lhs[a] = lhs[a] - xi[b] * cz
 
     names = bundle_chart(base, "TT").coords[2 * n:]  # the (qdot, vdot) blocks of TTM
     return {name: r - l for name, r, l in zip(names, rhs, lhs)}

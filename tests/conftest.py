@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial
+from poissonlift.errors import DegreeError
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 3) -> Fraction:
@@ -47,6 +48,20 @@ def rand_multivector(rng: random.Random, chart: Chart, degree: int, max_degree: 
     return Multivector(chart, degree, comps)
 
 
+def dense_matrix(tensor) -> list[list[Polynomial]]:
+    """The antisymmetric n-by-n component matrix of a bivector or a 2-form,
+    entry [i][j] the (ij) component: a dense reference for the kernels, which
+    walk stored components only."""
+    chart = tensor.chart
+    if tensor.degree != 2:
+        raise DegreeError("component matrix takes a bivector or a 2-form")
+    mat = [[chart.zero_poly() for _ in range(chart.dim)] for _ in range(chart.dim)]
+    for (i, j), poly in tensor.components.items():
+        mat[i][j] = poly
+        mat[j][i] = -poly
+    return mat
+
+
 def count_bialgebra_checks(monkeypatch) -> list[str]:
     """Record the name of every LieBialgebra structure check that runs."""
     calls = []
@@ -62,15 +77,18 @@ def count_bialgebra_checks(monkeypatch) -> list[str]:
 
 
 def count_polynomial_calls(monkeypatch, name: str) -> list:
-    """Record the receiver of every call of the Polynomial method ``name``."""
+    """Record the receiver of every call of the Polynomial method ``name``
+    (the class, for a classmethod such as ``zero``)."""
     calls = []
-    original = getattr(Polynomial, name)
+    original = Polynomial.__dict__[name]
+    is_classmethod = isinstance(original, classmethod)
+    function = original.__func__ if is_classmethod else original
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return original(self, *args, **kwargs)
+    def counted(receiver, *args, **kwargs):
+        calls.append(receiver)
+        return function(receiver, *args, **kwargs)
 
-    monkeypatch.setattr(Polynomial, name, counted)
+    monkeypatch.setattr(Polynomial, name, classmethod(counted) if is_classmethod else counted)
     return calls
 
 

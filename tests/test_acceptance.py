@@ -82,7 +82,7 @@ def criterion(number: int, title: str):
 
 def _canonical(chart: Chart) -> PoissonStructure:
     comps = "e_q^e_p" if chart.dim == 2 else "e_q1^e_p1 + e_q2^e_p2"
-    return PoissonStructure.from_bivector(parse_multivector(comps, chart))
+    return PoissonStructure(parse_multivector(comps, chart))
 
 
 def _collected_zero_residuals():
@@ -111,7 +111,7 @@ def _lift_test_structures():
         _canonical(r2),
         _canonical(r4),
         lie_poisson(so3_bialgebra(), so3),
-        PoissonStructure.from_bivector(parse_multivector("q*e_q^e_p", r2)),
+        PoissonStructure(parse_multivector("q*e_q^e_p", r2)),
     )
 
 
@@ -296,7 +296,7 @@ def test_criterion_7_characteristic_identity():
         assert report.verdict == "pass"
         # axiom-(ii)-violating counterexample fails with a named residual
         chart = Chart("M", ("q", "p"))
-        pi = PoissonStructure.from_bivector(parse_multivector("e_q^e_p", chart))
+        pi = PoissonStructure(parse_multivector("e_q^e_p", chart))
         bad = PGMap(abelian_bialgebra(("e1",)), chart, (parse_form("p*dq", chart),))
         failing = characteristic_identity_residuals(Resolved(pi, bad))
         assert not failing["characteristic[e1]"].is_zero()
@@ -373,7 +373,7 @@ def test_criterion_12_jacobi_negative_control():
         residual = jacobi_check(bad)
         assert not residual.is_zero()
         assert (0, 1, 2) in residual.components  # named trivector component
-        assert not PoissonStructure.from_bivector(bad).jacobi_verified
+        assert not PoissonStructure(bad).jacobi_verified
         rng = random.Random(2222)
         two_dim = Chart("M", ("u", "w"))
         for _ in range(100):

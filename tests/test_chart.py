@@ -23,9 +23,8 @@ from poissonlift import (
     wedge,
 )
 from poissonlift.errors import ChartMismatchError, DegreeError, KindMismatchError
-from poissonlift.poisson import full_matrix
 
-from conftest import rand_form, rand_multivector, rand_poly
+from conftest import dense_matrix, rand_form, rand_multivector, rand_poly
 
 
 @pytest.fixture
@@ -221,7 +220,7 @@ def _jacobiator_oracle(pi: Multivector) -> Multivector:
     + {x_c,{x_a,x_b}} under the convention {f,g} = sum d_i f P[i][j] d_j g.
     """
     chart = pi.chart
-    mat = full_matrix(pi)
+    mat = dense_matrix(pi)
     n = chart.dim
     comps = {}
     for a in range(n):

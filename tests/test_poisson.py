@@ -17,16 +17,19 @@ from poissonlift import (
     Chart,
     DifferentialForm,
     Multivector,
+    Polynomial,
     PoissonStructure,
     SymplecticForm,
     bivector_pairing,
     catalog,
     catalog_names,
+    complete_lift_bivector,
     d_T,
     differential,
     exterior_derivative,
     fd_derivative_check,
     hamiltonian_vf,
+    i_T,
     jacobi_check,
     koszul_bracket,
     lie_poisson,
@@ -36,18 +39,28 @@ from poissonlift import (
     parse_poly,
     parse_problem,
     poisson_bracket,
+    schouten_bracket,
     sharp,
     so3_bialgebra,
     tangent_chart,
+    wedge,
 )
 from poissonlift.errors import ChartMismatchError, DegreeError, UnknownSymbolError
+from poissonlift.tangent import bundle_chart, tangent_lift_residuals
 
-from conftest import gl_problem, rand_form, rand_fraction, rand_multivector, rand_poly
+from conftest import (
+    dense_matrix,
+    gl_problem,
+    rand_form,
+    rand_fraction,
+    rand_multivector,
+    rand_poly,
+)
 
 
 @pytest.fixture
 def canonical(chart_qp):
-    return PoissonStructure.from_bivector(parse_multivector("e_q^e_p", chart_qp))
+    return PoissonStructure(parse_multivector("e_q^e_p", chart_qp))
 
 
 @pytest.fixture
@@ -188,11 +201,11 @@ class TestKoszulBracket:
 
 class TestPoissonStructure:
     def test_verified_flag(self, chart_qp):
-        assert PoissonStructure.from_bivector(parse_multivector("e_q^e_p", chart_qp)).jacobi_verified
+        assert PoissonStructure(parse_multivector("e_q^e_p", chart_qp)).jacobi_verified
 
     def test_unverified_flag(self, chart_xyz):
         bad = parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz)
-        assert not PoissonStructure.from_bivector(bad).jacobi_verified
+        assert not PoissonStructure(bad).jacobi_verified
 
     def test_invariant(self, chart_xyz):
         pi = lie_poisson(so3_bialgebra(), chart_xyz)
@@ -240,11 +253,11 @@ class TestSymplecticForm:
 
     def test_rejects_degenerate(self):
         chart = Chart("M", ("a", "b", "c", "d"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="two-form is degenerate"):
             SymplecticForm.from_two_form(parse_form("da^db", chart))
 
     def test_rejects_wrong_inverse(self, chart_qp):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not mutual inverses"):
             SymplecticForm.from_two_form(
                 parse_form("dq^dp", chart_qp), parse_multivector("e_q^e_p", chart_qp)
             )
@@ -254,7 +267,7 @@ class TestSymplecticForm:
         # pairing check then requires exact polynomial inverses, which only
         # works when the determinant is invertible; use a constant rescale.
         chart = Chart("M", ("q", "p"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-constant symplectic matrix"):
             SymplecticForm.from_two_form(parse_form("(1 + q^2)*dq^dp", chart))
 
 
@@ -272,24 +285,13 @@ def test_lie_poisson_matches_direct_literal(chart_xyz):
 # exactly, on Poisson and non-Poisson bivectors alike.
 
 
-def _dense_matrix(bivector):
-    chart = bivector.chart
-    if bivector.degree != 2:
-        raise DegreeError("component matrix takes a bivector")
-    mat = [[chart.zero_poly() for _ in range(chart.dim)] for _ in range(chart.dim)]
-    for (i, j), poly in bivector.components.items():
-        mat[i][j] = poly
-        mat[j][i] = -poly
-    return mat
-
-
 def _dense_sharp(bivector, alpha):
     if alpha.degree != 1:
         raise DegreeError("sharp takes a 1-form")
     if bivector.chart != alpha.chart:
         raise ChartMismatchError("sharp: operands on different charts")
     chart = bivector.chart
-    mat = _dense_matrix(bivector)
+    mat = dense_matrix(bivector)
     comps = {}
     for j in range(chart.dim):
         out = chart.zero_poly()
@@ -363,6 +365,92 @@ def _dense_fd(f, point, h):
     return float(worst)
 
 
+def _dense_schouten_half(a, b):
+    """sum_i (da/dxi_i) ^ (d_i b), walking every coordinate i and
+    differentiating every component of b by it."""
+    chart = a.chart
+    deg = a.degree + b.degree - 1
+    if a.degree == 0 or deg > chart.dim:
+        return Multivector.zero(chart, min(max(deg, 0), chart.dim))
+    acc = Multivector.zero(chart, deg)
+    for i, name in enumerate(chart.coords):
+        left = {}
+        for idx, poly in a.components.items():
+            if i in idx:
+                pos = idx.index(i)
+                left[idx[:pos] + idx[pos + 1:]] = -poly if pos % 2 else poly
+        right = {idx: poly.derivative(name) for idx, poly in b.components.items()}
+        acc = acc + wedge(Multivector(chart, a.degree - 1, left), Multivector(chart, b.degree, right))
+    return acc
+
+
+def _dense_schouten(a, b):
+    if a.degree == 0 and b.degree == 0:
+        return Multivector.zero(a.chart, 0)
+    u, v = a.degree - 1, b.degree - 1
+    first, second = _dense_schouten_half(a, b), _dense_schouten_half(b, a)
+    return (-first if u % 2 else first) + (second if (u * v + v) % 2 else -second)
+
+
+def _dense_complete_lift(tc, bivector):
+    n = tc.dim
+    mat = dense_matrix(bivector)
+    comps = {(i, n + j): mat[i][j].with_variables(tc.total.coords) for i in range(n) for j in range(n)}
+    comps.update({(n + i, n + j): _dense_function_lift(tc, mat[i][j])
+                  for i in range(n) for j in range(i + 1, n)})
+    return Multivector(tc.total, 2, comps)
+
+
+def _dense_lift_residuals(bivector, cand):
+    """pi_TM# . alpha - kappa . T(pi#) from the two full component matrices."""
+    base = bivector.chart
+    n = base.dim
+    zchart = bundle_chart(base, "TT*")
+    z = [zchart.coord_poly(c) for c in zchart.coords]
+    p, qdot, pdot = z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+    mat = dense_matrix(bivector)
+    rhs = [zchart.zero_poly() for _ in range(2 * n)]
+    for j in range(n):
+        for i in range(n):
+            pij = mat[i][j].with_variables(zchart.coords)
+            rhs[j] = rhs[j] + p[i] * pij
+            rhs[n + j] = rhs[n + j] + pdot[i] * pij
+            for k in range(n):
+                d = mat[i][j].derivative(base.coords[k]).with_variables(zchart.coords)
+                rhs[n + j] = rhs[n + j] + p[i] * d * qdot[k]
+    q_qdot = zchart.coords[:n] + zchart.coords[2 * n:3 * n]
+    csub = [[Polynomial(q_qdot, entry.terms).with_variables(zchart.coords) for entry in row]
+            for row in dense_matrix(cand)]
+    lhs = [zchart.zero_poly() for _ in range(2 * n)]
+    for j in range(n):
+        for i in range(n):
+            lhs[j] = lhs[j] + pdot[i] * csub[i][j] + p[i] * csub[n + i][j]
+            lhs[n + j] = lhs[n + j] + pdot[i] * csub[i][n + j] + p[i] * csub[n + i][n + j]
+    names = bundle_chart(base, "TT").coords[2 * n:]
+    return {name: r - l for name, r, l in zip(names, rhs, lhs)}
+
+
+def _dense_i_T(tc, omega):
+    if omega.degree == 0:
+        return DifferentialForm.zero(tc.total, 0)
+    terms = []
+    for idx, poly in omega.components.items():
+        pulled = poly.with_variables(tc.total.coords)
+        for pos, i in enumerate(idx):
+            contrib = pulled * tc.fiber_poly(tc.base.coords[i])
+            terms.append((idx[:pos] + idx[pos + 1:], -contrib if pos % 2 else contrib))
+    return DifferentialForm.from_terms(tc.total, omega.degree - 1, terms)
+
+
+def _dense_d_T(tc, omega):
+    if omega.degree == 0:
+        return DifferentialForm.from_poly(tc.total, _dense_function_lift(tc, omega.as_poly()))
+    first = _dense_i_T(tc, _dense_d(omega))
+    second = _dense_d(_dense_i_T(tc, omega))
+    # d of a top-degree base form is a degree-clamped zero
+    return second if first.degree != second.degree else first + second
+
+
 def _operands(rng, chart):
     """Bivectors (Poisson and not) and 1-forms (full and one-component) on the chart."""
     i, j = sorted(rng.sample(range(chart.dim), 2))
@@ -401,6 +489,29 @@ def test_kernels_match_dense_references(dim):
                     bracket = poisson_bracket(bivector, f, g)
                     assert bracket == _dense_bracket(bivector, f, g)
                     assert bracket.variables == chart.coords
+            pi = PoissonStructure(bivector)
+            lift = _dense_complete_lift(tc, bivector)
+            if pi.jacobi_verified:
+                lifted = complete_lift_bivector(pi, tc).bivector
+                assert lifted == lift
+                assert list(lifted.components) == list(lift.components)  # listing order
+            # wrong candidates too: the CLI only ever passes the lift itself
+            one = {(rng.randrange(dim), dim + rng.randrange(dim)): rand_poly(rng, tc.total.coords, 2)}
+            for cand in (lift, rand_multivector(rng, tc.total, 2, max_degree=1),
+                         Multivector(tc.total, 2, one)):
+                residuals = tangent_lift_residuals(pi, cand)
+                dense = _dense_lift_residuals(bivector, cand)
+                assert residuals == dense
+                assert list(residuals) == list(dense)
+        for a_degree in range(dim + 1):
+            for b_degree in range(dim + 1):
+                a = rand_multivector(rng, chart, a_degree, max_degree=2)
+                b = rand_multivector(rng, chart, b_degree, max_degree=2)
+                assert schouten_bracket(a, b) == _dense_schouten(a, b)
+        for degree in range(dim + 1):
+            omega = rand_form(rng, chart, degree)
+            assert i_T(tc, omega) == _dense_i_T(tc, omega)
+            assert d_T(tc, omega) == _dense_d_T(tc, omega)
         for omega in forms + [rand_form(rng, chart, k) for k in range(dim + 1)]:
             assert exterior_derivative(omega) == _dense_d(omega)
         for f in funcs:

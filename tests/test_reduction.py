@@ -65,7 +65,7 @@ from conftest import rand_poly
 
 @pytest.fixture
 def canonical(chart_qp):
-    return PoissonStructure.from_bivector(parse_multivector("e_q^e_p", chart_qp))
+    return PoissonStructure(parse_multivector("e_q^e_p", chart_qp))
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ def aff1_setup():
     """Nonabelian 2-dim bialgebra with nonzero cobracket and its certified family."""
     chart = Chart("M", ("q", "p"))
     b = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {1: {(0, 1): 1}})
-    pi = PoissonStructure.from_bivector(parse_multivector("p*e_q^e_p", chart))
+    pi = PoissonStructure(parse_multivector("p*e_q^e_p", chart))
     pg = PGMap(b, chart, (parse_form("dq", chart), parse_form("-p*dq + dp", chart)))
     return chart, b, pi, pg
 

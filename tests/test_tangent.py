@@ -323,7 +323,7 @@ class TestCompleteLiftVectorField:
 
 @pytest.fixture
 def canonical_qp(chart_qp):
-    return PoissonStructure.from_bivector(parse_multivector("e_q^e_p", chart_qp))
+    return PoissonStructure(parse_multivector("e_q^e_p", chart_qp))
 
 
 class TestCompleteLiftBivector:
@@ -350,11 +350,11 @@ class TestCompleteLiftBivector:
         assert max(degrees) == 1
 
     def test_zero_lift(self, chart_qp):
-        pi = PoissonStructure.from_bivector(Multivector.zero(chart_qp, 2))
+        pi = PoissonStructure(Multivector.zero(chart_qp, 2))
         assert complete_lift_bivector(pi).bivector.is_zero()
 
     def test_rejects_unverified(self, chart_xyz):
-        bad = PoissonStructure.from_bivector(
+        bad = PoissonStructure(
             parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz)
         )
         with pytest.raises(NotPoissonError):
@@ -373,7 +373,7 @@ class TestCompleteLiftBivector:
         fibers = [f"v_{c}" for c in chart.coords]
         for _ in range(15):
             bivector = rand_multivector(rng, chart, 2, max_degree=2)
-            pi = PoissonStructure.from_bivector(bivector)  # dim 2: always Poisson
+            pi = PoissonStructure(bivector)  # dim 2: always Poisson
             lifted = complete_lift_bivector(pi, tc)
             polys = list(lifted.bivector.components.values())
             assert all(poly.degree_in(fibers) <= 1 for poly in polys)
@@ -387,7 +387,7 @@ class TestCompleteLiftBivector:
         rng = random.Random(39)
         chart = Chart("M", ("q", "p"))
         for _ in range(10):
-            pi = PoissonStructure.from_bivector(rand_multivector(rng, chart, 2, max_degree=2))
+            pi = PoissonStructure(rand_multivector(rng, chart, 2, max_degree=2))
             report = verify_tangent_lift_identity(pi, complete_lift_bivector(pi))
             assert report.verdict == "pass"
 
