@@ -4,7 +4,8 @@ Bracket constants are stored for ordered pairs i < j as the coefficient
 vector of [e_i, e_j]; the constructor folds (j, i) keys in with a sign flip
 and rejects inconsistent or diagonal entries, so antisymmetry is structural.
 Cobracket coefficients gamma^(jk)_i are stored per basis element as sparse
-rows over ordered pairs j < k.
+rows over ordered pairs j < k.  Every constant is a rational in the one form
+of :func:`poissonlift.poly.rational`, so integer constants are ints.
 
 Three exact residual checks certify the data: the bracket Jacobi identity,
 the cocycle compatibility of the cobracket with the adjoint action, and the
@@ -16,30 +17,30 @@ bialgebra built with verify=True carries their combined verdict in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from .chart import Chart
 from .errors import DimensionMismatchError
 from .poisson import PoissonStructure, lie_poisson_bivector
+from .poly import Rational, rational
 from .report import CheckReport, make_report
 
-PairRow = dict[tuple[int, int], Fraction]
+PairRow = dict[tuple[int, int], Rational]
 
 
-def _wedge_add(acc: PairRow, j: int, k: int, coeff: Fraction) -> None:
+def _wedge_add(acc: PairRow, j: int, k: int, coeff: Rational) -> None:
     """Accumulate coeff * e_j ^ e_k into a sparse ordered-pair row."""
     if coeff == 0 or j == k:
         return
     if j > k:
         j, k = k, j
         coeff = -coeff
-    acc[(j, k)] = acc.get((j, k), Fraction(0)) + coeff
+    acc[(j, k)] = acc.get((j, k), 0) + coeff
 
 
 def _prune(row: PairRow) -> PairRow:
-    return {key: c for key, c in row.items() if c != 0}
+    return {key: rational(c) for key, c in row.items() if c != 0}
 
 
 class LieBialgebra:
@@ -52,10 +53,10 @@ class LieBialgebra:
         if len(set(self.basis)) != n:
             raise ValueError("basis names must be distinct")
 
-        folded: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        seen: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        folded: dict[tuple[int, int], tuple[Rational, ...]] = {}
+        seen: dict[tuple[int, int], tuple[Rational, ...]] = {}
         for (i, j), coeffs in (brackets or {}).items():
-            vec = tuple(Fraction(c) for c in coeffs)
+            vec = tuple(rational(c) for c in coeffs)
             if len(vec) != n:
                 raise DimensionMismatchError(f"bracket for {(i, j)} needs {n} coefficients")
             if not (0 <= i < n and 0 <= j < n):
@@ -82,7 +83,7 @@ class LieBialgebra:
             for (j, k), c in row.items():
                 if not (0 <= j < n and 0 <= k < n):
                     raise DimensionMismatchError(f"cobracket key {(j, k)} out of range")
-                _wedge_add(acc, j, k, Fraction(c))
+                _wedge_add(acc, j, k, rational(c))
             acc = _prune(acc)
             if acc:
                 rows[i] = acc
@@ -107,19 +108,19 @@ class LieBialgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
+    def bracket(self, i: int, j: int) -> tuple[Rational, ...]:
         """Coefficient vector of [e_i, e_j]."""
         if i == j:
-            return (Fraction(0),) * self.dim
+            return (0,) * self.dim
         if i < j:
-            return self._brackets.get((i, j), (Fraction(0),) * self.dim)
+            return self._brackets.get((i, j), (0,) * self.dim)
         return tuple(-c for c in self.bracket(j, i))
 
     def cobracket_row(self, i: int) -> PairRow:
         return dict(self._cobrackets.get(i, {}))
 
-    def _vector(self, xs: Sequence) -> tuple[Fraction, ...]:
-        vec = tuple(Fraction(x) for x in xs)
+    def _vector(self, xs: Sequence) -> tuple[Rational, ...]:
+        vec = tuple(rational(x) for x in xs)
         if len(vec) != self.dim:
             raise DimensionMismatchError(f"expected {self.dim} coefficients, got {len(vec)}")
         return vec
@@ -140,11 +141,11 @@ class LieBialgebra:
     def check_jacobi(self) -> CheckReport:
         """Residual sum over cyclic [[e_i, e_j], e_k] for every index triple."""
         n = self.dim
-        residuals: dict[str, Fraction] = {}
+        residuals: dict[str, Rational] = {}
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    total = [Fraction(0)] * n
+                    total = [0] * n
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         inner = self.bracket(a, b)
                         for m, cm in enumerate(inner):
@@ -173,7 +174,7 @@ class LieBialgebra:
 
     def check_cocycle(self) -> CheckReport:
         """Residual of delta([e_i, e_j]) - ad_i delta(e_j) + ad_j delta(e_i)."""
-        residuals: dict[str, Fraction] = {}
+        residuals: dict[str, Rational] = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 acc: PairRow = {}
@@ -201,7 +202,7 @@ class LieBialgebra:
         brackets = {}
         for i in range(self.dim):
             for (j, k), c in self._cobrackets.get(i, {}).items():
-                vec = list(brackets.get((j, k), (Fraction(0),) * self.dim))
+                vec = list(brackets.get((j, k), (0,) * self.dim))
                 vec[i] = c
                 brackets[(j, k)] = tuple(vec)
         cobrackets = {}
@@ -210,7 +211,7 @@ class LieBialgebra:
                 if c == 0:
                     continue
                 row = cobrackets.setdefault(k, {})
-                row[(i, j)] = row.get((i, j), Fraction(0)) + c
+                row[(i, j)] = row.get((i, j), 0) + c
         return LieBialgebra(self.basis, brackets, cobrackets, verify=False)
 
     def check_cojacobi(self) -> CheckReport:

@@ -220,14 +220,15 @@ def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan) -> list[Che
 def _oracle_fd(problem: ProblemFile, plan: SamplePlan, fd_step: Fraction) -> list[CheckReport]:
     """Central differences against the symbolic partials of the polynomials
     the lifts differentiate: the components of pi and, when present, of the
-    pgmap images and the momentum map, one plan point per polynomial."""
+    pgmap images and the momentum map, one plan point per polynomial (cycling
+    through the plan's points when there are more polynomials)."""
     chart = problem.chart
     polys = list(problem.poisson_structure.bivector.components.values())
     if problem.pgmap is not None:
         polys += [poly for image in problem.pgmap.images for poly in image.components.values()]
     if problem.momentum is not None:
         polys += problem.momentum.components
-    points = plan.points(chart.dim)
+    points = plan.points(chart.dim, limit=len(polys))
     worst = 0.0
     for index, f in enumerate(polys):
         point = dict(zip(chart.coords, points[index % len(points)]))

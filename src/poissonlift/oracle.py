@@ -55,12 +55,13 @@ class SamplePlan:
             return self.box * nvars
         raise ValueError(f"box has {len(self.box)} intervals, need {nvars}")
 
-    def points(self, nvars: int) -> list[tuple[Fraction, ...]]:
-        """The deterministic rational point stream for this plan."""
+    def points(self, nvars: int, limit: int | None = None) -> list[tuple[Fraction, ...]]:
+        """The deterministic rational point stream for this plan, or its
+        first ``limit`` points when that is fewer."""
         intervals = self.intervals(nvars)
         rng = random.Random(self.seed)
         out = []
-        for _ in range(self.count):
+        for _ in range(self.count if limit is None else min(limit, self.count)):
             point = tuple(
                 lo + (hi - lo) * Fraction(rng.randrange(GRID_RESOLUTION + 1), GRID_RESOLUTION)
                 for lo, hi in intervals

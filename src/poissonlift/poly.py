@@ -2,10 +2,17 @@
 
 A polynomial is a pair (variables, terms): ``variables`` is an ordered tuple
 of symbol names and ``terms`` maps exponent tuples (one nonnegative int per
-variable) to nonzero ``fractions.Fraction`` coefficients.  The zero
-polynomial has an empty term map.  All values are immutable and every
-operation is a pure function, so polynomials can be shared freely between
-threads.
+variable) to nonzero rational coefficients.  The zero polynomial has an
+empty term map.  All values are immutable and every operation is a pure
+function, so polynomials can be shared freely between threads.
+
+A coefficient has exactly one form, the one :func:`rational` gives: an
+``int`` when it is an integer, otherwise a ``fractions.Fraction`` with
+denominator greater than 1.  ``int`` op ``int`` stays an ``int`` and needs
+no check; only a coefficient of ``+``, ``-``, ``*`` or ``derivative``
+computed from a ``Fraction`` is folded back to an ``int`` when its
+denominator is 1.  No coefficient is divided (``int / int`` gives a float).
+Values at rational points (``substitute``) are ``Fraction`` objects.
 
 When two polynomials over different variable universes meet in an arithmetic
 operation, the universes are merged into their sorted union and both operands
@@ -14,15 +21,16 @@ code that fixes a chart's coordinate order up front keeps that order.
 
 Construction has two paths.  The public constructor ``Polynomial(variables,
 terms)`` validates everything: distinct variable names, exponent tuples of
-the right length with nonnegative entries, coefficients coerced to
-``Fraction``, repeated keys summed and zeros dropped.  Arithmetic results are
-built by the internal ``Polynomial._make(variables, terms)`` instead, which
-trusts its input and sets the slots directly.  It relies on the invariant that
+the right length with nonnegative entries, coefficients brought to their one
+form, repeated keys summed and zeros dropped.  Arithmetic results are built
+by the internal ``Polynomial._make(variables, terms)`` instead, which trusts
+its input and sets the slots directly.  It relies on the invariant that
 ``variables`` is a tuple of distinct names and ``terms`` is a dict whose keys
 are int tuples of length ``len(variables)`` with nonnegative entries and whose
-values are nonzero ``Fraction`` objects.  ``_make`` takes ownership of that
-dict: the caller must have built it freshly and must not keep or mutate it,
-since the polynomial shares it and would otherwise stop being immutable.
+values are nonzero coefficients in their one form.  ``_make`` takes ownership
+of that dict: the caller must have built it freshly and must not keep or
+mutate it, since the polynomial shares it and would otherwise stop being
+immutable.
 
 For printing, terms are ordered graded-lexicographically (total degree first,
 then exponents against the variable order), highest first.  The printed form
@@ -39,9 +47,17 @@ from .errors import MissingAssignmentError, UnknownSymbolError
 
 Exponents = tuple[int, ...]
 
-_RationalLike = (int, Fraction)
+Rational = int | Fraction
 
-_ONE = Fraction(1)
+
+def rational(value) -> Rational:
+    """The one form of a rational coefficient: an ``int`` when ``value`` is
+    an integer, otherwise a ``Fraction`` with denominator greater than 1."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _universe(variables: Iterable[str]) -> tuple[str, ...]:
@@ -56,23 +72,21 @@ class Polynomial:
 
     __slots__ = ("variables", "_terms")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Fraction | int]):
+    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Rational]):
         vs = _universe(variables)
-        canon: dict[Exponents, Fraction] = {}
+        canon: dict[Exponents, Rational] = {}
         for exps, coeff in terms.items():
             key = tuple(int(e) for e in exps)
             if len(key) != len(vs):
                 raise ValueError(f"exponent tuple {key} does not match variables {vs}")
             if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in {key}")
-            c = Fraction(coeff)
-            if c != 0:
-                canon[key] = canon.get(key, Fraction(0)) + c
+            canon[key] = canon.get(key, 0) + rational(coeff)
         self.variables = vs
-        self._terms = {k: c for k, c in canon.items() if c != 0}
+        self._terms = {k: rational(c) for k, c in canon.items() if c}
 
     @classmethod
-    def _make(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> "Polynomial":
+    def _make(cls, variables: tuple[str, ...], terms: dict[Exponents, Rational]) -> "Polynomial":
         """Trusted constructor for canonical data (see the module docstring);
         the new polynomial owns ``terms``."""
         poly = object.__new__(cls)
@@ -87,9 +101,9 @@ class Polynomial:
         return cls._make(_universe(variables), {})
 
     @classmethod
-    def constant(cls, value: Fraction | int, variables: Iterable[str] = ()) -> "Polynomial":
+    def constant(cls, value: Rational, variables: Iterable[str] = ()) -> "Polynomial":
         vs = _universe(variables)
-        c = Fraction(value)
+        c = rational(value)
         return cls._make(vs, {(0,) * len(vs): c} if c else {})
 
     @classmethod
@@ -100,12 +114,12 @@ class Polynomial:
             raise UnknownSymbolError(f"variable {name!r} not in {vs}")
         exps = [0] * len(vs)
         exps[vs.index(name)] = 1
-        return cls._make(vs, {tuple(exps): _ONE})
+        return cls._make(vs, {tuple(exps): 1})
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Exponents, Fraction]:
+    def terms(self) -> dict[Exponents, Rational]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -114,10 +128,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         """Value of a constant polynomial (the constant term in general)."""
         zero = (0,) * len(self.variables)
-        return self._terms.get(zero, Fraction(0))
+        return self._terms.get(zero, 0)
 
     def used_variables(self) -> tuple[str, ...]:
         """The variables that occur in some term, in universe order; the
@@ -148,7 +162,7 @@ class Polynomial:
         if missing:
             raise UnknownSymbolError(f"variables {missing} absent from target universe {vs}")
         pos = [where[v] for v in self.variables]
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Rational] = {}
         for exps, coeff in self._terms.items():
             out = [0] * len(vs)
             for p, e in zip(pos, exps):
@@ -167,7 +181,7 @@ class Polynomial:
     def _coerce(value, variables: Exponents | tuple[str, ...]) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, _RationalLike):
+        if isinstance(value, Rational):
             return Polynomial.constant(value, variables)
         raise TypeError(f"cannot combine polynomial with {type(value).__name__}")
 
@@ -187,7 +201,7 @@ class Polynomial:
             else:
                 c += coeff
                 if c:
-                    terms[exps] = c
+                    terms[exps] = c if type(c) is int or c.denominator != 1 else c.numerator
                 else:
                     del terms[exps]
         return Polynomial._make(a.variables, terms)
@@ -209,7 +223,7 @@ class Polynomial:
             else:
                 c -= coeff
                 if c:
-                    terms[exps] = c
+                    terms[exps] = c if type(c) is int or c.denominator != 1 else c.numerator
                 else:
                     del terms[exps]
         return Polynomial._make(a.variables, terms)
@@ -219,7 +233,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         a, b = self._aligned(self, self._coerce(other, self.variables))
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Rational] = {}
         for ea, ca in a._terms.items():
             for eb, cb in b._terms.items():
                 key = tuple(map(add, ea, eb))
@@ -232,6 +246,9 @@ class Polynomial:
                         terms[key] = c
                     else:
                         del terms[key]
+        for key, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[key] = c.numerator
         return Polynomial._make(a.variables, terms)
 
     __rmul__ = __mul__
@@ -254,14 +271,16 @@ class Polynomial:
             raise UnknownSymbolError(f"unknown variable {name!r}; have {self.variables}")
         i = self.variables.index(name)
         # lowering one exponent is injective on the terms that contain it
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Rational] = {}
         for exps, coeff in self._terms.items():
             e = exps[i]
             if e:
-                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+                c = coeff * e
+                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = (
+                    c if type(c) is int or c.denominator != 1 else c.numerator)
         return Polynomial._make(self.variables, terms)
 
-    def substitute(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
+    def substitute(self, assignment: Mapping[str, Rational]) -> Fraction:
         """Exact evaluation; every variable of the polynomial must be assigned."""
         missing = [v for v in self.variables if v not in assignment]
         if missing:
@@ -301,7 +320,7 @@ class Polynomial:
     # -- comparison and printing -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _RationalLike):
+        if isinstance(other, Rational):
             other = Polynomial.constant(other, self.variables)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -310,7 +329,7 @@ class Polynomial:
 
     __hash__ = None  # mutable-dict-backed value; identity-free semantics
 
-    def _sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def _sorted_terms(self) -> list[tuple[Exponents, Rational]]:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def to_string(self) -> str:

@@ -205,7 +205,7 @@ class Resolved:
         """Per basis element: its lifted generator by the lift formula and
         the complete lift of its base generator."""
         dim = self.pg.bialgebra.dim
-        units = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        units = [[int(i == j) for j in range(dim)] for i in range(dim)]
         return tuple((tangent_generator(self, unit), tangent_generator_direct(self, unit))
                      for unit in units)
 

@@ -378,8 +378,10 @@ def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[s
     with its component blocks taken in alpha's block order."""
     composed = _in_block_order(one_form_prolongation(tc, theta).components, _ALPHA_ORDER)
     direct = one_form_as_covector_map(tc, d_T(tc, theta))
+    # identical objects, such as the q and v blocks of both sides, need no subtraction
+    zero = tc.total.zero_poly()
     return {
-        name: lhs - rhs
+        name: zero if lhs is rhs else lhs - rhs
         for name, lhs, rhs in zip(direct.target.coords, composed, direct.components)
     }
 

@@ -92,11 +92,12 @@ def count_polynomial_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def gl_problem(n: int, non_poisson: bool = False) -> str:
+def gl_problem(n: int, non_poisson: bool = False, perturb_map: bool = False) -> str:
     """Problem text for the Lie-Poisson structure on gl(n)* with the closed
     pgmap phi_ab = dx_ab, sampled with seed 7.
 
-    ``non_poisson`` adds x11 e_x12^e_x13 to the bivector (n >= 3), which
+    ``perturb_map`` replaces phi_E11 by dx11 + x12*dx21 and phi_E12 by
+    dx12 + x11^2*dx22, which are not closed.  ``non_poisson`` adds x11 e_x12^e_x13 to the bivector (n >= 3), which
     breaks the Jacobi identity, and keeps only the manifold block."""
     idx = [f"{a}{b}" for a in range(1, n + 1) for b in range(1, n + 1)]
     brackets, bivector = [], []
@@ -117,7 +118,11 @@ def gl_problem(n: int, non_poisson: bool = False) -> str:
     if not non_poisson:
         lines += ["bialgebra {", "  basis: " + ", ".join(f"E{ab}" for ab in idx),
                   "  bracket {", *brackets, "  }", "}"]
-        lines += ["pgmap {", *(f"  E{ab} = dx{ab}" for ab in idx), "}"]
+        images = {f"E{ab}": f"dx{ab}" for ab in idx}
+        if perturb_map:
+            images["E11"] = "dx11 + x12*dx21"
+            images["E12"] = "dx12 + x11^2*dx22"
+        lines += ["pgmap {", *(f"  {name} = {form}" for name, form in images.items()), "}"]
     lines += ["oracle {", "  samples: 100", "  seed: 7", "  box: -2, 2", "}"]
     return "\n".join(lines) + "\n"
 

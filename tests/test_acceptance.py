@@ -60,12 +60,8 @@ from poissonlift import (
     wedge,
 )
 from poissonlift.errors import UnverifiedInputError
-from poissonlift.reduction import (
-    bracket_closure_residuals,
-    characteristic_identity_residuals,
-    pgmap_residuals,
-)
-from poissonlift.tangent import one_form_lift_residuals, tangent_lift_residuals
+from poissonlift.reduction import bracket_closure_residuals, characteristic_identity_residuals
+from poissonlift.tangent import tangent_lift_residuals
 
 from conftest import rand_form, rand_poly
 

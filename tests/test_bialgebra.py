@@ -134,6 +134,20 @@ class TestCobracketApply:
             so3_bialgebra().cobracket_apply((1, 0))
 
 
+def test_fraction_constants_are_stored_in_one_form():
+    """Integral Fraction constants are stored as ints, the others stay
+    Fractions, in bracket vectors, cobracket rows and applied vectors."""
+    b = LieBialgebra(("e1", "e2"), {(1, 0): (Fraction(0), Fraction(-4, 2))},
+                     {1: {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}, 0: {(1, 0): Fraction(1, 3)}})
+    assert b.bracket(0, 1) == (0, 2) and all(type(c) is int for c in b.bracket(0, 1))
+    assert b.bracket(1, 0) == (0, -2) and all(type(c) is int for c in b.bracket(1, 0))
+    assert b.cobracket_row(1) == {(0, 1): 1} and type(b.cobracket_row(1)[(0, 1)]) is int
+    assert b.cobracket_row(0) == {(0, 1): Fraction(-1, 3)}
+    assert b.cobracket_apply((Fraction(3), 0)) == {(0, 1): -1}
+    assert type(b.cobracket_apply((Fraction(3), 0))[(0, 1)]) is int
+    assert b.cobracket_apply((Fraction(6, 4), 0)) == {(0, 1): Fraction(-1, 2)}
+
+
 def test_catalog_bialgebras_fully_verified():
     for b in (abelian_bialgebra(("e1",)), so3_bialgebra(), aff1()):
         assert b.check_jacobi().verdict == "pass"

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from poissonlift import catalog, catalog_names, emit_reports, parse_problem, parse_reports
-from poissonlift import chart, reduction, tangent
+from poissonlift import SamplePlan, chart, cli, reduction, tangent
 from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA, catalog_text
@@ -521,3 +521,28 @@ def test_oracle_fd_differentiates_the_problem(old, new):
     report = _oracle_fd_record(_QUADRATIC.replace(old, new))
     assert report.verdict == "fail"
     assert report.residuals[0][0] == "max-relative-error"
+
+
+@pytest.mark.parametrize("count", [7, 100])
+def test_oracle_fd_draws_only_the_points_it_reads(monkeypatch, count):
+    # oracle-fd reads one plan point per polynomial (30 on gl(3)), cycling
+    # through the stream when it is shorter; it drew the whole stream
+    problem = parse_problem(gl_problem(3))
+    plan = dataclasses.replace(problem.plan, count=count)
+    draw = SamplePlan.points
+    drawn, read = [], []
+    limited = True
+
+    def points(self, nvars, limit=None):
+        stream = draw(self, nvars, limit if limited else None)
+        drawn.append(len(stream))
+        return stream
+
+    monkeypatch.setattr(SamplePlan, "points", points)
+    monkeypatch.setattr(cli, "fd_derivative_check", lambda f, point, h: read.append(point) or 0.0)
+    cli._oracle_fd(problem, plan, problem.fd_step)
+    limited = False
+    cli._oracle_fd(problem, plan, problem.fd_step)
+    assert len(read) == 60
+    assert read[:30] == read[30:]
+    assert drawn == [min(count, 30), count]

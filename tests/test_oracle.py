@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from poissonlift import (
-    Chart,
     Multivector,
     SamplePlan,
     eval_tensor,
@@ -105,6 +104,12 @@ class TestSampleResidual:
             Fraction(-2) <= x <= Fraction(2) for point in plan.points(3) for x in point
         )
 
+    def test_limited_stream_is_a_prefix(self):
+        plan = SamplePlan.uniform(count=10, seed=5)
+        assert plan.points(3, limit=4) == plan.points(3)[:4]
+        assert plan.points(3, limit=0) == []
+        assert plan.points(3, limit=50) == plan.points(3)
+
 
 def test_symbolic_zero_always_samples_zero(chart_qp):
     rng = random.Random(41)
@@ -118,9 +123,9 @@ def _count_points(monkeypatch) -> list[int]:
     calls = []
     original = SamplePlan.points
 
-    def counted(self, nvars):
+    def counted(self, nvars, limit=None):
         calls.append(nvars)
-        return original(self, nvars)
+        return original(self, nvars, limit)
 
     monkeypatch.setattr(SamplePlan, "points", counted)
     return calls

@@ -147,7 +147,53 @@ class TestPublicConstructor:
     def test_coerces_and_drops_zeros(self):
         poly = Polynomial(("q",), {(1,): 0, (2,): 3, (0,): Fraction(0)})
         assert poly.terms == {(2,): Fraction(3)}
-        assert all(type(c) is Fraction for c in poly.terms.values())
+        assert all(_is_one_form(c) for c in poly.terms.values())
+        poly = Polynomial(("q",), {(1,): Fraction(6, 2), (2,): "1/2", (0,): 2.5})
+        assert poly.terms == {(1,): 3, (2,): Fraction(1, 2), (0,): Fraction(5, 2)}
+        assert all(_is_one_form(c) for c in poly.terms.values())
+
+
+def _is_one_form(coeff) -> bool:
+    """A coefficient in its one form: a nonzero value whose type is int if
+    and only if it is an integer, and Fraction otherwise."""
+    if type(coeff) is int:
+        return coeff != 0
+    return type(coeff) is Fraction and coeff.denominator != 1
+
+
+class TestIntegerFolding:
+    """A result computed from a Fraction operand that comes out integral is
+    stored as an int."""
+
+    def _only_term(self, poly):
+        (coeff,) = poly.terms.values()
+        assert _is_one_form(coeff)
+        return coeff
+
+    def test_product(self):
+        q = Polynomial.variable("q")
+        assert type(self._only_term((q * Fraction(1, 2)) * 2)) is int
+
+    def test_sum(self):
+        half_q = P("1/2*q")
+        assert type(half_q.terms[(1, 0)]) is Fraction
+        assert type(self._only_term(half_q + half_q)) is int
+        assert type(self._only_term(P("3/2*q") - half_q)) is int
+
+    def test_derivative(self):
+        assert type(self._only_term(P("1/2*q^2").derivative("q"))) is int
+
+    def test_repeated_keys(self):
+        # "1" and 1 name the same exponent, so the two halves are summed
+        poly = Polynomial(("q",), {(1,): Fraction(1, 2), ("1",): Fraction(1, 2)})
+        assert type(self._only_term(poly)) is int
+
+    def test_constant(self):
+        assert type(self._only_term(Polynomial.constant(Fraction(4, 2)))) is int
+        assert type(Polynomial.zero(("q",)).constant_value()) is int
+
+    def test_substitute_stays_fraction(self):
+        assert type(P("q + 1").substitute({"q": 1, "p": 0})) is Fraction
 
 
 class TestCompose:
@@ -200,7 +246,7 @@ def _assert_canonical(poly):
     for exps, coeff in poly.terms.items():
         assert type(exps) is tuple and len(exps) == len(poly.variables)
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(coeff) is Fraction and coeff != 0
+        assert _is_one_form(coeff)
     rebuilt = Polynomial(poly.variables, poly.terms)
     assert rebuilt == poly
     assert rebuilt.variables == poly.variables

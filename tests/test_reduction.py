@@ -15,15 +15,12 @@ import pytest
 from poissonlift import (
     Chart,
     CoordinateMap,
-    DifferentialForm,
-    FiberLinearFunction,
     LieBialgebra,
     MomentumMapData,
     Multivector,
     PGMap,
     Resolved,
     PoissonStructure,
-    SamplePlan,
     SymplecticForm,
     abelian_bialgebra,
     bracket_closure_check,
@@ -59,8 +56,6 @@ from poissonlift.errors import (
     UnverifiedInputError,
 )
 from poissonlift.reduction import bracket_closure_residuals, characteristic_identity_residuals
-
-from conftest import rand_poly
 
 
 @pytest.fixture

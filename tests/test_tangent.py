@@ -42,7 +42,6 @@ from poissonlift.tangent import (
     one_form_as_covector_map,
     one_form_lift_residuals,
     one_form_prolongation,
-    tangent_lift_residuals,
 )
 
 from conftest import count_polynomial_calls, rand_form, rand_multivector, rand_poly
