@@ -67,7 +67,6 @@ from .tangent import (
     tangent_chart,
     tulczyjew_alpha,
     tulczyjew_alpha_inverse,
-    verify_lemma_alpha_dT,
     verify_tangent_lift_identity,
 )
 

@@ -10,9 +10,9 @@ of :func:`poissonlift.poly.rational`, so integer constants are ints.
 Three exact residual checks certify the data: the bracket Jacobi identity,
 the cocycle compatibility of the cobracket with the adjoint action, and the
 Jacobi identity of the dual bracket built from gamma.  The three reports
-are computed once, on first use, and kept in ``structure_checks``; a
-bialgebra built with verify=True carries their combined verdict in
-``verified``, and operations downstream refuse unverified inputs.
+are computed once, on first use, and kept in ``structure_checks``;
+``verified`` is their combined verdict, and operations downstream refuse
+unverified inputs.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ def _prune(row: PairRow) -> PairRow:
 
 
 class LieBialgebra:
-    """Bracket and cobracket constants over a named basis."""
+    """Bracket and cobracket constants over a named basis.
 
-    def __init__(self, basis: Sequence[str], brackets: Mapping, cobrackets: Mapping | None = None,
-                 verify: bool = True):
+    The constructor rejects malformed constants; the three structure checks
+    run when ``structure_checks`` or ``verified`` is first read."""
+
+    def __init__(self, basis: Sequence[str], brackets: Mapping, cobrackets: Mapping | None = None):
         self.basis = tuple(basis)
         n = self.dim
         if len(set(self.basis)) != n:
@@ -89,8 +91,6 @@ class LieBialgebra:
                 rows[i] = acc
         self._cobrackets = rows
 
-        self._verify = verify
-
     @cached_property
     def structure_checks(self) -> tuple[CheckReport, CheckReport, CheckReport]:
         """The Jacobi, cocycle and co-Jacobi reports, computed on first use."""
@@ -98,9 +98,8 @@ class LieBialgebra:
 
     @property
     def verified(self) -> bool:
-        """Whether the bialgebra was built with verify=True and passes all
-        three structure checks."""
-        return self._verify and all(rep.passed for rep in self.structure_checks)
+        """Whether all three structure checks pass."""
+        return all(rep.passed for rep in self.structure_checks)
 
     # -- accessors -----------------------------------------------------------
 
@@ -212,7 +211,7 @@ class LieBialgebra:
                     continue
                 row = cobrackets.setdefault(k, {})
                 row[(i, j)] = row.get((i, j), 0) + c
-        return LieBialgebra(self.basis, brackets, cobrackets, verify=False)
+        return LieBialgebra(self.basis, brackets, cobrackets)
 
     def check_cojacobi(self) -> CheckReport:
         """Jacobi identity of the dual bracket built from the cobracket rows."""

@@ -48,7 +48,7 @@ class Chart:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
         if len(set(self.coords)) != len(self.coords):
-            raise ValueError(f"coordinate names must be distinct: {self.coords}")
+            raise ValueError(f"coordinate names must be distinct in {self.name}: {self.coords}")
 
     @property
     def dim(self) -> int:

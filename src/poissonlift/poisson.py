@@ -38,7 +38,7 @@ from .chart import (
     jacobi_check,
     lie_derivative,
 )
-from .errors import ChartMismatchError, DegreeError, NotPoissonError
+from .errors import ChartMismatchError, DegreeError
 from .poly import Polynomial
 
 
@@ -46,30 +46,27 @@ from .poly import Polynomial
 class PoissonStructure:
     """A bivector field together with an exact Jacobi verdict.
 
-    Unless the verdict is given as False, the constructor evaluates
-    [pi, pi] once, keeps it as ``jacobiator`` and sets ``jacobi_verified``
-    to whether it vanishes; a claimed True is checked the same way, so the
-    flag cannot lie.  Bivectors failing the identity can still be carried
-    around (flag False) for negative tests, but operations that need a
-    Poisson structure refuse them."""
+    The constructor checks only the degree.  [pi, pi] is evaluated when
+    ``jacobiator`` or ``jacobi_verified`` is first read, and then kept, so a
+    structure whose verdict nothing reads never pays for it.  Bivectors
+    failing the identity can still be carried around for negative tests,
+    but operations that need a Poisson structure refuse them."""
 
     bivector: Multivector
-    jacobi_verified: bool | None = None
 
     def __post_init__(self):
         if self.bivector.degree != 2:
             raise DegreeError("a Poisson structure is a degree-2 multivector")
-        if self.jacobi_verified is False:
-            return
-        holds = self.jacobiator.is_zero()
-        if self.jacobi_verified and not holds:
-            raise NotPoissonError("jacobi_verified claimed but [pi, pi] != 0")
-        object.__setattr__(self, "jacobi_verified", holds)
 
     @cached_property
     def jacobiator(self) -> Multivector:
         """[pi, pi], evaluated on first use and then kept."""
         return jacobi_check(self.bivector)
+
+    @cached_property
+    def jacobi_verified(self) -> bool:
+        """Whether [pi, pi] vanishes, decided on first read and then kept."""
+        return self.jacobiator.is_zero()
 
     @property
     def chart(self) -> Chart:

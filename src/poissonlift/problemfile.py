@@ -20,8 +20,8 @@ from .errors import ParseError, UnknownCatalogError
 from .oracle import DEFAULT_BOX, DEFAULT_FD_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, SamplePlan
 from .parser import _tokenize, parse_form, parse_multivector, parse_poly
 from .poisson import PoissonStructure, SymplecticForm
-from .reduction import MomentumMapData, PGMap
-from .tangent import CoordinateMap
+from .reduction import MomentumMapData, PGMap, require_zero_level
+from .tangent import _BLOCKS, CoordinateMap, bundle_chart, tangent_chart
 
 
 @dataclass
@@ -41,7 +41,8 @@ class ProblemFile:
     @cached_property
     def poisson_structure(self) -> PoissonStructure:
         """The declared Poisson structure, or the symplectic form's inverse,
-        built and Jacobi-checked on first access."""
+        built on first access.  Its Jacobi verdict is computed when a command
+        first reads it, not here."""
         if self.poisson is not None:
             return self.poisson
         if self.symplectic is not None:
@@ -71,6 +72,16 @@ def _names(text: str, env=None) -> tuple[str, ...]:
     if "" in names:
         raise ValueError(f"empty entry in {text!r}")
     return names
+
+
+def _coords(text: str, env) -> Chart:
+    """The chart, refused when the tangent chart or a bundle chart over it
+    would repeat a coordinate name, as ``p_x, x`` makes T*M repeat ``p_x``."""
+    chart = Chart("M", _names(text))
+    tangent_chart(chart)
+    for kind in _BLOCKS:
+        bundle_chart(chart, kind)
+    return chart
 
 
 def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
@@ -201,7 +212,7 @@ class _Spec(NamedTuple):
 # the keys a value parser reads come before it.
 _SCHEMA: dict[str, _Spec] = {
     "manifold": _Spec("", ":", {
-        "coords": _Key(lambda text, env: Chart("M", _names(text)), required=True),
+        "coords": _Key(_coords, required=True),
         "poisson": _Key(lambda text, env: PoissonStructure(
             parse_multivector(text, env["coords"], degree=2))),
         # read before 'symplectic', whose value needs it
@@ -233,7 +244,8 @@ _SCHEMA: dict[str, _Spec] = {
         "params": _Key(lambda text, env: Chart("S", _names(text)), required=True),
         "map": _Key(_levelset_map, required=True),
     }, requires=("momentum",),
-        build=lambda env: CoordinateMap(env["params"], env["coords"], env["map"])),
+        build=lambda env: require_zero_level(
+            env["momentum"], CoordinateMap(env["params"], env["coords"], env["map"]))),
     "oracle": _Spec("", ":", {
         "samples": _Key(_positive(int), default=DEFAULT_SAMPLES),
         "seed": _Key(lambda text, env: int(text), default=DEFAULT_SEED),

@@ -176,8 +176,10 @@ def pgmap_residuals(pg: PGMap, pi: PoissonStructure) -> dict[str, DifferentialFo
 class Resolved:
     """A Poisson structure ``pi``, optionally a map ``pg``, and what the lifted
     checks derive from them, each member computed on first use and then kept:
-    the tangent chart ``tc``, the complete lift ``pi_tm`` (Jacobi-proved once),
-    the axiom residuals ``certification`` and the lifted ``generators``.
+    the tangent chart ``tc``, the complete lift ``pi_tm``, the axiom residuals
+    ``certification`` and the lifted ``generators``.  ``pi_tm`` is built only
+    from a ``pi`` whose Jacobi verdict is true, and the complete lift
+    preserves the Schouten bracket, so no check computes [pi_TM, pi_TM].
 
     Computing a member twice gives the same value, so an instance can be
     shared without locks.  Checks call ``require`` before reading members
@@ -349,6 +351,21 @@ def hamiltonian_pgmap(momentum: MomentumMapData, bialgebra: LieBialgebra) -> PGM
     return PGMap(bialgebra, chart, tuple(differential(chart, j) for j in momentum.components))
 
 
+def require_zero_level(momentum: MomentumMapData, parametrization: CoordinateMap) -> CoordinateMap:
+    """The parametrization, once every component of J is shown to vanish
+    identically on it; LevelSetError otherwise."""
+    chart = momentum.chart
+    if parametrization.target != chart:
+        raise ChartMismatchError("parametrization must land in the momentum chart")
+    for j_comp in momentum.components:
+        pulled = j_comp.compose(dict(zip(chart.coords, parametrization.components)))
+        if not pulled.is_zero():
+            raise LevelSetError(
+                f"J does not vanish on the parametrized set: residual {pulled}"
+            )
+    return parametrization
+
+
 def level_set_tangency_check(momentum: MomentumMapData, parametrization: CoordinateMap,
                              samples: Sequence[Sequence[Fraction]]) -> CheckReport:
     """At sampled points of a zero-level parametrization, tangent vectors of
@@ -359,14 +376,7 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
     RankDeficient and make the verdict informative rather than pass/fail.
     """
     chart = momentum.chart
-    if parametrization.target != chart:
-        raise ChartMismatchError("parametrization must land in the momentum chart")
-    for j_comp in momentum.components:
-        pulled = j_comp.compose(dict(zip(chart.coords, parametrization.components)))
-        if not pulled.is_zero():
-            raise LevelSetError(
-                f"J does not vanish on the parametrized set: residual {pulled}"
-            )
+    require_zero_level(momentum, parametrization)
     jac = parametrization.jacobian()  # [chart.dim][param.dim]
     grads = [[j_comp.derivative(c) for c in chart.coords] for j_comp in momentum.components]
     m = parametrization.source.dim

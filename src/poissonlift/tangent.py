@@ -262,7 +262,10 @@ def complete_lift_vf(tc: TangentChart, field: Multivector) -> Multivector:
 
 
 def complete_lift_bivector(pi: PoissonStructure, tc: TangentChart | None = None) -> PoissonStructure:
-    """The fiberwise-linear lift of a verified Poisson bivector to TM."""
+    """The fiberwise-linear lift of a verified Poisson bivector to TM.
+
+    The lift is Poisson because [P^c, Q^c] = [P, Q]^c, so its own Jacobi
+    verdict is computed only if something reads it."""
     if not pi.jacobi_verified:
         raise NotPoissonError("complete lift requires a verified Poisson structure")
     if tc is None:
@@ -384,14 +387,3 @@ def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[s
         name: zero if lhs is rhs else lhs - rhs
         for name, lhs, rhs in zip(direct.target.coords, composed, direct.components)
     }
-
-
-def verify_lemma_alpha_dT(theta: DifferentialForm, plan: SamplePlan | None = None) -> CheckReport:
-    """Exact check that the prolongation-exchange composite equals the complete lift."""
-    residuals = one_form_lift_residuals(tangent_chart(theta.chart), theta)
-    return make_report(
-        "tangent-prolongation-1form",
-        "alpha . T(theta) = d_T(theta) as maps TM -> T*TM",
-        residuals,
-        plan=plan,
-    )

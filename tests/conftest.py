@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial
+from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial, poisson
 from poissonlift.errors import DegreeError
 
 
@@ -73,6 +73,19 @@ def count_bialgebra_checks(monkeypatch) -> list[str]:
             return _original(self)
 
         monkeypatch.setattr(LieBialgebra, name, counted)
+    return calls
+
+
+def count_jacobi_checks(monkeypatch) -> list[Multivector]:
+    """Record the bivector of every [pi, pi] a PoissonStructure evaluates."""
+    calls = []
+    original = poisson.jacobi_check
+
+    def counted(bivector):
+        calls.append(bivector)
+        return original(bivector)
+
+    monkeypatch.setattr(poisson, "jacobi_check", counted)
     return calls
 
 

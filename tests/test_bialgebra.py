@@ -86,7 +86,6 @@ class TestCocycle:
             ("e1", "e2", "e3"),
             {(0, 1): (0, 0, 1), (1, 2): (1, 0, 0), (2, 0): (0, 1, 0)},
             {0: {(0, 1): 1}},
-            verify=False,
         )
         report = b.check_cocycle()
         assert report.verdict == "fail"
@@ -175,11 +174,3 @@ class TestStructureChecksOnce:
         b = LieBialgebra(("e1", "e2", "e3"), {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)}, {})
         assert not b.verified
         assert [rep.verdict for rep in b.structure_checks][0] == "fail"
-
-    def test_verify_false_skips_checks(self, monkeypatch):
-        calls = count_bialgebra_checks(monkeypatch)
-        b = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {}, verify=False)
-        assert b.verified is False
-        assert calls == []
-        assert all(rep.passed for rep in b.structure_checks)
-        assert b.verified is False

@@ -16,7 +16,7 @@ from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA, catalog_text
 
-from conftest import count_bialgebra_checks, count_polynomial_calls, gl_problem
+from conftest import count_bialgebra_checks, count_jacobi_checks, count_polynomial_calls, gl_problem
 
 COUNTEREXAMPLE = """
 manifold {
@@ -428,6 +428,17 @@ def test_all_certifies_and_lifts_once(monkeypatch, name):
     assert len(lifts) == 1
     assert len(residuals) <= 1
     assert len(jacobi) <= 3
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "gl3"])
+def test_jacobi_is_checked_once_when_first_needed(monkeypatch, name):
+    # pi_TM is Poisson because pi is, so only [pi, pi] is evaluated, and
+    # only once a command reads its verdict
+    calls = count_jacobi_checks(monkeypatch)
+    problem = parse_problem(gl_problem(3)) if name == "gl3" else catalog(name)
+    assert calls == []
+    run_checks(problem, "all")
+    assert len(calls) == 1
 
 
 def test_symplectic_builds_its_pgmap_once(monkeypatch):

@@ -49,6 +49,7 @@ from poissonlift.errors import ChartMismatchError, DegreeError, UnknownSymbolErr
 from poissonlift.tangent import bundle_chart, tangent_lift_residuals
 
 from conftest import (
+    count_jacobi_checks,
     dense_matrix,
     gl_problem,
     rand_form,
@@ -212,12 +213,13 @@ class TestPoissonStructure:
         assert pi.jacobi_verified
         assert jacobi_check(pi.bivector).is_zero()
 
-    def test_flag_cannot_lie(self, chart_xyz):
-        from poissonlift.errors import NotPoissonError
-
-        bad = parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz)
-        with pytest.raises(NotPoissonError):
-            PoissonStructure(bad, True)
+    def test_verdict_computed_on_first_read_and_kept(self, monkeypatch, chart_xyz):
+        calls = count_jacobi_checks(monkeypatch)
+        pi = PoissonStructure(parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz))
+        assert calls == []
+        assert not pi.jacobi_verified
+        assert not pi.jacobi_verified
+        assert len(calls) == 1
 
 
 class TestSymplecticForm:

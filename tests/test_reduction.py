@@ -105,16 +105,14 @@ class TestCertify:
         assert certify_pgmap(Resolved(pi, pg)).verdict == "pass"
 
     def test_refuses_unverified_bialgebra(self, chart_qp, canonical):
-        bad = LieBialgebra(
-            ("e1", "e2", "e3"), {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)}, {}, verify=True
-        )
+        bad = LieBialgebra(("e1", "e2", "e3"), {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)}, {})
         assert not bad.verified
         pg = PGMap(bad, chart_qp, tuple(parse_form("dq", chart_qp) for _ in range(3)))
         with pytest.raises(UnverifiedInputError):
             certify_pgmap(Resolved(canonical, pg))
 
     def test_refuses_unverified_poisson(self, chart_xyz, so3_pg):
-        bad = PoissonStructure(parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz), False)
+        bad = PoissonStructure(parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz))
         with pytest.raises(UnverifiedInputError):
             certify_pgmap(Resolved(bad, so3_pg))
 

@@ -32,7 +32,6 @@ from poissonlift import (
     tangent_chart,
     tulczyjew_alpha,
     tulczyjew_alpha_inverse,
-    verify_lemma_alpha_dT,
     verify_tangent_lift_identity,
     wedge,
 )
@@ -391,16 +390,22 @@ class TestCompleteLiftBivector:
             assert report.verdict == "pass"
 
 
+def lemma_holds(theta: DifferentialForm) -> bool:
+    """Whether every residual of alpha . T(theta) = d_T(theta) is zero."""
+    residuals = one_form_lift_residuals(tangent_chart(theta.chart), theta)
+    return all(r.is_zero() for r in residuals.values())
+
+
 class TestOneFormLiftIdentity:
     def test_euler_form_on_line(self):
         chart = Chart("L", ("q",))
-        assert verify_lemma_alpha_dT(parse_form("q*dq", chart)).verdict == "pass"
+        assert lemma_holds(parse_form("q*dq", chart))
 
     def test_constant_form(self, chart_qp):
-        assert verify_lemma_alpha_dT(parse_form("dq", chart_qp)).verdict == "pass"
+        assert lemma_holds(parse_form("dq", chart_qp))
 
     def test_mixed_form(self, chart_qp):
-        assert verify_lemma_alpha_dT(parse_form("q^2*dp + p*dq", chart_qp)).verdict == "pass"
+        assert lemma_holds(parse_form("q^2*dp + p*dq", chart_qp))
 
     def test_prolongation_coordinates(self, chart_qp, tc_qp):
         # T(theta)(q, v) = (q, theta(q), v, (d_k theta_j) v_k) read blockwise
