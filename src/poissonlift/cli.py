@@ -17,18 +17,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .bialgebra import abelian_bialgebra
 from .chart import DifferentialForm, exterior_derivative
-from .errors import NotSymplecticActionError, ParseError, UnknownCatalogError, UnverifiedInputError
+from .errors import ParseError, UnknownCatalogError
 from .oracle import FD_TOLERANCE, SamplePlan, fd_derivative_check
 from .problemfile import ProblemFile, catalog, catalog_names, oracle_value, parse_problem
 from .reduction import (
-    BRACKET_CLOSURE,
-    CHARACTERISTIC_IDENTITY,
-    PGMAP_CERTIFICATION,
     TANGENT_GENERATOR_AGREEMENT,
     Resolved,
-    Statement,
     bracket_closure_check,
     certify_pgmap,
     characteristic_identity_check,
@@ -125,57 +120,40 @@ def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan) -> list[C
     ]
 
 
-def _guarded(statement: Statement, thunk) -> list[CheckReport]:
-    """The reports of ``thunk``, or the statement's refusal when the lifted
-    check refuses unverified input."""
-    try:
-        result = thunk()
-    except UnverifiedInputError as exc:
-        refusal = (("unverified-input", str(exc)),)
-        return [CheckReport(*statement, verdict="fail", residuals=refusal)]
-    return result if isinstance(result, list) else [result]
-
-
 def _cmd_certify(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    return list(problem.pgmap.bialgebra.structure_checks) + _guarded(
-        PGMAP_CERTIFICATION, lambda: certify_pgmap(resolve(), plan=plan)
-    )
+    return [*problem.pgmap.bialgebra.structure_checks, certify_pgmap(resolve(), plan=plan)]
 
 
 def _cmd_bracket_closure(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    return _guarded(BRACKET_CLOSURE, lambda: bracket_closure_check(resolve(), plan=plan))
+    return [bracket_closure_check(resolve(), plan=plan)]
 
 
 def _cmd_tangent_generator(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    def build():
-        r = resolve()
-        check = tangent_generator_check(r, plan=plan)
-        fields = {}
-        for name, (lifted, direct) in zip(problem.pgmap.bialgebra.basis, r.generators):
-            fields[f"via-lift-formula[{name}]"] = lifted
-            fields[f"via-complete-lift[{name}]"] = direct
-        listing = make_report(
-            "tangent-generator-fields",
-            "lifted generators by both defining formulas",
-            fields,
-            informative=True,
-        )
-        return [listing, check]
-
-    return _guarded(TANGENT_GENERATOR_AGREEMENT, build)
+    r = resolve()
+    refusal = r.require(TANGENT_GENERATOR_AGREEMENT)
+    if refusal:
+        return [refusal]
+    fields = {}
+    for name, (lifted, direct) in zip(problem.pgmap.bialgebra.basis, r.generators):
+        fields[f"via-lift-formula[{name}]"] = lifted
+        fields[f"via-complete-lift[{name}]"] = direct
+    listing = make_report(
+        "tangent-generator-fields",
+        "lifted generators by both defining formulas",
+        fields,
+        informative=True,
+    )
+    return [listing, tangent_generator_check(r, plan=plan)]
 
 
 def _cmd_characteristic(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    return _guarded(CHARACTERISTIC_IDENTITY,
-                    lambda: characteristic_identity_check(resolve(), plan=plan))
+    return [characteristic_identity_check(resolve(), plan=plan)]
 
 
 def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     momentum = problem.momentum
     chart = momentum.chart
-    bialgebra = problem.bialgebra or abelian_bialgebra(
-        tuple(f"e{i+1}" for i in range(len(momentum.components)))
-    )
+    bialgebra = problem.bialgebra
     tc = tangent_chart(chart)
     pg_exact = hamiltonian_pgmap(momentum, bialgebra)
     via_pg = comomentum_components(pg_exact, tc)
@@ -202,17 +180,9 @@ def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan) -> list[Ch
 
 
 def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    try:
-        pg, closed_report = symplectic_pgmap(problem.symplectic, problem.action, problem.bialgebra)
-    except NotSymplecticActionError as exc:
-        return [
-            CheckReport(
-                check_id="symplectic-images-closed",
-                identity="L_X(omega) = 0 implies d(i_X omega) = 0",
-                verdict="fail",
-                residuals=((f"L_X(omega)[{exc.index}]", exc.residual_text),),
-            )
-        ]
+    pg, closed_report = symplectic_pgmap(problem.symplectic, problem.action, problem.bialgebra)
+    if pg is None:
+        return [closed_report]
     relation = cotangent_momentum_relation(problem.symplectic, problem.action, pg, plan=plan)
     return [closed_report, relation]
 

@@ -50,24 +50,6 @@ class NotPoissonError(ValueError):
     Poisson structure is required."""
 
 
-class UnverifiedInputError(ValueError):
-    """An operation that requires certified inputs received an unverified
-    bialgebra or an uncertified momentum-map candidate."""
-
-
-class NotSymplecticActionError(ValueError):
-    """A generator does not preserve the symplectic form.  Carries the
-    offending generator index and the nonzero Lie-derivative residual."""
-
-    def __init__(self, index: int, residual_text: str):
-        super().__init__(
-            f"generator #{index} does not preserve the symplectic form; "
-            f"L_X(omega) = {residual_text}"
-        )
-        self.index = index
-        self.residual_text = residual_text
-
-
 class LevelSetError(ValueError):
     """The supplied parametrization does not land in the zero level set."""
 

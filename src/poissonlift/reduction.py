@@ -11,9 +11,12 @@ A certified family phi: g -> 1-forms satisfies, for the attached bialgebra,
 and the induced fiber-linear functions c_i = i_T(phi_i) then close under the
 lifted Poisson bracket: {c_i, c_j}_TM = c_[e_i, e_j].  The lifted checks
 take a ``Resolved`` value, which certifies the map and lifts pi once and
-passes both on.  The checks refuse an uncertified map; negative controls
-observe the nonzero residuals through the ``*_residuals`` functions, which
-take no certification step.
+passes both on.  A lifted check whose prerequisites fail (pi not Poisson,
+the bialgebra not verified or, past ``certify_pgmap``, a map with a nonzero
+axiom residual) returns its ``fail`` report with one ``unverified-input``
+residual naming the first that fails.  Negative controls observe the nonzero
+residuals of such a map through the ``*_residuals`` functions, which take no
+certification step.
 """
 
 from __future__ import annotations
@@ -32,14 +35,7 @@ from .chart import (
     exterior_derivative,
     wedge,
 )
-from .errors import (
-    ChartMismatchError,
-    DegreeError,
-    DimensionMismatchError,
-    LevelSetError,
-    NotSymplecticActionError,
-    UnverifiedInputError,
-)
+from .errors import ChartMismatchError, DegreeError, DimensionMismatchError, LevelSetError
 from .oracle import SamplePlan
 from .poisson import (
     PoissonStructure,
@@ -107,9 +103,7 @@ class FiberLinearFunction:
     def chart(self) -> Chart:
         return self.base_form.chart
 
-    def as_polynomial(self, tc: TangentChart | None = None) -> Polynomial:
-        if tc is None:
-            tc = tangent_chart(self.chart)
+    def as_polynomial(self, tc: TangentChart) -> Polynomial:
         return i_T(tc, self.base_form).as_poly()
 
 
@@ -129,7 +123,7 @@ class MomentumMapData:
 
 
 class Statement(NamedTuple):
-    """The check id and the identity of one lifted check."""
+    """The check id and the identity of one check."""
 
     check_id: str
     identity: str
@@ -150,6 +144,10 @@ TANGENT_GENERATOR_AGREEMENT = Statement(
 CHARACTERISTIC_IDENTITY = Statement(
     "characteristic-identity",
     "i_T(d phi_i) = sum gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j)",
+)
+SYMPLECTIC_IMAGES_CLOSED = Statement(
+    "symplectic-images-closed",
+    "L_X(omega) = 0 implies d(i_X omega) = 0",
 )
 
 
@@ -182,8 +180,8 @@ class Resolved:
     preserves the Schouten bracket, so no check computes [pi_TM, pi_TM].
 
     Computing a member twice gives the same value, so an instance can be
-    shared without locks.  Checks call ``require`` before reading members
-    that presuppose a certified map."""
+    shared without locks.  Checks return ``require``'s refusal, when there is
+    one, before reading members that presuppose a certified map."""
 
     def __init__(self, pi: PoissonStructure, pg: PGMap | None = None):
         self.pi = pi
@@ -211,26 +209,29 @@ class Resolved:
         return tuple((tangent_generator(self, unit), tangent_generator_direct(self, unit))
                      for unit in units)
 
-    def require(self, certified: bool = True) -> None:
-        """Refuse unverified bialgebra or Poisson data and, when ``certified``,
-        a map with a nonzero axiom residual."""
-        if not self.pi.jacobi_verified:
-            raise UnverifiedInputError("Poisson structure is not Jacobi-verified")
-        if not self.pg.bialgebra.verified:
-            raise UnverifiedInputError("bialgebra failed (or skipped) its structure checks")
+    def require(self, statement: Statement, certified: bool = True) -> CheckReport | None:
+        """None when the inputs ``statement`` presupposes hold, else its
+        ``fail`` report naming the first that does not: a Jacobi-verified pi,
+        a verified bialgebra and, when ``certified``, zero axiom residuals."""
         if self.pg.chart != self.pi.chart:
             raise ChartMismatchError("map images and Poisson structure on different charts")
-        if not certified:
-            return
-        bad = [name for name, res in self.certification.items() if not res.is_zero()]
-        if bad:
-            raise UnverifiedInputError(f"map is not certified; failing residuals: {', '.join(bad)}")
+        if not self.pi.jacobi_verified:
+            reason = "Poisson structure is not Jacobi-verified"
+        elif not self.pg.bialgebra.verified:
+            reason = "bialgebra failed (or skipped) its structure checks"
+        elif certified and (bad := [name for name, res in self.certification.items()
+                                     if not res.is_zero()]):
+            reason = f"map is not certified; failing residuals: {', '.join(bad)}"
+        else:
+            return None
+        return CheckReport(*statement, verdict="fail", residuals=(("unverified-input", reason),))
 
 
 def certify_pgmap(r: Resolved, plan: SamplePlan | None = None) -> CheckReport:
-    """Exact verdict on both axioms; requires verified bialgebra and Poisson data."""
-    r.require(certified=False)
-    return make_report(*PGMAP_CERTIFICATION, r.certification, plan=plan)
+    """Exact verdict on both axioms; refused unless the bialgebra and the
+    Poisson data are verified."""
+    return (r.require(PGMAP_CERTIFICATION, certified=False)
+            or make_report(*PGMAP_CERTIFICATION, r.certification, plan=plan))
 
 
 # -- generators and fiber-linear functions ---------------------------------------
@@ -246,9 +247,7 @@ def comomentum(pg: PGMap, xs: Sequence) -> FiberLinearFunction:
     return FiberLinearFunction(pg.image(xs))
 
 
-def comomentum_components(pg: PGMap, tc: TangentChart | None = None) -> list[Polynomial]:
-    if tc is None:
-        tc = tangent_chart(pg.chart)
+def comomentum_components(pg: PGMap, tc: TangentChart) -> list[Polynomial]:
     return [i_T(tc, form).as_poly() for form in pg.images]
 
 
@@ -275,8 +274,8 @@ def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
 def bracket_closure_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
     """Certifies that the zero level set of c is coisotropic: the lifted
     bracket of generators lands back in the generated ideal."""
-    r.require()
-    return make_report(*BRACKET_CLOSURE, bracket_closure_residuals(r), plan=plan)
+    return (r.require(BRACKET_CLOSURE)
+            or make_report(*BRACKET_CLOSURE, bracket_closure_residuals(r), plan=plan))
 
 
 # -- lifted generators --------------------------------------------------------------
@@ -299,12 +298,12 @@ def tangent_generator_direct(r: Resolved, xs: Sequence) -> Multivector:
 
 
 def tangent_generator_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
-    r.require()
-    residuals = {
-        f"generator[{name}]": lifted - direct
-        for name, (lifted, direct) in zip(r.pg.bialgebra.basis, r.generators)
-    }
-    return make_report(*TANGENT_GENERATOR_AGREEMENT, residuals, plan=plan)
+    return r.require(TANGENT_GENERATOR_AGREEMENT) or make_report(
+        *TANGENT_GENERATOR_AGREEMENT,
+        {f"generator[{name}]": lifted - direct
+         for name, (lifted, direct) in zip(r.pg.bialgebra.basis, r.generators)},
+        plan=plan,
+    )
 
 
 # -- the ideal-coefficient identity ----------------------------------------------------
@@ -332,8 +331,8 @@ def characteristic_identity_residuals(r: Resolved) -> dict[str, DifferentialForm
 
 
 def characteristic_identity_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
-    r.require()
-    return make_report(*CHARACTERISTIC_IDENTITY, characteristic_identity_residuals(r), plan=plan)
+    return (r.require(CHARACTERISTIC_IDENTITY)
+            or make_report(*CHARACTERISTIC_IDENTITY, characteristic_identity_residuals(r), plan=plan))
 
 
 # -- Hamiltonian special case -----------------------------------------------------------
@@ -432,12 +431,13 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
 
 
 def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
-                     bialgebra: LieBialgebra | None = None) -> tuple[PGMap, CheckReport]:
+                     bialgebra: LieBialgebra | None = None) -> tuple[PGMap | None, CheckReport]:
     """Images i_X(omega) for a family of symplectic generators.
 
-    Every generator must preserve the form exactly; the report certifies
-    that each image is closed.  Without an explicit bialgebra the family is
-    attached to the abelian one with zero cobracket.
+    The report certifies that each image is closed.  A generator that does
+    not preserve the form exactly gives no map and a failing report with the
+    first such generator's L_X(omega).  Without an explicit bialgebra the
+    family is attached to the abelian one with zero cobracket.
     """
     chart = omega.chart
     for index, field in enumerate(generators):
@@ -445,7 +445,7 @@ def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
             raise ChartMismatchError(f"generator #{index} is not a vector field on {chart.name}")
         lie = omega.is_invariant_under(field)
         if not lie.is_zero():
-            raise NotSymplecticActionError(index, lie.to_string())
+            return None, make_report(*SYMPLECTIC_IMAGES_CLOSED, {f"L_X(omega)[{index}]": lie})
     if bialgebra is None:
         bialgebra = abelian_bialgebra(tuple(f"e{i + 1}" for i in range(len(generators))))
     images = tuple(omega.flat(field) for field in generators)
@@ -454,12 +454,7 @@ def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
         f"closed[{bialgebra.basis[i]}]": exterior_derivative(images[i])
         for i in range(len(images))
     }
-    report = make_report(
-        "symplectic-images-closed",
-        "L_X(omega) = 0 implies d(i_X omega) = 0",
-        residuals,
-    )
-    return pg, report
+    return pg, make_report(*SYMPLECTIC_IMAGES_CLOSED, residuals)
 
 
 def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Multivector],

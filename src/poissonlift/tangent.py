@@ -261,15 +261,13 @@ def complete_lift_vf(tc: TangentChart, field: Multivector) -> Multivector:
     return Multivector(tc.total, 1, comps)
 
 
-def complete_lift_bivector(pi: PoissonStructure, tc: TangentChart | None = None) -> PoissonStructure:
+def complete_lift_bivector(pi: PoissonStructure, tc: TangentChart) -> PoissonStructure:
     """The fiberwise-linear lift of a verified Poisson bivector to TM.
 
     The lift is Poisson because [P^c, Q^c] = [P, Q]^c, so its own Jacobi
     verdict is computed only if something reads it."""
     if not pi.jacobi_verified:
         raise NotPoissonError("complete lift requires a verified Poisson structure")
-    if tc is None:
-        tc = tangent_chart(pi.chart)
     if tc.base != pi.chart:
         raise ChartMismatchError("tangent chart does not extend the structure's chart")
     n = tc.dim

@@ -11,8 +11,6 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from poissonlift import (
     Chart,
     CoordinateMap,
@@ -58,7 +56,6 @@ from poissonlift import (
     verify_tangent_lift_identity,
     wedge,
 )
-from poissonlift.errors import UnverifiedInputError
 from poissonlift.reduction import bracket_closure_residuals, characteristic_identity_residuals
 from poissonlift.tangent import one_form_lift_residuals, tangent_lift_residuals
 
@@ -85,7 +82,8 @@ def _collected_zero_residuals():
     float cross-check of criterion 11."""
     residuals = []
     for pi in _lift_test_structures():
-        residuals += list(tangent_lift_residuals(pi, complete_lift_bivector(pi).bivector).values())
+        lifted = complete_lift_bivector(pi, tangent_chart(pi.chart))
+        residuals += list(tangent_lift_residuals(pi, lifted.bivector).values())
     for name in catalog_names():
         problem = catalog(name)
         if problem.pgmap is not None:
@@ -113,7 +111,7 @@ def _lift_test_structures():
 def test_criterion_1_tangent_lift_identity():
     with criterion(1, "tangent-lift identity on four structures"):
         for pi in _lift_test_structures():
-            lifted = complete_lift_bivector(pi)
+            lifted = complete_lift_bivector(pi, tangent_chart(pi.chart))
             report = verify_tangent_lift_identity(pi, lifted)
             assert report.verdict == "pass", report.residuals
             assert lifted.jacobi_verified
@@ -276,8 +274,10 @@ def test_criterion_6_bracket_closure_with_negative_control():
             {},
         )
         pg_c = PGMap(perturbed_c, so3.chart, so3.pgmap.images)
-        with pytest.raises(UnverifiedInputError):
-            bracket_closure_check(Resolved(so3.poisson_structure, pg_c))
+        refusal = bracket_closure_check(Resolved(so3.poisson_structure, pg_c))
+        assert refusal.verdict == "fail"
+        assert refusal.residuals == (("unverified-input",
+                                      "map is not certified; failing residuals: bracket-axiom[e1,e2]"),)
         residual = bracket_closure_residuals(Resolved(so3.poisson_structure, pg_c))["closure[e1,e2]"]
         assert not residual.is_zero()
         assert residual.to_string() == "-v_z"

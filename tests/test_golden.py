@@ -9,7 +9,9 @@ path.
 The digests of failing single commands were recorded before integer
 coefficients replaced integral Fractions in the polynomial core.  They pin
 the text a passing run never prints: nonzero residuals, rational ones among
-them, and their sample values.
+them, and their sample values.  The digests of refusals (a bialgebra that
+fails Jacobi, a non-Poisson pi under a map, an action that does not preserve
+omega) were recorded while the lifted checks still refused by raising.
 """
 
 from __future__ import annotations
@@ -65,10 +67,16 @@ FAILING_DIGESTS = {
     ("bracket-closure", "gl2-perturbed", "samples-7-seed-3"): "bb84699f57a669e3bac30f21975b6f455086cd10be0b6c6fa16a69a881668836",
     ("bracket-closure", "gl3-perturbed", "default"): "0fd29283859539baf1d16ba74f6e8403342472d4d8a90d0245b4925b0b356488",
     ("bracket-closure", "gl3-perturbed", "samples-7-seed-3"): "0fd29283859539baf1d16ba74f6e8403342472d4d8a90d0245b4925b0b356488",
+    ("bracket-closure", "non-poisson-map", "default"): "a5e22b60ad85ad20436bffd713d4b58c6b5f1cf08f346b2bdbf5e799bf9fe3f3",
+    ("bracket-closure", "non-poisson-map", "samples-7-seed-3"): "a5e22b60ad85ad20436bffd713d4b58c6b5f1cf08f346b2bdbf5e799bf9fe3f3",
+    ("bracket-closure", "so3-bad-bialgebra", "default"): "c4827dcd2d42ab682715e6a9e1f338d5181c0a0126c4ae8044d7e8a69290858e",
+    ("bracket-closure", "so3-bad-bialgebra", "samples-7-seed-3"): "c4827dcd2d42ab682715e6a9e1f338d5181c0a0126c4ae8044d7e8a69290858e",
     ("certify-pgmap", "gl2-perturbed", "default"): "a382cdaba387f6fbe9ac210c640ffec4878074644ef31b677d0c2a308b379de7",
     ("certify-pgmap", "gl2-perturbed", "samples-7-seed-3"): "3203ed1e908913925cc8ce3c3c3f1718033096b7485c046d47108c291d42df7c",
     ("certify-pgmap", "gl3-perturbed", "default"): "2880e7cfc5cc69e0be0c4fed4ad5eb6e3afd82cc08653d7c72987fd9bb30d4e9",
     ("certify-pgmap", "gl3-perturbed", "samples-7-seed-3"): "fc119624f2f2368bfaef77403e106c930c8bbe70a6b365c047c0703ffd9604bd",
+    ("certify-pgmap", "so3-bad-bialgebra", "default"): "9beae4f5109c9a5b3586d3215350f02dc522f244592208f351e463c46a3af7c8",
+    ("certify-pgmap", "so3-bad-bialgebra", "samples-7-seed-3"): "9beae4f5109c9a5b3586d3215350f02dc522f244592208f351e463c46a3af7c8",
     ("characteristic-identity", "gl2-perturbed", "default"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
     ("characteristic-identity", "gl2-perturbed", "samples-7-seed-3"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
     ("characteristic-identity", "gl3-perturbed", "default"): "a23cee038b5b509fe1aa7dd21097dd63630cc98c5c3d27ff4e8ffffb9c99a895",
@@ -77,6 +85,8 @@ FAILING_DIGESTS = {
     ("check-poisson", "gl3-non-poisson", "samples-7-seed-3"): "8172885872d4208b21e4e84f7db6d5255c03634ded9a41385ad4d926a2a55a92",
     ("check-poisson", "rational-residual", "default"): "68083eeca1f01723b2be39e5d09cf32b3e327b1d96829bf4d96a24bb9fcec03a",
     ("check-poisson", "rational-residual", "samples-7-seed-3"): "4bf67cf463efa0121af27b75752dd32c77de727bc7b56a9efff1d0c51c495c7c",
+    ("symplectic", "non-symplectic-action", "default"): "963b3b8674b6a7d7ae4c2a6529bd45c3f3e2a54bac41e947e3c99c8f64635f00",
+    ("symplectic", "non-symplectic-action", "samples-7-seed-3"): "963b3b8674b6a7d7ae4c2a6529bd45c3f3e2a54bac41e947e3c99c8f64635f00",
     ("tangent-generator", "gl2-perturbed", "default"): "9314de3bed830bcdfa43b51b4a279941b87bdeffc7aa8e048d83c50ce1949f95",
     ("tangent-generator", "gl2-perturbed", "samples-7-seed-3"): "9314de3bed830bcdfa43b51b4a279941b87bdeffc7aa8e048d83c50ce1949f95",
     ("tangent-generator", "gl3-perturbed", "default"): "be400124efcae4d5b8c704b2e6145f99fd33ea26da03d4a7bb4ea00663b95899",
@@ -86,6 +96,20 @@ FAILING_DIGESTS = {
 # problems of FAILING_DIGESTS that are not gl(n) problems
 TEXTS = {
     "rational-residual": "manifold {\n  coords: x, y, z\n  poisson: 1/2*x*e_x^e_y + 1/3*y*e_y^e_z\n}\n",
+    # refusals: a bialgebra failing Jacobi, a non-Poisson pi, a non-symplectic action
+    "so3-bad-bialgebra": (
+        "manifold {\n  coords: x, y, z\n  poisson: z*e_x^e_y - y*e_x^e_z + x*e_y^e_z\n}\n"
+        "bialgebra {\n  basis: e1, e2, e3\n  bracket { [e1,e2] = e3; [e1,e3] = e1 }\n}\n"
+        "pgmap { e1 = dx; e2 = dy; e3 = dz }\n"
+    ),
+    "non-poisson-map": (
+        "manifold {\n  coords: x, y, z\n  poisson: z*e_x^e_y + x*e_x^e_z\n}\n"
+        "bialgebra {\n  basis: e1, e2, e3\n  bracket { [e1,e2] = e3; [e2,e3] = e1; [e3,e1] = e2 }\n}\n"
+        "pgmap { e1 = dx; e2 = dy; e3 = dz }\n"
+    ),
+    "non-symplectic-action": (
+        "manifold { coords: q, p; symplectic: dq^dp }\nbialgebra { basis: e1 }\naction { e1 = q*e_q }\n"
+    ),
 }
 
 

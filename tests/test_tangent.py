@@ -326,18 +326,19 @@ def canonical_qp(chart_qp):
 
 class TestCompleteLiftBivector:
     def test_canonical_components(self, chart_qp, canonical_qp):
-        lifted = complete_lift_bivector(canonical_qp)
+        lifted = complete_lift_bivector(canonical_qp, tangent_chart(chart_qp))
         expected = parse_multivector("e_q^e_v_p - e_p^e_v_q", tangent_chart(chart_qp).total)
         assert lifted.bivector == expected
         assert lifted.jacobi_verified
 
-    def test_canonical_identity(self, canonical_qp):
-        report = verify_tangent_lift_identity(canonical_qp, complete_lift_bivector(canonical_qp))
+    def test_canonical_identity(self, chart_qp, canonical_qp):
+        lifted = complete_lift_bivector(canonical_qp, tangent_chart(chart_qp))
+        report = verify_tangent_lift_identity(canonical_qp, lifted)
         assert report.verdict == "pass"
 
     def test_so3_lift(self, chart_xyz):
         pi = lie_poisson(so3_bialgebra(), chart_xyz)
-        lifted = complete_lift_bivector(pi)
+        lifted = complete_lift_bivector(pi, tangent_chart(chart_xyz))
         assert lifted.jacobi_verified
         assert jacobi_check(lifted.bivector).is_zero()
         report = verify_tangent_lift_identity(pi, lifted)
@@ -349,14 +350,14 @@ class TestCompleteLiftBivector:
 
     def test_zero_lift(self, chart_qp):
         pi = PoissonStructure(Multivector.zero(chart_qp, 2))
-        assert complete_lift_bivector(pi).bivector.is_zero()
+        assert complete_lift_bivector(pi, tangent_chart(chart_qp)).bivector.is_zero()
 
     def test_rejects_unverified(self, chart_xyz):
         bad = PoissonStructure(
             parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz)
         )
         with pytest.raises(NotPoissonError):
-            complete_lift_bivector(bad)
+            complete_lift_bivector(bad, tangent_chart(chart_xyz))
 
     def test_wrong_candidate_detected(self, chart_qp, canonical_qp):
         zero = Multivector.zero(tangent_chart(chart_qp).total, 2)
@@ -384,9 +385,10 @@ class TestCompleteLiftBivector:
     def test_lift_identity_on_random_two_dim(self):
         rng = random.Random(39)
         chart = Chart("M", ("q", "p"))
+        tc = tangent_chart(chart)
         for _ in range(10):
             pi = PoissonStructure(rand_multivector(rng, chart, 2, max_degree=2))
-            report = verify_tangent_lift_identity(pi, complete_lift_bivector(pi))
+            report = verify_tangent_lift_identity(pi, complete_lift_bivector(pi, tc))
             assert report.verdict == "pass"
 
 
