@@ -34,8 +34,14 @@ from .reduction import (
     symplectic_pgmap,
     tangent_generator_check,
 )
-from .report import CheckReport, emit_reports, make_report
-from .tangent import d_T, one_form_lift_residuals, tangent_chart, verify_tangent_lift_identity
+from .report import CheckReport, Statement, emit_reports, make_report
+from .tangent import (
+    TANGENT_LIFT_IDENTITY,
+    d_T,
+    one_form_lift_residuals,
+    tangent_chart,
+    verify_tangent_lift_identity,
+)
 
 
 # -- individual commands --------------------------------------------------------
@@ -67,26 +73,30 @@ def _cmd_check_poisson(problem: ProblemFile, resolve, plan: SamplePlan) -> list[
     return reports
 
 
+TANGENT_LIFT_COMPONENTS = Statement(
+    "tangent-lift-components",
+    "fiberwise-linear lift of pi to the tangent chart",
+)
+
+
 def _cmd_lift(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    lifted = resolve().pi_tm
+    r = resolve()
+    refusal = r.require_poisson(TANGENT_LIFT_COMPONENTS)
+    if refusal:
+        return [refusal]
+    lifted = r.pi_tm
     chart = lifted.chart
     entries = {
         f"pi_TM[{','.join(chart.coords[i] for i in idx)}]": poly
         for idx, poly in lifted.bivector.components.items()
     }
-    return [
-        make_report(
-            "tangent-lift-components",
-            "fiberwise-linear lift of pi to the tangent chart",
-            entries,
-            informative=True,
-        )
-    ]
+    return [make_report(*TANGENT_LIFT_COMPONENTS, entries, informative=True)]
 
 
 def _cmd_verify_lift(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
     r = resolve()
-    return [verify_tangent_lift_identity(r.pi, r.pi_tm, plan=plan)]
+    return [r.require_poisson(TANGENT_LIFT_IDENTITY)
+            or verify_tangent_lift_identity(r.pi, r.pi_tm, plan=plan)]
 
 
 def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:

@@ -1,13 +1,24 @@
 """Floating-point cross-validation of symbolic results.
 
 Sample points are rationals drawn on a fixed grid from a seeded generator,
-so substitution into polynomials stays exact; conversion to double precision
-happens only at the very end.  Identical (seed, box, count) always produces
-the identical point stream.
+so evaluation stays exact; conversion to double precision happens only at
+the very end.  Identical (seed, box, count) always produces the identical
+point stream.
+
+Every coordinate of a point is ``lo + (hi - lo) * k / GRID_RESOLUTION`` for
+a drawn ``k`` in ``0..GRID_RESOLUTION``, so one stream has the common
+denominator ``D = GRID_RESOLUTION * lcm(denominators of its box ends)`` and
+is kept as integer numerators over ``D`` (``SamplePlan.stream``);
+``SamplePlan.points`` is the ``Fraction`` view of the same draws.  A sampled
+magnitude is the exact maximum of ``|p(x)|`` over the stream, computed in
+integer arithmetic by ``Polynomial.max_abs`` as one ``Fraction``, so its
+``float`` is the correctly rounded value of that maximum, whichever route
+computed it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,19 +66,28 @@ class SamplePlan:
             return self.box * nvars
         raise ValueError(f"box has {len(self.box)} intervals, need {nvars}")
 
+    def stream(self, nvars: int, limit: int | None = None) -> tuple[int, list[tuple[int, ...]]]:
+        """The plan's point stream, or its first ``limit`` points when that
+        is fewer, as ``(D, numerators)``: each point is a tuple of integers
+        ``n`` standing for the rational point ``n / D``."""
+        intervals = self.intervals(nvars)
+        ends = [end for interval in intervals for end in interval]
+        denominator = GRID_RESOLUTION * math.lcm(*(end.denominator for end in ends))
+        # lo + (hi - lo) * k / GRID_RESOLUTION = (base + step * k) / D
+        affine = [(int(lo * denominator), int((hi - lo) * (denominator // GRID_RESOLUTION)))
+                  for lo, hi in intervals]
+        rng = random.Random(self.seed)
+        count = self.count if limit is None else min(limit, self.count)
+        return denominator, [
+            tuple(base + step * rng.randrange(GRID_RESOLUTION + 1) for base, step in affine)
+            for _ in range(count)
+        ]
+
     def points(self, nvars: int, limit: int | None = None) -> list[tuple[Fraction, ...]]:
         """The deterministic rational point stream for this plan, or its
         first ``limit`` points when that is fewer."""
-        intervals = self.intervals(nvars)
-        rng = random.Random(self.seed)
-        out = []
-        for _ in range(self.count if limit is None else min(limit, self.count)):
-            point = tuple(
-                lo + (hi - lo) * Fraction(rng.randrange(GRID_RESOLUTION + 1), GRID_RESOLUTION)
-                for lo, hi in intervals
-            )
-            out.append(point)
-        return out
+        denominator, numerators = self.stream(nvars, limit)
+        return [tuple(Fraction(n, denominator) for n in point) for point in numerators]
 
 
 def _point_mapping(variables: Sequence[str], point) -> Mapping[str, Fraction]:
@@ -126,13 +146,13 @@ def _residual_polys(value) -> tuple[tuple[str, ...], list[Polynomial]]:
 
 
 def sample_residual(value, plan: SamplePlan,
-                    streams: dict[int, list[tuple[Fraction, ...]]] | None = None) -> float:
+                    streams: dict[int, tuple[int, list[tuple[int, ...]]]] | None = None) -> float:
     """Maximum absolute value of a polynomial or tensor over the plan's points.
 
     Exactly-zero residuals report 0.0 without drawing a point.  ``streams``
-    holds the point streams already drawn from ``plan``, keyed by variable
-    count; callers sampling several residuals of one plan pass the same dict
-    so that each stream is drawn once.
+    holds the integer streams already drawn from ``plan`` (``SamplePlan.stream``),
+    keyed by variable count; callers sampling several residuals of one plan
+    pass the same dict so that each stream is drawn once.
     """
     if value.is_zero():
         return 0.0
@@ -140,10 +160,6 @@ def sample_residual(value, plan: SamplePlan,
     if streams is None:
         streams = {}
     if len(variables) not in streams:
-        streams[len(variables)] = plan.points(len(variables))
-    worst = Fraction(0)
-    for point in streams[len(variables)]:
-        assignment = dict(zip(variables, point))
-        for poly in polys:
-            worst = max(worst, abs(poly.substitute(assignment)))
-    return float(worst)
+        streams[len(variables)] = plan.stream(len(variables))
+    denominator, numerators = streams[len(variables)]
+    return float(max(poly.max_abs(variables, numerators, denominator) for poly in polys))

@@ -12,7 +12,8 @@ denominator greater than 1.  ``int`` op ``int`` stays an ``int`` and needs
 no check; only a coefficient of ``+``, ``-``, ``*`` or ``derivative``
 computed from a ``Fraction`` is folded back to an ``int`` when its
 denominator is 1.  No coefficient is divided (``int / int`` gives a float).
-Values at rational points (``substitute``) are ``Fraction`` objects.
+Values at rational points (``substitute``, ``max_abs``) are ``Fraction``
+objects.
 
 When two polynomials over different variable universes meet in an arithmetic
 operation, the universes are merged into their sorted union and both operands
@@ -39,9 +40,10 @@ is valid input for :func:`poissonlift.parser.parse_poly`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingAssignmentError, UnknownSymbolError
 
@@ -294,6 +296,42 @@ class Polynomial:
                     term *= val ** e
             total += term
         return total
+
+    def max_abs(self, variables: Sequence[str], points: Iterable[Sequence[int]],
+                denominator: int) -> Fraction:
+        """Exact maximum of ``|self(n / denominator)|`` over the integer
+        numerator tuples ``n`` in ``points``, whose entries are the values of
+        ``variables`` in that order; every variable of the polynomial must be
+        among them.
+
+        With ``top`` the total degree and ``L`` the lcm of the coefficient
+        denominators, ``L * denominator^top * self(n / denominator)`` is the
+        integer sum of ``L * c * denominator^(top - deg) * n^e`` over the
+        terms, so every point costs integer arithmetic only and a single
+        ``Fraction`` is built, from the largest of those sums."""
+        where = {v: i for i, v in enumerate(variables)}
+        missing = [v for v in self.variables if v not in where]
+        if missing:
+            raise MissingAssignmentError(f"no value for variables {missing}")
+        if not self._terms:
+            return Fraction(0)
+        top = max(map(sum, self._terms))
+        scale = math.lcm(*(c.denominator for c in self._terms.values()))
+        pos = [where[v] for v in self.variables]
+        # (scaled coefficient, point positions repeated by exponent) per term
+        terms = [(int(c * scale) * denominator ** (top - sum(exps)),
+                  [p for p, e in zip(pos, exps) for _ in range(e)])
+                 for exps, c in self._terms.items()]
+        best = 0
+        for n in points:
+            total = 0
+            for value, factors in terms:
+                for p in factors:
+                    value *= n[p]
+                total += value
+            if abs(total) > best:
+                best = abs(total)
+        return Fraction(best, scale * denominator ** top)
 
     def compose(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute a polynomial for every variable.

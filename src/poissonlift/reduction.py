@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import _linalg
 from .bialgebra import LieBialgebra, abelian_bialgebra
@@ -47,7 +47,7 @@ from .poisson import (
     sharp,
 )
 from .poly import Polynomial
-from .report import CheckReport, make_report
+from .report import CheckReport, Statement, make_report
 from .tangent import (
     CoordinateMap,
     TangentChart,
@@ -120,13 +120,6 @@ class MomentumMapData:
             "components",
             tuple(p.with_variables(self.chart.coords) for p in self.components),
         )
-
-
-class Statement(NamedTuple):
-    """The check id and the identity of one check."""
-
-    check_id: str
-    identity: str
 
 
 PGMAP_CERTIFICATION = Statement(
@@ -209,22 +202,31 @@ class Resolved:
         return tuple((tangent_generator(self, unit), tangent_generator_direct(self, unit))
                      for unit in units)
 
+    def require_poisson(self, statement: Statement) -> CheckReport | None:
+        """None when pi is Jacobi-verified, else ``statement``'s ``fail``
+        report saying that it is not; the one input the lift of pi needs."""
+        if self.pi.jacobi_verified:
+            return None
+        return _refusal(statement, "Poisson structure is not Jacobi-verified")
+
     def require(self, statement: Statement, certified: bool = True) -> CheckReport | None:
         """None when the inputs ``statement`` presupposes hold, else its
         ``fail`` report naming the first that does not: a Jacobi-verified pi,
         a verified bialgebra and, when ``certified``, zero axiom residuals."""
         if self.pg.chart != self.pi.chart:
             raise ChartMismatchError("map images and Poisson structure on different charts")
-        if not self.pi.jacobi_verified:
-            reason = "Poisson structure is not Jacobi-verified"
-        elif not self.pg.bialgebra.verified:
-            reason = "bialgebra failed (or skipped) its structure checks"
-        elif certified and (bad := [name for name, res in self.certification.items()
-                                     if not res.is_zero()]):
-            reason = f"map is not certified; failing residuals: {', '.join(bad)}"
-        else:
-            return None
-        return CheckReport(*statement, verdict="fail", residuals=(("unverified-input", reason),))
+        if refusal := self.require_poisson(statement):
+            return refusal
+        if not self.pg.bialgebra.verified:
+            return _refusal(statement, "bialgebra failed (or skipped) its structure checks")
+        if certified and (bad := [name for name, res in self.certification.items()
+                                  if not res.is_zero()]):
+            return _refusal(statement, f"map is not certified; failing residuals: {', '.join(bad)}")
+        return None
+
+
+def _refusal(statement: Statement, reason: str) -> CheckReport:
+    return CheckReport(*statement, verdict="fail", residuals=(("unverified-input", reason),))
 
 
 def certify_pgmap(r: Resolved, plan: SamplePlan | None = None) -> CheckReport:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .oracle import SamplePlan, sample_residual
 
@@ -46,6 +47,13 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.verdict != "fail"
+
+
+class Statement(NamedTuple):
+    """The check id and the identity of one check."""
+
+    check_id: str
+    identity: str
 
 
 def _is_zero(value) -> bool:

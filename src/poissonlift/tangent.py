@@ -53,7 +53,7 @@ from .errors import (
 from .oracle import SamplePlan
 from .poisson import PoissonStructure
 from .poly import Polynomial
-from .report import CheckReport, make_report
+from .report import CheckReport, Statement, make_report
 
 # Block prefixes of each bundle chart in chart order; "" is the base block.
 _BLOCKS = {
@@ -175,6 +175,8 @@ class CoordinateMap:
 
 
 def pull_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
+    if poly.is_zero():
+        return tc.total.zero_poly()
     return poly.with_variables(tc.total.coords)
 
 
@@ -335,16 +337,16 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate) -> dict[str, Polynom
     return {name: r - l for name, r, l in zip(names, rhs, lhs)}
 
 
+TANGENT_LIFT_IDENTITY = Statement(
+    "tangent-lift-identity",
+    "pi_TM# . alpha = kappa . T(pi#) on TT*M block coordinates",
+)
+
+
 def verify_tangent_lift_identity(pi: PoissonStructure, candidate,
                                  plan: SamplePlan | None = None) -> CheckReport:
     """Exact check of the lift identity; pass iff every residual is zero."""
-    residuals = tangent_lift_residuals(pi, candidate)
-    return make_report(
-        "tangent-lift-identity",
-        "pi_TM# . alpha = kappa . T(pi#) on TT*M block coordinates",
-        residuals,
-        plan=plan,
-    )
+    return make_report(*TANGENT_LIFT_IDENTITY, tangent_lift_residuals(pi, candidate), plan=plan)
 
 
 def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> CoordinateMap:

@@ -299,6 +299,22 @@ class TestMainEntry:
         assert "INFORMATIVE" in out
         assert "pi_TM" in out
 
+    @pytest.mark.parametrize("text", [
+        gl_problem(3, non_poisson=True),
+        "manifold {\n  coords: x, y, z\n  poisson: x*e_x^e_y + y*e_y^e_z\n}\n",
+    ], ids=["gl3", "xy-yz"])
+    def test_all_refuses_to_lift_a_non_poisson_bivector(self, text):
+        reports = run_checks(parse_problem(text), "all")
+        refusal = (("unverified-input", "Poisson structure is not Jacobi-verified"),)
+        assert [(rep.check_id, rep.verdict) for rep in reports] == [
+            ("poisson-jacobi", "fail"),
+            ("tangent-lift-components", "fail"),
+            ("tangent-lift-identity", "fail"),
+            ("tangent-prolongation-random", "pass"),
+            ("oracle-fd", "pass"),
+        ]
+        assert reports[1].residuals == reports[2].residuals == refusal
+
     def test_hamiltonian_command(self, capsys):
         assert main(["hamiltonian", "hamiltonian-level-set"]) == 0
         out = capsys.readouterr().out

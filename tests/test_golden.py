@@ -11,7 +11,13 @@ coefficients replaced integral Fractions in the polynomial core.  They pin
 the text a passing run never prints: nonzero residuals, rational ones among
 them, and their sample values.  The digests of refusals (a bialgebra that
 fails Jacobi, a non-Poisson pi under a map, an action that does not preserve
-omega) were recorded while the lifted checks still refused by raising.
+omega) were recorded while the lifted checks still refused by raising.  The
+digests under a rational box (``--box=-1/3,5/7``, ``--box=-7/2,9/4``) were
+recorded while sampling still evaluated every point as a Fraction.
+
+``lift``, ``verify-lift`` and ``all`` on a non-Poisson bivector raised
+before they refused; their digests were recorded with the refusal, so the
+test also pins their exit code and verdicts.
 """
 
 from __future__ import annotations
@@ -22,12 +28,18 @@ from pathlib import Path
 import pytest
 
 from poissonlift.cli import main
+from poissonlift.report import parse_reports
 
 from conftest import gl_problem
 
 VALID = Path(__file__).resolve().parent.parent / "docs" / "conformance" / "valid"
 
-FLAGS = {"default": [], "samples-7-seed-3": ["--samples", "7", "--seed", "3"]}
+FLAGS = {
+    "default": [],
+    "samples-7-seed-3": ["--samples", "7", "--seed", "3"],
+    "rational-box-samples-13": ["--box=-1/3,5/7", "--samples", "13"],
+    "wide-box-seed-5": ["--box=-7/2,9/4", "--seed", "5"],
+}
 
 DIGESTS = {
     ("catalog:aff1-cobracket", "default"): "6a5a287038fd65887abba559018d56e0e732b83624a99bd570fd2ad9c546c293",
@@ -72,17 +84,27 @@ FAILING_DIGESTS = {
     ("bracket-closure", "so3-bad-bialgebra", "default"): "c4827dcd2d42ab682715e6a9e1f338d5181c0a0126c4ae8044d7e8a69290858e",
     ("bracket-closure", "so3-bad-bialgebra", "samples-7-seed-3"): "c4827dcd2d42ab682715e6a9e1f338d5181c0a0126c4ae8044d7e8a69290858e",
     ("certify-pgmap", "gl2-perturbed", "default"): "a382cdaba387f6fbe9ac210c640ffec4878074644ef31b677d0c2a308b379de7",
+    ("certify-pgmap", "gl2-perturbed", "rational-box-samples-13"): "378d25fedade6de424ff9ff11e1fe82069e5b478904c0cedd8969ee7faa75595",
     ("certify-pgmap", "gl2-perturbed", "samples-7-seed-3"): "3203ed1e908913925cc8ce3c3c3f1718033096b7485c046d47108c291d42df7c",
+    ("certify-pgmap", "gl2-perturbed", "wide-box-seed-5"): "77258c5d68af5d91dee7593e6efb106f424c6e4b8c2c3d320e1053b389bc3ba6",
     ("certify-pgmap", "gl3-perturbed", "default"): "2880e7cfc5cc69e0be0c4fed4ad5eb6e3afd82cc08653d7c72987fd9bb30d4e9",
+    ("certify-pgmap", "gl3-perturbed", "rational-box-samples-13"): "39f0a6f94940cd391da9b7611055246864b52738d2a07ccc15852d645852959f",
     ("certify-pgmap", "gl3-perturbed", "samples-7-seed-3"): "fc119624f2f2368bfaef77403e106c930c8bbe70a6b365c047c0703ffd9604bd",
+    ("certify-pgmap", "gl3-perturbed", "wide-box-seed-5"): "739749d6298beb7fab4be04ab07d611f38416f313c6077f031ddc35bc607cab4",
     ("certify-pgmap", "so3-bad-bialgebra", "default"): "9beae4f5109c9a5b3586d3215350f02dc522f244592208f351e463c46a3af7c8",
     ("certify-pgmap", "so3-bad-bialgebra", "samples-7-seed-3"): "9beae4f5109c9a5b3586d3215350f02dc522f244592208f351e463c46a3af7c8",
     ("characteristic-identity", "gl2-perturbed", "default"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
+    ("characteristic-identity", "gl2-perturbed", "rational-box-samples-13"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
     ("characteristic-identity", "gl2-perturbed", "samples-7-seed-3"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
+    ("characteristic-identity", "gl2-perturbed", "wide-box-seed-5"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
     ("characteristic-identity", "gl3-perturbed", "default"): "a23cee038b5b509fe1aa7dd21097dd63630cc98c5c3d27ff4e8ffffb9c99a895",
+    ("characteristic-identity", "gl3-perturbed", "rational-box-samples-13"): "a23cee038b5b509fe1aa7dd21097dd63630cc98c5c3d27ff4e8ffffb9c99a895",
     ("characteristic-identity", "gl3-perturbed", "samples-7-seed-3"): "a23cee038b5b509fe1aa7dd21097dd63630cc98c5c3d27ff4e8ffffb9c99a895",
+    ("characteristic-identity", "gl3-perturbed", "wide-box-seed-5"): "a23cee038b5b509fe1aa7dd21097dd63630cc98c5c3d27ff4e8ffffb9c99a895",
     ("check-poisson", "gl3-non-poisson", "default"): "2276d9f4a0331e9c66748981b7ea88e334045e7d72fc5d2b855d5ebd4bba2dec",
+    ("check-poisson", "gl3-non-poisson", "rational-box-samples-13"): "301a1d998b9dc7e8b3f914646632b5fc6649b7369b6beabec617386a4fd70624",
     ("check-poisson", "gl3-non-poisson", "samples-7-seed-3"): "8172885872d4208b21e4e84f7db6d5255c03634ded9a41385ad4d926a2a55a92",
+    ("check-poisson", "gl3-non-poisson", "wide-box-seed-5"): "98b5a7616af8a602828812b35a6ab9d8619b0e6ae9b9b214c8de2664c11c3472",
     ("check-poisson", "rational-residual", "default"): "68083eeca1f01723b2be39e5d09cf32b3e327b1d96829bf4d96a24bb9fcec03a",
     ("check-poisson", "rational-residual", "samples-7-seed-3"): "4bf67cf463efa0121af27b75752dd32c77de727bc7b56a9efff1d0c51c495c7c",
     ("symplectic", "non-symplectic-action", "default"): "963b3b8674b6a7d7ae4c2a6529bd45c3f3e2a54bac41e947e3c99c8f64635f00",
@@ -93,8 +115,27 @@ FAILING_DIGESTS = {
     ("tangent-generator", "gl3-perturbed", "samples-7-seed-3"): "be400124efcae4d5b8c704b2e6145f99fd33ea26da03d4a7bb4ea00663b95899",
 }
 
-# problems of FAILING_DIGESTS that are not gl(n) problems
+_REFUSED = ("fail", "fail", "fail", "pass", "pass")  # check-poisson, lift, verify-lift, lemma, oracle-fd
+
+# (command, problem, flags) -> (verdicts, digest); every run exits 1
+NON_POISSON_DIGESTS = {
+    ("lift", "gl3-non-poisson", "default"): (("fail",), "ae9be80b777289dcb6b1998103605a05c90f6c840749537da324169a6863e5c0"),
+    ("lift", "gl3-non-poisson", "samples-7-seed-3"): (("fail",), "ae9be80b777289dcb6b1998103605a05c90f6c840749537da324169a6863e5c0"),
+    ("lift", "xy-yz-non-poisson", "default"): (("fail",), "ae9be80b777289dcb6b1998103605a05c90f6c840749537da324169a6863e5c0"),
+    ("lift", "xy-yz-non-poisson", "samples-7-seed-3"): (("fail",), "ae9be80b777289dcb6b1998103605a05c90f6c840749537da324169a6863e5c0"),
+    ("verify-lift", "gl3-non-poisson", "default"): (("fail",), "3823552fba83b160e99ab5253747673335fd0ae7b87ccf42010bacdf8f30b068"),
+    ("verify-lift", "gl3-non-poisson", "samples-7-seed-3"): (("fail",), "3823552fba83b160e99ab5253747673335fd0ae7b87ccf42010bacdf8f30b068"),
+    ("verify-lift", "xy-yz-non-poisson", "default"): (("fail",), "3823552fba83b160e99ab5253747673335fd0ae7b87ccf42010bacdf8f30b068"),
+    ("verify-lift", "xy-yz-non-poisson", "samples-7-seed-3"): (("fail",), "3823552fba83b160e99ab5253747673335fd0ae7b87ccf42010bacdf8f30b068"),
+    ("all", "gl3-non-poisson", "default"): (_REFUSED, "d86cd571513abc6085b7767fb663a793dcec6f715e18c4d5b376439a4a964abd"),
+    ("all", "gl3-non-poisson", "samples-7-seed-3"): (_REFUSED, "9838af183668e0b315e986281ec6e09c3585b20d3c5808d51e76571b1e3122b3"),
+    ("all", "xy-yz-non-poisson", "default"): (_REFUSED, "8cc3391e5a5fc4f160bc81d25f7549b8fcbee8d8cae57e56fd44a0baae006c9d"),
+    ("all", "xy-yz-non-poisson", "samples-7-seed-3"): (_REFUSED, "f4d622f3c256025cccdb0521004cd4277ecb5686b099c41ef47cff7ab1aa308d"),
+}
+
+# problems of FAILING_DIGESTS and NON_POISSON_DIGESTS that are not gl(n) problems
 TEXTS = {
+    "xy-yz-non-poisson": "manifold {\n  coords: x, y, z\n  poisson: x*e_x^e_y + y*e_y^e_z\n}\n",
     "rational-residual": "manifold {\n  coords: x, y, z\n  poisson: 1/2*x*e_x^e_y + 1/3*y*e_y^e_z\n}\n",
     # refusals: a bialgebra failing Jacobi, a non-Poisson pi, a non-symplectic action
     "so3-bad-bialgebra": (
@@ -129,11 +170,15 @@ def _problem_arg(key: str, tmp_path: Path) -> str:
     return str(path)
 
 
-def _digest(args: list[str], key: str, flags: str, tmp_path: Path, capsys) -> tuple[int, str]:
+def _run(args: list[str], key: str, flags: str, tmp_path: Path, capsys) -> tuple[int, str, bytes]:
     report = tmp_path / "report.txt"
     code = main([*args, _problem_arg(key, tmp_path), "--report", str(report), *FLAGS[flags]])
-    stdout = capsys.readouterr().out
-    return code, hashlib.sha256(stdout.encode("utf-8") + report.read_bytes()).hexdigest()
+    return code, capsys.readouterr().out, report.read_bytes()
+
+
+def _digest(args: list[str], key: str, flags: str, tmp_path: Path, capsys) -> tuple[int, str]:
+    code, stdout, report = _run(args, key, flags, tmp_path, capsys)
+    return code, hashlib.sha256(stdout.encode("utf-8") + report).hexdigest()
 
 
 @pytest.mark.parametrize("key,flags", sorted(DIGESTS))
@@ -144,6 +189,16 @@ def test_all_output_matches_recorded_digest(key, flags, tmp_path, capsys):
 @pytest.mark.parametrize("command,key,flags", sorted(FAILING_DIGESTS))
 def test_failing_output_matches_recorded_digest(command, key, flags, tmp_path, capsys):
     assert _digest([command], key, flags, tmp_path, capsys) == (1, FAILING_DIGESTS[(command, key, flags)])
+
+
+@pytest.mark.parametrize("command,key,flags", sorted(NON_POISSON_DIGESTS))
+def test_non_poisson_output_matches_recorded_digest(command, key, flags, tmp_path, capsys):
+    verdicts, digest = NON_POISSON_DIGESTS[(command, key, flags)]
+    code, stdout, report = _run([command], key, flags, tmp_path, capsys)
+    assert code == 1
+    assert tuple(rep.verdict for rep in parse_reports(report.decode("utf-8"))) == verdicts
+    assert "Traceback" not in stdout
+    assert hashlib.sha256(stdout.encode("utf-8") + report).hexdigest() == digest
 
 
 def test_digests_cover_every_valid_file():

@@ -104,6 +104,32 @@ class TestSampleResidual:
             Fraction(-2) <= x <= Fraction(2) for point in plan.points(3) for x in point
         )
 
+    def test_first_points_pinned(self):
+        # recorded while points were still drawn as Fractions one by one
+        assert SamplePlan.uniform(seed=2026).points(2, limit=3) == [
+            (Fraction(-1073, 1024), Fraction(569, 1024)),
+            (Fraction(-151, 128), Fraction(-219, 1024)),
+            (Fraction(1397, 1024), Fraction(1973, 1024)),
+        ]
+        plan = SamplePlan.uniform(count=5, seed=2026, lo=Fraction(-1, 3), hi=Fraction(5, 7))
+        assert plan.points(2, limit=3) == [
+            (Fraction(-3611, 43008), Fraction(4817, 14336)),
+            (Fraction(-91, 768), Fraction(5783, 43008)),
+            (Fraction(7853, 14336), Fraction(9965, 14336)),
+        ]
+        box = ((Fraction(-1, 3), Fraction(5, 7)), (Fraction(0), Fraction(0)), (Fraction(-7, 2), Fraction(9, 4)))
+        assert SamplePlan(5, 11, box).points(3, limit=2) == [
+            (Fraction(26419, 43008), Fraction(0), Fraction(27779, 16384)),
+            (Fraction(923, 14336), Fraction(0), Fraction(32287, 16384)),
+        ]
+
+    def test_points_are_the_stream_over_its_denominator(self):
+        plan = SamplePlan(9, 4, ((Fraction(-1, 3), Fraction(5, 7)), (Fraction(1, 6), Fraction(3, 2))))
+        denominator, numerators = plan.stream(2)
+        assert denominator == 4096 * 42
+        assert plan.points(2) == [tuple(Fraction(n, denominator) for n in point) for point in numerators]
+        assert plan.stream(2, limit=4) == (denominator, numerators[:4])
+
     def test_limited_stream_is_a_prefix(self):
         plan = SamplePlan.uniform(count=10, seed=5)
         assert plan.points(3, limit=4) == plan.points(3)[:4]
@@ -120,14 +146,17 @@ def test_symbolic_zero_always_samples_zero(chart_qp):
 
 
 def _count_points(monkeypatch) -> list[int]:
+    """Record the variable count of every integer stream drawn; sampling
+    draws its points through ``SamplePlan.stream``, and ``points`` is a view
+    of the same stream."""
     calls = []
-    original = SamplePlan.points
+    original = SamplePlan.stream
 
     def counted(self, nvars, limit=None):
         calls.append(nvars)
         return original(self, nvars, limit)
 
-    monkeypatch.setattr(SamplePlan, "points", counted)
+    monkeypatch.setattr(SamplePlan, "stream", counted)
     return calls
 
 
@@ -154,6 +183,56 @@ def test_one_report_draws_each_stream_once(monkeypatch, chart_qp):
     report = make_report("shared", "streams", residuals, plan=plan)
     assert sorted(calls) == [2, 3]
     assert list(report.samples) == expected
+
+
+_BOXES = {
+    "default": ((Fraction(-2), Fraction(2)),),
+    "rational": ((Fraction(-1, 3), Fraction(5, 7)),),
+    "per-coordinate": ((Fraction(-7, 2), Fraction(9, 4)), (Fraction(0), Fraction(1, 5)),
+                       (Fraction(-1, 3), Fraction(5, 7))),
+    "zero-width": ((Fraction(0), Fraction(0)),),
+    "zero-width-rational": ((Fraction(2, 3), Fraction(2, 3)),),
+}
+
+
+@pytest.mark.parametrize("box", sorted(_BOXES))
+@pytest.mark.parametrize("seed", [0, 17])
+def test_max_abs_agrees_with_substitution(box, seed):
+    """Second route: the integer kernel against Fraction substitution at
+    every point of the plan's Fraction view."""
+    rng = random.Random(seed)
+    coords = ("q", "p", "r")
+    plan = SamplePlan(25, seed, _BOXES[box])
+    denominator, numerators = plan.stream(len(coords))
+    points = plan.points(len(coords))
+    polys = [rand_poly(rng, coords, max_degree=4) for _ in range(6)]
+    polys += [
+        parse_poly("1/3*q^2*p - 5/7*r + 2", coords),  # Fraction coefficients
+        parse_poly("-3", coords),  # constant
+        parse_poly("-2/9", coords),
+        parse_poly("0", coords),
+        parse_poly("p^3 - 1/4*q*r", ("r", "q", "p")),  # another variable order
+        parse_poly("1/2*r^2 - q", ("q", "r")),  # a sub-universe of the stream's
+    ]
+    for poly in polys:
+        expected = max(abs(poly.substitute(dict(zip(coords, point)))) for point in points)
+        assert poly.max_abs(coords, numerators, denominator) == expected
+
+
+def test_max_abs_needs_every_variable():
+    with pytest.raises(MissingAssignmentError):
+        parse_poly("q*s", ("q", "s")).max_abs(("q", "p"), [(1, 2)], 4096)
+
+
+def test_sampled_tensor_is_the_largest_component_value(chart_qp):
+    plan = SamplePlan(40, 3, ((Fraction(-1, 3), Fraction(5, 7)),))
+    form = parse_form("q^2*dq + (1/3*p - q)*dp", chart_qp)
+    expected = max(
+        abs(poly.substitute(dict(zip(chart_qp.coords, point))))
+        for point in plan.points(chart_qp.dim)
+        for poly in form.components.values()
+    )
+    assert sample_residual(form, plan) == float(expected)
 
 
 def test_invalid_plans_rejected():

@@ -28,6 +28,7 @@ from poissonlift import (
     lie_poisson,
     parse_form,
     parse_multivector,
+    parse_poly,
     so3_bialgebra,
     tangent_chart,
     tulczyjew_alpha,
@@ -41,6 +42,7 @@ from poissonlift.tangent import (
     one_form_as_covector_map,
     one_form_lift_residuals,
     one_form_prolongation,
+    pull_poly,
 )
 
 from conftest import count_polynomial_calls, rand_form, rand_multivector, rand_poly
@@ -92,6 +94,13 @@ class TestBasePullback:
     def test_two_form(self, chart_qp, tc_qp):
         pulled = base_pullback(tc_qp, parse_form("dq^dp", chart_qp))
         assert pulled == parse_form("dq^dp", tc_qp.total)
+
+    def test_zero_polynomial_is_the_kept_zero(self, chart_qp, tc_qp):
+        assert pull_poly(tc_qp, chart_qp.zero_poly()) is tc_qp.total.zero_poly()
+        assert pull_poly(tc_qp, parse_poly("q - q", ("q",))) is tc_qp.total.zero_poly()
+        pulled = pull_poly(tc_qp, parse_poly("q*p", chart_qp.coords))
+        assert pulled == tc_qp.total.coord_poly("q") * tc_qp.total.coord_poly("p")
+        assert pulled.variables == tc_qp.total.coords
 
 
 class TestVerticalContraction:
