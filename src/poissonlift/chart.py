@@ -115,9 +115,8 @@ class _Tensor:
                 raise DegreeError(f"index {key} out of range for chart {chart.coords}")
             if list(key) != sorted(set(key)):
                 raise DegreeError(f"index {key} must be strictly increasing")
-            if not isinstance(poly, Polynomial):
-                poly = Polynomial.constant(poly, chart.coords)
-            poly = poly.with_variables(chart.coords)
+            poly = (poly.with_variables(chart.coords) if isinstance(poly, Polynomial)
+                    else Polynomial.constant(poly, chart.coords))
             if not poly.is_zero():
                 canon[key] = canon[key] + poly if key in canon else poly
         self.chart = chart
@@ -144,8 +143,6 @@ class _Tensor:
 
     @classmethod
     def from_poly(cls, chart: Chart, poly: Polynomial | int | Fraction):
-        if not isinstance(poly, Polynomial):
-            poly = Polynomial.constant(poly, chart.coords)
         return cls(chart, 0, {(): poly})
 
     @classmethod
@@ -220,14 +217,12 @@ class _Tensor:
         if isinstance(scalar, _Tensor):
             raise KindMismatchError("use wedge() for tensor products")
         coords = self.chart.coords
-        if not isinstance(scalar, Polynomial):
-            scalar = Polynomial.constant(scalar, coords)
-        comps = {}
-        for k, p in self._components.items():
-            product = (p * scalar).with_variables(coords)
-            if not product.is_zero():
-                comps[k] = product
-        return self._make(self.chart, self.degree, comps)
+        scalar = (scalar.with_variables(coords) if isinstance(scalar, Polynomial)
+                  else Polynomial.constant(scalar, coords))
+        if scalar.is_zero():
+            return self._make(self.chart, self.degree, {})
+        # Q[x] has no zero divisors: no product of nonzero components vanishes
+        return self._make(self.chart, self.degree, {k: p * scalar for k, p in self._components.items()})
 
     __rmul__ = __mul__
 

@@ -8,10 +8,10 @@ Polynomial grammar (ASCII):
     primary := INT ('/' INT)? | IDENT | '(' expr ')'
 
 Integers are unsigned digit runs, identifiers match
-``[A-Za-z_][A-Za-z0-9_]*``, ``^`` takes a nonnegative integer literal, and
-``/`` only forms rational literals between two integers.  Implicit
-multiplication is not allowed.  Every identifier must belong to the declared
-variable list.
+``[A-Za-z_][A-Za-z0-9_]*``, ``^`` takes a nonnegative integer literal below
+``poly.EXPONENT_LIMIT`` (2^31), and ``/`` only forms rational literals
+between two integers.  Implicit multiplication is not allowed.  Every
+identifier must belong to the declared variable list.
 
 Tensor literals extend the grammar inside a term: an identifier ``d<coord>``
 names a coordinate 1-form and ``e_<coord>`` a coordinate vector field; basis
@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .chart import Chart, DifferentialForm, Multivector
 from .errors import DegreeError, ParseError, UnknownSymbolError
-from .poly import Polynomial
+from .poly import EXPONENT_LIMIT, Polynomial
 
 _OPS = set("+-*^/()")
 
@@ -177,6 +177,8 @@ class _Parser:
             exp_tok = self.peek()
             if exp_tok.kind != "int":
                 raise ParseError("'^' takes a nonnegative integer literal", position=exp_tok.pos)
+            if int(exp_tok.text) >= EXPONENT_LIMIT:
+                raise ParseError(f"exponent must be below {EXPONENT_LIMIT}", position=exp_tok.pos)
             self.advance()
             return base ** int(exp_tok.text)
         return base

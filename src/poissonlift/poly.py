@@ -1,10 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a pair (variables, terms): ``variables`` is an ordered tuple
-of symbol names and ``terms`` maps exponent tuples (one nonnegative int per
-variable) to nonzero rational coefficients.  The zero polynomial has an
-empty term map.  All values are immutable and every operation is a pure
-function, so polynomials can be shared freely between threads.
+of symbol names and ``terms`` maps monomials to nonzero rational
+coefficients.  The zero polynomial has an empty term map.  All values are
+immutable and every operation is a pure function, so polynomials can be
+shared freely between threads.
 
 A coefficient has exactly one form, the one :func:`rational` gives: an
 ``int`` when it is an integer, otherwise a ``fractions.Fraction`` with
@@ -15,23 +15,30 @@ denominator is 1.  No coefficient is divided (``int / int`` gives a float).
 Values at rational points (``substitute``, ``max_abs``) are ``Fraction``
 objects.
 
-When two polynomials over different variable universes meet in an arithmetic
-operation, the universes are merged into their sorted union and both operands
-are re-indexed.  Operands over identical universes are combined directly, so
-code that fixes a chart's coordinate order up front keeps that order.
+A monomial key is one ``int`` holding the exponent of the i-th variable in
+bits ``[i*W, (i+1)*W)``, ``W = 32``: a multiply adds keys, ``derivative``
+subtracts a unit and ``used_variables`` ORs them.  Exponents stay below
+``EXPONENT_LIMIT = 2^(W-1)``, so two add without a carry, and an exponent
+that reaches bit W-1 of its field (the guard) is a ``ValueError``.  A key
+does not depend on how many variables follow, so re-indexing onto an
+extension ``vs`` of the universe ``u`` (``vs[:len(u)] == u``) shares the
+term map: polynomials on a base chart cross for free into its bundle
+charts, whose coordinates begin with the base's.  Operands over different
+universes meet on the longer one when it extends the other, and otherwise
+on their sorted union.  The universe order is read only where positions
+become names: printing, the dense exponent tuples of ``terms`` and of the
+public constructor, and evaluation, so sampled values follow it too.
 
 Construction has two paths.  The public constructor ``Polynomial(variables,
 terms)`` validates everything: distinct variable names, exponent tuples of
-the right length with nonnegative entries, coefficients brought to their one
-form, repeated keys summed and zeros dropped.  Arithmetic results are built
-by the internal ``Polynomial._make(variables, terms)`` instead, which trusts
-its input and sets the slots directly.  It relies on the invariant that
-``variables`` is a tuple of distinct names and ``terms`` is a dict whose keys
-are int tuples of length ``len(variables)`` with nonnegative entries and whose
-values are nonzero coefficients in their one form.  ``_make`` takes ownership
-of that dict: the caller must have built it freshly and must not keep or
-mutate it, since the polynomial shares it and would otherwise stop being
-immutable.
+the right length with entries in ``[0, EXPONENT_LIMIT)``, coefficients
+brought to their one form, repeated keys summed and zeros dropped.
+Arithmetic results are built by the internal ``Polynomial._make(variables,
+terms)``, which trusts that ``variables`` are distinct names and that
+``terms`` maps keys with no field at or past ``len(variables)`` to nonzero
+coefficients in their one form.  ``_make`` takes ownership of that dict;
+no term map is mutated once a polynomial holds it, so polynomials share
+them freely.
 
 For printing, terms are ordered graded-lexicographically (total degree first,
 then exponents against the variable order), highest first.  The printed form
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingAssignmentError, UnknownSymbolError
@@ -50,6 +57,15 @@ from .errors import MissingAssignmentError, UnknownSymbolError
 Exponents = tuple[int, ...]
 
 Rational = int | Fraction
+
+W = 32  # bits per exponent field of a monomial key
+EXPONENT_LIMIT = 1 << (W - 1)  # every exponent is below this
+_FIELD = (1 << W) - 1
+
+
+@cache
+def _guard(n: int) -> int:  # bit W-1 of each of the first n fields
+    return sum(EXPONENT_LIMIT << (i * W) for i in range(n))
 
 
 def rational(value) -> Rational:
@@ -76,19 +92,20 @@ class Polynomial:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Rational]):
         vs = _universe(variables)
-        canon: dict[Exponents, Rational] = {}
+        canon: dict[int, Rational] = {}
         for exps, coeff in terms.items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != len(vs):
-                raise ValueError(f"exponent tuple {key} does not match variables {vs}")
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != len(vs):
+                raise ValueError(f"exponent tuple {exps} does not match variables {vs}")
+            if any(not 0 <= e < EXPONENT_LIMIT for e in exps):
+                raise ValueError(f"exponent in {exps} is negative or not below {EXPONENT_LIMIT}")
+            key = sum(e << (i * W) for i, e in enumerate(exps))
             canon[key] = canon.get(key, 0) + rational(coeff)
         self.variables = vs
         self._terms = {k: rational(c) for k, c in canon.items() if c}
 
     @classmethod
-    def _make(cls, variables: tuple[str, ...], terms: dict[Exponents, Rational]) -> "Polynomial":
+    def _make(cls, variables: tuple[str, ...], terms: dict[int, Rational]) -> "Polynomial":
         """Trusted constructor for canonical data (see the module docstring);
         the new polynomial owns ``terms``."""
         poly = object.__new__(cls)
@@ -104,9 +121,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Rational, variables: Iterable[str] = ()) -> "Polynomial":
-        vs = _universe(variables)
         c = rational(value)
-        return cls._make(vs, {(0,) * len(vs): c} if c else {})
+        return cls._make(_universe(variables), {0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> "Polynomial":
@@ -114,73 +130,76 @@ class Polynomial:
         vs = _universe(variables) if variables is not None else (name,)
         if name not in vs:
             raise UnknownSymbolError(f"variable {name!r} not in {vs}")
-        exps = [0] * len(vs)
-        exps[vs.index(name)] = 1
-        return cls._make(vs, {tuple(exps): 1})
+        return cls._make(vs, {1 << (vs.index(name) * W): 1})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> dict[Exponents, Rational]:
-        return dict(self._terms)
+        """The term map keyed by dense exponent tuples over ``variables``."""
+        shifts = range(0, len(self.variables) * W, W)
+        return {tuple((key >> s) & _FIELD for s in shifts): c for key, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self._terms)
+        return self._terms.keys() <= {0}
 
     def constant_value(self) -> Rational:
         """Value of a constant polynomial (the constant term in general)."""
-        zero = (0,) * len(self.variables)
-        return self._terms.get(zero, 0)
+        return self._terms.get(0, 0)
 
     def used_variables(self) -> tuple[str, ...]:
         """The variables that occur in some term, in universe order; the
         partial derivative by any other variable of the universe is zero."""
-        used = {i for exps in self._terms for i, e in enumerate(exps) if e}
-        return tuple(v for i, v in enumerate(self.variables) if i in used)
+        used, names = 0, []
+        for key in self._terms:
+            used |= key
+        while used:  # one pass per used variable, lowest field first
+            i = ((used & -used).bit_length() - 1) // W
+            names.append(self.variables[i])
+            used &= ~(_FIELD << (i * W))
+        return tuple(names)
 
     def degree_in(self, names: Iterable[str]) -> int:
         """Maximum combined exponent of the given variables over all terms."""
-        idx = [self.variables.index(n) for n in names if n in self.variables]
-        if not self._terms or not idx:
-            return 0
-        return max(sum(exps[i] for i in idx) for exps in self._terms)
+        shifts = [self.variables.index(n) * W for n in names if n in self.variables]
+        return max((sum((key >> s) & _FIELD for s in shifts) for key in self._terms), default=0)
 
     # -- variable universe handling ----------------------------------------
 
     def with_variables(self, variables: Iterable[str]) -> "Polynomial":
-        """Re-index over a larger (or reordered) universe.
-
-        Every variable currently in use must appear in the new universe.
-        """
+        """Re-index onto a universe that holds every current variable; onto an
+        extension of the current universe the term map is shared."""
         vs = tuple(variables)
         if vs == self.variables:
             return self
         vs = _universe(vs)
+        if vs[:len(self.variables)] == self.variables:
+            return Polynomial._make(vs, self._terms)
         where = {v: i for i, v in enumerate(vs)}
         missing = [v for v in self.variables if v not in where]
         if missing:
             raise UnknownSymbolError(f"variables {missing} absent from target universe {vs}")
-        pos = [where[v] for v in self.variables]
-        terms: dict[Exponents, Rational] = {}
-        for exps, coeff in self._terms.items():
-            out = [0] * len(vs)
-            for p, e in zip(pos, exps):
-                out[p] = e
-            terms[tuple(out)] = coeff
-        return Polynomial._make(vs, terms)
+        moves = [(i * W, where[v] * W) for i, v in enumerate(self.variables)]
+        return Polynomial._make(vs, {sum(((key >> src) & _FIELD) << dst for src, dst in moves): c
+                                     for key, c in self._terms.items()})
 
     @staticmethod
     def _aligned(a: "Polynomial", b: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if a.variables == b.variables:
+        va, vb = a.variables, b.variables
+        if va == vb:
             return a, b
-        merged = tuple(sorted(set(a.variables) | set(b.variables)))
+        if vb[:len(va)] == va:
+            return Polynomial._make(vb, a._terms), b
+        if va[:len(vb)] == vb:
+            return a, Polynomial._make(va, b._terms)
+        merged = tuple(sorted(set(va) | set(vb)))
         return a.with_variables(merged), b.with_variables(merged)
 
     @staticmethod
-    def _coerce(value, variables: Exponents | tuple[str, ...]) -> "Polynomial":
+    def _coerce(value, variables: tuple[str, ...]) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
         if isinstance(value, Rational):
@@ -196,16 +215,16 @@ class Polynomial:
         if not a._terms:
             return b
         terms = dict(a._terms)
-        for exps, coeff in b._terms.items():
-            c = terms.get(exps)
+        for key, coeff in b._terms.items():
+            c = terms.get(key)
             if c is None:
-                terms[exps] = coeff
+                terms[key] = coeff
             else:
                 c += coeff
                 if c:
-                    terms[exps] = c if type(c) is int or c.denominator != 1 else c.numerator
+                    terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
                 else:
-                    del terms[exps]
+                    del terms[key]
         return Polynomial._make(a.variables, terms)
 
     __radd__ = __add__
@@ -218,16 +237,16 @@ class Polynomial:
         if not b._terms:
             return a
         terms = dict(a._terms)
-        for exps, coeff in b._terms.items():
-            c = terms.get(exps)
+        for key, coeff in b._terms.items():
+            c = terms.get(key)
             if c is None:
-                terms[exps] = -coeff
+                terms[key] = -coeff
             else:
                 c -= coeff
                 if c:
-                    terms[exps] = c if type(c) is int or c.denominator != 1 else c.numerator
+                    terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
                 else:
-                    del terms[exps]
+                    del terms[key]
         return Polynomial._make(a.variables, terms)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -235,10 +254,10 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         a, b = self._aligned(self, self._coerce(other, self.variables))
-        terms: dict[Exponents, Rational] = {}
-        for ea, ca in a._terms.items():
-            for eb, cb in b._terms.items():
-                key = tuple(map(add, ea, eb))
+        terms: dict[int, Rational] = {}
+        for ka, ca in a._terms.items():
+            for kb, cb in b._terms.items():
+                key = ka + kb
                 c = terms.get(key)
                 if c is None:
                     terms[key] = ca * cb
@@ -248,9 +267,13 @@ class Polynomial:
                         terms[key] = c
                     else:
                         del terms[key]
+        used = 0
         for key, c in terms.items():
+            used |= key
             if type(c) is not int and c.denominator == 1:
                 terms[key] = c.numerator
+        if used & _guard(len(a.variables)):
+            raise ValueError(f"a product exponent is not below {EXPONENT_LIMIT}")
         return Polynomial._make(a.variables, terms)
 
     __rmul__ = __mul__
@@ -271,15 +294,15 @@ class Polynomial:
         """Formal partial derivative with respect to ``name``."""
         if name not in self.variables:
             raise UnknownSymbolError(f"unknown variable {name!r}; have {self.variables}")
-        i = self.variables.index(name)
+        shift = self.variables.index(name) * W
+        unit = 1 << shift
         # lowering one exponent is injective on the terms that contain it
-        terms: dict[Exponents, Rational] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[i]
+        terms: dict[int, Rational] = {}
+        for key, coeff in self._terms.items():
+            e = (key >> shift) & _FIELD
             if e:
                 c = coeff * e
-                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = (
-                    c if type(c) is int or c.denominator != 1 else c.numerator)
+                terms[key - unit] = c if type(c) is int or c.denominator != 1 else c.numerator
         return Polynomial._make(self.variables, terms)
 
     def substitute(self, assignment: Mapping[str, Rational]) -> Fraction:
@@ -289,7 +312,7 @@ class Polynomial:
             raise MissingAssignmentError(f"no value for variables {missing}")
         values = [Fraction(assignment[v]) for v in self.variables]
         total = Fraction(0)
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.terms.items():
             term = coeff
             for val, e in zip(values, exps):
                 if e:
@@ -315,13 +338,14 @@ class Polynomial:
             raise MissingAssignmentError(f"no value for variables {missing}")
         if not self._terms:
             return Fraction(0)
-        top = max(map(sum, self._terms))
-        scale = math.lcm(*(c.denominator for c in self._terms.values()))
+        dense = self.terms
+        top = max(map(sum, dense))
+        scale = math.lcm(*(c.denominator for c in dense.values()))
         pos = [where[v] for v in self.variables]
         # (scaled coefficient, point positions repeated by exponent) per term
         terms = [(int(c * scale) * denominator ** (top - sum(exps)),
                   [p for p, e in zip(pos, exps) for _ in range(e)])
-                 for exps, c in self._terms.items()]
+                 for exps, c in dense.items()]
         best = 0
         for n in points:
             total = 0
@@ -345,10 +369,9 @@ class Polynomial:
         used = self.used_variables()
         universe = tuple(sorted(set().union(*(images[v].variables for v in used))))
         lifted = {v: images[v].with_variables(universe) for v in used}
-        unit = (0,) * len(universe)
         acc = Polynomial._make(universe, {})
-        for exps, coeff in self._terms.items():
-            term = Polynomial._make(universe, {unit: coeff})
+        for exps, coeff in self.terms.items():
+            term = Polynomial._make(universe, {0: coeff})
             for v, e in zip(self.variables, exps):
                 if e:
                     term = term * lifted[v] ** e
@@ -367,14 +390,12 @@ class Polynomial:
 
     __hash__ = None  # mutable-dict-backed value; identity-free semantics
 
-    def _sorted_terms(self) -> list[tuple[Exponents, Rational]]:
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
     def to_string(self) -> str:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for exps, coeff in self._sorted_terms():
+        graded_lex = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        for exps, coeff in graded_lex:
             factors = []
             for v, e in zip(self.variables, exps):
                 if e == 1:

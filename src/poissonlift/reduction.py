@@ -115,11 +115,8 @@ class MomentumMapData:
     components: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "components",
-            tuple(p.with_variables(self.chart.coords) for p in self.components),
-        )
+        object.__setattr__(self, "components",
+                           tuple(p.with_variables(self.chart.coords) for p in self.components))
 
 
 PGMAP_CERTIFICATION = Statement(
@@ -481,7 +478,6 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
     v = tc.coord_polys[chart.dim:]
     flat = [tc.total.zero_poly() for _ in chart.coords]
     for (a, b), w in omega.two_form._components.items():
-        w = w.with_variables(tc.total.coords)
         flat[b] = flat[b] + v[a] * w
         flat[a] = flat[a] - v[b] * w
     flat_images: dict[str, Polynomial] = {c: tc.total.coord_poly(c) for c in chart.coords}
@@ -491,7 +487,7 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
     for index, field in enumerate(generators):
         j_fun = tstar.zero_poly()
         for (k,), comp in field._components.items():
-            j_fun = j_fun + tstar.coord_poly(f"p_{chart.coords[k]}") * comp.with_variables(tstar.coords)
+            j_fun = j_fun + tstar.coord_poly(f"p_{chart.coords[k]}") * comp
         j_through_flat = j_fun.compose(flat_images)
         residuals[f"relation[{pg.bialgebra.basis[index]}]"] = c_polys[index] + j_through_flat
     return make_report(

@@ -138,11 +138,8 @@ class CoordinateMap:
             raise DimensionMismatchError(
                 f"{len(self.components)} components for target of dim {self.target.dim}"
             )
-        object.__setattr__(
-            self,
-            "components",
-            tuple(p.with_variables(self.source.coords) for p in self.components),
-        )
+        object.__setattr__(self, "components",
+                           tuple(p.with_variables(self.source.coords) for p in self.components))
 
     def compose(self, inner: "CoordinateMap") -> "CoordinateMap":
         """self after inner."""
@@ -172,12 +169,7 @@ class CoordinateMap:
 
 
 # -- pullback along the bundle projection ----------------------------------
-
-
-def pull_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
-    if poly.is_zero():
-        return tc.total.zero_poly()
-    return poly.with_variables(tc.total.coords)
+# A base polynomial already is one on every bundle chart over it (see poly).
 
 
 def _require_base(tc: TangentChart, omega: DifferentialForm) -> None:
@@ -191,15 +183,14 @@ def _complete_lift_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
     """f^c = v_k d_k f on the tangent chart, for f on the base chart."""
     total = tc.total.zero_poly()
     for ck in poly.used_variables():
-        total = total + tc.fiber_poly(ck) * pull_poly(tc, poly.derivative(ck))
+        total = total + tc.fiber_poly(ck) * poly.derivative(ck)
     return total
 
 
 def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
     """Pull a form on the base back along TM -> M (components unchanged)."""
     _require_base(tc, omega)
-    comps = {idx: pull_poly(tc, p) for idx, p in omega._components.items()}
-    return DifferentialForm._make(tc.total, omega.degree, comps)
+    return DifferentialForm(tc.total, omega.degree, omega._components)
 
 
 # -- tangent derivations -----------------------------------------------------
@@ -258,7 +249,7 @@ def complete_lift_vf(tc: TangentChart, field: Multivector) -> Multivector:
     n = tc.dim
     comps: dict[tuple[int, ...], Polynomial] = {}
     for (i,), poly in field.components.items():
-        comps[(i,)] = pull_poly(tc, poly)
+        comps[(i,)] = poly
         comps[(n + i,)] = _complete_lift_poly(tc, poly)
     return Multivector(tc.total, 1, comps)
 
@@ -275,13 +266,10 @@ def complete_lift_bivector(pi: PoissonStructure, tc: TangentChart) -> PoissonStr
     n = tc.dim
     comps = {}
     for (i, j), p in pi.bivector._components.items():
-        pulled = pull_poly(tc, p)
-        comps[(i, n + j)] = pulled
-        comps[(j, n + i)] = -pulled
-        lifted = _complete_lift_poly(tc, p)
-        if not lifted.is_zero():
-            comps[(n + i, n + j)] = lifted
-    return PoissonStructure(Multivector._make(tc.total, 2, dict(sorted(comps.items()))))
+        comps[(i, n + j)] = p
+        comps[(j, n + i)] = -p
+        comps[(n + i, n + j)] = _complete_lift_poly(tc, p)
+    return PoissonStructure(Multivector(tc.total, 2, dict(sorted(comps.items()))))
 
 
 # -- identity checks -----------------------------------------------------------
@@ -304,22 +292,18 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate) -> dict[str, Polynom
     z = [zchart.coord_poly(c) for c in zchart.coords]
     p, qdot, pdot = z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
 
-    def on_z(poly: Polynomial) -> Polynomial:
-        return poly.with_variables(zchart.coords)
-
     # right-hand side: kappa . T(pi#), from both orientations of each stored
     # pi^(ab): slot j gets p_i pi^(ij) and slot n + j gets
     # pdot_i pi^(ij) + p_i qdot_k d_k pi^(ij), with pi^(ba) = -pi^(ab)
     rhs = [zchart.zero_poly() for _ in range(2 * n)]  # qdot block, then vdot block
     for (a, b), c in pi.bivector._components.items():
-        cz = on_z(c)
         dc = zchart.zero_poly()  # qdot_k d_k pi^(ab)
         for k, partial in _gradient(base, c).items():
-            dc = dc + on_z(partial) * qdot[k]
-        rhs[b] = rhs[b] + p[a] * cz
-        rhs[a] = rhs[a] - p[b] * cz
-        rhs[n + b] = rhs[n + b] + pdot[a] * cz + p[a] * dc
-        rhs[n + a] = rhs[n + a] - pdot[b] * cz - p[b] * dc
+            dc = dc + partial * qdot[k]
+        rhs[b] = rhs[b] + p[a] * c
+        rhs[a] = rhs[a] - p[b] * c
+        rhs[n + b] = rhs[n + b] + pdot[a] * c + p[a] * dc
+        rhs[n + a] = rhs[n + a] - pdot[b] * c - p[b] * dc
 
     # left-hand side: pi_TM# . alpha, with alpha(q, p, qdot, pdot) the covector
     # at (q, v=qdot) whose dq-coefficients xi are pdot and dv-coefficients p,
@@ -329,7 +313,7 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate) -> dict[str, Polynom
     xi = pdot + p
     lhs = [zchart.zero_poly() for _ in range(2 * n)]
     for (a, b), c in cand._components.items():
-        cz = on_z(Polynomial(q_qdot, c.terms))
+        cz = Polynomial(q_qdot, c.terms).with_variables(zchart.coords)
         lhs[b] = lhs[b] + xi[a] * cz
         lhs[a] = lhs[a] - xi[b] * cz
 
@@ -356,8 +340,9 @@ def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> Coordina
     n = tc.dim
     src = tc.total
     q_v = list(tc.coord_polys)
-    theta_comp = [theta.component((i,)) for i in range(n)]
-    comps = (q_v[:n] + [pull_poly(tc, t) for t in theta_comp]
+    # a missing component is the total chart's kept zero, which needs no re-index
+    theta_comp = [theta._components.get((i,), src.zero_poly()) for i in range(n)]
+    comps = (q_v[:n] + theta_comp
              + q_v[n:] + [_complete_lift_poly(tc, t) for t in theta_comp])
     return CoordinateMap(src, bundle_chart(tc.base, "TT*"), tuple(comps))
 

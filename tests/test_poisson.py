@@ -15,6 +15,7 @@ import pytest
 
 from poissonlift import (
     Chart,
+    CoordinateMap,
     DifferentialForm,
     Multivector,
     Polynomial,
@@ -505,6 +506,8 @@ def test_kernels_match_dense_references(dim):
                 dense = _dense_lift_residuals(bivector, cand)
                 assert residuals == dense
                 assert list(residuals) == list(dense)
+                # == ignores the universe, but the sampled stream does not
+                assert all(r.variables == bundle_chart(chart, "TT*").coords for r in residuals.values())
         for a_degree in range(dim + 1):
             for b_degree in range(dim + 1):
                 a = rand_multivector(rng, chart, a_degree, max_degree=2)
@@ -546,6 +549,14 @@ def test_kernels_keep_their_errors(chart_qp, chart_xyz, so3):
         poisson_bracket(so3, chart_xyz.coord_poly("y"), parse_poly("0", ("w",)))
     with pytest.raises(ChartMismatchError):
         d_T(tangent_chart(chart_xyz), DifferentialForm.from_poly(chart_qp, chart_qp.coord_poly("q")))
+    # a polynomial off the chart's universe is refused at every entry point
+    w = Polynomial.variable("w")
+    with pytest.raises(UnknownSymbolError):
+        parse_multivector("x*e_x", chart_xyz) * w
+    with pytest.raises(UnknownSymbolError):
+        Multivector.from_terms(chart_xyz, 1, [((0,), w)])
+    with pytest.raises(UnknownSymbolError):
+        CoordinateMap(chart_xyz, chart_qp, (chart_xyz.coord_poly("x"), w))
 
 
 # -- a second route for poisson-jacobi ---------------------------------------------

@@ -59,6 +59,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_poly("q^(2)", ("q", "p"))
 
+    def test_power_literal_below_the_exponent_limit(self):
+        # refused before a single multiplication, at the literal's position
+        with pytest.raises(ParseError) as err:
+            parse_poly("p + q^2147483648", ("q", "p"))
+        assert err.value.position == 6
+        assert parse_poly("q^200000", ("q",)).terms == {(200000,): 1}
+
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
             parse_poly("2 q", ("q",))
@@ -137,6 +144,18 @@ class TestPublicConstructor:
     def test_negative_exponent(self):
         with pytest.raises(ValueError):
             Polynomial(("q", "p"), {(1, -1): 1})
+
+    def test_exponent_past_the_field_is_an_error_not_a_carry(self):
+        with pytest.raises(ValueError):
+            Polynomial(("q",), {(2**31,): 1})
+        big = Polynomial(("q", "p"), {(2**30, 0): 1})
+        assert (big * Polynomial.variable("q", ("q", "p"))).terms == {(2**30 + 1, 0): 1}
+        with pytest.raises(ValueError):
+            big * big
+        with pytest.raises(ValueError):
+            Polynomial(("q",), {(2**30,): 1}) ** 2
+        with pytest.raises(ValueError):
+            Polynomial(("p", "q"), {(0, 2**30): 1}) ** 2
 
     def test_wrong_length_key(self):
         with pytest.raises(ValueError):

@@ -68,3 +68,29 @@ def test_substitute_matches_sympy():
         )
         value = a.substitute(point)
         assert value == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
+
+
+@pytest.mark.parametrize("left,right,universe", [
+    (("q",), ("q", "p", "r"), ("q", "p", "r")),  # one extends the other: the longer one
+    (("p",), ("q", "r"), ("p", "q", "r")),  # neither does: the sorted union
+])
+def test_mixed_universes_match_sympy(left, right, universe):
+    rng = random.Random(15)
+    for _ in range(CASES // 2):
+        a = rand_poly(rng, left, max_degree=3, terms=4)
+        b = rand_poly(rng, right, max_degree=3, terms=4)
+        sa, sb = to_sympy(a), to_sympy(b)
+        for x, y, sx, sy in ((a, b, sa, sb), (b, a, sb, sa)):
+            for got, expected in ((x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy)):
+                assert same(got, expected) and got.variables == universe
+        for v in universe:
+            got = (a * b).derivative(v)
+            assert same(got, sympy.diff(sa * sb, sympy.Symbol(v))) and got.variables == universe
+        # every image is over the merged universe; compose keeps its own rule,
+        # the sorted union of the images' universes
+        images = {v: b + Polynomial.variable(v, left) * rand_fraction(rng) for v in left}
+        expected = sa.subs({sympy.Symbol(v): to_sympy(image) for v, image in images.items()},
+                           simultaneous=True)
+        got = a.compose(images)
+        assert same(got, expected)
+        assert got.variables == (tuple(sorted(universe)) if a.used_variables() else ())

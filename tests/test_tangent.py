@@ -42,7 +42,6 @@ from poissonlift.tangent import (
     one_form_as_covector_map,
     one_form_lift_residuals,
     one_form_prolongation,
-    pull_poly,
 )
 
 from conftest import count_polynomial_calls, rand_form, rand_multivector, rand_poly
@@ -96,11 +95,19 @@ class TestBasePullback:
         assert pulled == parse_form("dq^dp", tc_qp.total)
 
     def test_zero_polynomial_is_the_kept_zero(self, chart_qp, tc_qp):
-        assert pull_poly(tc_qp, chart_qp.zero_poly()) is tc_qp.total.zero_poly()
-        assert pull_poly(tc_qp, parse_poly("q - q", ("q",))) is tc_qp.total.zero_poly()
-        pulled = pull_poly(tc_qp, parse_poly("q*p", chart_qp.coords))
-        assert pulled == tc_qp.total.coord_poly("q") * tc_qp.total.coord_poly("p")
+        # a base polynomial meets a bundle polynomial on the bundle's universe,
+        # which extends the base's, so no key is rebuilt
+        zero = tc_qp.total.zero_poly()
+        assert zero + chart_qp.zero_poly() is zero
+        assert zero + parse_poly("q - q", ("q",)) is zero
+        p = parse_poly("q*p", chart_qp.coords)
+        pulled = zero + p
         assert pulled.variables == tc_qp.total.coords
+        assert pulled._terms is p._terms
+        assert pulled == tc_qp.total.coord_poly("q") * tc_qp.total.coord_poly("p")
+        # the missing dp-component of dq is the kept zero in both of its blocks
+        prolonged = one_form_prolongation(tc_qp, parse_form("dq", chart_qp))
+        assert prolonged.components[3] is zero and prolonged.components[7] is zero
 
 
 class TestVerticalContraction:
@@ -444,7 +451,9 @@ class TestOneFormLiftIdentity:
                     for name, lhs, rhs in zip(composed.target.coords, composed.components,
                                               direct.components)
                 }
-                assert one_form_lift_residuals(tc, theta) == expected
+                residuals = one_form_lift_residuals(tc, theta)
+                assert residuals == expected
+                assert all(r.variables == tc.total.coords for r in residuals.values())
 
     def test_verify_lemma_composes_no_polynomials(self, monkeypatch):
         assert _compose_calls(monkeypatch, "verify-lemma") == []
