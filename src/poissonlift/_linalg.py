@@ -1,4 +1,9 @@
-"""Exact linear algebra over Fraction matrices (small sizes only)."""
+"""Exact linear algebra on small matrices: the rank of an integer matrix by
+fraction-free elimination, and the inverse of a rational one by Gauss-Jordan
+elimination over ``Fraction``.
+
+Scaling a row by a nonzero integer keeps the rank, so a rational matrix is
+ranked by clearing each row's denominators first."""
 
 from __future__ import annotations
 
@@ -45,21 +50,25 @@ def invert(mat) -> Matrix:
     return [row[n:] for row in a]
 
 
-def rank(mat) -> int:
-    return len(_rref(mat)[1])
-
-
-def kernel_basis(mat) -> list[list[Fraction]]:
-    """Basis of the right null space of a rows-by-cols matrix."""
-    a, pivots = _rref(mat)
-    cols = len(a[0]) if a else 0
-    basis = []
-    for f in range(cols):
-        if f in pivots:
+def rank(mat: list[list[int]]) -> int:
+    """Rank of an integer matrix by Bareiss elimination (Math. Comp. 22,
+    1968): after r pivots every entry below them is an (r+1)-minor, so the
+    division by the previous pivot is exact and entries stay integers."""
+    a = [list(row) for row in mat]
+    rows, cols = len(a), len(a[0]) if a else 0
+    r, prev = 0, 1
+    for col in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][col]), None)
+        if pivot is None:
             continue
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -a[row_idx][f]
-        basis.append(vec)
-    return basis
+        a[r], a[pivot] = a[pivot], a[r]
+        top = a[r]
+        p = top[col]
+        for i in range(r + 1, rows):
+            row, f = a[i], a[i][col]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        r += 1
+    return r

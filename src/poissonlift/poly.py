@@ -13,7 +13,8 @@ no check; only a coefficient of ``+``, ``-``, ``*`` or ``derivative``
 computed from a ``Fraction`` is folded back to an ``int`` when its
 denominator is 1.  No coefficient is divided (``int / int`` gives a float).
 Values at rational points (``substitute``, ``max_abs``) are ``Fraction``
-objects.
+objects; ``scaled_values`` gives them at many points as integers over one
+common denominator.
 
 A monomial key is one ``int`` holding the exponent of the i-th variable in
 bits ``[i*W, (i+1)*W)``, ``W = 32``: a multiply adds keys, ``derivative``
@@ -320,24 +321,23 @@ class Polynomial:
             total += term
         return total
 
-    def max_abs(self, variables: Sequence[str], points: Iterable[Sequence[int]],
-                denominator: int) -> Fraction:
-        """Exact maximum of ``|self(n / denominator)|`` over the integer
-        numerator tuples ``n`` in ``points``, whose entries are the values of
-        ``variables`` in that order; every variable of the polynomial must be
-        among them.
+    def scaled_values(self, variables: Sequence[str], points: Iterable[Sequence[int]],
+                      denominator: int) -> tuple[list[int], int]:
+        """Integers ``N`` and one ``M`` with ``self(n / denominator) = N / M``
+        at every integer numerator tuple ``n`` in ``points``, whose entries
+        are the values of ``variables`` in that order; every variable of the
+        polynomial must be among them.
 
         With ``top`` the total degree and ``L`` the lcm of the coefficient
-        denominators, ``L * denominator^top * self(n / denominator)`` is the
-        integer sum of ``L * c * denominator^(top - deg) * n^e`` over the
-        terms, so every point costs integer arithmetic only and a single
-        ``Fraction`` is built, from the largest of those sums."""
+        denominators, ``M = L * denominator^top`` and ``N`` is the integer sum
+        of ``L * c * denominator^(top - deg) * n^e`` over the terms, so every
+        point costs integer arithmetic only."""
         where = {v: i for i, v in enumerate(variables)}
         missing = [v for v in self.variables if v not in where]
         if missing:
             raise MissingAssignmentError(f"no value for variables {missing}")
         if not self._terms:
-            return Fraction(0)
+            return [0 for _ in points], 1
         dense = self.terms
         top = max(map(sum, dense))
         scale = math.lcm(*(c.denominator for c in dense.values()))
@@ -346,16 +346,22 @@ class Polynomial:
         terms = [(int(c * scale) * denominator ** (top - sum(exps)),
                   [p for p, e in zip(pos, exps) for _ in range(e)])
                  for exps, c in dense.items()]
-        best = 0
+        values = []
         for n in points:
             total = 0
             for value, factors in terms:
                 for p in factors:
                     value *= n[p]
                 total += value
-            if abs(total) > best:
-                best = abs(total)
-        return Fraction(best, scale * denominator ** top)
+            values.append(total)
+        return values, scale * denominator ** top
+
+    def max_abs(self, variables: Sequence[str], points: Iterable[Sequence[int]],
+                denominator: int) -> Fraction:
+        """Exact maximum of ``|self(n / denominator)|`` over the points of
+        :meth:`scaled_values`, built as a single ``Fraction``."""
+        values, scale = self.scaled_values(variables, points, denominator)
+        return Fraction(max(map(abs, values), default=0), scale)
 
     def compose(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute a polynomial for every variable.

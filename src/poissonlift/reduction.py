@@ -21,6 +21,7 @@ certification step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,7 +47,7 @@ from .poisson import (
     poisson_bracket,
     sharp,
 )
-from .poly import Polynomial
+from .poly import Polynomial, rational
 from .report import CheckReport, Statement, make_report
 from .tangent import (
     CoordinateMap,
@@ -370,48 +371,59 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
     the parametrization annihilate d_T(J), and conversely every annihilating
     vector lies in the parametrization's tangent span (exact rank test).
 
+    At a sample, G is dJ at its image (k x n) and C the parametrization's
+    Jacobian (n x m).  Once ``require_zero_level`` has shown J o phi = 0,
+    the chain rule gives G.C = d(J o phi) = 0, so the forward test (G.C = 0,
+    entry by entry) fails only on an internal error.  G maps span C onto
+    span(G.C), so dim(ker G + span C) = n - rank G + rank(G.C), and ker G
+    lies in span C exactly when rank C = n - rank G + rank(G.C).  Every
+    entry is evaluated once over all samples on one denominator; scaling a
+    row of G or a column of C to integers keeps the three ranks.
+
     Samples where the differential of J drops rank are reported as
     RankDeficient and make the verdict informative rather than pass/fail.
+    A sample needs one coordinate per parameter.
     """
     chart = momentum.chart
     require_zero_level(momentum, parametrization)
-    jac = parametrization.jacobian()  # [chart.dim][param.dim]
-    grads = [[j_comp.derivative(c) for c in chart.coords] for j_comp in momentum.components]
-    m = parametrization.source.dim
-    n = chart.dim
-    residuals: dict[str, Fraction] = {}
-    informative_entries: list[tuple[str, str]] = []
-    failures = 0
+    params = parametrization.source.coords
+    m, n, k = len(params), chart.dim, len(momentum.components)
+    samples = [[rational(x) for x in s] for s in samples]
     for s_index, s in enumerate(samples):
-        assignment = dict(zip(parametrization.source.coords, (Fraction(x) for x in s)))
-        point = [p.substitute(assignment) for p in parametrization.components]
-        point_assignment = dict(zip(chart.coords, point))
-        jac_at = [[entry.substitute(assignment) for entry in row] for row in jac]
-        grad_at = [[entry.substitute(point_assignment) for entry in row] for row in grads]
+        if len(s) != m:
+            raise DimensionMismatchError(f"sample {s_index} has {len(s)} coordinates, need {m}")
+    den = math.lcm(*(x.denominator for s in samples for x in s))
+    points = [[x.numerator * (den // x.denominator) for x in s] for s in samples]
+    (image,), (image_den,) = _scaled_entries([parametrization.components], params, points, den)
+    # rows of G and columns of C, each scaled to integers by one factor
+    g_values, g_scales = _scaled_entries(
+        [[j_comp.derivative(c) for c in chart.coords] for j_comp in momentum.components],
+        chart.coords, list(zip(*image)), image_den)
+    c_values, c_scales = _scaled_entries(list(zip(*parametrization.jacobian())), params, points, den)
+    residuals: dict[str, Fraction | int] = {}
+    informative_entries: list[tuple[str, str]] = []
+    for s_index in range(len(samples)):
+        g = [[entry[s_index] for entry in row] for row in g_values]
+        c_t = [[entry[s_index] for entry in col] for col in c_values]
+        pushforward = [[sum(x * y for x, y in zip(g_row, col)) for col in c_t] for g_row in g]
         # forward: pushforward directions annihilate d_T(J)
         for a in range(m):
-            direction = [jac_at[i][a] for i in range(n)]
-            for gi, grad in enumerate(grad_at):
-                value = sum((g * d for g, d in zip(grad, direction)), Fraction(0))
-                if value != 0:
-                    failures += 1
-                    residuals[f"pushforward[sample {s_index}, dir {a}, J_{gi}]"] = value
+            for gi in range(k):
+                if pushforward[gi][a]:
+                    residuals[f"pushforward[sample {s_index}, dir {a}, J_{gi}]"] = Fraction(
+                        pushforward[gi][a], g_scales[gi] * c_scales[a])
         # converse: kernel of dJ at the point is spanned by the pushforwards
-        if _linalg.rank(grad_at) < len(momentum.components):
+        g_rank = _linalg.rank(g)
+        if g_rank < k:
             informative_entries.append(
                 (f"RankDeficient[sample {s_index}]",
                  "differential of J drops rank at this level-set point")
             )
             continue
-        columns = [[jac_at[i][a] for i in range(n)] for a in range(m)]
-        span_rank = _linalg.rank([list(col) for col in zip(*columns)]) if columns else 0
-        for kv in _linalg.kernel_basis(grad_at):
-            stacked = [list(row) for row in zip(*(columns + [kv]))] if columns else [[x] for x in kv]
-            if _linalg.rank(stacked) != span_rank:
-                failures += 1
-                residuals[f"kernel-not-spanned[sample {s_index}]"] = Fraction(1)
+        if _linalg.rank(c_t) != n - g_rank + _linalg.rank(pushforward):
+            residuals[f"kernel-not-spanned[sample {s_index}]"] = 1
     entries = [(name, str(value)) for name, value in residuals.items()]
-    if failures:
+    if entries:
         verdict = "fail"
     elif informative_entries:
         verdict = "informative"
@@ -424,6 +436,20 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
         residuals=tuple(entries + informative_entries),
         samples=(),
     )
+
+
+def _scaled_entries(rows: Sequence[Sequence[Polynomial]], variables: Sequence[str],
+                    points: list[Sequence[int]], den: int) -> tuple[list[list[list[int]]], list[int]]:
+    """A matrix of polynomials at the points ``n / den`` of ``points``:
+    ``values[r][j][s]`` is entry (r, j) at point s times ``scales[r]``, the
+    lcm of row r's denominators, so each value is an integer."""
+    values, scales = [], []
+    for row in rows:
+        evaluated = [p.scaled_values(variables, points, den) for p in row]
+        scale = math.lcm(*(m for _, m in evaluated))
+        values.append([[v * (scale // m) for v in entry] for entry, m in evaluated])
+        scales.append(scale)
+    return values, scales
 
 
 # -- symplectic actions --------------------------------------------------------------------

@@ -13,7 +13,10 @@ them, and their sample values.  The digests of refusals (a bialgebra that
 fails Jacobi, a non-Poisson pi under a map, an action that does not preserve
 omega) were recorded while the lifted checks still refused by raising.  The
 digests under a rational box (``--box=-1/3,5/7``, ``--box=-7/2,9/4``) were
-recorded while sampling still evaluated every point as a Fraction.
+recorded while sampling still evaluated every point as a Fraction.  The
+level-set digests (a failing, an informative and a two-component passing
+``hamiltonian`` run) were recorded while the tangency check still ran
+Fraction RREF and a kernel basis at every sample.
 
 ``lift``, ``verify-lift`` and ``all`` on a non-Poisson bivector raised
 before they refused; their digests were recorded with the refusal, so the
@@ -133,7 +136,21 @@ NON_POISSON_DIGESTS = {
     ("all", "xy-yz-non-poisson", "samples-7-seed-3"): (_REFUSED, "f4d622f3c256025cccdb0521004cd4277ecb5686b099c41ef47cff7ab1aa308d"),
 }
 
-# problems of FAILING_DIGESTS and NON_POISSON_DIGESTS that are not gl(n) problems
+# (command, problem, flags) -> (exit code, digest): level-set tangency runs
+# that do not pass, and one with two momentum components
+LEVEL_SET_DIGESTS = {
+    ("hamiltonian", "kernel-not-spanned", "default"): (1, "d2659a4b55ddf7557abb0002f00ed629d15e032d5f6ed42948f5d8e2533cf4de"),
+    ("hamiltonian", "kernel-not-spanned", "rational-box-samples-13"): (1, "1543876c57de3c010a9e3d37819b5fea6761975c597b16d42369682c6ab83c41"),
+    ("hamiltonian", "rank-deficient", "default"): (0, "f742c5ce4442d1c888b0cbdadd1610146d66c87195d95ec07f9db31803bb5927"),
+    ("hamiltonian", "rank-deficient", "rational-box-samples-13"): (0, "570958956af8fd23b5a616cee5c68390285b0247e05ceff3f3534d1689c098cc"),
+    ("hamiltonian", "two-J", "default"): (0, "08064a8cc159cd567e3f82e300f8752d80221c2e7da9a2e48a92ebe223f9a7e3"),
+    ("hamiltonian", "two-J", "rational-box-samples-13"): (0, "08064a8cc159cd567e3f82e300f8752d80221c2e7da9a2e48a92ebe223f9a7e3"),
+}
+
+_LEVEL_SET_AT_ORIGIN = "levelset {\n  params: s\n  map: 0, 0\n}\n"
+
+# problems of FAILING_DIGESTS, NON_POISSON_DIGESTS and LEVEL_SET_DIGESTS that
+# are not gl(n) problems
 TEXTS = {
     "xy-yz-non-poisson": "manifold {\n  coords: x, y, z\n  poisson: x*e_x^e_y + y*e_y^e_z\n}\n",
     "rational-residual": "manifold {\n  coords: x, y, z\n  poisson: 1/2*x*e_x^e_y + 1/3*y*e_y^e_z\n}\n",
@@ -150,6 +167,22 @@ TEXTS = {
     ),
     "non-symplectic-action": (
         "manifold { coords: q, p; symplectic: dq^dp }\nbialgebra { basis: e1 }\naction { e1 = q*e_q }\n"
+    ),
+    # dJ = dp has kernel e_q, which a constant map does not span: fail
+    "kernel-not-spanned": (
+        "manifold {\n  coords: q, p\n  poisson: e_q^e_p\n}\nbialgebra { basis: e1 }\n"
+        "momentum { e1 = p }\n" + _LEVEL_SET_AT_ORIGIN
+    ),
+    # dJ vanishes at the origin: informative
+    "rank-deficient": (
+        "manifold {\n  coords: q, p\n  poisson: e_q^e_p\n}\nbialgebra { basis: e1 }\n"
+        "momentum { e1 = 1/2*q^2 + 1/2*p^2 }\n" + _LEVEL_SET_AT_ORIGIN
+    ),
+    # two components with rational values and a non-affine map: pass
+    "two-J": (
+        "manifold {\n  coords: a, b, c, d\n  poisson: e_a^e_c + e_b^e_d\n}\n"
+        "bialgebra { basis: e1, e2 }\nmomentum { e1 = c - 1/3; e2 = d*(a + 1) }\n"
+        "levelset {\n  params: s, t\n  map: s^2 - t, 2/5*t, 1/3, 0\n}\n"
     ),
 }
 
@@ -199,6 +232,11 @@ def test_non_poisson_output_matches_recorded_digest(command, key, flags, tmp_pat
     assert tuple(rep.verdict for rep in parse_reports(report.decode("utf-8"))) == verdicts
     assert "Traceback" not in stdout
     assert hashlib.sha256(stdout.encode("utf-8") + report).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,key,flags", sorted(LEVEL_SET_DIGESTS))
+def test_level_set_output_matches_recorded_digest(command, key, flags, tmp_path, capsys):
+    assert _digest([command], key, flags, tmp_path, capsys) == LEVEL_SET_DIGESTS[(command, key, flags)]
 
 
 def test_digests_cover_every_valid_file():

@@ -199,7 +199,8 @@ _BOXES = {
 @pytest.mark.parametrize("seed", [0, 17])
 def test_max_abs_agrees_with_substitution(box, seed):
     """Second route: the integer kernel against Fraction substitution at
-    every point of the plan's Fraction view."""
+    every point of the plan's Fraction view, value by value and as the
+    maximum."""
     rng = random.Random(seed)
     coords = ("q", "p", "r")
     plan = SamplePlan(25, seed, _BOXES[box])
@@ -215,13 +216,24 @@ def test_max_abs_agrees_with_substitution(box, seed):
         parse_poly("1/2*r^2 - q", ("q", "r")),  # a sub-universe of the stream's
     ]
     for poly in polys:
-        expected = max(abs(poly.substitute(dict(zip(coords, point)))) for point in points)
-        assert poly.max_abs(coords, numerators, denominator) == expected
+        expected = [poly.substitute(dict(zip(coords, point))) for point in points]
+        values, scale = poly.scaled_values(coords, numerators, denominator)
+        assert all(type(v) is int for v in values) and type(scale) is int and scale > 0
+        assert [Fraction(v, scale) for v in values] == expected
+        assert poly.max_abs(coords, numerators, denominator) == max(map(abs, expected))
 
 
 def test_max_abs_needs_every_variable():
     with pytest.raises(MissingAssignmentError):
         parse_poly("q*s", ("q", "s")).max_abs(("q", "p"), [(1, 2)], 4096)
+    with pytest.raises(MissingAssignmentError):
+        parse_poly("q*s", ("q", "s")).scaled_values(("q", "p"), [(1, 2)], 4096)
+
+
+def test_scaled_values_without_points():
+    assert parse_poly("q - 1/2", ("q",)).scaled_values(("q",), [], 6) == ([], 12)
+    assert parse_poly("0", ("q",)).scaled_values(("q",), iter([(1,), (2,)]), 6) == ([0, 0], 1)
+    assert parse_poly("q", ("q",)).max_abs(("q",), [], 6) == 0
 
 
 def test_sampled_tensor_is_the_largest_component_value(chart_qp):

@@ -7,6 +7,7 @@ below is computed by hand from those conventions in the adjacent comment.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -49,8 +50,11 @@ from poissonlift import (
     tangent_generator_check,
     tangent_generator_direct,
 )
+from poissonlift import _linalg
 from poissonlift.errors import DimensionMismatchError, LevelSetError
 from poissonlift.reduction import bracket_closure_residuals, characteristic_identity_residuals
+
+from conftest import rand_fraction, rand_poly
 
 
 @pytest.fixture
@@ -351,6 +355,210 @@ class TestLevelSetTangency:
         )
         with pytest.raises(LevelSetError):
             level_set_tangency_check(momentum, param, [(1,)])
+
+    @pytest.mark.parametrize("sample", [(), (1, 99), (1, 99, 7)])
+    def test_rejects_sample_of_wrong_length(self, chart_qp, sample):
+        momentum = MomentumMapData(chart_qp, (chart_qp.coord_poly("p"),))
+        param = CoordinateMap(
+            Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("0", ("s",)))
+        )
+        with pytest.raises(DimensionMismatchError):
+            level_set_tangency_check(momentum, param, [(1,), sample])
+
+    def test_without_components_the_level_set_is_the_chart(self, chart_qp):
+        # J^-1(0) is all of M, so a curve does not span its tangent space
+        param = CoordinateMap(
+            Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("0", ("s",)))
+        )
+        report = level_set_tangency_check(MomentumMapData(chart_qp, ()), param, [(2,)])
+        assert report.verdict == "fail"
+        assert report.residuals == (("kernel-not-spanned[sample 0]", "1"),)
+
+
+# -- the tangency check against its Fraction route ---------------------------------------
+# The route below is the check as it ran before it moved to integers: Fraction
+# substitution at every sample, RREF, a kernel basis of dJ and one rank per kernel
+# vector.  It takes no zero-level guard, so it also runs on maps off the level.
+
+
+def _fraction_rref(mat):
+    a = [[Fraction(x) for x in row] for row in mat]
+    rows, cols = len(a), len(a[0]) if a else 0
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        p = a[r][col]
+        a[r] = [x / p for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][col] != 0:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def _fraction_rank(mat):
+    return len(_fraction_rref(mat)[1])
+
+
+def _fraction_kernel_basis(mat):
+    a, pivots = _fraction_rref(mat)
+    cols = len(a[0]) if a else 0
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for row_idx, pcol in enumerate(pivots):
+            vec[pcol] = -a[row_idx][f]
+        basis.append(vec)
+    return basis
+
+
+def _fraction_level_set_route(momentum, parametrization, samples):
+    """(verdict, residuals) of the Fraction route."""
+    chart = momentum.chart
+    jac = parametrization.jacobian()
+    grads = [[j_comp.derivative(c) for c in chart.coords] for j_comp in momentum.components]
+    m = parametrization.source.dim
+    n = chart.dim
+    residuals = {}
+    informative_entries = []
+    failures = 0
+    for s_index, s in enumerate(samples):
+        assignment = dict(zip(parametrization.source.coords, (Fraction(x) for x in s)))
+        point = [p.substitute(assignment) for p in parametrization.components]
+        point_assignment = dict(zip(chart.coords, point))
+        jac_at = [[entry.substitute(assignment) for entry in row] for row in jac]
+        grad_at = [[entry.substitute(point_assignment) for entry in row] for row in grads]
+        for a in range(m):
+            direction = [jac_at[i][a] for i in range(n)]
+            for gi, grad in enumerate(grad_at):
+                value = sum((g * d for g, d in zip(grad, direction)), Fraction(0))
+                if value != 0:
+                    failures += 1
+                    residuals[f"pushforward[sample {s_index}, dir {a}, J_{gi}]"] = value
+        if _fraction_rank(grad_at) < len(momentum.components):
+            informative_entries.append(
+                (f"RankDeficient[sample {s_index}]",
+                 "differential of J drops rank at this level-set point")
+            )
+            continue
+        columns = [[jac_at[i][a] for i in range(n)] for a in range(m)]
+        span_rank = _fraction_rank([list(col) for col in zip(*columns)]) if columns else 0
+        for kv in _fraction_kernel_basis(grad_at):
+            stacked = [list(row) for row in zip(*(columns + [kv]))] if columns else [[x] for x in kv]
+            if _fraction_rank(stacked) != span_rank:
+                failures += 1
+                residuals[f"kernel-not-spanned[sample {s_index}]"] = Fraction(1)
+    entries = [(name, str(value)) for name, value in residuals.items()]
+    verdict = "fail" if failures else "informative" if informative_entries else "pass"
+    return verdict, tuple(entries + informative_entries)
+
+
+def _small_poly(rng, variables, max_degree):
+    return rand_poly(rng, variables, max_degree if variables else 0)
+
+
+def _random_level_set(rng):
+    """A random zero level and its parametrization, as the graph of a map:
+    coordinates x_0..x_(d-1) are g(s), every later x_i is f_i(g(s)), and
+    J_k = sum_i A_ki(x) (x_i - f_i(x_0..x_(d-1))) vanishes on the image."""
+    n, m = rng.randint(1, 4), rng.randint(0, 3)
+    d = rng.randint(0, min(m, n))
+    k = n - d if 1 <= n - d <= 3 and rng.random() < 0.6 else rng.randint(1, 3)
+    xs = tuple(f"x{i}" for i in range(n))
+    ss = tuple(f"s{a}" for a in range(m))
+    chart, source = Chart("X", xs), Chart("S", ss)
+    free = [
+        (rand_fraction(rng, 3) or 1) * source.coord_poly(ss[i]) + _small_poly(rng, ss, 2)
+        if rng.random() < 0.8 else _small_poly(rng, ss, 2)
+        for i in range(d)
+    ]
+    graph = [_small_poly(rng, xs[:d], 2) for _ in range(d, n)]
+    on_source = [f.compose(dict(zip(xs[:d], free))) for f in graph]
+    param = CoordinateMap(source, chart, tuple(free + on_source))
+    components = []
+    for _ in range(k):
+        j = chart.zero_poly()
+        for i, f in zip(range(d, n), graph):
+            if rng.random() < 0.8:
+                j = j + _small_poly(rng, xs, 1) * (chart.coord_poly(xs[i]) - f)
+        components.append(j)
+    samples = [tuple(rand_fraction(rng, 3) for _ in range(m)) for _ in range(4)]
+    return MomentumMapData(chart, tuple(components)), param, samples
+
+
+class TestLevelSetAgainstFractionRoute:
+    def test_zero_levels_agree(self):
+        rng = random.Random(20261018)
+        verdicts = []
+        for _ in range(150):
+            momentum, param, samples = _random_level_set(rng)
+            report = level_set_tangency_check(momentum, param, samples)
+            expected = _fraction_level_set_route(momentum, param, samples)
+            assert (report.verdict, report.residuals) == expected
+            verdicts.append(report.verdict)
+        assert set(verdicts) == {"pass", "fail", "informative"}
+
+    def test_off_the_level_agree(self, monkeypatch):
+        """With the zero-level guard bypassed, G.C is nonzero: both routes
+        report the same exact pushforward values and the same spans."""
+        import poissonlift.reduction as reduction
+
+        monkeypatch.setattr(reduction, "require_zero_level", lambda momentum, param: param)
+        rng = random.Random(7)
+        pushforwards = 0
+        for _ in range(60):
+            momentum, param, samples = _random_level_set(rng)
+            bumped = list(param.components)
+            i = rng.randrange(len(bumped))
+            bumped[i] = bumped[i] + _small_poly(rng, param.source.coords, 2)
+            param = CoordinateMap(param.source, param.target, tuple(bumped))
+            report = level_set_tangency_check(momentum, param, samples)
+            assert (report.verdict, report.residuals) == _fraction_level_set_route(momentum, param, samples)
+            pushforwards += any(name.startswith("pushforward") for name, _ in report.residuals)
+        assert pushforwards > 10
+
+
+class TestIntegerRank:
+    def test_against_fraction_rref(self):
+        rng = random.Random(3)
+        for _ in range(400):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+            mat = [[rand_fraction(rng, 3) if rng.random() < 0.7 else Fraction(0) for _ in range(cols)]
+                   for _ in range(rows)]
+            if rows > 1 and rng.random() < 0.3:
+                mat[-1] = list(mat[0])  # a repeated row
+            if rows and rng.random() < 0.2:
+                mat[0] = [x * rng.randint(-3, 3) for x in mat[-1]]  # a multiple of another row
+            # clearing each row's denominators keeps the rank
+            scaled = []
+            for row in mat:
+                lcm = math.lcm(*(x.denominator for x in row))
+                scaled.append([int(x * lcm) for x in row])
+            assert _linalg.rank(scaled) == (_fraction_rank(mat) if cols else 0)
+
+    @pytest.mark.parametrize("mat,expected", [
+        ([], 0),
+        ([[]], 0),
+        ([[], []], 0),
+        ([[0, 0], [0, 0], [0, 0]], 0),
+        ([[0, 3, -6]], 1),
+        ([[0], [0], [5]], 1),
+        ([[1, 2, 3], [1, 2, 3], [2, 4, 6]], 1),
+        ([[0, 2, 1], [0, 4, 3], [0, 6, 4]], 2),
+        ([[2, 3], [4, 5]], 2),
+    ])
+    def test_small_cases(self, mat, expected):
+        assert _linalg.rank(mat) == expected
 
 
 class TestSymplecticAction:
