@@ -18,7 +18,7 @@ from .chart import (
     schouten_bracket,
     wedge,
 )
-from .oracle import SamplePlan, eval_tensor, fd_derivative_check, sample_residual
+from .oracle import SamplePlan, fd_derivative_check, sample_residual
 from .parser import parse_form, parse_multivector, parse_poly
 from .poisson import (
     PoissonStructure,

@@ -184,8 +184,8 @@ def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan) -> list[Ch
         )
     ]
     if problem.levelset is not None:
-        samples = plan.points(problem.levelset.source.dim)
-        reports.append(level_set_tangency_check(momentum, problem.levelset, samples))
+        denominator, points = plan.stream(problem.levelset.source.dim)
+        reports.append(level_set_tangency_check(momentum, problem.levelset, points, denominator))
     return reports
 
 
@@ -208,11 +208,11 @@ def _oracle_fd(problem: ProblemFile, plan: SamplePlan, fd_step: Fraction) -> lis
         polys += [poly for image in problem.pgmap.images for poly in image.components.values()]
     if problem.momentum is not None:
         polys += problem.momentum.components
-    points = plan.points(chart.dim, limit=len(polys))
+    denominator, points = plan.stream(chart.dim, limit=len(polys))
     worst = 0.0
     for index, f in enumerate(polys):
-        point = dict(zip(chart.coords, points[index % len(points)]))
-        worst = max(worst, fd_derivative_check(f, point, fd_step))
+        point = points[index % len(points)]
+        worst = max(worst, fd_derivative_check(f, chart.coords, point, denominator, fd_step))
     residuals = {}
     if worst > FD_TOLERANCE:
         residuals["max-relative-error"] = Fraction(worst).limit_denominator(10**12)

@@ -8,12 +8,14 @@ point stream.
 Every coordinate of a point is ``lo + (hi - lo) * k / GRID_RESOLUTION`` for
 a drawn ``k`` in ``0..GRID_RESOLUTION``, so one stream has the common
 denominator ``D = GRID_RESOLUTION * lcm(denominators of its box ends)`` and
-is kept as integer numerators over ``D`` (``SamplePlan.stream``);
-``SamplePlan.points`` is the ``Fraction`` view of the same draws.  A sampled
-magnitude is the exact maximum of ``|p(x)|`` over the stream, computed in
-integer arithmetic by ``Polynomial.max_abs`` as one ``Fraction``, so its
-``float`` is the correctly rounded value of that maximum, whichever route
-computed it.
+is kept as integer numerators over ``D`` (``SamplePlan.stream``).  Every
+sampled check reads that stream and evaluates through
+``Polynomial.scaled_values`` in integer arithmetic; ``SamplePlan.points`` is
+the ``Fraction`` view of the same draws, which no check reads.  A sampled
+magnitude is the exact maximum of ``|p(x)|`` over the stream, built by
+``Polynomial.max_abs`` as one ``Fraction``, and a finite-difference error is
+one exact rational too, so each ``float`` is the correctly rounded value of
+an exact number, whichever route computed it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import MissingAssignmentError
+from .errors import DimensionMismatchError
 from .poly import Polynomial
 
 GRID_RESOLUTION = 4096
@@ -90,52 +92,52 @@ class SamplePlan:
         return [tuple(Fraction(n, denominator) for n in point) for point in numerators]
 
 
-def _point_mapping(variables: Sequence[str], point) -> Mapping[str, Fraction]:
-    if isinstance(point, Mapping):
-        return point
-    if len(point) != len(variables):
-        raise MissingAssignmentError(
-            f"point of length {len(point)} does not cover variables {list(variables)}"
-        )
-    return dict(zip(variables, point))
-
-
-def eval_tensor(tensor, point) -> dict[tuple[int, ...], float]:
-    """Exact rational evaluation of every component, converted to float."""
-    assignment = _point_mapping(tensor.chart.coords, point)
-    return {idx: float(poly.substitute(assignment)) for idx, poly in tensor.components.items()}
-
-
-def fd_derivative_check(f: Polynomial, point, h: Fraction = DEFAULT_FD_STEP) -> float:
-    """Central differences against symbolic partials.
+def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence[int],
+                        denominator: int, h: Fraction = DEFAULT_FD_STEP) -> float:
+    """Central differences against symbolic partials at the point
+    ``point / denominator``, whose integer entries are the values of
+    ``variables`` in that order (the format of ``SamplePlan.stream``).
 
     Returns the maximum guarded relative error
     |fd - exact| / max(1, |exact|) over all variables.  Differences are
-    computed in exact rational arithmetic, so for polynomials of degree < 3
-    the result is exactly 0.0.  Both fd and exact are 0 for a variable that
-    f does not use, so only the used variables are visited; the point must
-    still assign every variable of f's universe.
+    computed in exact arithmetic, so for polynomials of degree < 3 the result
+    is exactly 0.0.  Both fd and exact are 0 for a variable that f does not
+    use, so only the used variables are visited; ``variables`` must still
+    hold every variable of f's universe.
+
+    With h = a / b, the shifted points q +- h e_v share the denominator
+    E = lcm(denominator, b), so f is evaluated at all of them in one
+    ``scaled_values`` call, giving N+- / M, and each partial in one call at
+    q, giving P / M'.  Then fd = b (N+ - N-) / (2 a M), and the error is the
+    integer ratio |b (N+ - N-) M' - 2 a M P| / (2 a M max(M', |P|)).
     """
     if h <= 0:
         raise ValueError("step must be positive")
+    if len(point) != len(variables):
+        raise DimensionMismatchError(f"point has {len(point)} coordinates, need {len(variables)}")
     h = Fraction(h)
-    assignment = dict(_point_mapping(f.variables, point))
-    missing = [v for v in f.variables if v not in assignment]
-    if missing:
-        raise MissingAssignmentError(f"no value for variables {missing}")
-    worst = Fraction(0)
-    for v in f.used_variables():
-        base = Fraction(assignment[v])
-        assignment[v] = base + h
-        plus = f.substitute(assignment)
-        assignment[v] = base - h
-        minus = f.substitute(assignment)
-        assignment[v] = base
-        fd = (plus - minus) / (2 * h)
-        exact = f.derivative(v).substitute(assignment)
-        err = abs(fd - exact) / max(Fraction(1), abs(exact))
-        worst = max(worst, err)
-    return float(worst)
+    a, b = h.numerator, h.denominator
+    common = math.lcm(denominator, b)
+    base = [x * (common // denominator) for x in point]
+    step = a * (common // b)
+    used = set(f.used_variables())
+    positions = [i for i, v in enumerate(variables) if v in used]
+    shifted = []
+    for i in positions:
+        for shift in (step, -step):
+            moved = list(base)
+            moved[i] += shift
+            shifted.append(moved)
+    # raises MissingAssignmentError when a variable of f is not in variables
+    values, scale = f.scaled_values(variables, shifted, common)
+    worst_num, worst_den = 0, 1
+    for k, i in enumerate(positions):
+        (exact,), exact_scale = f.derivative(variables[i]).scaled_values(variables, [point], denominator)
+        num = abs(b * (values[2 * k] - values[2 * k + 1]) * exact_scale - 2 * a * scale * exact)
+        den = 2 * a * scale * max(exact_scale, abs(exact))
+        if num * worst_den > worst_num * den:
+            worst_num, worst_den = num, den
+    return float(Fraction(worst_num, worst_den))
 
 
 def _residual_polys(value) -> tuple[tuple[str, ...], list[Polynomial]]:

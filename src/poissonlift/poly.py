@@ -12,9 +12,10 @@ denominator greater than 1.  ``int`` op ``int`` stays an ``int`` and needs
 no check; only a coefficient of ``+``, ``-``, ``*`` or ``derivative``
 computed from a ``Fraction`` is folded back to an ``int`` when its
 denominator is 1.  No coefficient is divided (``int / int`` gives a float).
-Values at rational points (``substitute``, ``max_abs``) are ``Fraction``
-objects; ``scaled_values`` gives them at many points as integers over one
-common denominator.
+``scaled_values`` gives values at many points as integers over one common
+denominator, and is how the library samples; ``substitute``, the exact
+reference evaluation at one rational point, and ``max_abs`` give
+``Fraction`` objects.
 
 A monomial key is one ``int`` holding the exponent of the i-th variable in
 bits ``[i*W, (i+1)*W)``, ``W = 32``: a multiply adds keys, ``derivative``

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -47,7 +46,7 @@ from .poisson import (
     poisson_bracket,
     sharp,
 )
-from .poly import Polynomial, rational
+from .poly import Polynomial
 from .report import CheckReport, Statement, make_report
 from .tangent import (
     CoordinateMap,
@@ -366,63 +365,46 @@ def require_zero_level(momentum: MomentumMapData, parametrization: CoordinateMap
 
 
 def level_set_tangency_check(momentum: MomentumMapData, parametrization: CoordinateMap,
-                             samples: Sequence[Sequence[Fraction]]) -> CheckReport:
-    """At sampled points of a zero-level parametrization, tangent vectors of
-    the parametrization annihilate d_T(J), and conversely every annihilating
-    vector lies in the parametrization's tangent span (exact rank test).
+                             points: Sequence[Sequence[int]], denominator: int) -> CheckReport:
+    """At sampled points of a zero-level parametrization, the kernel of dJ
+    at the image is the parametrization's tangent span (exact rank test).
 
     At a sample, G is dJ at its image (k x n) and C the parametrization's
-    Jacobian (n x m).  Once ``require_zero_level`` has shown J o phi = 0,
-    the chain rule gives G.C = d(J o phi) = 0, so the forward test (G.C = 0,
-    entry by entry) fails only on an internal error.  G maps span C onto
-    span(G.C), so dim(ker G + span C) = n - rank G + rank(G.C), and ker G
-    lies in span C exactly when rank C = n - rank G + rank(G.C).  Every
-    entry is evaluated once over all samples on one denominator; scaling a
-    row of G or a column of C to integers keeps the three ranks.
+    Jacobian (n x m).  ``require_zero_level`` shows J o phi = 0, so the chain
+    rule gives G.C = d(J o phi) = 0: span C lies in ker G, and the two are
+    equal exactly when rank C = n - rank G.  Each sample is an integer tuple
+    ``p`` of ``points``, one entry per parameter, standing for the point
+    ``p / denominator``, as ``SamplePlan.stream`` draws them.  Every entry is
+    evaluated once over all samples; scaling a row of G or a column of C to
+    integers keeps the ranks.
 
     Samples where the differential of J drops rank are reported as
     RankDeficient and make the verdict informative rather than pass/fail.
-    A sample needs one coordinate per parameter.
     """
     chart = momentum.chart
     require_zero_level(momentum, parametrization)
     params = parametrization.source.coords
     m, n, k = len(params), chart.dim, len(momentum.components)
-    samples = [[rational(x) for x in s] for s in samples]
-    for s_index, s in enumerate(samples):
+    for s_index, s in enumerate(points):
         if len(s) != m:
             raise DimensionMismatchError(f"sample {s_index} has {len(s)} coordinates, need {m}")
-    den = math.lcm(*(x.denominator for s in samples for x in s))
-    points = [[x.numerator * (den // x.denominator) for x in s] for s in samples]
-    (image,), (image_den,) = _scaled_entries([parametrization.components], params, points, den)
+    (image,), (image_den,) = _scaled_entries([parametrization.components], params, points, denominator)
     # rows of G and columns of C, each scaled to integers by one factor
-    g_values, g_scales = _scaled_entries(
+    g_values, _ = _scaled_entries(
         [[j_comp.derivative(c) for c in chart.coords] for j_comp in momentum.components],
         chart.coords, list(zip(*image)), image_den)
-    c_values, c_scales = _scaled_entries(list(zip(*parametrization.jacobian())), params, points, den)
-    residuals: dict[str, Fraction | int] = {}
+    c_values, _ = _scaled_entries(list(zip(*parametrization.jacobian())), params, points, denominator)
+    entries: list[tuple[str, str]] = []
     informative_entries: list[tuple[str, str]] = []
-    for s_index in range(len(samples)):
-        g = [[entry[s_index] for entry in row] for row in g_values]
-        c_t = [[entry[s_index] for entry in col] for col in c_values]
-        pushforward = [[sum(x * y for x, y in zip(g_row, col)) for col in c_t] for g_row in g]
-        # forward: pushforward directions annihilate d_T(J)
-        for a in range(m):
-            for gi in range(k):
-                if pushforward[gi][a]:
-                    residuals[f"pushforward[sample {s_index}, dir {a}, J_{gi}]"] = Fraction(
-                        pushforward[gi][a], g_scales[gi] * c_scales[a])
-        # converse: kernel of dJ at the point is spanned by the pushforwards
-        g_rank = _linalg.rank(g)
+    for s_index in range(len(points)):
+        g_rank = _linalg.rank([[entry[s_index] for entry in row] for row in g_values])
         if g_rank < k:
             informative_entries.append(
                 (f"RankDeficient[sample {s_index}]",
                  "differential of J drops rank at this level-set point")
             )
-            continue
-        if _linalg.rank(c_t) != n - g_rank + _linalg.rank(pushforward):
-            residuals[f"kernel-not-spanned[sample {s_index}]"] = 1
-    entries = [(name, str(value)) for name, value in residuals.items()]
+        elif _linalg.rank([[entry[s_index] for entry in col] for col in c_values]) != n - g_rank:
+            entries.append((f"kernel-not-spanned[sample {s_index}]", "1"))
     if entries:
         verdict = "fail"
     elif informative_entries:

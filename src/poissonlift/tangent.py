@@ -31,7 +31,6 @@ TTM.  Both only permute coordinate blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -150,10 +149,6 @@ class CoordinateMap:
         images = dict(zip(self.source.coords, inner.components))
         comps = tuple(p.compose(images) for p in self.components)
         return CoordinateMap(inner.source, self.target, comps)
-
-    def evaluate(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        assignment = dict(zip(self.source.coords, (Fraction(x) for x in point)))
-        return tuple(p.substitute(assignment) for p in self.components)
 
     def jacobian(self) -> list[list[Polynomial]]:
         """Entry [a][k] = d(component_a)/d(source_k)."""

@@ -7,6 +7,7 @@ under hypothesis in the per-module suites.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,15 @@ from poissonlift.errors import DegreeError
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+def integer_points(points) -> tuple[list[tuple[int, ...]], int]:
+    """Rational points as integer numerators over their least common
+    denominator: the point format of ``SamplePlan.stream``, in the
+    ``(points, denominator)`` order of ``Polynomial.scaled_values``."""
+    points = [tuple(Fraction(x) for x in point) for point in points]
+    denominator = math.lcm(*(x.denominator for point in points for x in point))
+    return [tuple(int(x * denominator) for x in point) for point in points], denominator
 
 
 def rand_poly(rng: random.Random, variables, max_degree: int = 3, terms: int = 3) -> Polynomial:
@@ -103,6 +113,23 @@ def count_polynomial_calls(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(Polynomial, name, classmethod(counted) if is_classmethod else counted)
     return calls
+
+
+# A problem whose polynomials are at most quadratic, so central differences
+# with its step 1 are exact, and the edits that make one of them cubic.
+QUADRATIC = """
+manifold { coords: q, p; poisson: (q^2 + p)*e_q^e_p }
+bialgebra { basis: e1 }
+pgmap { e1 = q*p*dq - dp }
+momentum { e1 = q^2 - p }
+oracle { fd_step: 1 }
+"""
+
+CUBIC_EDITS = {
+    "poisson": ("(q^2 + p)*e_q", "(q^3 + p)*e_q"),
+    "pgmap": ("q*p*dq", "q^3*dq"),
+    "momentum": ("e1 = q^2 - p", "e1 = q^3 - p"),
+}
 
 
 def gl_problem(n: int, non_poisson: bool = False, perturb_map: bool = False) -> str:

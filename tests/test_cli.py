@@ -16,7 +16,14 @@ from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA, catalog_text
 
-from conftest import count_bialgebra_checks, count_jacobi_checks, count_polynomial_calls, gl_problem
+from conftest import (
+    CUBIC_EDITS,
+    QUADRATIC,
+    count_bialgebra_checks,
+    count_jacobi_checks,
+    count_polynomial_calls,
+    gl_problem,
+)
 
 COUNTEREXAMPLE = """
 manifold {
@@ -474,9 +481,16 @@ def test_all_on_gl3_walks_only_nonzero_support(monkeypatch):
     reports = run_checks(problem, "all")
     assert [rep.check_id for rep in reports if rep.verdict == "fail"] == []
     assert len(derivatives) <= 1000
-    # the residuals of a passing `all` are exactly zero and never sampled, so
-    # every substitution is oracle-fd's
-    assert len(substitutions) <= 100
+    # every sampled check evaluates through Polynomial.scaled_values
+    assert substitutions == []
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_all_makes_no_fraction_substitution(monkeypatch, name):
+    # oracle-fd made 48 Fraction substitutions over the five entries
+    substitutions = count_polynomial_calls(monkeypatch, "substitute")
+    run_checks(catalog(name), "all")
+    assert substitutions == []
 
 
 def test_verify_lemma_shares_one_zero_polynomial_per_chart(monkeypatch):
@@ -518,15 +532,6 @@ def test_verify_lemma_catches_a_wrong_complete_lift(monkeypatch, name):
     assert all(re.fullmatch(r"\w+\*d\w+:\w+", label) for label, _ in report.residuals)
 
 
-_QUADRATIC = """
-manifold { coords: q, p; poisson: (q^2 + p)*e_q^e_p }
-bialgebra { basis: e1 }
-pgmap { e1 = q*p*dq - dp }
-momentum { e1 = q^2 - p }
-oracle { fd_step: 1 }
-"""
-
-
 def _oracle_fd_record(text: str):
     (report,) = [rep for rep in run_checks(parse_problem(text), "all") if rep.check_id == "oracle-fd"]
     return report
@@ -534,18 +539,14 @@ def _oracle_fd_record(text: str):
 
 def test_oracle_fd_is_exact_on_quadratic_problems():
     # central differences with step 1 are exact up to degree 2
-    report = _oracle_fd_record(_QUADRATIC)
+    report = _oracle_fd_record(QUADRATIC)
     assert report.verdict == "pass"
     assert report.samples == (("max-relative-error", 0.0),)
 
 
-@pytest.mark.parametrize(
-    "old, new",
-    [("(q^2 + p)*e_q", "(q^3 + p)*e_q"), ("q*p*dq", "q^3*dq"), ("e1 = q^2 - p", "e1 = q^3 - p")],
-    ids=["poisson", "pgmap", "momentum"],
-)
+@pytest.mark.parametrize("old, new", list(CUBIC_EDITS.values()), ids=list(CUBIC_EDITS))
 def test_oracle_fd_differentiates_the_problem(old, new):
-    report = _oracle_fd_record(_QUADRATIC.replace(old, new))
+    report = _oracle_fd_record(QUADRATIC.replace(old, new))
     assert report.verdict == "fail"
     assert report.residuals[0][0] == "max-relative-error"
 
@@ -556,17 +557,18 @@ def test_oracle_fd_draws_only_the_points_it_reads(monkeypatch, count):
     # through the stream when it is shorter; it drew the whole stream
     problem = parse_problem(gl_problem(3))
     plan = dataclasses.replace(problem.plan, count=count)
-    draw = SamplePlan.points
+    draw = SamplePlan.stream
     drawn, read = [], []
     limited = True
 
-    def points(self, nvars, limit=None):
-        stream = draw(self, nvars, limit if limited else None)
-        drawn.append(len(stream))
-        return stream
+    def stream(self, nvars, limit=None):
+        denominator, points = draw(self, nvars, limit if limited else None)
+        drawn.append(len(points))
+        return denominator, points
 
-    monkeypatch.setattr(SamplePlan, "points", points)
-    monkeypatch.setattr(cli, "fd_derivative_check", lambda f, point, h: read.append(point) or 0.0)
+    monkeypatch.setattr(SamplePlan, "stream", stream)
+    monkeypatch.setattr(cli, "fd_derivative_check",
+                        lambda f, variables, point, denominator, h: read.append(point) or 0.0)
     cli._oracle_fd(problem, plan, problem.fd_step)
     limited = False
     cli._oracle_fd(problem, plan, problem.fd_step)

@@ -16,7 +16,10 @@ digests under a rational box (``--box=-1/3,5/7``, ``--box=-7/2,9/4``) were
 recorded while sampling still evaluated every point as a Fraction.  The
 level-set digests (a failing, an informative and a two-component passing
 ``hamiltonian`` run) were recorded while the tangency check still ran
-Fraction RREF and a kernel basis at every sample.
+Fraction RREF and a kernel basis at every sample.  The digests of ``all`` on
+the cubic variants of ``conftest.QUADRATIC``, whose ``oracle-fd`` reads a
+nonzero relative error, were recorded while central differences still
+evaluated ``Fraction`` points.
 
 ``lift``, ``verify-lift`` and ``all`` on a non-Poisson bivector raised
 before they refused; their digests were recorded with the refusal, so the
@@ -33,7 +36,7 @@ import pytest
 from poissonlift.cli import main
 from poissonlift.report import parse_reports
 
-from conftest import gl_problem
+from conftest import CUBIC_EDITS, QUADRATIC, gl_problem
 
 VALID = Path(__file__).resolve().parent.parent / "docs" / "conformance" / "valid"
 
@@ -147,10 +150,20 @@ LEVEL_SET_DIGESTS = {
     ("hamiltonian", "two-J", "rational-box-samples-13"): (0, "08064a8cc159cd567e3f82e300f8752d80221c2e7da9a2e48a92ebe223f9a7e3"),
 }
 
+# (command, problem, flags) -> (exit code, digest): runs whose oracle-fd fails
+ORACLE_FD_DIGESTS = {
+    ("all", "cubic-momentum", "default"): (1, "7014d4523a7ab1569b3c79a156fc8aa6670398caaa020e8a12efd5fb749802ad"),
+    ("all", "cubic-momentum", "rational-box-samples-13"): (1, "0c551f3308a84d0343d7538da2686842e6385f32a909ccf71bfd1da70773dd46"),
+    ("all", "cubic-pgmap", "default"): (1, "ca52ae6a24553823b15d5ea429bccc3bdb10fc13c1c213546d65ceaf596dd2ad"),
+    ("all", "cubic-pgmap", "rational-box-samples-13"): (1, "aa11318faa20af9ee31b5e93e49c3cc24486e250b73970e21efcaa18944af3fa"),
+    ("all", "cubic-poisson", "default"): (1, "3d2f17453bc603d4c4b55dd23eeba4fc5d6b5b8fbad03ca10dc4c7f36067ab4c"),
+    ("all", "cubic-poisson", "rational-box-samples-13"): (1, "bf47a6a47dbaa8c15e676cb87c2169e12c86a03eeaf706f796202d55cb5d0fea"),
+}
+
 _LEVEL_SET_AT_ORIGIN = "levelset {\n  params: s\n  map: 0, 0\n}\n"
 
-# problems of FAILING_DIGESTS, NON_POISSON_DIGESTS and LEVEL_SET_DIGESTS that
-# are not gl(n) problems
+# problems of FAILING_DIGESTS, NON_POISSON_DIGESTS, LEVEL_SET_DIGESTS and
+# ORACLE_FD_DIGESTS that are not gl(n) problems
 TEXTS = {
     "xy-yz-non-poisson": "manifold {\n  coords: x, y, z\n  poisson: x*e_x^e_y + y*e_y^e_z\n}\n",
     "rational-residual": "manifold {\n  coords: x, y, z\n  poisson: 1/2*x*e_x^e_y + 1/3*y*e_y^e_z\n}\n",
@@ -184,6 +197,7 @@ TEXTS = {
         "bialgebra { basis: e1, e2 }\nmomentum { e1 = c - 1/3; e2 = d*(a + 1) }\n"
         "levelset {\n  params: s, t\n  map: s^2 - t, 2/5*t, 1/3, 0\n}\n"
     ),
+    **{f"cubic-{name}": QUADRATIC.replace(old, new) for name, (old, new) in CUBIC_EDITS.items()},
 }
 
 
@@ -237,6 +251,11 @@ def test_non_poisson_output_matches_recorded_digest(command, key, flags, tmp_pat
 @pytest.mark.parametrize("command,key,flags", sorted(LEVEL_SET_DIGESTS))
 def test_level_set_output_matches_recorded_digest(command, key, flags, tmp_path, capsys):
     assert _digest([command], key, flags, tmp_path, capsys) == LEVEL_SET_DIGESTS[(command, key, flags)]
+
+
+@pytest.mark.parametrize("command,key,flags", sorted(ORACLE_FD_DIGESTS))
+def test_oracle_fd_output_matches_recorded_digest(command, key, flags, tmp_path, capsys):
+    assert _digest([command], key, flags, tmp_path, capsys) == ORACLE_FD_DIGESTS[(command, key, flags)]
 
 
 def test_digests_cover_every_valid_file():

@@ -10,63 +10,56 @@ import pytest
 from poissonlift import (
     Multivector,
     SamplePlan,
-    eval_tensor,
     fd_derivative_check,
     parse_form,
     parse_multivector,
     parse_poly,
     sample_residual,
 )
-from poissonlift.errors import MissingAssignmentError
+from poissonlift.errors import DimensionMismatchError, MissingAssignmentError
 from poissonlift.report import make_report
 
 from conftest import rand_poly
 
 
-class TestEvalTensor:
-    def test_constant_area_form(self, chart_qp):
-        values = eval_tensor(parse_form("dq^dp", chart_qp), {"q": 3, "p": -1})
-        assert values == {(0, 1): 1.0}
-
-    def test_linear_field(self, chart_qp):
-        values = eval_tensor(parse_multivector("q*e_p", chart_qp), {"q": 2, "p": 0})
-        assert values == {(1,): 2.0}
-
-    def test_zero_tensor(self, chart_qp):
-        assert eval_tensor(Multivector.zero(chart_qp, 2), {"q": 1, "p": 1}) == {}
-
-    def test_missing_coordinate(self, chart_qp):
-        with pytest.raises(MissingAssignmentError):
-            eval_tensor(parse_form("dq", chart_qp), (1,))
-
-
 class TestFiniteDifferences:
     def test_quadratic_is_exact(self):
         f = parse_poly("q^2", ("q",))
-        assert fd_derivative_check(f, {"q": 1}, Fraction(1, 10**6)) <= 1e-6
+        assert fd_derivative_check(f, ("q",), (1,), 1, Fraction(1, 10**6)) <= 1e-6
 
     def test_affine_exact_at_any_step(self):
         f = parse_poly("3*q - 7", ("q",))
         for h in (Fraction(1, 10), Fraction(1, 10**6)):
-            assert fd_derivative_check(f, {"q": 5}, h) == 0.0
+            assert fd_derivative_check(f, ("q",), (5,), 1, h) == 0.0
 
     def test_cubic_taylor_remainder(self):
         # (f(1+h) - f(1-h))/2h - 3 = h^2 exactly for f = q^3
         f = parse_poly("q^3", ("q",))
-        err = fd_derivative_check(f, {"q": 1}, Fraction(1, 1000))
+        err = fd_derivative_check(f, ("q",), (1,), 1, Fraction(1, 1000))
         assert abs(err - 1e-6 / 3) < 1e-12  # guarded by |f'(1)| = 3
+
+    def test_point_is_read_over_its_denominator(self):
+        # q = 3/2 as 6/4: f'(3/2) = 27/4 and the error is h^2 / (27/4)
+        f = parse_poly("q^3", ("q",))
+        err = fd_derivative_check(f, ("q",), (6,), 4, Fraction(1, 1000))
+        assert err == float(Fraction(4, 27 * 10**6))
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            fd_derivative_check(parse_poly("q", ("q",)), {"q": 0}, Fraction(0))
+            fd_derivative_check(parse_poly("q", ("q",)), ("q",), (0,), 1, Fraction(0))
+
+    @pytest.mark.parametrize("point", [(), (1,), (1, 2, 3)])
+    def test_point_needs_one_coordinate_per_variable(self, point):
+        with pytest.raises(DimensionMismatchError):
+            fd_derivative_check(parse_poly("q^3", ("q", "p")), ("q", "p"), point, 1)
 
     @pytest.mark.parametrize("text", ["3", "q^3", "p^3"])
-    @pytest.mark.parametrize("point", [{"q": 1}, {"p": 1}, (1,)])
+    @pytest.mark.parametrize("point", [{"q": 1}, {"p": 1}, {"q": 1, "r": 1}])
     def test_point_must_cover_every_variable(self, text, point):
         # only the used variables are differentiated, but a point that leaves
         # a variable of f's universe unassigned is still refused
         with pytest.raises(MissingAssignmentError):
-            fd_derivative_check(parse_poly(text, ("q", "p")), point)
+            fd_derivative_check(parse_poly(text, ("q", "p")), tuple(point), tuple(point.values()), 1)
 
 
 class TestSampleResidual:

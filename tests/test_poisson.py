@@ -53,6 +53,7 @@ from conftest import (
     count_jacobi_checks,
     dense_matrix,
     gl_problem,
+    integer_points,
     rand_form,
     rand_fraction,
     rand_multivector,
@@ -524,8 +525,10 @@ def test_kernels_match_dense_references(dim):
             assert lifted == _dense_function_lift(tc, f)
             assert lifted.variables == tc.total.coords
             point = {c: rand_fraction(rng) for c in chart.coords}
+            (numerators,), denominator = integer_points([point.values()])
             for h in (Fraction(1, 10), Fraction(1, 1000)):
-                assert fd_derivative_check(f, point, h) == _dense_fd(f, point, h)
+                fd = fd_derivative_check(f, chart.coords, numerators, denominator, h)
+                assert fd == _dense_fd(f, point, h)
     # dim 2 has only Poisson bivectors
     assert verdicts == ({True} if dim == 2 else {True, False})
 

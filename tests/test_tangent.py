@@ -246,7 +246,7 @@ class TestExchangeMaps:
         tc = tangent_chart(Chart("L", ("q",)))
         alpha = tulczyjew_alpha(tc)
         # (q, p, qdot, pdot) -> (q, qdot, pdot, p)
-        assert alpha.evaluate((1, 2, 3, 4)) == (1, 3, 4, 2)
+        assert alpha.components == tuple(alpha.source.coord_poly(c) for c in ("q", "dot_q", "dot_p_q", "p_q"))
 
     def test_alpha_inverse(self):
         for dim in (1, 2, 3):
@@ -268,12 +268,15 @@ class TestExchangeMaps:
 
     def test_involution_swaps_middle_blocks(self, tc_qp):
         kappa = canonical_involution(tc_qp)
-        assert kappa.evaluate((1, 2, 3, 4, 5, 6, 7, 8)) == (1, 2, 5, 6, 3, 4, 7, 8)
+        coords = kappa.source.coords
+        assert kappa.components == tuple(kappa.source.coord_poly(coords[i]) for i in (0, 1, 4, 5, 2, 3, 6, 7))
 
     def test_involution_fixed_points(self, tc_qp):
         kappa = canonical_involution(tc_qp)
-        point = (1, 2, 3, 4, 3, 4, 7, 8)  # v block equals qdot block
-        assert kappa.evaluate(point) == point
+        tt = kappa.source
+        # the points whose v block equals their qdot block
+        diagonal = CoordinateMap(tt, tt, tuple(tt.coord_poly(tt.coords[i]) for i in (0, 1, 2, 3, 2, 3, 6, 7)))
+        assert kappa.compose(diagonal).components == diagonal.components
 
 
 class TestCompleteLiftVectorField:
