@@ -92,11 +92,6 @@ class TangentChart:
     def dim(self) -> int:
         return self.base.dim
 
-    def fiber_of(self, name: str) -> str:
-        if name not in self.base.coords:
-            raise ChartMismatchError(f"{name!r} is not a base coordinate")
-        return self.total.coords[self.dim + self.base.index(name)]
-
     @cached_property
     def coord_polys(self) -> tuple[Polynomial, ...]:
         """The coordinate functions of the total chart (q block, then v
@@ -104,7 +99,9 @@ class TangentChart:
         return tuple(self.total.coord_poly(c) for c in self.total.coords)
 
     def fiber_poly(self, name: str) -> Polynomial:
-        return self.coord_polys[self.total.index(self.fiber_of(name))]
+        if name not in self.base.coords:
+            raise ChartMismatchError(f"{name!r} is not a base coordinate")
+        return self.coord_polys[self.dim + self.base.index(name)]
 
     @cached_property
     def tautological(self) -> Multivector:
@@ -328,10 +325,14 @@ def verify_tangent_lift_identity(pi: PoissonStructure, candidate,
     return make_report(*TANGENT_LIFT_IDENTITY, tangent_lift_residuals(pi, candidate), plan=plan)
 
 
-def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> CoordinateMap:
-    """T(theta): TM -> TT*M for a 1-form theta read as the map q |-> (q, theta(q))."""
+def _require_base_one_form(tc: TangentChart, theta: DifferentialForm) -> None:
     if theta.chart != tc.base or theta.degree != 1:
         raise DegreeError("prolongation takes a 1-form on the base chart")
+
+
+def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> CoordinateMap:
+    """T(theta): TM -> TT*M for a 1-form theta read as the map q |-> (q, theta(q))."""
+    _require_base_one_form(tc, theta)
     n = tc.dim
     src = tc.total
     q_v = list(tc.coord_polys)
@@ -342,28 +343,26 @@ def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> Coordina
     return CoordinateMap(src, bundle_chart(tc.base, "TT*"), tuple(comps))
 
 
-def one_form_as_covector_map(tc: TangentChart, omega: DifferentialForm) -> CoordinateMap:
-    """Read a 1-form on TM as the coordinate map TM -> T*TM."""
-    if omega.chart != tc.total or omega.degree != 1:
-        raise DegreeError("expected a 1-form on the tangent chart")
-    n = tc.dim
-    src = tc.total
-    comps = list(tc.coord_polys)  # q block then v block
-    comps += [omega.component((i,)) for i in range(n)]          # dq-coefficients
-    comps += [omega.component((n + i,)) for i in range(n)]      # dv-coefficients
-    return CoordinateMap(src, bundle_chart(tc.base, "T*T"), tuple(comps))
-
-
 def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[str, Polynomial]:
-    """Residual of alpha . T(theta) = d_T(theta), per T*TM coordinate.
+    """Residual of alpha . T(theta) = d_T(theta) on the T*TM coordinates
+    where the two sides can differ, in coordinate order.
 
-    alpha only permutes coordinate blocks, so alpha . T(theta) is T(theta)
-    with its component blocks taken in alpha's block order."""
-    composed = _in_block_order(one_form_prolongation(tc, theta).components, _ALPHA_ORDER)
-    direct = one_form_as_covector_map(tc, d_T(tc, theta))
-    # identical objects, such as the q and v blocks of both sides, need no subtraction
+    Each side is four sparse blocks, base index -> component: T(theta) =
+    (q, theta, v, theta^c) in alpha's block order against the covector
+    d_T(theta) = (q, v, dq-, dv-coefficients).  A slot neither side fills is
+    zero on both; a block both take from one object needs no subtraction."""
+    _require_base_one_form(tc, theta)
+    n = tc.dim
+    q, v = ({j: tc.coord_polys[b * n + j] for j in range(n)} for b in (0, 1))
+    form = {j: t for (j,), t in theta._components.items()}
+    prolonged = (q, form, v, {j: _complete_lift_poly(tc, t) for j, t in form.items()})
+    covector = (q, v, {}, {})
+    for (i,), c in d_T(tc, theta)._components.items():
+        covector[2 + i // n][i % n] = c
     zero = tc.total.zero_poly()
-    return {
-        name: zero if lhs is rhs else lhs - rhs
-        for name, lhs, rhs in zip(direct.target.coords, composed, direct.components)
-    }
+    residuals = {}
+    for prefix, lhs, rhs in zip(_BLOCKS["T*T"], _in_block_order(prolonged, _ALPHA_ORDER), covector):
+        if lhs is not rhs:
+            for j in sorted(lhs.keys() | rhs.keys()):
+                residuals[prefix + tc.base.coords[j]] = lhs.get(j, zero) - rhs.get(j, zero)
+    return residuals

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial, poisson
+from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial, poisson, tangent
 from poissonlift.errors import DegreeError
 
 
@@ -113,6 +113,28 @@ def count_polynomial_calls(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(Polynomial, name, classmethod(counted) if is_classmethod else counted)
     return calls
+
+
+def count_constructions(monkeypatch, cls) -> list:
+    """Record every instance of ``cls`` that is constructed."""
+    built = []
+    original = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def use_wrong_lift_kernel(monkeypatch, kind: str) -> None:
+    """Replace the complete-lift kernel f |-> f^c by f |-> 2 f^c ("doubled")
+    or f |-> -f^c ("negated"), so that the lemma fails."""
+    exact = tangent._complete_lift_poly
+    wrong = {"doubled": lambda tc, poly: exact(tc, poly) * 2,
+             "negated": lambda tc, poly: -exact(tc, poly)}
+    monkeypatch.setattr(tangent, "_complete_lift_poly", wrong[kind])
 
 
 # A problem whose polynomials are at most quadratic, so central differences

@@ -19,7 +19,9 @@ level-set digests (a failing, an informative and a two-component passing
 Fraction RREF and a kernel basis at every sample.  The digests of ``all`` on
 the cubic variants of ``conftest.QUADRATIC``, whose ``oracle-fd`` reads a
 nonzero relative error, were recorded while central differences still
-evaluated ``Fraction`` points.
+evaluated ``Fraction`` points.  The digests of ``verify-lemma`` under a
+wrong complete-lift kernel (doubled, negated) were recorded while each probe
+of the lemma still built two dense coordinate maps on T*TM.
 
 ``lift``, ``verify-lift`` and ``all`` on a non-Poisson bivector raised
 before they refused; their digests were recorded with the refusal, so the
@@ -36,7 +38,7 @@ import pytest
 from poissonlift.cli import main
 from poissonlift.report import parse_reports
 
-from conftest import CUBIC_EDITS, QUADRATIC, gl_problem
+from conftest import CUBIC_EDITS, QUADRATIC, gl_problem, use_wrong_lift_kernel
 
 VALID = Path(__file__).resolve().parent.parent / "docs" / "conformance" / "valid"
 
@@ -160,6 +162,17 @@ ORACLE_FD_DIGESTS = {
     ("all", "cubic-poisson", "rational-box-samples-13"): (1, "bf47a6a47dbaa8c15e676cb87c2169e12c86a03eeaf706f796202d55cb5d0fea"),
 }
 
+# (kernel, problem) -> (exit code, digest): ``verify-lemma`` under a wrong
+# complete-lift kernel (conftest.use_wrong_lift_kernel)
+LEMMA_DIGESTS = {
+    ("doubled", "catalog:aff1-cobracket"): (1, "9cc772fb95f5329f51d271b5531c59991e217793f57d419aeed76379ed7a59bc"),
+    ("doubled", "catalog:so3-coadjoint"): (1, "607513969cd6289419ab5ae16b3cddf5578e84e17d5156e942a6ba4db7ff4c0f"),
+    ("doubled", "gl3"): (1, "c8f48c1138e391c2363ab4fe16442260e6b958bcf141803ed53e0d7a2846a1f7"),
+    ("negated", "catalog:aff1-cobracket"): (1, "f869d1b4d2e9cbee2bb1f03b006e947570d7a075265addedf6b6001099e45538"),
+    ("negated", "catalog:so3-coadjoint"): (1, "6d496d573adc372f6839d34745d1dd467d288c18d6d08b628b50d7f99b316e72"),
+    ("negated", "gl3"): (1, "987fbd23171a0cf268c285bfa09ecd942fccf6ecaa7324259627d500d28717f3"),
+}
+
 _LEVEL_SET_AT_ORIGIN = "levelset {\n  params: s\n  map: 0, 0\n}\n"
 
 # problems of FAILING_DIGESTS, NON_POISSON_DIGESTS, LEVEL_SET_DIGESTS and
@@ -256,6 +269,12 @@ def test_level_set_output_matches_recorded_digest(command, key, flags, tmp_path,
 @pytest.mark.parametrize("command,key,flags", sorted(ORACLE_FD_DIGESTS))
 def test_oracle_fd_output_matches_recorded_digest(command, key, flags, tmp_path, capsys):
     assert _digest([command], key, flags, tmp_path, capsys) == ORACLE_FD_DIGESTS[(command, key, flags)]
+
+
+@pytest.mark.parametrize("kernel,key", sorted(LEMMA_DIGESTS))
+def test_failing_lemma_output_matches_recorded_digest(kernel, key, tmp_path, capsys, monkeypatch):
+    use_wrong_lift_kernel(monkeypatch, kernel)
+    assert _digest(["verify-lemma"], key, "default", tmp_path, capsys) == LEMMA_DIGESTS[(kernel, key)]
 
 
 def test_digests_cover_every_valid_file():

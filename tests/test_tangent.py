@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from poissonlift import (
     parse_multivector,
     parse_poly,
     so3_bialgebra,
+    tangent,
     tangent_chart,
     tulczyjew_alpha,
     tulczyjew_alpha_inverse,
@@ -38,13 +40,18 @@ from poissonlift import (
 )
 from poissonlift.cli import run_checks
 from poissonlift.errors import NameCollisionError, NotPoissonError
-from poissonlift.tangent import (
-    one_form_as_covector_map,
-    one_form_lift_residuals,
-    one_form_prolongation,
-)
+from poissonlift.problemfile import parse_problem
+from poissonlift.tangent import one_form_lift_residuals, one_form_prolongation
 
-from conftest import count_polynomial_calls, rand_form, rand_multivector, rand_poly
+from conftest import (
+    count_constructions,
+    count_polynomial_calls,
+    gl_problem,
+    rand_form,
+    rand_multivector,
+    rand_poly,
+    use_wrong_lift_kernel,
+)
 
 
 @pytest.fixture
@@ -438,28 +445,65 @@ class TestOneFormLiftIdentity:
         # d(qp) = p dq + q dp -> 3*1 + 2*5 = 13; d(p^2) = 2p dp -> 6*5 = 30
         assert values == [2, 3, 6, 9, 1, 5, 13, 30]
 
-    def test_block_order_matches_composition(self):
-        # alpha . T(theta) read off T(theta) in alpha's block order equals the
-        # generic composition of the two coordinate maps
-        rng = random.Random(41)
-        for dim in (1, 2, 3):
-            chart = Chart("B", tuple(f"x{i}" for i in range(dim)))
-            tc = tangent_chart(chart)
-            for _ in range(8):
-                theta = rand_form(rng, chart, 1)
-                composed = tulczyjew_alpha(tc).compose(one_form_prolongation(tc, theta))
-                direct = one_form_as_covector_map(tc, d_T(tc, theta))
-                expected = {
-                    name: lhs - rhs
-                    for name, lhs, rhs in zip(composed.target.coords, composed.components,
-                                              direct.components)
-                }
-                residuals = one_form_lift_residuals(tc, theta)
-                assert residuals == expected
-                assert all(r.variables == tc.total.coords for r in residuals.values())
+    def test_block_order_matches_composition(self, monkeypatch):
+        # against the composition of the dense coordinate maps, the residual
+        # dict leaves out only names whose dense residual is zero and keeps
+        # the others in T*TM coordinate order, also when a wrong complete-lift
+        # kernel makes the lemma fail
+        for kernel in ("exact", "doubled", "negated"):
+            with monkeypatch.context() as patch:
+                if kernel != "exact":
+                    use_wrong_lift_kernel(patch, kernel)
+                rng = random.Random(41)
+                failing = 0
+                for dim in (1, 2, 3, 4):
+                    chart = Chart("B", tuple(f"x{i}" for i in range(dim)))
+                    tc = tangent_chart(chart)
+                    for _ in range(8):
+                        theta = rand_form(rng, chart, 1, max_degree=3)
+                        dense = _dense_lemma_residuals(tc, theta)
+                        residuals = one_form_lift_residuals(tc, theta)
+                        assert list(residuals) == [name for name in dense if name in residuals]
+                        assert all(dense[name].is_zero() for name in dense if name not in residuals)
+                        assert all(residuals[name] == dense[name] for name in residuals)
+                        assert all(r.variables == tc.total.coords for r in residuals.values())
+                        # both sides take their (q, v) blocks from tc.coord_polys
+                        assert not residuals.keys() & set(tc.total.coords)
+                        failing += any(not r.is_zero() for r in residuals.values())
+                assert (failing > 0) == (kernel != "exact"), kernel
+
+    @pytest.mark.parametrize(
+        "order", [p for p in itertools.permutations(range(4)) if p != tangent._ALPHA_ORDER])
+    def test_wrong_exchange_map_fails_the_lemma(self, order, monkeypatch):
+        monkeypatch.setattr(tangent, "_ALPHA_ORDER", order)
+        (report,) = run_checks(catalog("so3-coadjoint"), "verify-lemma")
+        assert report.verdict == "fail"
+
+    def test_verify_lemma_builds_no_map_or_chart_per_probe(self, monkeypatch):
+        problem = parse_problem(gl_problem(3))
+        maps = count_constructions(monkeypatch, CoordinateMap)
+        charts = count_constructions(monkeypatch, Chart)
+        (report,) = run_checks(problem, "verify-lemma")
+        assert report.verdict == "pass"
+        assert maps == []
+        # the command's one tangent chart; none for any of the 90 probes
+        assert [chart.name for chart in charts] == ["TM"]
 
     def test_verify_lemma_composes_no_polynomials(self, monkeypatch):
         assert _compose_calls(monkeypatch, "verify-lemma") == []
+
+
+def _dense_lemma_residuals(tc, theta) -> dict:
+    """alpha . T(theta) - d_T(theta) on every T*TM coordinate, from the
+    composition of two coordinate maps: alpha after T(theta), against
+    d_T(theta) read as the covector map (q, v, dq-, dv-coefficients)."""
+    target = bundle_chart(tc.base, "T*T")
+    covector = d_T(tc, theta)
+    direct = CoordinateMap(tc.total, target, tc.coord_polys + tuple(
+        covector.component((i,)) for i in range(2 * tc.dim)))
+    composed = tulczyjew_alpha(tc).compose(one_form_prolongation(tc, theta))
+    return {name: lhs - rhs
+            for name, lhs, rhs in zip(target.coords, composed.components, direct.components)}
 
 
 def _compose_calls(monkeypatch, command: str) -> list:
