@@ -1,18 +1,22 @@
 """Finite-dimensional Lie bialgebra data with exact structure checks.
 
-Bracket constants are stored for ordered pairs i < j as the coefficient
-vector of [e_i, e_j]; the constructor folds (j, i) keys in with a sign flip
-and rejects inconsistent or diagonal entries, so antisymmetry is structural.
-Cobracket coefficients gamma^(jk)_i are stored per basis element as sparse
-rows over ordered pairs j < k.  Every constant is a rational in the one form
-of :func:`poissonlift.poly.rational`, so integer constants are ints.
+Both structure maps are sparse tables of one shape, each key naming a row of
+nonzero constants.  The bracket is ``{(i, j): {m: c}}`` over ordered pairs
+i < j with m ascending, so [e_i, e_j] = sum_m c e_m; the cobracket is
+``{i: {(j, k): gamma}}`` over ordered pairs j < k, so delta(e_i) = sum gamma
+e_j ^ e_k.  The constructor takes both in this form: it folds a reversed key
+in with a sign flip and rejects inconsistent or diagonal bracket entries, so
+antisymmetry is structural, and drops zero constants.  Every constant is a
+rational in the one form of :func:`poissonlift.poly.rational`, so integer
+constants are ints.
 
 Three exact residual checks certify the data: the bracket Jacobi identity,
 the cocycle compatibility of the cobracket with the adjoint action, and the
-Jacobi identity of the dual bracket built from gamma.  The three reports
-are computed once, on first use, and kept in ``structure_checks``;
-``verified`` is their combined verdict, and operations downstream refuse
-unverified inputs.
+Jacobi identity of the dual bracket, whose rows are the cobracket table
+transposed.  Both Jacobi checks run one kernel that reads stored rows only.
+The three reports are computed once, on first use, and kept in
+``structure_checks``; ``verified`` is their combined verdict, and operations
+downstream refuse unverified inputs.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .chart import Chart
+from .chart import Chart, Multivector
 from .errors import DimensionMismatchError
-from .poisson import PoissonStructure, lie_poisson_bivector
+from .poisson import PoissonStructure
 from .poly import Rational, rational
 from .report import CheckReport, make_report
 
 PairRow = dict[tuple[int, int], Rational]
+Row = dict[int, Rational]
 
 
 def _wedge_add(acc: PairRow, j: int, k: int, coeff: Rational) -> None:
@@ -43,6 +48,47 @@ def _prune(row: PairRow) -> PairRow:
     return {key: rational(c) for key, c in row.items() if c != 0}
 
 
+def _transpose(table: Mapping) -> dict:
+    """``{a: {b: c}}`` as ``{b: {a: c}}``."""
+    out: dict = {}
+    for a, row in table.items():
+        for b, c in row.items():
+            out.setdefault(b, {})[a] = c
+    return out
+
+
+def _jacobi_residuals(basis: tuple[str, ...], rows: Mapping[tuple[int, int], Row]) -> dict[str, Rational]:
+    """Nonzero components of the cyclic sum of [[e_i, e_j], e_k] over
+    i < j < k, for the bracket with sparse rows ``rows``, in (i, j, k, l)
+    order.  A term [[e_a, e_b], e_c] = sum_m c^m_ab [e_m, e_c] is read from
+    stored rows only, so a triple whose brackets all vanish costs nothing."""
+    adjacent: dict[int, dict[int, Row]] = {}  # m -> {c: [e_m, e_c]}
+    for (a, b), row in rows.items():
+        adjacent.setdefault(a, {})[b] = row
+        adjacent.setdefault(b, {})[a] = {m: -c for m, c in row.items()}
+    total: dict[tuple[int, int, int, int], Rational] = {}
+    for (a, b), row in rows.items():
+        for m, cm in row.items():
+            for c, outer in adjacent.get(m, {}).items():
+                if c == a or c == b:
+                    continue
+                # the sorted triple, and the sign of [[e_a, e_b], e_c] in its
+                # cyclic sum: [[e_k, e_i], e_j] = -[[e_i, e_k], e_j]
+                if c > b:
+                    triple, coeff = (a, b, c), cm
+                elif c > a:
+                    triple, coeff = (a, c, b), -cm
+                else:
+                    triple, coeff = (c, a, b), cm
+                for l, cl in outer.items():
+                    key = triple + (l,)
+                    total[key] = total.get(key, 0) + coeff * cl
+    return {
+        f"jacobi[{basis[i]},{basis[j]},{basis[k]} -> {basis[l]}]": total[(i, j, k, l)]
+        for i, j, k, l in sorted(key for key, value in total.items() if value != 0)
+    }
+
+
 class LieBialgebra:
     """Bracket and cobracket constants over a named basis.
 
@@ -55,27 +101,21 @@ class LieBialgebra:
         if len(set(self.basis)) != n:
             raise ValueError("basis names must be distinct")
 
-        folded: dict[tuple[int, int], tuple[Rational, ...]] = {}
-        seen: dict[tuple[int, int], tuple[Rational, ...]] = {}
-        for (i, j), coeffs in (brackets or {}).items():
-            vec = tuple(rational(c) for c in coeffs)
-            if len(vec) != n:
-                raise DimensionMismatchError(f"bracket for {(i, j)} needs {n} coefficients")
-            if not (0 <= i < n and 0 <= j < n):
-                raise DimensionMismatchError(f"bracket key {(i, j)} out of range")
+        folded: dict[tuple[int, int], Row] = {}
+        for (i, j), row in (brackets or {}).items():
+            if not all(0 <= x < n for x in (i, j, *row)):
+                raise DimensionMismatchError(f"bracket entry {(i, j)} has an index out of range")
+            nonzero = {m: rational(c) for m, c in sorted(row.items()) if c != 0}
             if i == j:
-                if any(c != 0 for c in vec):
+                if nonzero:
                     raise ValueError(f"[e_{i}, e_{i}] must vanish (antisymmetry)")
                 continue
-            key, signed = ((i, j), vec) if i < j else ((j, i), tuple(-c for c in vec))
-            if key in seen and seen[key] != signed:
+            key, signed = ((i, j), nonzero) if i < j else ((j, i), {m: -c for m, c in nonzero.items()})
+            if folded.setdefault(key, signed) != signed:
                 raise ValueError(
                     f"bracket constants for pair {key} violate antisymmetry"
                 )
-            seen[key] = signed
-            if any(c != 0 for c in signed):
-                folded[key] = signed
-        self._brackets = folded
+        self._brackets = {key: row for key, row in folded.items() if row}
 
         rows: dict[int, PairRow] = {}
         for i, row in (cobrackets or {}).items():
@@ -107,67 +147,32 @@ class LieBialgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def bracket(self, i: int, j: int) -> tuple[Rational, ...]:
-        """Coefficient vector of [e_i, e_j]."""
-        if i == j:
-            return (0,) * self.dim
-        if i < j:
-            return self._brackets.get((i, j), (0,) * self.dim)
-        return tuple(-c for c in self.bracket(j, i))
+    def bracket(self, i: int, j: int) -> Row:
+        """[e_i, e_j] as a sparse row {m: c}, m ascending."""
+        if i > j:
+            return {m: -c for m, c in self._brackets.get((j, i), {}).items()}
+        return dict(self._brackets.get((i, j), {}))
 
     def cobracket_row(self, i: int) -> PairRow:
         return dict(self._cobrackets.get(i, {}))
-
-    def _vector(self, xs: Sequence) -> tuple[Rational, ...]:
-        vec = tuple(rational(x) for x in xs)
-        if len(vec) != self.dim:
-            raise DimensionMismatchError(f"expected {self.dim} coefficients, got {len(vec)}")
-        return vec
-
-    def cobracket_apply(self, xs: Sequence) -> PairRow:
-        """Linear extension of the cobracket; result over ordered pairs j < k."""
-        vec = self._vector(xs)
-        acc: PairRow = {}
-        for i, xi in enumerate(vec):
-            if xi == 0:
-                continue
-            for (j, k), c in self._cobrackets.get(i, {}).items():
-                _wedge_add(acc, j, k, xi * c)
-        return _prune(acc)
 
     # -- structure checks ------------------------------------------------------
 
     def check_jacobi(self) -> CheckReport:
         """Residual sum over cyclic [[e_i, e_j], e_k] for every index triple."""
-        n = self.dim
-        residuals: dict[str, Rational] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = [0] * n
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket(a, b)
-                        for m, cm in enumerate(inner):
-                            if cm == 0:
-                                continue
-                            for l, cl in enumerate(self.bracket(m, c)):
-                                total[l] += cm * cl
-                    for l in range(n):
-                        if total[l] != 0:
-                            residuals[f"jacobi[{self.basis[i]},{self.basis[j]},{self.basis[k]} -> {self.basis[l]}]"] = total[l]
         return make_report(
             "bialgebra-jacobi",
             "cyclic sum of [[e_i, e_j], e_k] vanishes",
-            residuals,
+            _jacobi_residuals(self.basis, self._brackets),
         )
 
     def _adjoint_on_pairs(self, i: int, row: PairRow) -> PairRow:
         """ad_(e_i) acting on an element of the exterior square."""
         acc: PairRow = {}
         for (j, k), c in row.items():
-            for m, cm in enumerate(self.bracket(i, j)):
+            for m, cm in self.bracket(i, j).items():
                 _wedge_add(acc, m, k, c * cm)
-            for m, cm in enumerate(self.bracket(i, k)):
+            for m, cm in self.bracket(i, k).items():
                 _wedge_add(acc, j, m, c * cm)
         return _prune(acc)
 
@@ -177,9 +182,7 @@ class LieBialgebra:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 acc: PairRow = {}
-                for m, cm in enumerate(self.bracket(i, j)):
-                    if cm == 0:
-                        continue
+                for m, cm in self.bracket(i, j).items():
                     for (a, b), c in self._cobrackets.get(m, {}).items():
                         _wedge_add(acc, a, b, cm * c)
                 for (a, b), c in self._adjoint_on_pairs(i, self._cobrackets.get(j, {})).items():
@@ -198,30 +201,15 @@ class LieBialgebra:
 
     def dual(self) -> "LieBialgebra":
         """Swap roles: gamma becomes the bracket, the bracket becomes gamma."""
-        brackets = {}
-        for i in range(self.dim):
-            for (j, k), c in self._cobrackets.get(i, {}).items():
-                vec = list(brackets.get((j, k), (0,) * self.dim))
-                vec[i] = c
-                brackets[(j, k)] = tuple(vec)
-        cobrackets = {}
-        for (i, j), vec in self._brackets.items():
-            for k, c in enumerate(vec):
-                if c == 0:
-                    continue
-                row = cobrackets.setdefault(k, {})
-                row[(i, j)] = row.get((i, j), 0) + c
-        return LieBialgebra(self.basis, brackets, cobrackets)
+        return LieBialgebra(self.basis, _transpose(self._cobrackets), _transpose(self._brackets))
 
     def check_cojacobi(self) -> CheckReport:
-        """Jacobi identity of the dual bracket built from the cobracket rows."""
-        rep = self.dual().check_jacobi()
-        return CheckReport(
-            check_id="bialgebra-cojacobi",
-            identity="dual bracket from cobracket rows satisfies Jacobi",
-            verdict=rep.verdict,
-            residuals=rep.residuals,
-            samples=rep.samples,
+        """Jacobi identity of the dual bracket, whose rows are the cobracket
+        table transposed."""
+        return make_report(
+            "bialgebra-cojacobi",
+            "dual bracket from cobracket rows satisfies Jacobi",
+            _jacobi_residuals(self.basis, _transpose(self._cobrackets)),
         )
 
     # -- comparison -------------------------------------------------------------
@@ -249,11 +237,7 @@ def so3_bialgebra() -> LieBialgebra:
     """Rotation algebra with zero cobracket: [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2."""
     return LieBialgebra(
         ("e1", "e2", "e3"),
-        {
-            (0, 1): (0, 0, 1),
-            (1, 2): (1, 0, 0),
-            (2, 0): (0, 1, 0),
-        },
+        {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}},
         {},
     )
 
@@ -264,6 +248,11 @@ def lie_poisson(b: LieBialgebra, chart: Chart) -> PoissonStructure:
         raise DimensionMismatchError(
             f"chart of dim {chart.dim} does not match bialgebra of dim {b.dim}"
         )
-    constants = {key: vec for key, vec in b._brackets.items()}
-    bivector = lie_poisson_bivector(chart, constants)
-    return PoissonStructure(bivector)
+    x = [chart.coord_poly(c) for c in chart.coords]
+    comps = {}
+    for key, row in b._brackets.items():
+        poly = chart.zero_poly()
+        for k, c in row.items():
+            poly = poly + c * x[k]
+        comps[key] = poly
+    return PoissonStructure(Multivector(chart, 2, comps))

@@ -241,24 +241,3 @@ class SymplecticForm:
         """L_X omega, returned as a residual 2-form (zero iff invariant)."""
         return lie_derivative(field, self.two_form)
 
-
-def lie_poisson_bivector(chart: Chart, bracket_constants) -> Multivector:
-    """Linear bivector on a dual-of-Lie-algebra chart.
-
-    ``bracket_constants[(i, j)]`` for i < j is the coefficient vector of
-    [e_i, e_j]; the induced bracket is {x_i, x_j} = sum_k c^k_(ij) x_k.
-    """
-    n = chart.dim
-    comps = {}
-    for (i, j), coeffs in bracket_constants.items():
-        if not (0 <= i < j < n):
-            raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < dim")
-        if len(coeffs) != n:
-            raise ValueError(f"coefficient vector for {(i, j)} must have length {n}")
-        poly = chart.zero_poly()
-        for k, c in enumerate(coeffs):
-            if Fraction(c) != 0:
-                poly = poly + Fraction(c) * chart.coord_poly(chart.coords[k])
-        if not poly.is_zero():
-            comps[(i, j)] = poly
-    return Multivector(chart, 2, comps)

@@ -149,11 +149,6 @@ def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
     return result
 
 
-def _bracket_value(text: str, env) -> tuple[Fraction, ...]:
-    combo = _combo(text, env["basis"], wedge=False)
-    return tuple(combo.get(k, Fraction(0)) for k in range(len(env["basis"])))
-
-
 def _levelset_map(text: str, env) -> tuple:
     pieces = [p.strip() for p in text.split(",")]
     dim = env["coords"].dim
@@ -225,7 +220,9 @@ _SCHEMA: dict[str, _Spec] = {
         "basis": _Key(_names, required=True),
     }, build=lambda env: LieBialgebra(
         env["basis"], env.get("bracket"), {i: row for (i,), row in env.get("cocycle", {}).items()})),
-    "bracket": _Spec("bialgebra", "=", {"[{},{}]": _Key(_bracket_value)}),
+    "bracket": _Spec("bialgebra", "=", {
+        "[{},{}]": _Key(lambda text, env: _combo(text, env["basis"], wedge=False)),
+    }),
     "cocycle": _Spec("bialgebra", "=", {
         "d({})": _Key(lambda text, env: _combo(text, env["basis"], wedge=True)),
     }),

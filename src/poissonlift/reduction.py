@@ -46,7 +46,7 @@ from .poisson import (
     poisson_bracket,
     sharp,
 )
-from .poly import Polynomial
+from .poly import Polynomial, rational
 from .report import CheckReport, Statement, make_report
 from .tangent import (
     CoordinateMap,
@@ -81,7 +81,9 @@ class PGMap:
 
     def image(self, xs: Sequence) -> DifferentialForm:
         """Linear combination of basis images."""
-        vec = self.bialgebra._vector(xs)
+        vec = tuple(rational(x) for x in xs)
+        if len(vec) != self.bialgebra.dim:
+            raise DimensionMismatchError(f"expected {self.bialgebra.dim} coefficients, got {len(vec)}")
         out = DifferentialForm.zero(self.chart, 1)
         for coeff, form in zip(vec, self.images):
             if coeff != 0:
@@ -150,7 +152,9 @@ def pgmap_residuals(pg: PGMap, pi: PoissonStructure) -> dict[str, DifferentialFo
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
-            expected = pg.image(b.bracket(i, j))
+            expected = DifferentialForm.zero(pg.chart, 1)
+            for m, coeff in b.bracket(i, j).items():
+                expected = expected + pg.images[m] * coeff
             actual = koszul_bracket(pi, pg.images[i], pg.images[j])
             residuals[f"bracket-axiom[{b.basis[i]},{b.basis[j]}]"] = expected - actual
     for i in range(b.dim):
@@ -263,9 +267,8 @@ def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
         for j in range(i + 1, b.dim):
             lifted = poisson_bracket(r.pi_tm, c[i], c[j])
             expected = tc.total.zero_poly()
-            for k, coeff in enumerate(b.bracket(i, j)):
-                if coeff != 0:
-                    expected = expected + coeff * c[k]
+            for k, coeff in b.bracket(i, j).items():
+                expected = expected + coeff * c[k]
             residuals[f"closure[{b.basis[i]},{b.basis[j]}]"] = lifted - expected
     return residuals
 

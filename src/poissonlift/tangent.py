@@ -98,6 +98,13 @@ class TangentChart:
         block), built on first use and then kept."""
         return tuple(self.total.coord_poly(c) for c in self.total.coords)
 
+    @cached_property
+    def coord_blocks(self) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
+        """The q block and the v block of ``coord_polys``, each a dict from
+        base index to coordinate function, built on first use and then kept."""
+        n = self.dim
+        return tuple({j: self.coord_polys[b * n + j] for j in range(n)} for b in (0, 1))
+
     def fiber_poly(self, name: str) -> Polynomial:
         if name not in self.base.coords:
             raise ChartMismatchError(f"{name!r} is not a base coordinate")
@@ -353,7 +360,7 @@ def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[s
     zero on both; a block both take from one object needs no subtraction."""
     _require_base_one_form(tc, theta)
     n = tc.dim
-    q, v = ({j: tc.coord_polys[b * n + j] for j in range(n)} for b in (0, 1))
+    q, v = tc.coord_blocks
     form = {j: t for (j,), t in theta._components.items()}
     prolonged = (q, form, v, {j: _complete_lift_poly(tc, t) for j, t in form.items()})
     covector = (q, v, {}, {})

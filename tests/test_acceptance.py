@@ -257,7 +257,7 @@ def test_criterion_6_bracket_closure_with_negative_control():
         # gamma-sensitive checks (the closure residual itself is independent
         # of gamma, so certification is where the perturbation must surface).
         base = catalog("aff1-cobracket")
-        perturbed_gamma = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {1: {(0, 1): 2}})
+        perturbed_gamma = LieBialgebra(("e1", "e2"), {(0, 1): {1: 1}}, {1: {(0, 1): 2}})
         assert perturbed_gamma.verified
         pg_gamma = PGMap(perturbed_gamma, base.chart, base.pgmap.images)
         cert = certify_pgmap(Resolved(base.poisson_structure, pg_gamma))
@@ -270,7 +270,7 @@ def test_criterion_6_bracket_closure_with_negative_control():
         so3 = catalog("so3-coadjoint")
         perturbed_c = LieBialgebra(
             ("e1", "e2", "e3"),
-            {(0, 1): (0, 0, 2), (1, 2): (1, 0, 0), (2, 0): (0, 1, 0)},
+            {(0, 1): {2: 2}, (1, 2): {0: 1}, (2, 0): {1: 1}},
             {},
         )
         pg_c = PGMap(perturbed_c, so3.chart, so3.pgmap.images)

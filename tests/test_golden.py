@@ -21,7 +21,10 @@ the cubic variants of ``conftest.QUADRATIC``, whose ``oracle-fd`` reads a
 nonzero relative error, were recorded while central differences still
 evaluated ``Fraction`` points.  The digests of ``verify-lemma`` under a
 wrong complete-lift kernel (doubled, negated) were recorded while each probe
-of the lemma still built two dense coordinate maps on T*TM.
+of the lemma still built two dense coordinate maps on T*TM.  The digests of
+``certify-pgmap`` on bialgebras failing a structure check (a non-cocycle, a
+non-co-Jacobi and a non-Jacobi one) were recorded while the bracket was
+still stored as one dense coefficient vector per pair.
 
 ``lift``, ``verify-lift`` and ``all`` on a non-Poisson bivector raised
 before they refused; their digests were recorded with the refusal, so the
@@ -99,8 +102,11 @@ FAILING_DIGESTS = {
     ("certify-pgmap", "gl3-perturbed", "rational-box-samples-13"): "39f0a6f94940cd391da9b7611055246864b52738d2a07ccc15852d645852959f",
     ("certify-pgmap", "gl3-perturbed", "samples-7-seed-3"): "fc119624f2f2368bfaef77403e106c930c8bbe70a6b365c047c0703ffd9604bd",
     ("certify-pgmap", "gl3-perturbed", "wide-box-seed-5"): "739749d6298beb7fab4be04ab07d611f38416f313c6077f031ddc35bc607cab4",
+    ("certify-pgmap", "non-jacobi-rows-out-of-order", "default"): "74a26a3fbfa2a653931f430b7859a3b99bda023cb37878f4d2006caa853cd8f8",
     ("certify-pgmap", "so3-bad-bialgebra", "default"): "9beae4f5109c9a5b3586d3215350f02dc522f244592208f351e463c46a3af7c8",
     ("certify-pgmap", "so3-bad-bialgebra", "samples-7-seed-3"): "9beae4f5109c9a5b3586d3215350f02dc522f244592208f351e463c46a3af7c8",
+    ("certify-pgmap", "so3-non-cocycle", "default"): "4296005a9eeaab93907d121d109153a63d2b11f1e0bcf23149562c048390a864",
+    ("certify-pgmap", "zero-bracket-non-cojacobi", "default"): "3c28d0fd356e2df8b7bc7b24fa743458fa3981d0c36ae8197e0d401b3b0ad2fc",
     ("characteristic-identity", "gl2-perturbed", "default"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
     ("characteristic-identity", "gl2-perturbed", "rational-box-samples-13"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
     ("characteristic-identity", "gl2-perturbed", "samples-7-seed-3"): "cc4eedaf019f05605e19c59ee96a6396aa5a6a3d5ee5e1e9bffd9cd8b3b235a2",
@@ -174,6 +180,8 @@ LEMMA_DIGESTS = {
 }
 
 _LEVEL_SET_AT_ORIGIN = "levelset {\n  params: s\n  map: 0, 0\n}\n"
+_SO3_MANIFOLD = "manifold {\n  coords: x, y, z\n  poisson: z*e_x^e_y - y*e_x^e_z + x*e_y^e_z\n}\n"
+_SO3_PGMAP = "pgmap { e1 = dx; e2 = dy; e3 = dz }\n"
 
 # problems of FAILING_DIGESTS, NON_POISSON_DIGESTS, LEVEL_SET_DIGESTS and
 # ORACLE_FD_DIGESTS that are not gl(n) problems
@@ -182,9 +190,24 @@ TEXTS = {
     "rational-residual": "manifold {\n  coords: x, y, z\n  poisson: 1/2*x*e_x^e_y + 1/3*y*e_y^e_z\n}\n",
     # refusals: a bialgebra failing Jacobi, a non-Poisson pi, a non-symplectic action
     "so3-bad-bialgebra": (
-        "manifold {\n  coords: x, y, z\n  poisson: z*e_x^e_y - y*e_x^e_z + x*e_y^e_z\n}\n"
-        "bialgebra {\n  basis: e1, e2, e3\n  bracket { [e1,e2] = e3; [e1,e3] = e1 }\n}\n"
-        "pgmap { e1 = dx; e2 = dy; e3 = dz }\n"
+        _SO3_MANIFOLD + "bialgebra {\n  basis: e1, e2, e3\n  bracket { [e1,e2] = e3; [e1,e3] = e1 }\n}\n"
+        + _SO3_PGMAP
+    ),
+    # failing structure checks: four cocycle residuals in insertion order and
+    # a co-Jacobi failure; a zero bracket with a cobracket that fails
+    # co-Jacobi; bracket rows out of basis order that fail Jacobi
+    "so3-non-cocycle": (
+        _SO3_MANIFOLD + "bialgebra {\n  basis: e1, e2, e3\n"
+        "  bracket { [e2,e3] = e1; [e1,e2] = e3; [e3,e1] = e2 }\n"
+        "  cocycle { d(e2) = e3^e1; d(e1) = e1^e2 + e3^e2 }\n}\n" + _SO3_PGMAP
+    ),
+    "zero-bracket-non-cojacobi": (
+        _SO3_MANIFOLD + "bialgebra {\n  basis: e1, e2, e3\n"
+        "  cocycle { d(e3) = e1^e2; d(e1) = e1^e3 }\n}\n" + _SO3_PGMAP
+    ),
+    "non-jacobi-rows-out-of-order": (
+        _SO3_MANIFOLD + "bialgebra {\n  basis: e1, e2, e3\n"
+        "  bracket { [e1,e2] = e3 + e1 - e2; [e1,e3] = 2 e3 + e2 }\n}\n" + _SO3_PGMAP
     ),
     "non-poisson-map": (
         "manifold {\n  coords: x, y, z\n  poisson: z*e_x^e_y + x*e_x^e_z\n}\n"

@@ -77,7 +77,7 @@ def so3_pg(chart_xyz):
 def aff1_setup():
     """Nonabelian 2-dim bialgebra with nonzero cobracket and its certified family."""
     chart = Chart("M", ("q", "p"))
-    b = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {1: {(0, 1): 1}})
+    b = LieBialgebra(("e1", "e2"), {(0, 1): {1: 1}}, {1: {(0, 1): 1}})
     pi = PoissonStructure(parse_multivector("p*e_q^e_p", chart))
     pg = PGMap(b, chart, (parse_form("dq", chart), parse_form("-p*dq + dp", chart)))
     return chart, b, pi, pg
@@ -104,7 +104,7 @@ class TestCertify:
         assert certify_pgmap(Resolved(pi, pg)).verdict == "pass"
 
     def test_refuses_unverified_bialgebra(self, chart_qp, canonical):
-        bad = LieBialgebra(("e1", "e2", "e3"), {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)}, {})
+        bad = LieBialgebra(("e1", "e2", "e3"), {(0, 1): {2: 1}, (0, 2): {0: 1}}, {})
         assert not bad.verified
         pg = PGMap(bad, chart_qp, tuple(parse_form("dq", chart_qp) for _ in range(3)))
         report = certify_pgmap(Resolved(canonical, pg))
@@ -160,7 +160,7 @@ class TestComomentum:
         # identity momentum map on a dual-algebra chart: c is the projection
         # onto the fiber coordinates, component for component
         chart = Chart("G", ("m1", "m2"))
-        b = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {})
+        b = LieBialgebra(("e1", "e2"), {(0, 1): {1: 1}}, {})
         momentum = MomentumMapData(chart, (chart.coord_poly("m1"), chart.coord_poly("m2")))
         pg = hamiltonian_pgmap(momentum, b)
         tc = tangent_chart(chart)
@@ -199,7 +199,7 @@ class TestBracketClosure:
         # but breaks closure; the report names the offending pair.
         perturbed = LieBialgebra(
             ("e1", "e2", "e3"),
-            {(0, 1): (0, 0, 2), (1, 2): (1, 0, 0), (2, 0): (0, 1, 0)},
+            {(0, 1): {2: 2}, (1, 2): {0: 1}, (2, 0): {1: 1}},
             {},
         )
         assert perturbed.verified
@@ -284,7 +284,7 @@ class TestCharacteristicIdentity:
         # negative control for the cobracket data: doubling gamma keeps the
         # bialgebra valid but breaks both axiom (ii) and this identity.
         chart, _, pi, _ = aff1_setup()
-        doubled = LieBialgebra(("e1", "e2"), {(0, 1): (0, 1)}, {1: {(0, 1): 2}})
+        doubled = LieBialgebra(("e1", "e2"), {(0, 1): {1: 1}}, {1: {(0, 1): 2}})
         assert doubled.verified
         pg = PGMap(doubled, chart, (parse_form("dq", chart), parse_form("-p*dq + dp", chart)))
         cert = certify_pgmap(Resolved(pi, pg))
