@@ -91,6 +91,13 @@ def _sort_index(indices: Iterable[int]) -> tuple[Index, int] | None:
     return tuple(seq), sign
 
 
+def _chart_poly(chart: Chart, value: Polynomial | int | Fraction) -> Polynomial:
+    """A polynomial or rational scalar as a polynomial over the chart's coordinates."""
+    if isinstance(value, Polynomial):
+        return value.with_variables(chart.coords)
+    return Polynomial.constant(value, chart.coords)
+
+
 def _check_degree(chart: Chart, degree: int) -> None:
     if degree < 0 or degree > chart.dim:
         raise DegreeError(f"degree {degree} out of range for chart of dim {chart.dim}")
@@ -115,8 +122,7 @@ class _Tensor:
                 raise DegreeError(f"index {key} out of range for chart {chart.coords}")
             if list(key) != sorted(set(key)):
                 raise DegreeError(f"index {key} must be strictly increasing")
-            poly = (poly.with_variables(chart.coords) if isinstance(poly, Polynomial)
-                    else Polynomial.constant(poly, chart.coords))
+            poly = _chart_poly(chart, poly)
             if not poly.is_zero():
                 canon[key] = canon[key] + poly if key in canon else poly
         self.chart = chart
@@ -143,7 +149,8 @@ class _Tensor:
 
     @classmethod
     def from_poly(cls, chart: Chart, poly: Polynomial | int | Fraction):
-        return cls(chart, 0, {(): poly})
+        poly = _chart_poly(chart, poly)
+        return cls._make(chart, 0, {} if poly.is_zero() else {(): poly})
 
     @classmethod
     def basis(cls, chart: Chart, name: str):
@@ -195,30 +202,35 @@ class _Tensor:
         if self.degree != other.degree:
             raise DegreeError(f"degrees differ: {self.degree} vs {other.degree}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, for sign +1 or -1."""
         self._check_compatible(other)
         comps = dict(self._components)
         for idx, poly in other._components.items():
-            total = comps[idx] + poly if idx in comps else poly
+            if idx not in comps:
+                comps[idx] = poly if sign > 0 else -poly
+                continue
+            total = comps[idx] + poly if sign > 0 else comps[idx] - poly
             if total.is_zero():
                 del comps[idx]
             else:
                 comps[idx] = total
         return self._make(self.chart, self.degree, comps)
 
+    def __add__(self, other):
+        return self._combine(other, 1)
+
     def __neg__(self):
         return self._make(self.chart, self.degree, {k: -p for k, p in self._components.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, scalar):
         """Multiplication by a polynomial or rational scalar."""
         if isinstance(scalar, _Tensor):
             raise KindMismatchError("use wedge() for tensor products")
-        coords = self.chart.coords
-        scalar = (scalar.with_variables(coords) if isinstance(scalar, Polynomial)
-                  else Polynomial.constant(scalar, coords))
+        scalar = _chart_poly(self.chart, scalar)
         if scalar.is_zero():
             return self._make(self.chart, self.degree, {})
         # Q[x] has no zero divisors: no product of nonzero components vanishes
@@ -342,37 +354,41 @@ def interior_product(field: Multivector, omega: DifferentialForm) -> Differentia
     return DifferentialForm.from_terms(omega.chart, omega.degree - 1, terms)
 
 
-def _apply_vector(field: Multivector, poly: Polynomial) -> Polynomial:
-    """Directional derivative X(f)."""
-    chart = field.chart
-    partials = _gradient(chart, poly)
-    out = chart.zero_poly()
-    for (i,), comp in field._components.items():
-        if i in partials:
-            out = out + comp * partials[i]
-    return out
+def _lie_derivative_form(field: Multivector, omega: DifferentialForm) -> DifferentialForm:
+    """L_X(w_I dx^I) = X(w_I) dx^I + w_I sum_a dx^(i_1) ^ .. ^ d(X^(i_a)) ^ ..,
+    with d(X^i) = sum_k d_k X^i dx^k, in one pass over the stored components.
+    Each field component is differentiated at most once, when an index of
+    omega first asks for it; repeated indices vanish in ``from_terms``."""
+    chart = omega.chart
+    x = field._components
+    dx: dict[int, dict[int, Polynomial]] = {}
+    terms = []
+    for idx, w in omega._components.items():
+        terms.extend((idx, x[(k,)] * partial)
+                     for k, partial in _gradient(chart, w).items() if (k,) in x)
+        for pos, i in enumerate(idx):
+            if (i,) not in x:
+                continue
+            if i not in dx:
+                dx[i] = _gradient(chart, x[(i,)])
+            for k, partial in dx[i].items():
+                terms.append((idx[:pos] + (k,) + idx[pos + 1:], w * partial))
+    return DifferentialForm.from_terms(chart, omega.degree, terms)
 
 
 def lie_derivative(field: Multivector, tensor: _Tensor) -> _Tensor:
     """Lie derivative along a vector field.
 
-    On forms this is the Cartan formula i_X d + d i_X (directional derivative
-    in degree 0); on multivectors it is the Schouten bracket with the field.
+    On forms of every degree this is the coordinate formula of
+    ``_lie_derivative_form`` (the directional derivative in degree 0); on
+    multivectors it is the Schouten bracket with the field.
     """
     if not isinstance(field, Multivector) or field.degree != 1:
         raise KindMismatchError("Lie derivative takes a degree-1 multivector")
     if field.chart != tensor.chart:
         raise ChartMismatchError(f"charts differ: {field.chart.name} vs {tensor.chart.name}")
     if isinstance(tensor, DifferentialForm):
-        if tensor.degree == 0:
-            return DifferentialForm.from_poly(tensor.chart, _apply_vector(field, tensor.as_poly()))
-        first = interior_product(field, exterior_derivative(tensor))
-        second = exterior_derivative(interior_product(field, tensor))
-        if first.degree != second.degree:
-            # d of a top-degree form is a degree-clamped zero tensor
-            assert first.is_zero()
-            return second
-        return first + second
+        return _lie_derivative_form(field, tensor)
     return schouten_bracket(field, tensor)
 
 
@@ -382,9 +398,14 @@ def _schouten_half(a: Multivector, b: Multivector) -> Multivector:
     deg = a.degree + b.degree - 1
     if a.degree == 0 or deg > chart.dim:
         return Multivector.zero(chart, min(max(deg, 0), chart.dim))
-    b_partials = [(idx, _gradient(chart, poly)) for idx, poly in b._components.items()]
+    # d_i B for each coordinate i: the stored components of B that use x_i,
+    # in B's order, with their partials
+    b_partials: dict[int, list[tuple[Index, Polynomial]]] = {}
+    for idx_b, poly in b._components.items():
+        for i, partial in _gradient(chart, poly).items():
+            b_partials.setdefault(i, []).append((idx_b, partial))
     terms = []
-    for i in range(chart.dim):
+    for i in sorted(b_partials):
         for idx_a, poly_a in a._components.items():
             if i not in idx_a:
                 continue
@@ -392,9 +413,8 @@ def _schouten_half(a: Multivector, b: Multivector) -> Multivector:
             pos = idx_a.index(i)
             rest = idx_a[:pos] + idx_a[pos + 1:]
             left = -poly_a if pos % 2 else poly_a
-            for idx_b, partials in b_partials:
-                if i in partials:
-                    terms.append((rest + idx_b, left * partials[i]))
+            for idx_b, partial in b_partials[i]:
+                terms.append((rest + idx_b, left * partial))
     return Multivector.from_terms(chart, deg, terms)
 
 

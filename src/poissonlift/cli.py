@@ -6,7 +6,8 @@
 ``<problem>`` is a path to a problem file or the name of a built-in catalog
 entry.  Exit codes: 0 when every non-informative check passes, 1 when any
 check fails, 2 on parse or validation errors (including a non-positive
-sample count or ``--fd-step`` and an empty ``--box``).
+sample count or ``--fd-step`` and an empty ``--box``) and when the problem
+file cannot be read or the ``--report`` file cannot be written.
 """
 
 from __future__ import annotations
@@ -279,8 +280,12 @@ def run_checks(problem: ProblemFile, command: str, plan: SamplePlan | None = Non
 
 def _load_problem(spec_arg: str) -> ProblemFile:
     if os.path.exists(spec_arg):
-        with open(spec_arg, "r", encoding="utf-8") as handle:
-            return parse_problem(handle.read(), name=spec_arg)
+        try:
+            with open(spec_arg, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read problem {spec_arg}: {exc.strerror}") from exc
+        return parse_problem(text, name=spec_arg)
     if spec_arg in catalog_names():
         return catalog(spec_arg)
     raise UnknownCatalogError(spec_arg, catalog_names())
@@ -338,8 +343,12 @@ def main(argv: list[str] | None = None) -> int:
     if not args.quiet or failed:
         print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(emit_reports(reports))
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(emit_reports(reports))
+        except OSError as exc:
+            print(f"error: cannot write report {args.report}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 1 if failed else 0
 
 

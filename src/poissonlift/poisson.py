@@ -18,7 +18,10 @@ The kernels walk stored components only, as the chart kernels do: ``sharp``
 and ``poisson_bracket`` visit the stored components of the bivector,
 ``pairing`` those of the 1-form, ``poisson_bracket`` differentiates each
 operand once, by the variables it uses, and the symplectic checks read the
-stored components of the 2-form.  No dense component matrix is built.
+stored components of the 2-form.  No dense component matrix is built.  The
+Koszul bracket is one formula, ``_koszul``, over the two 1-forms and their
+sharps: ``koszul_bracket`` computes both sharps, and a caller bracketing many
+pairs of one family (``reduction.pgmap_residuals``) computes each once.
 """
 
 from __future__ import annotations
@@ -155,11 +158,16 @@ def koszul_bracket(pi, alpha: DifferentialForm, beta: DifferentialForm) -> Diffe
     """Bracket on 1-forms induced by pi; satisfies [df, dg]_pi = d{f, g}."""
     if alpha.degree != 1 or beta.degree != 1:
         raise DegreeError("Koszul bracket takes 1-forms")
-    chart = _as_bivector(pi).chart
-    pi_alpha = sharp(pi, alpha)
+    return _koszul(alpha, beta, sharp(pi, alpha), sharp(pi, beta))
+
+
+def _koszul(alpha: DifferentialForm, beta: DifferentialForm,
+            pi_alpha: Multivector, pi_beta: Multivector) -> DifferentialForm:
+    """[alpha, beta]_pi from the 1-forms and their sharps pi#(alpha), pi#(beta),
+    so that a caller bracketing many pairs computes each sharp once."""
     first = lie_derivative(pi_alpha, beta)
-    second = lie_derivative(sharp(pi, beta), alpha)
-    exact = differential(chart, pairing(beta, pi_alpha))  # pi(alpha, beta)
+    second = lie_derivative(pi_beta, alpha)
+    exact = differential(alpha.chart, pairing(beta, pi_alpha))  # pi(alpha, beta)
     return first - second - exact
 
 

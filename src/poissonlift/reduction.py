@@ -40,9 +40,9 @@ from .oracle import SamplePlan
 from .poisson import (
     PoissonStructure,
     SymplecticForm,
+    _koszul,
     differential,
     hamiltonian_vf,
-    koszul_bracket,
     poisson_bracket,
     sharp,
 )
@@ -149,13 +149,14 @@ SYMPLECTIC_IMAGES_CLOSED = Statement(
 def pgmap_residuals(pg: PGMap, pi: PoissonStructure) -> dict[str, DifferentialForm]:
     """Residual forms of the two compatibility axioms, named per basis datum."""
     b = pg.bialgebra
+    sharps = [sharp(pi, image) for image in pg.images]
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
             expected = DifferentialForm.zero(pg.chart, 1)
             for m, coeff in b.bracket(i, j).items():
                 expected = expected + pg.images[m] * coeff
-            actual = koszul_bracket(pi, pg.images[i], pg.images[j])
+            actual = _koszul(pg.images[i], pg.images[j], sharps[i], sharps[j])
             residuals[f"bracket-axiom[{b.basis[i]},{b.basis[j]}]"] = expected - actual
     for i in range(b.dim):
         rhs = DifferentialForm.zero(pg.chart, 2)

@@ -18,7 +18,9 @@ with T, so it kills functions and sends a 1-form theta to the fiber-linear
 function sum_j theta_j(q) v_j, and the degree 0 derivation d_T = [i_T, d] is
 the Lie derivative along T, which on a function f is f^c = v_k d_k f.  Both
 are the chart kernels ``interior_product`` and ``lie_derivative``; the
-complete lift of a verified Poisson bivector is
+latter computes d_T by the coordinate formula for L_T in one pass, and the
+tests keep i_T d + d i_T as its reference.  The complete lift of a verified
+Poisson bivector is
 
     pi_TM = pi^(ij) e_q_i ^ e_v_j  +  (1/2) v_k d_k pi^(ij) e_v_i ^ e_v_j,
 
@@ -189,7 +191,9 @@ def _complete_lift_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
 def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
     """Pull a form on the base back along TM -> M (components unchanged)."""
     _require_base(tc, omega)
-    return DifferentialForm(tc.total, omega.degree, omega._components)
+    coords = tc.total.coords
+    pulled = {k: p.with_variables(coords) for k, p in omega._components.items()}
+    return DifferentialForm._make(tc.total, omega.degree, pulled)
 
 
 # -- tangent derivations -----------------------------------------------------
@@ -205,9 +209,9 @@ def i_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
 
 def d_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
     """Degree 0 tangent derivation (complete lift of forms): i_T d + d i_T,
-    the Lie derivative along the tautological field; on a function it is
-    f^c = v_k d_k f, which the Hamiltonian comomentum check compares with
-    i_T(df)."""
+    computed as the chart's coordinate Lie derivative along the tautological
+    field; on a function it is f^c = v_k d_k f, which the Hamiltonian
+    comomentum check compares with i_T(df)."""
     return lie_derivative(tc.tautological, base_pullback(tc, omega))
 
 

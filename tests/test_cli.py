@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from poissonlift import catalog, catalog_names, emit_reports, parse_problem, parse_reports
-from poissonlift import SamplePlan, chart, cli, reduction, tangent
+from poissonlift import SamplePlan, chart, cli, poisson, reduction, tangent
 from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA, catalog_text
@@ -375,6 +375,14 @@ class TestMainEntry:
         assert main(["check-poisson", "so3-coadjoint", *flags]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("case", ["report-in-missing-dir", "report-is-dir", "problem-is-dir"])
+    def test_unreadable_or_unwritable_path(self, tmp_path, capsys, case):
+        path = str(tmp_path / "missing" / "x") if case == "report-in-missing-dir" else str(tmp_path)
+        argv = ["all", path] if case == "problem-is-dir" else ["all", "so3-coadjoint", "--report", path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and path in err
+
     @pytest.mark.parametrize(
         "problem",
         list(catalog_names()) + [str(p) for p in sorted(_CONFORMANCE.glob("valid/*.pf"))]
@@ -462,6 +470,43 @@ def test_jacobi_is_checked_once_when_first_needed(monkeypatch, name):
     assert calls == []
     run_checks(problem, "all")
     assert len(calls) == 1
+
+
+def test_pgmap_residuals_sharps_each_image_once(monkeypatch):
+    # one Koszul bracket per basis pair took both sharps afresh: 72 sharp
+    # calls for the 9 images of gl(3)
+    problem = parse_problem(gl_problem(3))
+    sharps = _count_calls(monkeypatch, poisson, "sharp")
+    residuals = _count_calls(monkeypatch, reduction, "pgmap_residuals")
+    run_checks(problem, "certify-pgmap")
+    assert len(residuals) == 1
+    assert len(sharps) == problem.pgmap.bialgebra.dim == 9
+
+
+def test_lemma_sides_stay_on_separate_kernels(monkeypatch):
+    # verify-lemma compares the prolongation, built by _complete_lift_poly,
+    # with d_T, built by the chart's Lie derivative; a Lie derivative that
+    # called _complete_lift_poly would share a wrong lift with the other side
+    depth, lifts = [0], []
+    lie, lift = chart.lie_derivative, tangent._complete_lift_poly
+
+    def traced_lie(*args):
+        depth[0] += 1
+        try:
+            return lie(*args)
+        finally:
+            depth[0] -= 1
+
+    def traced_lift(*args):
+        lifts.append(depth[0])
+        return lift(*args)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("poissonlift") and getattr(mod, "lie_derivative", None) is lie:
+            monkeypatch.setattr(mod, "lie_derivative", traced_lie)
+    monkeypatch.setattr(tangent, "_complete_lift_poly", traced_lift)
+    run_checks(parse_problem(gl_problem(3)), "verify-lemma")
+    assert lifts and set(lifts) == {0}
 
 
 def test_symplectic_builds_its_pgmap_once(monkeypatch):

@@ -156,7 +156,9 @@ def _complete_lift_form_oracle(tc, omega: DifferentialForm) -> DifferentialForm:
 
     d_T(w) = sum_I (v_k d_k w_I) dq^I
            + sum_I w_I sum_a (-1)^(k-a-1) dq^(I minus i_a) ^ dv^(i_a sorted last)
-    assembled through from_terms, independent of the Cartan-formula route.
+    assembled through from_terms.  It is written for T alone and moves each dv
+    last by hand, while ``d_T`` runs the chart's Lie derivative kernel, which
+    takes any field.
     """
     chart = omega.chart
     n = chart.dim
@@ -196,7 +198,7 @@ class TestCompleteLiftOfForms:
         got = d_T(tc_qp, parse_form("dq^dp", chart_qp))
         assert got == parse_form("dq^dv_p - dp^dv_q", tc_qp.total)
 
-    def test_cartan_equals_direct_formula(self):
+    def test_lie_derivative_kernel_equals_direct_formula(self):
         rng = random.Random(33)
         for dim in (1, 2, 3):
             chart = Chart("B", tuple(f"x{i}" for i in range(dim)))
@@ -483,11 +485,15 @@ class TestOneFormLiftIdentity:
         problem = parse_problem(gl_problem(3))
         maps = count_constructions(monkeypatch, CoordinateMap)
         charts = count_constructions(monkeypatch, Chart)
+        forms = count_constructions(monkeypatch, DifferentialForm)
         (report,) = run_checks(problem, "verify-lemma")
         assert report.verdict == "pass"
         assert maps == []
         # the command's one tangent chart; none for any of the 90 probes
         assert [chart.name for chart in charts] == ["TM"]
+        # the 90 probes pass the validating constructor once, when the
+        # command builds them, and not again in d_T's base_pullback
+        assert len(forms) == 90
 
     def test_verify_lemma_composes_no_polynomials(self, monkeypatch):
         assert _compose_calls(monkeypatch, "verify-lemma") == []
