@@ -19,10 +19,12 @@ where dA/dxi_i is the left odd partial derivative and d_i differentiates
 coefficients.  On two vector fields this reduces to the Lie bracket, and on
 a (vector field, function) pair to the directional derivative.
 
-Every kernel walks stored components only: A . B pairs each stored
-component of A that carries xi_i with each stored component of B whose
-polynomial uses coordinate i, and each component is differentiated only by
-the variables it uses.  Missing components are zero and are never built.
+Every kernel walks stored components only: A . B files the stored
+components of A under each index they carry and those of B under each
+coordinate their polynomial uses, and pairs the two lists of each
+coordinate i.  Each component is differentiated only by the variables it
+uses, [A, A] computes A . A once, and missing components are zero and are
+never built.
 """
 
 from __future__ import annotations
@@ -263,9 +265,10 @@ class _Tensor:
         for idx in sorted(self._components):
             poly = self._components[idx]
             basis = self._basis_str(idx)
-            if poly == 1:
+            unit = poly.constant_value() if poly.is_constant() else None
+            if unit == 1:
                 chunks.append(basis)
-            elif poly == -1:
+            elif unit == -1:
                 chunks.append(f"-{basis}")
             else:
                 chunks.append(f"({poly.to_string()})*{basis}")
@@ -404,15 +407,17 @@ def _schouten_half(a: Multivector, b: Multivector) -> Multivector:
     for idx_b, poly in b._components.items():
         for i, partial in _gradient(chart, poly).items():
             b_partials.setdefault(i, []).append((idx_b, partial))
+    # dA/dxi_i for each such i: the stored components of A that carry i, in
+    # A's order; the left odd partial drops i from idx_a with sign (-1)^pos
+    a_partials: dict[int, list[tuple[Index, Polynomial]]] = {}
+    for idx_a, poly_a in a._components.items():
+        for pos, i in enumerate(idx_a):
+            if i in b_partials:
+                a_partials.setdefault(i, []).append((idx_a[:pos] + idx_a[pos + 1:],
+                                                      -poly_a if pos % 2 else poly_a))
     terms = []
-    for i in sorted(b_partials):
-        for idx_a, poly_a in a._components.items():
-            if i not in idx_a:
-                continue
-            # the left odd partial by xi_i drops i from idx_a with sign (-1)^pos
-            pos = idx_a.index(i)
-            rest = idx_a[:pos] + idx_a[pos + 1:]
-            left = -poly_a if pos % 2 else poly_a
+    for i in sorted(a_partials):
+        for rest, left in a_partials[i]:
             for idx_b, partial in b_partials[i]:
                 terms.append((rest + idx_b, left * partial))
     return Multivector.from_terms(chart, deg, terms)
@@ -438,7 +443,7 @@ def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:
         return Multivector.zero(a.chart, 0)
     u, v = a.degree - 1, b.degree - 1
     first = _schouten_half(a, b)
-    second = _schouten_half(b, a)
+    second = first if a is b else _schouten_half(b, a)
     if u % 2:
         first = -first
     if (u * v + v) % 2 == 0:

@@ -28,8 +28,11 @@ term map: polynomials on a base chart cross for free into its bundle
 charts, whose coordinates begin with the base's.  Operands over different
 universes meet on the longer one when it extends the other, and otherwise
 on their sorted union.  The universe order is read only where positions
-become names: printing, the dense exponent tuples of ``terms`` and of the
-public constructor, and evaluation, so sampled values follow it too.
+become names: printing, ``compose`` and ``scaled_values`` walk the set
+fields of each key (:func:`_fields`), so their cost follows the variables a
+term uses, not the length of the universe, and sampled values follow the
+universe order too.  Only the public constructor, the ``terms`` view and
+the reference evaluation ``substitute`` read dense exponent tuples.
 
 Construction has two paths.  The public constructor ``Polynomial(variables,
 terms)`` validates everything: distinct variable names, exponent tuples of
@@ -68,6 +71,19 @@ _FIELD = (1 << W) - 1
 @cache
 def _guard(n: int) -> int:  # bit W-1 of each of the first n fields
     return sum(EXPONENT_LIMIT << (i * W) for i in range(n))
+
+
+def _fields(key: int) -> list[tuple[int, int]]:
+    """The ``(index, exponent)`` pairs of the nonzero fields of a monomial
+    key, lowest index first."""
+    fields = []
+    while key:
+        shift = (key & -key).bit_length() - 1
+        shift -= shift % W
+        e = (key >> shift) & _FIELD
+        fields.append((shift // W, e))
+        key -= e << shift
+    return fields
 
 
 def rational(value) -> Rational:
@@ -138,7 +154,9 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Exponents, Rational]:
-        """The term map keyed by dense exponent tuples over ``variables``."""
+        """The term map keyed by dense exponent tuples over ``variables``: the
+        public constructor's form, for callers and the reference
+        ``substitute``; no check reads it."""
         shifts = range(0, len(self.variables) * W, W)
         return {tuple((key >> s) & _FIELD for s in shifts): c for key, c in self._terms.items()}
 
@@ -339,14 +357,15 @@ class Polynomial:
             raise MissingAssignmentError(f"no value for variables {missing}")
         if not self._terms:
             return [0 for _ in points], 1
-        dense = self.terms
-        top = max(map(sum, dense))
-        scale = math.lcm(*(c.denominator for c in dense.values()))
         pos = [where[v] for v in self.variables]
-        # (scaled coefficient, point positions repeated by exponent) per term
-        terms = [(int(c * scale) * denominator ** (top - sum(exps)),
-                  [p for p, e in zip(pos, exps) for _ in range(e)])
-                 for exps, c in dense.items()]
+        # (coefficient, degree, point positions repeated by exponent) per term
+        rows = []
+        for key, c in self._terms.items():
+            fields = _fields(key)
+            rows.append((c, sum(e for _, e in fields), [pos[i] for i, e in fields for _ in range(e)]))
+        top = max(deg for _, deg, _ in rows)
+        scale = math.lcm(*(c.denominator for c, _, _ in rows))
+        terms = [(int(c * scale) * denominator ** (top - deg), factors) for c, deg, factors in rows]
         values = []
         for n in points:
             total = 0
@@ -377,11 +396,10 @@ class Polynomial:
         universe = tuple(sorted(set().union(*(images[v].variables for v in used))))
         lifted = {v: images[v].with_variables(universe) for v in used}
         acc = Polynomial._make(universe, {})
-        for exps, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             term = Polynomial._make(universe, {0: coeff})
-            for v, e in zip(self.variables, exps):
-                if e:
-                    term = term * lifted[v] ** e
+            for i, e in _fields(key):
+                term = term * lifted[self.variables[i]] ** e
             acc = acc + term
         return acc
 
@@ -389,7 +407,8 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):
-            other = Polynomial.constant(other, self.variables)
+            c = rational(other)
+            return self._terms == ({0: c} if c else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._aligned(self, other)
@@ -400,15 +419,19 @@ class Polynomial:
     def to_string(self) -> str:
         if not self._terms:
             return "0"
+        names, last = self.variables, (len(self.variables) - 1) * W
+        # graded lex on (degree, exponents repacked with variable 0 in the
+        # most significant field): every field is below 2^W, so that int
+        # orders as the dense exponent tuples do
+        rows = []
+        for key, coeff in self._terms.items():
+            fields = _fields(key)
+            rows.append((sum(e for _, e in fields), sum(e << (last - i * W) for i, e in fields),
+                         fields, coeff))
+        rows.sort(reverse=True)
         chunks: list[str] = []
-        graded_lex = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        for exps, coeff in graded_lex:
-            factors = []
-            for v, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
+        for _, _, fields, coeff in rows:
+            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in fields]
             if not factors:
                 text = str(coeff)
             elif coeff == 1:

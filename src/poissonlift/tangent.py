@@ -53,7 +53,7 @@ from .errors import (
 )
 from .oracle import SamplePlan
 from .poisson import PoissonStructure
-from .poly import Polynomial
+from .poly import W, Polynomial
 from .report import CheckReport, Statement, make_report
 
 # Block prefixes of each bundle chart in chart order; "" is the base block.
@@ -311,12 +311,16 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate) -> dict[str, Polynom
     # left-hand side: pi_TM# . alpha, with alpha(q, p, qdot, pdot) the covector
     # at (q, v=qdot) whose dq-coefficients xi are pdot and dv-coefficients p,
     # built the way sharp is: slot b gets xi_a c and slot a gets -xi_b c.
-    # Setting v = qdot renames the (q, v) terms onto the (q, qdot) blocks.
-    q_qdot = zchart.coords[:n] + zchart.coords[2 * n:3 * n]
+    # Setting v = qdot moves the v fields of each monomial key of c, over
+    # (q, v), up n fields onto the qdot block of (q, p, qdot, pdot); renaming
+    # through with_variables would rebuild a universe map per component.
+    shift = n * W
+    q_mask = (1 << shift) - 1
     xi = pdot + p
     lhs = [zchart.zero_poly() for _ in range(2 * n)]
     for (a, b), c in cand._components.items():
-        cz = Polynomial(q_qdot, c.terms).with_variables(zchart.coords)
+        cz = Polynomial._make(zchart.coords, {(key & q_mask) | (key >> shift << 2 * shift): coeff
+                                              for key, coeff in c._terms.items()})
         lhs[b] = lhs[b] + xi[a] * cz
         lhs[a] = lhs[a] - xi[b] * cz
 

@@ -22,6 +22,7 @@ from poissonlift import (
     tangent_chart,
     wedge,
 )
+from poissonlift import chart as chart_module
 from poissonlift.errors import ChartMismatchError, DegreeError, KindMismatchError
 
 from conftest import dense_matrix, rand_form, rand_multivector, rand_poly
@@ -237,6 +238,68 @@ class TestSchouten:
                 B, schouten_bracket(A, C)
             )
             assert lhs == rhs
+
+
+def _scanning_schouten_half(a: Multivector, b: Multivector) -> Multivector:
+    """A . B = sum_i (dA/dxi_i) ^ (d_i B), scanning every stored component of
+    A for each coordinate that B's partials use: the reference for
+    ``chart._schouten_half``, which files A's components by the indices they
+    carry and must keep this component and term order."""
+    chart = a.chart
+    deg = a.degree + b.degree - 1
+    if a.degree == 0 or deg > chart.dim:
+        return Multivector.zero(chart, min(max(deg, 0), chart.dim))
+    b_partials = {}
+    for idx_b, poly in b.components.items():
+        for name in poly.used_variables():
+            b_partials.setdefault(chart.index(name), []).append((idx_b, poly.derivative(name)))
+    terms = []
+    for i in sorted(b_partials):
+        for idx_a, poly_a in a.components.items():
+            if i not in idx_a:
+                continue
+            pos = idx_a.index(i)
+            rest = idx_a[:pos] + idx_a[pos + 1:]
+            left = -poly_a if pos % 2 else poly_a
+            for idx_b, partial in b_partials[i]:
+                terms.append((rest + idx_b, left * partial))
+    return Multivector.from_terms(chart, deg, terms)
+
+
+def _in_order(tensor: Multivector) -> list:
+    """Components and their terms in stored order."""
+    return [(idx, list(poly.terms.items())) for idx, poly in tensor.components.items()]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_schouten_half_matches_scanning_reference(dim):
+    rng = random.Random(300 + dim)
+    chart = Chart("R", tuple(f"x{k}" for k in range(dim)))
+    degrees = range(min(3, dim) + 1)
+    for _ in range(4):
+        for a_degree in degrees:
+            for b_degree in degrees:
+                a = rand_multivector(rng, chart, a_degree, max_degree=3)
+                b = rand_multivector(rng, chart, b_degree, max_degree=3)
+                assert _in_order(chart_module._schouten_half(a, b)) == _in_order(_scanning_schouten_half(a, b))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_self_bracket_computes_one_half(dim, monkeypatch):
+    # [A, A] = (-1)^(|A|-1) D(A, A) - D(A, A), since (|A|-1)|A| is even
+    rng = random.Random(310 + dim)
+    chart = Chart("R", tuple(f"x{k}" for k in range(dim)))
+    halves = []
+    kernel = chart_module._schouten_half
+    monkeypatch.setattr(chart_module, "_schouten_half", lambda a, b: halves.append(a) or kernel(a, b))
+    for degree in range(1, min(3, dim) + 1):
+        for _ in range(4):
+            pi = rand_multivector(rng, chart, degree, max_degree=3)
+            first, second = _scanning_schouten_half(pi, pi), _scanning_schouten_half(pi, pi)
+            expected = (first if degree % 2 else -first) - second
+            halves.clear()
+            assert _in_order(schouten_bracket(pi, pi)) == _in_order(expected)
+            assert len(halves) == 1
 
 
 def _jacobiator_oracle(pi: Multivector) -> Multivector:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from poissonlift import catalog, catalog_names, emit_reports, parse_problem, parse_reports
-from poissonlift import SamplePlan, chart, cli, poisson, reduction, tangent
+from poissonlift import Polynomial, SamplePlan, chart, cli, poisson, reduction, tangent
 from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA, catalog_text
@@ -536,6 +536,19 @@ def test_all_makes_no_fraction_substitution(monkeypatch, name):
     substitutions = count_polynomial_calls(monkeypatch, "substitute")
     run_checks(catalog(name), "all")
     assert substitutions == []
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "gl3"])
+def test_all_reads_no_dense_exponent_tuples(monkeypatch, name):
+    # printing, the lift identity's v -> qdot renaming, sampling and
+    # composition read 348 dense term maps on gl(3) and 137 over the
+    # five catalog entries; they walk the packed keys instead
+    reads = []
+    dense = Polynomial.terms.fget
+    monkeypatch.setattr(Polynomial, "terms", property(lambda poly: reads.append(poly) or dense(poly)))
+    problem = parse_problem(gl_problem(3)) if name == "gl3" else catalog(name)
+    run_checks(problem, "all")
+    assert reads == []
 
 
 def test_verify_lemma_shares_one_zero_polynomial_per_chart(monkeypatch):

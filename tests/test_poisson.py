@@ -47,6 +47,7 @@ from poissonlift import (
     wedge,
 )
 from poissonlift.errors import ChartMismatchError, DegreeError, UnknownSymbolError
+from poissonlift.poly import EXPONENT_LIMIT
 from poissonlift.tangent import bundle_chart, tangent_lift_residuals
 
 from conftest import (
@@ -531,6 +532,31 @@ def test_kernels_match_dense_references(dim):
                 assert fd == _dense_fd(f, point, h)
     # dim 2 has only Poisson bivectors
     assert verdicts == ({True} if dim == 2 else {True, False})
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_lift_identity_renaming_matches_dense_route(dim):
+    # tangent_lift_residuals sets v = qdot by moving the v fields of each
+    # monomial key up n fields; the dense route renames exponent tuples
+    # through the public constructor, here with exponents up to the limit
+    rng = random.Random(400 + dim)
+    chart = Chart("R", tuple(f"x{k}" for k in range(dim)))
+    tc = tangent_chart(chart)
+    for _ in range(6):
+        bivector = rand_multivector(rng, chart, 2, max_degree=2)
+        wide = {}
+        for _ in range(3):
+            i, j = sorted(rng.sample(range(2 * dim), 2))
+            exps = [0] * (2 * dim)
+            for k in rng.sample(range(2 * dim), 2):
+                exps[k] = rng.choice([1, 2, EXPONENT_LIMIT - 1])
+            wide[(i, j)] = Polynomial(tc.total.coords, {tuple(exps): rand_fraction(rng), (0,) * (2 * dim): 1})
+        for cand in (rand_multivector(rng, tc.total, 2, max_degree=3), Multivector(tc.total, 2, wide)):
+            residuals = tangent_lift_residuals(PoissonStructure(bivector), cand)
+            dense = _dense_lift_residuals(bivector, cand)
+            assert residuals == dense
+            assert list(residuals) == list(dense)
+            assert all(r.variables == bundle_chart(chart, "TT*").coords for r in residuals.values())
 
 
 def test_kernels_keep_their_errors(chart_qp, chart_xyz, so3):

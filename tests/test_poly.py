@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlift import Polynomial, parse_poly
+from poissonlift.poly import EXPONENT_LIMIT
 from poissonlift.errors import (
     MissingAssignmentError,
     ParseError,
     UnknownSymbolError,
 )
 
-from conftest import rand_poly
+from conftest import count_polynomial_calls, rand_poly
 
 
 def P(text, *variables):
@@ -319,3 +320,89 @@ def test_print_canonical_graded_lex():
     assert P("q^2*p - 1/2").to_string() == "q^2*p - 1/2"
     assert P("p + q^2 + q*p").to_string() == "q^2 + q*p + p"
     assert parse_poly("0", ("q",)).to_string() == "0"
+
+
+def _dense_to_string(poly: Polynomial) -> str:
+    """The printer on dense exponent tuples over the whole universe: the
+    reference for ``to_string``, which walks the set fields of each key."""
+    if poly.is_zero():
+        return "0"
+    chunks = []
+    graded_lex = sorted(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    for exps, coeff in graded_lex:
+        factors = []
+        for v, e in zip(poly.variables, exps):
+            if e == 1:
+                factors.append(v)
+            elif e > 1:
+                factors.append(f"{v}^{e}")
+        if not factors:
+            text = str(coeff)
+        elif coeff == 1:
+            text = "*".join(factors)
+        elif coeff == -1:
+            text = "-" + "*".join(factors)
+        else:
+            text = str(coeff) + "*" + "*".join(factors)
+        chunks.append(text)
+    out = chunks[0]
+    for text in chunks[1:]:
+        out += " - " + text[1:] if text.startswith("-") else " + " + text
+    return out
+
+
+def _sparse_random_poly(rng: random.Random, variables, max_exponent: int) -> Polynomial:
+    """A few terms, each on a few variables, with int or Fraction coefficients
+    (±1 among them) and exponents up to ``max_exponent``; some terms share a
+    total degree so the lex tie-break decides their order."""
+    n = len(variables)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(n)] = rng.choice([1, 2, 3, rng.randint(1, max_exponent), max_exponent])
+        if rng.random() < 0.5 and any(exps):  # the same degree, the exponents elsewhere
+            terms[tuple(exps[1:] + exps[:1])] = rng.choice([1, -1, 2])
+        terms[tuple(exps)] = rng.choice([1, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 7))])
+    return Polynomial(variables, terms)
+
+
+def test_packed_printing_matches_dense_reference():
+    rng = random.Random(20)
+    for n in range(1, 71):
+        variables = tuple(f"x{i}" for i in range(n))
+        extended = variables + ("y", "z")
+        for max_exponent in (3, EXPONENT_LIMIT - 1):
+            for _ in range(4):
+                poly = _sparse_random_poly(rng, variables, max_exponent)
+                assert poly.to_string() == _dense_to_string(poly)
+                # an extension shares the term map and prints the same
+                wide = poly.with_variables(extended)
+                assert wide.to_string() == _dense_to_string(wide) == poly.to_string()
+                assert (-wide).to_string() == _dense_to_string(-wide)
+
+
+def test_scaled_values_match_substitute_on_wide_universes():
+    rng = random.Random(21)
+    for n in (1, 2, 5, 31, 32, 33, 64, 70):
+        variables = tuple(f"x{i}" for i in range(n))
+        # the points name the polynomial's variables in another order, and more
+        stream = tuple(reversed(variables)) + ("y",)
+        for _ in range(5):
+            poly = _sparse_random_poly(rng, variables, 4)
+            denominator = rng.randint(1, 12)
+            points = [tuple(rng.randint(-20, 20) for _ in stream) for _ in range(3)]
+            values, scale = poly.scaled_values(stream, points, denominator)
+            for value, point in zip(values, points):
+                assignment = {v: Fraction(x, denominator) for v, x in zip(stream, point)}
+                assert Fraction(value, scale) == poly.substitute(assignment)
+
+
+def test_equality_with_a_rational_builds_no_constant(monkeypatch):
+    polys = [P(text) for text in ("1", "0", "-1/2", "q", "q + 1", "1/2")]
+    constants = count_polynomial_calls(monkeypatch, "constant")
+    one, zero, half, q, q_plus_one, plus_half = polys
+    assert one == 1 and one == Fraction(2, 2) and zero == 0 and half == Fraction(-1, 2)
+    assert zero != 1 and q != 0 and q != 1 and q_plus_one != 1 and plus_half != 1
+    assert one.with_variables(("q", "p", "r")) == 1
+    assert constants == []
