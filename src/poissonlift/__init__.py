@@ -6,7 +6,7 @@ The sign conventions used throughout are documented in
 :mod:`poissonlift.poisson`.
 """
 
-from .bialgebra import LieBialgebra, abelian_bialgebra, lie_poisson, so3_bialgebra
+from .bialgebra import LieBialgebra, lie_poisson, so3_bialgebra
 from .chart import (
     Chart,
     DifferentialForm,
@@ -23,7 +23,6 @@ from .parser import parse_form, parse_multivector, parse_poly
 from .poisson import (
     PoissonStructure,
     SymplecticForm,
-    bivector_pairing,
     differential,
     hamiltonian_vf,
     koszul_bracket,
@@ -34,18 +33,14 @@ from .poisson import (
 from .poly import Polynomial
 from .problemfile import ProblemFile, catalog, catalog_names, parse_problem
 from .reduction import (
-    FiberLinearFunction,
     MomentumMapData,
     PGMap,
     Resolved,
     bracket_closure_check,
     certify_pgmap,
     characteristic_identity_check,
-    comomentum,
     comomentum_components,
     cotangent_momentum_relation,
-    generator,
-    hamiltonian_comomentum,
     hamiltonian_pgmap,
     level_set_tangency_check,
     symplectic_pgmap,
@@ -59,14 +54,11 @@ from .tangent import (
     TangentChart,
     base_pullback,
     bundle_chart,
-    canonical_involution,
     complete_lift_bivector,
     complete_lift_vf,
     d_T,
     i_T,
     tangent_chart,
-    tulczyjew_alpha,
-    tulczyjew_alpha_inverse,
     verify_tangent_lift_identity,
 )
 

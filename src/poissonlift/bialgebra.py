@@ -229,10 +229,6 @@ class LieBialgebra:
         return f"LieBialgebra(basis={self.basis}, verified={self.verified})"
 
 
-def abelian_bialgebra(names: Sequence[str]) -> LieBialgebra:
-    return LieBialgebra(tuple(names), {}, {})
-
-
 def so3_bialgebra() -> LieBialgebra:
     """Rotation algebra with zero cobracket: [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2."""
     return LieBialgebra(

@@ -13,7 +13,6 @@ file cannot be read or the ``--report`` file cannot be written.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from fractions import Fraction
@@ -40,18 +39,17 @@ from .tangent import (
     TANGENT_LIFT_IDENTITY,
     d_T,
     one_form_lift_residuals,
-    tangent_chart,
     verify_tangent_lift_identity,
 )
 
 
 # -- individual commands --------------------------------------------------------
 #
-# Every command takes the problem, a function returning the problem's one
-# Resolved value (built on first call) and the sampling plan.
+# Every command takes the problem, the problem's one Resolved value and the
+# sampling plan.
 
 
-def _cmd_check_poisson(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
+def _cmd_check_poisson(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
     reports = []
     if problem.symplectic is not None:
         omega = problem.symplectic
@@ -62,7 +60,7 @@ def _cmd_check_poisson(problem: ProblemFile, resolve, plan: SamplePlan) -> list[
                 {"d(omega)": exterior_derivative(omega.two_form)},
             )
         )
-    pi = resolve().pi
+    pi = r.pi
     chart = pi.chart
     residuals = {
         f"[pi,pi][{','.join(chart.coords[i] for i in idx)}]": poly
@@ -80,8 +78,7 @@ TANGENT_LIFT_COMPONENTS = Statement(
 )
 
 
-def _cmd_lift(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    r = resolve()
+def _cmd_lift(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
     refusal = r.require_poisson(TANGENT_LIFT_COMPONENTS)
     if refusal:
         return [refusal]
@@ -94,13 +91,12 @@ def _cmd_lift(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckRepo
     return [make_report(*TANGENT_LIFT_COMPONENTS, entries, informative=True)]
 
 
-def _cmd_verify_lift(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    r = resolve()
+def _cmd_verify_lift(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
     return [r.require_poisson(TANGENT_LIFT_IDENTITY)
             or verify_tangent_lift_identity(r.pi, r.pi_tm, plan=plan)]
 
 
-def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
+def _cmd_verify_lemma(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
     """alpha . T(theta) = d_T(theta), proved for every 1-form theta on the chart.
 
     Both sides have the base blocks (q, v), and their fiber blocks are
@@ -110,8 +106,7 @@ def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan) -> list[C
     n + n^2 affine forms decide the lemma, and neither seed nor count is
     read.  ``test_criterion_2_one_form_prolongation`` keeps seeded random
     forms as a guard against an implementation that is not first-order."""
-    chart = problem.chart
-    tc = tangent_chart(chart)
+    chart, tc = problem.chart, r.tc
     coefficients = {"": chart.constant_poly(1)}
     coefficients.update({f"{ck}*": chart.coord_poly(ck) for ck in chart.coords})
     residuals = {
@@ -131,16 +126,15 @@ def _cmd_verify_lemma(problem: ProblemFile, resolve, plan: SamplePlan) -> list[C
     ]
 
 
-def _cmd_certify(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    return [*problem.pgmap.bialgebra.structure_checks, certify_pgmap(resolve(), plan=plan)]
+def _cmd_certify(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
+    return [*problem.pgmap.bialgebra.structure_checks, certify_pgmap(r, plan=plan)]
 
 
-def _cmd_bracket_closure(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    return [bracket_closure_check(resolve(), plan=plan)]
+def _cmd_bracket_closure(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
+    return [bracket_closure_check(r, plan=plan)]
 
 
-def _cmd_tangent_generator(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    r = resolve()
+def _cmd_tangent_generator(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
     refusal = r.require(TANGENT_GENERATOR_AGREEMENT)
     if refusal:
         return [refusal]
@@ -157,15 +151,15 @@ def _cmd_tangent_generator(problem: ProblemFile, resolve, plan: SamplePlan) -> l
     return [listing, tangent_generator_check(r, plan=plan)]
 
 
-def _cmd_characteristic(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
-    return [characteristic_identity_check(resolve(), plan=plan)]
+def _cmd_characteristic(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
+    return [characteristic_identity_check(r, plan=plan)]
 
 
-def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
+def _cmd_hamiltonian(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
     momentum = problem.momentum
     chart = momentum.chart
     bialgebra = problem.bialgebra
-    tc = tangent_chart(chart)
+    tc = r.tc
     pg_exact = hamiltonian_pgmap(momentum, bialgebra)
     via_pg = comomentum_components(pg_exact, tc)
     residuals = {}
@@ -190,7 +184,7 @@ def _cmd_hamiltonian(problem: ProblemFile, resolve, plan: SamplePlan) -> list[Ch
     return reports
 
 
-def _cmd_symplectic(problem: ProblemFile, resolve, plan: SamplePlan) -> list[CheckReport]:
+def _cmd_symplectic(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
     pg, closed_report = symplectic_pgmap(problem.symplectic, problem.action, problem.bialgebra)
     if pg is None:
         return [closed_report]
@@ -268,8 +262,8 @@ def run_checks(problem: ProblemFile, command: str, plan: SamplePlan | None = Non
         raise ParseError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     plan = problem.plan if plan is None else plan
     fd_step = problem.fd_step if fd_step is None else fd_step
-    resolve = functools.cache(lambda: Resolved(problem.poisson_structure, problem.pgmap))
-    reports = [rep for step in steps for rep in _TABLE[step][0](problem, resolve, plan)]
+    r = Resolved(problem.poisson_structure, problem.pgmap)
+    reports = [rep for step in steps for rep in _TABLE[step][0](problem, r, plan)]
     if command == "all":
         reports += _oracle_fd(problem, plan, fd_step)
     return reports

@@ -115,11 +115,6 @@ def pairing(alpha: DifferentialForm, field: Multivector) -> Polynomial:
     return out
 
 
-def bivector_pairing(pi, alpha: DifferentialForm, beta: DifferentialForm) -> Polynomial:
-    """pi(alpha, beta) = <beta, pi#(alpha)>."""
-    return pairing(beta, sharp(pi, alpha))
-
-
 def poisson_bracket(pi, f: Polynomial, g: Polynomial) -> Polynomial:
     """{f, g} = pi(df, dg)."""
     bivector = _as_bivector(pi)

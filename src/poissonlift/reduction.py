@@ -9,14 +9,16 @@ A certified family phi: g -> 1-forms satisfies, for the attached bialgebra,
     (ii) d(phi_i)   = sum_(j<k) gamma^(jk)_i phi_j ^ phi_k
 
 and the induced fiber-linear functions c_i = i_T(phi_i) then close under the
-lifted Poisson bracket: {c_i, c_j}_TM = c_[e_i, e_j].  The lifted checks
-take a ``Resolved`` value, which certifies the map and lifts pi once and
-passes both on.  A lifted check whose prerequisites fail (pi not Poisson,
-the bialgebra not verified or, past ``certify_pgmap``, a map with a nonzero
-axiom residual) returns its ``fail`` report with one ``unverified-input``
-residual naming the first that fails.  Negative controls observe the nonzero
-residuals of such a map through the ``*_residuals`` functions, which take no
-certification step.
+lifted Poisson bracket: {c_i, c_j}_TM = c_[e_i, e_j].  A family is kept as
+its basis images phi_i, and every function here takes a basis index, not a
+coefficient vector.  The lifted checks take a ``Resolved`` value, which
+certifies the map, lifts pi and computes the c_i and the lifted generators
+once each, and passes them on.  A lifted check whose prerequisites fail (pi
+not Poisson, the bialgebra not verified or, past ``certify_pgmap``, a map
+with a nonzero axiom residual) returns its ``fail`` report with one
+``unverified-input`` residual naming the first that fails.  Negative
+controls observe the nonzero residuals of such a map through the
+``*_residuals`` functions, which take no certification step.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import _linalg
-from .bialgebra import LieBialgebra, abelian_bialgebra
+from .bialgebra import LieBialgebra
 from .chart import (
     Chart,
     DifferentialForm,
@@ -46,7 +48,7 @@ from .poisson import (
     poisson_bracket,
     sharp,
 )
-from .poly import Polynomial, rational
+from .poly import Polynomial
 from .report import CheckReport, Statement, make_report
 from .tangent import (
     CoordinateMap,
@@ -78,35 +80,6 @@ class PGMap:
                 raise ChartMismatchError("image form lives on the wrong chart")
             if form.degree != 1:
                 raise DegreeError("images must be 1-forms")
-
-    def image(self, xs: Sequence) -> DifferentialForm:
-        """Linear combination of basis images."""
-        vec = tuple(rational(x) for x in xs)
-        if len(vec) != self.bialgebra.dim:
-            raise DimensionMismatchError(f"expected {self.bialgebra.dim} coefficients, got {len(vec)}")
-        out = DifferentialForm.zero(self.chart, 1)
-        for coeff, form in zip(vec, self.images):
-            if coeff != 0:
-                out = out + form * coeff
-        return out
-
-
-@dataclass(frozen=True)
-class FiberLinearFunction:
-    """A function on TM of the shape sum_j theta_j(q) v_j, kept as its base 1-form."""
-
-    base_form: DifferentialForm
-
-    def __post_init__(self):
-        if self.base_form.degree != 1:
-            raise DegreeError("fiber-linear functions come from 1-forms")
-
-    @property
-    def chart(self) -> Chart:
-        return self.base_form.chart
-
-    def as_polynomial(self, tc: TangentChart) -> Polynomial:
-        return i_T(tc, self.base_form).as_poly()
 
 
 @dataclass(frozen=True)
@@ -170,9 +143,10 @@ class Resolved:
     """A Poisson structure ``pi``, optionally a map ``pg``, and what the lifted
     checks derive from them, each member computed on first use and then kept:
     the tangent chart ``tc``, the complete lift ``pi_tm``, the axiom residuals
-    ``certification`` and the lifted ``generators``.  ``pi_tm`` is built only
-    from a ``pi`` whose Jacobi verdict is true, and the complete lift
-    preserves the Schouten bracket, so no check computes [pi_TM, pi_TM].
+    ``certification``, the comomenta ``comomenta`` and the lifted
+    ``generators``.  ``pi_tm`` is built only from a ``pi`` whose Jacobi
+    verdict is true, and the complete lift preserves the Schouten bracket,
+    so no check computes [pi_TM, pi_TM].
 
     Computing a member twice gives the same value, so an instance can be
     shared without locks.  Checks return ``require``'s refusal, when there is
@@ -196,13 +170,16 @@ class Resolved:
         return pgmap_residuals(self.pg, self.pi)
 
     @cached_property
+    def comomenta(self) -> tuple[Polynomial, ...]:
+        """The fiber-linear functions c_i = i_T(phi_i), one per basis element."""
+        return tuple(comomentum_components(self.pg, self.tc))
+
+    @cached_property
     def generators(self) -> tuple[tuple[Multivector, Multivector], ...]:
         """Per basis element: its lifted generator by the lift formula and
         the complete lift of its base generator."""
-        dim = self.pg.bialgebra.dim
-        units = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        return tuple((tangent_generator(self, unit), tangent_generator_direct(self, unit))
-                     for unit in units)
+        return tuple((tangent_generator(self, i), tangent_generator_direct(self, i))
+                     for i in range(len(self.pg.images)))
 
     def require_poisson(self, statement: Statement) -> CheckReport | None:
         """None when pi is Jacobi-verified, else ``statement``'s ``fail``
@@ -238,17 +215,7 @@ def certify_pgmap(r: Resolved, plan: SamplePlan | None = None) -> CheckReport:
             or make_report(*PGMAP_CERTIFICATION, r.certification, plan=plan))
 
 
-# -- generators and fiber-linear functions ---------------------------------------
-
-
-def generator(pg: PGMap, pi: PoissonStructure, xs: Sequence) -> Multivector:
-    """Action generator pi#(phi_x) for a coefficient vector x."""
-    return sharp(pi, pg.image(xs))
-
-
-def comomentum(pg: PGMap, xs: Sequence) -> FiberLinearFunction:
-    """The fiber-linear function i_T(phi_x) on the tangent chart."""
-    return FiberLinearFunction(pg.image(xs))
+# -- fiber-linear functions --------------------------------------------------------
 
 
 def comomentum_components(pg: PGMap, tc: TangentChart) -> list[Polynomial]:
@@ -261,8 +228,7 @@ def comomentum_components(pg: PGMap, tc: TangentChart) -> list[Polynomial]:
 def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
     """{c_i, c_j}_TM - c_[e_i, e_j] for every ordered basis pair."""
     b = r.pg.bialgebra
-    tc = r.tc
-    c = comomentum_components(r.pg, tc)
+    tc, c = r.tc, r.comomenta
     residuals: dict[str, Polynomial] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
@@ -284,20 +250,20 @@ def bracket_closure_check(r: Resolved, *, plan: SamplePlan | None = None) -> Che
 # -- lifted generators --------------------------------------------------------------
 
 
-def tangent_generator(r: Resolved, xs: Sequence) -> Multivector:
-    """Lifted generator X_(i_T phi_x) + pi_TM#(i_T d phi_x) on the tangent chart."""
-    tc = r.tc
-    phi = r.pg.image(xs)
-    hamiltonian_part = hamiltonian_vf(r.pi_tm, i_T(tc, phi).as_poly())
-    twist = i_T(tc, exterior_derivative(phi))
+def tangent_generator(r: Resolved, i: int) -> Multivector:
+    """Lifted generator X_(c_i) + pi_TM#(i_T d phi_i) of basis element i on
+    the tangent chart."""
+    hamiltonian_part = hamiltonian_vf(r.pi_tm, r.comomenta[i])
+    twist = i_T(r.tc, exterior_derivative(r.pg.images[i]))
     if twist.is_zero():
         return hamiltonian_part
     return hamiltonian_part + sharp(r.pi_tm, twist)
 
 
-def tangent_generator_direct(r: Resolved, xs: Sequence) -> Multivector:
-    """Complete lift of the base generator; must agree with tangent_generator."""
-    return complete_lift_vf(r.tc, generator(r.pg, r.pi, xs))
+def tangent_generator_direct(r: Resolved, i: int) -> Multivector:
+    """Complete lift of the base generator pi#(phi_i); must agree with
+    tangent_generator."""
+    return complete_lift_vf(r.tc, sharp(r.pi, r.pg.images[i]))
 
 
 def tangent_generator_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
@@ -318,9 +284,8 @@ def characteristic_identity_residuals(r: Resolved) -> dict[str, DifferentialForm
     A formal consequence of the cobracket axiom; exhibits the lifted
     generator minus the Hamiltonian field of c_i with coefficients in the
     ideal generated by the c_j."""
-    pg, tc = r.pg, r.tc
+    pg, tc, c = r.pg, r.tc, r.comomenta
     b = pg.bialgebra
-    c = comomentum_components(pg, tc)
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
         lhs = i_T(tc, exterior_derivative(pg.images[i]))
@@ -341,12 +306,6 @@ def characteristic_identity_check(r: Resolved, *, plan: SamplePlan | None = None
 # -- Hamiltonian special case -----------------------------------------------------------
 
 
-def hamiltonian_comomentum(momentum: MomentumMapData) -> list[FiberLinearFunction]:
-    """c_i = d_T(J_i), packaged via the exact 1-forms dJ_i."""
-    chart = momentum.chart
-    return [FiberLinearFunction(differential(chart, j)) for j in momentum.components]
-
-
 def hamiltonian_pgmap(momentum: MomentumMapData, bialgebra: LieBialgebra) -> PGMap:
     """The family with images dJ_i."""
     chart = momentum.chart
@@ -355,7 +314,9 @@ def hamiltonian_pgmap(momentum: MomentumMapData, bialgebra: LieBialgebra) -> PGM
 
 def require_zero_level(momentum: MomentumMapData, parametrization: CoordinateMap) -> CoordinateMap:
     """The parametrization, once every component of J is shown to vanish
-    identically on it; LevelSetError otherwise."""
+    identically on it; LevelSetError otherwise.  The parser proves a
+    ``levelset`` block here, once, and ``ProblemFile.levelset`` holds the
+    value returned."""
     chart = momentum.chart
     if parametrization.target != chart:
         raise ChartMismatchError("parametrization must land in the momentum chart")
@@ -373,10 +334,12 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
     """At sampled points of a zero-level parametrization, the kernel of dJ
     at the image is the parametrization's tangent span (exact rank test).
 
-    At a sample, G is dJ at its image (k x n) and C the parametrization's
-    Jacobian (n x m).  ``require_zero_level`` shows J o phi = 0, so the chain
-    rule gives G.C = d(J o phi) = 0: span C lies in ker G, and the two are
-    equal exactly when rank C = n - rank G.  Each sample is an integer tuple
+    ``parametrization`` is the value ``require_zero_level`` returned for
+    ``momentum``, which proved J o phi = 0; this check does not prove it
+    again.  At a sample, G is dJ at its image (k x n) and C the
+    parametrization's Jacobian (n x m), so the chain rule gives
+    G.C = d(J o phi) = 0: span C lies in ker G, and the two are equal
+    exactly when rank C = n - rank G.  Each sample is an integer tuple
     ``p`` of ``points``, one entry per parameter, standing for the point
     ``p / denominator``, as ``SamplePlan.stream`` draws them.  Every entry is
     evaluated once over all samples; scaling a row of G or a column of C to
@@ -386,7 +349,6 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
     RankDeficient and make the verdict informative rather than pass/fail.
     """
     chart = momentum.chart
-    require_zero_level(momentum, parametrization)
     params = parametrization.source.coords
     m, n, k = len(params), chart.dim, len(momentum.components)
     for s_index, s in enumerate(points):
@@ -442,13 +404,13 @@ def _scaled_entries(rows: Sequence[Sequence[Polynomial]], variables: Sequence[st
 
 
 def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
-                     bialgebra: LieBialgebra | None = None) -> tuple[PGMap | None, CheckReport]:
-    """Images i_X(omega) for a family of symplectic generators.
+                     bialgebra: LieBialgebra) -> tuple[PGMap | None, CheckReport]:
+    """Images i_X(omega) for a family of symplectic generators, one per
+    basis element of ``bialgebra``.
 
     The report certifies that each image is closed.  A generator that does
     not preserve the form exactly gives no map and a failing report with the
-    first such generator's L_X(omega).  Without an explicit bialgebra the
-    family is attached to the abelian one with zero cobracket.
+    first such generator's L_X(omega).
     """
     chart = omega.chart
     for index, field in enumerate(generators):
@@ -457,8 +419,6 @@ def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
         lie = omega.is_invariant_under(field)
         if not lie.is_zero():
             return None, make_report(*SYMPLECTIC_IMAGES_CLOSED, {f"L_X(omega)[{index}]": lie})
-    if bialgebra is None:
-        bialgebra = abelian_bialgebra(tuple(f"e{i + 1}" for i in range(len(generators))))
     images = tuple(omega.flat(field) for field in generators)
     pg = PGMap(bialgebra, chart, images)
     residuals = {

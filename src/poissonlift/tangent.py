@@ -1,5 +1,5 @@
 """The tangent bundle chart, tangent derivations, complete lifts, and the
-coordinate maps that tie them together.
+two lift identities that tie them together.
 
 Iterated bundles are represented purely as coordinate tuples: one block of
 base coordinates per entry of a fixed block table, each block named by a
@@ -27,14 +27,17 @@ Poisson bivector is
 certified against the defining identity pi_TM# . alpha = kappa . T(pi#),
 where alpha is the exchange map TT*M -> T*TM, (q, p, qdot, pdot) |->
 (q, qdot, pdot, p), and kappa the involution flipping the middle blocks of
-TTM.  Both only permute coordinate blocks.
+TTM.  Both only permute coordinate blocks, so ``tangent_lift_residuals`` and
+``one_form_lift_residuals`` apply them block by block and build no
+coordinate map; the tests keep the composed maps as the reference.
+``CoordinateMap`` is a polynomial map between charts, such as the
+parametrization of a level set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .chart import (
     Chart,
@@ -75,12 +78,6 @@ def bundle_chart(base: Chart, kind: str) -> Chart:
     if kind not in _BLOCKS:
         raise ValueError(f"unknown bundle {kind!r}; choose from {', '.join(_BLOCKS)}")
     return Chart(f"{kind}{base.name}", tuple(pre + c for pre in _BLOCKS[kind] for c in base.coords))
-
-
-def _in_block_order(items: Sequence, order: Sequence[int]) -> tuple:
-    """Split ``items`` into len(order) equal blocks and put block order[b] in slot b."""
-    n = len(items) // len(order)
-    return tuple(x for b in order for x in items[b * n:(b + 1) * n])
 
 
 @dataclass(frozen=True)
@@ -146,27 +143,12 @@ class CoordinateMap:
         object.__setattr__(self, "components",
                            tuple(p.with_variables(self.source.coords) for p in self.components))
 
-    def compose(self, inner: "CoordinateMap") -> "CoordinateMap":
-        """self after inner."""
-        if inner.target != self.source:
-            raise ChartMismatchError(
-                f"cannot compose: inner lands in {inner.target.name}, outer starts at {self.source.name}"
-            )
-        images = dict(zip(self.source.coords, inner.components))
-        comps = tuple(p.compose(images) for p in self.components)
-        return CoordinateMap(inner.source, self.target, comps)
-
     def jacobian(self) -> list[list[Polynomial]]:
         """Entry [a][k] = d(component_a)/d(source_k)."""
         return [
             [p.derivative(c) for c in self.source.coords]
             for p in self.components
         ]
-
-    def is_identity(self) -> bool:
-        return self.source == self.target and all(
-            p == self.source.coord_poly(c) for p, c in zip(self.components, self.source.coords)
-        )
 
 
 # -- pullback along the bundle projection ----------------------------------
@@ -213,33 +195,6 @@ def d_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
     field; on a function it is f^c = v_k d_k f, which the Hamiltonian
     comomentum check compares with i_T(df)."""
     return lie_derivative(tc.tautological, base_pullback(tc, omega))
-
-
-# -- exchange maps -----------------------------------------------------------
-
-
-def _block_permutation(base: Chart, source: str, target: str,
-                       order: Sequence[int]) -> CoordinateMap:
-    """The map between bundle charts whose target block b is source block order[b]."""
-    src = bundle_chart(base, source)
-    comps = tuple(src.coord_poly(c) for c in _in_block_order(src.coords, order))
-    return CoordinateMap(src, bundle_chart(base, target), comps)
-
-
-def tulczyjew_alpha(tc: TangentChart) -> CoordinateMap:
-    """The exchange map TT*M -> T*TM, (q, p, qdot, pdot) |-> (q, qdot, pdot, p)."""
-    return _block_permutation(tc.base, "TT*", "T*T", _ALPHA_ORDER)
-
-
-def tulczyjew_alpha_inverse(tc: TangentChart) -> CoordinateMap:
-    """Inverse exchange map T*TM -> TT*M, (q, v, a, b) |-> (q, b, v, a)."""
-    inverse = tuple(_ALPHA_ORDER.index(b) for b in range(len(_ALPHA_ORDER)))
-    return _block_permutation(tc.base, "T*T", "TT*", inverse)
-
-
-def canonical_involution(tc: TangentChart) -> CoordinateMap:
-    """The flip of the double tangent bundle: (q, v, qdot, vdot) |-> (q, qdot, v, vdot)."""
-    return _block_permutation(tc.base, "TT", "TT", (0, 2, 1, 3))
 
 
 # -- complete lifts -----------------------------------------------------------
@@ -340,24 +295,6 @@ def verify_tangent_lift_identity(pi: PoissonStructure, candidate,
     return make_report(*TANGENT_LIFT_IDENTITY, tangent_lift_residuals(pi, candidate), plan=plan)
 
 
-def _require_base_one_form(tc: TangentChart, theta: DifferentialForm) -> None:
-    if theta.chart != tc.base or theta.degree != 1:
-        raise DegreeError("prolongation takes a 1-form on the base chart")
-
-
-def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> CoordinateMap:
-    """T(theta): TM -> TT*M for a 1-form theta read as the map q |-> (q, theta(q))."""
-    _require_base_one_form(tc, theta)
-    n = tc.dim
-    src = tc.total
-    q_v = list(tc.coord_polys)
-    # a missing component is the total chart's kept zero, which needs no re-index
-    theta_comp = [theta._components.get((i,), src.zero_poly()) for i in range(n)]
-    comps = (q_v[:n] + theta_comp
-             + q_v[n:] + [_complete_lift_poly(tc, t) for t in theta_comp])
-    return CoordinateMap(src, bundle_chart(tc.base, "TT*"), tuple(comps))
-
-
 def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[str, Polynomial]:
     """Residual of alpha . T(theta) = d_T(theta) on the T*TM coordinates
     where the two sides can differ, in coordinate order.
@@ -366,7 +303,8 @@ def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[s
     (q, theta, v, theta^c) in alpha's block order against the covector
     d_T(theta) = (q, v, dq-, dv-coefficients).  A slot neither side fills is
     zero on both; a block both take from one object needs no subtraction."""
-    _require_base_one_form(tc, theta)
+    if theta.chart != tc.base or theta.degree != 1:
+        raise DegreeError("prolongation takes a 1-form on the base chart")
     n = tc.dim
     q, v = tc.coord_blocks
     form = {j: t for (j,), t in theta._components.items()}
@@ -376,7 +314,7 @@ def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[s
         covector[2 + i // n][i % n] = c
     zero = tc.total.zero_poly()
     residuals = {}
-    for prefix, lhs, rhs in zip(_BLOCKS["T*T"], _in_block_order(prolonged, _ALPHA_ORDER), covector):
+    for prefix, lhs, rhs in zip(_BLOCKS["T*T"], (prolonged[b] for b in _ALPHA_ORDER), covector):
         if lhs is not rhs:
             for j in sorted(lhs.keys() | rhs.keys()):
                 residuals[prefix + tc.base.coords[j]] = lhs.get(j, zero) - rhs.get(j, zero)

@@ -17,6 +17,11 @@ from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Poly
 from poissonlift.errors import DegreeError
 
 
+def abelian(k: int) -> LieBialgebra:
+    """The abelian bialgebra on e1..ek, with zero bracket and cobracket."""
+    return LieBialgebra(tuple(f"e{i + 1}" for i in range(k)), {})
+
+
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 

@@ -483,6 +483,15 @@ def test_pgmap_residuals_sharps_each_image_once(monkeypatch):
     assert len(sharps) == problem.pgmap.bialgebra.dim == 9
 
 
+def test_all_computes_the_comomenta_once(monkeypatch):
+    # bracket-closure, tangent-generator and characteristic-identity all read
+    # Resolved.comomenta; each computed c_i = i_T(phi_i) for itself before
+    problem = parse_problem(gl_problem(3))
+    calls = _count_calls(monkeypatch, reduction, "comomentum_components")
+    run_checks(problem, "all")
+    assert [args[0] for args in calls] == [problem.pgmap]
+
+
 def test_lemma_sides_stay_on_separate_kernels(monkeypatch):
     # verify-lemma compares the prolongation, built by _complete_lift_poly,
     # with d_T, built by the chart's Lie derivative; a Lie derivative that

@@ -1,17 +1,25 @@
 """Code outside the package that names the package: the README's library
-example and the benchmark's list of traced functions."""
+example, the benchmark's list of traced functions, and the package's exports
+against what the command line calls."""
 
 from __future__ import annotations
 
 import contextlib
 import functools
 import importlib
+import inspect
 import io
 import re
+import sys
 import types
 from pathlib import Path
 
 import pytest
+
+import poissonlift
+from poissonlift import catalog_names, cli
+
+from conftest import gl_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,3 +49,40 @@ def _bench_spans() -> types.ModuleType:
 def test_traced_names_resolve(module, attr):
     owner = importlib.import_module(f"poissonlift.{module}")
     assert callable(functools.reduce(getattr, attr.split("."), owner))
+
+
+# Exported functions that no command calls, each with the reason it stays.
+UNCALLED_EXPORTS = {
+    "lie_poisson": "the README's library example builds pi with it",
+    "so3_bialgebra": "the README's library example builds its bialgebra with it",
+    "parse_reports": "reads back the report files the CLI writes",
+    "koszul_bracket": "the benchmark traces it (bench/spans.py)",
+}
+
+
+def test_every_exported_function_is_called_by_a_command(tmp_path):
+    """`all` on the catalog, on gl(3) and on a perturbed gl(3) calls every
+    function the package exports, except the few listed with a reason."""
+    problems = list(catalog_names())
+    for name, text in (("gl3.pf", gl_problem(3)),
+                       ("gl3-perturbed.pf", gl_problem(3, perturb_map=True))):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        problems.append(str(tmp_path / name))
+    package = str(Path(poissonlift.__file__).parent)
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            called.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for problem in problems:
+                cli.main(["all", problem, "--report", str(tmp_path / "report.txt")])
+    finally:
+        sys.setprofile(None)
+    exported = {name: getattr(poissonlift, name) for name in poissonlift.__all__}
+    uncalled = sorted(name for name, obj in exported.items()
+                      if inspect.isfunction(obj) and obj.__code__ not in called)
+    assert uncalled == sorted(UNCALLED_EXPORTS)

@@ -21,7 +21,6 @@ from poissonlift import (
     Polynomial,
     PoissonStructure,
     SymplecticForm,
-    bivector_pairing,
     catalog,
     catalog_names,
     complete_lift_bivector,
@@ -95,7 +94,11 @@ class TestSharp:
             beta = DifferentialForm(
                 chart_xyz, 1, {(i,): rand_poly(rng, chart_xyz.coords) for i in range(3)}
             )
-            assert pairing(beta, sharp(so3, alpha)) == bivector_pairing(so3, alpha, beta)
+            # pi(alpha, beta) = sum_ij pi^(ij) alpha_i beta_j from the dense matrix
+            mat = dense_matrix(so3.bivector)
+            expected = sum((mat[i][j] * alpha.component((i,)) * beta.component((j,))
+                            for i in range(3) for j in range(3)), chart_xyz.zero_poly())
+            assert pairing(beta, sharp(so3, alpha)) == expected
 
 
 class TestPoissonBracket:

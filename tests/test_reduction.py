@@ -16,6 +16,7 @@ import pytest
 from poissonlift import (
     Chart,
     CoordinateMap,
+    DifferentialForm,
     LieBialgebra,
     MomentumMapData,
     Multivector,
@@ -23,18 +24,16 @@ from poissonlift import (
     Resolved,
     PoissonStructure,
     SymplecticForm,
-    abelian_bialgebra,
     bracket_closure_check,
+    catalog,
     certify_pgmap,
     characteristic_identity_check,
-    comomentum,
     comomentum_components,
     complete_lift_bivector,
     complete_lift_vf,
     cotangent_momentum_relation,
+    d_T,
     differential,
-    generator,
-    hamiltonian_comomentum,
     hamiltonian_pgmap,
     hamiltonian_vf,
     i_T,
@@ -43,6 +42,7 @@ from poissonlift import (
     parse_form,
     parse_multivector,
     parse_poly,
+    sharp,
     so3_bialgebra,
     symplectic_pgmap,
     tangent_chart,
@@ -51,10 +51,15 @@ from poissonlift import (
     tangent_generator_direct,
 )
 from poissonlift import _linalg
+from poissonlift.cli import run_checks
 from poissonlift.errors import DimensionMismatchError, LevelSetError
-from poissonlift.reduction import bracket_closure_residuals, characteristic_identity_residuals
+from poissonlift.reduction import (
+    bracket_closure_residuals,
+    characteristic_identity_residuals,
+    require_zero_level,
+)
 
-from conftest import integer_points, rand_fraction, rand_poly
+from conftest import abelian, count_polynomial_calls, integer_points, rand_fraction, rand_poly
 
 
 @pytest.fixture
@@ -85,7 +90,7 @@ def aff1_setup():
 
 class TestCertify:
     def test_abelian_exact_image(self, chart_qp, canonical):
-        pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
+        pg = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
         assert certify_pgmap(Resolved(canonical, pg)).verdict == "pass"
 
     def test_so3_exact_images(self, so3, so3_pg):
@@ -93,7 +98,7 @@ class TestCertify:
         assert certify_pgmap(Resolved(so3, so3_pg)).verdict == "pass"
 
     def test_momentum_style_counterexample(self, chart_qp, canonical):
-        pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("p*dq", chart_qp),))
+        pg = PGMap(abelian(1), chart_qp, (parse_form("p*dq", chart_qp),))
         report = certify_pgmap(Resolved(canonical, pg))
         assert report.verdict == "fail"
         # d(p dq) = dp^dq = -dq^dp survives as the cobracket-axiom residual
@@ -124,37 +129,28 @@ class TestCertify:
 class TestGenerator:
     def test_harmonic_rotation(self, chart_qp, canonical):
         h = parse_poly("1/2*q^2 + 1/2*p^2", chart_qp.coords)
-        pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (differential(chart_qp, h),))
+        pg = PGMap(abelian(1), chart_qp, (differential(chart_qp, h),))
         # pi#(q dq + p dp) = q e_p - p e_q under the fixed conventions
-        assert generator(pg, canonical, (1,)) == parse_multivector("q*e_p - p*e_q", chart_qp)
-
-    def test_zero_vector(self, so3, so3_pg):
-        assert generator(so3_pg, so3, (0, 0, 0)).is_zero()
+        assert sharp(canonical, pg.images[0]) == parse_multivector("q*e_p - p*e_q", chart_qp)
 
     def test_coadjoint_rotation_fields(self, chart_xyz, so3, so3_pg):
         # sharp of the linear structure matrix, row by row
-        assert generator(so3_pg, so3, (1, 0, 0)) == parse_multivector("z*e_y - y*e_z", chart_xyz)
-        assert generator(so3_pg, so3, (0, 1, 0)) == parse_multivector("-z*e_x + x*e_z", chart_xyz)
-        assert generator(so3_pg, so3, (0, 0, 1)) == parse_multivector("y*e_x - x*e_y", chart_xyz)
+        x, y, z = (sharp(so3, image) for image in so3_pg.images)
+        assert x == parse_multivector("z*e_y - y*e_z", chart_xyz)
+        assert y == parse_multivector("-z*e_x + x*e_z", chart_xyz)
+        assert z == parse_multivector("y*e_x - x*e_y", chart_xyz)
 
 
 class TestComomentum:
-    def test_coordinate_form(self, chart_qp):
-        pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
-        c = comomentum(pg, (1,))
-        tc = tangent_chart(chart_qp)
-        assert c.as_polynomial(tc) == tc.total.coord_poly("v_q")
-
-    def test_zero(self, so3_pg):
-        assert comomentum(so3_pg, (0, 0, 0)).as_polynomial(tangent_chart(so3_pg.chart)).is_zero()
+    def test_coordinate_form(self, chart_qp, canonical):
+        pg = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
+        r = Resolved(canonical, pg)
+        assert r.comomenta == (r.tc.total.coord_poly("v_q"),)
 
     def test_linearity(self, so3_pg):
         tc = tangent_chart(so3_pg.chart)
-        lhs = comomentum(so3_pg, (1, 1, 0)).as_polynomial(tc)
-        rhs = comomentum(so3_pg, (1, 0, 0)).as_polynomial(tc) + comomentum(
-            so3_pg, (0, 1, 0)
-        ).as_polynomial(tc)
-        assert lhs == rhs
+        c = comomentum_components(so3_pg, tc)
+        assert i_T(tc, so3_pg.images[0] + so3_pg.images[1]).as_poly() == c[0] + c[1]
 
     def test_dressing_projection(self):
         # identity momentum map on a dual-algebra chart: c is the projection
@@ -173,7 +169,7 @@ class TestComomentum:
 class TestBracketClosure:
     def test_abelian_commuting(self, chart_qp, canonical):
         pg = PGMap(
-            abelian_bialgebra(("e1", "e2")),
+            abelian(2),
             chart_qp,
             (parse_form("dq", chart_qp), parse_form("dp", chart_qp)),
         )
@@ -218,48 +214,44 @@ class TestBracketClosure:
 class TestTangentGenerator:
     def test_rotation_both_branches(self, chart_qp, canonical):
         h = parse_poly("1/2*q^2 + 1/2*p^2", chart_qp.coords)
-        pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (differential(chart_qp, h),))
-        lifted = tangent_generator(Resolved(canonical, pg), (1,))
+        pg = PGMap(abelian(1), chart_qp, (differential(chart_qp, h),))
+        lifted = tangent_generator(Resolved(canonical, pg), 0)
         tc = tangent_chart(chart_qp)
         # complete lift of q e_p - p e_q
         expected = parse_multivector(
             "q*e_p - p*e_q + v_q*e_v_p - v_p*e_v_q", tc.total
         )
         assert lifted == expected
-        assert tangent_generator_direct(Resolved(canonical, pg), (1,)) == expected
+        assert tangent_generator_direct(Resolved(canonical, pg), 0) == expected
         # closed image: the lifted generator is Hamiltonian for c = i_T(dH)
         pi_tm = complete_lift_bivector(canonical, tc)
         c = i_T(tc, pg.images[0]).as_poly()
         assert lifted == hamiltonian_vf(pi_tm, c)
 
-    def test_zero_vector(self, so3, so3_pg):
-        assert tangent_generator(Resolved(so3, so3_pg), (0, 0, 0)).is_zero()
-
     def test_so3_matches_complete_lift(self, so3, so3_pg):
-        unit = (0, 0, 1)
-        lifted = tangent_generator(Resolved(so3, so3_pg), unit)
+        lifted = tangent_generator(Resolved(so3, so3_pg), 2)
         tc = tangent_chart(so3_pg.chart)
-        direct = complete_lift_vf(tc, generator(so3_pg, so3, unit))
+        direct = complete_lift_vf(tc, sharp(so3, so3_pg.images[2]))
         assert lifted == direct
 
     def test_agreement_check_all_setups(self, canonical, chart_qp, so3, so3_pg):
         _, _, pi_aff, pg_aff = aff1_setup()
-        pg_ab = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
+        pg_ab = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
         for pg, pi in ((pg_ab, canonical), (so3_pg, so3), (pg_aff, pi_aff)):
             assert tangent_generator_check(Resolved(pi, pg)).verdict == "pass"
 
     def test_abelian_closed_hamiltonian(self, chart_qp, canonical):
-        pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
+        pg = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
         tc = tangent_chart(chart_qp)
         pi_tm = complete_lift_bivector(canonical, tc)
-        assert tangent_generator(Resolved(canonical, pg), (1,)) == hamiltonian_vf(
+        assert tangent_generator(Resolved(canonical, pg), 0) == hamiltonian_vf(
             pi_tm, tc.total.coord_poly("v_q")
         )
 
 
 class TestCharacteristicIdentity:
     def test_zero_cobracket_cases(self, canonical, chart_qp, so3, so3_pg):
-        pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("dq", chart_qp),))
+        pg = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
         assert characteristic_identity_check(Resolved(canonical, pg)).verdict == "pass"
         assert characteristic_identity_check(Resolved(so3, so3_pg)).verdict == "pass"
 
@@ -270,7 +262,7 @@ class TestCharacteristicIdentity:
         assert characteristic_identity_check(Resolved(pi, pg)).verdict == "pass"
 
     def test_axiom_violating_family_fails(self, chart_qp, canonical):
-        pg = PGMap(abelian_bialgebra(("e1",)), chart_qp, (parse_form("p*dq", chart_qp),))
+        pg = PGMap(abelian(1), chart_qp, (parse_form("p*dq", chart_qp),))
         refusal = characteristic_identity_check(Resolved(canonical, pg))
         assert refusal.verdict == "fail"
         assert refusal.residuals == (("unverified-input",
@@ -295,27 +287,26 @@ class TestCharacteristicIdentity:
 
 
 class TestHamiltonianComomentum:
+    # c_i = d_T(J_i), the complete lift of the function J_i
     def test_harmonic(self, chart_qp):
-        momentum = MomentumMapData(chart_qp, (parse_poly("1/2*q^2 + 1/2*p^2", chart_qp.coords),))
-        (c,) = hamiltonian_comomentum(momentum)
+        j = parse_poly("1/2*q^2 + 1/2*p^2", chart_qp.coords)
         tc = tangent_chart(chart_qp)
         total = tc.total
-        assert c.as_polynomial(tc) == (
+        assert d_T(tc, DifferentialForm.from_poly(chart_qp, j)).as_poly() == (
             total.coord_poly("q") * total.coord_poly("v_q")
             + total.coord_poly("p") * total.coord_poly("v_p")
         )
 
     def test_constant_momentum(self, chart_qp):
-        momentum = MomentumMapData(chart_qp, (chart_qp.constant_poly(7),))
-        (c,) = hamiltonian_comomentum(momentum)
-        assert c.as_polynomial(tangent_chart(chart_qp)).is_zero()
+        tc = tangent_chart(chart_qp)
+        assert d_T(tc, DifferentialForm.from_poly(chart_qp, chart_qp.constant_poly(7))).is_zero()
 
     def test_matches_pgmap_pipeline(self, chart_xyz):
         momentum = MomentumMapData(chart_xyz, tuple(chart_xyz.coord_poly(c) for c in "xyz"))
-        via_dt = hamiltonian_comomentum(momentum)
         pg = hamiltonian_pgmap(momentum, so3_bialgebra())
         tc = tangent_chart(chart_xyz)
-        assert [c.as_polynomial(tc) for c in via_dt] == comomentum_components(pg, tc)
+        via_dt = [d_T(tc, DifferentialForm.from_poly(chart_xyz, j)).as_poly() for j in momentum.components]
+        assert via_dt == comomentum_components(pg, tc)
 
 
 class TestLevelSetTangency:
@@ -354,7 +345,16 @@ class TestLevelSetTangency:
             Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("s", ("s",)))
         )
         with pytest.raises(LevelSetError):
-            level_set_tangency_check(momentum, param, [(1,)], 1)
+            require_zero_level(momentum, param)
+
+    def test_zero_level_is_proved_once_at_parse_time(self, monkeypatch):
+        # the levelset block holds require_zero_level's value, and the check
+        # reads it without composing J with the parametrization again
+        problem = catalog("hamiltonian-level-set")
+        calls = count_polynomial_calls(monkeypatch, "compose")
+        reports = run_checks(problem, "hamiltonian")
+        assert [rep.verdict for rep in reports] == ["pass", "pass"]
+        assert calls == []
 
     @pytest.mark.parametrize("sample", [(), (1, 99), (1, 99, 7)])
     def test_rejects_sample_of_wrong_length(self, chart_qp, sample):
@@ -550,7 +550,7 @@ class TestSymplecticAction:
     def test_rotation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         rotation = parse_multivector("-p*e_q + q*e_p", chart_qp)
-        pg, report = symplectic_pgmap(omega, [rotation])
+        pg, report = symplectic_pgmap(omega, [rotation], abelian(1))
         assert report.verdict == "pass"
         # i_X omega = -q dq - p dp, closed and exact
         assert pg.images[0] == parse_form("-q*dq - p*dp", chart_qp)
@@ -564,13 +564,13 @@ class TestSymplecticAction:
 
     def test_translation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        pg, report = symplectic_pgmap(omega, [parse_multivector("e_q", chart_qp)])
+        pg, report = symplectic_pgmap(omega, [parse_multivector("e_q", chart_qp)], abelian(1))
         assert report.verdict == "pass"
         assert pg.images[0] == parse_form("dp", chart_qp)
 
     def test_non_invariant_rejected(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        pg, report = symplectic_pgmap(omega, [parse_multivector("q*e_q", chart_qp)])
+        pg, report = symplectic_pgmap(omega, [parse_multivector("q*e_q", chart_qp)], abelian(1))
         assert pg is None
         assert report.check_id == "symplectic-images-closed"
         assert report.verdict == "fail"
@@ -582,7 +582,7 @@ class TestSymplecticAction:
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         pi = omega.poisson()
         rotation = parse_multivector("-p*e_q + q*e_p", chart_qp)
-        pg, _ = symplectic_pgmap(omega, [rotation])
+        pg, _ = symplectic_pgmap(omega, [rotation], abelian(1))
         assert sharp(pi, pg.images[0]) == rotation
 
 
@@ -590,18 +590,23 @@ class TestCotangentMomentumRelation:
     def test_rotation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         rotation = parse_multivector("-p*e_q + q*e_p", chart_qp)
-        report = cotangent_momentum_relation(omega, [rotation], symplectic_pgmap(omega, [rotation])[0])
+        pg, _ = symplectic_pgmap(omega, [rotation], abelian(1))
+        report = cotangent_momentum_relation(omega, [rotation], pg)
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
     def test_zero_action(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        report = cotangent_momentum_relation(omega, [Multivector.zero(chart_qp, 1)], symplectic_pgmap(omega, [Multivector.zero(chart_qp, 1)])[0])
+        fields = [Multivector.zero(chart_qp, 1)]
+        pg, _ = symplectic_pgmap(omega, fields, abelian(1))
+        report = cotangent_momentum_relation(omega, fields, pg)
         assert report.verdict == "pass"
 
     def test_translation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        report = cotangent_momentum_relation(omega, [parse_multivector("e_q", chart_qp)], symplectic_pgmap(omega, [parse_multivector("e_q", chart_qp)])[0])
+        fields = [parse_multivector("e_q", chart_qp)]
+        pg, _ = symplectic_pgmap(omega, fields, abelian(1))
+        report = cotangent_momentum_relation(omega, fields, pg)
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
@@ -612,14 +617,14 @@ class TestCotangentMomentumRelation:
             parse_multivector("e_q", chart_qp),
             parse_multivector("e_p", chart_qp),
         ]
-        report = cotangent_momentum_relation(omega, fields, symplectic_pgmap(omega, fields)[0])
+        report = cotangent_momentum_relation(omega, fields, symplectic_pgmap(omega, fields, abelian(3))[0])
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
     def test_pgmap_for_other_generators_rejected(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         fields = [parse_multivector("e_q", chart_qp), parse_multivector("e_p", chart_qp)]
-        pg, _ = symplectic_pgmap(omega, fields[:1])
+        pg, _ = symplectic_pgmap(omega, fields[:1], abelian(1))
         with pytest.raises(DimensionMismatchError):
             cotangent_momentum_relation(omega, fields, pg)
 
