@@ -323,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     plan = SamplePlan(flags.get("samples", problem.plan.count), flags.get("seed", problem.plan.seed),
-                      (flags["box"],) if "box" in flags else problem.plan.box)
+                      flags.get("box", problem.plan.box))
     fd_step = flags.get("fd_step", problem.fd_step)
 
     try:

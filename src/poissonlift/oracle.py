@@ -41,47 +41,37 @@ FD_TOLERANCE = 1e-6  # guarded relative error threshold for derivative checks
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Deterministic sampling plan: how many points, from which seed, in
-    which per-coordinate box.  A single-interval box broadcasts to any
-    dimension."""
+    """Deterministic sampling plan: how many points, from which seed, and
+    the interval ``box = (lo, hi)`` that every coordinate is drawn from."""
 
     count: int
     seed: int
-    box: tuple[tuple[Fraction, Fraction], ...]
+    box: tuple[Fraction, Fraction]
 
     def __post_init__(self):
         if self.count <= 0:
             raise ValueError("sample count must be positive")
-        for lo, hi in self.box:
-            if lo > hi:
-                raise ValueError(f"empty interval ({lo}, {hi})")
+        lo, hi = self.box
+        if lo > hi:
+            raise ValueError(f"empty interval ({lo}, {hi})")
 
     @classmethod
     def uniform(cls, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                 lo=DEFAULT_BOX[0], hi=DEFAULT_BOX[1]) -> "SamplePlan":
-        return cls(count, seed, ((Fraction(lo), Fraction(hi)),))
-
-    def intervals(self, nvars: int) -> tuple[tuple[Fraction, Fraction], ...]:
-        if len(self.box) == nvars:
-            return self.box
-        if len(self.box) == 1:
-            return self.box * nvars
-        raise ValueError(f"box has {len(self.box)} intervals, need {nvars}")
+        return cls(count, seed, (Fraction(lo), Fraction(hi)))
 
     def stream(self, nvars: int, limit: int | None = None) -> tuple[int, list[tuple[int, ...]]]:
         """The plan's point stream, or its first ``limit`` points when that
         is fewer, as ``(D, numerators)``: each point is a tuple of integers
         ``n`` standing for the rational point ``n / D``."""
-        intervals = self.intervals(nvars)
-        ends = [end for interval in intervals for end in interval]
-        denominator = GRID_RESOLUTION * math.lcm(*(end.denominator for end in ends))
+        lo, hi = self.box
+        denominator = GRID_RESOLUTION * math.lcm(lo.denominator, hi.denominator)
         # lo + (hi - lo) * k / GRID_RESOLUTION = (base + step * k) / D
-        affine = [(int(lo * denominator), int((hi - lo) * (denominator // GRID_RESOLUTION)))
-                  for lo, hi in intervals]
+        base, step = int(lo * denominator), int((hi - lo) * (denominator // GRID_RESOLUTION))
         rng = random.Random(self.seed)
         count = self.count if limit is None else min(limit, self.count)
         return denominator, [
-            tuple(base + step * rng.randrange(GRID_RESOLUTION + 1) for base, step in affine)
+            tuple(base + step * rng.randrange(GRID_RESOLUTION + 1) for _ in range(nvars))
             for _ in range(count)
         ]
 

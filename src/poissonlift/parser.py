@@ -111,6 +111,13 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
 
     def parse_expr(self) -> list[tuple[Polynomial, tuple[int, ...] | None]]:
+        terms = self.parse_sum()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected {tok.text!r}", position=tok.pos)
+        return terms
+
+    def parse_sum(self) -> list[tuple[Polynomial, tuple[int, ...] | None]]:
         terms = []
         sign = 1
         tok = self.peek()
@@ -124,11 +131,7 @@ class _Parser:
                 self.advance()
                 terms.append(self.parse_term(-1 if tok.text == "-" else 1))
             else:
-                break
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", position=tok.pos)
-        return terms
+                return terms
 
     def parse_term(self, sign: int) -> tuple[Polynomial, tuple[int, ...] | None]:
         coeff = Polynomial.constant(sign, self.variables)
@@ -208,51 +211,21 @@ class _Parser:
             return Polynomial.variable(tok.text, self.variables)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            inner = self._parse_poly_group()
+            kind, self.kind = self.kind, None  # plain polynomial arithmetic inside
+            inner = sum((coeff for coeff, _ in self.parse_sum()), Polynomial.zero(self.variables))
+            self.kind = kind
             self.expect_op(")")
             return inner
         if tok.kind == "op" and tok.text == "/":
             raise ParseError("'/' only forms rational literals between integers", position=tok.pos)
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", position=tok.pos)
 
-    def _parse_poly_group(self) -> Polynomial:
-        """Parenthesized subexpression; plain polynomial arithmetic only."""
-        acc = Polynomial.zero(self.variables)
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        acc = acc + self._parse_poly_product(sign)
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                acc = acc + self._parse_poly_product(-1 if tok.text == "-" else 1)
-            else:
-                return acc
-
-    def _parse_poly_product(self, sign: int) -> Polynomial:
-        acc = Polynomial.constant(sign, self.variables) * self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                acc = acc * self.parse_factor()
-            else:
-                return acc
-
 
 def parse_poly(text: str, variables: Iterable[str]) -> Polynomial:
     """Parse a polynomial expression over the given variable list."""
     vs = tuple(variables)
     parser = _Parser(text, vs, chart=None, kind=None)
-    terms = parser.parse_expr()
-    acc = Polynomial.zero(vs)
-    for coeff, basis in terms:
-        assert basis is None
-        acc = acc + coeff
-    return acc
+    return sum((coeff for coeff, _ in parser.parse_expr()), Polynomial.zero(vs))
 
 
 def _parse_tensor(text: str, chart: Chart, kind: str, degree: int | None):

@@ -21,7 +21,8 @@ operand once, by the variables it uses, and the symplectic checks read the
 stored components of the 2-form.  No dense component matrix is built.  The
 Koszul bracket is one formula, ``_koszul``, over the two 1-forms and their
 sharps: ``koszul_bracket`` computes both sharps, and a caller bracketing many
-pairs of one family (``reduction.pgmap_residuals``) computes each once.
+pairs of one family (``reduction.pgmap_residuals``) takes each sharp from
+``reduction.Resolved.sharps``, which computes it once.
 """
 
 from __future__ import annotations
@@ -239,8 +240,4 @@ class SymplecticForm:
     def flat(self, field: Multivector) -> DifferentialForm:
         """omega_flat(X) = i_X omega."""
         return interior_product(field, self.two_form)
-
-    def is_invariant_under(self, field: Multivector) -> DifferentialForm:
-        """L_X omega, returned as a residual 2-form (zero iff invariant)."""
-        return lie_derivative(field, self.two_form)
 

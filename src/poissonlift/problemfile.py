@@ -567,9 +567,3 @@ def catalog(name: str) -> ProblemFile:
     if name not in _CATALOG:
         raise UnknownCatalogError(name, catalog_names())
     return parse_problem(_CATALOG[name], name=name)
-
-
-def catalog_text(name: str) -> str:
-    if name not in _CATALOG:
-        raise UnknownCatalogError(name, catalog_names())
-    return _CATALOG[name]

@@ -11,12 +11,15 @@ A certified family phi: g -> 1-forms satisfies, for the attached bialgebra,
 and the induced fiber-linear functions c_i = i_T(phi_i) then close under the
 lifted Poisson bracket: {c_i, c_j}_TM = c_[e_i, e_j].  A family is kept as
 its basis images phi_i, and every function here takes a basis index, not a
-coefficient vector.  The lifted checks take a ``Resolved`` value, which
-certifies the map, lifts pi and computes the c_i and the lifted generators
-once each, and passes them on.  A lifted check whose prerequisites fail (pi
-not Poisson, the bialgebra not verified or, past ``certify_pgmap``, a map
-with a nonzero axiom residual) returns its ``fail`` report with one
-``unverified-input`` residual naming the first that fails.  Negative
+coefficient vector.  Each object derived per basis element has one owner
+that computes it once and passes it on: ``PGMap.differentials`` holds the
+d(phi_i), and the ``Resolved`` value that the lifted checks take holds the
+base generators pi#(phi_i), the axiom residuals, the c_i, the twists
+i_T(d phi_i) and the lifted generators, and lifts pi.  A lifted check whose
+prerequisites fail (pi not Poisson, the bialgebra not verified or, past
+``certify_pgmap``, a map with a nonzero axiom residual) returns its
+``fail`` report with one ``unverified-input`` residual naming the first
+that fails.  Negative
 controls observe the nonzero residuals of such a map through the
 ``*_residuals`` functions, which take no certification step.
 """
@@ -35,6 +38,7 @@ from .chart import (
     DifferentialForm,
     Multivector,
     exterior_derivative,
+    lie_derivative,
     wedge,
 )
 from .errors import ChartMismatchError, DegreeError, DimensionMismatchError, LevelSetError
@@ -81,6 +85,11 @@ class PGMap:
             if form.degree != 1:
                 raise DegreeError("images must be 1-forms")
 
+    @cached_property
+    def differentials(self) -> tuple[DifferentialForm, ...]:
+        """d(phi_i), one 2-form per basis element."""
+        return tuple(exterior_derivative(form) for form in self.images)
+
 
 @dataclass(frozen=True)
 class MomentumMapData:
@@ -119,10 +128,10 @@ SYMPLECTIC_IMAGES_CLOSED = Statement(
 # -- certification --------------------------------------------------------------
 
 
-def pgmap_residuals(pg: PGMap, pi: PoissonStructure) -> dict[str, DifferentialForm]:
-    """Residual forms of the two compatibility axioms, named per basis datum."""
+def pgmap_residuals(pg: PGMap, sharps: Sequence[Multivector]) -> dict[str, DifferentialForm]:
+    """Residual forms of the two compatibility axioms, named per basis datum;
+    ``sharps`` holds pi#(phi_i) for the Poisson structure pi."""
     b = pg.bialgebra
-    sharps = [sharp(pi, image) for image in pg.images]
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
@@ -135,18 +144,19 @@ def pgmap_residuals(pg: PGMap, pi: PoissonStructure) -> dict[str, DifferentialFo
         rhs = DifferentialForm.zero(pg.chart, 2)
         for (j, k), gamma in b.cobracket_row(i).items():
             rhs = rhs + wedge(pg.images[j], pg.images[k]) * gamma
-        residuals[f"cocycle-axiom[{b.basis[i]}]"] = exterior_derivative(pg.images[i]) - rhs
+        residuals[f"cocycle-axiom[{b.basis[i]}]"] = pg.differentials[i] - rhs
     return residuals
 
 
 class Resolved:
     """A Poisson structure ``pi``, optionally a map ``pg``, and what the lifted
     checks derive from them, each member computed on first use and then kept:
-    the tangent chart ``tc``, the complete lift ``pi_tm``, the axiom residuals
-    ``certification``, the comomenta ``comomenta`` and the lifted
-    ``generators``.  ``pi_tm`` is built only from a ``pi`` whose Jacobi
-    verdict is true, and the complete lift preserves the Schouten bracket,
-    so no check computes [pi_TM, pi_TM].
+    the tangent chart ``tc``, the complete lift ``pi_tm``, the base generators
+    ``sharps``, the axiom residuals ``certification``, the comomenta
+    ``comomenta``, the twists ``twists`` and the lifted ``generators``.
+    ``pi_tm`` is built only from a ``pi`` whose Jacobi verdict is true, and
+    the complete lift preserves the Schouten bracket, so no check computes
+    [pi_TM, pi_TM].
 
     Computing a member twice gives the same value, so an instance can be
     shared without locks.  Checks return ``require``'s refusal, when there is
@@ -165,14 +175,24 @@ class Resolved:
         return complete_lift_bivector(self.pi, self.tc)
 
     @cached_property
+    def sharps(self) -> tuple[Multivector, ...]:
+        """The base generators pi#(phi_i), one per basis element."""
+        return tuple(sharp(self.pi, image) for image in self.pg.images)
+
+    @cached_property
     def certification(self) -> dict[str, DifferentialForm]:
         """Residuals of both axioms of ``pg`` against ``pi``."""
-        return pgmap_residuals(self.pg, self.pi)
+        return pgmap_residuals(self.pg, self.sharps)
 
     @cached_property
     def comomenta(self) -> tuple[Polynomial, ...]:
         """The fiber-linear functions c_i = i_T(phi_i), one per basis element."""
         return tuple(comomentum_components(self.pg, self.tc))
+
+    @cached_property
+    def twists(self) -> tuple[DifferentialForm, ...]:
+        """The tangent twists i_T(d phi_i), one per basis element."""
+        return tuple(i_T(self.tc, d) for d in self.pg.differentials)
 
     @cached_property
     def generators(self) -> tuple[tuple[Multivector, Multivector], ...]:
@@ -254,7 +274,7 @@ def tangent_generator(r: Resolved, i: int) -> Multivector:
     """Lifted generator X_(c_i) + pi_TM#(i_T d phi_i) of basis element i on
     the tangent chart."""
     hamiltonian_part = hamiltonian_vf(r.pi_tm, r.comomenta[i])
-    twist = i_T(r.tc, exterior_derivative(r.pg.images[i]))
+    twist = r.twists[i]
     if twist.is_zero():
         return hamiltonian_part
     return hamiltonian_part + sharp(r.pi_tm, twist)
@@ -263,7 +283,7 @@ def tangent_generator(r: Resolved, i: int) -> Multivector:
 def tangent_generator_direct(r: Resolved, i: int) -> Multivector:
     """Complete lift of the base generator pi#(phi_i); must agree with
     tangent_generator."""
-    return complete_lift_vf(r.tc, sharp(r.pi, r.pg.images[i]))
+    return complete_lift_vf(r.tc, r.sharps[i])
 
 
 def tangent_generator_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
@@ -288,13 +308,12 @@ def characteristic_identity_residuals(r: Resolved) -> dict[str, DifferentialForm
     b = pg.bialgebra
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
-        lhs = i_T(tc, exterior_derivative(pg.images[i]))
         rhs = DifferentialForm.zero(tc.total, 1)
         for (j, k), gamma in b.cobracket_row(i).items():
             pulled_k = base_pullback(tc, pg.images[k])
             pulled_j = base_pullback(tc, pg.images[j])
             rhs = rhs + (pulled_k * c[j] - pulled_j * c[k]) * gamma
-        residuals[f"characteristic[{b.basis[i]}]"] = lhs - rhs
+        residuals[f"characteristic[{b.basis[i]}]"] = r.twists[i] - rhs
     return residuals
 
 
@@ -416,15 +435,12 @@ def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
     for index, field in enumerate(generators):
         if field.chart != chart or field.degree != 1:
             raise ChartMismatchError(f"generator #{index} is not a vector field on {chart.name}")
-        lie = omega.is_invariant_under(field)
+        lie = lie_derivative(field, omega.two_form)
         if not lie.is_zero():
             return None, make_report(*SYMPLECTIC_IMAGES_CLOSED, {f"L_X(omega)[{index}]": lie})
     images = tuple(omega.flat(field) for field in generators)
     pg = PGMap(bialgebra, chart, images)
-    residuals = {
-        f"closed[{bialgebra.basis[i]}]": exterior_derivative(images[i])
-        for i in range(len(images))
-    }
+    residuals = {f"closed[{name}]": d for name, d in zip(bialgebra.basis, pg.differentials)}
     return pg, make_report(*SYMPLECTIC_IMAGES_CLOSED, residuals)
 
 

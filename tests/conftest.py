@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial, poisson, tangent
+from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial, _linalg, poisson, tangent
 from poissonlift.errors import DegreeError
 
 
@@ -24,6 +24,21 @@ def abelian(k: int) -> LieBialgebra:
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+def cayley_rotation(rng: random.Random) -> list[list[Fraction]]:
+    """(I - S)(I + S)^-1 for a random rational skew matrix S: a rational
+    special orthogonal matrix, hence a bracket automorphism of so(3)."""
+    a, b, c = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+    S = [[Fraction(0), a, b], [-a, Fraction(0), c], [-b, -c, Fraction(0)]]
+    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    i_minus = [[eye[i][j] - S[i][j] for j in range(3)] for i in range(3)]
+    i_plus = [[eye[i][j] + S[i][j] for j in range(3)] for i in range(3)]
+    inv = _linalg.invert(i_plus)
+    return [
+        [sum(i_minus[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
+        for i in range(3)
+    ]
 
 
 def integer_points(points) -> tuple[list[tuple[int, ...]], int]:

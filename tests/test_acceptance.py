@@ -62,7 +62,7 @@ from poissonlift.reduction import (
 )
 from poissonlift.tangent import one_form_lift_residuals, tangent_lift_residuals
 
-from conftest import abelian, rand_form, rand_poly
+from conftest import abelian, cayley_rotation, rand_form, rand_poly
 
 
 @contextmanager
@@ -192,21 +192,6 @@ def test_criterion_3_derivation_laws():
                 )
 
 
-def _cayley_rotation(rng: random.Random):
-    from poissonlift._linalg import invert
-
-    a, b, c = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
-    S = [[Fraction(0), a, b], [-a, Fraction(0), c], [-b, -c, Fraction(0)]]
-    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    i_minus = [[eye[i][j] - S[i][j] for j in range(3)] for i in range(3)]
-    i_plus = [[eye[i][j] + S[i][j] for j in range(3)] for i in range(3)]
-    inv = invert(i_plus)
-    return [
-        [sum(i_minus[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-
-
 def test_criterion_4_lifted_generator_agreement():
     with criterion(4, "two lifted-generator formulas agree everywhere"):
         for name in catalog_names():
@@ -219,7 +204,7 @@ def test_criterion_4_lifted_generator_agreement():
         pi = lie_poisson(so3_bialgebra(), chart)
         rng = random.Random(444)
         for _ in range(20):
-            A = _cayley_rotation(rng)
+            A = cayley_rotation(rng)
             momentum = MomentumMapData(
                 chart,
                 tuple(

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import random
 import re
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +18,7 @@ from poissonlift import catalog, catalog_names, emit_reports, parse_problem, par
 from poissonlift import Polynomial, SamplePlan, chart, cli, poisson, reduction, tangent
 from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
-from poissonlift.problemfile import _SCHEMA, catalog_text
+from poissonlift.problemfile import _SCHEMA
 
 from conftest import (
     CUBIC_EDITS,
@@ -122,7 +126,7 @@ oracle { samples: 7
         problem = parse_problem(text)
         assert problem.plan.count == 7
         assert problem.plan.seed == 12
-        assert problem.plan.box == ((Fraction(-1, 2), Fraction(3)),)
+        assert problem.plan.box == (Fraction(-1, 2), Fraction(3))
         assert problem.fd_step == Fraction(1, 1000)
 
     @pytest.mark.parametrize(
@@ -236,6 +240,51 @@ class TestConformanceCorpus:
         assert err.value.line is not None
 
 
+def _seeded_edits(seed: int, count: int):
+    """``count`` texts, each a valid/ file with 1-3 of its pieces (a word, a
+    run of whitespace or one other character) inserted, deleted or replaced
+    by a piece drawn from the whole valid/ corpus."""
+    rng = random.Random(seed)
+    files = [re.findall(r"\w+|\s+|\S", path.read_text(encoding="utf-8"))
+             for path in sorted(_CONFORMANCE.glob("valid/*.pf"))]
+    pool = sorted({piece for pieces in files for piece in pieces})
+    for _ in range(count):
+        pieces = list(rng.choice(files))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(pieces) + 1)
+            op = rng.choice(("insert", "delete", "replace")) if at < len(pieces) else "insert"
+            if op == "insert":
+                pieces.insert(at, rng.choice(pool))
+            elif op == "delete":
+                del pieces[at]
+            else:
+                pieces[at] = rng.choice(pool)
+        yield "".join(pieces)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("no exit code within 5 s")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+def test_seeded_edits_end_in_an_exit_code(tmp_path):
+    # a traceback or a hang on an edited problem file fails here
+    path = tmp_path / "edited.pf"
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for index, text in enumerate(_seeded_edits(seed=1, count=600)):
+            path.write_text(text, encoding="utf-8")
+            signal.alarm(5)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["all", str(path)])
+            finally:
+                signal.alarm(0)
+            assert code in (0, 1, 2), (index, text)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestCatalog:
     def test_names(self):
         assert catalog_names() == (
@@ -267,11 +316,6 @@ class TestCatalog:
             reports = run_checks(catalog(name), "all")
             failures = [rep.check_id for rep in reports if rep.verdict == "fail"]
             assert failures == [], f"{name}: {failures}"
-
-    def test_catalog_text_reparses(self):
-        for name in catalog_names():
-            assert parse_problem(catalog_text(name), name=name).chart is not None
-
 
 class TestRunChecks:
     def test_check_poisson_passes(self):
@@ -481,6 +525,20 @@ def test_pgmap_residuals_sharps_each_image_once(monkeypatch):
     run_checks(problem, "certify-pgmap")
     assert len(residuals) == 1
     assert len(sharps) == problem.pgmap.bialgebra.dim == 9
+
+
+def test_all_derives_each_image_object_once(monkeypatch):
+    # pgmap_residuals, tangent_generator, tangent_generator_direct and
+    # characteristic_identity_residuals read Resolved.sharps, PGMap.differentials
+    # and Resolved.twists; a reader deriving its own makes 18 / 27 / 18 calls
+    problem = parse_problem(gl_problem(3))
+    sharps = _count_calls(monkeypatch, poisson, "sharp")
+    derivatives = _count_calls(monkeypatch, chart, "exterior_derivative")
+    twists = _count_calls(monkeypatch, tangent, "i_T")
+    run_checks(problem, "all")
+    assert sum(pi.chart == problem.chart for pi, _ in sharps) == 9
+    assert sum(form.degree == 1 for (form,) in derivatives) == 9
+    assert sum(form.degree == 2 for _, form in twists) == 9
 
 
 def test_all_computes_the_comomenta_once(monkeypatch):

@@ -1,6 +1,6 @@
 """Code outside the package that names the package: the README's library
-example, the benchmark's list of traced functions, and the package's exports
-against what the command line calls."""
+example, the benchmark's list of traced functions and the keys it counts
+them by, and the package's exports against what the command line calls."""
 
 from __future__ import annotations
 
@@ -9,7 +9,10 @@ import functools
 import importlib
 import inspect
 import io
+import json
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -49,6 +52,39 @@ def _bench_spans() -> types.ModuleType:
 def test_traced_names_resolve(module, attr):
     owner = importlib.import_module(f"poissonlift.{module}")
     assert callable(functools.reduce(getattr, attr.split("."), owner))
+
+
+# Runs in a child process, since Tracer.install patches modules globally.
+_TRACE_SCRIPT = """
+import contextlib, io, json, sys, types
+spans = types.ModuleType("spans")
+exec(compile(open(sys.argv[1], encoding="utf-8").read(), sys.argv[1], "exec"), spans.__dict__)
+from poissonlift import cli
+tracer = spans.Tracer()
+tracer.install()
+for problem in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["all", problem])
+tracer.collect_arguments()
+print(json.dumps({name: sorted(keys) for name, keys in tracer.distinct.items()}))
+"""
+
+
+def test_bench_distinct_keys_print_no_address(tmp_path):
+    """The benchmark counts a traced function's distinct arguments by their
+    ``repr``; an argument printed with its address, such as a ``Resolved``,
+    would make that count wrong, as a later object can reuse the address."""
+    gl3 = tmp_path / "gl3.pf"
+    gl3.write_text(gl_problem(3), encoding="utf-8")
+    src = str(Path(poissonlift.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACE_SCRIPT, str(ROOT / "bench" / "spans.py"),
+         str(gl3), "aff1-cobracket", "so3-coadjoint"],
+        env=env, capture_output=True, text=True, check=True)
+    distinct = json.loads(result.stdout)
+    assert distinct["reduction.pgmap_residuals"] and distinct["chart.jacobi"]
+    assert [key for keys in distinct.values() for key in keys if " at 0x" in key] == []
 
 
 # Exported functions that no command calls, each with the reason it stays.

@@ -59,7 +59,14 @@ from poissonlift.reduction import (
     require_zero_level,
 )
 
-from conftest import abelian, count_polynomial_calls, integer_points, rand_fraction, rand_poly
+from conftest import (
+    abelian,
+    cayley_rotation,
+    count_polynomial_calls,
+    integer_points,
+    rand_fraction,
+    rand_poly,
+)
 
 
 @pytest.fixture
@@ -635,7 +642,7 @@ class TestRandomizedCertifiedFamilies:
         # exactly equivariant linear momentum maps: J = A x with A in SO(3)
         rng = random.Random(40)
         for _ in range(10):
-            A = _cayley_rotation(rng)
+            A = cayley_rotation(rng)
             momentum = MomentumMapData(
                 chart_xyz,
                 tuple(
@@ -649,20 +656,3 @@ class TestRandomizedCertifiedFamilies:
             pg = hamiltonian_pgmap(momentum, so3_bialgebra())
             assert certify_pgmap(Resolved(so3, pg)).verdict == "pass"
             assert tangent_generator_check(Resolved(so3, pg)).verdict == "pass"
-
-
-def _cayley_rotation(rng: random.Random):
-    """(I - S)(I + S)^-1 for a random rational skew matrix S: a rational
-    special orthogonal matrix, hence a bracket automorphism of so(3)."""
-    from poissonlift._linalg import invert
-
-    a, b, c = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
-    S = [[Fraction(0), a, b], [-a, Fraction(0), c], [-b, -c, Fraction(0)]]
-    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    i_minus = [[eye[i][j] - S[i][j] for j in range(3)] for i in range(3)]
-    i_plus = [[eye[i][j] + S[i][j] for j in range(3)] for i in range(3)]
-    inv = invert(i_plus)
-    return [
-        [sum(i_minus[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
