@@ -199,10 +199,6 @@ class LieBialgebra:
             residuals,
         )
 
-    def dual(self) -> "LieBialgebra":
-        """Swap roles: gamma becomes the bracket, the bracket becomes gamma."""
-        return LieBialgebra(self.basis, _transpose(self._cobrackets), _transpose(self._brackets))
-
     def check_cojacobi(self) -> CheckReport:
         """Jacobi identity of the dual bracket, whose rows are the cobracket
         table transposed."""

@@ -182,10 +182,6 @@ class _Tensor:
     def components(self) -> dict[Index, Polynomial]:
         return dict(self._components)
 
-    def component(self, idx: Iterable[int | str]) -> Polynomial:
-        key = tuple(self.chart.index(i) if isinstance(i, str) else i for i in idx)
-        return self._components.get(key, self.chart.zero_poly())
-
     def is_zero(self) -> bool:
         return not self._components
 

@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         # the flags take the values the problem file's oracle keys take
         flags = {key: oracle_value(key, getattr(args, key), "--" + key.replace("_", "-"))
                  for key in ("samples", "seed", "box", "fd_step") if getattr(args, key) is not None}
-    except (ParseError, UnknownCatalogError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     plan = SamplePlan(flags.get("samples", problem.plan.count), flags.get("seed", problem.plan.seed),

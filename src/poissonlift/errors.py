@@ -54,7 +54,7 @@ class LevelSetError(ValueError):
     """The supplied parametrization does not land in the zero level set."""
 
 
-class UnknownCatalogError(KeyError):
+class UnknownCatalogError(ValueError):
     """Unknown built-in catalog entry.  Lists the available names."""
 
     def __init__(self, name: str, available: tuple[str, ...]):

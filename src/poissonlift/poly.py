@@ -182,11 +182,6 @@ class Polynomial:
             used &= ~(_FIELD << (i * W))
         return tuple(names)
 
-    def degree_in(self, names: Iterable[str]) -> int:
-        """Maximum combined exponent of the given variables over all terms."""
-        shifts = [self.variables.index(n) * W for n in names if n in self.variables]
-        return max((sum((key >> s) & _FIELD for s in shifts) for key in self._terms), default=0)
-
     # -- variable universe handling ----------------------------------------
 
     def with_variables(self, variables: Iterable[str]) -> "Polynomial":

@@ -58,7 +58,6 @@ from .tangent import (
     CoordinateMap,
     TangentChart,
     base_pullback,
-    bundle_chart,
     complete_lift_bivector,
     complete_lift_vf,
     i_T,
@@ -450,7 +449,8 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
     cotangent-lift momentum j_x(alpha) = <alpha, X> through the bundle map
     omega_flat: c + j . omega_flat = sum X^i v_k (omega_ik + omega_ki), which
     vanishes for every antisymmetric omega; a nonzero residual exposes a sign
-    or convention error in one of the two routes.
+    or convention error in one of the two routes.  j . omega_flat is summed
+    as p_k X^k by hand, not through ``i_T`` or ``pairing``: a second route.
 
     ``pg`` is the map :func:`symplectic_pgmap` built from ``omega`` and
     these generators."""
@@ -461,22 +461,18 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
             f"expected {len(generators)} on {chart.name}"
         )
     tc = tangent_chart(chart)
-    tstar = bundle_chart(chart, "T*")
     # p_k = sum_i v_i omega_ik, from both orientations of each stored omega_ab
     v = tc.coord_polys[chart.dim:]
     flat = [tc.total.zero_poly() for _ in chart.coords]
     for (a, b), w in omega.two_form._components.items():
         flat[b] = flat[b] + v[a] * w
         flat[a] = flat[a] - v[b] * w
-    flat_images: dict[str, Polynomial] = {c: tc.total.coord_poly(c) for c in chart.coords}
-    flat_images.update({f"p_{ck}": p_k for ck, p_k in zip(chart.coords, flat)})
     c_polys = comomentum_components(pg, tc)
     residuals: dict[str, Polynomial] = {}
     for index, field in enumerate(generators):
-        j_fun = tstar.zero_poly()
+        j_through_flat = tc.total.zero_poly()
         for (k,), comp in field._components.items():
-            j_fun = j_fun + tstar.coord_poly(f"p_{chart.coords[k]}") * comp
-        j_through_flat = j_fun.compose(flat_images)
+            j_through_flat = j_through_flat + flat[k] * comp
         residuals[f"relation[{pg.bialgebra.basis[index]}]"] = c_polys[index] + j_through_flat
     return make_report(
         "cotangent-momentum-relation",

@@ -92,6 +92,13 @@ def dense_matrix(tensor) -> list[list[Polynomial]]:
     return mat
 
 
+def dense_vector(tensor) -> list[Polynomial]:
+    """The n components of a vector field or a 1-form, zero where none is
+    stored."""
+    zero = tensor.chart.zero_poly()
+    return [tensor.components.get((i,), zero) for i in range(tensor.chart.dim)]
+
+
 def count_bialgebra_checks(monkeypatch) -> list[str]:
     """Record the name of every LieBialgebra structure check that runs."""
     calls = []

@@ -68,7 +68,7 @@ def one_form_prolongation(tc: TangentChart, theta: DifferentialForm) -> Coordina
         raise DegreeError("prolongation takes a 1-form on the base chart")
     n = tc.dim
     q_v = list(tc.coord_polys)
-    theta_comp = [theta.component((i,)) for i in range(n)]
+    theta_comp = [theta.components.get((i,), tc.base.zero_poly()) for i in range(n)]
     comps = (q_v[:n] + theta_comp
              + q_v[n:] + [tangent._complete_lift_poly(tc, t) for t in theta_comp])
     return CoordinateMap(tc.total, bundle_chart(tc.base, "TT*"), tuple(comps))
@@ -81,7 +81,7 @@ def dense_lemma_residuals(tc: TangentChart, theta: DifferentialForm) -> dict:
     target = bundle_chart(tc.base, "T*T")
     covector = d_T(tc, theta)
     direct = CoordinateMap(tc.total, target, tc.coord_polys + tuple(
-        covector.component((i,)) for i in range(2 * tc.dim)))
+        covector.components.get((i,), tc.total.zero_poly()) for i in range(2 * tc.dim)))
     composed = compose(tulczyjew_alpha(tc), one_form_prolongation(tc, theta))
     return {name: lhs - rhs
             for name, lhs, rhs in zip(target.coords, composed.components, direct.components)}

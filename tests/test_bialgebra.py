@@ -109,17 +109,6 @@ class TestCojacobi:
     def test_two_dimensional(self):
         assert aff1().check_cojacobi().verdict == "pass"
 
-    def test_dual_of_dual_is_identity(self):
-        for b in (so3_bialgebra(), aff1(), aff1(Fraction(2, 3))):
-            assert b.dual().dual() == b
-
-    def test_dual_swaps_roles(self):
-        d = aff1().dual()
-        # dual bracket [f1, f2] = gamma^(12)_k f_k = f2
-        assert d.bracket(0, 1) == {1: 1}
-        # dual cobracket row of f2 comes from c^2_(12) = 1
-        assert d.cobracket_row(1) == {(0, 1): Fraction(1)}
-
 
 def test_fraction_constants_are_stored_in_one_form():
     """Integral Fraction constants are stored as ints, the others stay

@@ -25,7 +25,7 @@ from poissonlift import (
 from poissonlift import chart as chart_module
 from poissonlift.errors import ChartMismatchError, DegreeError, KindMismatchError
 
-from conftest import dense_matrix, rand_form, rand_multivector, rand_poly
+from conftest import dense_matrix, dense_vector, rand_form, rand_multivector, rand_poly
 
 
 @pytest.fixture
@@ -141,13 +141,12 @@ def _cartan_lie_derivative(field: Multivector, omega: DifferentialForm) -> Diffe
 def _lie_bracket_oracle(X: Multivector, Y: Multivector) -> Multivector:
     """Coordinate Lie bracket [X, Y]^i = X(Y^i) - Y(X^i)."""
     chart = X.chart
+    x, y = dense_vector(X), dense_vector(Y)
     comps = {}
-    for i, c in enumerate(chart.coords):
-        xi = X.component((i,))
-        yi = Y.component((i,))
+    for i, (xi, yi) in enumerate(zip(x, y)):
         total = chart.zero_poly()
         for k, ck in enumerate(chart.coords):
-            total = total + X.component((k,)) * yi.derivative(ck) - Y.component((k,)) * xi.derivative(ck)
+            total = total + x[k] * yi.derivative(ck) - y[k] * xi.derivative(ck)
         if not total.is_zero():
             comps[(i,)] = total
     return Multivector(chart, 1, comps)
@@ -186,8 +185,8 @@ class TestSchouten:
             f = rand_poly(rng, R2.coords)
             got = schouten_bracket(X, Multivector.from_poly(R2, f))
             expected = R2.zero_poly()
-            for i, c in enumerate(R2.coords):
-                expected = expected + X.component((i,)) * f.derivative(c)
+            for xi, c in zip(dense_vector(X), R2.coords):
+                expected = expected + xi * f.derivative(c)
             assert got.as_poly() == expected
 
     def test_graded_antisymmetry(self):

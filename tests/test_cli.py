@@ -152,16 +152,33 @@ oracle { samples: 7
          ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
           "  bracket { [e1,e2] = e1 e2 } }", 3, "expected '+' or '-' between terms"),
          ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
-          "  cocycle { d(e1) = e1^e2 e1^e2 } }", 3, "expected '+' or '-' between terms")],
+          "  cocycle { d(e1) = e1^e2 e1^e2 } }", 3, "expected '+' or '-' between terms"),
+         *[("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
+            f"  {entry} }}", 3, message) for entry, message in [
+             ("bracket { [e1,e2] = e3 }", "unknown basis symbol 'e3'"),
+             ("cocycle { d(e2) = e1 e2 }", "expected '^' between basis symbols"),
+             ("cocycle { d(e2) = e1^ }", "expected a basis symbol after '^'"),
+             ("bracket { [e1,e2] = e2 - }", "dangling sign"),
+             ("bracket { [e1,e2] = 1/ e2 }", "expected integer denominator")]]],
         ids=["inverse-without-symplectic", "levelset-without-momentum", "action-without-symplectic",
              "repeated-bracket", "repeated-cocycle", "duplicate-coords", "duplicate-basis",
              "antisymmetry", "diagonal-bracket", "empty-coordinate", "bracket-terms-without-sign",
-             "cocycle-terms-without-sign"],
+             "cocycle-terms-without-sign", "unknown-basis-symbol", "cocycle-without-wedge",
+             "wedge-without-second-symbol", "dangling-sign", "denominator-not-an-integer"],
     )
     def test_rule_errors_carry_their_line(self, text, line, message):
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             parse_problem(text)
         assert err.value.line == line
+
+    def test_combinations_with_zero_terms_and_fractions(self):
+        text = "manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n" \
+               "  bracket { [e1,e2] = 0 + 1*e2 }\n  cocycle { d(e2) = 2/2 e1^e2; d(e1) = 0 } }"
+        bialgebra = parse_problem(text).bialgebra
+        assert bialgebra.bracket(0, 1) == {1: 1}
+        assert bialgebra.cobracket_row(1) == {(0, 1): 1}
+        assert type(bialgebra.cobracket_row(1)[(0, 1)]) is int
+        assert bialgebra.cobracket_row(0) == {}
 
     def test_bracket_restated_in_the_other_order(self):
         text = "manifold { coords: q, p; poisson: p*e_q^e_p }\n" \
@@ -393,6 +410,9 @@ class TestMainEntry:
 
     def test_unknown_problem_exit_code(self, capsys):
         assert main(["all", "no-such-entry"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown catalog entry 'no-such-entry'; available: aff1-cobracket, "
+            "canonical-r2-rotation, dressing-linearized, hamiltonian-level-set, so3-coadjoint\n")
 
     def test_report_file_roundtrip(self, tmp_path, capsys):
         out_path = tmp_path / "report.txt"

@@ -1,13 +1,13 @@
 """Code outside the package that names the package: the README's library
 example, the benchmark's list of traced functions and the keys it counts
-them by, and the package's exports against what the command line calls."""
+them by, and the package's functions and methods against what the command
+line calls."""
 
 from __future__ import annotations
 
 import contextlib
 import functools
 import importlib
-import inspect
 import io
 import json
 import os
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import poissonlift
-from poissonlift import catalog_names, cli
+from poissonlift import catalog_names
 
 from conftest import gl_problem
 
@@ -70,55 +70,102 @@ print(json.dumps({name: sorted(keys) for name, keys in tracer.distinct.items()})
 """
 
 
+def _run_child(script: str, *args: str) -> str:
+    """Stdout of ``script`` run by a fresh interpreter that imports this
+    package from the tree under test."""
+    src = str(Path(poissonlift.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-B", "-c", script, *args],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_bench_distinct_keys_print_no_address(tmp_path):
     """The benchmark counts a traced function's distinct arguments by their
     ``repr``; an argument printed with its address, such as a ``Resolved``,
     would make that count wrong, as a later object can reuse the address."""
     gl3 = tmp_path / "gl3.pf"
     gl3.write_text(gl_problem(3), encoding="utf-8")
-    src = str(Path(poissonlift.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-B", "-c", _TRACE_SCRIPT, str(ROOT / "bench" / "spans.py"),
-         str(gl3), "aff1-cobracket", "so3-coadjoint"],
-        env=env, capture_output=True, text=True, check=True)
-    distinct = json.loads(result.stdout)
+    distinct = json.loads(_run_child(_TRACE_SCRIPT, str(ROOT / "bench" / "spans.py"),
+                                     str(gl3), "aff1-cobracket", "so3-coadjoint"))
     assert distinct["reduction.pgmap_residuals"] and distinct["chart.jacobi"]
     assert [key for keys in distinct.values() for key in keys if " at 0x" in key] == []
 
 
-# Exported functions that no command calls, each with the reason it stays.
-UNCALLED_EXPORTS = {
+# Records which functions and methods of the package the commands call, in a
+# child process whose profiler is installed before the package is imported,
+# so code run at import counts.  Members are found through module and class
+# namespaces (Python 3.10 has no co_qualname).  Prints every member's name
+# and the names of those never called.
+_CALLER_SCRIPT = """
+import contextlib, importlib, io, json, pkgutil, sys
+from functools import cached_property
+called = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+sys.setprofile(record)
+import poissonlift
+from poissonlift import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        cli.main(argv)
+sys.setprofile(None)
+package = poissonlift.__path__[0]
+members = {}
+for info in pkgutil.iter_modules(poissonlift.__path__):
+    module = importlib.import_module("poissonlift." + info.name)
+    scopes = [("", vars(module))] + [
+        (cls.__name__ + ".", vars(cls)) for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__]
+    for prefix, namespace in scopes:
+        for name, obj in namespace.items():
+            if isinstance(obj, (staticmethod, classmethod)):
+                obj = obj.__func__
+            elif isinstance(obj, property):
+                obj = obj.fget
+            elif isinstance(obj, cached_property):
+                obj = obj.func
+            code = getattr(obj, "__code__", None)
+            if (code is None or not code.co_filename.startswith(package)
+                    or code.co_name == "<lambda>" or name.startswith("__") and name.endswith("__")):
+                continue
+            members[prefix + name] = code
+print(json.dumps({"members": sorted(members),
+                  "uncalled": sorted(name for name, code in members.items() if code not in called)}))
+"""
+
+# Functions and methods that no command calls, each with the reason it stays.
+UNCALLED = {
     "lie_poisson": "the README's library example builds pi with it",
     "so3_bialgebra": "the README's library example builds its bialgebra with it",
     "parse_reports": "reads back the report files the CLI writes",
     "koszul_bracket": "the benchmark traces it (bench/spans.py)",
+    "SamplePlan.points": "the benchmark traces it (bench/spans.py)",
+    "Polynomial.substitute": "the benchmark's polynomial micro rows time it (bench/worker.py)",
+    "Polynomial.terms": "the public constructor's form, which substitute and the benchmark's "
+                        "polynomial pool read",
 }
 
 
 def test_every_exported_function_is_called_by_a_command(tmp_path):
-    """`all` on the catalog, on gl(3) and on a perturbed gl(3) calls every
-    function the package exports, except the few listed with a reason."""
+    """`all` on the catalog, on gl(3), on a perturbed gl(3) and on every
+    conformance file, and once with every oracle flag, calls every function
+    and method of the package, private ones included, except the few listed
+    with a reason; dunders, lambdas and nested closures are not counted."""
     problems = list(catalog_names())
     for name, text in (("gl3.pf", gl_problem(3)),
                        ("gl3-perturbed.pf", gl_problem(3, perturb_map=True))):
         (tmp_path / name).write_text(text, encoding="utf-8")
         problems.append(str(tmp_path / name))
-    package = str(Path(poissonlift.__file__).parent)
-    called = set()
-
-    def record(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            called.add(frame.f_code)
-
-    sys.setprofile(record)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            for problem in problems:
-                cli.main(["all", problem, "--report", str(tmp_path / "report.txt")])
-    finally:
-        sys.setprofile(None)
-    exported = {name: getattr(poissonlift, name) for name in poissonlift.__all__}
-    uncalled = sorted(name for name, obj in exported.items()
-                      if inspect.isfunction(obj) and obj.__code__ not in called)
-    assert uncalled == sorted(UNCALLED_EXPORTS)
+    problems += sorted(str(path) for path in (ROOT / "docs" / "conformance").glob("*/*.pf"))
+    report = str(tmp_path / "report.txt")
+    runs = [["all", problem, "--report", report] for problem in problems]
+    runs.append(["all", problems[0], "--samples", "5", "--seed", "2", "--box=-1,1", "--fd-step", "1/100"])
+    found = json.loads(_run_child(_CALLER_SCRIPT, json.dumps(runs)))
+    # every kind of member is seen: function, method, property, cached
+    # property, class method, static method, and code run at import
+    assert {"sharp", "Polynomial.compose", "Chart.dim", "Resolved.tc", "SamplePlan.uniform",
+            "Polynomial._aligned", "_positive"} <= set(found["members"])
+    assert found["uncalled"] == sorted(UNCALLED)
