@@ -33,7 +33,6 @@ from .poisson import (
 from .poly import Polynomial
 from .problemfile import ProblemFile, catalog, catalog_names, parse_problem
 from .reduction import (
-    MomentumMapData,
     PGMap,
     Resolved,
     bracket_closure_check,

@@ -1,13 +1,14 @@
 """Command-line front end.
 
     poissonlift <command> <problem> [--report PATH] [--seed N] [--samples N]
-                [--box LO,HI] [--fd-step RAT] [--quiet]
+                [--box=LO,HI] [--fd-step RAT] [--quiet]
 
 ``<problem>`` is a path to a problem file or the name of a built-in catalog
 entry.  Exit codes: 0 when every non-informative check passes, 1 when any
 check fails, 2 on parse or validation errors (including a non-positive
 sample count or ``--fd-step`` and an empty ``--box``) and when the problem
-file cannot be read or the ``--report`` file cannot be written.
+file cannot be read or the ``--report`` file cannot be written.  The box
+is written ``--box=LO,HI``: ``--box -1,1`` reads ``-1,1`` as an option.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _cmd_characteristic(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> 
 
 def _cmd_hamiltonian(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list[CheckReport]:
     momentum = problem.momentum
-    chart = momentum.chart
+    chart = momentum.source
     bialgebra = problem.bialgebra
     tc = r.tc
     pg_exact = hamiltonian_pgmap(momentum, bialgebra)
@@ -188,7 +189,7 @@ def _cmd_symplectic(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> list
     pg, closed_report = symplectic_pgmap(problem.symplectic, problem.action, problem.bialgebra)
     if pg is None:
         return [closed_report]
-    relation = cotangent_momentum_relation(problem.symplectic, problem.action, pg, plan=plan)
+    relation = cotangent_momentum_relation(r.tc, problem.symplectic, problem.action, pg, plan=plan)
     return [closed_report, relation]
 
 
@@ -198,7 +199,7 @@ def _oracle_fd(problem: ProblemFile, plan: SamplePlan, fd_step: Fraction) -> lis
     pgmap images and the momentum map, one plan point per polynomial (cycling
     through the plan's points when there are more polynomials)."""
     chart = problem.chart
-    polys = list(problem.poisson_structure.bivector.components.values())
+    polys = list(problem.poisson.bivector.components.values())
     if problem.pgmap is not None:
         polys += [poly for image in problem.pgmap.images for poly in image.components.values()]
     if problem.momentum is not None:
@@ -262,7 +263,7 @@ def run_checks(problem: ProblemFile, command: str, plan: SamplePlan | None = Non
         raise ParseError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     plan = problem.plan if plan is None else plan
     fd_step = problem.fd_step if fd_step is None else fd_step
-    r = Resolved(problem.poisson_structure, problem.pgmap)
+    r = Resolved(problem.poisson, problem.pgmap)
     reports = [rep for step in steps for rep in _TABLE[step][0](problem, r, plan)]
     if command == "all":
         reports += _oracle_fd(problem, plan, fd_step)
@@ -275,7 +276,7 @@ def run_checks(problem: ProblemFile, command: str, plan: SamplePlan | None = Non
 def _load_problem(spec_arg: str) -> ProblemFile:
     if os.path.exists(spec_arg):
         try:
-            with open(spec_arg, "r", encoding="utf-8") as handle:
+            with open(spec_arg, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read problem {spec_arg}: {exc.strerror}") from exc
@@ -309,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--report", help="write a structured report file")
     parser.add_argument("--seed", default=None)
     parser.add_argument("--samples", default=None)
-    parser.add_argument("--box", default=None, help="sampling interval LO,HI")
+    parser.add_argument("--box", default=None, help="sampling interval, written --box=LO,HI")
     parser.add_argument("--fd-step", default=None, help="finite-difference step (rational)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)

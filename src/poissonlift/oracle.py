@@ -44,9 +44,9 @@ class SamplePlan:
     """Deterministic sampling plan: how many points, from which seed, and
     the interval ``box = (lo, hi)`` that every coordinate is drawn from."""
 
-    count: int
-    seed: int
-    box: tuple[Fraction, Fraction]
+    count: int = DEFAULT_SAMPLES
+    seed: int = DEFAULT_SEED
+    box: tuple[Fraction, Fraction] = DEFAULT_BOX
 
     def __post_init__(self):
         if self.count <= 0:
@@ -54,11 +54,6 @@ class SamplePlan:
         lo, hi = self.box
         if lo > hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
-
-    @classmethod
-    def uniform(cls, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
-                lo=DEFAULT_BOX[0], hi=DEFAULT_BOX[1]) -> "SamplePlan":
-        return cls(count, seed, (Fraction(lo), Fraction(hi)))
 
     def stream(self, nvars: int, limit: int | None = None) -> tuple[int, list[tuple[int, ...]]]:
         """The plan's point stream, or its first ``limit`` points when that

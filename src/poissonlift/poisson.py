@@ -77,19 +77,13 @@ class PoissonStructure:
         return self.bivector.chart
 
 
-def _as_bivector(pi) -> Multivector:
-    return pi.bivector if isinstance(pi, PoissonStructure) else pi
-
-
-def sharp(pi, alpha: DifferentialForm) -> Multivector:
+def sharp(pi: PoissonStructure, alpha: DifferentialForm) -> Multivector:
     """pi#(alpha) = pi(alpha, .) mapped into vector fields."""
-    bivector = _as_bivector(pi)
+    bivector = pi.bivector
     if alpha.degree != 1:
         raise DegreeError("sharp takes a 1-form")
     if bivector.chart != alpha.chart:
         raise ChartMismatchError("sharp: operands on different charts")
-    if bivector.degree != 2:
-        raise DegreeError("sharp takes a bivector")
     a = {i: a_i for (i,), a_i in alpha._components.items()}
     slots: dict[int, Polynomial] = {}
     for (i, j), p in bivector._components.items():
@@ -116,9 +110,9 @@ def pairing(alpha: DifferentialForm, field: Multivector) -> Polynomial:
     return out
 
 
-def poisson_bracket(pi, f: Polynomial, g: Polynomial) -> Polynomial:
+def poisson_bracket(pi: PoissonStructure, f: Polynomial, g: Polynomial) -> Polynomial:
     """{f, g} = pi(df, dg)."""
-    bivector = _as_bivector(pi)
+    bivector = pi.bivector
     chart = bivector.chart
     df = _gradient(chart, f)
     dg = _gradient(chart, g)
@@ -144,13 +138,13 @@ def differential(chart: Chart, f: Polynomial) -> DifferentialForm:
     return exterior_derivative(DifferentialForm.from_poly(chart, f))
 
 
-def hamiltonian_vf(pi, f: Polynomial) -> Multivector:
+def hamiltonian_vf(pi: PoissonStructure, f: Polynomial) -> Multivector:
     """X_f = pi#(df)."""
-    chart = _as_bivector(pi).chart
-    return sharp(pi, differential(chart, f))
+    return sharp(pi, differential(pi.chart, f))
 
 
-def koszul_bracket(pi, alpha: DifferentialForm, beta: DifferentialForm) -> DifferentialForm:
+def koszul_bracket(pi: PoissonStructure, alpha: DifferentialForm,
+                   beta: DifferentialForm) -> DifferentialForm:
     """Bracket on 1-forms induced by pi; satisfies [df, dg]_pi = d{f, g}."""
     if alpha.degree != 1 or beta.degree != 1:
         raise DegreeError("Koszul bracket takes 1-forms")
@@ -169,20 +163,20 @@ def _koszul(alpha: DifferentialForm, beta: DifferentialForm,
 
 @dataclass(frozen=True)
 class SymplecticForm:
-    """A closed 2-form with an exact inverse bivector.
+    """A closed 2-form with its Poisson structure, the exact inverse bivector.
 
-    The component matrices of ``two_form`` and ``inverse_bivector`` multiply
+    The component matrices of ``two_form`` and ``poisson.bivector`` multiply
     to the identity, which under the conventions above makes
     pi# . omega_flat the identity bundle map.
     """
 
     two_form: DifferentialForm
-    inverse_bivector: Multivector
+    poisson: PoissonStructure
 
     def __post_init__(self):
-        if self.two_form.degree != 2 or self.inverse_bivector.degree != 2:
+        if self.two_form.degree != 2:
             raise DegreeError("symplectic data consists of a 2-form and a bivector")
-        if self.two_form.chart != self.inverse_bivector.chart:
+        if self.two_form.chart != self.poisson.chart:
             raise ChartMismatchError("symplectic data on different charts")
         closed = exterior_derivative(self.two_form)
         if not closed.is_zero():
@@ -195,14 +189,15 @@ class SymplecticForm:
         product of the two component matrices read row by row."""
         chart = self.two_form.chart
         return all(
-            sharp(self.inverse_bivector, self.flat(field)) == field
+            sharp(self.poisson, self.flat(field)) == field
             for field in (Multivector.basis(chart, c) for c in chart.coords)
         )
 
     @classmethod
     def from_two_form(cls, two_form: DifferentialForm,
                       inverse: Multivector | None = None) -> "SymplecticForm":
-        """Build from a closed 2-form.
+        """Build from a closed 2-form; the inverse, given or computed, is
+        wrapped once as ``poisson``.
 
         With no explicit inverse the component matrix must be constant; it is
         then inverted exactly.  Polynomial matrices require the inverse to be
@@ -228,14 +223,11 @@ class SymplecticForm:
                     if inv[i][j] != 0:
                         comps[(i, j)] = chart.constant_poly(inv[i][j])
             inverse = Multivector(chart, 2, comps)
-        return cls(two_form, inverse)
+        return cls(two_form, PoissonStructure(inverse))
 
     @property
     def chart(self) -> Chart:
         return self.two_form.chart
-
-    def poisson(self) -> PoissonStructure:
-        return PoissonStructure(self.inverse_bivector)
 
     def flat(self, field: Multivector) -> DifferentialForm:
         """omega_flat(X) = i_X omega."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
 from .bialgebra import LieBialgebra
@@ -20,7 +19,7 @@ from .errors import ParseError, UnknownCatalogError
 from .oracle import DEFAULT_BOX, DEFAULT_FD_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, SamplePlan
 from .parser import _tokenize, parse_form, parse_multivector, parse_poly
 from .poisson import PoissonStructure, SymplecticForm
-from .reduction import MomentumMapData, PGMap, require_zero_level
+from .reduction import PGMap, require_zero_level
 from .tangent import _BLOCKS, CoordinateMap, bundle_chart, tangent_chart
 
 
@@ -28,26 +27,15 @@ from .tangent import _BLOCKS, CoordinateMap, bundle_chart, tangent_chart
 class ProblemFile:
     name: str
     chart: Chart
-    poisson: PoissonStructure | None = None
+    poisson: PoissonStructure  # the declared one, or the symplectic form's
     symplectic: SymplecticForm | None = None
     bialgebra: LieBialgebra | None = None
     pgmap: PGMap | None = None
-    momentum: MomentumMapData | None = None
+    momentum: CoordinateMap | None = None  # J: M -> g*
     action: tuple[Multivector, ...] | None = None
     levelset: CoordinateMap | None = None
-    plan: SamplePlan = SamplePlan.uniform()
+    plan: SamplePlan = SamplePlan()
     fd_step: Fraction = DEFAULT_FD_STEP
-
-    @cached_property
-    def poisson_structure(self) -> PoissonStructure:
-        """The declared Poisson structure, or the symplectic form's inverse,
-        built on first access.  Its Jacobi verdict is computed when a command
-        first reads it, not here."""
-        if self.poisson is not None:
-            return self.poisson
-        if self.symplectic is not None:
-            return self.symplectic.poisson()
-        raise ParseError(f"problem {self.name!r} declares neither a poisson nor a symplectic block")
 
 
 def _at(line: int | None, prefix: str, parse: Callable, *args):
@@ -233,7 +221,7 @@ _SCHEMA: dict[str, _Spec] = {
     "momentum": _Spec("", "=", {
         "{}": _Key(lambda text, env: parse_poly(text, env["coords"].coords), required=True),
     }, requires=("bialgebra",),
-        build=lambda env: MomentumMapData(env["coords"], env["momentum"])),
+        build=lambda env: CoordinateMap(env["coords"], Chart("g*", env["basis"]), env["momentum"])),
     "action": _Spec("", "=", {
         "{}": _Key(lambda text, env: parse_multivector(text, env["coords"], degree=1), required=True),
     }, requires=("bialgebra", "manifold.symplectic")),
@@ -249,7 +237,7 @@ _SCHEMA: dict[str, _Spec] = {
         "box": _Key(_interval, default=DEFAULT_BOX),
         "fd_step": _Key(_positive(Fraction), default=DEFAULT_FD_STEP),
     }, quoted=True,
-        build=lambda env: SamplePlan.uniform(env["samples"], env["seed"], *env["box"])),
+        build=lambda env: SamplePlan(env["samples"], env["seed"], env["box"])),
 }
 
 
@@ -417,10 +405,11 @@ def parse_problem(text: str, name: str = "<problem>") -> ProblemFile:
         if spec.parent == "" and block in blocks:
             _read(block, blocks, entries, env)
     return ProblemFile(
-        name=name, chart=env["coords"], poisson=env["poisson"], symplectic=env["symplectic"],
+        name=name, chart=env["coords"], poisson=env["poisson"] or env["symplectic"].poisson,
+        symplectic=env["symplectic"],
         bialgebra=env.get("bialgebra"), pgmap=env.get("pgmap"), momentum=env.get("momentum"),
         action=env.get("action"), levelset=env.get("levelset"),
-        plan=env.get("oracle", SamplePlan.uniform()), fd_step=env.get("fd_step", DEFAULT_FD_STEP))
+        plan=env.get("oracle", SamplePlan()), fd_step=env.get("fd_step", DEFAULT_FD_STEP))
 
 
 # -- built-in catalog -----------------------------------------------------------------

@@ -90,18 +90,6 @@ class PGMap:
         return tuple(exterior_derivative(form) for form in self.images)
 
 
-@dataclass(frozen=True)
-class MomentumMapData:
-    """Components of a map into the dual of the bialgebra, one polynomial each."""
-
-    chart: Chart
-    components: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           tuple(p.with_variables(self.chart.coords) for p in self.components))
-
-
 PGMAP_CERTIFICATION = Statement(
     "pgmap-certification",
     "phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
@@ -324,18 +312,18 @@ def characteristic_identity_check(r: Resolved, *, plan: SamplePlan | None = None
 # -- Hamiltonian special case -----------------------------------------------------------
 
 
-def hamiltonian_pgmap(momentum: MomentumMapData, bialgebra: LieBialgebra) -> PGMap:
-    """The family with images dJ_i."""
-    chart = momentum.chart
+def hamiltonian_pgmap(momentum: CoordinateMap, bialgebra: LieBialgebra) -> PGMap:
+    """The family with images dJ_i of the momentum map J: M -> g*."""
+    chart = momentum.source
     return PGMap(bialgebra, chart, tuple(differential(chart, j) for j in momentum.components))
 
 
-def require_zero_level(momentum: MomentumMapData, parametrization: CoordinateMap) -> CoordinateMap:
+def require_zero_level(momentum: CoordinateMap, parametrization: CoordinateMap) -> CoordinateMap:
     """The parametrization, once every component of J is shown to vanish
     identically on it; LevelSetError otherwise.  The parser proves a
     ``levelset`` block here, once, and ``ProblemFile.levelset`` holds the
     value returned."""
-    chart = momentum.chart
+    chart = momentum.source
     if parametrization.target != chart:
         raise ChartMismatchError("parametrization must land in the momentum chart")
     for j_comp in momentum.components:
@@ -347,7 +335,7 @@ def require_zero_level(momentum: MomentumMapData, parametrization: CoordinateMap
     return parametrization
 
 
-def level_set_tangency_check(momentum: MomentumMapData, parametrization: CoordinateMap,
+def level_set_tangency_check(momentum: CoordinateMap, parametrization: CoordinateMap,
                              points: Sequence[Sequence[int]], denominator: int) -> CheckReport:
     """At sampled points of a zero-level parametrization, the kernel of dJ
     at the image is the parametrization's tangent span (exact rank test).
@@ -366,7 +354,7 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
     Samples where the differential of J drops rank are reported as
     RankDeficient and make the verdict informative rather than pass/fail.
     """
-    chart = momentum.chart
+    chart = momentum.source
     params = parametrization.source.coords
     m, n, k = len(params), chart.dim, len(momentum.components)
     for s_index, s in enumerate(points):
@@ -374,9 +362,7 @@ def level_set_tangency_check(momentum: MomentumMapData, parametrization: Coordin
             raise DimensionMismatchError(f"sample {s_index} has {len(s)} coordinates, need {m}")
     (image,), (image_den,) = _scaled_entries([parametrization.components], params, points, denominator)
     # rows of G and columns of C, each scaled to integers by one factor
-    g_values, _ = _scaled_entries(
-        [[j_comp.derivative(c) for c in chart.coords] for j_comp in momentum.components],
-        chart.coords, list(zip(*image)), image_den)
+    g_values, _ = _scaled_entries(momentum.jacobian(), chart.coords, list(zip(*image)), image_den)
     c_values, _ = _scaled_entries(list(zip(*parametrization.jacobian())), params, points, denominator)
     entries: list[tuple[str, str]] = []
     informative_entries: list[tuple[str, str]] = []
@@ -443,8 +429,9 @@ def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
     return pg, make_report(*SYMPLECTIC_IMAGES_CLOSED, residuals)
 
 
-def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Multivector],
-                                pg: PGMap, plan: SamplePlan | None = None) -> CheckReport:
+def cotangent_momentum_relation(tc: TangentChart, omega: SymplecticForm,
+                                generators: Sequence[Multivector], pg: PGMap,
+                                plan: SamplePlan | None = None) -> CheckReport:
     """Compare the tangent-side momentum c_x = i_T(i_X omega) with the
     cotangent-lift momentum j_x(alpha) = <alpha, X> through the bundle map
     omega_flat: c + j . omega_flat = sum X^i v_k (omega_ik + omega_ki), which
@@ -453,14 +440,15 @@ def cotangent_momentum_relation(omega: SymplecticForm, generators: Sequence[Mult
     as p_k X^k by hand, not through ``i_T`` or ``pairing``: a second route.
 
     ``pg`` is the map :func:`symplectic_pgmap` built from ``omega`` and
-    these generators."""
+    these generators, and ``tc`` the tangent chart of omega's chart."""
     chart = omega.chart
     if pg.chart != chart or len(pg.images) != len(generators):
         raise DimensionMismatchError(
             f"PG map has {len(pg.images)} images on {pg.chart.name}, "
             f"expected {len(generators)} on {chart.name}"
         )
-    tc = tangent_chart(chart)
+    if tc.base != chart:
+        raise ChartMismatchError("tangent chart does not extend the form's chart")
     # p_k = sum_i v_i omega_ik, from both orientations of each stored omega_ab
     v = tc.coord_polys[chart.dim:]
     flat = [tc.total.zero_poly() for _ in chart.coords]

@@ -13,13 +13,31 @@ from fractions import Fraction
 
 import pytest
 
-from poissonlift import Chart, DifferentialForm, LieBialgebra, Multivector, Polynomial, _linalg, poisson, tangent
+from poissonlift import (
+    Chart,
+    CoordinateMap,
+    DifferentialForm,
+    LieBialgebra,
+    Multivector,
+    Polynomial,
+    _linalg,
+    poisson,
+    tangent,
+)
 from poissonlift.errors import DegreeError
 
 
 def abelian(k: int) -> LieBialgebra:
     """The abelian bialgebra on e1..ek, with zero bracket and cobracket."""
     return LieBialgebra(tuple(f"e{i + 1}" for i in range(k)), {})
+
+
+def momentum_map(chart: Chart, components) -> CoordinateMap:
+    """The momentum map J: M -> g* with the given components, g* charted by
+    e1..ek as the basis of ``abelian(k)``."""
+    components = tuple(components)
+    return CoordinateMap(chart, Chart("g*", tuple(f"e{i + 1}" for i in range(len(components)))),
+                         components)
 
 
 def rand_fraction(rng: random.Random, span: int = 6, den: int = 3) -> Fraction:

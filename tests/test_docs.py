@@ -166,6 +166,6 @@ def test_every_exported_function_is_called_by_a_command(tmp_path):
     found = json.loads(_run_child(_CALLER_SCRIPT, json.dumps(runs)))
     # every kind of member is seen: function, method, property, cached
     # property, class method, static method, and code run at import
-    assert {"sharp", "Polynomial.compose", "Chart.dim", "Resolved.tc", "SamplePlan.uniform",
+    assert {"sharp", "Polynomial.compose", "Chart.dim", "Resolved.tc", "Polynomial.zero",
             "Polynomial._aligned", "_positive"} <= set(found["members"])
     assert found["uncalled"] == sorted(UNCALLED)

@@ -64,34 +64,34 @@ class TestFiniteDifferences:
 
 class TestSampleResidual:
     def test_zero_polynomial(self):
-        plan = SamplePlan.uniform(count=50, seed=1)
+        plan = SamplePlan(count=50, seed=1)
         assert sample_residual(parse_poly("0", ("q",)), plan) == 0.0
 
     def test_exact_cancellation(self):
-        plan = SamplePlan.uniform(count=50, seed=2)
+        plan = SamplePlan(count=50, seed=2)
         f = parse_poly("q", ("q", "p")) - parse_poly("q", ("q", "p"))
         assert sample_residual(f, plan) == 0.0
 
     def test_square_bounded_by_box(self):
-        plan = SamplePlan.uniform(count=100, seed=3, lo=-1, hi=1)
+        plan = SamplePlan(100, 3, (Fraction(-1), Fraction(1)))
         value = sample_residual(parse_poly("q^2", ("q",)), plan)
         assert 0.0 < value <= 1.0
 
     def test_tensor_components(self, chart_qp):
-        plan = SamplePlan.uniform(count=20, seed=4)
+        plan = SamplePlan(count=20, seed=4)
         value = sample_residual(parse_form("q*dq", chart_qp), plan)
         assert 0.0 < value <= 2.0
 
     def test_reproducible(self):
         f = parse_poly("q^3 - 1/2*q", ("q",))
-        a = sample_residual(f, SamplePlan.uniform(count=100, seed=99))
-        b = sample_residual(f, SamplePlan.uniform(count=100, seed=99))
+        a = sample_residual(f, SamplePlan(count=100, seed=99))
+        b = sample_residual(f, SamplePlan(count=100, seed=99))
         assert a == b
-        c = sample_residual(f, SamplePlan.uniform(count=100, seed=100))
+        c = sample_residual(f, SamplePlan(count=100, seed=100))
         assert a != c  # different stream almost surely attains a different max
 
     def test_point_stream_deterministic(self):
-        plan = SamplePlan.uniform(count=10, seed=5)
+        plan = SamplePlan(count=10, seed=5)
         assert plan.points(3) == plan.points(3)
         assert all(
             Fraction(-2) <= x <= Fraction(2) for point in plan.points(3) for x in point
@@ -99,12 +99,12 @@ class TestSampleResidual:
 
     def test_first_points_pinned(self):
         # recorded while points were still drawn as Fractions one by one
-        assert SamplePlan.uniform(seed=2026).points(2, limit=3) == [
+        assert SamplePlan(seed=2026).points(2, limit=3) == [
             (Fraction(-1073, 1024), Fraction(569, 1024)),
             (Fraction(-151, 128), Fraction(-219, 1024)),
             (Fraction(1397, 1024), Fraction(1973, 1024)),
         ]
-        plan = SamplePlan.uniform(count=5, seed=2026, lo=Fraction(-1, 3), hi=Fraction(5, 7))
+        plan = SamplePlan(5, 2026, (Fraction(-1, 3), Fraction(5, 7)))
         assert plan.points(2, limit=3) == [
             (Fraction(-3611, 43008), Fraction(4817, 14336)),
             (Fraction(-91, 768), Fraction(5783, 43008)),
@@ -119,7 +119,7 @@ class TestSampleResidual:
         assert plan.stream(2, limit=4) == (denominator, numerators[:4])
 
     def test_limited_stream_is_a_prefix(self):
-        plan = SamplePlan.uniform(count=10, seed=5)
+        plan = SamplePlan(count=10, seed=5)
         assert plan.points(3, limit=4) == plan.points(3)[:4]
         assert plan.points(3, limit=0) == []
         assert plan.points(3, limit=50) == plan.points(3)
@@ -127,7 +127,7 @@ class TestSampleResidual:
 
 def test_symbolic_zero_always_samples_zero(chart_qp):
     rng = random.Random(41)
-    plan = SamplePlan.uniform(count=30, seed=6)
+    plan = SamplePlan(count=30, seed=6)
     for _ in range(20):
         f = rand_poly(rng, chart_qp.coords, max_degree=3)
         assert sample_residual(f - f, plan) == 0.0
@@ -150,7 +150,7 @@ def _count_points(monkeypatch) -> list[int]:
 
 def test_exact_zero_residuals_draw_no_points(monkeypatch, chart_qp):
     calls = _count_points(monkeypatch)
-    plan = SamplePlan.uniform(count=30, seed=8)
+    plan = SamplePlan(count=30, seed=8)
     assert sample_residual(parse_poly("q - q", chart_qp.coords), plan) == 0.0
     assert sample_residual(Multivector.zero(chart_qp, 2), plan) == 0.0
     report = make_report("zero", "0 = 0", {"r": parse_poly("0", ("q",))}, plan=plan)
@@ -159,7 +159,7 @@ def test_exact_zero_residuals_draw_no_points(monkeypatch, chart_qp):
 
 
 def test_one_report_draws_each_stream_once(monkeypatch, chart_qp):
-    plan = SamplePlan.uniform(count=30, seed=9)
+    plan = SamplePlan(count=30, seed=9)
     residuals = {
         "a": parse_poly("q^2 - p", chart_qp.coords),
         "b": parse_form("p*dq + dp", chart_qp),
@@ -235,6 +235,6 @@ def test_sampled_tensor_is_the_largest_component_value(chart_qp):
 
 def test_invalid_plans_rejected():
     with pytest.raises(ValueError):
-        SamplePlan.uniform(count=0)
+        SamplePlan(count=0)
     with pytest.raises(ValueError):
         SamplePlan(10, 1, (Fraction(2), Fraction(-2)))

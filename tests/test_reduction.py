@@ -18,7 +18,6 @@ from poissonlift import (
     CoordinateMap,
     DifferentialForm,
     LieBialgebra,
-    MomentumMapData,
     Multivector,
     PGMap,
     Resolved,
@@ -52,7 +51,7 @@ from poissonlift import (
 )
 from poissonlift import _linalg
 from poissonlift.cli import run_checks
-from poissonlift.errors import DimensionMismatchError, LevelSetError
+from poissonlift.errors import ChartMismatchError, DimensionMismatchError, LevelSetError
 from poissonlift.reduction import (
     bracket_closure_residuals,
     characteristic_identity_residuals,
@@ -64,6 +63,7 @@ from conftest import (
     cayley_rotation,
     count_polynomial_calls,
     integer_points,
+    momentum_map,
     rand_fraction,
     rand_poly,
 )
@@ -164,7 +164,7 @@ class TestComomentum:
         # onto the fiber coordinates, component for component
         chart = Chart("G", ("m1", "m2"))
         b = LieBialgebra(("e1", "e2"), {(0, 1): {1: 1}}, {})
-        momentum = MomentumMapData(chart, (chart.coord_poly("m1"), chart.coord_poly("m2")))
+        momentum = momentum_map(chart, (chart.coord_poly("m1"), chart.coord_poly("m2")))
         pg = hamiltonian_pgmap(momentum, b)
         tc = tangent_chart(chart)
         assert comomentum_components(pg, tc) == [
@@ -309,7 +309,7 @@ class TestHamiltonianComomentum:
         assert d_T(tc, DifferentialForm.from_poly(chart_qp, chart_qp.constant_poly(7))).is_zero()
 
     def test_matches_pgmap_pipeline(self, chart_xyz):
-        momentum = MomentumMapData(chart_xyz, tuple(chart_xyz.coord_poly(c) for c in "xyz"))
+        momentum = momentum_map(chart_xyz, tuple(chart_xyz.coord_poly(c) for c in "xyz"))
         pg = hamiltonian_pgmap(momentum, so3_bialgebra())
         tc = tangent_chart(chart_xyz)
         via_dt = [d_T(tc, DifferentialForm.from_poly(chart_xyz, j)).as_poly() for j in momentum.components]
@@ -318,7 +318,7 @@ class TestHamiltonianComomentum:
 
 class TestLevelSetTangency:
     def test_linear_momentum(self, chart_qp):
-        momentum = MomentumMapData(chart_qp, (chart_qp.coord_poly("p"),))
+        momentum = momentum_map(chart_qp, (chart_qp.coord_poly("p"),))
         param = CoordinateMap(
             Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("0", ("s",)))
         )
@@ -327,7 +327,7 @@ class TestLevelSetTangency:
         assert report.verdict == "pass"
 
     def test_zero_momentum_everything_passes(self, chart_qp):
-        momentum = MomentumMapData(chart_qp, (chart_qp.zero_poly(),))
+        momentum = momentum_map(chart_qp, (chart_qp.zero_poly(),))
         param = CoordinateMap(
             Chart("S", ("a", "b")),
             chart_qp,
@@ -338,7 +338,7 @@ class TestLevelSetTangency:
         assert report.verdict == "informative"
 
     def test_isolated_zero_reports_rank_deficient(self, chart_qp):
-        momentum = MomentumMapData(chart_qp, (parse_poly("1/2*q^2 + 1/2*p^2", chart_qp.coords),))
+        momentum = momentum_map(chart_qp, (parse_poly("1/2*q^2 + 1/2*p^2", chart_qp.coords),))
         param = CoordinateMap(
             Chart("S", ("s",)), chart_qp, (parse_poly("0", ("s",)), parse_poly("0", ("s",)))
         )
@@ -347,7 +347,7 @@ class TestLevelSetTangency:
         assert any(name.startswith("RankDeficient") for name, _ in report.residuals)
 
     def test_rejects_bad_parametrization(self, chart_qp):
-        momentum = MomentumMapData(chart_qp, (chart_qp.coord_poly("p"),))
+        momentum = momentum_map(chart_qp, (chart_qp.coord_poly("p"),))
         param = CoordinateMap(
             Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("s", ("s",)))
         )
@@ -365,7 +365,7 @@ class TestLevelSetTangency:
 
     @pytest.mark.parametrize("sample", [(), (1, 99), (1, 99, 7)])
     def test_rejects_sample_of_wrong_length(self, chart_qp, sample):
-        momentum = MomentumMapData(chart_qp, (chart_qp.coord_poly("p"),))
+        momentum = momentum_map(chart_qp, (chart_qp.coord_poly("p"),))
         param = CoordinateMap(
             Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("0", ("s",)))
         )
@@ -377,7 +377,7 @@ class TestLevelSetTangency:
         param = CoordinateMap(
             Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("0", ("s",)))
         )
-        report = level_set_tangency_check(MomentumMapData(chart_qp, ()), param, [(2,)], 1)
+        report = level_set_tangency_check(momentum_map(chart_qp, ()), param, [(2,)], 1)
         assert report.verdict == "fail"
         assert report.residuals == (("kernel-not-spanned[sample 0]", "1"),)
 
@@ -431,7 +431,7 @@ def _fraction_kernel_basis(mat):
 
 def _fraction_level_set_route(momentum, parametrization, samples):
     """(verdict, residuals) of the Fraction route."""
-    chart = momentum.chart
+    chart = momentum.source
     jac = parametrization.jacobian()
     grads = [[j_comp.derivative(c) for c in chart.coords] for j_comp in momentum.components]
     m = parametrization.source.dim
@@ -500,7 +500,7 @@ def _random_level_set(rng):
                 j = j + _small_poly(rng, xs, 1) * (chart.coord_poly(xs[i]) - f)
         components.append(j)
     samples = [tuple(rand_fraction(rng, 3) for _ in range(m)) for _ in range(4)]
-    return MomentumMapData(chart, tuple(components)), param, samples
+    return momentum_map(chart, tuple(components)), param, samples
 
 
 class TestLevelSetAgainstFractionRoute:
@@ -587,7 +587,7 @@ class TestSymplecticAction:
         from poissonlift import sharp
 
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        pi = omega.poisson()
+        pi = omega.poisson
         rotation = parse_multivector("-p*e_q + q*e_p", chart_qp)
         pg, _ = symplectic_pgmap(omega, [rotation], abelian(1))
         assert sharp(pi, pg.images[0]) == rotation
@@ -598,7 +598,7 @@ class TestCotangentMomentumRelation:
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         rotation = parse_multivector("-p*e_q + q*e_p", chart_qp)
         pg, _ = symplectic_pgmap(omega, [rotation], abelian(1))
-        report = cotangent_momentum_relation(omega, [rotation], pg)
+        report = cotangent_momentum_relation(tangent_chart(chart_qp), omega, [rotation], pg)
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
@@ -606,14 +606,14 @@ class TestCotangentMomentumRelation:
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         fields = [Multivector.zero(chart_qp, 1)]
         pg, _ = symplectic_pgmap(omega, fields, abelian(1))
-        report = cotangent_momentum_relation(omega, fields, pg)
+        report = cotangent_momentum_relation(tangent_chart(chart_qp), omega, fields, pg)
         assert report.verdict == "pass"
 
     def test_translation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         fields = [parse_multivector("e_q", chart_qp)]
         pg, _ = symplectic_pgmap(omega, fields, abelian(1))
-        report = cotangent_momentum_relation(omega, fields, pg)
+        report = cotangent_momentum_relation(tangent_chart(chart_qp), omega, fields, pg)
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
@@ -624,7 +624,7 @@ class TestCotangentMomentumRelation:
             parse_multivector("e_q", chart_qp),
             parse_multivector("e_p", chart_qp),
         ]
-        report = cotangent_momentum_relation(omega, fields, symplectic_pgmap(omega, fields, abelian(3))[0])
+        report = cotangent_momentum_relation(tangent_chart(chart_qp), omega, fields, symplectic_pgmap(omega, fields, abelian(3))[0])
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
@@ -633,7 +633,14 @@ class TestCotangentMomentumRelation:
         fields = [parse_multivector("e_q", chart_qp), parse_multivector("e_p", chart_qp)]
         pg, _ = symplectic_pgmap(omega, fields[:1], abelian(1))
         with pytest.raises(DimensionMismatchError):
-            cotangent_momentum_relation(omega, fields, pg)
+            cotangent_momentum_relation(tangent_chart(chart_qp), omega, fields, pg)
+
+    def test_tangent_chart_of_another_base_rejected(self, chart_qp):
+        omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
+        fields = [parse_multivector("e_q", chart_qp)]
+        pg, _ = symplectic_pgmap(omega, fields, abelian(1))
+        with pytest.raises(ChartMismatchError):
+            cotangent_momentum_relation(tangent_chart(Chart("N", ("q",))), omega, fields, pg)
 
 
 class TestRandomizedCertifiedFamilies:
@@ -643,7 +650,7 @@ class TestRandomizedCertifiedFamilies:
         rng = random.Random(40)
         for _ in range(10):
             A = cayley_rotation(rng)
-            momentum = MomentumMapData(
+            momentum = momentum_map(
                 chart_xyz,
                 tuple(
                     sum(

@@ -401,7 +401,7 @@ class TestCompleteLiftBivector:
 
     def test_wrong_candidate_detected(self, chart_qp, canonical_qp):
         zero = Multivector.zero(tangent_chart(chart_qp).total, 2)
-        report = verify_tangent_lift_identity(canonical_qp, zero)
+        report = verify_tangent_lift_identity(canonical_qp, PoissonStructure(zero))
         assert report.verdict == "fail"
         assert report.residuals  # nonzero residual witnessing failure
 
