@@ -149,4 +149,7 @@ def sample_residual(value, plan: SamplePlan,
     if len(variables) not in streams:
         streams[len(variables)] = plan.stream(len(variables))
     denominator, numerators = streams[len(variables)]
-    return float(max(poly.max_abs(variables, numerators, denominator) for poly in polys))
+    try:
+        return float(max(poly.max_abs(variables, numerators, denominator) for poly in polys))
+    except OverflowError:  # beyond the double range, which rounds to inf
+        return math.inf

@@ -15,9 +15,9 @@ matrices exact mutual inverses) satisfy pi# . omega_flat = id, and for the
 canonical form dq^dp the induced bracket is {q, p} = -1.
 
 The kernels walk stored components only, as the chart kernels do: ``sharp``
-and ``poisson_bracket`` visit the stored components of the bivector,
-``pairing`` those of the 1-form, ``poisson_bracket`` differentiates each
-operand once, by the variables it uses, and the symplectic checks read the
+is the one kernel that walks the stored components of a bivector,
+``pairing`` walks those of the 1-form, ``poisson_bracket`` is the
+composition <dg, X_f> of the two, and the symplectic checks read the
 stored components of the 2-form.  No dense component matrix is built.  The
 Koszul bracket is one formula, ``_koszul``, over the two 1-forms and their
 sharps: ``koszul_bracket`` computes both sharps, and a caller bracketing many
@@ -36,7 +36,6 @@ from .chart import (
     Chart,
     DifferentialForm,
     Multivector,
-    _gradient,
     exterior_derivative,
     interior_product,
     jacobi_check,
@@ -111,26 +110,9 @@ def pairing(alpha: DifferentialForm, field: Multivector) -> Polynomial:
 
 
 def poisson_bracket(pi: PoissonStructure, f: Polynomial, g: Polynomial) -> Polynomial:
-    """{f, g} = pi(df, dg)."""
-    bivector = pi.bivector
-    chart = bivector.chart
-    df = _gradient(chart, f)
-    dg = _gradient(chart, g)
-    out = chart.zero_poly()
-    for (i, j), p in bivector._components.items():
-        # p (d_i f d_j g - d_j f d_i g), leaving out products of a zero partial
-        ij = i in df and j in dg
-        ji = j in df and i in dg
-        if ij and ji:
-            cross = df[i] * dg[j] - df[j] * dg[i]
-        elif ij:
-            cross = df[i] * dg[j]
-        elif ji:
-            cross = -(df[j] * dg[i])
-        else:
-            continue
-        out = out + p * cross
-    return out
+    """{f, g} = pi(df, dg) = <dg, X_f>."""
+    x_f = hamiltonian_vf(pi, f)
+    return pairing(differential(pi.chart, g), x_f)
 
 
 def differential(chart: Chart, f: Polynomial) -> DifferentialForm:

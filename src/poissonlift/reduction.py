@@ -14,14 +14,14 @@ its basis images phi_i, and every function here takes a basis index, not a
 coefficient vector.  Each object derived per basis element has one owner
 that computes it once and passes it on: ``PGMap.differentials`` holds the
 d(phi_i), and the ``Resolved`` value that the lifted checks take holds the
-base generators pi#(phi_i), the axiom residuals, the c_i, the twists
-i_T(d phi_i) and the lifted generators, and lifts pi.  A lifted check whose
-prerequisites fail (pi not Poisson, the bialgebra not verified or, past
-``certify_pgmap``, a map with a nonzero axiom residual) returns its
-``fail`` report with one ``unverified-input`` residual naming the first
-that fails.  Negative
-controls observe the nonzero residuals of such a map through the
-``*_residuals`` functions, which take no certification step.
+base generators pi#(phi_i), the axiom residuals, the c_i, their Hamiltonian
+fields X_(c_i) on TM, the twists i_T(d phi_i) and the lifted generators, and
+lifts pi.  A lifted check whose prerequisites fail (pi not Poisson, the
+bialgebra not verified or, past ``certify_pgmap``, a map with a nonzero axiom
+residual) returns its ``fail`` report with one ``unverified-input`` residual
+naming the first that fails.  Negative controls observe the nonzero
+residuals of such a map through the ``*_residuals`` functions, which take no
+certification step.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .poisson import (
     _koszul,
     differential,
     hamiltonian_vf,
-    poisson_bracket,
+    pairing,
     sharp,
 )
 from .poly import Polynomial
@@ -140,7 +140,8 @@ class Resolved:
     checks derive from them, each member computed on first use and then kept:
     the tangent chart ``tc``, the complete lift ``pi_tm``, the base generators
     ``sharps``, the axiom residuals ``certification``, the comomenta
-    ``comomenta``, the twists ``twists`` and the lifted ``generators``.
+    ``comomenta``, their Hamiltonian fields ``hamiltonians``, the twists
+    ``twists`` and the lifted ``generators``.
     ``pi_tm`` is built only from a ``pi`` whose Jacobi verdict is true, and
     the complete lift preserves the Schouten bracket, so no check computes
     [pi_TM, pi_TM].
@@ -175,6 +176,11 @@ class Resolved:
     def comomenta(self) -> tuple[Polynomial, ...]:
         """The fiber-linear functions c_i = i_T(phi_i), one per basis element."""
         return tuple(comomentum_components(self.pg, self.tc))
+
+    @cached_property
+    def hamiltonians(self) -> tuple[Multivector, ...]:
+        """The Hamiltonian fields X_(c_i) = pi_TM#(dc_i), one per basis element."""
+        return tuple(hamiltonian_vf(self.pi_tm, c) for c in self.comomenta)
 
     @cached_property
     def twists(self) -> tuple[DifferentialForm, ...]:
@@ -233,13 +239,15 @@ def comomentum_components(pg: PGMap, tc: TangentChart) -> list[Polynomial]:
 
 
 def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
-    """{c_i, c_j}_TM - c_[e_i, e_j] for every ordered basis pair."""
+    """{c_i, c_j}_TM - c_[e_i, e_j] for every ordered basis pair, with
+    {c_i, c_j}_TM = <dc_j, X_(c_i)> read from ``Resolved.hamiltonians``."""
     b = r.pg.bialgebra
     tc, c = r.tc, r.comomenta
+    dc = [differential(tc.total, c_j) for c_j in c]
     residuals: dict[str, Polynomial] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
-            lifted = poisson_bracket(r.pi_tm, c[i], c[j])
+            lifted = pairing(dc[j], r.hamiltonians[i])
             expected = tc.total.zero_poly()
             for k, coeff in b.bracket(i, j).items():
                 expected = expected + coeff * c[k]
@@ -260,7 +268,7 @@ def bracket_closure_check(r: Resolved, *, plan: SamplePlan | None = None) -> Che
 def tangent_generator(r: Resolved, i: int) -> Multivector:
     """Lifted generator X_(c_i) + pi_TM#(i_T d phi_i) of basis element i on
     the tangent chart."""
-    hamiltonian_part = hamiltonian_vf(r.pi_tm, r.comomenta[i])
+    hamiltonian_part = r.hamiltonians[i]
     twist = r.twists[i]
     if twist.is_zero():
         return hamiltonian_part

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import math
 import random
 import re
 import signal
@@ -460,6 +461,25 @@ class TestMainEntry:
         assert parsed[0].check_id == "tangent-lift-identity"
         assert parsed[0].verdict == "pass"
 
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_sample_beyond_the_double_range_reads_inf(self, tmp_path, capsys, route):
+        # |residual| on a box of +-1e200 exceeds the largest double; it is
+        # reported as inf, not raised as an OverflowError
+        text = gl_problem(2, perturb_map=True)
+        args = ["--samples", "3"]
+        if route == "flag":
+            args.append("--box=-1e200,1e200")
+        else:
+            text = text.replace("box: -2, 2", "box: -1e200, 1e200")
+        problem = tmp_path / "gl2-perturbed.pf"
+        problem.write_text(text, encoding="utf-8")
+        report = tmp_path / "report.txt"
+        assert main(["certify-pgmap", str(problem), "--report", str(report), *args]) == 1
+        written = report.read_text()
+        parsed = parse_reports(written)
+        assert math.inf in [value for rep in parsed for _, value in rep.samples]
+        assert emit_reports(parsed) == written
+
     def test_flags_override_plan(self, capsys):
         assert main(["verify-lemma", "so3-coadjoint", "--samples", "5", "--seed", "9"]) == 0
 
@@ -608,6 +628,18 @@ def test_all_derives_each_image_object_once(monkeypatch):
     assert sum(pi.chart == problem.chart for pi, _ in sharps) == 9
     assert sum(form.degree == 1 for (form,) in derivatives) == 9
     assert sum(form.degree == 2 for _, form in twists) == 9
+
+
+def test_all_contracts_pi_tm_once_per_basis_element(monkeypatch):
+    # bracket-closure reads the fields X_(c_i) that tangent-generator builds
+    # (Resolved.hamiltonians); a closure through poisson_bracket walked pi_TM
+    # once per basis pair: 36 brackets + 9 sharps on gl(3)
+    problem = parse_problem(gl_problem(3))
+    total = tangent.tangent_chart(problem.chart).total
+    sharps = _count_calls(monkeypatch, poisson, "sharp")
+    brackets = _count_calls(monkeypatch, poisson, "poisson_bracket")
+    run_checks(problem, "all")
+    assert sum(args[0].chart == total for args in sharps + brackets) == 9
 
 
 def test_all_computes_the_comomenta_once(monkeypatch):

@@ -25,6 +25,7 @@ from poissonlift import (
     SymplecticForm,
     bracket_closure_check,
     catalog,
+    catalog_names,
     certify_pgmap,
     characteristic_identity_check,
     comomentum_components,
@@ -41,6 +42,7 @@ from poissonlift import (
     parse_form,
     parse_multivector,
     parse_poly,
+    parse_problem,
     sharp,
     so3_bialgebra,
     symplectic_pgmap,
@@ -62,11 +64,13 @@ from conftest import (
     abelian,
     cayley_rotation,
     count_polynomial_calls,
+    gl_problem,
     integer_points,
     momentum_map,
     rand_fraction,
     rand_poly,
 )
+from test_poisson import _dense_bracket
 
 
 @pytest.fixture
@@ -216,6 +220,30 @@ class TestBracketClosure:
         assert not residual.is_zero()
         # residual {c_1, c_2} - 2 c_3 = v_z - 2 v_z = -v_z
         assert residual.to_string() == "-v_z"
+
+
+    @pytest.mark.parametrize("name", [*catalog_names(), "gl3", "gl3-perturbed"])
+    def test_closure_matches_the_dense_bracket(self, name):
+        # second route: {c_i, c_j}_TM by a walk over every component of pi_TM,
+        # sharing neither sharp nor pairing with <dc_j, X_(c_i)>
+        if name.startswith("gl3"):
+            problem = parse_problem(gl_problem(3, perturb_map=name == "gl3-perturbed"))
+        else:
+            problem = catalog(name)
+        r = Resolved(problem.poisson, problem.pgmap)
+        b, c = r.pg.bialgebra, r.comomenta
+        residuals = bracket_closure_residuals(r)
+        assert len(residuals) == b.dim * (b.dim - 1) // 2
+        for i in range(b.dim):
+            for j in range(i + 1, b.dim):
+                expected = _dense_bracket(r.pi_tm.bivector, c[i], c[j])
+                for k, coeff in b.bracket(i, j).items():
+                    expected = expected - coeff * c[k]
+                residual = residuals[f"closure[{b.basis[i]},{b.basis[j]}]"]
+                assert residual == expected
+                assert residual.to_string() == expected.to_string()
+        if name == "gl3-perturbed":
+            assert any(not residual.is_zero() for residual in residuals.values())
 
 
 class TestTangentGenerator:
