@@ -300,20 +300,22 @@ def _print_reports(reports: list[CheckReport], quiet: bool) -> None:
                 print(f"    sample {name} = {value!r}")
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="poissonlift",
+    description="Exact checks for tangent lifts of Poisson structures and momentum maps.",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("problem", help="problem file path or catalog entry name")
+_PARSER.add_argument("--report", help="write a structured report file")
+_PARSER.add_argument("--seed", default=None)
+_PARSER.add_argument("--samples", default=None)
+_PARSER.add_argument("--box", default=None, help="sampling interval, written --box=LO,HI")
+_PARSER.add_argument("--fd-step", default=None, help="finite-difference step (rational)")
+_PARSER.add_argument("--quiet", action="store_true")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="poissonlift",
-        description="Exact checks for tangent lifts of Poisson structures and momentum maps.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("problem", help="problem file path or catalog entry name")
-    parser.add_argument("--report", help="write a structured report file")
-    parser.add_argument("--seed", default=None)
-    parser.add_argument("--samples", default=None)
-    parser.add_argument("--box", default=None, help="sampling interval, written --box=LO,HI")
-    parser.add_argument("--fd-step", default=None, help="finite-difference step (rational)")
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         problem = _load_problem(args.problem)

@@ -20,7 +20,7 @@ from .oracle import DEFAULT_BOX, DEFAULT_FD_STEP, DEFAULT_SAMPLES, DEFAULT_SEED,
 from .parser import _tokenize, parse_form, parse_multivector, parse_poly
 from .poisson import PoissonStructure, SymplecticForm
 from .reduction import PGMap, require_zero_level
-from .tangent import _BLOCKS, CoordinateMap, bundle_chart, tangent_chart
+from .tangent import CoordinateMap, check_names
 
 
 @dataclass
@@ -63,12 +63,9 @@ def _names(text: str, env=None) -> tuple[str, ...]:
 
 
 def _coords(text: str, env) -> Chart:
-    """The chart, refused when the tangent chart or a bundle chart over it
-    would repeat a coordinate name, as ``p_x, x`` makes T*M repeat ``p_x``."""
+    """The chart, refused when it breaks the bundle naming rule of ``check_names``."""
     chart = Chart("M", _names(text))
-    tangent_chart(chart)
-    for kind in _BLOCKS:
-        bundle_chart(chart, kind)
+    check_names(chart)
     return chart
 
 

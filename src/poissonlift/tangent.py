@@ -72,6 +72,18 @@ _BLOCKS = {
 _ALPHA_ORDER = (0, 2, 3, 1)
 
 
+def check_names(base: Chart) -> None:
+    """The naming rule of the bundle charts: no base coordinate carries the
+    fiber prefix ``v_``, and no bundle chart over ``base`` repeats a name."""
+    for c in base.coords:
+        if c.startswith("v_"):
+            raise NameCollisionError(f"base coordinate {c!r} already carries the fiber prefix 'v_'")
+    for kind, prefixes in _BLOCKS.items():
+        names = tuple(pre + c for pre in prefixes for c in base.coords)
+        if len(set(names)) != len(names):
+            raise ValueError(f"coordinate names must be distinct in {kind}{base.name}: {names}")
+
+
 def bundle_chart(base: Chart, kind: str) -> Chart:
     """The chart of the bundle ``kind`` ("T", "T*", "TT*", "T*T" or "TT")
     over ``base``: one block of base coordinates per prefix of the kind."""
@@ -117,12 +129,8 @@ class TangentChart:
 
 
 def tangent_chart(base: Chart) -> TangentChart:
-    """Attach fiber coordinates v_<c>; rejects bases that already carry them."""
-    for c in base.coords:
-        if c.startswith("v_"):
-            raise NameCollisionError(
-                f"base coordinate {c!r} already carries the fiber prefix 'v_'"
-            )
+    """Attach fiber coordinates v_<c>; rejects bases that break :func:`check_names`."""
+    check_names(base)
     return TangentChart(base, bundle_chart(base, "T"))
 
 

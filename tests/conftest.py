@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,6 @@ from poissonlift import (
     Multivector,
     Polynomial,
     _linalg,
-    poisson,
     tangent,
 )
 from poissonlift.errors import DegreeError
@@ -117,60 +119,28 @@ def dense_vector(tensor) -> list[Polynomial]:
     return [tensor.components.get((i,), zero) for i in range(tensor.chart.dim)]
 
 
-def count_bialgebra_checks(monkeypatch) -> list[str]:
-    """Record the name of every LieBialgebra structure check that runs."""
+def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Record the positional arguments of every call of ``owner.name``.  On a
+    class the attribute is found through the MRO (an inherited ``__init__``)
+    and a classmethod stays one; on a module the function is replaced in
+    every poissonlift module that holds it, as modules call it by that name."""
     calls = []
-    for name in ("check_jacobi", "check_cocycle", "check_cojacobi"):
-        original = getattr(LieBialgebra, name)
-
-        def counted(self, _original=original, _name=name):
-            calls.append(_name)
-            return _original(self)
-
-        monkeypatch.setattr(LieBialgebra, name, counted)
-    return calls
-
-
-def count_jacobi_checks(monkeypatch) -> list[Multivector]:
-    """Record the bivector of every [pi, pi] a PoissonStructure evaluates."""
-    calls = []
-    original = poisson.jacobi_check
-
-    def counted(bivector):
-        calls.append(bivector)
-        return original(bivector)
-
-    monkeypatch.setattr(poisson, "jacobi_check", counted)
-    return calls
-
-
-def count_polynomial_calls(monkeypatch, name: str) -> list:
-    """Record the receiver of every call of the Polynomial method ``name``
-    (the class, for a classmethod such as ``zero``)."""
-    calls = []
-    original = Polynomial.__dict__[name]
+    is_class = isinstance(owner, type)
+    original = next(vars(c)[name] for c in owner.__mro__ if name in vars(c)) if is_class else getattr(owner, name)
     is_classmethod = isinstance(original, classmethod)
     function = original.__func__ if is_classmethod else original
 
-    def counted(receiver, *args, **kwargs):
-        calls.append(receiver)
-        return function(receiver, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(Polynomial, name, classmethod(counted) if is_classmethod else counted)
+    if is_class:
+        monkeypatch.setattr(owner, name, classmethod(counted) if is_classmethod else counted)
+        return calls
+    for key, module in list(sys.modules.items()):
+        if key.startswith("poissonlift") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def count_constructions(monkeypatch, cls) -> list:
-    """Record every instance of ``cls`` that is constructed."""
-    built = []
-    original = cls.__init__
-
-    def counted(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(cls, "__init__", counted)
-    return built
 
 
 def use_wrong_lift_kernel(monkeypatch, kind: str) -> None:
@@ -199,39 +169,19 @@ CUBIC_EDITS = {
 }
 
 
-def gl_problem(n: int, non_poisson: bool = False, perturb_map: bool = False) -> str:
-    """Problem text for the Lie-Poisson structure on gl(n)* with the closed
-    pgmap phi_ab = dx_ab, sampled with seed 7.
+def load_bench(name: str) -> types.ModuleType:
+    """bench/<name>.py, run from its source so nothing is written under bench/;
+    registered in sys.modules first, where dataclasses looks a class's module up."""
+    key = f"bench.{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+        module = sys.modules[key] = types.ModuleType(key)
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return sys.modules[key]
 
-    ``perturb_map`` replaces phi_E11 by dx11 + x12*dx21 and phi_E12 by
-    dx12 + x11^2*dx22, which are not closed.  ``non_poisson`` adds x11 e_x12^e_x13 to the bivector (n >= 3), which
-    breaks the Jacobi identity, and keeps only the manifold block."""
-    idx = [f"{a}{b}" for a in range(1, n + 1) for b in range(1, n + 1)]
-    brackets, bivector = [], []
-    for k, ab in enumerate(idx):
-        for cd in idx[k + 1:]:
-            # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb
-            signed = [("", ab[0] + cd[1])] * (ab[1] == cd[0]) + [("-", cd[0] + ab[1])] * (cd[1] == ab[0])
-            if not signed:
-                continue
-            e_text, x_text = (" + ".join(sign + prefix + e for sign, e in signed).replace("+ -", "- ")
-                              for prefix in "Ex")
-            brackets.append(f"    [E{ab},E{cd}] = {e_text}")
-            bivector.append((f"({x_text})" if len(signed) > 1 else x_text) + f"*e_x{ab}^e_x{cd}")
-    if non_poisson:
-        bivector.append("x11*e_x12^e_x13")
-    poisson = " + ".join(bivector).replace("+ -", "- ")
-    lines = ["manifold {", "  coords: " + ", ".join(f"x{ab}" for ab in idx), f"  poisson: {poisson}", "}"]
-    if not non_poisson:
-        lines += ["bialgebra {", "  basis: " + ", ".join(f"E{ab}" for ab in idx),
-                  "  bracket {", *brackets, "  }", "}"]
-        images = {f"E{ab}": f"dx{ab}" for ab in idx}
-        if perturb_map:
-            images["E11"] = "dx11 + x12*dx21"
-            images["E12"] = "dx12 + x11^2*dx22"
-        lines += ["pgmap {", *(f"  {name} = {form}" for name, form in images.items()), "}"]
-    lines += ["oracle {", "  samples: 100", "  seed: 7", "  box: -2, 2", "}"]
-    return "\n".join(lines) + "\n"
+
+# the benchmark's gl(n) Lie-Poisson problems are the tests' too
+gl_problem = load_bench("workloads").gl_problem
 
 
 def _increasing_tuples(n: int, k: int):

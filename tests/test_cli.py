@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -16,19 +17,12 @@ from pathlib import Path
 import pytest
 
 from poissonlift import catalog, catalog_names, emit_reports, parse_problem, parse_reports
-from poissonlift import Polynomial, SamplePlan, chart, cli, poisson, reduction, tangent
+from poissonlift import LieBialgebra, Polynomial, SamplePlan, chart, cli, poisson, reduction, tangent
 from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA
 
-from conftest import (
-    CUBIC_EDITS,
-    QUADRATIC,
-    count_bialgebra_checks,
-    count_jacobi_checks,
-    count_polynomial_calls,
-    gl_problem,
-)
+from conftest import CUBIC_EDITS, QUADRATIC, count_calls, gl_problem
 
 COUNTEREXAMPLE = """
 manifold {
@@ -150,6 +144,9 @@ oracle { samples: 7
          ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1\n"
           "  bracket { [e1,e1] = e1 } }", 2, "must vanish"),
          ("manifold { coords: q,, p; poisson: 0 }", 1, "empty entry in 'q,, p'"),
+         ("manifold { coords: v_a; poisson: 0 }", 1, "already carries the fiber prefix 'v_'"),
+         ("manifold { coords: v_x, x; poisson: 0 }", 1, "already carries the fiber prefix 'v_'"),
+         ("manifold { coords: dot_x, x; poisson: 0 }", 1, "must be distinct in TT*M"),
          ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
           "  bracket { [e1,e2] = e1 e2 } }", 3, "expected '+' or '-' between terms"),
          ("manifold { coords: q, p; poisson: 0 }\nbialgebra { basis: e1, e2\n"
@@ -162,10 +159,11 @@ oracle { samples: 7
              ("bracket { [e1,e2] = e2 - }", "dangling sign"),
              ("bracket { [e1,e2] = 1/ e2 }", "expected integer denominator")]]],
         ids=["inverse-without-symplectic", "levelset-without-momentum", "action-without-symplectic",
-             "repeated-bracket", "repeated-cocycle", "duplicate-coords", "duplicate-basis",
-             "antisymmetry", "diagonal-bracket", "empty-coordinate", "bracket-terms-without-sign",
-             "cocycle-terms-without-sign", "unknown-basis-symbol", "cocycle-without-wedge",
-             "wedge-without-second-symbol", "dangling-sign", "denominator-not-an-integer"],
+             "repeated-bracket", "repeated-cocycle", "duplicate-coords", "duplicate-basis", "antisymmetry",
+             "diagonal-bracket", "empty-coordinate", "fiber-prefix", "fiber-prefix-before-collision",
+             "bundle-collision", "bracket-terms-without-sign", "cocycle-terms-without-sign",
+             "unknown-basis-symbol", "cocycle-without-wedge", "wedge-without-second-symbol",
+             "dangling-sign", "denominator-not-an-integer"],
     )
     def test_rule_errors_carry_their_line(self, text, line, message):
         with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -290,7 +288,7 @@ def test_symplectic_problem_reads_the_forms_own_pi(monkeypatch, source):
     # that check-poisson computes is the one the form holds
     problem = _load(source)
     assert problem.poisson is problem.symplectic.poisson
-    calls = count_jacobi_checks(monkeypatch)
+    calls = count_calls(monkeypatch, poisson, "jacobi_check")
     run_checks(problem, "check-poisson")
     assert len(calls) == 1
     assert problem.symplectic.poisson.jacobi_verified
@@ -557,27 +555,11 @@ def test_command_without_its_block(command, block):
         run_checks(problem, command)
 
 
-def _count_calls(monkeypatch, module, name: str) -> list:
-    """Count calls of ``module.name`` made through any poissonlift module
-    that holds it as a global."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for key, mod in list(sys.modules.items()):
-        if key.startswith("poissonlift") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", catalog_names())
 def test_all_certifies_and_lifts_once(monkeypatch, name):
-    jacobi = _count_calls(monkeypatch, chart, "jacobi_check")
-    lifts = _count_calls(monkeypatch, tangent, "complete_lift_bivector")
-    residuals = _count_calls(monkeypatch, reduction, "pgmap_residuals")
+    jacobi = count_calls(monkeypatch, chart, "jacobi_check")
+    lifts = count_calls(monkeypatch, tangent, "complete_lift_bivector")
+    residuals = count_calls(monkeypatch, reduction, "pgmap_residuals")
     run_checks(catalog(name), "all")
     assert len(lifts) == 1
     assert len(residuals) <= 1
@@ -588,7 +570,7 @@ def test_all_certifies_and_lifts_once(monkeypatch, name):
 def test_jacobi_is_checked_once_when_first_needed(monkeypatch, name):
     # pi_TM is Poisson because pi is, so only [pi, pi] is evaluated, and
     # only once a command reads its verdict
-    calls = count_jacobi_checks(monkeypatch)
+    calls = count_calls(monkeypatch, poisson, "jacobi_check")
     problem = parse_problem(gl_problem(3)) if name == "gl3" else catalog(name)
     assert calls == []
     run_checks(problem, "all")
@@ -600,17 +582,42 @@ def test_all_builds_one_tangent_chart(monkeypatch, name):
     # every check reads Resolved.tc; the lift identity and the cotangent
     # momentum relation each built their own before
     problem = parse_problem(gl_problem(3)) if name == "gl3" else catalog(name)
-    calls = _count_calls(monkeypatch, tangent, "tangent_chart")
+    calls = count_calls(monkeypatch, tangent, "tangent_chart")
     run_checks(problem, "all")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "gl3"])
+def test_a_cli_run_builds_one_tangent_chart(monkeypatch, tmp_path, name):
+    # parsing checks the names by string (check_names); it built a second one
+    (tmp_path / "gl3.pf").write_text(gl_problem(3), encoding="utf-8")
+    built = count_calls(monkeypatch, tangent.TangentChart, "__init__")
+    assert main(["all", str(tmp_path / "gl3.pf") if name == "gl3" else name]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "gl3"])
+def test_parse_builds_no_bundle_chart(monkeypatch, name):
+    # checking the names built TM twice and the other bundle charts once each
+    charts = count_calls(monkeypatch, chart.Chart, "__init__")
+    parse_problem(gl_problem(3)) if name == "gl3" else catalog(name)
+    assert charts and not {args[0].name for args in charts} & {"TM", "T*M", "TT*M", "T*TM", "TTM"}
+
+
+def test_main_builds_no_argument_parser(monkeypatch):
+    # the parser is built once, at import
+    built = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    for _ in range(2):
+        assert main(["check-poisson", "so3-coadjoint", "--quiet"]) == 0
+    assert built == []
 
 
 def test_pgmap_residuals_sharps_each_image_once(monkeypatch):
     # one Koszul bracket per basis pair took both sharps afresh: 72 sharp
     # calls for the 9 images of gl(3)
     problem = parse_problem(gl_problem(3))
-    sharps = _count_calls(monkeypatch, poisson, "sharp")
-    residuals = _count_calls(monkeypatch, reduction, "pgmap_residuals")
+    sharps = count_calls(monkeypatch, poisson, "sharp")
+    residuals = count_calls(monkeypatch, reduction, "pgmap_residuals")
     run_checks(problem, "certify-pgmap")
     assert len(residuals) == 1
     assert len(sharps) == problem.pgmap.bialgebra.dim == 9
@@ -621,9 +628,9 @@ def test_all_derives_each_image_object_once(monkeypatch):
     # characteristic_identity_residuals read Resolved.sharps, PGMap.differentials
     # and Resolved.twists; a reader deriving its own makes 18 / 27 / 18 calls
     problem = parse_problem(gl_problem(3))
-    sharps = _count_calls(monkeypatch, poisson, "sharp")
-    derivatives = _count_calls(monkeypatch, chart, "exterior_derivative")
-    twists = _count_calls(monkeypatch, tangent, "i_T")
+    sharps = count_calls(monkeypatch, poisson, "sharp")
+    derivatives = count_calls(monkeypatch, chart, "exterior_derivative")
+    twists = count_calls(monkeypatch, tangent, "i_T")
     run_checks(problem, "all")
     assert sum(pi.chart == problem.chart for pi, _ in sharps) == 9
     assert sum(form.degree == 1 for (form,) in derivatives) == 9
@@ -636,8 +643,8 @@ def test_all_contracts_pi_tm_once_per_basis_element(monkeypatch):
     # once per basis pair: 36 brackets + 9 sharps on gl(3)
     problem = parse_problem(gl_problem(3))
     total = tangent.tangent_chart(problem.chart).total
-    sharps = _count_calls(monkeypatch, poisson, "sharp")
-    brackets = _count_calls(monkeypatch, poisson, "poisson_bracket")
+    sharps = count_calls(monkeypatch, poisson, "sharp")
+    brackets = count_calls(monkeypatch, poisson, "poisson_bracket")
     run_checks(problem, "all")
     assert sum(args[0].chart == total for args in sharps + brackets) == 9
 
@@ -646,7 +653,7 @@ def test_all_computes_the_comomenta_once(monkeypatch):
     # bracket-closure, tangent-generator and characteristic-identity all read
     # Resolved.comomenta; each computed c_i = i_T(phi_i) for itself before
     problem = parse_problem(gl_problem(3))
-    calls = _count_calls(monkeypatch, reduction, "comomentum_components")
+    calls = count_calls(monkeypatch, reduction, "comomentum_components")
     run_checks(problem, "all")
     assert [args[0] for args in calls] == [problem.pgmap]
 
@@ -678,7 +685,7 @@ def test_lemma_sides_stay_on_separate_kernels(monkeypatch):
 
 
 def test_symplectic_builds_its_pgmap_once(monkeypatch):
-    calls = _count_calls(monkeypatch, reduction, "symplectic_pgmap")
+    calls = count_calls(monkeypatch, reduction, "symplectic_pgmap")
     assert main(["symplectic", "canonical-r2-rotation"]) == 0
     assert len(calls) == 1
 
@@ -689,8 +696,8 @@ def test_all_on_gl3_walks_only_nonzero_support(monkeypatch):
     # Schouten bracket that differentiated every component by every
     # coordinate still took 3,228 derivatives
     problem = parse_problem(gl_problem(3))
-    derivatives = count_polynomial_calls(monkeypatch, "derivative")
-    substitutions = count_polynomial_calls(monkeypatch, "substitute")
+    derivatives = count_calls(monkeypatch, Polynomial, "derivative")
+    substitutions = count_calls(monkeypatch, Polynomial, "substitute")
     reports = run_checks(problem, "all")
     assert [rep.check_id for rep in reports if rep.verdict == "fail"] == []
     assert len(derivatives) <= 1000
@@ -701,7 +708,7 @@ def test_all_on_gl3_walks_only_nonzero_support(monkeypatch):
 @pytest.mark.parametrize("name", catalog_names())
 def test_all_makes_no_fraction_substitution(monkeypatch, name):
     # oracle-fd made 48 Fraction substitutions over the five entries
-    substitutions = count_polynomial_calls(monkeypatch, "substitute")
+    substitutions = count_calls(monkeypatch, Polynomial, "substitute")
     run_checks(catalog(name), "all")
     assert substitutions == []
 
@@ -723,7 +730,7 @@ def test_verify_lemma_shares_one_zero_polynomial_per_chart(monkeypatch):
     # a fresh zero polynomial for every missing component made 3,240
     # Polynomial.zero calls in verify-lemma on gl(3)
     problem = parse_problem(gl_problem(3))
-    zeros = count_polynomial_calls(monkeypatch, "zero")
+    zeros = count_calls(monkeypatch, Polynomial, "zero")
     reports = run_checks(problem, "verify-lemma")
     assert [rep.verdict for rep in reports] == ["pass"]
     assert len(zeros) <= 100
@@ -731,9 +738,10 @@ def test_verify_lemma_shares_one_zero_polynomial_per_chart(monkeypatch):
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_all_runs_each_bialgebra_check_once(monkeypatch, name):
-    calls = count_bialgebra_checks(monkeypatch)
+    checks = [count_calls(monkeypatch, LieBialgebra, check)
+              for check in ("check_jacobi", "check_cocycle", "check_cojacobi")]
     run_checks(catalog(name), "all")
-    assert sorted(calls) == ["check_cocycle", "check_cojacobi", "check_jacobi"]
+    assert [len(calls) for calls in checks] == [1, 1, 1]
 
 
 def test_verify_lemma_reads_no_plan(tmp_path, capsys):

@@ -14,7 +14,6 @@ import os
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ import pytest
 import poissonlift
 from poissonlift import catalog_names
 
-from conftest import gl_problem
+from conftest import gl_problem, load_bench
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,15 +39,7 @@ def test_readme_library_block_prints_its_comments():
     assert expected and out.getvalue().splitlines() == expected
 
 
-def _bench_spans() -> types.ModuleType:
-    """bench/spans.py, executed from its source so nothing is written under bench/."""
-    path = ROOT / "bench" / "spans.py"
-    module = types.ModuleType("spans")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
-@pytest.mark.parametrize("module,attr", [entry[:2] for entry in _bench_spans().WRAPPED])
+@pytest.mark.parametrize("module,attr", [entry[:2] for entry in load_bench("spans").WRAPPED])
 def test_traced_names_resolve(module, attr):
     owner = importlib.import_module(f"poissonlift.{module}")
     assert callable(functools.reduce(getattr, attr.split("."), owner))

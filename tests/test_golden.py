@@ -3,8 +3,8 @@
 The digests of passing `all` runs were recorded before the tensor kernels
 were rewritten to walk stored components only; every later change to the
 kernels must keep these bytes.  Keys name a catalog entry, a file of
-docs/conformance/valid, or a gl(n) problem from conftest.gl_problem, never a
-path.
+docs/conformance/valid, or a gl(n) problem from the benchmark's generator
+(bench/workloads.gl_problem), never a path.
 
 The digests of failing single commands were recorded before integer
 coefficients replaced integral Fractions in the polynomial core.  They pin

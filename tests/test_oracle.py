@@ -12,14 +12,13 @@ from poissonlift import (
     SamplePlan,
     fd_derivative_check,
     parse_form,
-    parse_multivector,
     parse_poly,
     sample_residual,
 )
 from poissonlift.errors import DimensionMismatchError, MissingAssignmentError
 from poissonlift.report import make_report
 
-from conftest import rand_poly
+from conftest import count_calls, rand_poly
 
 
 class TestFiniteDifferences:
@@ -133,23 +132,8 @@ def test_symbolic_zero_always_samples_zero(chart_qp):
         assert sample_residual(f - f, plan) == 0.0
 
 
-def _count_points(monkeypatch) -> list[int]:
-    """Record the variable count of every integer stream drawn; sampling
-    draws its points through ``SamplePlan.stream``, and ``points`` is a view
-    of the same stream."""
-    calls = []
-    original = SamplePlan.stream
-
-    def counted(self, nvars, limit=None):
-        calls.append(nvars)
-        return original(self, nvars, limit)
-
-    monkeypatch.setattr(SamplePlan, "stream", counted)
-    return calls
-
-
 def test_exact_zero_residuals_draw_no_points(monkeypatch, chart_qp):
-    calls = _count_points(monkeypatch)
+    calls = count_calls(monkeypatch, SamplePlan, "stream")
     plan = SamplePlan(count=30, seed=8)
     assert sample_residual(parse_poly("q - q", chart_qp.coords), plan) == 0.0
     assert sample_residual(Multivector.zero(chart_qp, 2), plan) == 0.0
@@ -167,9 +151,9 @@ def test_one_report_draws_each_stream_once(monkeypatch, chart_qp):
         "d": parse_poly("r^3", ("q", "p", "r")),
     }
     expected = [(name, sample_residual(res, plan)) for name, res in residuals.items()]
-    calls = _count_points(monkeypatch)
+    calls = count_calls(monkeypatch, SamplePlan, "stream")
     report = make_report("shared", "streams", residuals, plan=plan)
-    assert sorted(calls) == [2, 3]
+    assert sorted(args[1] for args in calls) == [2, 3]
     assert list(report.samples) == expected
 
 

@@ -13,6 +13,7 @@ from poissonlift import (
     CoordinateMap,
     DifferentialForm,
     Multivector,
+    Polynomial,
     PoissonStructure,
     base_pullback,
     bundle_chart,
@@ -41,8 +42,7 @@ from poissonlift.problemfile import parse_problem
 from poissonlift.tangent import one_form_lift_residuals
 
 from conftest import (
-    count_constructions,
-    count_polynomial_calls,
+    count_calls,
     dense_vector,
     gl_problem,
     rand_form,
@@ -495,14 +495,14 @@ class TestOneFormLiftIdentity:
 
     def test_verify_lemma_builds_no_map_or_chart_per_probe(self, monkeypatch):
         problem = parse_problem(gl_problem(3))
-        maps = count_constructions(monkeypatch, CoordinateMap)
-        charts = count_constructions(monkeypatch, Chart)
-        forms = count_constructions(monkeypatch, DifferentialForm)
+        maps = count_calls(monkeypatch, CoordinateMap, "__init__")
+        charts = count_calls(monkeypatch, Chart, "__init__")
+        forms = count_calls(monkeypatch, DifferentialForm, "__init__")
         (report,) = run_checks(problem, "verify-lemma")
         assert report.verdict == "pass"
         assert maps == []
         # the command's one tangent chart; none for any of the 90 probes
-        assert [chart.name for chart in charts] == ["TM"]
+        assert [args[0].name for args in charts] == ["TM"]
         # the 90 probes pass the validating constructor once, when the
         # command builds them, and not again in d_T's base_pullback
         assert len(forms) == 90
@@ -514,7 +514,7 @@ class TestOneFormLiftIdentity:
 def _compose_calls(monkeypatch, command: str) -> list:
     """The Polynomial.compose calls of ``command`` on two catalog entries,
     each of which must pass."""
-    calls = count_polynomial_calls(monkeypatch, "compose")
+    calls = count_calls(monkeypatch, Polynomial, "compose")
     for name in ("aff1-cobracket", "so3-coadjoint"):
         (report,) = run_checks(catalog(name), command)
         assert report.verdict == "pass"
