@@ -324,6 +324,10 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
     chart = omega.chart
     if omega.degree >= chart.dim:
         return DifferentialForm.zero(chart, chart.dim)
+    if omega.degree == 0:
+        # df: the keys (i,) of the gradient are distinct and ascending
+        return DifferentialForm._make(chart, 1, {(i,): partial for i, partial in
+                                                 _gradient(chart, omega.as_poly()).items()})
     terms = [
         ((i,) + idx, partial)
         for idx, poly in omega._components.items()

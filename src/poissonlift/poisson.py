@@ -18,11 +18,22 @@ The kernels walk stored components only, as the chart kernels do: ``sharp``
 is the one kernel that walks the stored components of a bivector,
 ``pairing`` walks those of the 1-form, ``poisson_bracket`` is the
 composition <dg, X_f> of the two, and the symplectic checks read the
-stored components of the 2-form.  No dense component matrix is built.  The
-Koszul bracket is one formula, ``_koszul``, over the two 1-forms and their
-sharps: ``koszul_bracket`` computes both sharps, and a caller bracketing many
-pairs of one family (``reduction.pgmap_residuals``) takes each sharp from
-``reduction.Resolved.sharps``, which computes it once.
+stored components of the 2-form.  No dense component matrix is built.
+
+The Koszul bracket is computed in Cartan form.  With L_X = i_X d + d i_X and
+the conventions above, i_(pi#alpha) beta = pi(alpha, beta) and
+i_(pi#beta) alpha = pi(beta, alpha) = -pi(alpha, beta), so
+
+    [alpha, beta]_pi = i_(pi#alpha) d(beta) - i_(pi#beta) d(alpha) + d(pi(alpha, beta)),
+
+and no Lie derivative is taken.  ``_koszul`` evaluates this from the two
+sharps and the two differentials, and skips a contraction whose 2-form is
+zero (every d(phi_i) of a Lie-Poisson momentum map, where a pair costs one
+pairing and one differential).  ``koszul_bracket`` computes both sharps and
+both differentials; a caller bracketing many pairs of one family
+(``reduction.pgmap_residuals``) takes each sharp from
+``reduction.Resolved.sharps`` and each differential from
+``reduction.PGMap.differentials``, which compute them once.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ from .chart import (
     exterior_derivative,
     interior_product,
     jacobi_check,
-    lie_derivative,
 )
 from .errors import ChartMismatchError, DegreeError
 from .poly import Polynomial
@@ -130,17 +140,22 @@ def koszul_bracket(pi: PoissonStructure, alpha: DifferentialForm,
     """Bracket on 1-forms induced by pi; satisfies [df, dg]_pi = d{f, g}."""
     if alpha.degree != 1 or beta.degree != 1:
         raise DegreeError("Koszul bracket takes 1-forms")
-    return _koszul(alpha, beta, sharp(pi, alpha), sharp(pi, beta))
+    return _koszul(beta, sharp(pi, alpha), sharp(pi, beta),
+                   exterior_derivative(alpha), exterior_derivative(beta))
 
 
-def _koszul(alpha: DifferentialForm, beta: DifferentialForm,
-            pi_alpha: Multivector, pi_beta: Multivector) -> DifferentialForm:
-    """[alpha, beta]_pi from the 1-forms and their sharps pi#(alpha), pi#(beta),
-    so that a caller bracketing many pairs computes each sharp once."""
-    first = lie_derivative(pi_alpha, beta)
-    second = lie_derivative(pi_beta, alpha)
-    exact = differential(alpha.chart, pairing(beta, pi_alpha))  # pi(alpha, beta)
-    return first - second - exact
+def _koszul(beta: DifferentialForm, pi_alpha: Multivector, pi_beta: Multivector,
+            d_alpha: DifferentialForm, d_beta: DifferentialForm) -> DifferentialForm:
+    """[alpha, beta]_pi = i_(pi#alpha) d(beta) - i_(pi#beta) d(alpha) + d(pi(alpha, beta))
+    from the sharps pi#(alpha), pi#(beta) and the differentials d(alpha),
+    d(beta), so that a caller bracketing many pairs computes each once; a
+    contraction runs only when its 2-form is nonzero."""
+    out = differential(beta.chart, pairing(beta, pi_alpha))  # pi(alpha, beta)
+    if not d_beta.is_zero():
+        out = out + interior_product(pi_alpha, d_beta)
+    if not d_alpha.is_zero():
+        out = out - interior_product(pi_beta, d_alpha)
+    return out
 
 
 @dataclass(frozen=True)

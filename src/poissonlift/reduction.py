@@ -12,16 +12,17 @@ and the induced fiber-linear functions c_i = i_T(phi_i) then close under the
 lifted Poisson bracket: {c_i, c_j}_TM = c_[e_i, e_j].  A family is kept as
 its basis images phi_i, and every function here takes a basis index, not a
 coefficient vector.  Each object derived per basis element has one owner
-that computes it once and passes it on: ``PGMap.differentials`` holds the
-d(phi_i), and the ``Resolved`` value that the lifted checks take holds the
-base generators pi#(phi_i), the axiom residuals, the c_i, their Hamiltonian
-fields X_(c_i) on TM, the twists i_T(d phi_i) and the lifted generators, and
-lifts pi.  A lifted check whose prerequisites fail (pi not Poisson, the
-bialgebra not verified or, past ``certify_pgmap``, a map with a nonzero axiom
-residual) returns its ``fail`` report with one ``unverified-input`` residual
-naming the first that fails.  Negative controls observe the nonzero
-residuals of such a map through the ``*_residuals`` functions, which take no
-certification step.
+that computes it once and passes it on.  ``PGMap.differentials`` holds the
+d(phi_i), which both axioms read: (i) through the Koszul bracket in Cartan
+form, (ii) as its left side.  The ``Resolved`` value that the lifted checks
+take holds the base generators pi#(phi_i), the axiom residuals, the c_i,
+their Hamiltonian fields X_(c_i) on TM, the twists i_T(d phi_i) and the
+lifted generators, and lifts pi.  A lifted check whose prerequisites fail
+(pi not Poisson, the bialgebra not verified or, past ``certify_pgmap``, a
+map with a nonzero axiom residual) returns its ``fail`` report with one
+``unverified-input`` residual naming the first that fails.  Negative
+controls observe the nonzero residuals of such a map through the
+``*_residuals`` functions, which take no certification step.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ def pgmap_residuals(pg: PGMap, sharps: Sequence[Multivector]) -> dict[str, Diffe
             expected = DifferentialForm.zero(pg.chart, 1)
             for m, coeff in b.bracket(i, j).items():
                 expected = expected + pg.images[m] * coeff
-            actual = _koszul(pg.images[i], pg.images[j], sharps[i], sharps[j])
+            actual = _koszul(pg.images[j], sharps[i], sharps[j],
+                             pg.differentials[i], pg.differentials[j])
             residuals[f"bracket-axiom[{b.basis[i]},{b.basis[j]}]"] = expected - actual
     for i in range(b.dim):
         rhs = DifferentialForm.zero(pg.chart, 2)

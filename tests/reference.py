@@ -1,4 +1,5 @@
-"""Dense reference routes for the block-by-block lift kernels.
+"""Dense reference routes for the block-by-block lift kernels and the
+Koszul bracket.
 
 The library applies the exchange map alpha and the involution kappa as block
 permutations inside its residual kernels and builds no coordinate map.  The
@@ -9,14 +10,30 @@ They keep their own copy of alpha's block order: a wrong order in
 
 The complete-lift kernel f |-> f^c is read from ``poissonlift.tangent`` at
 call time, so a test that replaces it there changes both routes alike.
+
+The library computes the Koszul bracket in Cartan form from the held
+differentials; ``dense_koszul`` takes the defining formula with two
+coordinate Lie derivatives, walking every coordinate index, and pairs by
+hand, so it shares no kernel with that route.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from poissonlift import CoordinateMap, DifferentialForm, TangentChart, bundle_chart, d_T, tangent
+from poissonlift import (
+    CoordinateMap,
+    DifferentialForm,
+    Multivector,
+    Polynomial,
+    TangentChart,
+    bundle_chart,
+    d_T,
+    tangent,
+)
 from poissonlift.errors import ChartMismatchError, DegreeError
+
+from conftest import dense_matrix, dense_vector
 
 # alpha: TT*M -> T*TM puts TT*M blocks (q, qdot, pdot, p) in the T*TM slots.
 ALPHA_ORDER = (0, 2, 3, 1)
@@ -85,3 +102,73 @@ def dense_lemma_residuals(tc: TangentChart, theta: DifferentialForm) -> dict:
     composed = compose(tulczyjew_alpha(tc), one_form_prolongation(tc, theta))
     return {name: lhs - rhs
             for name, lhs, rhs in zip(target.coords, composed.components, direct.components)}
+
+
+def dense_sharp(bivector: Multivector, alpha: DifferentialForm) -> Multivector:
+    """pi#(alpha)_j = sum_i a_i pi^(ij), over every coordinate index."""
+    if alpha.degree != 1:
+        raise DegreeError("sharp takes a 1-form")
+    if bivector.chart != alpha.chart:
+        raise ChartMismatchError("sharp: operands on different charts")
+    chart = bivector.chart
+    mat = dense_matrix(bivector)
+    comps = {}
+    for j in range(chart.dim):
+        out = chart.zero_poly()
+        for (i,), a_i in alpha.components.items():
+            out = out + a_i * mat[i][j]
+        comps[(j,)] = out
+    return Multivector(chart, 1, comps)
+
+
+def dense_bracket(bivector: Multivector, f: Polynomial, g: Polynomial) -> Polynomial:
+    """{f, g} = sum_(i<j) pi^(ij) (d_i f d_j g - d_j f d_i g), over every stored
+    component of pi, with no sharp and no pairing."""
+    chart = bivector.chart
+    f = f.with_variables(chart.coords)
+    g = g.with_variables(chart.coords)
+    out = chart.zero_poly()
+    for (i, j), p in bivector.components.items():
+        ci, cj = chart.coords[i], chart.coords[j]
+        out = out + p * (f.derivative(ci) * g.derivative(cj) - f.derivative(cj) * g.derivative(ci))
+    return out
+
+
+def dense_d(omega: DifferentialForm) -> DifferentialForm:
+    """d(omega), differentiating every component by every coordinate."""
+    chart = omega.chart
+    if omega.degree >= chart.dim:
+        return DifferentialForm.zero(chart, chart.dim)
+    terms = []
+    for idx, poly in omega.components.items():
+        for i, name in enumerate(chart.coords):
+            terms.append(((i,) + idx, poly.derivative(name)))
+    return DifferentialForm.from_terms(chart, omega.degree + 1, terms)
+
+
+def dense_lie_one_form(field: Multivector, beta: DifferentialForm) -> DifferentialForm:
+    """(L_X beta)_k = X^i d_i beta_k + beta_i d_k X^i, in coordinates."""
+    chart = field.chart
+    x, b = dense_vector(field), dense_vector(beta)
+    comps = {}
+    for k, ck in enumerate(chart.coords):
+        out = chart.zero_poly()
+        for i, ci in enumerate(chart.coords):
+            out = out + x[i] * b[k].derivative(ci)
+            out = out + b[i] * x[i].derivative(ck)
+        comps[(k,)] = out
+    return DifferentialForm(chart, 1, comps)
+
+
+def dense_koszul(bivector: Multivector, alpha: DifferentialForm,
+                 beta: DifferentialForm) -> DifferentialForm:
+    """[alpha, beta]_pi = L_(pi#alpha) beta - L_(pi#beta) alpha - d(pi(alpha, beta)),
+    with pi(alpha, beta) = <beta, pi#alpha> summed over every coordinate."""
+    chart = alpha.chart
+    pi_alpha = dense_sharp(bivector, alpha)
+    value = chart.zero_poly()
+    for b_k, x_k in zip(dense_vector(beta), dense_vector(pi_alpha)):
+        value = value + b_k * x_k
+    first = dense_lie_one_form(pi_alpha, beta)
+    second = dense_lie_one_form(dense_sharp(bivector, beta), alpha)
+    return first - second - dense_d(DifferentialForm.from_poly(chart, value))

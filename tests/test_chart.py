@@ -25,7 +25,7 @@ from poissonlift import (
 from poissonlift import chart as chart_module
 from poissonlift.errors import ChartMismatchError, DegreeError, KindMismatchError
 
-from conftest import dense_matrix, dense_vector, rand_form, rand_multivector, rand_poly
+from conftest import dense_matrix, dense_vector, rand_form, rand_fraction, rand_multivector, rand_poly
 
 
 @pytest.fixture
@@ -72,6 +72,27 @@ class TestExteriorDerivative:
 
     def test_top_degree(self, R2):
         assert exterior_derivative(parse_form("dq^dp", R2)).is_zero()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_function_matches_the_sorted_route(self, dim):
+        # d of a degree-0 form is built straight from the gradient; the
+        # general route files every partial through from_terms' sort-and-merge
+        rng = random.Random(200 + dim)
+        chart = Chart("R", tuple(f"x{k}" for k in range(dim)))
+        funcs = [chart.zero_poly(), chart.constant_poly(rand_fraction(rng)),
+                 rand_poly(rng, chart.coords[dim // 2:])]
+        funcs += [rand_poly(rng, chart.coords, max_degree=4, terms=4) for _ in range(6)]
+        for f in funcs:
+            df = exterior_derivative(DifferentialForm.from_poly(chart, f))
+            sorted_route = DifferentialForm.from_terms(
+                chart, 1, [((k,), f.with_variables(chart.coords).derivative(c))
+                           for k, c in enumerate(chart.coords)])
+            assert df == sorted_route
+            keys = list(df.components)
+            assert keys == sorted(set(keys))
+            assert all(not p.is_zero() and p.variables == chart.coords
+                       for p in df.components.values())
+            assert df.is_zero() == f.is_constant()
 
 
 class TestInteriorProduct:

@@ -637,6 +637,18 @@ def test_all_derives_each_image_object_once(monkeypatch):
     assert sum(form.degree == 2 for _, form in twists) == 9
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_certify_pgmap_takes_no_lie_derivative(monkeypatch, perturbed):
+    # the bracket axiom reads the Koszul bracket in Cartan form from the
+    # held d(phi_i); two Lie derivatives per basis pair made 72 calls on gl(3)
+    problem = parse_problem(gl_problem(3, perturb_map=perturbed))
+    calls = count_calls(monkeypatch, chart, "lie_derivative")
+    reports = run_checks(problem, "certify-pgmap")
+    assert [rep.verdict for rep in reports if rep.check_id == "pgmap-certification"] == [
+        "fail" if perturbed else "pass"]
+    assert calls == []
+
+
 def test_all_contracts_pi_tm_once_per_basis_element(monkeypatch):
     # bracket-closure reads the fields X_(c_i) that tangent-generator builds
     # (Resolved.hamiltonians); a closure through poisson_bracket walked pi_TM

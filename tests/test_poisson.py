@@ -61,6 +61,7 @@ from conftest import (
     rand_multivector,
     rand_poly,
 )
+from reference import dense_bracket, dense_d, dense_koszul, dense_sharp
 
 
 @pytest.fixture
@@ -291,68 +292,10 @@ def test_lie_poisson_matches_direct_literal(chart_xyz):
 # -- dense references ------------------------------------------------------------
 #
 # The kernels walk only the nonzero components of their operands and
-# differentiate only by the variables a polynomial uses.  The loops below walk
-# every coordinate index instead, and every kernel must agree with them
-# exactly, on Poisson and non-Poisson bivectors alike.
-
-
-def _dense_sharp(bivector, alpha):
-    if alpha.degree != 1:
-        raise DegreeError("sharp takes a 1-form")
-    if bivector.chart != alpha.chart:
-        raise ChartMismatchError("sharp: operands on different charts")
-    chart = bivector.chart
-    mat = dense_matrix(bivector)
-    comps = {}
-    for j in range(chart.dim):
-        out = chart.zero_poly()
-        for (i,), a_i in alpha.components.items():
-            out = out + a_i * mat[i][j]
-        comps[(j,)] = out
-    return Multivector(chart, 1, comps)
-
-
-def _dense_bracket(bivector, f, g):
-    chart = bivector.chart
-    f = f.with_variables(chart.coords)
-    g = g.with_variables(chart.coords)
-    out = chart.zero_poly()
-    for (i, j), p in bivector.components.items():
-        ci, cj = chart.coords[i], chart.coords[j]
-        out = out + p * (f.derivative(ci) * g.derivative(cj) - f.derivative(cj) * g.derivative(ci))
-    return out
-
-
-def _dense_d(omega):
-    chart = omega.chart
-    if omega.degree >= chart.dim:
-        return DifferentialForm.zero(chart, chart.dim)
-    terms = []
-    for idx, poly in omega.components.items():
-        for i, name in enumerate(chart.coords):
-            terms.append(((i,) + idx, poly.derivative(name)))
-    return DifferentialForm.from_terms(chart, omega.degree + 1, terms)
-
-
-def _dense_lie_one_form(field, beta):
-    """(L_X beta)_k = X^i d_i beta_k + beta_i d_k X^i, in coordinates."""
-    chart = field.chart
-    x, b = dense_vector(field), dense_vector(beta)
-    comps = {}
-    for k, ck in enumerate(chart.coords):
-        out = chart.zero_poly()
-        for i, ci in enumerate(chart.coords):
-            out = out + x[i] * b[k].derivative(ci)
-            out = out + b[i] * x[i].derivative(ck)
-        comps[(k,)] = out
-    return DifferentialForm(chart, 1, comps)
-
-
-def _dense_koszul(bivector, alpha, beta):
-    first = _dense_lie_one_form(_dense_sharp(bivector, alpha), beta)
-    second = _dense_lie_one_form(_dense_sharp(bivector, beta), alpha)
-    exact = _dense_d(DifferentialForm.from_poly(alpha.chart, pairing(beta, _dense_sharp(bivector, alpha))))
-    return first - second - exact
+# differentiate only by the variables a polynomial uses.  The loops below and
+# those of tests/reference.py walk every coordinate index instead, and every
+# kernel must agree with them exactly, on Poisson and non-Poisson bivectors
+# alike.
 
 
 def _dense_function_lift(tc, f):
@@ -457,8 +400,8 @@ def _dense_i_T(tc, omega):
 def _dense_d_T(tc, omega):
     if omega.degree == 0:
         return DifferentialForm.from_poly(tc.total, _dense_function_lift(tc, omega.as_poly()))
-    first = _dense_i_T(tc, _dense_d(omega))
-    second = _dense_d(_dense_i_T(tc, omega))
+    first = _dense_i_T(tc, dense_d(omega))
+    second = dense_d(_dense_i_T(tc, omega))
     # d of a top-degree base form is a degree-clamped zero
     return second if first.degree != second.degree else first + second
 
@@ -494,13 +437,13 @@ def test_kernels_match_dense_references(dim):
             verdicts.add(jacobi_check(bivector).is_zero())
             pi = PoissonStructure(bivector)
             for alpha in forms:
-                assert sharp(pi, alpha) == _dense_sharp(bivector, alpha)
+                assert sharp(pi, alpha) == dense_sharp(bivector, alpha)
                 for beta in forms:
-                    assert koszul_bracket(pi, alpha, beta) == _dense_koszul(bivector, alpha, beta)
+                    assert koszul_bracket(pi, alpha, beta) == dense_koszul(bivector, alpha, beta)
             for f in funcs:
                 for g in funcs:
                     bracket = poisson_bracket(pi, f, g)
-                    assert bracket == _dense_bracket(bivector, f, g)
+                    assert bracket == dense_bracket(bivector, f, g)
                     assert bracket.variables == chart.coords
             lift = _dense_complete_lift(tc, bivector)
             if pi.jacobi_verified:
@@ -527,7 +470,7 @@ def test_kernels_match_dense_references(dim):
             assert i_T(tc, omega) == _dense_i_T(tc, omega)
             assert d_T(tc, omega) == _dense_d_T(tc, omega)
         for omega in forms + [rand_form(rng, chart, k) for k in range(dim + 1)]:
-            assert exterior_derivative(omega) == _dense_d(omega)
+            assert exterior_derivative(omega) == dense_d(omega)
         for f in funcs:
             lifted = d_T(tc, DifferentialForm.from_poly(chart, f)).as_poly()
             assert lifted == _dense_function_lift(tc, f)

@@ -71,7 +71,7 @@ from conftest import (
     rand_fraction,
     rand_poly,
 )
-from test_poisson import _dense_bracket
+from reference import dense_bracket, dense_koszul
 
 
 @pytest.fixture
@@ -119,6 +119,34 @@ class TestCertify:
     def test_aff1_family(self):
         _, _, pi, pg = aff1_setup()
         assert certify_pgmap(Resolved(pi, pg)).verdict == "pass"
+
+    @pytest.mark.parametrize("name", ["gl2-perturbed", "gl3-perturbed", "aff1-cobracket"])
+    def test_bracket_axiom_matches_the_dense_koszul_route(self, name):
+        # second route: the Koszul bracket by its defining formula, two Lie
+        # derivatives over every coordinate index, against the Cartan form
+        # that pgmap_residuals evaluates from PGMap.differentials
+        if name.startswith("gl"):
+            problem = parse_problem(gl_problem(int(name[2]), perturb_map=True))
+        else:
+            problem = catalog(name)
+        pi, pg = problem.poisson, problem.pgmap
+        b = pg.bialgebra
+        residuals = Resolved(pi, pg).certification
+        # some image has d(phi) != 0, so a contraction runs
+        assert any(not d.is_zero() for d in pg.differentials)
+        for i in range(b.dim):
+            for j in range(i + 1, b.dim):
+                expected = DifferentialForm.zero(pg.chart, 1)
+                for m, coeff in b.bracket(i, j).items():
+                    expected = expected + pg.images[m] * coeff
+                expected = expected - dense_koszul(pi.bivector, pg.images[i], pg.images[j])
+                residual = residuals[f"bracket-axiom[{b.basis[i]},{b.basis[j]}]"]
+                assert residual == expected
+                assert residual.to_string() == expected.to_string()
+        bracket_residuals = [res for key, res in residuals.items() if key.startswith("bracket-axiom")]
+        assert len(bracket_residuals) == b.dim * (b.dim - 1) // 2
+        if name != "aff1-cobracket":  # the perturbed maps fail the axiom
+            assert any(not res.is_zero() for res in bracket_residuals)
 
     def test_refuses_unverified_bialgebra(self, chart_qp, canonical):
         bad = LieBialgebra(("e1", "e2", "e3"), {(0, 1): {2: 1}, (0, 2): {0: 1}}, {})
@@ -237,7 +265,7 @@ class TestBracketClosure:
         assert len(residuals) == b.dim * (b.dim - 1) // 2
         for i in range(b.dim):
             for j in range(i + 1, b.dim):
-                expected = _dense_bracket(r.pi_tm.bivector, c[i], c[j])
+                expected = dense_bracket(r.pi_tm.bivector, c[i], c[j])
                 for k, coeff in b.bracket(i, j).items():
                     expected = expected - coeff * c[k]
                 residual = residuals[f"closure[{b.basis[i]},{b.basis[j]}]"]
