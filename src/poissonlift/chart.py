@@ -24,7 +24,12 @@ components of A under each index they carry and those of B under each
 coordinate their polynomial uses, and pairs the two lists of each
 coordinate i.  Each component is differentiated only by the variables it
 uses, [A, A] computes A . A once, and missing components are zero and are
-never built.
+never built.  All partials of a component come from one walk over its
+terms (``_gradient``).  The wedge, the interior product and the Lie
+derivative of forms file their products ``scale * a * b`` by index and sum
+each index's list in one term map (``_Tensor._from_products``); the
+Schouten bracket sums its products with ``from_terms``, which keeps the
+term order of the ``+`` chain that its tests compare.
 """
 
 from __future__ import annotations
@@ -176,6 +181,32 @@ class _Tensor:
             acc[key] = acc[key] + add if key in acc else add
         return cls._make(chart, degree, {k: p for k, p in acc.items() if not p.is_zero()})
 
+    @classmethod
+    def _from_products(cls, chart: Chart, degree: int,
+                       products: Iterable[tuple[Index, int | Fraction, Polynomial, Polynomial]]):
+        """``from_terms`` for terms ``scale * a * b`` whose factors are over the
+        chart's coordinates: the products filed under one index are summed by
+        one ``Polynomial._sum_of_products``."""
+        grouped: dict[Index, list] = {}
+        for idx, scale, a, b in products:
+            if len(idx) > 1:
+                sorted_idx = _sort_index(idx)
+                if sorted_idx is None:
+                    continue
+                idx, sign = sorted_idx
+                if sign < 0:
+                    scale = -scale
+            if idx in grouped:
+                grouped[idx].append((scale, a, b))
+            else:
+                grouped[idx] = [(scale, a, b)]
+        comps = {}
+        for idx, group in grouped.items():
+            poly = Polynomial._sum_of_products(chart.coords, group)
+            if poly._terms:
+                comps[idx] = poly
+        return cls._make(chart, degree, comps)
+
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -303,18 +334,15 @@ def wedge(a: _Tensor, b: _Tensor) -> _Tensor:
     degree = a.degree + b.degree
     if degree > a.chart.dim:
         return type(a).zero(a.chart, a.chart.dim)
-    terms = []
-    for ia, pa in a._components.items():
-        for ib, pb in b._components.items():
-            terms.append((ia + ib, pa * pb))
-    return type(a).from_terms(a.chart, degree, terms)
+    products = [(ia + ib, 1, pa, pb) for ia, pa in a._components.items()
+                for ib, pb in b._components.items()]
+    return type(a)._from_products(a.chart, degree, products)
 
 
 def _gradient(chart: Chart, poly: Polynomial) -> dict[int, Polynomial]:
     """The nonzero partials of ``poly`` by the chart's coordinates, keyed by
-    coordinate index; only the variables ``poly`` uses are differentiated."""
-    poly = poly.with_variables(chart.coords)
-    return {chart.index(name): poly.derivative(name) for name in poly.used_variables()}
+    coordinate index in ascending order, from one walk over its terms."""
+    return poly.with_variables(chart.coords)._partials()
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
@@ -347,36 +375,32 @@ def interior_product(field: Multivector, omega: DifferentialForm) -> Differentia
     if omega.degree == 0:
         raise DegreeError("interior product of a degree-0 form is undefined")
     x = field._components
-    terms = []
-    for idx, poly in omega._components.items():
-        for pos, i in enumerate(idx):
-            if (i,) not in x:
-                continue
-            contrib = x[(i,)] * poly
-            terms.append((idx[:pos] + idx[pos + 1:], -contrib if pos % 2 else contrib))
-    return DifferentialForm.from_terms(omega.chart, omega.degree - 1, terms)
+    products = [(idx[:pos] + idx[pos + 1:], -1 if pos % 2 else 1, x[(i,)], poly)
+                for idx, poly in omega._components.items()
+                for pos, i in enumerate(idx) if (i,) in x]
+    return DifferentialForm._from_products(omega.chart, omega.degree - 1, products)
 
 
 def _lie_derivative_form(field: Multivector, omega: DifferentialForm) -> DifferentialForm:
     """L_X(w_I dx^I) = X(w_I) dx^I + w_I sum_a dx^(i_1) ^ .. ^ d(X^(i_a)) ^ ..,
     with d(X^i) = sum_k d_k X^i dx^k, in one pass over the stored components.
     Each field component is differentiated at most once, when an index of
-    omega first asks for it; repeated indices vanish in ``from_terms``."""
+    omega first asks for it; repeated indices vanish in ``_from_products``."""
     chart = omega.chart
     x = field._components
     dx: dict[int, dict[int, Polynomial]] = {}
-    terms = []
+    products = []
     for idx, w in omega._components.items():
-        terms.extend((idx, x[(k,)] * partial)
-                     for k, partial in _gradient(chart, w).items() if (k,) in x)
+        products.extend((idx, 1, x[(k,)], partial)
+                        for k, partial in _gradient(chart, w).items() if (k,) in x)
         for pos, i in enumerate(idx):
             if (i,) not in x:
                 continue
             if i not in dx:
                 dx[i] = _gradient(chart, x[(i,)])
-            for k, partial in dx[i].items():
-                terms.append((idx[:pos] + (k,) + idx[pos + 1:], w * partial))
-    return DifferentialForm.from_terms(chart, omega.degree, terms)
+            products.extend((idx[:pos] + (k,) + idx[pos + 1:], 1, w, partial)
+                            for k, partial in dx[i].items())
+    return DifferentialForm._from_products(chart, omega.degree, products)
 
 
 def lie_derivative(field: Multivector, tensor: _Tensor) -> _Tensor:

@@ -94,14 +94,19 @@ def sharp(pi: PoissonStructure, alpha: DifferentialForm) -> Multivector:
     if bivector.chart != alpha.chart:
         raise ChartMismatchError("sharp: operands on different charts")
     a = {i: a_i for (i,), a_i in alpha._components.items()}
-    slots: dict[int, Polynomial] = {}
+    slots: dict[int, list] = {}
     for (i, j), p in bivector._components.items():
         # pi^(ij) e_i ^ e_j sends alpha to a_i pi^(ij) e_j - a_j pi^(ij) e_i
         if i in a:
-            slots[j] = slots[j] + a[i] * p if j in slots else a[i] * p
+            slots.setdefault(j, []).append((1, a[i], p))
         if j in a:
-            slots[i] = slots[i] - a[j] * p if i in slots else -(a[j] * p)
-    comps = {(j,): out for j, out in sorted(slots.items()) if not out.is_zero()}
+            slots.setdefault(i, []).append((-1, a[j], p))
+    coords = bivector.chart.coords
+    comps = {}
+    for j in sorted(slots):
+        out = Polynomial._sum_of_products(coords, slots[j])
+        if not out.is_zero():
+            comps[(j,)] = out
     return Multivector._make(bivector.chart, 1, comps)
 
 
@@ -112,11 +117,8 @@ def pairing(alpha: DifferentialForm, field: Multivector) -> Polynomial:
     if alpha.chart != field.chart:
         raise ChartMismatchError("pairing: operands on different charts")
     x = field._components
-    out = alpha.chart.zero_poly()
-    for (i,), a_i in alpha._components.items():
-        if (i,) in x:
-            out = out + a_i * x[(i,)]
-    return out
+    return Polynomial._sum_of_products(alpha.chart.coords, [
+        (1, a_i, x[(i,)]) for (i,), a_i in alpha._components.items() if (i,) in x])
 
 
 def poisson_bracket(pi: PoissonStructure, f: Polynomial, g: Polynomial) -> Polynomial:

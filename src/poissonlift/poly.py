@@ -21,7 +21,10 @@ A monomial key is one ``int`` holding the exponent of the i-th variable in
 bits ``[i*W, (i+1)*W)``, ``W = 32``: a multiply adds keys, ``derivative``
 subtracts a unit and ``used_variables`` ORs them.  Exponents stay below
 ``EXPONENT_LIMIT = 2^(W-1)``, so two add without a carry, and an exponent
-that reaches bit W-1 of its field (the guard) is a ``ValueError``.  A key
+that reaches bit W-1 of its field (the guard) is a ``ValueError``.
+``_partials`` takes every partial derivative in one walk: it visits the set
+fields of each key once and files the lowered key under that field's
+variable, so a polynomial is read once for all its partials.  A key
 does not depend on how many variables follow, so re-indexing onto an
 extension ``vs`` of the universe ``u`` (``vs[:len(u)] == u``) shares the
 term map: polynomials on a base chart cross for free into its bundle
@@ -34,7 +37,7 @@ term uses, not the length of the universe, and sampled values follow the
 universe order too.  Only the public constructor, the ``terms`` view and
 the reference evaluation ``substitute`` read dense exponent tuples.
 
-Construction has two paths.  The public constructor ``Polynomial(variables,
+Construction has three paths.  The public constructor ``Polynomial(variables,
 terms)`` validates everything: distinct variable names, exponent tuples of
 the right length with entries in ``[0, EXPONENT_LIMIT)``, coefficients
 brought to their one form, repeated keys summed and zeros dropped.
@@ -43,7 +46,15 @@ terms)``, which trusts that ``variables`` are distinct names and that
 ``terms`` maps keys with no field at or past ``len(variables)`` to nonzero
 coefficients in their one form.  ``_make`` takes ownership of that dict;
 no term map is mutated once a polynomial holds it, so polynomials share
-them freely.
+them freely.  A sum of products ``sum scale * a * b``, the shape of every
+contraction in the package, is built by the internal
+``Polynomial._sum_of_products(variables, products)``: all products are
+added into one term map, whose coefficients are folded to their one form
+and whose zeros are dropped once, at the end, and the exponent guard is
+checked once, as ``*`` checks it.  Its operands are over prefixes of
+``variables``, so their keys add as they are; the result has the value of
+the chain of ``*`` and ``+`` calls, though not always its term order, which
+no printed or sampled value reads.
 
 For printing, terms are ordered graded-lexicographically (total degree first,
 then exponents against the variable order), highest first.  The printed form
@@ -293,6 +304,35 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def _sum_of_products(cls, variables: tuple[str, ...],
+                         products: Iterable[tuple[Rational, "Polynomial", "Polynomial"]]) -> "Polynomial":
+        """``sum scale * a * b`` over ``products``, built in one term map.
+
+        Trusted like ``_make``: ``variables`` are distinct and every operand's
+        universe is a prefix of them, so the keys of ``a`` and ``b`` add as
+        they are.  Coefficients are folded to their one form and zeros dropped
+        once, at the end; as in ``__mul__``, a product exponent that reaches
+        the guard is a ``ValueError``."""
+        acc: dict[int, Rational] = {}
+        get = acc.get
+        for scale, a, b in products:
+            b_terms = b._terms.items()
+            for ka, ca in a._terms.items():
+                ca *= scale
+                for kb, cb in b_terms:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
+        terms: dict[int, Rational] = {}
+        used = 0
+        for key, c in acc.items():
+            used |= key
+            if c:
+                terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
+        if used & _guard(len(variables)):
+            raise ValueError(f"a product exponent is not below {EXPONENT_LIMIT}")
+        return cls._make(variables, terms)
+
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integers only")
@@ -319,6 +359,25 @@ class Polynomial:
                 c = coeff * e
                 terms[key - unit] = c if type(c) is int or c.denominator != 1 else c.numerator
         return Polynomial._make(self.variables, terms)
+
+    def _partials(self) -> dict[int, "Polynomial"]:
+        """Every nonzero partial derivative, keyed by variable index in
+        ascending order, from one walk over the set fields of each key."""
+        parts: dict[int, dict[int, Rational]] = {}
+        for key, coeff in self._terms.items():
+            rest = key
+            while rest:
+                shift = (rest & -rest).bit_length() - 1
+                shift -= shift % W
+                e = (rest >> shift) & _FIELD
+                rest -= e << shift
+                c = coeff * e
+                i = shift // W
+                if i not in parts:
+                    parts[i] = {}
+                parts[i][key - (1 << shift)] = c if type(c) is int or c.denominator != 1 else c.numerator
+        vs = self.variables
+        return {i: Polynomial._make(vs, parts[i]) for i in sorted(parts)}
 
     def substitute(self, assignment: Mapping[str, Rational]) -> Fraction:
         """Exact evaluation; every variable of the polynomial must be assigned."""

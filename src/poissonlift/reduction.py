@@ -120,12 +120,13 @@ def pgmap_residuals(pg: PGMap, sharps: Sequence[Multivector]) -> dict[str, Diffe
     """Residual forms of the two compatibility axioms, named per basis datum;
     ``sharps`` holds pi#(phi_i) for the Poisson structure pi."""
     b = pg.bialgebra
+    one = pg.chart.constant_poly(1)
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
-            expected = DifferentialForm.zero(pg.chart, 1)
-            for m, coeff in b.bracket(i, j).items():
-                expected = expected + pg.images[m] * coeff
+            expected = DifferentialForm._from_products(pg.chart, 1, [
+                (idx, coeff, phi, one) for m, coeff in b.bracket(i, j).items()
+                for idx, phi in pg.images[m]._components.items()])
             actual = _koszul(pg.images[j], sharps[i], sharps[j],
                              pg.differentials[i], pg.differentials[j])
             residuals[f"bracket-axiom[{b.basis[i]},{b.basis[j]}]"] = expected - actual
@@ -246,13 +247,13 @@ def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
     b = r.pg.bialgebra
     tc, c = r.tc, r.comomenta
     dc = [differential(tc.total, c_j) for c_j in c]
+    one = tc.total.constant_poly(1)
     residuals: dict[str, Polynomial] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
             lifted = pairing(dc[j], r.hamiltonians[i])
-            expected = tc.total.zero_poly()
-            for k, coeff in b.bracket(i, j).items():
-                expected = expected + coeff * c[k]
+            expected = Polynomial._sum_of_products(
+                tc.total.coords, [(coeff, c[k], one) for k, coeff in b.bracket(i, j).items()])
             residuals[f"closure[{b.basis[i]},{b.basis[j]}]"] = lifted - expected
     return residuals
 
@@ -460,17 +461,17 @@ def cotangent_momentum_relation(tc: TangentChart, omega: SymplecticForm,
     if tc.base != chart:
         raise ChartMismatchError("tangent chart does not extend the form's chart")
     # p_k = sum_i v_i omega_ik, from both orientations of each stored omega_ab
-    v = tc.coord_polys[chart.dim:]
-    flat = [tc.total.zero_poly() for _ in chart.coords]
+    coords, v = tc.total.coords, tc.coord_blocks[1]
+    slots: list[list] = [[] for _ in chart.coords]
     for (a, b), w in omega.two_form._components.items():
-        flat[b] = flat[b] + v[a] * w
-        flat[a] = flat[a] - v[b] * w
+        slots[b].append((1, v[a], w))
+        slots[a].append((-1, v[b], w))
+    flat = [Polynomial._sum_of_products(coords, products) for products in slots]
     c_polys = comomentum_components(pg, tc)
     residuals: dict[str, Polynomial] = {}
     for index, field in enumerate(generators):
-        j_through_flat = tc.total.zero_poly()
-        for (k,), comp in field._components.items():
-            j_through_flat = j_through_flat + flat[k] * comp
+        j_through_flat = Polynomial._sum_of_products(
+            coords, [(1, flat[k], comp) for (k,), comp in field._components.items()])
         residuals[f"relation[{pg.bialgebra.basis[index]}]"] = c_polys[index] + j_through_flat
     return make_report(
         "cotangent-momentum-relation",

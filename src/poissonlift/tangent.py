@@ -32,6 +32,14 @@ TTM.  Both only permute coordinate blocks, so ``tangent_lift_residuals`` and
 coordinate map; the tests keep the composed maps as the reference.
 ``CoordinateMap`` is a polynomial map between charts, such as the
 parametrization of a level set.
+
+The lift of pi, the lift of a vector field and the prolongation T(theta) of
+a 1-form all take the complete lift f^c = v_k d_k f of base polynomials,
+which is computed as a key shift, not by differentiating and multiplying:
+each variable k of a term c q^e gives the term c e_k q^(e - 1_k) v_k, whose
+monomial key moves one unit from field k to field n + k, and no two such
+terms meet.  So the prolongation shares no differentiation code with d_T,
+which takes its partials from the chart's one-walk gradient.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from .errors import (
 )
 from .oracle import SamplePlan
 from .poisson import PoissonStructure
-from .poly import W, Polynomial
+from .poly import W, Polynomial, Rational, _fields
 from .report import CheckReport, Statement, make_report
 
 # Block prefixes of each bundle chart in chart order; "" is the base block.
@@ -116,11 +124,6 @@ class TangentChart:
         n = self.dim
         return tuple({j: self.coord_polys[b * n + j] for j in range(n)} for b in (0, 1))
 
-    def fiber_poly(self, name: str) -> Polynomial:
-        if name not in self.base.coords:
-            raise ChartMismatchError(f"{name!r} is not a base coordinate")
-        return self.coord_polys[self.dim + self.base.index(name)]
-
     @cached_property
     def tautological(self) -> Multivector:
         """The field T = sum_j v_j d/dq_j on the total chart."""
@@ -171,11 +174,18 @@ def _require_base(tc: TangentChart, omega: DifferentialForm) -> None:
 
 
 def _complete_lift_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
-    """f^c = v_k d_k f on the tangent chart, for f on the base chart."""
-    total = tc.total.zero_poly()
-    for ck in poly.used_variables():
-        total = total + tc.fiber_poly(ck) * poly.derivative(ck)
-    return total
+    """f^c = v_k d_k f on the tangent chart, for f on the base chart, as key
+    arithmetic: a term c q^e with e_k > 0 gives the term c e_k q^(e - 1_k) v_k,
+    whose key moves one unit from field k to field n + k.  The v field of
+    the new key names k and its q fields then name e, so no two terms meet."""
+    shift = tc.dim * W
+    terms: dict[int, Rational] = {}
+    for key, coeff in poly.with_variables(tc.base.coords)._terms.items():
+        for k, e in _fields(key):
+            unit = 1 << (k * W)
+            c = coeff * e
+            terms[key - unit + (unit << shift)] = c if type(c) is int or c.denominator != 1 else c.numerator
+    return Polynomial._make(tc.total.coords, terms)
 
 
 def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
@@ -212,12 +222,14 @@ def complete_lift_vf(tc: TangentChart, field: Multivector) -> Multivector:
     """X^c = X^i d/dq_i + v_k d_k X^i d/dv_i on the tangent chart."""
     if field.chart != tc.base or field.degree != 1:
         raise ChartMismatchError("complete lift takes a vector field on the base chart")
-    n = tc.dim
+    n, coords = tc.dim, tc.total.coords
     comps: dict[tuple[int, ...], Polynomial] = {}
-    for (i,), poly in field.components.items():
-        comps[(i,)] = poly
-        comps[(n + i,)] = _complete_lift_poly(tc, poly)
-    return Multivector(tc.total, 1, comps)
+    for (i,), poly in field._components.items():
+        comps[(i,)] = poly.with_variables(coords)
+        lift = _complete_lift_poly(tc, poly)
+        if not lift.is_zero():
+            comps[(n + i,)] = lift
+    return Multivector._make(tc.total, 1, comps)
 
 
 def complete_lift_bivector(pi: PoissonStructure, tc: TangentChart) -> PoissonStructure:
@@ -229,13 +241,16 @@ def complete_lift_bivector(pi: PoissonStructure, tc: TangentChart) -> PoissonStr
         raise NotPoissonError("complete lift requires a verified Poisson structure")
     if tc.base != pi.chart:
         raise ChartMismatchError("tangent chart does not extend the structure's chart")
-    n = tc.dim
+    n, coords = tc.dim, tc.total.coords
     comps = {}
     for (i, j), p in pi.bivector._components.items():
+        lift = _complete_lift_poly(tc, p)
+        p = p.with_variables(coords)
         comps[(i, n + j)] = p
         comps[(j, n + i)] = -p
-        comps[(n + i, n + j)] = _complete_lift_poly(tc, p)
-    return PoissonStructure(Multivector(tc.total, 2, dict(sorted(comps.items()))))
+        if not lift.is_zero():
+            comps[(n + i, n + j)] = lift
+    return PoissonStructure(Multivector._make(tc.total, 2, dict(sorted(comps.items()))))
 
 
 # -- identity checks -----------------------------------------------------------
@@ -254,21 +269,23 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate: PoissonStructure) ->
         raise ChartMismatchError("candidate must be a bivector on the tangent chart")
     n = base.dim
     zchart = bundle_chart(base, "TT*")
-    z = [zchart.coord_poly(c) for c in zchart.coords]
+    coords = zchart.coords
+    z = [zchart.coord_poly(c) for c in coords]
     p, qdot, pdot = z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+    # the residual of each slot, qdot block then vdot block, is one sum of
+    # the right-hand side's products minus the left-hand side's
+    slots: list[list] = [[] for _ in range(2 * n)]
 
     # right-hand side: kappa . T(pi#), from both orientations of each stored
     # pi^(ab): slot j gets p_i pi^(ij) and slot n + j gets
     # pdot_i pi^(ij) + p_i qdot_k d_k pi^(ij), with pi^(ba) = -pi^(ab)
-    rhs = [zchart.zero_poly() for _ in range(2 * n)]  # qdot block, then vdot block
     for (a, b), c in pi.bivector._components.items():
-        dc = zchart.zero_poly()  # qdot_k d_k pi^(ab)
-        for k, partial in _gradient(base, c).items():
-            dc = dc + partial * qdot[k]
-        rhs[b] = rhs[b] + p[a] * c
-        rhs[a] = rhs[a] - p[b] * c
-        rhs[n + b] = rhs[n + b] + pdot[a] * c + p[a] * dc
-        rhs[n + a] = rhs[n + a] - pdot[b] * c - p[b] * dc
+        dc = Polynomial._sum_of_products(  # qdot_k d_k pi^(ab)
+            coords, [(1, partial, qdot[k]) for k, partial in _gradient(base, c).items()])
+        slots[b].append((1, p[a], c))
+        slots[a].append((-1, p[b], c))
+        slots[n + b] += [(1, pdot[a], c), (1, p[a], dc)]
+        slots[n + a] += [(-1, pdot[b], c), (-1, p[b], dc)]
 
     # left-hand side: pi_TM# . alpha, with alpha(q, p, qdot, pdot) the covector
     # at (q, v=qdot) whose dq-coefficients xi are pdot and dv-coefficients p,
@@ -279,15 +296,15 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate: PoissonStructure) ->
     shift = n * W
     q_mask = (1 << shift) - 1
     xi = pdot + p
-    lhs = [zchart.zero_poly() for _ in range(2 * n)]
     for (a, b), c in candidate.bivector._components.items():
-        cz = Polynomial._make(zchart.coords, {(key & q_mask) | (key >> shift << 2 * shift): coeff
-                                              for key, coeff in c._terms.items()})
-        lhs[b] = lhs[b] + xi[a] * cz
-        lhs[a] = lhs[a] - xi[b] * cz
+        cz = Polynomial._make(coords, {(key & q_mask) | (key >> shift << 2 * shift): coeff
+                                       for key, coeff in c._terms.items()})
+        slots[b].append((-1, xi[a], cz))
+        slots[a].append((1, xi[b], cz))
 
     names = bundle_chart(base, "TT").coords[2 * n:]  # the (qdot, vdot) blocks of TTM
-    return {name: r - l for name, r, l in zip(names, rhs, lhs)}
+    return {name: Polynomial._sum_of_products(coords, products)
+            for name, products in zip(names, slots)}
 
 
 TANGENT_LIFT_IDENTITY = Statement(

@@ -70,6 +70,14 @@ def integer_points(points) -> tuple[list[tuple[int, ...]], int]:
     return [tuple(int(x * denominator) for x in point) for point in points], denominator
 
 
+def is_one_form(coeff) -> bool:
+    """A coefficient in its one form: a nonzero value whose type is int if
+    and only if it is an integer, and Fraction otherwise."""
+    if type(coeff) is int:
+        return coeff != 0
+    return type(coeff) is Fraction and coeff.denominator != 1
+
+
 def rand_poly(rng: random.Random, variables, max_degree: int = 3, terms: int = 3) -> Polynomial:
     vs = tuple(variables)
     poly = Polynomial.zero(vs)

@@ -11,6 +11,13 @@ They keep their own copy of alpha's block order: a wrong order in
 The complete-lift kernel f |-> f^c is read from ``poissonlift.tangent`` at
 call time, so a test that replaces it there changes both routes alike.
 
+The library builds f^c = v_k d_k f by shifting monomial keys, takes all
+partials of a polynomial in one walk over its terms, and sums products in
+one term map.  ``dense_complete_lift``, ``dense_gradient`` and
+``dense_sum_of_products`` take the same values with the binary operators and
+``Polynomial.derivative`` over every coordinate, and call none of those
+kernels.
+
 The library computes the Koszul bracket in Cartan form from the held
 differentials; ``dense_koszul`` takes the defining formula with two
 coordinate Lie derivatives, walking every coordinate index, and pairs by
@@ -102,6 +109,31 @@ def dense_lemma_residuals(tc: TangentChart, theta: DifferentialForm) -> dict:
     composed = compose(tulczyjew_alpha(tc), one_form_prolongation(tc, theta))
     return {name: lhs - rhs
             for name, lhs, rhs in zip(target.coords, composed.components, direct.components)}
+
+
+def dense_complete_lift(tc: TangentChart, f: Polynomial) -> Polynomial:
+    """f^c = sum_k v_k d_k f over every base coordinate, with + and *."""
+    f = f.with_variables(tc.base.coords)
+    out = tc.total.zero_poly()
+    for k, ck in enumerate(tc.base.coords):
+        out = out + tc.coord_blocks[1][k] * f.derivative(ck)
+    return out
+
+
+def dense_gradient(f: Polynomial) -> dict[int, Polynomial]:
+    """The nonzero partials of ``f`` keyed by variable index, one
+    ``derivative`` per variable of its universe, in universe order."""
+    partials = {i: f.derivative(name) for i, name in enumerate(f.variables)}
+    return {i: d for i, d in partials.items() if not d.is_zero()}
+
+
+def dense_sum_of_products(variables: tuple[str, ...], products) -> Polynomial:
+    """sum scale * a * b over ``(scale, a, b)`` triples, one binary operator
+    call at a time, starting from zero over ``variables``."""
+    out = Polynomial.zero(variables)
+    for scale, a, b in products:
+        out = out + a * b * scale
+    return out
 
 
 def dense_sharp(bivector: Multivector, alpha: DifferentialForm) -> Multivector:

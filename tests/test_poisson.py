@@ -61,7 +61,7 @@ from conftest import (
     rand_multivector,
     rand_poly,
 )
-from reference import dense_bracket, dense_d, dense_koszul, dense_sharp
+from reference import dense_bracket, dense_complete_lift, dense_d, dense_koszul, dense_sharp
 
 
 @pytest.fixture
@@ -298,13 +298,6 @@ def test_lie_poisson_matches_direct_literal(chart_xyz):
 # alike.
 
 
-def _dense_function_lift(tc, f):
-    total = tc.total.zero_poly()
-    for ck in tc.base.coords:
-        total = total + tc.fiber_poly(ck) * f.derivative(ck).with_variables(tc.total.coords)
-    return total
-
-
 def _dense_fd(f, point, h):
     assignment = dict(point)
     worst = Fraction(0)
@@ -351,7 +344,7 @@ def _dense_complete_lift(tc, bivector):
     n = tc.dim
     mat = dense_matrix(bivector)
     comps = {(i, n + j): mat[i][j].with_variables(tc.total.coords) for i in range(n) for j in range(n)}
-    comps.update({(n + i, n + j): _dense_function_lift(tc, mat[i][j])
+    comps.update({(n + i, n + j): dense_complete_lift(tc, mat[i][j])
                   for i in range(n) for j in range(i + 1, n)})
     return Multivector(tc.total, 2, comps)
 
@@ -392,14 +385,14 @@ def _dense_i_T(tc, omega):
     for idx, poly in omega.components.items():
         pulled = poly.with_variables(tc.total.coords)
         for pos, i in enumerate(idx):
-            contrib = pulled * tc.fiber_poly(tc.base.coords[i])
+            contrib = pulled * tc.coord_blocks[1][i]
             terms.append((idx[:pos] + idx[pos + 1:], -contrib if pos % 2 else contrib))
     return DifferentialForm.from_terms(tc.total, omega.degree - 1, terms)
 
 
 def _dense_d_T(tc, omega):
     if omega.degree == 0:
-        return DifferentialForm.from_poly(tc.total, _dense_function_lift(tc, omega.as_poly()))
+        return DifferentialForm.from_poly(tc.total, dense_complete_lift(tc, omega.as_poly()))
     first = _dense_i_T(tc, dense_d(omega))
     second = dense_d(_dense_i_T(tc, omega))
     # d of a top-degree base form is a degree-clamped zero
@@ -473,7 +466,7 @@ def test_kernels_match_dense_references(dim):
             assert exterior_derivative(omega) == dense_d(omega)
         for f in funcs:
             lifted = d_T(tc, DifferentialForm.from_poly(chart, f)).as_poly()
-            assert lifted == _dense_function_lift(tc, f)
+            assert lifted == dense_complete_lift(tc, f)
             assert lifted.variables == tc.total.coords
             point = {c: rand_fraction(rng) for c in chart.coords}
             (numerators,), denominator = integer_points([point.values()])

@@ -17,7 +17,8 @@ from poissonlift.errors import (
     UnknownSymbolError,
 )
 
-from conftest import count_calls, rand_poly
+from conftest import count_calls, is_one_form, rand_poly
+from reference import dense_gradient, dense_sum_of_products
 
 
 def P(text, *variables):
@@ -167,18 +168,10 @@ class TestPublicConstructor:
     def test_coerces_and_drops_zeros(self):
         poly = Polynomial(("q",), {(1,): 0, (2,): 3, (0,): Fraction(0)})
         assert poly.terms == {(2,): Fraction(3)}
-        assert all(_is_one_form(c) for c in poly.terms.values())
+        assert all(is_one_form(c) for c in poly.terms.values())
         poly = Polynomial(("q",), {(1,): Fraction(6, 2), (2,): "1/2", (0,): 2.5})
         assert poly.terms == {(1,): 3, (2,): Fraction(1, 2), (0,): Fraction(5, 2)}
-        assert all(_is_one_form(c) for c in poly.terms.values())
-
-
-def _is_one_form(coeff) -> bool:
-    """A coefficient in its one form: a nonzero value whose type is int if
-    and only if it is an integer, and Fraction otherwise."""
-    if type(coeff) is int:
-        return coeff != 0
-    return type(coeff) is Fraction and coeff.denominator != 1
+        assert all(is_one_form(c) for c in poly.terms.values())
 
 
 class TestIntegerFolding:
@@ -187,7 +180,7 @@ class TestIntegerFolding:
 
     def _only_term(self, poly):
         (coeff,) = poly.terms.values()
-        assert _is_one_form(coeff)
+        assert is_one_form(coeff)
         return coeff
 
     def test_product(self):
@@ -266,7 +259,7 @@ def _assert_canonical(poly):
     for exps, coeff in poly.terms.items():
         assert type(exps) is tuple and len(exps) == len(poly.variables)
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert _is_one_form(coeff)
+        assert is_one_form(coeff)
     rebuilt = Polynomial(poly.variables, poly.terms)
     assert rebuilt == poly
     assert rebuilt.variables == poly.variables
@@ -406,3 +399,72 @@ def test_equality_with_a_rational_builds_no_constant(monkeypatch):
     assert zero != 1 and q != 0 and q != 1 and q_plus_one != 1 and plus_half != 1
     assert one.with_variables(("q", "p", "r")) == 1
     assert constants == []
+
+
+# -- the fused kernels against their operator-chain references --------------------
+
+
+def _assert_fused(poly, variables):
+    assert poly.variables == variables
+    assert all(is_one_form(c) for c in poly.terms.values())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 33])
+def test_sum_of_products_matches_the_operator_chain(dim):
+    rng = random.Random(700 + dim)
+    variables = tuple(f"x{i}" for i in range(dim))
+    q = Polynomial.variable("x0", variables)
+    # operands over prefixes of the universe, as the kernels' callers pass them
+    pool = [rand_poly(rng, variables[:rng.randint(1, dim)], max_degree=3, terms=4) for _ in range(8)]
+    pool += [Polynomial.zero(variables[:1]), Polynomial.constant(Fraction(3, 2), variables)]
+    scales = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    cases = [
+        [],  # the empty sum
+        [(Fraction(2, 3), q * Fraction(1, 2), q * 3)],  # Fractions whose product folds to 1
+        [(1, pool[0], pool[1]), (-1, pool[1], pool[0])],  # full cancellation
+        [(1, pool[2], pool[3]), (Fraction(1, 2), pool[3], pool[2]), (-3, pool[2], pool[3]),
+         (Fraction(3, 2), pool[2], pool[3])],  # cancellation spread over four products
+    ]
+    for _ in range(40):
+        cases.append([(rng.choice(scales), rng.choice(pool), rng.choice(pool))
+                      for _ in range(rng.randint(1, 6))])
+    for products in cases:
+        fused = Polynomial._sum_of_products(variables, products)
+        assert fused == dense_sum_of_products(variables, products)
+        _assert_fused(fused, variables)
+    assert Polynomial._sum_of_products(variables, cases[0]).is_zero()
+    assert Polynomial._sum_of_products(variables, cases[1]) == q ** 2
+    assert Polynomial._sum_of_products(variables, cases[2]).is_zero()
+    assert Polynomial._sum_of_products(variables, cases[3]).is_zero()
+
+
+def test_sum_of_products_keeps_the_exponent_guard():
+    variables = ("q", "p")
+    big = Polynomial(variables, {(2**30, 0): 1})
+    q = Polynomial.variable("q", variables)
+    fused = Polynomial._sum_of_products(variables, [(1, big, q), (-1, q, q)])
+    assert fused == dense_sum_of_products(variables, [(1, big, q), (-1, q, q)])
+    for products in ([(1, big, big)], [(1, q, q), (-1, big, big)], [(2, big * q, big)]):
+        with pytest.raises(ValueError, match="not below"):
+            dense_sum_of_products(variables, products)
+        with pytest.raises(ValueError, match="not below"):
+            Polynomial._sum_of_products(variables, products)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 33, 70])
+def test_one_walk_partials_match_one_derivative_per_variable(dim):
+    rng = random.Random(800 + dim)
+    variables = tuple(f"x{i}" for i in range(dim))
+    polys = [Polynomial.zero(variables), Polynomial.constant(Fraction(7, 3), variables),
+             Polynomial(variables, {(3,) + (0,) * (dim - 1): Fraction(1, 3)})]  # partial x0^2, coefficient int 1
+    for max_exponent in (3, EXPONENT_LIMIT - 1):
+        polys += [_sparse_random_poly(rng, variables, max_exponent) for _ in range(10)]
+    polys += [rand_poly(rng, variables, max_degree=4, terms=5) for _ in range(10)]
+    for poly in polys:
+        partials = poly._partials()
+        assert partials == dense_gradient(poly)
+        assert list(partials) == sorted(partials)
+        for partial in partials.values():
+            _assert_fused(partial, variables)
+    assert polys[0]._partials() == {} and polys[1]._partials() == {}
+    assert polys[2]._partials() == {0: Polynomial.variable("x0", variables) ** 2}

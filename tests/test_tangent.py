@@ -45,6 +45,7 @@ from conftest import (
     count_calls,
     dense_vector,
     gl_problem,
+    is_one_form,
     rand_form,
     rand_multivector,
     rand_poly,
@@ -53,6 +54,7 @@ from conftest import (
 from reference import (
     canonical_involution,
     compose,
+    dense_complete_lift,
     dense_lemma_residuals,
     is_identity,
     one_form_prolongation,
@@ -172,7 +174,7 @@ def _complete_lift_form_oracle(tc, omega: DifferentialForm) -> DifferentialForm:
         for k, ck in enumerate(chart.coords):
             d = poly.derivative(ck)
             if not d.is_zero():
-                transported = transported + tc.fiber_poly(ck) * d.with_variables(tc.total.coords)
+                transported = transported + tc.coord_blocks[1][k] * d.with_variables(tc.total.coords)
         if not transported.is_zero():
             terms.append((idx, transported))
         pulled = poly.with_variables(tc.total.coords)
@@ -326,7 +328,7 @@ class TestCompleteLiftVectorField:
             for i in range(n):
                 vertical = tc_qp.total.zero_poly()
                 for k, ck in enumerate(chart_qp.coords):
-                    vertical = vertical + tc_qp.fiber_poly(ck) * x[i].derivative(
+                    vertical = vertical + tc_qp.coord_blocks[1][k] * x[i].derivative(
                         ck
                     ).with_variables(tc_qp.total.coords)
                 comps.append(vertical)
@@ -519,6 +521,30 @@ def _compose_calls(monkeypatch, command: str) -> list:
         (report,) = run_checks(catalog(name), command)
         assert report.verdict == "pass"
     return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9, 17, 33])
+def test_complete_lift_kernel_matches_the_dense_formula(dim):
+    # the key shift moves one unit from field k to field n + k; with 33
+    # base coordinates the v block starts past bit 1024 of a key
+    rng = random.Random(600 + dim)
+    base = Chart("R", tuple(f"x{k}" for k in range(dim)))
+    tc = tangent_chart(base)
+    x0 = base.coord_poly("x0")
+    polys = [base.zero_poly(), base.constant_poly(Fraction(5, 3)),
+             x0 ** 2 * Fraction(1, 2),  # 1/2 x0^2 lifts to x0*v_x0, coefficient int 1
+             x0 ** 3 * Fraction(2, 3) - x0 * 7]
+    polys += [rand_poly(rng, base.coords, max_degree=4, terms=5) for _ in range(12)]
+    # a universe that is a proper prefix of the base, and one in another order
+    polys += [rand_poly(rng, base.coords[:max(1, dim // 2)]) for _ in range(3)]
+    polys += [rand_poly(rng, tuple(reversed(base.coords))) for _ in range(3)]
+    for f in polys:
+        lifted = tangent._complete_lift_poly(tc, f)
+        assert lifted == dense_complete_lift(tc, f)
+        assert lifted.variables == tc.total.coords
+        assert all(is_one_form(c) for c in lifted.terms.values())
+    assert tangent._complete_lift_poly(tc, polys[1]).is_zero()
+    assert tangent._complete_lift_poly(tc, polys[2]) == x0 * tc.coord_blocks[1][0]
 
 
 def test_verify_lift_composes_no_polynomials(monkeypatch):
