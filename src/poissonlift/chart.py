@@ -25,11 +25,13 @@ coordinate their polynomial uses, and pairs the two lists of each
 coordinate i.  Each component is differentiated only by the variables it
 uses, [A, A] computes A . A once, and missing components are zero and are
 never built.  All partials of a component come from one walk over its
-terms (``_gradient``).  The wedge, the interior product and the Lie
-derivative of forms file their products ``scale * a * b`` by index and sum
-each index's list in one term map (``_Tensor._from_products``); the
-Schouten bracket sums its products with ``from_terms``, which keeps the
-term order of the ``+`` chain that its tests compare.
+terms (``_gradient``).  The wedge, the interior product, the Lie
+derivative of forms and the Schouten bracket file their products
+``scale * a * b`` by index and sum each index's list in one term map
+(``_Tensor._from_products``), which keeps the term order of the ``+``
+chain that the Schouten tests compare (see ``poly``).  ``from_terms``, which the parser and
+``exterior_derivative`` use, files each term as a product with the chart's
+unit polynomial, so ``_from_products`` is the one sort-and-group loop.
 """
 
 from __future__ import annotations
@@ -169,24 +171,18 @@ class _Tensor:
         """Assemble from possibly unsorted, possibly repeating index tuples of
         length ``degree`` into the chart's coordinates."""
         _check_degree(chart, degree)
-        acc: dict[Index, Polynomial] = {}
-        for idx, poly in terms:
-            sorted_idx = _sort_index(idx)
-            if sorted_idx is None:
-                continue
-            key, sign = sorted_idx
-            add = poly.with_variables(chart.coords)
-            if sign < 0:
-                add = -add
-            acc[key] = acc[key] + add if key in acc else add
-        return cls._make(chart, degree, {k: p for k, p in acc.items() if not p.is_zero()})
+        one = chart.constant_poly(1)
+        products = [(tuple(idx), 1, poly.with_variables(chart.coords), one) for idx, poly in terms]
+        return cls._from_products(chart, degree, products)
 
     @classmethod
     def _from_products(cls, chart: Chart, degree: int,
                        products: Iterable[tuple[Index, int | Fraction, Polynomial, Polynomial]]):
-        """``from_terms`` for terms ``scale * a * b`` whose factors are over the
-        chart's coordinates: the products filed under one index are summed by
-        one ``Polynomial._sum_of_products``."""
+        """Assemble terms ``scale * a * b`` under possibly unsorted, possibly
+        repeating index tuples of length ``degree``, whose factors are over
+        prefixes of the chart's coordinates: each index is sorted with its
+        sign, and the products filed under one index are summed by one
+        ``Polynomial._sum_of_products``."""
         grouped: dict[Index, list] = {}
         for idx, scale, a, b in products:
             if len(idx) > 1:
@@ -433,18 +429,15 @@ def _schouten_half(a: Multivector, b: Multivector) -> Multivector:
             b_partials.setdefault(i, []).append((idx_b, partial))
     # dA/dxi_i for each such i: the stored components of A that carry i, in
     # A's order; the left odd partial drops i from idx_a with sign (-1)^pos
-    a_partials: dict[int, list[tuple[Index, Polynomial]]] = {}
+    a_partials: dict[int, list[tuple[Index, int, Polynomial]]] = {}
     for idx_a, poly_a in a._components.items():
         for pos, i in enumerate(idx_a):
             if i in b_partials:
                 a_partials.setdefault(i, []).append((idx_a[:pos] + idx_a[pos + 1:],
-                                                      -poly_a if pos % 2 else poly_a))
-    terms = []
-    for i in sorted(a_partials):
-        for rest, left in a_partials[i]:
-            for idx_b, partial in b_partials[i]:
-                terms.append((rest + idx_b, left * partial))
-    return Multivector.from_terms(chart, deg, terms)
+                                                      -1 if pos % 2 else 1, poly_a))
+    products = [(rest + idx_b, sign, poly_a, partial) for i in sorted(a_partials)
+                for rest, sign, poly_a in a_partials[i] for idx_b, partial in b_partials[i]]
+    return Multivector._from_products(chart, deg, products)
 
 
 def schouten_bracket(a: Multivector, b: Multivector) -> Multivector:

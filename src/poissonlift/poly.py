@@ -48,13 +48,15 @@ coefficients in their one form.  ``_make`` takes ownership of that dict;
 no term map is mutated once a polynomial holds it, so polynomials share
 them freely.  A sum of products ``sum scale * a * b``, the shape of every
 contraction in the package, is built by the internal
-``Polynomial._sum_of_products(variables, products)``: all products are
-added into one term map, whose coefficients are folded to their one form
-and whose zeros are dropped once, at the end, and the exponent guard is
-checked once, as ``*`` checks it.  Its operands are over prefixes of
-``variables``, so their keys add as they are; the result has the value of
-the chain of ``*`` and ``+`` calls, though not always its term order, which
-no printed or sampled value reads.
+``Polynomial._sum_of_products(variables, products)``, the one loop that
+multiplies terms; ``*`` is its sum of one product.  All products are added
+into one term map: a key whose coefficient cancels is deleted at once and
+appended again if it comes back, as the ``+`` chain does, coefficients are
+folded to their one form once, at the end, and the exponent guard is
+checked once.  Its operands are over prefixes of ``variables``, so their
+keys add as they are.  The result has the value of the chain of ``*`` and
+``+`` calls and, unless a running sum cancels inside one product, its term
+order too; no printed or sampled value reads that order.
 
 For printing, terms are ordered graded-lexicographically (total degree first,
 then exponents against the variable order), highest first.  The printed form
@@ -184,14 +186,10 @@ class Polynomial:
     def used_variables(self) -> tuple[str, ...]:
         """The variables that occur in some term, in universe order; the
         partial derivative by any other variable of the universe is zero."""
-        used, names = 0, []
+        used = 0
         for key in self._terms:
-            used |= key
-        while used:  # one pass per used variable, lowest field first
-            i = ((used & -used).bit_length() - 1) // W
-            names.append(self.variables[i])
-            used &= ~(_FIELD << (i * W))
-        return tuple(names)
+            used |= key  # a field of the OR is set iff some key sets it
+        return tuple(self.variables[i] for i, _ in _fields(used))
 
     # -- variable universe handling ----------------------------------------
 
@@ -280,27 +278,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         a, b = self._aligned(self, self._coerce(other, self.variables))
-        terms: dict[int, Rational] = {}
-        for ka, ca in a._terms.items():
-            for kb, cb in b._terms.items():
-                key = ka + kb
-                c = terms.get(key)
-                if c is None:
-                    terms[key] = ca * cb
-                else:
-                    c += ca * cb
-                    if c:
-                        terms[key] = c
-                    else:
-                        del terms[key]
-        used = 0
-        for key, c in terms.items():
-            used |= key
-            if type(c) is not int and c.denominator == 1:
-                terms[key] = c.numerator
-        if used & _guard(len(a.variables)):
-            raise ValueError(f"a product exponent is not below {EXPONENT_LIMIT}")
-        return Polynomial._make(a.variables, terms)
+        return Polynomial._sum_of_products(a.variables, ((1, a, b),))
 
     __rmul__ = __mul__
 
@@ -311,36 +289,50 @@ class Polynomial:
 
         Trusted like ``_make``: ``variables`` are distinct and every operand's
         universe is a prefix of them, so the keys of ``a`` and ``b`` add as
-        they are.  Coefficients are folded to their one form and zeros dropped
-        once, at the end; as in ``__mul__``, a product exponent that reaches
-        the guard is a ``ValueError``."""
-        acc: dict[int, Rational] = {}
-        get = acc.get
+        they are.  A key whose coefficient cancels is deleted at once and
+        appended again if it comes back, as the ``+`` chain deletes it;
+        coefficients are folded to their one form once, at the end, and a
+        product exponent that reaches the guard is a ``ValueError``."""
+        terms: dict[int, Rational] = {}
+        get = terms.get
         for scale, a, b in products:
             b_terms = b._terms.items()
             for ka, ca in a._terms.items():
-                ca *= scale
+                if scale != 1:
+                    ca *= scale
                 for kb, cb in b_terms:
                     key = ka + kb
-                    acc[key] = get(key, 0) + ca * cb
-        terms: dict[int, Rational] = {}
+                    c = get(key)
+                    if c is None:
+                        terms[key] = ca * cb
+                    else:
+                        c += ca * cb
+                        if c:
+                            terms[key] = c
+                        else:
+                            del terms[key]
         used = 0
-        for key, c in acc.items():
+        for key, c in terms.items():
             used |= key
-            if c:
-                terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
+            if type(c) is not int and c.denominator == 1:
+                terms[key] = c.numerator
         if used & _guard(len(variables)):
             raise ValueError(f"a product exponent is not below {EXPONENT_LIMIT}")
         return cls._make(variables, terms)
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        """Square-and-multiply over the bits of ``exponent``, highest first:
+        about 2 log2(exponent) products, each partial power a power of at
+        most ``exponent``, so a power below the guard never meets it."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integers only")
         if exponent == 0:
             return Polynomial.constant(1, self.variables)
         result = self
-        for _ in range(exponent - 1):
-            result = result * self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- calculus and evaluation -------------------------------------------
@@ -365,17 +357,11 @@ class Polynomial:
         ascending order, from one walk over the set fields of each key."""
         parts: dict[int, dict[int, Rational]] = {}
         for key, coeff in self._terms.items():
-            rest = key
-            while rest:
-                shift = (rest & -rest).bit_length() - 1
-                shift -= shift % W
-                e = (rest >> shift) & _FIELD
-                rest -= e << shift
+            for i, e in _fields(key):
                 c = coeff * e
-                i = shift // W
                 if i not in parts:
                     parts[i] = {}
-                parts[i][key - (1 << shift)] = c if type(c) is int or c.denominator != 1 else c.numerator
+                parts[i][key - (1 << (i * W))] = c if type(c) is int or c.denominator != 1 else c.numerator
         vs = self.variables
         return {i: Polynomial._make(vs, parts[i]) for i in sorted(parts)}
 

@@ -58,7 +58,6 @@ from .report import CheckReport, Statement, make_report
 from .tangent import (
     CoordinateMap,
     TangentChart,
-    base_pullback,
     complete_lift_bivector,
     complete_lift_vf,
     i_T,
@@ -304,14 +303,15 @@ def characteristic_identity_residuals(r: Resolved) -> dict[str, DifferentialForm
     ideal generated by the c_j."""
     pg, tc, c = r.pg, r.tc, r.comomenta
     b = pg.bialgebra
+    one = tc.total.constant_poly(1)
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
-        rhs = DifferentialForm.zero(tc.total, 1)
+        # a base component already is a polynomial on TM (see poly)
+        products = [(idx, 1, twist, one) for idx, twist in r.twists[i]._components.items()]
         for (j, k), gamma in b.cobracket_row(i).items():
-            pulled_k = base_pullback(tc, pg.images[k])
-            pulled_j = base_pullback(tc, pg.images[j])
-            rhs = rhs + (pulled_k * c[j] - pulled_j * c[k]) * gamma
-        residuals[f"characteristic[{b.basis[i]}]"] = r.twists[i] - rhs
+            products.extend((idx, -gamma, c[j], phi) for idx, phi in pg.images[k]._components.items())
+            products.extend((idx, gamma, c[k], phi) for idx, phi in pg.images[j]._components.items())
+        residuals[f"characteristic[{b.basis[i]}]"] = DifferentialForm._from_products(tc.total, 1, products)
     return residuals
 
 

@@ -22,6 +22,12 @@ The library computes the Koszul bracket in Cartan form from the held
 differentials; ``dense_koszul`` takes the defining formula with two
 coordinate Lie derivatives, walking every coordinate index, and pairs by
 hand, so it shares no kernel with that route.
+
+The library files every product of a characteristic identity row into one
+term map, reading the base components of the images as polynomials on TM;
+``chained_characteristic_residuals`` pulls each image back with
+``base_pullback``, derives its own twists and comomenta, and sums the row
+with the tensor ``*``, ``+`` and ``-``.
 """
 
 from __future__ import annotations
@@ -33,9 +39,13 @@ from poissonlift import (
     DifferentialForm,
     Multivector,
     Polynomial,
+    Resolved,
     TangentChart,
+    base_pullback,
     bundle_chart,
     d_T,
+    exterior_derivative,
+    i_T,
     tangent,
 )
 from poissonlift.errors import ChartMismatchError, DegreeError
@@ -204,3 +214,21 @@ def dense_koszul(bivector: Multivector, alpha: DifferentialForm,
     first = dense_lie_one_form(pi_alpha, beta)
     second = dense_lie_one_form(dense_sharp(bivector, beta), alpha)
     return first - second - dense_d(DifferentialForm.from_poly(chart, value))
+
+
+def chained_characteristic_residuals(r: Resolved) -> dict[str, DifferentialForm]:
+    """i_T(d phi_i) - sum_(j<k) gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j),
+    with tau* = ``base_pullback`` and one tensor operator call at a time."""
+    pg, tc = r.pg, r.tc
+    b = pg.bialgebra
+    c = [i_T(tc, form).as_poly() for form in pg.images]
+    residuals = {}
+    for i in range(b.dim):
+        rhs = DifferentialForm.zero(tc.total, 1)
+        for (j, k), gamma in b.cobracket_row(i).items():
+            pulled_k = base_pullback(tc, pg.images[k])
+            pulled_j = base_pullback(tc, pg.images[j])
+            rhs = rhs + (pulled_k * c[j] - pulled_j * c[k]) * gamma
+        twist = i_T(tc, exterior_derivative(pg.images[i]))
+        residuals[f"characteristic[{b.basis[i]}]"] = twist - rhs
+    return residuals

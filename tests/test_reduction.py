@@ -52,7 +52,7 @@ from poissonlift import (
     tangent_generator_check,
     tangent_generator_direct,
 )
-from poissonlift import _linalg
+from poissonlift import _linalg, tangent
 from poissonlift.cli import run_checks
 from poissonlift.errors import ChartMismatchError, DimensionMismatchError, LevelSetError
 from poissonlift.reduction import (
@@ -68,10 +68,12 @@ from conftest import (
     gl_problem,
     integer_points,
     momentum_map,
+    rand_form,
     rand_fraction,
+    rand_multivector,
     rand_poly,
 )
-from reference import dense_bracket, dense_koszul
+from reference import chained_characteristic_residuals, dense_bracket, dense_koszul
 
 
 @pytest.fixture
@@ -348,6 +350,39 @@ class TestCharacteristicIdentity:
         assert "cocycle-axiom[e2]" in dict(cert.residuals)
         residuals = characteristic_identity_residuals(Resolved(pi, pg))
         assert not residuals["characteristic[e2]"].is_zero()
+
+    def test_aff1_matches_the_pullback_chain(self):
+        problem = catalog("aff1-cobracket")
+        r = Resolved(problem.poisson, problem.pgmap)
+        assert characteristic_identity_residuals(r) == chained_characteristic_residuals(r)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rows_match_the_pullback_chain(self, seed):
+        # the *_residuals functions take no certification step, so random
+        # images and cobracket rows need not satisfy either axiom
+        rng = random.Random(900 + seed)
+        chart = Chart("M", ("x", "y", "z"))
+        basis = ("e1", "e2", "e3")
+        pairs = [(j, k) for j in range(3) for k in range(j + 1, 3)]
+        rows = {i: {pair: rand_fraction(rng) for pair in pairs if rng.random() < 0.7} for i in range(3)}
+        pg = PGMap(LieBialgebra(basis, {}, rows), chart,
+                   tuple(rand_form(rng, chart, 1, max_degree=3) for _ in basis))
+        r = Resolved(PoissonStructure(rand_multivector(rng, chart, 2)), pg)
+        fused = characteristic_identity_residuals(r)
+        assert fused == chained_characteristic_residuals(r)
+        total = r.tc.total.coords
+        assert all(poly.variables == total for form in fused.values() for poly in form.components.values())
+
+    def test_reads_base_components_without_pullback(self, monkeypatch):
+        # a row pulled both images of each cobracket pair back along TM -> M
+        # and summed them with the tensor operators: 2 calls on aff1-cobracket
+        problem = catalog("aff1-cobracket")
+        r = Resolved(problem.poisson, problem.pgmap)
+        r.twists, r.comomenta  # their owners pull back through i_T
+        calls = count_calls(monkeypatch, tangent, "base_pullback")
+        residuals = characteristic_identity_residuals(r)
+        assert all(form.is_zero() for form in residuals.values())
+        assert calls == []
 
 
 class TestHamiltonianComomentum:
