@@ -36,7 +36,6 @@ unit polynomial, so ``_from_products`` is the one sort-and-group loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -47,17 +46,25 @@ from .poly import Polynomial
 Index = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Chart:
     """A named chart of R^n with ordered coordinate symbols."""
 
-    name: str
-    coords: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
+    def __init__(self, name: str, coords: Iterable[str]):
+        self.name = name
+        self.coords = tuple(coords)
         if len(set(self.coords)) != len(self.coords):
             raise ValueError(f"coordinate names must be distinct in {self.name}: {self.coords}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.name == other.name and self.coords == other.coords)
+
+    def __hash__(self):
+        return hash((self.name, self.coords))
+
+    def __repr__(self):
+        return f"Chart(name={self.name!r}, coords={self.coords!r})"
 
     @property
     def dim(self) -> int:
@@ -377,14 +384,18 @@ def interior_product(field: Multivector, omega: DifferentialForm) -> Differentia
     return DifferentialForm._from_products(omega.chart, omega.degree - 1, products)
 
 
-def _lie_derivative_form(field: Multivector, omega: DifferentialForm) -> DifferentialForm:
+def _lie_derivative_form(field: Multivector, omega: DifferentialForm,
+                         dx: dict[int, dict[int, Polynomial]] | None = None) -> DifferentialForm:
     """L_X(w_I dx^I) = X(w_I) dx^I + w_I sum_a dx^(i_1) ^ .. ^ d(X^(i_a)) ^ ..,
     with d(X^i) = sum_k d_k X^i dx^k, in one pass over the stored components.
-    Each field component is differentiated at most once, when an index of
-    omega first asks for it; repeated indices vanish in ``_from_products``."""
+    ``dx`` holds the gradient of the field component X^i under i, when the
+    caller keeps them across calls; otherwise each component is
+    differentiated at most once, when an index of omega first asks for it.
+    Repeated indices vanish in ``_from_products``."""
     chart = omega.chart
     x = field._components
-    dx: dict[int, dict[int, Polynomial]] = {}
+    if dx is None:
+        dx = {}
     products = []
     for idx, w in omega._components.items():
         products.extend((idx, 1, x[(k,)], partial)

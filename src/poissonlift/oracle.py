@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,21 +38,29 @@ DEFAULT_FD_STEP = Fraction(1, 10**6)
 FD_TOLERANCE = 1e-6  # guarded relative error threshold for derivative checks
 
 
-@dataclass(frozen=True)
 class SamplePlan:
     """Deterministic sampling plan: how many points, from which seed, and
     the interval ``box = (lo, hi)`` that every coordinate is drawn from."""
 
-    count: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    box: tuple[Fraction, Fraction] = DEFAULT_BOX
-
-    def __post_init__(self):
-        if self.count <= 0:
+    def __init__(self, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
+                 box: tuple[Fraction, Fraction] = DEFAULT_BOX):
+        if count <= 0:
             raise ValueError("sample count must be positive")
-        lo, hi = self.box
+        lo, hi = box
         if lo > hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
+        self.count, self.seed, self.box = count, seed, box
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.count, self.seed, self.box) == (other.count, other.seed, other.box)
+
+    def __hash__(self):
+        return hash((self.count, self.seed, self.box))
+
+    def __repr__(self):
+        return f"SamplePlan(count={self.count!r}, seed={self.seed!r}, box={self.box!r})"
 
     def stream(self, nvars: int, limit: int | None = None) -> tuple[int, list[tuple[int, ...]]]:
         """The plan's point stream, or its first ``limit`` points when that

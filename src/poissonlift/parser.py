@@ -21,7 +21,6 @@ terms of a literal must have the same degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -32,11 +31,22 @@ from .poly import EXPONENT_LIMIT, Polynomial
 _OPS = set("+-*^/()")
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # int | ident | op | end
-    text: str
-    pos: int
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # int | ident | op | end
+        self.text = text
+        self.pos = pos
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.text, self.pos) == (other.kind, other.text, other.pos)
+
+    def __hash__(self):
+        return hash((self.kind, self.text, self.pos))
+
+    def __repr__(self):
+        return f"_Token(kind={self.kind!r}, text={self.text!r}, pos={self.pos!r})"
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -38,7 +38,6 @@ both differentials; a caller bracketing many pairs of one family
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -55,7 +54,6 @@ from .errors import ChartMismatchError, DegreeError
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
 class PoissonStructure:
     """A bivector field together with an exact Jacobi verdict.
 
@@ -65,11 +63,18 @@ class PoissonStructure:
     failing the identity can still be carried around for negative tests,
     but operations that need a Poisson structure refuse them."""
 
-    bivector: Multivector
-
-    def __post_init__(self):
-        if self.bivector.degree != 2:
+    def __init__(self, bivector: Multivector):
+        if bivector.degree != 2:
             raise DegreeError("a Poisson structure is a degree-2 multivector")
+        self.bivector = bivector
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bivector == other.bivector
+
+    def __repr__(self):
+        return f"PoissonStructure(bivector={self.bivector!r})"
 
     @cached_property
     def jacobiator(self) -> Multivector:
@@ -160,7 +165,6 @@ def _koszul(beta: DifferentialForm, pi_alpha: Multivector, pi_beta: Multivector,
     return out
 
 
-@dataclass(frozen=True)
 class SymplecticForm:
     """A closed 2-form with its Poisson structure, the exact inverse bivector.
 
@@ -169,19 +173,26 @@ class SymplecticForm:
     pi# . omega_flat the identity bundle map.
     """
 
-    two_form: DifferentialForm
-    poisson: PoissonStructure
-
-    def __post_init__(self):
-        if self.two_form.degree != 2:
+    def __init__(self, two_form: DifferentialForm, poisson: PoissonStructure):
+        self.two_form = two_form
+        self.poisson = poisson
+        if two_form.degree != 2:
             raise DegreeError("symplectic data consists of a 2-form and a bivector")
-        if self.two_form.chart != self.poisson.chart:
+        if two_form.chart != poisson.chart:
             raise ChartMismatchError("symplectic data on different charts")
         closed = exterior_derivative(self.two_form)
         if not closed.is_zero():
             raise ValueError(f"two-form is not closed: d(omega) = {closed}")
         if not self._pairing_is_identity():
             raise ValueError("two-form and bivector component matrices are not mutual inverses")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.two_form, self.poisson) == (other.two_form, other.poisson)
+
+    def __repr__(self):
+        return f"SymplecticForm(two_form={self.two_form!r}, poisson={self.poisson!r})"
 
     def _pairing_is_identity(self) -> bool:
         """pi# . omega_flat = id on every coordinate field, which is the

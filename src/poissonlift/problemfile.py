@@ -9,7 +9,6 @@ loader all read it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
@@ -23,19 +22,31 @@ from .reduction import PGMap, require_zero_level
 from .tangent import CoordinateMap, check_names
 
 
-@dataclass
 class ProblemFile:
-    name: str
-    chart: Chart
-    poisson: PoissonStructure  # the declared one, or the symplectic form's
-    symplectic: SymplecticForm | None = None
-    bialgebra: LieBialgebra | None = None
-    pgmap: PGMap | None = None
-    momentum: CoordinateMap | None = None  # J: M -> g*
-    action: tuple[Multivector, ...] | None = None
-    levelset: CoordinateMap | None = None
-    plan: SamplePlan = SamplePlan()
-    fd_step: Fraction = DEFAULT_FD_STEP
+    def __init__(self, name: str, chart: Chart, poisson: PoissonStructure,
+                 symplectic: SymplecticForm | None = None, bialgebra: LieBialgebra | None = None,
+                 pgmap: PGMap | None = None, momentum: CoordinateMap | None = None,
+                 action: tuple[Multivector, ...] | None = None, levelset: CoordinateMap | None = None,
+                 plan: SamplePlan = SamplePlan(), fd_step: Fraction = DEFAULT_FD_STEP):
+        self.name = name
+        self.chart = chart
+        self.poisson = poisson  # the declared one, or the symplectic form's
+        self.symplectic = symplectic
+        self.bialgebra = bialgebra
+        self.pgmap = pgmap
+        self.momentum = momentum  # J: M -> g*
+        self.action = action
+        self.levelset = levelset
+        self.plan = plan
+        self.fd_step = fd_step
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "ProblemFile(" + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
 
 def _at(line: int | None, prefix: str, parse: Callable, *args):
@@ -247,11 +258,19 @@ def oracle_value(key: str, text: str, source: str):
 # -- raw block scanner ---------------------------------------------------------
 
 
-@dataclass
 class _Block:
-    name: str
-    line: int
-    entries: list[tuple[int, str]]
+    def __init__(self, name: str, line: int, entries: list[tuple[int, str]]):
+        self.name = name
+        self.line = line
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.line, self.entries) == (other.name, other.line, other.entries)
+
+    def __repr__(self):
+        return f"_Block(name={self.name!r}, line={self.line!r}, entries={self.entries!r})"
 
 
 _BRACES = re.compile(r"([{}])")

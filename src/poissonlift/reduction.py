@@ -28,7 +28,6 @@ controls observe the nonzero residuals of such a map through the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -65,24 +64,31 @@ from .tangent import (
 )
 
 
-@dataclass(frozen=True)
 class PGMap:
     """Linear map from a bialgebra into 1-forms, stored as basis images."""
 
-    bialgebra: LieBialgebra
-    chart: Chart
-    images: tuple[DifferentialForm, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.bialgebra.dim:
+    def __init__(self, bialgebra: LieBialgebra, chart: Chart, images: tuple[DifferentialForm, ...]):
+        if len(images) != bialgebra.dim:
             raise DimensionMismatchError(
-                f"{len(self.images)} images for bialgebra of dim {self.bialgebra.dim}"
+                f"{len(images)} images for bialgebra of dim {bialgebra.dim}"
             )
-        for form in self.images:
-            if form.chart != self.chart:
+        for form in images:
+            if form.chart != chart:
                 raise ChartMismatchError("image form lives on the wrong chart")
             if form.degree != 1:
                 raise DegreeError("images must be 1-forms")
+        self.bialgebra = bialgebra
+        self.chart = chart
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.bialgebra, self.chart, self.images)
+                == (other.bialgebra, other.chart, other.images))
+
+    def __repr__(self):
+        return f"PGMap(bialgebra={self.bialgebra!r}, chart={self.chart!r}, images={self.images!r})"
 
     @cached_property
     def differentials(self) -> tuple[DifferentialForm, ...]:

@@ -18,7 +18,6 @@ Serialized form, one record per report, ``schema: 1`` once at the top:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,20 +28,33 @@ SCHEMA_VERSION = 1
 _VERDICTS = ("pass", "fail", "informative")
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    check_id: str
-    identity: str
-    verdict: str
-    residuals: tuple[tuple[str, str], ...] = ()
-    samples: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self):
-        if self.verdict not in _VERDICTS:
+    def __init__(self, check_id: str, identity: str, verdict: str,
+                 residuals: tuple[tuple[str, str], ...] = (),
+                 samples: tuple[tuple[str, float], ...] = ()):
+        if verdict not in _VERDICTS:
             raise ValueError(f"verdict must be one of {_VERDICTS}")
-        for name, text in self.residuals:
+        for name, text in residuals:
             if "\n" in name or "\n" in text:
                 raise ValueError("residual entries must be single-line")
+        self.check_id = check_id
+        self.identity = identity
+        self.verdict = verdict
+        self.residuals = residuals
+        self.samples = samples
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.check_id, self.identity, self.verdict, self.residuals, self.samples)
+                == (other.check_id, other.identity, other.verdict, other.residuals, other.samples))
+
+    def __hash__(self):
+        return hash((self.check_id, self.identity, self.verdict, self.residuals, self.samples))
+
+    def __repr__(self):
+        return (f"CheckReport(check_id={self.check_id!r}, identity={self.identity!r}, "
+                f"verdict={self.verdict!r}, residuals={self.residuals!r}, samples={self.samples!r})")
 
     @property
     def passed(self) -> bool:

@@ -17,8 +17,9 @@ Grabowski-Urbanski 1995): the degree -1 derivation i_T is the contraction
 with T, so it kills functions and sends a 1-form theta to the fiber-linear
 function sum_j theta_j(q) v_j, and the degree 0 derivation d_T = [i_T, d] is
 the Lie derivative along T, which on a function f is f^c = v_k d_k f.  Both
-are the chart kernels ``interior_product`` and ``lie_derivative``; the
-latter computes d_T by the coordinate formula for L_T in one pass, and the
+are chart kernels: ``interior_product``, and the form kernel of
+``lie_derivative``, which computes d_T by the coordinate formula for L_T in
+one pass, reading the partials of the v_j that the tangent chart holds; the
 tests keep i_T d + d i_T as its reference.  The complete lift of a verified
 Poisson bivector is
 
@@ -44,7 +45,6 @@ which takes its partials from the chart's one-walk gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .chart import (
@@ -52,8 +52,8 @@ from .chart import (
     DifferentialForm,
     Multivector,
     _gradient,
+    _lie_derivative_form,
     interior_product,
-    lie_derivative,
 )
 from .errors import (
     ChartMismatchError,
@@ -100,12 +100,23 @@ def bundle_chart(base: Chart, kind: str) -> Chart:
     return Chart(f"{kind}{base.name}", tuple(pre + c for pre in _BLOCKS[kind] for c in base.coords))
 
 
-@dataclass(frozen=True)
 class TangentChart:
     """Base chart together with its tangent-bundle chart (q, v)."""
 
-    base: Chart
-    total: Chart
+    def __init__(self, base: Chart, total: Chart):
+        self.base = base
+        self.total = total
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.total) == (other.base, other.total)
+
+    def __hash__(self):
+        return hash((self.base, self.total))
+
+    def __repr__(self):
+        return f"TangentChart(base={self.base!r}, total={self.total!r})"
 
     @property
     def dim(self) -> int:
@@ -130,6 +141,12 @@ class TangentChart:
         n = self.dim
         return Multivector._make(self.total, 1, {(j,): self.coord_polys[n + j] for j in range(n)})
 
+    @cached_property
+    def tautological_partials(self) -> dict[int, dict[int, Polynomial]]:
+        """The gradient of each component v_j of ``tautological``, keyed by
+        j, taken on first use and then kept for every ``d_T``."""
+        return {j: _gradient(self.total, v) for j, v in self.coord_blocks[1].items()}
+
 
 def tangent_chart(base: Chart) -> TangentChart:
     """Attach fiber coordinates v_<c>; rejects bases that break :func:`check_names`."""
@@ -137,22 +154,28 @@ def tangent_chart(base: Chart) -> TangentChart:
     return TangentChart(base, bundle_chart(base, "T"))
 
 
-@dataclass(frozen=True)
 class CoordinateMap:
     """Polynomial map between charts: one component per target coordinate,
     written in source coordinates."""
 
-    source: Chart
-    target: Chart
-    components: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.target.dim:
+    def __init__(self, source: Chart, target: Chart, components: tuple[Polynomial, ...]):
+        if len(components) != target.dim:
             raise DimensionMismatchError(
-                f"{len(self.components)} components for target of dim {self.target.dim}"
+                f"{len(components)} components for target of dim {target.dim}"
             )
-        object.__setattr__(self, "components",
-                           tuple(p.with_variables(self.source.coords) for p in self.components))
+        self.source = source
+        self.target = target
+        self.components = tuple(p.with_variables(source.coords) for p in components)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.components)
+                == (other.source, other.target, other.components))
+
+    def __repr__(self):
+        return (f"CoordinateMap(source={self.source!r}, target={self.target!r}, "
+                f"components={self.components!r})")
 
     def jacobian(self) -> list[list[Polynomial]]:
         """Entry [a][k] = d(component_a)/d(source_k)."""
@@ -212,7 +235,7 @@ def d_T(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
     computed as the chart's coordinate Lie derivative along the tautological
     field; on a function it is f^c = v_k d_k f, which the Hamiltonian
     comomentum check compares with i_T(df)."""
-    return lie_derivative(tc.tautological, base_pullback(tc, omega))
+    return _lie_derivative_form(tc.tautological, base_pullback(tc, omega), tc.tautological_partials)
 
 
 # -- complete lifts -----------------------------------------------------------

@@ -8,7 +8,9 @@ under hypothesis in the per-module suites.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
 import sys
 import types
 from fractions import Fraction
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import poissonlift
 from poissonlift import (
     Chart,
     CoordinateMap,
@@ -125,6 +128,15 @@ def dense_vector(tensor) -> list[Polynomial]:
     stored."""
     zero = tensor.chart.zero_poly()
     return [tensor.components.get((i,), zero) for i in range(tensor.chart.dim)]
+
+
+def run_child(script: str, *args: str) -> str:
+    """Stdout of ``script`` run by a fresh interpreter that imports this
+    package from the tree under test."""
+    src = str(Path(poissonlift.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-B", "-c", script, *args],
+                          env=env, capture_output=True, text=True, check=True).stdout
 
 
 def count_calls(monkeypatch, owner, name: str) -> list[tuple]:

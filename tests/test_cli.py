@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
+import copy
 import io
 import math
 import random
@@ -568,7 +568,8 @@ class TestMainEntry:
 )
 def test_command_without_its_block(command, block):
     # canonical-r2-rotation has every block a command can need
-    problem = dataclasses.replace(catalog("canonical-r2-rotation"), **{block: None})
+    problem = copy.copy(catalog("canonical-r2-rotation"))
+    setattr(problem, block, None)
     with pytest.raises(ParseError, match=f"^problem 'canonical-r2-rotation' has no {block} block$"):
         run_checks(problem, command)
 
@@ -694,16 +695,19 @@ def test_lemma_sides_stay_on_separate_kernels(monkeypatch):
     # called _complete_lift_poly would share a wrong lift with the other side.
     # The lift is a key shift: it differentiates nothing, while d_T takes its
     # partials from the gradient kernel, so no differentiation code is shared
-    depth, lifts = [0], []
-    lie, lift = chart.lie_derivative, tangent._complete_lift_poly
+    depth, lifts, entered = [0], [], []
+    lift = tangent._complete_lift_poly
     inside_lift, partials = [0], {"derivative": [], "_partials": []}
 
-    def traced_lie(*args):
-        depth[0] += 1
-        try:
-            return lie(*args)
-        finally:
-            depth[0] -= 1
+    def traced_lie(lie):
+        def traced(*args):
+            entered.append(lie.__name__)
+            depth[0] += 1
+            try:
+                return lie(*args)
+            finally:
+                depth[0] -= 1
+        return traced
 
     def traced_lift(*args):
         lifts.append(depth[0])
@@ -717,16 +721,29 @@ def test_lemma_sides_stay_on_separate_kernels(monkeypatch):
         method = getattr(Polynomial, name)
         return lambda poly, *args: partials[name].append(inside_lift[0]) or method(poly, *args)
 
-    for key, mod in list(sys.modules.items()):
-        if key.startswith("poissonlift") and getattr(mod, "lie_derivative", None) is lie:
-            monkeypatch.setattr(mod, "lie_derivative", traced_lie)
+    # d_T calls the form kernel with the tangent chart's held partials
+    for name in ("lie_derivative", "_lie_derivative_form"):
+        lie = getattr(chart, name)
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("poissonlift") and getattr(mod, name, None) is lie:
+                monkeypatch.setattr(mod, name, traced_lie(lie))
     monkeypatch.setattr(tangent, "_complete_lift_poly", traced_lift)
     for name in partials:
         monkeypatch.setattr(Polynomial, name, traced_partial(name))
     run_checks(parse_problem(gl_problem(3)), "verify-lemma")
-    assert lifts and set(lifts) == {0}
+    assert "_lie_derivative_form" in entered and lifts and set(lifts) == {0}
     assert partials["_partials"] and set(partials["_partials"]) == {0}
     assert set(partials["derivative"]) <= {0}
+
+
+def test_verify_lemma_differentiates_each_tautological_component_once(monkeypatch):
+    # d_T took the gradient of every v_j again on each of the d + d^2 probes:
+    # 180 _gradient calls on gl(3), 90 of them on a v_j; held per tangent
+    # chart, the v_j take 9 and the probes' components the other 90
+    problem = parse_problem(gl_problem(3))
+    gradients = count_calls(monkeypatch, chart, "_gradient")
+    run_checks(problem, "verify-lemma")
+    assert len(gradients) <= 99
 
 
 def test_symplectic_builds_its_pgmap_once(monkeypatch):
@@ -849,7 +866,7 @@ def test_oracle_fd_draws_only_the_points_it_reads(monkeypatch, count):
     # oracle-fd reads one plan point per polynomial (30 on gl(3)), cycling
     # through the stream when it is shorter; it drew the whole stream
     problem = parse_problem(gl_problem(3))
-    plan = dataclasses.replace(problem.plan, count=count)
+    plan = SamplePlan(count, problem.plan.seed, problem.plan.box)
     draw = SamplePlan.stream
     drawn, read = [], []
     limited = True

@@ -10,18 +10,15 @@ import functools
 import importlib
 import io
 import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import poissonlift
 from poissonlift import catalog_names
 
-from conftest import gl_problem, load_bench
+from conftest import gl_problem, load_bench, run_child
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,22 +58,13 @@ print(json.dumps({name: sorted(keys) for name, keys in tracer.distinct.items()})
 """
 
 
-def _run_child(script: str, *args: str) -> str:
-    """Stdout of ``script`` run by a fresh interpreter that imports this
-    package from the tree under test."""
-    src = str(Path(poissonlift.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-B", "-c", script, *args],
-                          env=env, capture_output=True, text=True, check=True).stdout
-
-
 def test_bench_distinct_keys_print_no_address(tmp_path):
     """The benchmark counts a traced function's distinct arguments by their
     ``repr``; an argument printed with its address, such as a ``Resolved``,
     would make that count wrong, as a later object can reuse the address."""
     gl3 = tmp_path / "gl3.pf"
     gl3.write_text(gl_problem(3), encoding="utf-8")
-    distinct = json.loads(_run_child(_TRACE_SCRIPT, str(ROOT / "bench" / "spans.py"),
+    distinct = json.loads(run_child(_TRACE_SCRIPT, str(ROOT / "bench" / "spans.py"),
                                      str(gl3), "aff1-cobracket", "so3-coadjoint"))
     assert distinct["reduction.pgmap_residuals"] and distinct["chart.jacobi"]
     assert [key for keys in distinct.values() for key in keys if " at 0x" in key] == []
@@ -155,7 +143,7 @@ def test_every_exported_function_is_called_by_a_command(tmp_path):
     report = str(tmp_path / "report.txt")
     runs = [["all", problem, "--report", report] for problem in problems]
     runs.append(["all", problems[0], "--samples", "5", "--seed", "2", "--box=-1,1", "--fd-step", "1/100"])
-    found = json.loads(_run_child(_CALLER_SCRIPT, json.dumps(runs)))
+    found = json.loads(run_child(_CALLER_SCRIPT, json.dumps(runs)))
     # every kind of member is seen: function, method, property, cached
     # property, class method, static method, and code run at import
     assert {"sharp", "Polynomial.compose", "Chart.dim", "Resolved.tc", "Polynomial.zero",
