@@ -110,12 +110,13 @@ def _cmd_verify_lemma(problem: ProblemFile, r: Resolved, plan: SamplePlan) -> li
     chart, tc = problem.chart, r.tc
     coefficients = {"": chart.constant_poly(1)}
     coefficients.update({f"{ck}*": chart.coord_poly(ck) for ck in chart.coords})
+    # each coefficient is a nonzero polynomial over exactly chart.coords
     residuals = {
         f"{label}d{cj}:{name}": poly
         for j, cj in enumerate(chart.coords)
         for label, coefficient in coefficients.items()
         for name, poly in one_form_lift_residuals(
-            tc, DifferentialForm(chart, 1, {(j,): coefficient})).items()
+            tc, DifferentialForm._make(chart, 1, {(j,): coefficient})).items()
         if not poly.is_zero()
     }
     return [
@@ -274,13 +275,19 @@ def run_checks(problem: ProblemFile, command: str, plan: SamplePlan | None = Non
 
 
 def _load_problem(spec_arg: str) -> ProblemFile:
+    """The problem file at ``spec_arg``, else the catalog entry of that name.
+
+    A file is decoded as UTF-8 after a leading byte-order mark is dropped,
+    which gives the text and the error (a ValueError) of the ``utf-8-sig``
+    codec without importing it; the block scanner's ``str.splitlines``
+    reads CR and CRLF line ends."""
     if os.path.exists(spec_arg):
         try:
-            with open(spec_arg, "r", encoding="utf-8-sig") as handle:
-                text = handle.read()
+            with open(spec_arg, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read problem {spec_arg}: {exc.strerror}") from exc
-        return parse_problem(text, name=spec_arg)
+        return parse_problem(data.removeprefix(b"\xef\xbb\xbf").decode("utf-8"), name=spec_arg)
     if spec_arg in catalog_names():
         return catalog(spec_arg)
     raise UnknownCatalogError(spec_arg, catalog_names())

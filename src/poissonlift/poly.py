@@ -32,9 +32,9 @@ charts, whose coordinates begin with the base's.  Operands over different
 universes meet on the longer one when it extends the other, and otherwise
 on their sorted union.  The universe order is read only where positions
 become names: printing, ``compose`` and ``scaled_values`` walk the set
-fields of each key (:func:`_fields`), so their cost follows the variables a
-term uses, not the length of the universe, and sampled values follow the
-universe order too.  Only the public constructor, the ``terms`` view and
+fields of each key (printing in its own loop, the others through
+:func:`_fields`), so their cost follows the variables a term uses, not the
+length of the universe, and sampled values follow the universe order too.  Only the public constructor, the ``terms`` view and
 the reference evaluation ``substitute`` read dense exponent tuples.
 
 Construction has three paths.  The public constructor ``Polynomial(variables,
@@ -260,6 +260,8 @@ class Polynomial:
         a, b = self._aligned(self, self._coerce(other, self.variables))
         if not b._terms:
             return a
+        if a._terms == b._terms:  # the two sides of an identity that holds
+            return Polynomial._make(a.variables, {})
         terms = dict(a._terms)
         for key, coeff in b._terms.items():
             c = terms.get(key)
@@ -460,31 +462,39 @@ class Polynomial:
         if not self._terms:
             return "0"
         names, last = self.variables, (len(self.variables) - 1) * W
-        # graded lex on (degree, exponents repacked with variable 0 in the
-        # most significant field): every field is below 2^W, so that int
-        # orders as the dense exponent tuples do
+        # one walk over the set fields of each key gives the total degree,
+        # the exponents repacked with variable 0 in the most significant
+        # field (every field is below 2^W, so that int orders as the dense
+        # exponent tuples do: graded lex) and the factor text
         rows = []
         for key, coeff in self._terms.items():
-            fields = _fields(key)
-            rows.append((sum(e for _, e in fields), sum(e << (last - i * W) for i, e in fields),
-                         fields, coeff))
+            degree = glex = 0
+            factors = []
+            while key:
+                shift = (key & -key).bit_length() - 1
+                shift -= shift % W
+                e = (key >> shift) & _FIELD
+                key -= e << shift
+                degree += e
+                glex += e << (last - shift)
+                name = names[shift // W]
+                factors.append(name if e == 1 else f"{name}^{e}")
+            rows.append((degree, glex, "*".join(factors), coeff))
         rows.sort(reverse=True)
         chunks: list[str] = []
-        for _, _, fields, coeff in rows:
-            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in fields]
-            if not factors:
+        for _, _, product, coeff in rows:
+            if not product:
                 text = str(coeff)
             elif coeff == 1:
-                text = "*".join(factors)
+                text = product
             elif coeff == -1:
-                text = "-" + "*".join(factors)
+                text = "-" + product
             else:
-                text = str(coeff) + "*" + "*".join(factors)
+                text = str(coeff) + "*" + product
+            if chunks:
+                text = " - " + text[1:] if text[0] == "-" else " + " + text
             chunks.append(text)
-        out = chunks[0]
-        for text in chunks[1:]:
-            out += " - " + text[1:] if text.startswith("-") else " + " + text
-        return out
+        return "".join(chunks)
 
     def __str__(self) -> str:
         return self.to_string()

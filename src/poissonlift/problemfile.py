@@ -83,7 +83,8 @@ def _coords(text: str, env) -> Chart:
 def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
     """Parse ``2 e1^e2 - 1/2 e2^e3`` style combinations.
 
-    Returns a dict keyed by basis index (wedge=False) or ordered index pair.
+    Returns a dict keyed by basis index (wedge=False) or ordered index pair;
+    the sums are ints, and a Fraction enters only with a written ``a/b``.
     """
     tokens = _tokenize(text)
     result: dict = {}
@@ -92,26 +93,26 @@ def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
     def err(msg):
         raise ValueError(f"{msg} in {text!r}")
 
-    sign = Fraction(1)
+    sign = 1
     expect_term = True
     while tokens[i].kind != "end":
         tok = tokens[i]
         if tok.kind == "op" and tok.text in "+-":
-            sign = Fraction(1) if tok.text == "+" else Fraction(-1)
+            sign = 1 if tok.text == "+" else -1
             i += 1
             expect_term = True
             continue
         if not expect_term:
             err("expected '+' or '-' between terms")
-        coeff = Fraction(1)
+        coeff = 1
         if tok.kind == "int":
-            coeff = Fraction(int(tok.text))
+            coeff = int(tok.text)
             i += 1
             if tokens[i].kind == "op" and tokens[i].text == "/":
                 i += 1
                 if tokens[i].kind != "int":
                     err("expected integer denominator")
-                coeff /= int(tokens[i].text)
+                coeff = Fraction(coeff, int(tokens[i].text))
                 i += 1
             if tokens[i].kind == "op" and tokens[i].text == "*":
                 i += 1
@@ -137,8 +138,8 @@ def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
             key = (first, second)
         else:
             key = first
-        result[key] = result.get(key, Fraction(0)) + sign * coeff
-        sign = Fraction(1)
+        result[key] = result.get(key, 0) + sign * coeff
+        sign = 1
         expect_term = False
     if expect_term and result:
         err("dangling sign")
@@ -330,14 +331,34 @@ def _scan_blocks(text: str) -> dict[str, _Block]:
 # -- the loader --------------------------------------------------------------------
 
 
+def _holes(pattern: str, written: str) -> tuple[str, ...] | None:
+    """The names in the ``{}`` holes of ``pattern`` as ``written`` fills
+    them, stripped of blanks, or None when ``written`` does not have the
+    pattern's shape.  A hole ends at the first occurrence of the text that
+    follows it, so ``[e1, e2, e3]`` fills ``[{},{}]`` with ``e1`` and
+    ``e2, e3``, which the loader then refuses as a basis name."""
+    head, *separators, tail = pattern.split("{}")
+    if not (written.startswith(head) and written.endswith(tail)):
+        return None
+    rest = written[len(head):len(written) - len(tail)]
+    holes = []
+    for separator in separators:
+        hole, found, rest = rest.partition(separator)
+        if not found:
+            return None
+        holes.append(hole.strip())
+    holes.append(rest.strip())
+    return tuple(holes)
+
+
 def _entry_map(block: _Block) -> dict:
     """The block's entries as key -> (line, value text).  A key is a key name,
-    or for a pattern key the tuple of names in its holes; an unknown or
-    repeated key is an error."""
+    or for a pattern key the tuple of names in its holes (see ``_holes``); an
+    unknown or repeated key, and a written key without the pattern's shape,
+    are errors."""
     spec = _SCHEMA[block.name]
     if spec.sep == "=":
-        (pattern,) = spec.keys  # a hole matches any name, with blanks around it
-        regex = re.compile(r"\s*(.*?)\s*".join(map(re.escape, pattern.split("{}"))))
+        (pattern,) = spec.keys
     out: dict = {}
     for lineno, line in block.entries:
         if spec.sep not in line:
@@ -345,11 +366,10 @@ def _entry_map(block: _Block) -> dict:
         written, _, value = line.partition(spec.sep)
         key = written = written.strip()
         if spec.sep == "=":
-            match = regex.fullmatch(written)
-            if match is None:
+            key = _holes(pattern, written)
+            if key is None:
                 example = pattern.format("e1", "e2")
                 raise ParseError(f"{block.name} entries look like '{example} = ...': {line!r}", line=lineno)
-            key = match.groups()
         elif key not in spec.keys:
             raise ParseError(f"unknown key {key!r} in {block.name!r}", line=lineno)
         if key in out:

@@ -16,13 +16,13 @@ that computes it once and passes it on.  ``PGMap.differentials`` holds the
 d(phi_i), which both axioms read: (i) through the Koszul bracket in Cartan
 form, (ii) as its left side.  The ``Resolved`` value that the lifted checks
 take holds the base generators pi#(phi_i), the axiom residuals, the c_i,
-their Hamiltonian fields X_(c_i) on TM, the twists i_T(d phi_i) and the
-lifted generators, and lifts pi.  A lifted check whose prerequisites fail
-(pi not Poisson, the bialgebra not verified or, past ``certify_pgmap``, a
-map with a nonzero axiom residual) returns its ``fail`` report with one
-``unverified-input`` residual naming the first that fails.  Negative
-controls observe the nonzero residuals of such a map through the
-``*_residuals`` functions, which take no certification step.
+their differentials dc_i and Hamiltonian fields X_(c_i) on TM, the twists
+i_T(d phi_i) and the lifted generators, and lifts pi.  A lifted check whose
+prerequisites fail (pi not Poisson, the bialgebra not verified or, past
+``certify_pgmap``, a map with a nonzero axiom residual) returns its
+``fail`` report with one ``unverified-input`` residual naming the first
+that fails.  Negative controls observe the nonzero residuals of such a map
+through the ``*_residuals`` functions, which take no certification step.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .poisson import (
     SymplecticForm,
     _koszul,
     differential,
-    hamiltonian_vf,
     pairing,
     sharp,
 )
@@ -148,7 +147,8 @@ class Resolved:
     checks derive from them, each member computed on first use and then kept:
     the tangent chart ``tc``, the complete lift ``pi_tm``, the base generators
     ``sharps``, the axiom residuals ``certification``, the comomenta
-    ``comomenta``, their Hamiltonian fields ``hamiltonians``, the twists
+    ``comomenta``, their differentials ``dc`` and Hamiltonian fields
+    ``hamiltonians``, the twists
     ``twists`` and the lifted ``generators``.
     ``pi_tm`` is built only from a ``pi`` whose Jacobi verdict is true, and
     the complete lift preserves the Schouten bracket, so no check computes
@@ -186,9 +186,14 @@ class Resolved:
         return tuple(comomentum_components(self.pg, self.tc))
 
     @cached_property
+    def dc(self) -> tuple[DifferentialForm, ...]:
+        """The differentials dc_i on TM, one per basis element."""
+        return tuple(differential(self.tc.total, c) for c in self.comomenta)
+
+    @cached_property
     def hamiltonians(self) -> tuple[Multivector, ...]:
         """The Hamiltonian fields X_(c_i) = pi_TM#(dc_i), one per basis element."""
-        return tuple(hamiltonian_vf(self.pi_tm, c) for c in self.comomenta)
+        return tuple(sharp(self.pi_tm, d) for d in self.dc)
 
     @cached_property
     def twists(self) -> tuple[DifferentialForm, ...]:
@@ -248,10 +253,10 @@ def comomentum_components(pg: PGMap, tc: TangentChart) -> list[Polynomial]:
 
 def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
     """{c_i, c_j}_TM - c_[e_i, e_j] for every ordered basis pair, with
-    {c_i, c_j}_TM = <dc_j, X_(c_i)> read from ``Resolved.hamiltonians``."""
+    {c_i, c_j}_TM = <dc_j, X_(c_i)> read from ``Resolved.dc`` and
+    ``Resolved.hamiltonians``."""
     b = r.pg.bialgebra
-    tc, c = r.tc, r.comomenta
-    dc = [differential(tc.total, c_j) for c_j in c]
+    tc, c, dc = r.tc, r.comomenta, r.dc
     one = tc.total.constant_poly(1)
     residuals: dict[str, Polynomial] = {}
     for i in range(b.dim):

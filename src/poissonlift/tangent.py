@@ -349,7 +349,9 @@ def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[s
     Each side is four sparse blocks, base index -> component: T(theta) =
     (q, theta, v, theta^c) in alpha's block order against the covector
     d_T(theta) = (q, v, dq-, dv-coefficients).  A slot neither side fills is
-    zero on both; a block both take from one object needs no subtraction."""
+    zero on both; a block both take from one object needs no subtraction,
+    and ``Polynomial.__sub__`` gives equal components zero without copying
+    either term map."""
     if theta.chart != tc.base or theta.degree != 1:
         raise DegreeError("prolongation takes a 1-form on the base chart")
     n = tc.dim

@@ -28,10 +28,14 @@ term map, reading the base components of the images as polynomials on TM;
 ``chained_characteristic_residuals`` pulls each image back with
 ``base_pullback``, derives its own twists and comomenta, and sums the row
 with the tensor ``*``, ``+`` and ``-``.
+
+The problem-file loader splits a pattern key such as ``[{},{}]`` with
+``str.partition``; ``regex_key_holes`` reads it with a regular expression.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 from poissonlift import (
@@ -232,3 +236,12 @@ def chained_characteristic_residuals(r: Resolved) -> dict[str, DifferentialForm]
         twist = i_T(tc, exterior_derivative(pg.images[i]))
         residuals[f"characteristic[{b.basis[i]}]"] = twist - rhs
     return residuals
+
+
+def regex_key_holes(pattern: str, written: str) -> tuple[str, ...] | None:
+    """The holes of the problem-file key ``pattern`` as the stripped key
+    ``written`` fills them, or None when it does not match: each ``{}``
+    matches the shortest text, with any blanks around it."""
+    regex = re.compile(r"\s*(.*?)\s*".join(map(re.escape, pattern.split("{}"))))
+    match = regex.fullmatch(written)
+    return None if match is None else match.groups()

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import copy
 import io
+import json
 import math
 import random
 import re
@@ -20,9 +21,10 @@ from poissonlift import catalog, catalog_names, emit_reports, parse_problem, par
 from poissonlift import LieBialgebra, Polynomial, SamplePlan, chart, cli, poisson, reduction, tangent
 from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
-from poissonlift.problemfile import _SCHEMA
+from poissonlift.problemfile import _SCHEMA, _Block, _entry_map
 
-from conftest import CUBIC_EDITS, QUADRATIC, count_calls, gl_problem
+from conftest import CUBIC_EDITS, QUADRATIC, count_calls, gl_problem, run_child
+from reference import regex_key_holes
 
 COUNTEREXAMPLE = """
 manifold {
@@ -197,6 +199,58 @@ oracle { samples: 7
         assert capsys.readouterr().err.startswith(f"error: bad {flag} ")
 
 
+_BLANKS = ("", " ", "  ", "\t", "\u00a0")
+
+
+def _key_spellings(rng: random.Random, pattern: str, count: int) -> list[str]:
+    """Spellings of a pattern key: blanks (U+00A0 among them) around its
+    holes, inner blanks, empty holes and commas in them, and one opening or
+    closing character dropped or doubled, or one comma put in anywhere."""
+    holes = ("e1", "e2", "", "e 1", "e\u00a02", "e1,e2", ",")
+    head, *separators, tail = pattern.split("{}")
+    spellings = []
+    for _ in range(count):
+        text = head
+        for literal in (*separators, tail):
+            text += rng.choice(_BLANKS) + rng.choice(holes) + rng.choice(_BLANKS) + literal
+        edit = rng.randrange(6)
+        if edit == 1:
+            text = text[1:]
+        elif edit == 2:
+            text = text[:-1]
+        elif edit == 3:
+            text = text[:1] + text
+        elif edit == 4:
+            text += text[-1:]
+        elif edit == 5:
+            cut = rng.randrange(len(text) + 1)
+            text = text[:cut] + "," + text[cut:]
+        spellings.append(text)
+    return spellings
+
+
+@pytest.mark.parametrize("block", ["bracket", "cocycle", "pgmap"])
+def test_key_holes_match_the_regex_reference(block):
+    # the loader splits a pattern key with str.partition; the regular
+    # expression it once compiled per block is the reference
+    (pattern,) = _SCHEMA[block].keys
+    rng = random.Random(1507)
+    outcomes = set()
+    for written in _key_spellings(rng, pattern, 300):
+        line = rng.choice(_BLANKS) + written + rng.choice(_BLANKS) + "= e1"
+        expected = regex_key_holes(pattern, written.strip())
+        outcomes.add(expected is None)
+        if expected is None:
+            example = pattern.format("e1", "e2")
+            with pytest.raises(ParseError) as err:
+                _entry_map(_Block(block, 4, [(4, line)]))
+            assert str(err.value) == f"{block} entries look like '{example} = ...': {line!r} (line 4)"
+        else:
+            assert _entry_map(_Block(block, 4, [(4, line)])) == {expected: (4, "e1")}, line
+    # the pgmap key '{}' takes any text; the others meet both outcomes
+    assert outcomes == ({False} if block == "pgmap" else {False, True})
+
+
 class TestSchema:
     """The schema table is read in an order that puts companions first, and
     docs/problem-file-format.md names every block, key and companion rule of
@@ -268,6 +322,32 @@ def test_byte_order_mark_and_crlf_read_as_the_original(tmp_path, capsys, path, v
     copy.write_bytes(b"\xef\xbb\xbf" + data if variant == "bom" else data.replace(b"\n", b"\r\n"))
     assert main(["all", str(copy)]) == code
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_a_file_that_is_not_utf8_exits_2_with_the_decoders_message(tmp_path, capsys, bom):
+    # the byte position counts from after a byte-order mark
+    path = tmp_path / "latin1.pf"
+    path.write_bytes(bom + b"manifold {\n coords: q, p\xff\n}\n")
+    assert main(["all", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte\n")
+
+
+_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+from poissonlift import cli
+loaded = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["all", path]) for path in sys.argv[1:]]
+print(json.dumps([codes, sorted(set(sys.modules) - loaded)]))
+"""
+
+
+def test_all_on_a_file_imports_nothing_beyond_the_cli():
+    # reading the file through the utf-8-sig codec imported encodings.utf_8_sig
+    paths = [str(path) for path in sorted(_CONFORMANCE.glob("valid/*.pf"))]
+    assert json.loads(run_child(_IMPORTS_SCRIPT, *paths)) == [[0] * len(paths), []]
 
 
 def _load(source: str):
@@ -687,6 +767,17 @@ def test_all_computes_the_comomenta_once(monkeypatch):
     calls = count_calls(monkeypatch, reduction, "comomentum_components")
     run_checks(problem, "all")
     assert [args[0] for args in calls] == [problem.pgmap]
+
+
+def test_all_differentiates_each_comomentum_once(monkeypatch):
+    # Resolved.hamiltonians and bracket_closure_residuals read Resolved.dc;
+    # each took dc_i for itself before, 18 differentials on TM on gl(3)
+    problem = parse_problem(gl_problem(3))
+    total = tangent.tangent_chart(problem.chart).total
+    calls = count_calls(monkeypatch, poisson, "differential")
+    reports = run_checks(problem, "all")
+    assert [rep.check_id for rep in reports if rep.verdict == "fail"] == []
+    assert sum(on == total for on, _ in calls) == 9
 
 
 def test_lemma_sides_stay_on_separate_kernels(monkeypatch):

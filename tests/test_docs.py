@@ -122,6 +122,7 @@ UNCALLED = {
     "parse_reports": "reads back the report files the CLI writes",
     "koszul_bracket": "the benchmark traces it (bench/spans.py)",
     "poisson_bracket": "the benchmark traces it (bench/spans.py)",
+    "hamiltonian_vf": "the benchmark traces it (bench/spans.py)",
     "SamplePlan.points": "the benchmark traces it (bench/spans.py)",
     "Polynomial.substitute": "the benchmark's polynomial micro rows time it (bench/worker.py)",
     "Polynomial.terms": "the public constructor's form, which substitute and the benchmark's "

@@ -92,6 +92,12 @@ class TestArithmetic:
         b = Polynomial.variable("a")
         assert (a + b).variables == ("a", "q")
 
+    def test_equal_sides_over_a_prefix_universe_subtract_to_zero_on_the_longer(self):
+        short = P("q^2 - 1/2*q", "q")
+        long = P("q^2 - 1/2*q", "q", "p")
+        for difference in (short - long, long - short):
+            assert difference.is_zero() and difference.variables == ("q", "p")
+
     def test_power(self):
         assert P("q") ** 3 == P("q^3")
         with pytest.raises(ValueError):
