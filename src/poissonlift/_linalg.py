@@ -53,7 +53,10 @@ def invert(mat) -> Matrix:
 def rank(mat: list[list[int]]) -> int:
     """Rank of an integer matrix by Bareiss elimination (Math. Comp. 22,
     1968): after r pivots every entry below them is an (r+1)-minor, so the
-    division by the previous pivot is exact and entries stay integers."""
+    division by the previous pivot is exact and entries stay integers.  A
+    single row or column has rank 1 exactly when some entry is nonzero."""
+    if len(mat) == 1 or mat and len(mat[0]) == 1:
+        return int(any(map(any, mat)))
     a = [list(row) for row in mat]
     rows, cols = len(a), len(a[0]) if a else 0
     r, prev = 0, 1

@@ -29,9 +29,8 @@ terms (``_gradient``).  The wedge, the interior product, the Lie
 derivative of forms and the Schouten bracket file their products
 ``scale * a * b`` by index and sum each index's list in one term map
 (``_Tensor._from_products``), which keeps the term order of the ``+``
-chain that the Schouten tests compare (see ``poly``).  ``from_terms``, which the parser and
-``exterior_derivative`` use, files each term as a product with the chart's
-unit polynomial, so ``_from_products`` is the one sort-and-group loop.
+chain that the Schouten tests compare (see ``poly``); so does
+``from_terms``, for ``exterior_derivative``.
 """
 
 from __future__ import annotations

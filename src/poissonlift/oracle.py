@@ -70,12 +70,20 @@ class SamplePlan:
         denominator = GRID_RESOLUTION * math.lcm(lo.denominator, hi.denominator)
         # lo + (hi - lo) * k / GRID_RESOLUTION = (base + step * k) / D
         base, step = int(lo * denominator), int((hi - lo) * (denominator // GRID_RESOLUTION))
-        rng = random.Random(self.seed)
-        count = self.count if limit is None else min(limit, self.count)
-        return denominator, [
-            tuple(base + step * rng.randrange(GRID_RESOLUTION + 1) for _ in range(nvars))
-            for _ in range(count)
-        ]
+        # k is rng.randrange(GRID_RESOLUTION + 1), drawn inline as randrange
+        # draws it: getrandbits of the bound's bit length until one is in range
+        getrandbits = random.Random(self.seed).getrandbits
+        bits = (GRID_RESOLUTION + 1).bit_length()
+        points = []
+        for _ in range(self.count if limit is None else min(limit, self.count)):
+            point = []
+            for _ in range(nvars):
+                k = getrandbits(bits)
+                while k > GRID_RESOLUTION:
+                    k = getrandbits(bits)
+                point.append(base + step * k)
+            points.append(tuple(point))
+        return denominator, points
 
     def points(self, nvars: int, limit: int | None = None) -> list[tuple[Fraction, ...]]:
         """The deterministic rational point stream for this plan, or its

@@ -16,7 +16,7 @@ from .bialgebra import LieBialgebra
 from .chart import Chart, Multivector
 from .errors import ParseError, UnknownCatalogError
 from .oracle import DEFAULT_BOX, DEFAULT_FD_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, SamplePlan
-from .parser import _tokenize, parse_form, parse_multivector, parse_poly
+from .parser import _tokenize, is_identifier, parse_form, parse_multivector, parse_poly
 from .poisson import PoissonStructure, SymplecticForm
 from .reduction import PGMap, require_zero_level
 from .tangent import CoordinateMap, check_names
@@ -66,10 +66,14 @@ def _at(line: int | None, prefix: str, parse: Callable, *args):
 # under their key (``coords`` holds the chart), block values under the block.
 
 
-def _names(text: str, env=None) -> tuple[str, ...]:
+def _names(text: str, env=None, identifiers: bool = True) -> tuple[str, ...]:
+    """Comma-separated entries, none empty; with ``identifiers``, names literals can read."""
     names = tuple(part.strip() for part in text.split(","))
     if "" in names:
         raise ValueError(f"empty entry in {text!r}")
+    for name in names if identifiers else ():
+        if not is_identifier(name):
+            raise ValueError(f"{name!r} is not an identifier")
     return names
 
 
@@ -95,45 +99,45 @@ def _combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
 
     sign = 1
     expect_term = True
-    while tokens[i].kind != "end":
-        tok = tokens[i]
-        if tok.kind == "op" and tok.text in "+-":
-            sign = 1 if tok.text == "+" else -1
+    while tokens[i][0] != "end":
+        kind, word, _ = tokens[i]
+        if word in ("+", "-"):
+            sign = 1 if word == "+" else -1
             i += 1
             expect_term = True
             continue
         if not expect_term:
             err("expected '+' or '-' between terms")
         coeff = 1
-        if tok.kind == "int":
-            coeff = int(tok.text)
+        if kind == "int":
+            coeff = int(word)
             i += 1
-            if tokens[i].kind == "op" and tokens[i].text == "/":
+            if tokens[i][1] == "/":
                 i += 1
-                if tokens[i].kind != "int":
+                if tokens[i][0] != "int":
                     err("expected integer denominator")
-                coeff = Fraction(coeff, int(tokens[i].text))
+                coeff = Fraction(coeff, int(tokens[i][1]))
                 i += 1
-            if tokens[i].kind == "op" and tokens[i].text == "*":
+            if tokens[i][1] == "*":
                 i += 1
-        tok = tokens[i]
-        if tok.kind != "ident":
+        kind, word, _ = tokens[i]
+        if kind != "ident":
             if coeff == 0:
                 expect_term = False
                 continue  # a bare 0 term
             err("expected a basis symbol")
-        if tok.text not in names:
-            err(f"unknown basis symbol {tok.text!r}")
-        first = names.index(tok.text)
+        if word not in names:
+            err(f"unknown basis symbol {word!r}")
+        first = names.index(word)
         i += 1
         if wedge:
-            if not (tokens[i].kind == "op" and tokens[i].text == "^"):
+            if tokens[i][1] != "^":
                 err("expected '^' between basis symbols")
             i += 1
-            tok = tokens[i]
-            if tok.kind != "ident" or tok.text not in names:
+            kind, word, _ = tokens[i]
+            if kind != "ident" or word not in names:
                 err("expected a basis symbol after '^'")
-            second = names.index(tok.text)
+            second = names.index(word)
             i += 1
             key = (first, second)
         else:
@@ -164,7 +168,7 @@ def _positive(convert: Callable[[str], Any]):
 
 
 def _interval(text: str, env) -> tuple[Fraction, Fraction]:
-    pieces = _names(text)
+    pieces = _names(text, identifiers=False)
     if len(pieces) != 2:
         raise ValueError("box takes 'lo, hi'")
     lo, hi = Fraction(pieces[0]), Fraction(pieces[1])

@@ -212,10 +212,10 @@ def _complete_lift_poly(tc: TangentChart, poly: Polynomial) -> Polynomial:
 
 
 def base_pullback(tc: TangentChart, omega: DifferentialForm) -> DifferentialForm:
-    """Pull a form on the base back along TM -> M (components unchanged)."""
+    """Pull a form on the base back along TM -> M (components keep their term maps)."""
     _require_base(tc, omega)
     coords = tc.total.coords
-    pulled = {k: p.with_variables(coords) for k, p in omega._components.items()}
+    pulled = {k: Polynomial._make(coords, p._terms) for k, p in omega._components.items()}
     return DifferentialForm._make(tc.total, omega.degree, pulled)
 
 
@@ -344,14 +344,14 @@ def verify_tangent_lift_identity(pi: PoissonStructure, candidate: PoissonStructu
 
 def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[str, Polynomial]:
     """Residual of alpha . T(theta) = d_T(theta) on the T*TM coordinates
-    where the two sides can differ, in coordinate order.
+    where the two sides differ, in coordinate order.
 
     Each side is four sparse blocks, base index -> component: T(theta) =
     (q, theta, v, theta^c) in alpha's block order against the covector
     d_T(theta) = (q, v, dq-, dv-coefficients).  A slot neither side fills is
-    zero on both; a block both take from one object needs no subtraction,
-    and ``Polynomial.__sub__`` gives equal components zero without copying
-    either term map."""
+    zero on both, a block both take from one object is equal on both, and
+    any other slot is kept when the term maps of its sides differ, which a
+    base polynomial and a TM one show as they are (see ``poly``)."""
     if theta.chart != tc.base or theta.degree != 1:
         raise DegreeError("prolongation takes a 1-form on the base chart")
     n = tc.dim
@@ -366,5 +366,7 @@ def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[s
     for prefix, lhs, rhs in zip(_BLOCKS["T*T"], (prolonged[b] for b in _ALPHA_ORDER), covector):
         if lhs is not rhs:
             for j in sorted(lhs.keys() | rhs.keys()):
-                residuals[prefix + tc.base.coords[j]] = lhs.get(j, zero) - rhs.get(j, zero)
+                left, right = lhs.get(j, zero), rhs.get(j, zero)
+                if left._terms != right._terms:
+                    residuals[prefix + tc.base.coords[j]] = left - right
     return residuals

@@ -31,14 +31,23 @@ with the tensor ``*``, ``+`` and ``-``.
 
 The problem-file loader splits a pattern key such as ``[{},{}]`` with
 ``str.partition``; ``regex_key_holes`` reads it with a regular expression.
+
+The library reads a literal straight into term maps.  ``ReferenceParser``
+builds a ``Polynomial`` for every token and combines them with the binary
+operators, and ``reference_parse_tensor`` assembles the terms with
+``from_terms``; ``reference_combo`` reads bialgebra combinations token
+object by token object.  ``reference_tokenize`` is a copy of the library's
+tokenizer, so a change to one shows against the other.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
 
 from poissonlift import (
+    Chart,
     CoordinateMap,
     DifferentialForm,
     Multivector,
@@ -52,7 +61,8 @@ from poissonlift import (
     i_T,
     tangent,
 )
-from poissonlift.errors import ChartMismatchError, DegreeError
+from poissonlift.errors import ChartMismatchError, DegreeError, ParseError, UnknownSymbolError
+from poissonlift.poly import EXPONENT_LIMIT
 
 from conftest import dense_matrix, dense_vector
 
@@ -245,3 +255,280 @@ def regex_key_holes(pattern: str, written: str) -> tuple[str, ...] | None:
     regex = re.compile(r"\s*(.*?)\s*".join(map(re.escape, pattern.split("{}"))))
     match = regex.fullmatch(written)
     return None if match is None else match.groups()
+
+
+class Token(NamedTuple):
+    kind: str  # int | ident | op | end
+    text: str
+    pos: int
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(Token("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*^/()":
+            tokens.append(Token("op", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", position=i)
+    tokens.append(Token("end", "", n))
+    return tokens
+
+
+class ReferenceParser:
+    """Recursive descent that builds a ``Polynomial`` per token."""
+
+    def __init__(self, text: str, variables: tuple[str, ...], chart: Chart | None, kind: str | None):
+        self.text = text
+        self.tokens = reference_tokenize(text)
+        self.i = 0
+        self.variables = variables
+        self.chart = chart
+        self.kind = kind  # None | "form" | "multivector"
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> Token:
+        tok = self.peek()
+        if tok.kind != "op" or tok.text != op:
+            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", position=tok.pos)
+        return self.advance()
+
+    def _classify_basis(self, name: str) -> int | None:
+        if self.chart is None:
+            return None
+        if self.kind == "form" and name.startswith("d") and name[1:] in self.chart.coords:
+            return self.chart.index(name[1:])
+        if self.kind == "multivector" and name.startswith("e_") and name[2:] in self.chart.coords:
+            return self.chart.index(name[2:])
+        return None
+
+    def parse_expr(self) -> list[tuple[Polynomial, tuple[int, ...] | None]]:
+        terms = self.parse_sum()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected {tok.text!r}", position=tok.pos)
+        return terms
+
+    def parse_sum(self) -> list[tuple[Polynomial, tuple[int, ...] | None]]:
+        terms = []
+        sign = 1
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in "+-":
+            self.advance()
+            sign = -1 if tok.text == "-" else 1
+        terms.append(self.parse_term(sign))
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.text in "+-":
+                self.advance()
+                terms.append(self.parse_term(-1 if tok.text == "-" else 1))
+            else:
+                return terms
+
+    def parse_term(self, sign: int) -> tuple[Polynomial, tuple[int, ...] | None]:
+        coeff = Polynomial.constant(sign, self.variables)
+        basis: tuple[int, ...] | None = None
+        while True:
+            tok = self.peek()
+            if tok.kind == "ident" and self._classify_basis(tok.text) is not None:
+                if basis is not None:
+                    raise ParseError("use '^' to wedge basis elements", position=tok.pos)
+                basis = self.parse_basis_chain()
+            else:
+                coeff = coeff * self.parse_factor()
+            tok = self.peek()
+            if tok.kind == "op" and tok.text == "*":
+                self.advance()
+                continue
+            break
+        return coeff, basis
+
+    def parse_basis_chain(self) -> tuple[int, ...]:
+        indices = [self.parse_basis_element()]
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.text == "^":
+                self.advance()
+                indices.append(self.parse_basis_element())
+            else:
+                break
+        return tuple(indices)
+
+    def parse_basis_element(self) -> int:
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise ParseError("expected a basis element after '^'", position=tok.pos)
+        idx = self._classify_basis(tok.text)
+        if idx is None:
+            raise ParseError(f"{tok.text!r} is not a basis element of this chart", position=tok.pos)
+        self.advance()
+        return idx
+
+    def parse_factor(self) -> Polynomial:
+        base = self.parse_primary()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            exp_tok = self.peek()
+            if exp_tok.kind != "int":
+                raise ParseError("'^' takes a nonnegative integer literal", position=exp_tok.pos)
+            if int(exp_tok.text) >= EXPONENT_LIMIT:
+                raise ParseError(f"exponent must be below {EXPONENT_LIMIT}", position=exp_tok.pos)
+            self.advance()
+            return base ** int(exp_tok.text)
+        return base
+
+    def parse_primary(self) -> Polynomial:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            value = Fraction(int(tok.text))
+            nxt = self.peek()
+            if nxt.kind == "op" and nxt.text == "/":
+                self.advance()
+                den_tok = self.peek()
+                if den_tok.kind != "int":
+                    raise ParseError("'/' only forms rational literals between integers", position=den_tok.pos)
+                self.advance()
+                if int(den_tok.text) == 0:
+                    raise ParseError("zero denominator", position=den_tok.pos)
+                value = value / int(den_tok.text)
+            return Polynomial.constant(value, self.variables)
+        if tok.kind == "ident":
+            if tok.text not in self.variables:
+                raise UnknownSymbolError(
+                    f"unknown symbol {tok.text!r} at position {tok.pos}; variables are {list(self.variables)}"
+                )
+            self.advance()
+            return Polynomial.variable(tok.text, self.variables)
+        if tok.kind == "op" and tok.text == "(":
+            self.advance()
+            kind, self.kind = self.kind, None  # plain polynomial arithmetic inside
+            inner = sum((coeff for coeff, _ in self.parse_sum()), Polynomial.zero(self.variables))
+            self.kind = kind
+            self.expect_op(")")
+            return inner
+        if tok.kind == "op" and tok.text == "/":
+            raise ParseError("'/' only forms rational literals between integers", position=tok.pos)
+        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", position=tok.pos)
+
+
+def reference_parse_poly(text: str, variables: Iterable[str]) -> Polynomial:
+    vs = tuple(variables)
+    parser = ReferenceParser(text, vs, chart=None, kind=None)
+    return sum((coeff for coeff, _ in parser.parse_expr()), Polynomial.zero(vs))
+
+
+def reference_parse_tensor(text: str, chart: Chart, kind: str, degree: int | None = None):
+    """A ``kind`` ("form" or "multivector") literal, its terms assembled by
+    ``from_terms``."""
+    cls = DifferentialForm if kind == "form" else Multivector
+    terms = ReferenceParser(text, chart.coords, chart=chart, kind=kind).parse_expr()
+    collected: list[tuple[tuple[int, ...], Polynomial]] = []
+    degrees = set()
+    for coeff, basis in terms:
+        if basis is None:
+            if coeff.is_zero():
+                continue  # bare zero constrains no degree
+            degrees.add(0)
+            collected.append(((), coeff))
+        else:
+            degrees.add(len(basis))
+            collected.append((basis, coeff))
+    if len(degrees) > 1:
+        raise DegreeError(f"mixed degrees {sorted(degrees)} in tensor literal {text!r}")
+    found = degrees.pop() if degrees else None
+    if degree is not None and found is not None and degree != found:
+        raise DegreeError(f"expected a degree-{degree} literal, found degree {found}")
+    out_degree = found if found is not None else (degree if degree is not None else 0)
+    return cls.from_terms(chart, out_degree, collected)
+
+
+def reference_combo(text: str, names: tuple[str, ...], wedge: bool) -> dict:
+    """The problem-file loader's ``_combo``: ``2 e1^e2 - 1/2 e2^e3`` as a
+    dict keyed by basis index (wedge=False) or ordered index pair."""
+    tokens = reference_tokenize(text)
+    result: dict = {}
+    i = 0
+
+    def err(msg):
+        raise ValueError(f"{msg} in {text!r}")
+
+    sign = 1
+    expect_term = True
+    while tokens[i].kind != "end":
+        tok = tokens[i]
+        if tok.kind == "op" and tok.text in "+-":
+            sign = 1 if tok.text == "+" else -1
+            i += 1
+            expect_term = True
+            continue
+        if not expect_term:
+            err("expected '+' or '-' between terms")
+        coeff = 1
+        if tok.kind == "int":
+            coeff = int(tok.text)
+            i += 1
+            if tokens[i].kind == "op" and tokens[i].text == "/":
+                i += 1
+                if tokens[i].kind != "int":
+                    err("expected integer denominator")
+                coeff = Fraction(coeff, int(tokens[i].text))
+                i += 1
+            if tokens[i].kind == "op" and tokens[i].text == "*":
+                i += 1
+        tok = tokens[i]
+        if tok.kind != "ident":
+            if coeff == 0:
+                expect_term = False
+                continue  # a bare 0 term
+            err("expected a basis symbol")
+        if tok.text not in names:
+            err(f"unknown basis symbol {tok.text!r}")
+        first = names.index(tok.text)
+        i += 1
+        if wedge:
+            if not (tokens[i].kind == "op" and tokens[i].text == "^"):
+                err("expected '^' between basis symbols")
+            i += 1
+            tok = tokens[i]
+            if tok.kind != "ident" or tok.text not in names:
+                err("expected a basis symbol after '^'")
+            second = names.index(tok.text)
+            i += 1
+            key = (first, second)
+        else:
+            key = first
+        result[key] = result.get(key, 0) + sign * coeff
+        sign = 1
+        expect_term = False
+    if expect_term and result:
+        err("dangling sign")
+    return result

@@ -422,8 +422,8 @@ def test_seeded_edits_end_in_an_exit_code(tmp_path):
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
 def test_largest_power_literal_ends_in_an_exit_code(tmp_path):
-    # q^k took k - 1 products, so q^2147483647 never finished; squaring
-    # takes 60
+    # q^k took k - 1 products, so q^2147483647 never finished; it is one
+    # monomial key now
     path = tmp_path / "huge-power.pf"
     path.write_text("manifold { coords: q, p; poisson: q^2147483647*e_q^e_p }\n", encoding="utf-8")
     previous = signal.signal(signal.SIGALRM, _alarm)

@@ -16,6 +16,7 @@ from poissonlift import (
     sample_residual,
 )
 from poissonlift.errors import DimensionMismatchError, MissingAssignmentError
+from poissonlift.oracle import DEFAULT_BOX, GRID_RESOLUTION
 from poissonlift.report import make_report
 
 from conftest import count_calls, rand_poly
@@ -116,6 +117,21 @@ class TestSampleResidual:
         assert denominator == 4096 * 42
         assert plan.points(2) == [tuple(Fraction(n, denominator) for n in point) for point in numerators]
         assert plan.stream(2, limit=4) == (denominator, numerators[:4])
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2026, -7, 2**70])
+    def test_stream_draws_are_randrange_draws(self, seed):
+        # the inline draw loop gives the numerators of randrange(4097)
+        for nvars, limit, box in [(0, None, DEFAULT_BOX), (1, 3, DEFAULT_BOX), (9, None, DEFAULT_BOX),
+                                  (18, 40, (Fraction(-1, 3), Fraction(5, 7))),
+                                  (4, None, (Fraction(2), Fraction(2)))]:
+            plan = SamplePlan(60, seed, box)
+            denominator, numerators = plan.stream(nvars, limit)
+            rng = random.Random(seed)
+            lo, hi = box
+            expected = [tuple(lo + (hi - lo) * rng.randrange(GRID_RESOLUTION + 1) / GRID_RESOLUTION
+                              for _ in range(nvars)) for _ in range(min(limit or 60, 60))]
+            assert [tuple(Fraction(n, denominator) for n in point) for point in numerators] == expected
+            assert all(type(n) is int for point in numerators for n in point)
 
     def test_limited_stream_is_a_prefix(self):
         plan = SamplePlan(count=10, seed=5)

@@ -630,6 +630,17 @@ class TestIntegerRank:
                 scaled.append([int(x * lcm) for x in row])
             assert _linalg.rank(scaled) == (_fraction_rank(mat) if cols else 0)
 
+    def test_single_row_or_column_against_bareiss(self):
+        # a zero row and a zero column keep the rank and send the matrix
+        # through the elimination that a single row or column skips
+        rng = random.Random(4)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            line = [rng.randint(-9, 9) if rng.random() < 0.4 else 0 for _ in range(n)]
+            for mat in ([line], [[x] for x in line]):
+                padded = [row + [0] for row in mat] + [[0] * (len(mat[0]) + 1)]
+                assert _linalg.rank(mat) == _linalg.rank(padded)
+
     @pytest.mark.parametrize("mat,expected", [
         ([], 0),
         ([[]], 0),

@@ -15,7 +15,6 @@ import pytest
 from poissonlift import catalog
 from poissonlift.chart import Chart
 from poissonlift.oracle import SamplePlan
-from poissonlift.parser import _Token
 from poissonlift.poisson import PoissonStructure, SymplecticForm
 from poissonlift.problemfile import ProblemFile, _Block
 from poissonlift.reduction import PGMap
@@ -55,7 +54,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 VALUE_CLASSES = [
     (Chart, ("name", "coords"), lambda: Chart("M", ["q", "p"])),
     (SamplePlan, ("count", "seed", "box"), lambda: SamplePlan(7, 3, (Fraction(-1, 2), Fraction(1)))),
-    (_Token, ("kind", "text", "pos"), lambda: _Token("int", "12", 4)),
     (PoissonStructure, ("bivector",), lambda: catalog("canonical-r2-rotation").poisson),
     (SymplecticForm, ("two_form", "poisson"), lambda: catalog("canonical-r2-rotation").symplectic),
     (ProblemFile, ("name", "chart", "poisson", "symplectic", "bialgebra", "pgmap", "momentum",
@@ -69,7 +67,7 @@ VALUE_CLASSES = [
     (CoordinateMap, ("source", "target", "components"),
      lambda: catalog("canonical-r2-rotation").momentum),
 ]
-HASHABLE = {Chart, SamplePlan, _Token, CheckReport, TangentChart}
+HASHABLE = {Chart, SamplePlan, CheckReport, TangentChart}
 
 
 @pytest.mark.parametrize("cls, fields, build", VALUE_CLASSES,
