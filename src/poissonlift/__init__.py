@@ -35,16 +35,12 @@ from .problemfile import ProblemFile, catalog, catalog_names, parse_problem
 from .reduction import (
     PGMap,
     Resolved,
-    bracket_closure_check,
-    certify_pgmap,
-    characteristic_identity_check,
     comomentum_components,
-    cotangent_momentum_relation,
+    cotangent_momentum_residuals,
     hamiltonian_pgmap,
-    level_set_tangency_check,
+    level_set_tangency_residuals,
     symplectic_pgmap,
     tangent_generator,
-    tangent_generator_check,
     tangent_generator_direct,
 )
 from .report import CheckReport, emit_reports, make_report, parse_reports
@@ -58,7 +54,6 @@ from .tangent import (
     d_T,
     i_T,
     tangent_chart,
-    verify_tangent_lift_identity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

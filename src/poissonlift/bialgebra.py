@@ -14,9 +14,9 @@ Three exact residual checks certify the data: the bracket Jacobi identity,
 the cocycle compatibility of the cobracket with the adjoint action, and the
 Jacobi identity of the dual bracket, whose rows are the cobracket table
 transposed.  Both Jacobi checks run one kernel that reads stored rows only.
-The three reports are computed once, on first use, and kept in
-``structure_checks``; ``verified`` is their combined verdict, and operations
-downstream refuse unverified inputs.
+The three residual maps are computed once, on first use, and kept in
+``structure_residuals``; ``verified`` says that all three are empty, and
+operations downstream refuse unverified inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .chart import Chart, Multivector
 from .errors import DimensionMismatchError
 from .poisson import PoissonStructure
 from .poly import Rational, rational
-from .report import CheckReport, make_report
 
 PairRow = dict[tuple[int, int], Rational]
 Row = dict[int, Rational]
@@ -93,7 +92,7 @@ class LieBialgebra:
     """Bracket and cobracket constants over a named basis.
 
     The constructor rejects malformed constants; the three structure checks
-    run when ``structure_checks`` or ``verified`` is first read."""
+    run when ``structure_residuals`` or ``verified`` is first read."""
 
     def __init__(self, basis: Sequence[str], brackets: Mapping, cobrackets: Mapping | None = None):
         self.basis = tuple(basis)
@@ -132,14 +131,15 @@ class LieBialgebra:
         self._cobrackets = rows
 
     @cached_property
-    def structure_checks(self) -> tuple[CheckReport, CheckReport, CheckReport]:
-        """The Jacobi, cocycle and co-Jacobi reports, computed on first use."""
+    def structure_residuals(self) -> tuple[dict[str, Rational], ...]:
+        """The nonzero Jacobi, cocycle and co-Jacobi residuals, computed on
+        first use."""
         return self.check_jacobi(), self.check_cocycle(), self.check_cojacobi()
 
     @property
     def verified(self) -> bool:
         """Whether all three structure checks pass."""
-        return all(rep.passed for rep in self.structure_checks)
+        return not any(self.structure_residuals)
 
     # -- accessors -----------------------------------------------------------
 
@@ -158,13 +158,9 @@ class LieBialgebra:
 
     # -- structure checks ------------------------------------------------------
 
-    def check_jacobi(self) -> CheckReport:
+    def check_jacobi(self) -> dict[str, Rational]:
         """Residual sum over cyclic [[e_i, e_j], e_k] for every index triple."""
-        return make_report(
-            "bialgebra-jacobi",
-            "cyclic sum of [[e_i, e_j], e_k] vanishes",
-            _jacobi_residuals(self.basis, self._brackets),
-        )
+        return _jacobi_residuals(self.basis, self._brackets)
 
     def _adjoint_on_pairs(self, i: int, row: PairRow) -> PairRow:
         """ad_(e_i) acting on an element of the exterior square."""
@@ -176,7 +172,7 @@ class LieBialgebra:
                 _wedge_add(acc, j, m, c * cm)
         return _prune(acc)
 
-    def check_cocycle(self) -> CheckReport:
+    def check_cocycle(self) -> dict[str, Rational]:
         """Residual of delta([e_i, e_j]) - ad_i delta(e_j) + ad_j delta(e_i)."""
         residuals: dict[str, Rational] = {}
         for i in range(self.dim):
@@ -193,20 +189,12 @@ class LieBialgebra:
                     residuals[
                         f"cocycle[{self.basis[i]},{self.basis[j]} -> {self.basis[a]}^{self.basis[b]}]"
                     ] = c
-        return make_report(
-            "bialgebra-cocycle",
-            "delta([x, y]) = ad_x delta(y) - ad_y delta(x)",
-            residuals,
-        )
+        return residuals
 
-    def check_cojacobi(self) -> CheckReport:
+    def check_cojacobi(self) -> dict[str, Rational]:
         """Jacobi identity of the dual bracket, whose rows are the cobracket
         table transposed."""
-        return make_report(
-            "bialgebra-cojacobi",
-            "dual bracket from cobracket rows satisfies Jacobi",
-            _jacobi_residuals(self.basis, _transpose(self._cobrackets)),
-        )
+        return _jacobi_residuals(self.basis, _transpose(self._cobrackets))
 
     # -- comparison -------------------------------------------------------------
 

@@ -109,6 +109,33 @@ def rational(value) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
+def rational_text(value: Rational) -> str:
+    """The exact decimal text of a coefficient, ``a`` or ``a/b``, at any
+    size.  ``str`` refuses an integer longer than the interpreter's
+    conversion limit; such a one is printed in pieces, and the limit is
+    left as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        if type(value) is int:
+            return _digits(value)
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """Decimal text of ``n`` from pieces of at most 2000 bits (603 digits),
+    which ``str`` converts under any limit the interpreter accepts (640
+    digits at least): the high part and the zero-padded low part of ``n``
+    split at about half its digits."""
+    if n < 0:
+        return "-" + _digits(-n)
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # 10^k is about the square root of n
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
+
+
 def _universe(variables: Iterable[str]) -> tuple[str, ...]:
     vs = tuple(variables)
     if len(set(vs)) != len(vs):
@@ -484,13 +511,13 @@ class Polynomial:
         chunks: list[str] = []
         for _, _, product, coeff in rows:
             if not product:
-                text = str(coeff)
+                text = rational_text(coeff)
             elif coeff == 1:
                 text = product
             elif coeff == -1:
                 text = "-" + product
             else:
-                text = str(coeff) + "*" + product
+                text = rational_text(coeff) + "*" + product
             if chunks:
                 text = " - " + text[1:] if text[0] == "-" else " + " + text
             chunks.append(text)

@@ -15,14 +15,18 @@ coefficient vector.  Each object derived per basis element has one owner
 that computes it once and passes it on.  ``PGMap.differentials`` holds the
 d(phi_i), which both axioms read: (i) through the Koszul bracket in Cartan
 form, (ii) as its left side.  The ``Resolved`` value that the lifted checks
-take holds the base generators pi#(phi_i), the axiom residuals, the c_i,
+read holds the base generators pi#(phi_i), the axiom residuals, the c_i,
 their differentials dc_i and Hamiltonian fields X_(c_i) on TM, the twists
-i_T(d phi_i) and the lifted generators, and lifts pi.  A lifted check whose
-prerequisites fail (pi not Poisson, the bialgebra not verified or, past
-``certify_pgmap``, a map with a nonzero axiom residual) returns its
-``fail`` report with one ``unverified-input`` residual naming the first
-that fails.  Negative controls observe the nonzero residuals of such a map
-through the ``*_residuals`` functions, which take no certification step.
+i_T(d phi_i) and the lifted generators, and lifts pi.
+
+Each function here computes residuals, or the values a check lists; the
+check registry (:mod:`poissonlift.checks`) names each check, states its
+identity and builds its report.  ``Resolved.require`` says which of a
+check's prerequisites (pi Poisson, the bialgebra verified, the map
+certified) fails first, and the registry refuses the check with that
+reason.  Negative controls observe the nonzero residuals of an uncertified
+map through the ``*_residuals`` functions, which take no certification
+step.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .chart import (
     wedge,
 )
 from .errors import ChartMismatchError, DegreeError, DimensionMismatchError, LevelSetError
-from .oracle import SamplePlan
 from .poisson import (
     PoissonStructure,
     SymplecticForm,
@@ -52,7 +55,6 @@ from .poisson import (
     sharp,
 )
 from .poly import Polynomial
-from .report import CheckReport, Statement, make_report
 from .tangent import (
     CoordinateMap,
     TangentChart,
@@ -95,28 +97,6 @@ class PGMap:
         return tuple(exterior_derivative(form) for form in self.images)
 
 
-PGMAP_CERTIFICATION = Statement(
-    "pgmap-certification",
-    "phi_[x,y] = [phi_x, phi_y]_pi and d(phi_i) = sum gamma^(jk)_i phi_j^phi_k",
-)
-BRACKET_CLOSURE = Statement(
-    "bracket-closure",
-    "{c_i, c_j}_TM = c_[e_i, e_j] for the fiber-linear momentum components",
-)
-TANGENT_GENERATOR_AGREEMENT = Statement(
-    "tangent-generator-agreement",
-    "X_(i_T phi) + pi_TM#(i_T d phi) equals the complete lift of pi#(phi)",
-)
-CHARACTERISTIC_IDENTITY = Statement(
-    "characteristic-identity",
-    "i_T(d phi_i) = sum gamma^(jk)_i (c_j tau*phi_k - c_k tau*phi_j)",
-)
-SYMPLECTIC_IMAGES_CLOSED = Statement(
-    "symplectic-images-closed",
-    "L_X(omega) = 0 implies d(i_X omega) = 0",
-)
-
-
 # -- certification --------------------------------------------------------------
 
 
@@ -155,8 +135,8 @@ class Resolved:
     [pi_TM, pi_TM].
 
     Computing a member twice gives the same value, so an instance can be
-    shared without locks.  Checks return ``require``'s refusal, when there is
-    one, before reading members that presuppose a certified map."""
+    shared without locks.  A check reads the members that presuppose a
+    certified map only after ``require`` has found nothing missing."""
 
     def __init__(self, pi: PoissonStructure, pg: PGMap | None = None):
         self.pi = pi
@@ -207,38 +187,21 @@ class Resolved:
         return tuple((tangent_generator(self, i), tangent_generator_direct(self, i))
                      for i in range(len(self.pg.images)))
 
-    def require_poisson(self, statement: Statement) -> CheckReport | None:
-        """None when pi is Jacobi-verified, else ``statement``'s ``fail``
-        report saying that it is not; the one input the lift of pi needs."""
-        if self.pi.jacobi_verified:
-            return None
-        return _refusal(statement, "Poisson structure is not Jacobi-verified")
-
-    def require(self, statement: Statement, certified: bool = True) -> CheckReport | None:
-        """None when the inputs ``statement`` presupposes hold, else its
-        ``fail`` report naming the first that does not: a Jacobi-verified pi,
-        a verified bialgebra and, when ``certified``, zero axiom residuals."""
-        if self.pg.chart != self.pi.chart:
+    def require(self, needs: str) -> str | None:
+        """None when the inputs ``needs`` names hold, else the first that
+        does not, as a reason: ``"pi"`` a Jacobi-verified pi, ``"bialgebra"``
+        that and a verified bialgebra, ``"map"`` both and zero axiom
+        residuals.  Images on another chart than pi are an error."""
+        if needs != "pi" and self.pg.chart != self.pi.chart:
             raise ChartMismatchError("map images and Poisson structure on different charts")
-        if refusal := self.require_poisson(statement):
-            return refusal
-        if not self.pg.bialgebra.verified:
-            return _refusal(statement, "bialgebra failed (or skipped) its structure checks")
-        if certified and (bad := [name for name, res in self.certification.items()
-                                  if not res.is_zero()]):
-            return _refusal(statement, f"map is not certified; failing residuals: {', '.join(bad)}")
+        if not self.pi.jacobi_verified:
+            return "Poisson structure is not Jacobi-verified"
+        if needs != "pi" and not self.pg.bialgebra.verified:
+            return "bialgebra failed (or skipped) its structure checks"
+        if needs == "map" and (bad := [name for name, res in self.certification.items()
+                                       if not res.is_zero()]):
+            return f"map is not certified; failing residuals: {', '.join(bad)}"
         return None
-
-
-def _refusal(statement: Statement, reason: str) -> CheckReport:
-    return CheckReport(*statement, verdict="fail", residuals=(("unverified-input", reason),))
-
-
-def certify_pgmap(r: Resolved, plan: SamplePlan | None = None) -> CheckReport:
-    """Exact verdict on both axioms; refused unless the bialgebra and the
-    Poisson data are verified."""
-    return (r.require(PGMAP_CERTIFICATION, certified=False)
-            or make_report(*PGMAP_CERTIFICATION, r.certification, plan=plan))
 
 
 # -- fiber-linear functions --------------------------------------------------------
@@ -268,13 +231,6 @@ def bracket_closure_residuals(r: Resolved) -> dict[str, Polynomial]:
     return residuals
 
 
-def bracket_closure_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
-    """Certifies that the zero level set of c is coisotropic: the lifted
-    bracket of generators lands back in the generated ideal."""
-    return (r.require(BRACKET_CLOSURE)
-            or make_report(*BRACKET_CLOSURE, bracket_closure_residuals(r), plan=plan))
-
-
 # -- lifted generators --------------------------------------------------------------
 
 
@@ -294,13 +250,11 @@ def tangent_generator_direct(r: Resolved, i: int) -> Multivector:
     return complete_lift_vf(r.tc, r.sharps[i])
 
 
-def tangent_generator_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
-    return r.require(TANGENT_GENERATOR_AGREEMENT) or make_report(
-        *TANGENT_GENERATOR_AGREEMENT,
-        {f"generator[{name}]": lifted - direct
-         for name, (lifted, direct) in zip(r.pg.bialgebra.basis, r.generators)},
-        plan=plan,
-    )
+def tangent_generator_residuals(r: Resolved) -> dict[str, Multivector]:
+    """The lifted generator minus the complete lift of the base generator,
+    per basis element."""
+    return {f"generator[{name}]": lifted - direct
+            for name, (lifted, direct) in zip(r.pg.bialgebra.basis, r.generators)}
 
 
 # -- the ideal-coefficient identity ----------------------------------------------------
@@ -324,11 +278,6 @@ def characteristic_identity_residuals(r: Resolved) -> dict[str, DifferentialForm
             products.extend((idx, gamma, c[k], phi) for idx, phi in pg.images[j]._components.items())
         residuals[f"characteristic[{b.basis[i]}]"] = DifferentialForm._from_products(tc.total, 1, products)
     return residuals
-
-
-def characteristic_identity_check(r: Resolved, *, plan: SamplePlan | None = None) -> CheckReport:
-    return (r.require(CHARACTERISTIC_IDENTITY)
-            or make_report(*CHARACTERISTIC_IDENTITY, characteristic_identity_residuals(r), plan=plan))
 
 
 # -- Hamiltonian special case -----------------------------------------------------------
@@ -357,8 +306,8 @@ def require_zero_level(momentum: CoordinateMap, parametrization: CoordinateMap) 
     return parametrization
 
 
-def level_set_tangency_check(momentum: CoordinateMap, parametrization: CoordinateMap,
-                             points: Sequence[Sequence[int]], denominator: int) -> CheckReport:
+def level_set_tangency_residuals(momentum: CoordinateMap, parametrization: CoordinateMap,
+                                 points: Sequence[Sequence[int]], denominator: int) -> dict:
     """At sampled points of a zero-level parametrization, the kernel of dJ
     at the image is the parametrization's tangent span (exact rank test).
 
@@ -373,8 +322,10 @@ def level_set_tangency_check(momentum: CoordinateMap, parametrization: Coordinat
     evaluated once over all samples; scaling a row of G or a column of C to
     integers keeps the ranks.
 
-    Samples where the differential of J drops rank are reported as
-    RankDeficient and make the verdict informative rather than pass/fail.
+    A sample where the span is smaller gives the residual 1 under
+    ``kernel-not-spanned[sample s]``.  A sample where the differential of J
+    drops rank gives a ``RankDeficient[sample s]`` note, text that makes a
+    report with no failing residual informative rather than pass/fail.
     """
     chart = momentum.source
     params = parametrization.source.coords
@@ -386,30 +337,15 @@ def level_set_tangency_check(momentum: CoordinateMap, parametrization: Coordinat
     # rows of G and columns of C, each scaled to integers by one factor
     g_values, _ = _scaled_entries(momentum.jacobian(), chart.coords, list(zip(*image)), image_den)
     c_values, _ = _scaled_entries(list(zip(*parametrization.jacobian())), params, points, denominator)
-    entries: list[tuple[str, str]] = []
-    informative_entries: list[tuple[str, str]] = []
+    residuals: dict = {}
     for s_index in range(len(points)):
         g_rank = _linalg.rank([[entry[s_index] for entry in row] for row in g_values])
         if g_rank < k:
-            informative_entries.append(
-                (f"RankDeficient[sample {s_index}]",
-                 "differential of J drops rank at this level-set point")
-            )
+            residuals[f"RankDeficient[sample {s_index}]"] = (
+                "differential of J drops rank at this level-set point")
         elif _linalg.rank([[entry[s_index] for entry in col] for col in c_values]) != n - g_rank:
-            entries.append((f"kernel-not-spanned[sample {s_index}]", "1"))
-    if entries:
-        verdict = "fail"
-    elif informative_entries:
-        verdict = "informative"
-    else:
-        verdict = "pass"
-    return CheckReport(
-        check_id="level-set-tangency",
-        identity="(d_T J)^-1(0) restricted over J^-1(0) equals the tangent of J^-1(0)",
-        verdict=verdict,
-        residuals=tuple(entries + informative_entries),
-        samples=(),
-    )
+            residuals[f"kernel-not-spanned[sample {s_index}]"] = 1
+    return residuals
 
 
 def _scaled_entries(rows: Sequence[Sequence[Polynomial]], variables: Sequence[str],
@@ -430,13 +366,12 @@ def _scaled_entries(rows: Sequence[Sequence[Polynomial]], variables: Sequence[st
 
 
 def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
-                     bialgebra: LieBialgebra) -> tuple[PGMap | None, CheckReport]:
+                     bialgebra: LieBialgebra) -> tuple[PGMap | None, dict[str, DifferentialForm]]:
     """Images i_X(omega) for a family of symplectic generators, one per
-    basis element of ``bialgebra``.
-
-    The report certifies that each image is closed.  A generator that does
-    not preserve the form exactly gives no map and a failing report with the
-    first such generator's L_X(omega).
+    basis element of ``bialgebra``, and the residuals that show each image
+    closed: the d(i_X omega).  A generator that does not preserve the form
+    exactly gives no map, and the residual is the first such generator's
+    L_X(omega).
     """
     chart = omega.chart
     for index, field in enumerate(generators):
@@ -444,16 +379,14 @@ def symplectic_pgmap(omega: SymplecticForm, generators: Sequence[Multivector],
             raise ChartMismatchError(f"generator #{index} is not a vector field on {chart.name}")
         lie = lie_derivative(field, omega.two_form)
         if not lie.is_zero():
-            return None, make_report(*SYMPLECTIC_IMAGES_CLOSED, {f"L_X(omega)[{index}]": lie})
+            return None, {f"L_X(omega)[{index}]": lie}
     images = tuple(omega.flat(field) for field in generators)
     pg = PGMap(bialgebra, chart, images)
-    residuals = {f"closed[{name}]": d for name, d in zip(bialgebra.basis, pg.differentials)}
-    return pg, make_report(*SYMPLECTIC_IMAGES_CLOSED, residuals)
+    return pg, {f"closed[{name}]": d for name, d in zip(bialgebra.basis, pg.differentials)}
 
 
-def cotangent_momentum_relation(tc: TangentChart, omega: SymplecticForm,
-                                generators: Sequence[Multivector], pg: PGMap,
-                                plan: SamplePlan | None = None) -> CheckReport:
+def cotangent_momentum_residuals(tc: TangentChart, omega: SymplecticForm,
+                                 generators: Sequence[Multivector], pg: PGMap) -> dict[str, Polynomial]:
     """Compare the tangent-side momentum c_x = i_T(i_X omega) with the
     cotangent-lift momentum j_x(alpha) = <alpha, X> through the bundle map
     omega_flat: c + j . omega_flat = sum X^i v_k (omega_ik + omega_ki), which
@@ -484,9 +417,4 @@ def cotangent_momentum_relation(tc: TangentChart, omega: SymplecticForm,
         j_through_flat = Polynomial._sum_of_products(
             coords, [(1, flat[k], comp) for (k,), comp in field._components.items()])
         residuals[f"relation[{pg.bialgebra.basis[index]}]"] = c_polys[index] + j_through_flat
-    return make_report(
-        "cotangent-momentum-relation",
-        "tangent and cotangent momenta agree through omega_flat: c = -(j . omega_flat)",
-        residuals,
-        plan=plan,
-    )
+    return residuals

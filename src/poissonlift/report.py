@@ -19,9 +19,9 @@ Serialized form, one record per report, ``schema: 1`` once at the top:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .oracle import SamplePlan, sample_residual
+from .poly import rational_text
 
 SCHEMA_VERSION = 1
 
@@ -56,17 +56,6 @@ class CheckReport:
         return (f"CheckReport(check_id={self.check_id!r}, identity={self.identity!r}, "
                 f"verdict={self.verdict!r}, residuals={self.residuals!r}, samples={self.samples!r})")
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict != "fail"
-
-
-class Statement(NamedTuple):
-    """The check id and the identity of one check."""
-
-    check_id: str
-    identity: str
-
 
 def _is_zero(value) -> bool:
     if isinstance(value, (int, Fraction)):
@@ -76,7 +65,7 @@ def _is_zero(value) -> bool:
 
 def _text(value) -> str:
     if isinstance(value, (int, Fraction)):
-        return str(value)
+        return rational_text(value)
     return value.to_string()
 
 
@@ -84,21 +73,27 @@ def make_report(check_id: str, identity: str, residuals, samples=(),
                 informative: bool = False, plan: SamplePlan | None = None) -> CheckReport:
     """Build a report from named residual values.
 
-    ``residuals`` maps names to polynomials, tensors or rationals.  Nonzero
-    values are kept in printed form; the verdict is ``pass`` iff none remain
-    (or ``informative`` when requested, in which case every value is listed).
-    With a ``plan``, the samples are every residual's largest absolute value
-    over the plan's points, each point stream drawn once per report.
+    ``residuals`` maps names to polynomials, tensors or rationals, or to
+    text: a note, such as a rank-deficient sample, kept as written after
+    the residuals.  Nonzero values are kept in printed form; the verdict is
+    ``fail`` when any remains, else ``informative`` when there is a note,
+    else ``pass``.  With ``informative`` every value is listed and the
+    verdict is ``informative``.  With a ``plan``, the samples are every
+    residual's largest absolute value over the plan's points, each point
+    stream drawn once per report.
     """
     if plan is not None:
         streams: dict = {}
         samples = [(name, sample_residual(res, plan, streams)) for name, res in residuals.items()]
     entries = []
+    notes = []
     for name in residuals:
         value = residuals[name]
-        if informative or not _is_zero(value):
+        if type(value) is str:
+            notes.append((name, value))
+        elif informative or not _is_zero(value):
             entries.append((name, _text(value)))
-    if informative:
+    if informative or notes and not entries:
         verdict = "informative"
     else:
         verdict = "pass" if not entries else "fail"
@@ -106,7 +101,7 @@ def make_report(check_id: str, identity: str, residuals, samples=(),
         check_id=check_id,
         identity=identity,
         verdict=verdict,
-        residuals=tuple(entries),
+        residuals=tuple(entries + notes),
         samples=tuple(samples),
     )
 

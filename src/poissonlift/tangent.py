@@ -62,10 +62,8 @@ from .errors import (
     NameCollisionError,
     NotPoissonError,
 )
-from .oracle import SamplePlan
 from .poisson import PoissonStructure
 from .poly import W, Polynomial, Rational, _fields
-from .report import CheckReport, Statement, make_report
 
 # Block prefixes of each bundle chart in chart order; "" is the base block.
 _BLOCKS = {
@@ -328,18 +326,6 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate: PoissonStructure) ->
     names = bundle_chart(base, "TT").coords[2 * n:]  # the (qdot, vdot) blocks of TTM
     return {name: Polynomial._sum_of_products(coords, products)
             for name, products in zip(names, slots)}
-
-
-TANGENT_LIFT_IDENTITY = Statement(
-    "tangent-lift-identity",
-    "pi_TM# . alpha = kappa . T(pi#) on TT*M block coordinates",
-)
-
-
-def verify_tangent_lift_identity(pi: PoissonStructure, candidate: PoissonStructure,
-                                 plan: SamplePlan | None = None) -> CheckReport:
-    """Exact check of the lift identity; pass iff every residual is zero."""
-    return make_report(*TANGENT_LIFT_IDENTITY, tangent_lift_residuals(pi, candidate), plan=plan)
 
 
 def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[str, Polynomial]:

@@ -26,15 +26,44 @@ from poissonlift import (
     LieBialgebra,
     Multivector,
     Polynomial,
+    ProblemFile,
     _linalg,
+    cotangent_momentum_residuals,
+    level_set_tangency_residuals,
+    make_report,
     tangent,
 )
+from poissonlift.checks import CHECKS, run_checks
 from poissonlift.errors import DegreeError
 
 
 def abelian(k: int) -> LieBialgebra:
     """The abelian bialgebra on e1..ek, with zero bracket and cobracket."""
     return LieBialgebra(tuple(f"e{i + 1}" for i in range(k)), {})
+
+
+def run_lifted(check_id: str, pi, pg=None):
+    """The report of the check ``check_id`` on the problem made of the
+    Poisson structure ``pi`` and, when given, the map ``pg``."""
+    (report,) = run_checks(ProblemFile("lifted", pi.chart, pi, pgmap=pg), check_id)
+    return report
+
+
+def report_of(check_id: str, residuals):
+    """The unsampled report the registry row ``check_id`` makes of
+    ``residuals``, for the residual functions called on their own."""
+    (row,) = [row for rows in CHECKS.values() for row in rows if row.check_id == check_id]
+    return make_report(row.check_id, row.identity, residuals)
+
+
+def tangency_report(momentum, parametrization, points, denominator):
+    return report_of("level-set-tangency",
+                     level_set_tangency_residuals(momentum, parametrization, points, denominator))
+
+
+def relation_report(tc, omega, generators, pg):
+    return report_of("cotangent-momentum-relation",
+                     cotangent_momentum_residuals(tc, omega, generators, pg))
 
 
 def momentum_map(chart: Chart, components) -> CoordinateMap:

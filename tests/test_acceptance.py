@@ -23,14 +23,10 @@ from poissonlift import (
     SamplePlan,
     SymplecticForm,
     base_pullback,
-    bracket_closure_check,
     catalog,
     catalog_names,
-    certify_pgmap,
-    characteristic_identity_check,
     comomentum_components,
     complete_lift_bivector,
-    cotangent_momentum_relation,
     d_T,
     differential,
     exterior_derivative,
@@ -39,7 +35,6 @@ from poissonlift import (
     hamiltonian_vf,
     i_T,
     jacobi_check,
-    level_set_tangency_check,
     lie_poisson,
     parse_form,
     parse_multivector,
@@ -49,9 +44,7 @@ from poissonlift import (
     symplectic_pgmap,
     tangent_chart,
     tangent_generator,
-    tangent_generator_check,
     tangent_generator_direct,
-    verify_tangent_lift_identity,
     wedge,
 )
 from poissonlift.reduction import (
@@ -61,7 +54,16 @@ from poissonlift.reduction import (
 )
 from poissonlift.tangent import one_form_lift_residuals, tangent_lift_residuals
 
-from conftest import abelian, cayley_rotation, momentum_map, rand_form, rand_poly
+from conftest import (
+    abelian,
+    cayley_rotation,
+    momentum_map,
+    rand_form,
+    rand_poly,
+    relation_report,
+    run_lifted,
+    tangency_report,
+)
 
 
 @contextmanager
@@ -114,7 +116,7 @@ def test_criterion_1_tangent_lift_identity():
     with criterion(1, "tangent-lift identity on four structures"):
         for pi in _lift_test_structures():
             lifted = complete_lift_bivector(pi, tangent_chart(pi.chart))
-            report = verify_tangent_lift_identity(pi, lifted)
+            report = run_lifted("tangent-lift-identity", pi)
             assert report.verdict == "pass", report.residuals
             assert lifted.jacobi_verified
 
@@ -197,7 +199,7 @@ def test_criterion_4_lifted_generator_agreement():
             problem = catalog(name)
             if problem.pgmap is None:
                 continue
-            report = tangent_generator_check(Resolved(problem.poisson, problem.pgmap))
+            report = run_lifted("tangent-generator-agreement", problem.poisson, problem.pgmap)
             assert report.verdict == "pass", (name, report.residuals)
         chart = Chart("g", ("x", "y", "z"))
         pi = lie_poisson(so3_bialgebra(), chart)
@@ -215,8 +217,8 @@ def test_criterion_4_lifted_generator_agreement():
                 ),
             )
             pg = hamiltonian_pgmap(momentum, so3_bialgebra())
-            assert certify_pgmap(Resolved(pi, pg)).verdict == "pass"
-            assert tangent_generator_check(Resolved(pi, pg)).verdict == "pass"
+            assert run_lifted("pgmap-certification", pi, pg).verdict == "pass"
+            assert run_lifted("tangent-generator-agreement", pi, pg).verdict == "pass"
 
 
 def test_criterion_5_closed_images_give_hamiltonian_lift():
@@ -238,7 +240,7 @@ def test_criterion_6_bracket_closure_with_negative_control():
             problem = catalog(name)
             if problem.pgmap is None:
                 continue
-            report = bracket_closure_check(Resolved(problem.poisson, problem.pgmap))
+            report = run_lifted("bracket-closure", problem.poisson, problem.pgmap)
             assert report.verdict == "pass", (name, report.residuals)
         # negative control A: a perturbed cobracket entry is detected by the
         # gamma-sensitive checks (the closure residual itself is independent
@@ -247,7 +249,7 @@ def test_criterion_6_bracket_closure_with_negative_control():
         perturbed_gamma = LieBialgebra(("e1", "e2"), {(0, 1): {1: 1}}, {1: {(0, 1): 2}})
         assert perturbed_gamma.verified
         pg_gamma = PGMap(perturbed_gamma, base.chart, base.pgmap.images)
-        cert = certify_pgmap(Resolved(base.poisson, pg_gamma))
+        cert = run_lifted("pgmap-certification", base.poisson, pg_gamma)
         assert cert.verdict == "fail"
         assert "cocycle-axiom[e2]" in dict(cert.residuals)
         char = characteristic_identity_residuals(Resolved(base.poisson, pg_gamma))
@@ -261,7 +263,7 @@ def test_criterion_6_bracket_closure_with_negative_control():
             {},
         )
         pg_c = PGMap(perturbed_c, so3.chart, so3.pgmap.images)
-        refusal = bracket_closure_check(Resolved(so3.poisson, pg_c))
+        refusal = run_lifted("bracket-closure", so3.poisson, pg_c)
         assert refusal.verdict == "fail"
         assert refusal.residuals == (("unverified-input",
                                       "map is not certified; failing residuals: bracket-axiom[e1,e2]"),)
@@ -274,7 +276,7 @@ def test_criterion_7_characteristic_identity():
     with criterion(7, "ideal-coefficient identity for the lifted generator"):
         problem = catalog("aff1-cobracket")
         assert problem.bialgebra.cobracket_row(1)  # nonzero cobracket entry
-        report = characteristic_identity_check(Resolved(problem.poisson, problem.pgmap))
+        report = run_lifted("characteristic-identity", problem.poisson, problem.pgmap)
         assert report.verdict == "pass"
         # axiom-(ii)-violating counterexample fails with a named residual
         chart = Chart("M", ("q", "p"))
@@ -301,7 +303,7 @@ def test_criterion_8_momentum_pipeline_and_level_set():
         ))
         denominator, samples = SamplePlan(count=100, seed=88).stream(1)
         assert len(samples) == 100
-        report = level_set_tangency_check(momentum, param, samples, denominator)
+        report = tangency_report(momentum, param, samples, denominator)
         assert report.verdict == "pass", report.residuals
 
 
@@ -313,7 +315,7 @@ def test_criterion_9_cotangent_momentum_relation():
         translation = parse_multivector("e_q", chart)
         for fields in ([rotation], [translation], [rotation, translation]):
             pg, _ = symplectic_pgmap(omega, fields, abelian(len(fields)))
-            report = cotangent_momentum_relation(tangent_chart(chart), omega, fields, pg)
+            report = relation_report(tangent_chart(chart), omega, fields, pg)
             assert report.verdict == "pass", report.residuals
             assert "c = -(j . omega_flat)" in report.identity
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import decimal
 import io
 import json
 import math
@@ -18,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from poissonlift import catalog, catalog_names, emit_reports, parse_problem, parse_reports
-from poissonlift import LieBialgebra, Polynomial, SamplePlan, chart, cli, poisson, reduction, tangent
-from poissonlift.cli import _TABLE, COMMANDS, _load_problem, main, run_checks
+from poissonlift import LieBialgebra, Polynomial, SamplePlan, chart, checks, cli, poisson, reduction, tangent
+from poissonlift.checks import CHECKS
+from poissonlift.cli import COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA, _Block, _entry_map
 
@@ -643,7 +645,9 @@ class TestMainEntry:
 
 @pytest.mark.parametrize(
     "command, block",
-    [(command, block) for command, (_, blocks) in _TABLE.items() for block in blocks],
+    # the blocks every row of the command reads
+    [(command, block) for command, rows in CHECKS.items()
+     for block in rows[0].blocks if all(block in row.blocks for row in rows)],
     ids=lambda value: value,
 )
 def test_command_without_its_block(command, block):
@@ -968,11 +972,32 @@ def test_oracle_fd_draws_only_the_points_it_reads(monkeypatch, count):
         return denominator, points
 
     monkeypatch.setattr(SamplePlan, "stream", stream)
-    monkeypatch.setattr(cli, "fd_derivative_check",
+    monkeypatch.setattr(checks, "fd_derivative_check",
                         lambda f, variables, point, denominator, h: read.append(point) or 0.0)
-    cli._oracle_fd(problem, plan, problem.fd_step)
+    checks._oracle_fd(problem, plan, problem.fd_step)
     limited = False
-    cli._oracle_fd(problem, plan, problem.fd_step)
+    checks._oracle_fd(problem, plan, problem.fd_step)
     assert len(read) == 60
     assert read[:30] == read[30:]
     assert drawn == [min(count, 30), count]
+
+
+HUGE_JACOBIATOR = "manifold {\n  coords: x, y, z\n  poisson: 2^10000*x*e_x^e_y + 2^10000*y*e_y^e_z\n}\n"
+
+
+def test_a_residual_past_the_integer_text_limit_prints_in_full(tmp_path, capsys):
+    # [pi, pi] = 2^20001 x: a coefficient of 6,021 digits from literals of
+    # 3,011, past the 4,300 digits str() converts by default; printing it
+    # ended in a ValueError traceback
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    problem, report = tmp_path / "huge.pf", tmp_path / "report.txt"
+    problem.write_text(HUGE_JACOBIATOR, encoding="utf-8")
+    assert main(["check-poisson", str(problem), "--report", str(report)]) == 1
+    out, err = capsys.readouterr()
+    digits = str(decimal.Decimal(2 ** 20001))  # the digits by a second route
+    assert len(digits) == 6021
+    assert f"    residual [pi,pi][x,y,z] = {digits}*x\n" in out
+    assert err == ""
+    assert f"residual: [pi,pi][x,y,z] := {digits}*x\n" in report.read_text(encoding="utf-8")
+    # printing leaves the interpreter's limit as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

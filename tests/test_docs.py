@@ -1,10 +1,11 @@
 """Code outside the package that names the package: the README's library
-example, the benchmark's list of traced functions and the keys it counts
-them by, and the package's functions and methods against what the command
-line calls."""
+example and check ids, the benchmark's list of traced functions and the
+keys it counts them by, and the package's functions and methods against
+what the command line calls."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import functools
 import importlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from poissonlift import catalog_names
+from poissonlift.checks import CHECKS
 
 from conftest import gl_problem, load_bench, run_child
 
@@ -34,6 +36,43 @@ def test_readme_library_block_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert expected and out.getvalue().splitlines() == expected
+
+
+_ROWS = [row for rows in CHECKS.values() for row in rows]
+
+
+def test_readme_names_exactly_the_registry_ids():
+    """Each bullet of `## What it verifies` names its checks' ids in
+    backticks, and together they name every row of the registry once."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## What it verifies\n(.*?)^## ", text, re.S | re.M).group(1)
+    bullets = re.findall(r"^\* (.*?)(?=^\* |^\S|\Z)", section, re.S | re.M)
+    ids = [re.findall(r"`([a-z]+(?:-[a-z]+)+)`", bullet) for bullet in bullets]
+    assert bullets and all(ids)
+    named = [check_id for found in ids for check_id in found]
+    assert sorted(named) == sorted(row.check_id for row in _ROWS)
+
+
+def _string_literals(path: Path) -> list[str]:
+    """The string constants of a module, docstrings left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docstrings]
+
+
+def test_each_check_is_stated_once_in_the_source():
+    """A check's id and identity text are written once in the package, in
+    its registry row; an id that is also a command's name is written a
+    second time, as that name."""
+    literals = [text for path in sorted((ROOT / "src" / "poissonlift").glob("*.py"))
+                for text in _string_literals(path)]
+    for row in _ROWS:
+        assert literals.count(row.check_id) == 1 + (row.check_id in CHECKS), row.check_id
+        assert literals.count(row.identity) == 1, row.identity
 
 
 @pytest.mark.parametrize("module,attr", [entry[:2] for entry in load_bench("spans").WRAPPED])

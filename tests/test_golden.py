@@ -28,7 +28,15 @@ still stored as one dense coefficient vector per pair.  The gl(4) digests
 (``all`` clean and on the perturbed map), whose tangent and lift-identity
 universes have 32 and 64 variables, were recorded while printing and the
 identity's v -> qdot renaming still expanded every monomial key into a dense
-exponent tuple.
+exponent tuple.  The digests of the refusal and skip routes of the lifted
+checks (``all`` on a non-Poisson pi under a map, a bialgebra failing
+Jacobi, an action that does not preserve omega and a level set whose
+kernel is not spanned; the lifted commands one at a time on the first two)
+were recorded while each command still had its own handler and each lifted
+check its own require-then-report wrapper.  The digest of
+``huge-coefficient.pf``, whose coefficient has more decimal digits than
+the interpreter's default integer-to-text limit, was recorded with that
+limit lifted, before printing converted such integers itself.
 
 ``lift``, ``verify-lift`` and ``all`` on a non-Poisson bivector raised
 before they refused; their digests were recorded with the refusal, so the
@@ -71,6 +79,8 @@ DIGESTS = {
     ("valid:bracket-both-orders.pf", "samples-7-seed-3"): "27e9861f3eb7fa126761552a0d0039033ba9ad7aa9b29d14c59fe02022ef3758",
     ("valid:full-blocks.pf", "default"): "6a5a287038fd65887abba559018d56e0e732b83624a99bd570fd2ad9c546c293",
     ("valid:full-blocks.pf", "samples-7-seed-3"): "6a5a287038fd65887abba559018d56e0e732b83624a99bd570fd2ad9c546c293",
+    ("valid:huge-coefficient.pf", "default"): "b642a946bb2595e5a1e7e93807f971b2c1ed7b85b2fef0bf1ef552504ef0b554",
+    ("valid:huge-coefficient.pf", "samples-7-seed-3"): "b642a946bb2595e5a1e7e93807f971b2c1ed7b85b2fef0bf1ef552504ef0b554",
     ("valid:minimal-poisson.pf", "default"): "e1e9a417a646812c8fdb7dec6c188a578a00334cfc1b40acdb3786c42aebdfcd",
     ("valid:minimal-poisson.pf", "samples-7-seed-3"): "e1e9a417a646812c8fdb7dec6c188a578a00334cfc1b40acdb3786c42aebdfcd",
     ("valid:momentum-levelset.pf", "default"): "366b22c53610e388b1c387d11ad176e9e1bcaa4cc5e5f931199ba1bd5526c7e7",
@@ -133,6 +143,25 @@ FAILING_DIGESTS = {
     ("tangent-generator", "gl2-perturbed", "samples-7-seed-3"): "9314de3bed830bcdfa43b51b4a279941b87bdeffc7aa8e048d83c50ce1949f95",
     ("tangent-generator", "gl3-perturbed", "default"): "be400124efcae4d5b8c704b2e6145f99fd33ea26da03d4a7bb4ea00663b95899",
     ("tangent-generator", "gl3-perturbed", "samples-7-seed-3"): "be400124efcae4d5b8c704b2e6145f99fd33ea26da03d4a7bb4ea00663b95899",
+    # refusal and skip routes of the lifted checks
+    ("all", "kernel-not-spanned", "default"): "dd40577add68c79546180c782f81ae875974cdeaea484a073074d2b46f190eaf",
+    ("all", "kernel-not-spanned", "samples-7-seed-3"): "cea146f64ade27635d8676c7bbac325dd063bf9f5e47c3e3dab9b90b1301ca6c",
+    ("all", "non-poisson-map", "default"): "06b7eef9c31762d6162c4202111dbbdac55c25946619bcc1008168f0a3c9ff1a",
+    ("all", "non-poisson-map", "samples-7-seed-3"): "b29deaa53b6abb1fd80311fff9ad664915cacbf80b233eb8558aae80102acba6",
+    ("all", "non-symplectic-action", "default"): "452ca31da22adb380ec0b25d5cde1e733a9f13f4479f841a06ea19fbda211071",
+    ("all", "non-symplectic-action", "samples-7-seed-3"): "452ca31da22adb380ec0b25d5cde1e733a9f13f4479f841a06ea19fbda211071",
+    ("all", "so3-bad-bialgebra", "default"): "0b302676465f683432741fe65c2fa02bbedd2524ddb9210bc15d5f7f36c94715",
+    ("all", "so3-bad-bialgebra", "samples-7-seed-3"): "0b302676465f683432741fe65c2fa02bbedd2524ddb9210bc15d5f7f36c94715",
+    ("certify-pgmap", "non-poisson-map", "default"): "21ae380e6cea51aff7ce188bcc0e143de5cc33b8e869cb59e5140b406a909f01",
+    ("certify-pgmap", "non-poisson-map", "samples-7-seed-3"): "21ae380e6cea51aff7ce188bcc0e143de5cc33b8e869cb59e5140b406a909f01",
+    ("characteristic-identity", "non-poisson-map", "default"): "dec9a17329f3852d68bf3533448519cc050dbb2bc6be9476a12323abb0ebce32",
+    ("characteristic-identity", "non-poisson-map", "samples-7-seed-3"): "dec9a17329f3852d68bf3533448519cc050dbb2bc6be9476a12323abb0ebce32",
+    ("characteristic-identity", "so3-bad-bialgebra", "default"): "4a778ecb8d2eff675c15111695798e275da877a0b9dd7a30e30c07cec32973f6",
+    ("characteristic-identity", "so3-bad-bialgebra", "samples-7-seed-3"): "4a778ecb8d2eff675c15111695798e275da877a0b9dd7a30e30c07cec32973f6",
+    ("tangent-generator", "non-poisson-map", "default"): "afb7caf0ce59578fb05e98b2829e76324cdf92ef43c3df892eba806b405d2c2c",
+    ("tangent-generator", "non-poisson-map", "samples-7-seed-3"): "afb7caf0ce59578fb05e98b2829e76324cdf92ef43c3df892eba806b405d2c2c",
+    ("tangent-generator", "so3-bad-bialgebra", "default"): "79872fbf2bde23b849685c38595a95da7e8b83f8a3fa80196cb1e9e36d9aa4f1",
+    ("tangent-generator", "so3-bad-bialgebra", "samples-7-seed-3"): "79872fbf2bde23b849685c38595a95da7e8b83f8a3fa80196cb1e9e36d9aa4f1",
 }
 
 _REFUSED = ("fail", "fail", "fail", "pass", "pass")  # check-poisson, lift, verify-lift, lemma, oracle-fd

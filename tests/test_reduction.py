@@ -24,21 +24,16 @@ from poissonlift import (
     Resolved,
     PoissonStructure,
     SymplecticForm,
-    bracket_closure_check,
     catalog,
     catalog_names,
-    certify_pgmap,
-    characteristic_identity_check,
     comomentum_components,
     complete_lift_bivector,
     complete_lift_vf,
-    cotangent_momentum_relation,
     d_T,
     differential,
     hamiltonian_pgmap,
     hamiltonian_vf,
     i_T,
-    level_set_tangency_check,
     lie_poisson,
     parse_form,
     parse_multivector,
@@ -49,11 +44,10 @@ from poissonlift import (
     symplectic_pgmap,
     tangent_chart,
     tangent_generator,
-    tangent_generator_check,
     tangent_generator_direct,
 )
 from poissonlift import _linalg, tangent
-from poissonlift.cli import run_checks
+from poissonlift.checks import run_checks
 from poissonlift.errors import ChartMismatchError, DimensionMismatchError, LevelSetError
 from poissonlift.reduction import (
     bracket_closure_residuals,
@@ -72,6 +66,10 @@ from conftest import (
     rand_fraction,
     rand_multivector,
     rand_poly,
+    relation_report,
+    report_of,
+    run_lifted,
+    tangency_report,
 )
 from reference import chained_characteristic_residuals, dense_bracket, dense_koszul
 
@@ -105,22 +103,22 @@ def aff1_setup():
 class TestCertify:
     def test_abelian_exact_image(self, chart_qp, canonical):
         pg = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
-        assert certify_pgmap(Resolved(canonical, pg)).verdict == "pass"
+        assert run_lifted("pgmap-certification", canonical, pg).verdict == "pass"
 
     def test_so3_exact_images(self, so3, so3_pg):
         # axiom (i) reduces to [df, dg]_pi = d{f, g} for the coordinate duals
-        assert certify_pgmap(Resolved(so3, so3_pg)).verdict == "pass"
+        assert run_lifted("pgmap-certification", so3, so3_pg).verdict == "pass"
 
     def test_momentum_style_counterexample(self, chart_qp, canonical):
         pg = PGMap(abelian(1), chart_qp, (parse_form("p*dq", chart_qp),))
-        report = certify_pgmap(Resolved(canonical, pg))
+        report = run_lifted("pgmap-certification", canonical, pg)
         assert report.verdict == "fail"
         # d(p dq) = dp^dq = -dq^dp survives as the cobracket-axiom residual
         assert dict(report.residuals)["cocycle-axiom[e1]"] == "-dq^dp"
 
     def test_aff1_family(self):
         _, _, pi, pg = aff1_setup()
-        assert certify_pgmap(Resolved(pi, pg)).verdict == "pass"
+        assert run_lifted("pgmap-certification", pi, pg).verdict == "pass"
 
     @pytest.mark.parametrize("name", ["gl2-perturbed", "gl3-perturbed", "aff1-cobracket"])
     def test_bracket_axiom_matches_the_dense_koszul_route(self, name):
@@ -154,16 +152,20 @@ class TestCertify:
         bad = LieBialgebra(("e1", "e2", "e3"), {(0, 1): {2: 1}, (0, 2): {0: 1}}, {})
         assert not bad.verified
         pg = PGMap(bad, chart_qp, tuple(parse_form("dq", chart_qp) for _ in range(3)))
-        report = certify_pgmap(Resolved(canonical, pg))
+        report = run_lifted("pgmap-certification", canonical, pg)
         assert report.check_id == "pgmap-certification"
         assert report.verdict == "fail"
         assert report.residuals == (
             ("unverified-input", "bialgebra failed (or skipped) its structure checks"),
         )
 
+    def test_images_on_another_chart_are_an_error(self, canonical, so3_pg):
+        with pytest.raises(ChartMismatchError, match="^map images and Poisson structure on different charts$"):
+            run_lifted("pgmap-certification", canonical, so3_pg)
+
     def test_refuses_unverified_poisson(self, chart_xyz, so3_pg):
         bad = PoissonStructure(parse_multivector("z*e_x^e_y + x*e_x^e_z", chart_xyz))
-        report = certify_pgmap(Resolved(bad, so3_pg))
+        report = run_lifted("pgmap-certification", bad, so3_pg)
         assert report.verdict == "fail"
         assert report.residuals == (("unverified-input", "Poisson structure is not Jacobi-verified"),)
 
@@ -215,11 +217,11 @@ class TestBracketClosure:
             chart_qp,
             (parse_form("dq", chart_qp), parse_form("dp", chart_qp)),
         )
-        assert bracket_closure_check(Resolved(canonical, pg)).verdict == "pass"
+        assert run_lifted("bracket-closure", canonical, pg).verdict == "pass"
 
     def test_so3_closure_exact(self, so3, so3_pg):
         # full symbolic expansion: {v_x, v_y}_TM = v_z and cyclic
-        report = bracket_closure_check(Resolved(so3, so3_pg))
+        report = run_lifted("bracket-closure", so3, so3_pg)
         assert report.verdict == "pass"
         tc = tangent_chart(so3_pg.chart)
         pi_tm = complete_lift_bivector(so3, tc)
@@ -230,7 +232,7 @@ class TestBracketClosure:
 
     def test_aff1_closure(self):
         _, _, pi, pg = aff1_setup()
-        assert bracket_closure_check(Resolved(pi, pg)).verdict == "pass"
+        assert run_lifted("bracket-closure", pi, pg).verdict == "pass"
 
     def test_perturbed_bracket_constant_detected(self, chart_xyz, so3):
         # negative control: scaling [e1,e2] to 2 e3 keeps a valid Lie algebra
@@ -242,7 +244,7 @@ class TestBracketClosure:
         )
         assert perturbed.verified
         pg = PGMap(perturbed, chart_xyz, tuple(parse_form("d" + c, chart_xyz) for c in "xyz"))
-        refusal = bracket_closure_check(Resolved(so3, pg))  # certification fails first
+        refusal = run_lifted("bracket-closure", so3, pg)  # certification fails first
         assert refusal.check_id == "bracket-closure"
         assert refusal.verdict == "fail"
         assert refusal.residuals == (("unverified-input",
@@ -304,7 +306,7 @@ class TestTangentGenerator:
         _, _, pi_aff, pg_aff = aff1_setup()
         pg_ab = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
         for pg, pi in ((pg_ab, canonical), (so3_pg, so3), (pg_aff, pi_aff)):
-            assert tangent_generator_check(Resolved(pi, pg)).verdict == "pass"
+            assert run_lifted("tangent-generator-agreement", pi, pg).verdict == "pass"
 
     def test_abelian_closed_hamiltonian(self, chart_qp, canonical):
         pg = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
@@ -318,18 +320,18 @@ class TestTangentGenerator:
 class TestCharacteristicIdentity:
     def test_zero_cobracket_cases(self, canonical, chart_qp, so3, so3_pg):
         pg = PGMap(abelian(1), chart_qp, (parse_form("dq", chart_qp),))
-        assert characteristic_identity_check(Resolved(canonical, pg)).verdict == "pass"
-        assert characteristic_identity_check(Resolved(so3, so3_pg)).verdict == "pass"
+        assert run_lifted("characteristic-identity", canonical, pg).verdict == "pass"
+        assert run_lifted("characteristic-identity", so3, so3_pg).verdict == "pass"
 
     def test_aff1_nonzero_gamma(self):
         # i_T(d phi_2) = i_T(dq^dp) = v_q dp - v_p dq must match
         # c_1 tau*phi_2 - c_2 tau*phi_1 with c_1 = v_q, c_2 = -p v_q + v_p
         _, _, pi, pg = aff1_setup()
-        assert characteristic_identity_check(Resolved(pi, pg)).verdict == "pass"
+        assert run_lifted("characteristic-identity", pi, pg).verdict == "pass"
 
     def test_axiom_violating_family_fails(self, chart_qp, canonical):
         pg = PGMap(abelian(1), chart_qp, (parse_form("p*dq", chart_qp),))
-        refusal = characteristic_identity_check(Resolved(canonical, pg))
+        refusal = run_lifted("characteristic-identity", canonical, pg)
         assert refusal.verdict == "fail"
         assert refusal.residuals == (("unverified-input",
                                       "map is not certified; failing residuals: cocycle-axiom[e1]"),)
@@ -345,7 +347,7 @@ class TestCharacteristicIdentity:
         doubled = LieBialgebra(("e1", "e2"), {(0, 1): {1: 1}}, {1: {(0, 1): 2}})
         assert doubled.verified
         pg = PGMap(doubled, chart, (parse_form("dq", chart), parse_form("-p*dq + dp", chart)))
-        cert = certify_pgmap(Resolved(pi, pg))
+        cert = run_lifted("pgmap-certification", pi, pg)
         assert cert.verdict == "fail"
         assert "cocycle-axiom[e2]" in dict(cert.residuals)
         residuals = characteristic_identity_residuals(Resolved(pi, pg))
@@ -415,7 +417,7 @@ class TestLevelSetTangency:
             Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("0", ("s",)))
         )
         samples = [(Fraction(k, 7),) for k in range(-10, 11)]
-        report = level_set_tangency_check(momentum, param, *integer_points(samples))
+        report = tangency_report(momentum, param, *integer_points(samples))
         assert report.verdict == "pass"
 
     def test_zero_momentum_everything_passes(self, chart_qp):
@@ -425,7 +427,7 @@ class TestLevelSetTangency:
             chart_qp,
             (parse_poly("a", ("a", "b")), parse_poly("b", ("a", "b"))),
         )
-        report = level_set_tangency_check(momentum, param, [(1, 2), (0, 0)], 1)
+        report = tangency_report(momentum, param, [(1, 2), (0, 0)], 1)
         # dJ vanishes identically: every sample is rank-deficient, informative
         assert report.verdict == "informative"
 
@@ -434,7 +436,7 @@ class TestLevelSetTangency:
         param = CoordinateMap(
             Chart("S", ("s",)), chart_qp, (parse_poly("0", ("s",)), parse_poly("0", ("s",)))
         )
-        report = level_set_tangency_check(momentum, param, [(1,), (6,)], 3)
+        report = tangency_report(momentum, param, [(1,), (6,)], 3)
         assert report.verdict == "informative"
         assert any(name.startswith("RankDeficient") for name, _ in report.residuals)
 
@@ -462,14 +464,14 @@ class TestLevelSetTangency:
             Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("0", ("s",)))
         )
         with pytest.raises(DimensionMismatchError):
-            level_set_tangency_check(momentum, param, [(1,), sample], 1)
+            tangency_report(momentum, param, [(1,), sample], 1)
 
     def test_without_components_the_level_set_is_the_chart(self, chart_qp):
         # J^-1(0) is all of M, so a curve does not span its tangent space
         param = CoordinateMap(
             Chart("S", ("s",)), chart_qp, (parse_poly("s", ("s",)), parse_poly("0", ("s",)))
         )
-        report = level_set_tangency_check(momentum_map(chart_qp, ()), param, [(2,)], 1)
+        report = tangency_report(momentum_map(chart_qp, ()), param, [(2,)], 1)
         assert report.verdict == "fail"
         assert report.residuals == (("kernel-not-spanned[sample 0]", "1"),)
 
@@ -604,7 +606,7 @@ class TestLevelSetAgainstFractionRoute:
             points, denominator = integer_points(samples)
             # a stream's denominator can exceed the least common one
             scale = 1 + index % 3
-            report = level_set_tangency_check(
+            report = tangency_report(
                 momentum, param, [tuple(scale * x for x in point) for point in points], scale * denominator)
             expected = _fraction_level_set_route(momentum, param, samples)
             assert (report.verdict, report.residuals) == expected
@@ -660,8 +662,8 @@ class TestSymplecticAction:
     def test_rotation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         rotation = parse_multivector("-p*e_q + q*e_p", chart_qp)
-        pg, report = symplectic_pgmap(omega, [rotation], abelian(1))
-        assert report.verdict == "pass"
+        pg, residuals = symplectic_pgmap(omega, [rotation], abelian(1))
+        assert report_of("symplectic-images-closed", residuals).verdict == "pass"
         # i_X omega = -q dq - p dp, closed and exact
         assert pg.images[0] == parse_form("-q*dq - p*dp", chart_qp)
         tc = tangent_chart(chart_qp)
@@ -674,17 +676,24 @@ class TestSymplecticAction:
 
     def test_translation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        pg, report = symplectic_pgmap(omega, [parse_multivector("e_q", chart_qp)], abelian(1))
-        assert report.verdict == "pass"
+        pg, residuals = symplectic_pgmap(omega, [parse_multivector("e_q", chart_qp)], abelian(1))
+        assert report_of("symplectic-images-closed", residuals).verdict == "pass"
         assert pg.images[0] == parse_form("dp", chart_qp)
 
     def test_non_invariant_rejected(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
-        pg, report = symplectic_pgmap(omega, [parse_multivector("q*e_q", chart_qp)], abelian(1))
+        pg, residuals = symplectic_pgmap(omega, [parse_multivector("q*e_q", chart_qp)], abelian(1))
         assert pg is None
+        assert {name: form.to_string() for name, form in residuals.items()} == {"L_X(omega)[0]": "dq^dp"}
+
+    def test_non_invariant_action_gives_no_relation(self):
+        problem = parse_problem(
+            "manifold { coords: q, p; symplectic: dq^dp }\nbialgebra { basis: e1 }\naction { e1 = q*e_q }\n")
+        (report,) = run_checks(problem, "symplectic")
         assert report.check_id == "symplectic-images-closed"
         assert report.verdict == "fail"
         assert report.residuals == (("L_X(omega)[0]", "dq^dp"),)
+        assert run_checks(problem, "cotangent-momentum-relation") == []
 
     def test_generator_recovered_by_sharp(self, chart_qp):
         from poissonlift import sharp
@@ -701,7 +710,7 @@ class TestCotangentMomentumRelation:
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         rotation = parse_multivector("-p*e_q + q*e_p", chart_qp)
         pg, _ = symplectic_pgmap(omega, [rotation], abelian(1))
-        report = cotangent_momentum_relation(tangent_chart(chart_qp), omega, [rotation], pg)
+        report = relation_report(tangent_chart(chart_qp), omega, [rotation], pg)
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
@@ -709,14 +718,14 @@ class TestCotangentMomentumRelation:
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         fields = [Multivector.zero(chart_qp, 1)]
         pg, _ = symplectic_pgmap(omega, fields, abelian(1))
-        report = cotangent_momentum_relation(tangent_chart(chart_qp), omega, fields, pg)
+        report = relation_report(tangent_chart(chart_qp), omega, fields, pg)
         assert report.verdict == "pass"
 
     def test_translation(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         fields = [parse_multivector("e_q", chart_qp)]
         pg, _ = symplectic_pgmap(omega, fields, abelian(1))
-        report = cotangent_momentum_relation(tangent_chart(chart_qp), omega, fields, pg)
+        report = relation_report(tangent_chart(chart_qp), omega, fields, pg)
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
@@ -727,7 +736,7 @@ class TestCotangentMomentumRelation:
             parse_multivector("e_q", chart_qp),
             parse_multivector("e_p", chart_qp),
         ]
-        report = cotangent_momentum_relation(tangent_chart(chart_qp), omega, fields, symplectic_pgmap(omega, fields, abelian(3))[0])
+        report = relation_report(tangent_chart(chart_qp), omega, fields, symplectic_pgmap(omega, fields, abelian(3))[0])
         assert report.verdict == "pass"
         assert "c = -(j . omega_flat)" in report.identity
 
@@ -736,14 +745,14 @@ class TestCotangentMomentumRelation:
         fields = [parse_multivector("e_q", chart_qp), parse_multivector("e_p", chart_qp)]
         pg, _ = symplectic_pgmap(omega, fields[:1], abelian(1))
         with pytest.raises(DimensionMismatchError):
-            cotangent_momentum_relation(tangent_chart(chart_qp), omega, fields, pg)
+            relation_report(tangent_chart(chart_qp), omega, fields, pg)
 
     def test_tangent_chart_of_another_base_rejected(self, chart_qp):
         omega = SymplecticForm.from_two_form(parse_form("dq^dp", chart_qp))
         fields = [parse_multivector("e_q", chart_qp)]
         pg, _ = symplectic_pgmap(omega, fields, abelian(1))
         with pytest.raises(ChartMismatchError):
-            cotangent_momentum_relation(tangent_chart(Chart("N", ("q",))), omega, fields, pg)
+            relation_report(tangent_chart(Chart("N", ("q",))), omega, fields, pg)
 
 
 class TestRandomizedCertifiedFamilies:
@@ -764,5 +773,5 @@ class TestRandomizedCertifiedFamilies:
                 ),
             )
             pg = hamiltonian_pgmap(momentum, so3_bialgebra())
-            assert certify_pgmap(Resolved(so3, pg)).verdict == "pass"
-            assert tangent_generator_check(Resolved(so3, pg)).verdict == "pass"
+            assert run_lifted("pgmap-certification", so3, pg).verdict == "pass"
+            assert run_lifted("tangent-generator-agreement", so3, pg).verdict == "pass"
