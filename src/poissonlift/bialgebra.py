@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Sequence
 
+from ._value import _Value
 from .chart import Chart, Multivector
 from .errors import DimensionMismatchError
 from .poisson import PoissonStructure
@@ -88,11 +89,13 @@ def _jacobi_residuals(basis: tuple[str, ...], rows: Mapping[tuple[int, int], Row
     }
 
 
-class LieBialgebra:
+class LieBialgebra(_Value):
     """Bracket and cobracket constants over a named basis.
 
     The constructor rejects malformed constants; the three structure checks
     run when ``structure_residuals`` or ``verified`` is first read."""
+
+    _fields = ("basis", "_brackets", "_cobrackets")
 
     def __init__(self, basis: Sequence[str], brackets: Mapping, cobrackets: Mapping | None = None):
         self.basis = tuple(basis)
@@ -195,19 +198,6 @@ class LieBialgebra:
         """Jacobi identity of the dual bracket, whose rows are the cobracket
         table transposed."""
         return _jacobi_residuals(self.basis, _transpose(self._cobrackets))
-
-    # -- comparison -------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieBialgebra):
-            return NotImplemented
-        return (
-            self.basis == other.basis
-            and self._brackets == other._brackets
-            and self._cobrackets == other._cobrackets
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"LieBialgebra(basis={self.basis}, verified={self.verified})"

@@ -39,31 +39,23 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from ._value import _Value
 from .errors import ChartMismatchError, DegreeError, KindMismatchError
 from .poly import Polynomial
 
 Index = tuple[int, ...]
 
 
-class Chart:
+class Chart(_Value, hashable=True):
     """A named chart of R^n with ordered coordinate symbols."""
+
+    _fields = ("name", "coords")
 
     def __init__(self, name: str, coords: Iterable[str]):
         self.name = name
         self.coords = tuple(coords)
         if len(set(self.coords)) != len(self.coords):
             raise ValueError(f"coordinate names must be distinct in {self.name}: {self.coords}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.name == other.name and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.name, self.coords))
-
-    def __repr__(self):
-        return f"Chart(name={self.name!r}, coords={self.coords!r})"
 
     @property
     def dim(self) -> int:
@@ -118,13 +110,14 @@ def _check_degree(chart: Chart, degree: int) -> None:
         raise DegreeError(f"degree {degree} out of range for chart of dim {chart.dim}")
 
 
-class _Tensor:
+class _Tensor(_Value):
     """Shared implementation for DifferentialForm and Multivector."""
 
     kind = "tensor"
     _basis_fmt = "{}"
 
     __slots__ = ("chart", "degree", "_components")
+    _fields = __slots__
 
     def __init__(self, chart: Chart, degree: int, components: Mapping[Index, Polynomial]):
         _check_degree(chart, degree)
@@ -268,17 +261,6 @@ class _Tensor:
         return self._make(self.chart, self.degree, {k: p * scalar for k, p in self._components.items()})
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if type(self) is not type(other):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.degree == other.degree
-            and self._components == other._components
-        )
-
-    __hash__ = None
 
     # -- printing ------------------------------------------------------------
 

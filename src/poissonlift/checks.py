@@ -251,12 +251,14 @@ def _missing(problem: ProblemFile, blocks: tuple[str, ...]) -> list[str]:
 def run_checks(problem: ProblemFile, name: str, plan: SamplePlan | None = None,
                fd_step: Fraction | None = None) -> list[CheckReport]:
     """The reports of a command, of 'all', or of the one check whose id is
-    ``name`` (none where its command gives none).
+    ``name`` (none where its command gives none), ``oracle-fd`` included.
 
     ``plan`` and ``fd_step`` default to the problem's own, as on the command
     line."""
     if name == "all":
         rows = [row for rows in CHECKS.values() for row in rows]
+    elif name == "oracle-fd":
+        rows = []
     else:
         rows = CHECKS.get(name) or [row for rows in CHECKS.values() for row in rows
                                     if row.check_id == name]
@@ -270,7 +272,7 @@ def run_checks(problem: ProblemFile, name: str, plan: SamplePlan | None = None,
     for row in rows:
         if not _missing(problem, row.blocks) and (report := _report(row, run)) is not None:
             reports.append(report)
-    if name == "all":
+    if name in ("all", "oracle-fd"):
         reports.append(_oracle_fd(problem, run.plan, problem.fd_step if fd_step is None else fd_step))
     return reports
 

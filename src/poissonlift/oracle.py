@@ -25,6 +25,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from ._value import _Value
 from .errors import DimensionMismatchError
 from .poly import Polynomial
 
@@ -38,9 +39,11 @@ DEFAULT_FD_STEP = Fraction(1, 10**6)
 FD_TOLERANCE = 1e-6  # guarded relative error threshold for derivative checks
 
 
-class SamplePlan:
+class SamplePlan(_Value, hashable=True):
     """Deterministic sampling plan: how many points, from which seed, and
     the interval ``box = (lo, hi)`` that every coordinate is drawn from."""
+
+    _fields = ("count", "seed", "box")
 
     def __init__(self, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                  box: tuple[Fraction, Fraction] = DEFAULT_BOX):
@@ -50,17 +53,6 @@ class SamplePlan:
         if lo > hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
         self.count, self.seed, self.box = count, seed, box
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.count, self.seed, self.box) == (other.count, other.seed, other.box)
-
-    def __hash__(self):
-        return hash((self.count, self.seed, self.box))
-
-    def __repr__(self):
-        return f"SamplePlan(count={self.count!r}, seed={self.seed!r}, box={self.box!r})"
 
     def stream(self, nvars: int, limit: int | None = None) -> tuple[int, list[tuple[int, ...]]]:
         """The plan's point stream, or its first ``limit`` points when that
@@ -101,9 +93,10 @@ def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence
     Returns the maximum guarded relative error
     |fd - exact| / max(1, |exact|) over all variables.  Differences are
     computed in exact arithmetic, so for polynomials of degree < 3 the result
-    is exactly 0.0.  Both fd and exact are 0 for a variable that f does not
-    use, so only the used variables are visited; ``variables`` must still
-    hold every variable of f's universe.
+    is exactly 0.0.  The exact partials are the lifts' own, ``_partials``,
+    taken in one walk; both fd and exact are 0 for a variable that f does
+    not use, so only the variables with a nonzero partial are visited.
+    ``variables`` must still hold every variable of f's universe.
 
     With h = a / b, the shifted points q +- h e_v share the denominator
     E = lcm(denominator, b), so f is evaluated at all of them in one
@@ -120,8 +113,8 @@ def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence
     common = math.lcm(denominator, b)
     base = [x * (common // denominator) for x in point]
     step = a * (common // b)
-    used = set(f.used_variables())
-    positions = [i for i, v in enumerate(variables) if v in used]
+    partials = {f.variables[i]: partial for i, partial in f._partials().items()}
+    positions = [i for i, v in enumerate(variables) if v in partials]
     shifted = []
     for i in positions:
         for shift in (step, -step):
@@ -132,7 +125,7 @@ def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence
     values, scale = f.scaled_values(variables, shifted, common)
     worst_num, worst_den = 0, 1
     for k, i in enumerate(positions):
-        (exact,), exact_scale = f.derivative(variables[i]).scaled_values(variables, [point], denominator)
+        (exact,), exact_scale = partials[variables[i]].scaled_values(variables, [point], denominator)
         num = abs(b * (values[2 * k] - values[2 * k + 1]) * exact_scale - 2 * a * scale * exact)
         den = 2 * a * scale * max(exact_scale, abs(exact))
         if num * worst_den > worst_num * den:

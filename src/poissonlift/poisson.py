@@ -42,6 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _linalg
+from ._value import _Value
 from .chart import (
     Chart,
     DifferentialForm,
@@ -54,7 +55,7 @@ from .errors import ChartMismatchError, DegreeError
 from .poly import Polynomial
 
 
-class PoissonStructure:
+class PoissonStructure(_Value):
     """A bivector field together with an exact Jacobi verdict.
 
     The constructor checks only the degree.  [pi, pi] is evaluated when
@@ -63,18 +64,12 @@ class PoissonStructure:
     failing the identity can still be carried around for negative tests,
     but operations that need a Poisson structure refuse them."""
 
+    _fields = ("bivector",)
+
     def __init__(self, bivector: Multivector):
         if bivector.degree != 2:
             raise DegreeError("a Poisson structure is a degree-2 multivector")
         self.bivector = bivector
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bivector == other.bivector
-
-    def __repr__(self):
-        return f"PoissonStructure(bivector={self.bivector!r})"
 
     @cached_property
     def jacobiator(self) -> Multivector:
@@ -165,13 +160,15 @@ def _koszul(beta: DifferentialForm, pi_alpha: Multivector, pi_beta: Multivector,
     return out
 
 
-class SymplecticForm:
+class SymplecticForm(_Value):
     """A closed 2-form with its Poisson structure, the exact inverse bivector.
 
     The component matrices of ``two_form`` and ``poisson.bivector`` multiply
     to the identity, which under the conventions above makes
     pi# . omega_flat the identity bundle map.
     """
+
+    _fields = ("two_form", "poisson")
 
     def __init__(self, two_form: DifferentialForm, poisson: PoissonStructure):
         self.two_form = two_form
@@ -185,14 +182,6 @@ class SymplecticForm:
             raise ValueError(f"two-form is not closed: d(omega) = {closed}")
         if not self._pairing_is_identity():
             raise ValueError("two-form and bivector component matrices are not mutual inverses")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.two_form, self.poisson) == (other.two_form, other.poisson)
-
-    def __repr__(self):
-        return f"SymplecticForm(two_form={self.two_form!r}, poisson={self.poisson!r})"
 
     def _pairing_is_identity(self) -> bool:
         """pi# . omega_flat = id on every coordinate field, which is the

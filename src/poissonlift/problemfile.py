@@ -12,6 +12,7 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
+from ._value import _Value
 from .bialgebra import LieBialgebra
 from .chart import Chart, Multivector
 from .errors import ParseError, UnknownCatalogError
@@ -22,7 +23,10 @@ from .reduction import PGMap, require_zero_level
 from .tangent import CoordinateMap, check_names
 
 
-class ProblemFile:
+class ProblemFile(_Value):
+    _fields = ("name", "chart", "poisson", "symplectic", "bialgebra", "pgmap", "momentum",
+               "action", "levelset", "plan", "fd_step")
+
     def __init__(self, name: str, chart: Chart, poisson: PoissonStructure,
                  symplectic: SymplecticForm | None = None, bialgebra: LieBialgebra | None = None,
                  pgmap: PGMap | None = None, momentum: CoordinateMap | None = None,
@@ -39,14 +43,6 @@ class ProblemFile:
         self.levelset = levelset
         self.plan = plan
         self.fd_step = fd_step
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return "ProblemFile(" + ", ".join(f"{k}={v!r}" for k, v in vars(self).items()) + ")"
 
 
 def _at(line: int | None, prefix: str, parse: Callable, *args):
@@ -263,19 +259,13 @@ def oracle_value(key: str, text: str, source: str):
 # -- raw block scanner ---------------------------------------------------------
 
 
-class _Block:
+class _Block(_Value):
+    _fields = ("name", "line", "entries")
+
     def __init__(self, name: str, line: int, entries: list[tuple[int, str]]):
         self.name = name
         self.line = line
         self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.line, self.entries) == (other.name, other.line, other.entries)
-
-    def __repr__(self):
-        return f"_Block(name={self.name!r}, line={self.line!r}, entries={self.entries!r})"
 
 
 _BRACES = re.compile(r"([{}])")

@@ -36,6 +36,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import _linalg
+from ._value import _Value
 from .bialgebra import LieBialgebra
 from .chart import (
     Chart,
@@ -65,8 +66,10 @@ from .tangent import (
 )
 
 
-class PGMap:
+class PGMap(_Value):
     """Linear map from a bialgebra into 1-forms, stored as basis images."""
+
+    _fields = ("bialgebra", "chart", "images")
 
     def __init__(self, bialgebra: LieBialgebra, chart: Chart, images: tuple[DifferentialForm, ...]):
         if len(images) != bialgebra.dim:
@@ -81,15 +84,6 @@ class PGMap:
         self.bialgebra = bialgebra
         self.chart = chart
         self.images = images
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.bialgebra, self.chart, self.images)
-                == (other.bialgebra, other.chart, other.images))
-
-    def __repr__(self):
-        return f"PGMap(bialgebra={self.bialgebra!r}, chart={self.chart!r}, images={self.images!r})"
 
     @cached_property
     def differentials(self) -> tuple[DifferentialForm, ...]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._value import _Value
 from .oracle import SamplePlan, sample_residual
 from .poly import rational_text
 
@@ -28,7 +29,9 @@ SCHEMA_VERSION = 1
 _VERDICTS = ("pass", "fail", "informative")
 
 
-class CheckReport:
+class CheckReport(_Value, hashable=True):
+    _fields = ("check_id", "identity", "verdict", "residuals", "samples")
+
     def __init__(self, check_id: str, identity: str, verdict: str,
                  residuals: tuple[tuple[str, str], ...] = (),
                  samples: tuple[tuple[str, float], ...] = ()):
@@ -42,19 +45,6 @@ class CheckReport:
         self.verdict = verdict
         self.residuals = residuals
         self.samples = samples
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.check_id, self.identity, self.verdict, self.residuals, self.samples)
-                == (other.check_id, other.identity, other.verdict, other.residuals, other.samples))
-
-    def __hash__(self):
-        return hash((self.check_id, self.identity, self.verdict, self.residuals, self.samples))
-
-    def __repr__(self):
-        return (f"CheckReport(check_id={self.check_id!r}, identity={self.identity!r}, "
-                f"verdict={self.verdict!r}, residuals={self.residuals!r}, samples={self.samples!r})")
 
 
 def _is_zero(value) -> bool:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from ._value import _Value
 from .chart import (
     Chart,
     DifferentialForm,
@@ -98,23 +99,14 @@ def bundle_chart(base: Chart, kind: str) -> Chart:
     return Chart(f"{kind}{base.name}", tuple(pre + c for pre in _BLOCKS[kind] for c in base.coords))
 
 
-class TangentChart:
+class TangentChart(_Value, hashable=True):
     """Base chart together with its tangent-bundle chart (q, v)."""
+
+    _fields = ("base", "total")
 
     def __init__(self, base: Chart, total: Chart):
         self.base = base
         self.total = total
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.total) == (other.base, other.total)
-
-    def __hash__(self):
-        return hash((self.base, self.total))
-
-    def __repr__(self):
-        return f"TangentChart(base={self.base!r}, total={self.total!r})"
 
     @property
     def dim(self) -> int:
@@ -152,9 +144,11 @@ def tangent_chart(base: Chart) -> TangentChart:
     return TangentChart(base, bundle_chart(base, "T"))
 
 
-class CoordinateMap:
+class CoordinateMap(_Value):
     """Polynomial map between charts: one component per target coordinate,
     written in source coordinates."""
+
+    _fields = ("source", "target", "components")
 
     def __init__(self, source: Chart, target: Chart, components: tuple[Polynomial, ...]):
         if len(components) != target.dim:
@@ -165,21 +159,12 @@ class CoordinateMap:
         self.target = target
         self.components = tuple(p.with_variables(source.coords) for p in components)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.components)
-                == (other.source, other.target, other.components))
-
-    def __repr__(self):
-        return (f"CoordinateMap(source={self.source!r}, target={self.target!r}, "
-                f"components={self.components!r})")
-
     def jacobian(self) -> list[list[Polynomial]]:
         """Entry [a][k] = d(component_a)/d(source_k)."""
+        zero = self.source.zero_poly()
         return [
-            [p.derivative(c) for c in self.source.coords]
-            for p in self.components
+            [partials.get(k, zero) for k in range(self.source.dim)]
+            for partials in (p._partials() for p in self.components)
         ]
 
 

@@ -642,6 +642,11 @@ class TestMainEntry:
         assert reports[:-1] == expected
         assert reports[-1].check_id == "oracle-fd"
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_oracle_fd_by_id_is_the_report_all_ends_with(self, name):
+        problem = catalog(name)
+        assert run_checks(problem, "oracle-fd") == run_checks(problem, "all")[-1:]
+
 
 @pytest.mark.parametrize(
     "command, block",
@@ -952,6 +957,16 @@ def test_oracle_fd_is_exact_on_quadratic_problems():
 @pytest.mark.parametrize("old, new", list(CUBIC_EDITS.values()), ids=list(CUBIC_EDITS))
 def test_oracle_fd_differentiates_the_problem(old, new):
     report = _oracle_fd_record(QUADRATIC.replace(old, new))
+    assert report.verdict == "fail"
+    assert report.residuals[0][0] == "max-relative-error"
+
+
+def test_oracle_fd_checks_the_partials_the_lifts_use(monkeypatch):
+    # d_T, the Schouten bracket, d and the lift identity differentiate
+    # through Polynomial._partials; doubling every partial must fail the oracle
+    exact = Polynomial._partials
+    monkeypatch.setattr(Polynomial, "_partials", lambda f: {i: p * 2 for i, p in exact(f).items()})
+    report = _oracle_fd_record(QUADRATIC)
     assert report.verdict == "fail"
     assert report.residuals[0][0] == "max-relative-error"
 

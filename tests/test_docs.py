@@ -164,6 +164,9 @@ UNCALLED = {
     "hamiltonian_vf": "the benchmark traces it (bench/spans.py)",
     "SamplePlan.points": "the benchmark traces it (bench/spans.py)",
     "Polynomial.substitute": "the benchmark's polynomial micro rows time it (bench/worker.py)",
+    "Polynomial.derivative": "the one-variable kernel of the dense reference routes "
+                             "(tests/reference.py) and of the benchmark's micro row (bench/worker.py); "
+                             "the commands differentiate through Polynomial._partials",
     "Polynomial.terms": "the public constructor's form, which substitute and the benchmark's "
                         "polynomial pool read",
 }
