@@ -233,12 +233,10 @@ class _Tensor(_Value):
         for idx, poly in other._components.items():
             if idx not in comps:
                 comps[idx] = poly if sign > 0 else -poly
-                continue
-            total = comps[idx] + poly if sign > 0 else comps[idx] - poly
-            if total.is_zero():
-                del comps[idx]
-            else:
+            elif (total := comps[idx]._plus(poly, sign))._terms:
                 comps[idx] = total
+            else:
+                del comps[idx]
         return self._make(self.chart, self.degree, comps)
 
     def __add__(self, other):

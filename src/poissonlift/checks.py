@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .chart import DifferentialForm, exterior_derivative
+from .chart import DifferentialForm
 from .errors import ParseError
 from .oracle import FD_TOLERANCE, SamplePlan, fd_derivative_check
 from .problemfile import ProblemFile
@@ -164,7 +164,7 @@ _ACTION = ("symplectic", "action")
 CHECKS: dict[str, tuple[Check, ...]] = {
     "check-poisson": (
         Check("symplectic-closed", "d(omega) = 0", ("symplectic",), "",
-              lambda run: {"d(omega)": exterior_derivative(run.problem.symplectic.two_form)}),
+              lambda run: {"d(omega)": run.problem.symplectic.d_omega}),
         Check("poisson-jacobi", "[pi, pi] = 0 (Schouten bracket)", (), "", _jacobiator, "sampled"),
     ),
     "lift": (
@@ -227,6 +227,14 @@ CHECKS: dict[str, tuple[Check, ...]] = {
 
 COMMANDS = (*CHECKS, "all")
 
+# every runnable name -> its rows: the commands, "all", each check id alone
+# (a check id that is also a command name keeps the command's one row) and
+# oracle-fd, which is no row
+_ROWS: dict[str, tuple[Check, ...]] = {**CHECKS, "all": sum(CHECKS.values(), ())}
+_ROWS.update((row.check_id, (row,)) for row in _ROWS["all"] if row.check_id not in _ROWS)
+_ROWS["oracle-fd"] = ()
+NAMES = tuple(_ROWS)
+
 
 # -- the runner ---------------------------------------------------------------------
 
@@ -255,15 +263,10 @@ def run_checks(problem: ProblemFile, name: str, plan: SamplePlan | None = None,
 
     ``plan`` and ``fd_step`` default to the problem's own, as on the command
     line."""
-    if name == "all":
-        rows = [row for rows in CHECKS.values() for row in rows]
-    elif name == "oracle-fd":
-        rows = []
-    else:
-        rows = CHECKS.get(name) or [row for rows in CHECKS.values() for row in rows
-                                    if row.check_id == name]
-        if not rows:
-            raise ParseError(f"unknown command or check {name!r}; choose from {', '.join(COMMANDS)}")
+    if name not in _ROWS:
+        raise ParseError(f"unknown command or check {name!r}; choose from {', '.join(NAMES)}")
+    rows = _ROWS[name]
+    if rows and name != "all":
         shared = tuple(block for block in rows[0].blocks if all(block in row.blocks for row in rows))
         if missing := _missing(problem, shared):
             raise ParseError(f"problem {problem.name!r} has no {missing[0]} block")

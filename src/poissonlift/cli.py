@@ -10,7 +10,8 @@ sample count or ``--fd-step`` and an empty ``--box``) and when the problem
 file cannot be read or the ``--report`` file cannot be written.  The box
 is written ``--box=LO,HI``: ``--box -1,1`` reads ``-1,1`` as an option.
 
-The commands and the checks each one runs are the check registry's
+The commands, the checks each one runs and the other names ``<command>``
+takes (a check id runs that check alone) are the check registry's
 (:mod:`poissonlift.checks`); this module reads the problem and the flags,
 prints the reports and writes the report file.
 """
@@ -21,7 +22,7 @@ import argparse
 import os
 import sys
 
-from .checks import COMMANDS, run_checks
+from .checks import COMMANDS, NAMES, run_checks
 from .errors import ParseError, UnknownCatalogError
 from .oracle import SamplePlan
 from .problemfile import ProblemFile, catalog, catalog_names, oracle_value, parse_problem
@@ -68,7 +69,8 @@ _PARSER = argparse.ArgumentParser(
     prog="poissonlift",
     description="Exact checks for tangent lifts of Poisson structures and momentum maps.",
 )
-_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("command", choices=NAMES, metavar="command",
+                     help=f"one of {', '.join(COMMANDS)}; a check id runs that check alone")
 _PARSER.add_argument("problem", help="problem file path or catalog entry name")
 _PARSER.add_argument("--report", help="write a structured report file")
 _PARSER.add_argument("--seed", default=None)

@@ -177,9 +177,9 @@ class SymplecticForm(_Value):
             raise DegreeError("symplectic data consists of a 2-form and a bivector")
         if two_form.chart != poisson.chart:
             raise ChartMismatchError("symplectic data on different charts")
-        closed = exterior_derivative(self.two_form)
-        if not closed.is_zero():
-            raise ValueError(f"two-form is not closed: d(omega) = {closed}")
+        self.d_omega = exterior_derivative(two_form)  # zero; the symplectic-closed check reads it
+        if not self.d_omega.is_zero():
+            raise ValueError(f"two-form is not closed: d(omega) = {self.d_omega}")
         if not self._pairing_is_identity():
             raise ValueError("two-form and bivector component matrices are not mutual inverses")
 

@@ -24,39 +24,41 @@ subtracts a unit and ``used_variables`` ORs them.  Exponents stay below
 that reaches bit W-1 of its field (the guard) is a ``ValueError``.
 ``_partials`` takes every partial derivative in one walk: it visits the set
 fields of each key once and files the lowered key under that field's
-variable, so a polynomial is read once for all its partials.  A key
-does not depend on how many variables follow, so re-indexing onto an
-extension ``vs`` of the universe ``u`` (``vs[:len(u)] == u``) shares the
-term map: polynomials on a base chart cross for free into its bundle
-charts, whose coordinates begin with the base's.  Operands over different
-universes meet on the longer one when it extends the other, and otherwise
-on their sorted union.  The universe order is read only where positions
-become names: printing, ``compose`` and ``scaled_values`` walk the set
-fields of each key (printing in its own loop, the others through
+variable, so a polynomial is read once for all its partials.  A key does not
+depend on how many variables follow, so re-indexing onto an extension ``vs``
+of the universe ``u`` (``vs[:len(u)] == u``) shares the term map:
+polynomials on a base chart cross for free into its bundle charts, whose
+coordinates begin with the base's.  Operands over different universes are
+re-indexed by ``with_variables`` onto the longer one when it extends the
+other, else onto their sorted union.  The universe order is read only where
+positions become names: printing, ``compose`` and ``scaled_values`` walk the
+set fields of each key (printing in its own loop, the others through
 :func:`_fields`), so their cost follows the variables a term uses, not the
-length of the universe, and sampled values follow the universe order too.  Only the public constructor, the ``terms`` view and
-the reference evaluation ``substitute`` read dense exponent tuples.
+length of the universe, and sampled values follow the universe order too.
+Only the public constructor, the ``terms`` view and the reference evaluation
+``substitute`` read dense exponent tuples.
 
-Construction has three paths.  The public constructor ``Polynomial(variables,
-terms)`` validates everything: distinct variable names, exponent tuples of
-the right length with entries in ``[0, EXPONENT_LIMIT)``, coefficients
-brought to their one form, repeated keys summed and zeros dropped.
-Arithmetic results are built by the internal ``Polynomial._make(variables,
-terms)``, which trusts that ``variables`` are distinct names and that
-``terms`` maps keys with no field at or past ``len(variables)`` to nonzero
-coefficients in their one form.  ``_make`` takes ownership of that dict;
-no term map is mutated once a polynomial holds it, so polynomials share
-them freely.  A sum of products ``sum scale * a * b``, the shape of every
+Construction has three paths.  The public constructor
+``Polynomial(variables, terms)`` validates everything: distinct variable
+names, exponent tuples of the right length with entries in
+``[0, EXPONENT_LIMIT)``, coefficients brought to their one form, repeated
+keys summed and zeros dropped.  Arithmetic results are built by the internal
+``Polynomial._make(variables, terms)``, which trusts that ``variables`` are
+distinct names and that ``terms`` maps keys with no field at or past
+``len(variables)`` to nonzero coefficients in their one form.  ``_make``
+takes ownership of that dict; no term map is mutated once a polynomial holds
+it, so polynomials share them freely.  ``+`` and ``-`` are one signed loop,
+``_plus``.  A sum of products ``sum scale * a * b``, the shape of every
 contraction in the package, is built by the internal
 ``Polynomial._sum_of_products(variables, products)``, the one loop that
 multiplies terms; ``*`` is its sum of one product.  All products are added
 into one term map: a key whose coefficient cancels is deleted at once and
-appended again if it comes back, as the ``+`` chain does, coefficients are
-folded to their one form once, at the end, and the exponent guard is
-checked once.  Its operands are over prefixes of ``variables``, so their
-keys add as they are.  The result has the value of the chain of ``*`` and
-``+`` calls and, unless a running sum cancels inside one product, its term
-order too; no printed or sampled value reads that order.
+appended again if it comes back, as ``_plus`` does, coefficients are folded
+to their one form once, at the end, and the exponent guard is checked once.
+Its operands are over prefixes of ``variables``, so their keys add as they
+are.  The result has the value of the chain of ``*`` and ``+`` calls and,
+unless a running sum cancels inside one product, its term order too; no
+printed or sampled value reads that order.
 
 For printing, terms are ordered graded-lexicographically (total degree first,
 then exponents against the variable order), highest first.  The printed form
@@ -242,12 +244,8 @@ class Polynomial:
         va, vb = a.variables, b.variables
         if va == vb:
             return a, b
-        if vb[:len(va)] == va:
-            return Polynomial._make(vb, a._terms), b
-        if va[:len(vb)] == vb:
-            return a, Polynomial._make(va, b._terms)
-        merged = tuple(sorted(set(va) | set(vb)))
-        return a.with_variables(merged), b.with_variables(merged)
+        vs = va if va[:len(vb)] == vb else vb if vb[:len(va)] == va else tuple(sorted({*va, *vb}))
+        return a.with_variables(vs), b.with_variables(vs)
 
     @staticmethod
     def _coerce(value, variables: tuple[str, ...]) -> "Polynomial":
@@ -259,14 +257,19 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "Polynomial":
+    def _plus(self, other, sign: int) -> "Polynomial":
+        """``self + sign * other`` for ``sign`` 1 or -1, in one copied term map."""
         a, b = self._aligned(self, self._coerce(other, self.variables))
         if not b._terms:
             return a
-        if not a._terms:
+        if sign > 0 and not a._terms:
             return b
+        if sign < 0 and a._terms == b._terms:  # the two sides of an identity that holds
+            return Polynomial._make(a.variables, {})
         terms = dict(a._terms)
         for key, coeff in b._terms.items():
+            if sign < 0:
+                coeff = -coeff
             c = terms.get(key)
             if c is None:
                 terms[key] = coeff
@@ -278,29 +281,16 @@ class Polynomial:
                     del terms[key]
         return Polynomial._make(a.variables, terms)
 
+    def __add__(self, other) -> "Polynomial":
+        return self._plus(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._make(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        a, b = self._aligned(self, self._coerce(other, self.variables))
-        if not b._terms:
-            return a
-        if a._terms == b._terms:  # the two sides of an identity that holds
-            return Polynomial._make(a.variables, {})
-        terms = dict(a._terms)
-        for key, coeff in b._terms.items():
-            c = terms.get(key)
-            if c is None:
-                terms[key] = -coeff
-            else:
-                c -= coeff
-                if c:
-                    terms[key] = c if type(c) is int or c.denominator != 1 else c.numerator
-                else:
-                    del terms[key]
-        return Polynomial._make(a.variables, terms)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other, self.variables) - self

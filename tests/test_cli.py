@@ -294,6 +294,52 @@ class TestSchema:
 
 _CONFORMANCE = Path(__file__).resolve().parent.parent / "docs" / "conformance"
 
+# the stem of every invalid conformance file -> a fragment of its own refusal,
+# so that no file is refused by an earlier rule than the one it is named for
+_INVALID = {
+    "action-without-symplectic": "action block requires a 'symplectic' entry",
+    "bad-bracket-entry": "bracket entries look like '[e1,e2] = ...': 'e1 * e2 = e2'",
+    "bracket-diagonal": "[e_0, e_0] must vanish (antisymmetry)",
+    "bracket-key-unclosed": "bracket entries look like '[e1,e2] = ...': '[e1,e2 = e2'",
+    "bracket-not-antisymmetric": "violate antisymmetry",
+    "bracket-terms-without-sign": "expected '+' or '-' between terms in 'e1 e2'",
+    "cocycle-key-no-parens": "cocycle entries look like 'd(e1) = ...'",
+    "cocycle-terms-without-sign": "expected '+' or '-' between terms in 'e1^e2 e1^e2'",
+    "coords-bundle-collision": "coordinate names must be distinct in T*M",
+    "coords-empty-entry": "empty entry in 'q,, p'",
+    "coords-leading-digit": "'1q' is not an identifier",
+    "coords-not-identifier": "'q+p' is not an identifier",
+    "degenerate-symplectic": "two-form is degenerate",
+    "duplicate-basis": "basis names must be distinct",
+    "duplicate-block": "duplicate block 'manifold'",
+    "duplicate-bracket-pair": "duplicate entry '[e1, e2]' in 'bracket'",
+    "duplicate-cocycle-entry": "duplicate entry 'd(e2)' in 'cocycle'",
+    "duplicate-coords": "coordinate names must be distinct in M",
+    "exponent-too-large": "exponent must be below 2147483648",
+    "inverse-without-symplectic": "'inverse' entry requires a 'symplectic' entry",
+    "levelset-map-too-short": "levelset map needs 2 components, got 1",
+    "levelset-off-zero-level": "J does not vanish on the parametrized set",
+    "levelset-without-momentum": "levelset block requires a momentum block",
+    "manifold-unknown-key": "unknown key 'sympletic' in 'manifold'",
+    "manifold-without-coords": "manifold block needs 'coords'",
+    "mixed-structures": "declare at most one of poisson/symplectic",
+    "momentum-without-bialgebra": "momentum block requires a bialgebra block",
+    "non-closed-symplectic": "two-form is not closed: d(omega) = da^db^dc",
+    "oracle-box-empty": "empty interval",
+    "oracle-box-zero-denominator": "bad oracle box '1/0, 2': zero denominator",
+    "oracle-fd-step-negative": "bad oracle fd_step '-1/1000': must be positive",
+    "oracle-fd-step-zero-denominator": "bad oracle fd_step '1/0': zero denominator",
+    "oracle-fd-step-zero": "bad oracle fd_step '0': must be positive",
+    "oracle-samples-not-integer": "bad oracle samples 'x'",
+    "oracle-samples-zero": "bad oracle samples '0': must be positive",
+    "oracle-seed-not-integer": "bad oracle seed '1/2'",
+    "oracle-unknown-key": "unknown key 'sampels' in 'oracle'",
+    "pgmap-missing-entry": "pgmap block misses entries for ['e2']",
+    "unclosed-block": "block 'manifold' is not closed",
+    "unknown-block": "unknown block 'momentm'",
+    "unknown-symbol": "'e_r' is not a basis element of this chart",
+}
+
 
 class TestConformanceCorpus:
     @pytest.mark.parametrize(
@@ -310,6 +356,10 @@ class TestConformanceCorpus:
         with pytest.raises(ParseError) as err:
             parse_problem(path.read_text(), name=path.name)
         assert err.value.line is not None
+        assert _INVALID[path.stem] in str(err.value)
+
+    def test_every_invalid_file_names_its_refusal(self):
+        assert sorted(path.stem for path in _CONFORMANCE.glob("invalid/*.pf")) == sorted(_INVALID)
 
 
 @pytest.mark.parametrize("path", sorted(_CONFORMANCE.glob("valid/*.pf")), ids=lambda p: p.stem)
@@ -375,6 +425,17 @@ def test_symplectic_problem_reads_the_forms_own_pi(monkeypatch, source):
     assert len(calls) == 1
     assert problem.symplectic.poisson.jacobi_verified
     assert len(calls) == 1
+
+
+def test_check_poisson_reads_the_forms_own_d_omega(monkeypatch):
+    # the form takes d(omega) once, to refuse one that is not closed, and
+    # the symplectic-closed row reports that value instead of taking it again
+    problem = catalog("canonical-r2-rotation")
+    calls = count_calls(monkeypatch, chart, "exterior_derivative")
+    reports = run_checks(problem, "check-poisson")
+    assert [(rep.check_id, rep.verdict) for rep in reports] == [
+        ("symplectic-closed", "pass"), ("poisson-jacobi", "pass")]
+    assert calls == []
 
 
 def _seeded_edits(seed: int, count: int):
@@ -628,6 +689,22 @@ class TestMainEntry:
         path = tmp_path / "report.txt"
         main(["all", name, "--report", str(path)])
         assert emit_reports(run_checks(_load_problem(name), "all")) == path.read_text()
+
+    @pytest.mark.parametrize("name", catalog_names())
+    @pytest.mark.parametrize("check_id", [row.check_id for rows in CHECKS.values() for row in rows]
+                             + ["oracle-fd"])
+    def test_a_check_id_runs_alone_from_the_command_line(self, tmp_path, capsys, name, check_id):
+        # the command line takes every name run_checks takes
+        path = tmp_path / "report.txt"
+        code = main([check_id, name, "--report", str(path)])
+        capsys.readouterr()
+        try:
+            reports = run_checks(catalog(name), check_id)
+        except ParseError:  # the problem lacks a block the check reads
+            assert code == 2 and not path.exists()
+            return
+        assert code == (1 if any(rep.verdict == "fail" for rep in reports) else 0)
+        assert path.read_text() == emit_reports(reports)
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_all_runs_every_applicable_command(self, name):
