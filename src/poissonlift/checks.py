@@ -7,16 +7,16 @@ its residuals (or, for a listing, the values it lists).  A command is the
 rows under its name.  It runs those of its rows whose blocks the problem
 has, and a problem without a block that all of its rows read is a
 ParseError.  ``all`` runs every row whose blocks the problem has, in table
-order, and then the finite-difference oracle ``oracle-fd``.
+order, so it ends with the forward-derivative oracle ``oracle-fd``, the
+last row.  Every row that runs gives exactly one report.
 
 A prerequisite is ``""`` (none), ``"pi"`` (a Jacobi-verified pi),
-``"bialgebra"`` (that and a verified bialgebra) or ``"map"`` (both and a
-certified map), as ``Resolved.require`` reads it.  ``_report`` applies it
-before anything else of the row runs: when it fails, the report is a
-``fail`` whose one ``unverified-input`` residual names the first input that
-does not hold, or, for a quiet row, there is none.  A row whose function
-returns None has no report either: an action that does not preserve omega
-has no map to compare with the cotangent momentum.
+``"bialgebra"`` (that and a verified bialgebra), ``"map"`` (both and a
+certified map), as ``Resolved.require`` reads it, or ``"action"`` (an
+action that preserves omega), which ``_Run.require`` reads.  ``_report``
+applies it before anything else of the row runs: when it fails, the report
+is a ``fail`` whose one ``unverified-input`` residual names the first input
+that does not hold.
 
 The rows of one call share one ``_Run``, the call's ``Resolved`` value, so
 pi, pi_TM and the pgmap certification are each computed at most once per
@@ -26,13 +26,12 @@ which the benchmark's tracer replaces.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .chart import DifferentialForm
 from .errors import ParseError
-from .oracle import FD_TOLERANCE, SamplePlan, fd_derivative_check
+from .oracle import SamplePlan, fd_derivative_check
 from .problemfile import ProblemFile
 from .reduction import (
     Resolved,
@@ -64,6 +63,13 @@ class _Run(Resolved):
         problem = self.problem
         return symplectic_pgmap(problem.symplectic, problem.action, problem.bialgebra)
 
+    def require(self, needs: str) -> str | None:
+        """``Resolved.require``, and for ``"action"`` the reason the action
+        gives no map, if it does not preserve omega."""
+        if needs == "action":
+            return None if self.symplectic[0] is not None else "action does not preserve omega"
+        return super().require(needs)
+
 
 class Check(NamedTuple):
     """One row of the registry (see the module docstring)."""
@@ -72,9 +78,8 @@ class Check(NamedTuple):
     identity: str
     blocks: tuple[str, ...]
     needs: str
-    residuals: Callable[[_Run], dict | None]
+    residuals: Callable[[_Run], dict]
     kind: str = "exact"  # "sampled": with the plan's samples; "listing": every value, informative
-    quiet: bool = False  # an unmet prerequisite drops the row instead of refusing it
 
 
 # -- residuals of the rows that have no function elsewhere ------------------------
@@ -149,11 +154,33 @@ def _level_set(run: _Run) -> dict:
     return level_set_tangency_residuals(run.problem.momentum, levelset, points, denominator)
 
 
-def _cotangent(run: _Run) -> dict | None:
-    pg = run.symplectic[0]
-    if pg is None:
-        return None
-    return cotangent_momentum_residuals(run.tc, run.problem.symplectic, run.problem.action, pg)
+def _cotangent(run: _Run) -> dict:
+    return cotangent_momentum_residuals(run.tc, run.problem.symplectic, run.problem.action,
+                                        run.symplectic[0])
+
+
+def _forward_derivatives(run: _Run) -> dict:
+    """Forward derivatives against the symbolic partials of the polynomials
+    the lifts differentiate: the components of pi and, when present, of the
+    pgmap images and the momentum map, one plan point per polynomial
+    (cycling through the plan's points when there are more polynomials).
+    The residual ``<polynomial>/d<v>`` is the exact difference at its point."""
+    problem = run.problem
+    coords = problem.chart.coords
+    polys = {f"pi[{coords[i]},{coords[j]}]": poly
+             for (i, j), poly in problem.poisson.bivector.components.items()}
+    if problem.pgmap is not None:
+        polys.update((f"pgmap[{name},{coords[j]}]", poly)
+                     for name, image in zip(problem.pgmap.bialgebra.basis, problem.pgmap.images)
+                     for (j,), poly in image.components.items())
+    if problem.momentum is not None:
+        polys.update((f"momentum[{name}]", poly)
+                     for name, poly in zip(problem.momentum.target.coords, problem.momentum.components))
+    denominator, points = run.plan.stream(len(coords), limit=len(polys))
+    return {f"{name}/d{v}": difference
+            for index, (name, poly) in enumerate(polys.items())
+            for v, difference in fd_derivative_check(
+                poly, coords, points[index % len(points)], denominator).items()}
 
 
 # -- the table ----------------------------------------------------------------------
@@ -198,7 +225,7 @@ CHECKS: dict[str, tuple[Check, ...]] = {
     ),
     "tangent-generator": (
         Check("tangent-generator-fields", "lifted generators by both defining formulas",
-              _PGMAP, "map", _generator_fields, "listing", quiet=True),
+              _PGMAP, "map", _generator_fields, "listing"),
         Check("tangent-generator-agreement",
               "X_(i_T phi) + pi_TM#(i_T d phi) equals the complete lift of pi#(phi)",
               _PGMAP, "map", lambda run: tangent_generator_residuals(run), "sampled"),
@@ -221,34 +248,31 @@ CHECKS: dict[str, tuple[Check, ...]] = {
               _ACTION, "", lambda run: run.symplectic[1]),
         Check("cotangent-momentum-relation",
               "tangent and cotangent momenta agree through omega_flat: c = -(j . omega_flat)",
-              _ACTION, "", _cotangent, "sampled"),
+              _ACTION, "action", _cotangent, "sampled"),
+    ),
+    "oracle-fd": (
+        Check("oracle-fd", "forward derivatives over dual numbers equal the symbolic partials",
+              (), "", _forward_derivatives),
     ),
 }
 
 COMMANDS = (*CHECKS, "all")
 
-# every runnable name -> its rows: the commands, "all", each check id alone
-# (a check id that is also a command name keeps the command's one row) and
-# oracle-fd, which is no row
+# every runnable name -> its rows: the commands, "all" and each check id
+# alone (a check id that is also a command name keeps the command's one row)
 _ROWS: dict[str, tuple[Check, ...]] = {**CHECKS, "all": sum(CHECKS.values(), ())}
 _ROWS.update((row.check_id, (row,)) for row in _ROWS["all"] if row.check_id not in _ROWS)
-_ROWS["oracle-fd"] = ()
 NAMES = tuple(_ROWS)
 
 
 # -- the runner ---------------------------------------------------------------------
 
 
-def _report(row: Check, run: _Run) -> CheckReport | None:
-    """The row's report, after its prerequisite; None when it gives none."""
+def _report(row: Check, run: _Run) -> CheckReport:
+    """The row's report, after its prerequisite."""
     if row.needs and (reason := run.require(row.needs)):
-        if row.quiet:
-            return None
         return CheckReport(row.check_id, row.identity, "fail", (("unverified-input", reason),))
-    residuals = row.residuals(run)
-    if residuals is None:
-        return None
-    return make_report(row.check_id, row.identity, residuals, informative=row.kind == "listing",
+    return make_report(row.check_id, row.identity, row.residuals(run), informative=row.kind == "listing",
                        plan=run.plan if row.kind == "sampled" else None)
 
 
@@ -256,48 +280,16 @@ def _missing(problem: ProblemFile, blocks: tuple[str, ...]) -> list[str]:
     return [block for block in blocks if getattr(problem, block) is None]
 
 
-def run_checks(problem: ProblemFile, name: str, plan: SamplePlan | None = None,
-               fd_step: Fraction | None = None) -> list[CheckReport]:
+def run_checks(problem: ProblemFile, name: str, plan: SamplePlan | None = None) -> list[CheckReport]:
     """The reports of a command, of 'all', or of the one check whose id is
-    ``name`` (none where its command gives none), ``oracle-fd`` included.
-
-    ``plan`` and ``fd_step`` default to the problem's own, as on the command
+    ``name``.  ``plan`` defaults to the problem's own, as on the command
     line."""
     if name not in _ROWS:
         raise ParseError(f"unknown command or check {name!r}; choose from {', '.join(NAMES)}")
     rows = _ROWS[name]
-    if rows and name != "all":
-        shared = tuple(block for block in rows[0].blocks if all(block in row.blocks for row in rows))
-        if missing := _missing(problem, shared):
-            raise ParseError(f"problem {problem.name!r} has no {missing[0]} block")
+    # "all" reads no block that every row reads, so it is never refused here
+    shared = tuple(block for block in rows[0].blocks if all(block in row.blocks for row in rows))
+    if missing := _missing(problem, shared):
+        raise ParseError(f"problem {problem.name!r} has no {missing[0]} block")
     run = _Run(problem, problem.plan if plan is None else plan)
-    reports = []
-    for row in rows:
-        if not _missing(problem, row.blocks) and (report := _report(row, run)) is not None:
-            reports.append(report)
-    if name in ("all", "oracle-fd"):
-        reports.append(_oracle_fd(problem, run.plan, problem.fd_step if fd_step is None else fd_step))
-    return reports
-
-
-def _oracle_fd(problem: ProblemFile, plan: SamplePlan, fd_step: Fraction) -> CheckReport:
-    """Central differences against the symbolic partials of the polynomials
-    the lifts differentiate: the components of pi and, when present, of the
-    pgmap images and the momentum map, one plan point per polynomial (cycling
-    through the plan's points when there are more polynomials)."""
-    chart = problem.chart
-    polys = list(problem.poisson.bivector.components.values())
-    if problem.pgmap is not None:
-        polys += [poly for image in problem.pgmap.images for poly in image.components.values()]
-    if problem.momentum is not None:
-        polys += problem.momentum.components
-    denominator, points = plan.stream(chart.dim, limit=len(polys))
-    worst = 0.0
-    for index, f in enumerate(polys):
-        point = points[index % len(points)]
-        worst = max(worst, fd_derivative_check(f, chart.coords, point, denominator, fd_step))
-    residuals = {}
-    if worst > FD_TOLERANCE:
-        residuals["max-relative-error"] = Fraction(worst).limit_denominator(10**12)
-    return make_report("oracle-fd", f"central differences match symbolic partials within {FD_TOLERANCE}",
-                       residuals, samples=(("max-relative-error", worst),))
+    return [_report(row, run) for row in rows if not _missing(problem, row.blocks)]

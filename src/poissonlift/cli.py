@@ -1,12 +1,12 @@
 """Command-line front end.
 
     poissonlift <command> <problem> [--report PATH] [--seed N] [--samples N]
-                [--box=LO,HI] [--fd-step RAT] [--quiet]
+                [--box=LO,HI] [--quiet]
 
 ``<problem>`` is a path to a problem file or the name of a built-in catalog
 entry.  Exit codes: 0 when every non-informative check passes, 1 when any
 check fails, 2 on parse or validation errors (including a non-positive
-sample count or ``--fd-step`` and an empty ``--box``) and when the problem
+sample count, an empty ``--box`` and an unknown option) and when the problem
 file cannot be read or the ``--report`` file cannot be written.  The box
 is written ``--box=LO,HI``: ``--box -1,1`` reads ``-1,1`` as an option.
 
@@ -76,7 +76,6 @@ _PARSER.add_argument("--report", help="write a structured report file")
 _PARSER.add_argument("--seed", default=None)
 _PARSER.add_argument("--samples", default=None)
 _PARSER.add_argument("--box", default=None, help="sampling interval, written --box=LO,HI")
-_PARSER.add_argument("--fd-step", default=None, help="finite-difference step (rational)")
 _PARSER.add_argument("--quiet", action="store_true")
 
 
@@ -86,17 +85,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         problem = _load_problem(args.problem)
         # the flags take the values the problem file's oracle keys take
-        flags = {key: oracle_value(key, getattr(args, key), "--" + key.replace("_", "-"))
-                 for key in ("samples", "seed", "box", "fd_step") if getattr(args, key) is not None}
+        flags = {key: oracle_value(key, getattr(args, key), "--" + key)
+                 for key in ("samples", "seed", "box") if getattr(args, key) is not None}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     plan = SamplePlan(flags.get("samples", problem.plan.count), flags.get("seed", problem.plan.seed),
                       flags.get("box", problem.plan.box))
-    fd_step = flags.get("fd_step", problem.fd_step)
 
     try:
-        reports = run_checks(problem, args.command, plan=plan, fd_step=fd_step)
+        reports = run_checks(problem, args.command, plan=plan)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

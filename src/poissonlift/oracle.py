@@ -1,4 +1,5 @@
-"""Floating-point cross-validation of symbolic results.
+"""Sampling plans, sampled residual magnitudes and the exact
+forward-derivative oracle.
 
 Sample points are rationals drawn on a fixed grid from a seeded generator,
 so evaluation stays exact; conversion to double precision happens only at
@@ -13,9 +14,11 @@ sampled check reads that stream and evaluates through
 ``Polynomial.scaled_values`` in integer arithmetic; ``SamplePlan.points`` is
 the ``Fraction`` view of the same draws, which no check reads.  A sampled
 magnitude is the exact maximum of ``|p(x)|`` over the stream, built by
-``Polynomial.max_abs`` as one ``Fraction``, and a finite-difference error is
-one exact rational too, so each ``float`` is the correctly rounded value of
-an exact number, whichever route computed it.
+``Polynomial.max_abs`` as one ``Fraction``, so each ``float`` is the
+correctly rounded value of an exact number.  ``fd_derivative_check`` reads
+one point of a stream and compares forward derivatives, taken over dual
+numbers, with the symbolic partials: its differences are exact rationals,
+and no float or tolerance enters its verdict.
 """
 
 from __future__ import annotations
@@ -26,17 +29,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._value import _Value
-from .errors import DimensionMismatchError
-from .poly import Polynomial
+from .errors import DimensionMismatchError, MissingAssignmentError
+from .poly import Polynomial, _fields
 
 GRID_RESOLUTION = 4096
 
 DEFAULT_SAMPLES = 100
 DEFAULT_SEED = 2026
 DEFAULT_BOX = (Fraction(-2), Fraction(2))
-DEFAULT_FD_STEP = Fraction(1, 10**6)
-
-FD_TOLERANCE = 1e-6  # guarded relative error threshold for derivative checks
 
 
 class SamplePlan(_Value, hashable=True):
@@ -84,53 +84,58 @@ class SamplePlan(_Value, hashable=True):
         return [tuple(Fraction(n, denominator) for n in point) for point in numerators]
 
 
+def _dual_power(a: int, b: int, e: int) -> tuple[int, int]:
+    """``(a + b*eps)^e`` with ``eps^2 = 0``, by square-and-multiply."""
+    x, y = 1, 0
+    while True:
+        if e & 1:
+            x, y = x * a, x * b + y * a
+        if not (e := e >> 1):
+            return x, y
+        a, b = a * a, 2 * a * b
+
+
 def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence[int],
-                        denominator: int, h: Fraction = DEFAULT_FD_STEP) -> float:
-    """Central differences against symbolic partials at the point
-    ``point / denominator``, whose integer entries are the values of
+                        denominator: int) -> dict[str, Fraction]:
+    """Forward derivatives ("fd") against the symbolic partials at the point
+    ``x = point / denominator``, whose integer entries are the values of
     ``variables`` in that order (the format of ``SamplePlan.stream``).
 
-    Returns the maximum guarded relative error
-    |fd - exact| / max(1, |exact|) over all variables.  Differences are
-    computed in exact arithmetic, so for polynomials of degree < 3 the result
-    is exactly 0.0.  The exact partials are the lifts' own, ``_partials``,
-    taken in one walk; both fd and exact are 0 for a variable that f does
-    not use, so only the variables with a nonzero partial are visited.
-    ``variables`` must still hold every variable of f's universe.
+    f is evaluated over dual numbers ``a + b*eps``, ``eps^2 = 0``, at
+    ``x + eps*e_v``: the eps part is the partial along v at x, exactly.
+    Scaled as ``Polynomial.scaled_values`` scales (L the lcm of the
+    coefficient denominators, D the denominator, ``top`` the total degree),
+    ``L * D^top * f`` is a sum of integer dual products, v standing for
+    ``n_v + D*eps`` and each power taken by square-and-multiply.  The route
+    calls no ``derivative``, ``_partials`` or power rule, so it is a second
+    route for ``_partials``, which every lift differentiates through.
 
-    With h = a / b, the shifted points q +- h e_v share the denominator
-    E = lcm(denominator, b), so f is evaluated at all of them in one
-    ``scaled_values`` call, giving N+- / M, and each partial in one call at
-    q, giving P / M'.  Then fd = b (N+ - N-) / (2 a M), and the error is the
-    integer ratio |b (N+ - N-) M' - 2 a M P| / (2 a M max(M', |P|)).
+    Returns the nonzero differences ``eps part - _partials()[v](x)`` by
+    variable, over every v that f uses or that ``_partials`` returns.
+    ``variables`` must hold every variable of f's universe.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
     if len(point) != len(variables):
         raise DimensionMismatchError(f"point has {len(point)} coordinates, need {len(variables)}")
-    h = Fraction(h)
-    a, b = h.numerator, h.denominator
-    common = math.lcm(denominator, b)
-    base = [x * (common // denominator) for x in point]
-    step = a * (common // b)
-    partials = {f.variables[i]: partial for i, partial in f._partials().items()}
-    positions = [i for i, v in enumerate(variables) if v in partials]
-    shifted = []
-    for i in positions:
-        for shift in (step, -step):
-            moved = list(base)
-            moved[i] += shift
-            shifted.append(moved)
-    # raises MissingAssignmentError when a variable of f is not in variables
-    values, scale = f.scaled_values(variables, shifted, common)
-    worst_num, worst_den = 0, 1
-    for k, i in enumerate(positions):
-        (exact,), exact_scale = partials[variables[i]].scaled_values(variables, [point], denominator)
-        num = abs(b * (values[2 * k] - values[2 * k + 1]) * exact_scale - 2 * a * scale * exact)
-        den = 2 * a * scale * max(exact_scale, abs(exact))
-        if num * worst_den > worst_num * den:
-            worst_num, worst_den = num, den
-    return float(Fraction(worst_num, worst_den))
+    where = {v: k for k, v in enumerate(variables)}
+    if missing := [v for v in f.variables if v not in where]:
+        raise MissingAssignmentError(f"no value for variables {missing}")
+    values = [point[where[v]] for v in f.variables]
+    terms = [(c, _fields(key)) for key, c in f._terms.items()]
+    degrees = [sum(e for _, e in fields) for _, fields in terms]
+    top, scale = max(degrees, default=0), math.lcm(*(c.denominator for c, _ in terms))
+    forward: dict[int, int] = {}  # eps part of L * D^top * f(x + eps*e_i), by index i of f's universe
+    for (c, fields), degree in zip(terms, degrees):
+        duals = [(i, _dual_power(values[i], denominator, e)) for i, e in fields]
+        coeff = int(c * scale) * denominator ** (top - degree)
+        for i, (_, b) in duals:
+            forward[i] = forward.get(i, 0) + math.prod((a for j, (a, _) in duals if j != i), start=coeff * b)
+    partials, zero, differences = f._partials(), Polynomial.zero(f.variables), {}
+    total = scale * denominator ** top
+    for i in sorted(forward.keys() | partials.keys()):
+        (exact,), exact_scale = partials.get(i, zero).scaled_values(variables, [point], denominator)
+        if numerator := forward.get(i, 0) * exact_scale - exact * total:
+            differences[f.variables[i]] = Fraction(numerator, total * exact_scale)
+    return differences
 
 
 def _residual_polys(value) -> tuple[tuple[str, ...], list[Polynomial]]:

@@ -16,7 +16,7 @@ from ._value import _Value
 from .bialgebra import LieBialgebra
 from .chart import Chart, Multivector
 from .errors import ParseError, UnknownCatalogError
-from .oracle import DEFAULT_BOX, DEFAULT_FD_STEP, DEFAULT_SAMPLES, DEFAULT_SEED, SamplePlan
+from .oracle import DEFAULT_BOX, DEFAULT_SAMPLES, DEFAULT_SEED, SamplePlan
 from .parser import _tokenize, is_identifier, parse_form, parse_multivector, parse_poly
 from .poisson import PoissonStructure, SymplecticForm
 from .reduction import PGMap, require_zero_level
@@ -25,13 +25,13 @@ from .tangent import CoordinateMap, check_names
 
 class ProblemFile(_Value):
     _fields = ("name", "chart", "poisson", "symplectic", "bialgebra", "pgmap", "momentum",
-               "action", "levelset", "plan", "fd_step")
+               "action", "levelset", "plan")
 
     def __init__(self, name: str, chart: Chart, poisson: PoissonStructure,
                  symplectic: SymplecticForm | None = None, bialgebra: LieBialgebra | None = None,
                  pgmap: PGMap | None = None, momentum: CoordinateMap | None = None,
                  action: tuple[Multivector, ...] | None = None, levelset: CoordinateMap | None = None,
-                 plan: SamplePlan = SamplePlan(), fd_step: Fraction = DEFAULT_FD_STEP):
+                 plan: SamplePlan = SamplePlan()):
         self.name = name
         self.chart = chart
         self.poisson = poisson  # the declared one, or the symplectic form's
@@ -42,7 +42,6 @@ class ProblemFile(_Value):
         self.action = action
         self.levelset = levelset
         self.plan = plan
-        self.fd_step = fd_step
 
 
 def _at(line: int | None, prefix: str, parse: Callable, *args):
@@ -244,7 +243,6 @@ _SCHEMA: dict[str, _Spec] = {
         "samples": _Key(_positive(int), default=DEFAULT_SAMPLES),
         "seed": _Key(lambda text, env: int(text), default=DEFAULT_SEED),
         "box": _Key(_interval, default=DEFAULT_BOX),
-        "fd_step": _Key(_positive(Fraction), default=DEFAULT_FD_STEP),
     }, quoted=True,
         build=lambda env: SamplePlan(env["samples"], env["seed"], env["box"])),
 }
@@ -439,7 +437,7 @@ def parse_problem(text: str, name: str = "<problem>") -> ProblemFile:
         symplectic=env["symplectic"],
         bialgebra=env.get("bialgebra"), pgmap=env.get("pgmap"), momentum=env.get("momentum"),
         action=env.get("action"), levelset=env.get("levelset"),
-        plan=env.get("oracle", SamplePlan()), fd_step=env.get("fd_step", DEFAULT_FD_STEP))
+        plan=env.get("oracle", SamplePlan()))
 
 
 # -- built-in catalog -----------------------------------------------------------------

@@ -201,14 +201,13 @@ def use_wrong_lift_kernel(monkeypatch, kind: str) -> None:
     monkeypatch.setattr(tangent, "_complete_lift_poly", wrong[kind])
 
 
-# A problem whose polynomials are at most quadratic, so central differences
-# with its step 1 are exact, and the edits that make one of them cubic.
+# A problem whose polynomials are at most quadratic, and the edits that
+# make one of them cubic.
 QUADRATIC = """
 manifold { coords: q, p; poisson: (q^2 + p)*e_q^e_p }
 bialgebra { basis: e1 }
 pgmap { e1 = q*p*dq - dp }
 momentum { e1 = q^2 - p }
-oracle { fd_step: 1 }
 """
 
 CUBIC_EDITS = {

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from fractions import Fraction
 
 from poissonlift import (
     Chart,
@@ -330,13 +329,13 @@ def test_criterion_10_dressing_projection():
 
 
 def test_criterion_11_oracle_consistency():
-    with criterion(11, "float oracle agrees with the exact pipeline"):
+    with criterion(11, "sampling and forward-derivative oracles agree with the exact pipeline"):
         plan = SamplePlan(count=100, seed=20260808)
         residuals = _collected_zero_residuals()
         assert residuals
         for residual in residuals:
             assert sample_residual(residual, plan) == 0.0
-        # finite differences within 1e-6 guarded relative error on 100
+        # forward derivatives equal the symbolic partials exactly on 100
         # random polynomials of degree <= 4 in the default box
         rng = random.Random(1111)
         charts = [Chart("C", tuple(f"x{i}" for i in range(dim))) for dim in (1, 2, 3)]
@@ -344,8 +343,7 @@ def test_criterion_11_oracle_consistency():
             chart = charts[index % 3]
             f = rand_poly(rng, chart.coords, max_degree=4, terms=5)
             denominator, points = plan.stream(chart.dim)
-            err = fd_derivative_check(f, chart.coords, points[index % 100], denominator, Fraction(1, 10**6))
-            assert err <= 1e-6, (index, err)
+            assert fd_derivative_check(f, chart.coords, points[index % 100], denominator) == {}, index
 
 
 def test_criterion_12_jacobi_negative_control():

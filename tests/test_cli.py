@@ -20,7 +20,7 @@ import pytest
 
 from poissonlift import catalog, catalog_names, emit_reports, parse_problem, parse_reports
 from poissonlift import LieBialgebra, Polynomial, SamplePlan, chart, checks, cli, poisson, reduction, tangent
-from poissonlift.checks import CHECKS
+from poissonlift.checks import CHECKS, NAMES
 from poissonlift.cli import COMMANDS, _load_problem, main, run_checks
 from poissonlift.errors import ParseError, UnknownCatalogError
 from poissonlift.problemfile import _SCHEMA, _Block, _entry_map
@@ -44,7 +44,7 @@ pgmap {
 # A problem whose oracle block sets every value away from its default.
 OWN_ORACLE = """
 manifold { coords: q, p; poisson: p*e_q^e_p }
-oracle { samples: 7; seed: 12; box: -1/2, 3; fd_step: 1/1000 }
+oracle { samples: 7; seed: 12; box: -1/2, 3 }
 """
 
 
@@ -119,14 +119,12 @@ manifold { coords: q, p
   poisson: 0 }
 oracle { samples: 7
   seed: 12
-  box: -1/2, 3
-  fd_step: 1/1000 }
+  box: -1/2, 3 }
 """
         problem = parse_problem(text)
         assert problem.plan.count == 7
         assert problem.plan.seed == 12
         assert problem.plan.box == (Fraction(-1, 2), Fraction(3))
-        assert problem.fd_step == Fraction(1, 1000)
 
     @pytest.mark.parametrize(
         "text, line, message",
@@ -161,13 +159,16 @@ oracle { samples: 7
              ("cocycle { d(e2) = e1 e2 }", "expected '^' between basis symbols"),
              ("cocycle { d(e2) = e1^ }", "expected a basis symbol after '^'"),
              ("bracket { [e1,e2] = e2 - }", "dangling sign"),
-             ("bracket { [e1,e2] = 1/ e2 }", "expected integer denominator")]]],
+             ("bracket { [e1,e2] = 1/ e2 }", "expected integer denominator")]],
+         # the oracle is exact and takes no step
+         ("manifold { coords: q, p; poisson: 0 }\noracle { seed: 3\n  fd_step: 1/1000 }", 3,
+          "unknown key 'fd_step' in 'oracle'")],
         ids=["inverse-without-symplectic", "levelset-without-momentum", "action-without-symplectic",
              "repeated-bracket", "repeated-cocycle", "duplicate-coords", "duplicate-basis", "antisymmetry",
              "diagonal-bracket", "empty-coordinate", "fiber-prefix", "fiber-prefix-before-collision",
              "bundle-collision", "bracket-terms-without-sign", "cocycle-terms-without-sign",
              "unknown-basis-symbol", "cocycle-without-wedge", "wedge-without-second-symbol",
-             "dangling-sign", "denominator-not-an-integer"],
+             "dangling-sign", "denominator-not-an-integer", "oracle-fd-step"],
     )
     def test_rule_errors_carry_their_line(self, text, line, message):
         with pytest.raises(ParseError, match=re.escape(message)) as err:
@@ -191,12 +192,12 @@ oracle { samples: 7
     @pytest.mark.parametrize(
         "key, text",
         [("samples", "0"), ("samples", "x"), ("seed", "1/2"), ("box", "2, -2"), ("box", "1/0, 2"),
-         ("box", "-1,,1"), ("fd_step", "1/0"), ("fd_step", "-1")],
+         ("box", "-1,,1")],
     )
     def test_flags_and_oracle_keys_reject_alike(self, capsys, key, text):
         with pytest.raises(ParseError):
             parse_problem(f"manifold {{ coords: q, p; poisson: 0 }}\noracle {{ {key}: {text} }}")
-        flag = "--" + key.replace("_", "-")
+        flag = "--" + key
         assert main(["check-poisson", "so3-coadjoint", f"{flag}={text}"]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad {flag} ")
 
@@ -327,9 +328,6 @@ _INVALID = {
     "non-closed-symplectic": "two-form is not closed: d(omega) = da^db^dc",
     "oracle-box-empty": "empty interval",
     "oracle-box-zero-denominator": "bad oracle box '1/0, 2': zero denominator",
-    "oracle-fd-step-negative": "bad oracle fd_step '-1/1000': must be positive",
-    "oracle-fd-step-zero-denominator": "bad oracle fd_step '1/0': zero denominator",
-    "oracle-fd-step-zero": "bad oracle fd_step '0': must be positive",
     "oracle-samples-not-integer": "bad oracle samples 'x'",
     "oracle-samples-zero": "bad oracle samples '0': must be positive",
     "oracle-seed-not-integer": "bad oracle seed '1/2'",
@@ -412,6 +410,28 @@ def _load(source: str):
 _SYMPLECTIC = [source for source in (*catalog_names(), *(f"valid/{path.name}" for path in
                                                          sorted(_CONFORMANCE.glob("valid/*.pf"))))
                if _load(source).symplectic is not None]
+
+
+_GL = {"gl2": gl_problem(2), "gl2-perturbed": gl_problem(2, perturb_map=True), "gl3": gl_problem(3),
+       "gl3-perturbed": gl_problem(3, perturb_map=True), "gl3-non-poisson": gl_problem(3, non_poisson=True),
+       "non-symplectic-action": "manifold { coords: q, p; symplectic: dq^dp }\n"
+                                "bialgebra { basis: e1 }\naction { e1 = q*e_q }\n"}
+
+
+@pytest.mark.parametrize("source", [*catalog_names(), *(f"valid/{path.name}" for path in
+                                                        sorted(_CONFORMANCE.glob("valid/*.pf"))), *_GL])
+def test_every_name_gives_a_report_or_a_parse_error(source):
+    # tangent-generator-fields on an uncertified map and
+    # cotangent-momentum-relation on an action that does not preserve omega
+    # gave no report, and the command line printed "0/0 checks passed", exit 0
+    problem = parse_problem(_GL[source]) if source in _GL else _load(source)
+    ids = {row.check_id for rows in CHECKS.values() for row in rows}
+    for name in NAMES:
+        try:
+            reports = run_checks(problem, name)
+        except ParseError:  # the problem lacks a block every row of the name reads
+            continue
+        assert len(reports) == 1 if name in ids else reports, name
 
 
 @pytest.mark.parametrize("source", _SYMPLECTIC)
@@ -649,13 +669,19 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "flags",
         [["--box", "oops"], ["--samples", "0"], ["--samples", "-3"], ["--box", "2,-2"],
-         ["--fd-step", "0"], ["--fd-step", "-1"]],
+         ["--fd-step", "0"], ["--fd-step", "-1"], ["--fd-step", "1/100"]],
         ids=["box-oops", "samples-zero", "samples-negative", "box-empty",
-             "fd-step-zero", "fd-step-negative"],
+             "fd-step-zero", "fd-step-negative", "fd-step"],
     )
     def test_bad_box_flag(self, capsys, flags):
-        assert main(["check-poisson", "so3-coadjoint", *flags]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        # --fd-step is no option since the oracle is exact: argparse refuses it
+        try:
+            code = main(["check-poisson", "so3-coadjoint", *flags])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") or err.endswith(f"error: unrecognized arguments: {' '.join(flags)}\n")
 
     @pytest.mark.parametrize("case", ["report-in-missing-dir", "report-is-dir", "problem-is-dir"])
     def test_unreadable_or_unwritable_path(self, tmp_path, capsys, case):
@@ -691,8 +717,7 @@ class TestMainEntry:
         assert emit_reports(run_checks(_load_problem(name), "all")) == path.read_text()
 
     @pytest.mark.parametrize("name", catalog_names())
-    @pytest.mark.parametrize("check_id", [row.check_id for rows in CHECKS.values() for row in rows]
-                             + ["oracle-fd"])
+    @pytest.mark.parametrize("check_id", [row.check_id for rows in CHECKS.values() for row in rows])
     def test_a_check_id_runs_alone_from_the_command_line(self, tmp_path, capsys, name, check_id):
         # the command line takes every name run_checks takes
         path = tmp_path / "report.txt"
@@ -716,7 +741,7 @@ class TestMainEntry:
             except ParseError:  # the problem lacks a block the command needs
                 pass
         reports = run_checks(problem, "all")
-        assert reports[:-1] == expected
+        assert reports == expected
         assert reports[-1].check_id == "oracle-fd"
 
     @pytest.mark.parametrize("name", catalog_names())
@@ -1020,32 +1045,48 @@ def test_verify_lemma_catches_a_wrong_complete_lift(monkeypatch, name):
 
 
 def _oracle_fd_record(text: str):
-    (report,) = [rep for rep in run_checks(parse_problem(text), "all") if rep.check_id == "oracle-fd"]
+    (report,) = run_checks(parse_problem(text), "oracle-fd")
     return report
 
 
-def test_oracle_fd_is_exact_on_quadratic_problems():
-    # central differences with step 1 are exact up to degree 2
-    report = _oracle_fd_record(QUADRATIC)
-    assert report.verdict == "pass"
-    assert report.samples == (("max-relative-error", 0.0),)
-
-
-@pytest.mark.parametrize("old, new", list(CUBIC_EDITS.values()), ids=list(CUBIC_EDITS))
-def test_oracle_fd_differentiates_the_problem(old, new):
+@pytest.mark.parametrize("old, new", [("", ""), *CUBIC_EDITS.values()], ids=["quadratic", *CUBIC_EDITS])
+def test_oracle_fd_is_exact_at_any_degree(old, new):
+    # central differences with step 1 were exact up to degree 2 only, so
+    # each cubic edit failed
     report = _oracle_fd_record(QUADRATIC.replace(old, new))
+    assert (report.verdict, report.residuals, report.samples) == ("pass", (), ())
+
+
+_BLOCK_RESIDUALS = {"poisson": "pi[q,p]/d", "pgmap": "pgmap[e1,q]/d", "momentum": "momentum[e1]/d"}
+
+
+@pytest.mark.parametrize("block", list(CUBIC_EDITS))
+def test_oracle_fd_differentiates_the_problem(monkeypatch, block):
+    # partials doubled on cubic polynomials only: the quadratic problem still
+    # passes, and each cubic edit fails with residuals naming its block
+    exact = Polynomial._partials
+
+    def wrong(f):
+        cubic = any(sum(exps) == 3 for exps in f.terms)
+        return {i: p * 2 if cubic else p for i, p in exact(f).items()}
+
+    monkeypatch.setattr(Polynomial, "_partials", wrong)
+    assert _oracle_fd_record(QUADRATIC).verdict == "pass"
+    report = _oracle_fd_record(QUADRATIC.replace(*CUBIC_EDITS[block]))
     assert report.verdict == "fail"
-    assert report.residuals[0][0] == "max-relative-error"
+    assert report.residuals and all(name.startswith(_BLOCK_RESIDUALS[block]) for name, _ in report.residuals)
 
 
 def test_oracle_fd_checks_the_partials_the_lifts_use(monkeypatch):
     # d_T, the Schouten bracket, d and the lift identity differentiate
-    # through Polynomial._partials; doubling every partial must fail the oracle
+    # through Polynomial._partials; doubling every partial must fail the
+    # oracle on each nonconstant polynomial, one residual per variable used
     exact = Polynomial._partials
     monkeypatch.setattr(Polynomial, "_partials", lambda f: {i: p * 2 for i, p in exact(f).items()})
     report = _oracle_fd_record(QUADRATIC)
     assert report.verdict == "fail"
-    assert report.residuals[0][0] == "max-relative-error"
+    assert [name for name, _ in report.residuals] == [
+        "pi[q,p]/dq", "pi[q,p]/dp", "pgmap[e1,q]/dq", "pgmap[e1,q]/dp", "momentum[e1]/dq", "momentum[e1]/dp"]
 
 
 @pytest.mark.parametrize("count", [7, 100])
@@ -1065,12 +1106,12 @@ def test_oracle_fd_draws_only_the_points_it_reads(monkeypatch, count):
 
     monkeypatch.setattr(SamplePlan, "stream", stream)
     monkeypatch.setattr(checks, "fd_derivative_check",
-                        lambda f, variables, point, denominator, h: read.append(point) or 0.0)
-    checks._oracle_fd(problem, plan, problem.fd_step)
+                        lambda f, variables, point, denominator: read.append(point) or {})
+    run_checks(problem, "oracle-fd", plan)
     limited = False
-    checks._oracle_fd(problem, plan, problem.fd_step)
+    run_checks(problem, "oracle-fd", plan)
     assert len(read) == 60
-    assert read[:30] == read[30:]
+    assert read[:30] == read[30:] == [draw(plan, 9)[1][index % count] for index in range(30)]
     assert drawn == [min(count, 30), count]
 
 

@@ -185,7 +185,7 @@ def test_every_exported_function_is_called_by_a_command(tmp_path):
     problems += sorted(str(path) for path in (ROOT / "docs" / "conformance").glob("*/*.pf"))
     report = str(tmp_path / "report.txt")
     runs = [["all", problem, "--report", report] for problem in problems]
-    runs.append(["all", problems[0], "--samples", "5", "--seed", "2", "--box=-1,1", "--fd-step", "1/100"])
+    runs.append(["all", problems[0], "--samples", "5", "--seed", "2", "--box=-1,1"])
     found = json.loads(run_child(_CALLER_SCRIPT, json.dumps(runs)))
     # every kind of member is seen: function, method, property, cached
     # property, class method, static method, and code run at import

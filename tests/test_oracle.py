@@ -9,6 +9,7 @@ import pytest
 
 from poissonlift import (
     Multivector,
+    Polynomial,
     SamplePlan,
     fd_derivative_check,
     parse_form,
@@ -22,31 +23,30 @@ from poissonlift.report import make_report
 from conftest import count_calls, rand_poly
 
 
-class TestFiniteDifferences:
-    def test_quadratic_is_exact(self):
-        f = parse_poly("q^2", ("q",))
-        assert fd_derivative_check(f, ("q",), (1,), 1, Fraction(1, 10**6)) <= 1e-6
+class TestForwardDerivatives:
+    @pytest.mark.parametrize("text", ["q^4096", "(q+p)^64*q^3 - 7/3*p^5*q", "q^1024*p^3 + p^257"])
+    @pytest.mark.parametrize("point, denominator", [((3, -5), 4), ((1, 0), 1), ((-7, 2), 3)])
+    def test_exact_at_high_degree(self, text, point, denominator):
+        # central differences with step 1/10^6 read a relative error of
+        # 2.5e-6 on a degree-4096 component, above their 1e-6 tolerance
+        assert fd_derivative_check(parse_poly(text, ("q", "p")), ("q", "p"), point, denominator) == {}
 
-    def test_affine_exact_at_any_step(self):
-        f = parse_poly("3*q - 7", ("q",))
-        for h in (Fraction(1, 10), Fraction(1, 10**6)):
-            assert fd_derivative_check(f, ("q",), (5,), 1, h) == 0.0
+    @pytest.mark.parametrize("text", ["0", "3", "3*q - 7", "q^2", "1/2*q*p - 2/3*p^2"])
+    def test_exact_at_low_degree(self, text):
+        assert fd_derivative_check(parse_poly(text, ("q", "p")), ("q", "p"), (5, -2), 1) == {}
 
-    def test_cubic_taylor_remainder(self):
-        # (f(1+h) - f(1-h))/2h - 3 = h^2 exactly for f = q^3
-        f = parse_poly("q^3", ("q",))
-        err = fd_derivative_check(f, ("q",), (1,), 1, Fraction(1, 1000))
-        assert abs(err - 1e-6 / 3) < 1e-12  # guarded by |f'(1)| = 3
+    def test_difference_is_exact_over_the_points_denominator(self, monkeypatch):
+        # q = 3/2 read as 6/4: f'(3/2) = 27/4, and a doubled partial is off by -27/4
+        exact = Polynomial._partials
+        monkeypatch.setattr(Polynomial, "_partials", lambda f: {i: p * 2 for i, p in exact(f).items()})
+        assert fd_derivative_check(parse_poly("q^3", ("q",)), ("q",), (6,), 4) == {"q": Fraction(-27, 4)}
 
-    def test_point_is_read_over_its_denominator(self):
-        # q = 3/2 as 6/4: f'(3/2) = 27/4 and the error is h^2 / (27/4)
-        f = parse_poly("q^3", ("q",))
-        err = fd_derivative_check(f, ("q",), (6,), 4, Fraction(1, 1000))
-        assert err == float(Fraction(4, 27 * 10**6))
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            fd_derivative_check(parse_poly("q", ("q",)), ("q",), (0,), 1, Fraction(0))
+    def test_a_partial_of_an_unused_variable_is_a_difference(self, monkeypatch):
+        # every variable that _partials returns is compared, not only those f uses
+        exact = Polynomial._partials
+        monkeypatch.setattr(Polynomial, "_partials",
+                            lambda f: {**exact(f), 1: Polynomial.constant(5, f.variables)})
+        assert fd_derivative_check(parse_poly("q^3", ("q", "p")), ("q", "p"), (1, 1), 1) == {"p": -5}
 
     @pytest.mark.parametrize("point", [(), (1,), (1, 2, 3)])
     def test_point_needs_one_coordinate_per_variable(self, point):

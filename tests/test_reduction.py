@@ -689,11 +689,14 @@ class TestSymplecticAction:
     def test_non_invariant_action_gives_no_relation(self):
         problem = parse_problem(
             "manifold { coords: q, p; symplectic: dq^dp }\nbialgebra { basis: e1 }\naction { e1 = q*e_q }\n")
-        (report,) = run_checks(problem, "symplectic")
+        report, relation = run_checks(problem, "symplectic")
         assert report.check_id == "symplectic-images-closed"
         assert report.verdict == "fail"
         assert report.residuals == (("L_X(omega)[0]", "dq^dp"),)
-        assert run_checks(problem, "cotangent-momentum-relation") == []
+        # the relation refuses, in the command and alone: there is no map
+        assert (relation.check_id, relation.verdict, relation.residuals) == (
+            "cotangent-momentum-relation", "fail", (("unverified-input", "action does not preserve omega"),))
+        assert run_checks(problem, "cotangent-momentum-relation") == [relation]
 
     def test_generator_recovered_by_sharp(self, chart_qp):
         from poissonlift import sharp

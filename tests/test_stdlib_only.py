@@ -69,7 +69,7 @@ VALUE_CLASSES = [
     (PoissonStructure, ("bivector",), lambda: catalog("canonical-r2-rotation").poisson),
     (SymplecticForm, ("two_form", "poisson"), lambda: catalog("canonical-r2-rotation").symplectic),
     (ProblemFile, ("name", "chart", "poisson", "symplectic", "bialgebra", "pgmap", "momentum",
-                   "action", "levelset", "plan", "fd_step"),
+                   "action", "levelset", "plan"),
      lambda: catalog("canonical-r2-rotation")),
     (_Block, ("name", "line", "entries"), lambda: _Block("manifold", 2, [(3, "coords: q, p")])),
     (PGMap, ("bialgebra", "chart", "images"), lambda: catalog("canonical-r2-rotation").pgmap),
