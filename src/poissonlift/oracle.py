@@ -10,15 +10,16 @@ Every coordinate of a point is ``lo + (hi - lo) * k / GRID_RESOLUTION`` for
 a drawn ``k`` in ``0..GRID_RESOLUTION``, so one stream has the common
 denominator ``D = GRID_RESOLUTION * lcm(denominators of its box ends)`` and
 is kept as integer numerators over ``D`` (``SamplePlan.stream``).  Every
-sampled check reads that stream and evaluates through
-``Polynomial.scaled_values`` in integer arithmetic; ``SamplePlan.points`` is
-the ``Fraction`` view of the same draws, which no check reads.  A sampled
-magnitude is the exact maximum of ``|p(x)|`` over the stream, built by
-``Polynomial.max_abs`` as one ``Fraction``, so each ``float`` is the
-correctly rounded value of an exact number.  ``fd_derivative_check`` reads
-one point of a stream and compares forward derivatives, taken over dual
-numbers, with the symbolic partials: its differences are exact rationals,
-and no float or tolerance enters its verdict.
+sampled check reads that stream and evaluates through the one evaluator,
+``poly.scaled_values``, in integer arithmetic; ``SamplePlan.points`` is the
+``Fraction`` view of the same draws, which no check reads.  A sampled
+magnitude is the exact maximum of ``|p(x)|`` over the stream and a
+residual's components, one ``Fraction`` over the family's denominator, so
+each ``float`` is the correctly rounded value of an exact number.
+``fd_derivative_check`` reads one point of a stream and compares forward
+derivatives, taken by the same evaluator over dual numbers, with the
+symbolic partials: its differences are exact rationals, and no float or
+tolerance enters its verdict.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 
 from ._value import _Value
 from .errors import DimensionMismatchError, MissingAssignmentError
-from .poly import Polynomial, _fields
+from .poly import Polynomial, scaled_values
 
 GRID_RESOLUTION = 4096
 
@@ -84,57 +85,63 @@ class SamplePlan(_Value, hashable=True):
         return [tuple(Fraction(n, denominator) for n in point) for point in numerators]
 
 
-def _dual_power(a: int, b: int, e: int) -> tuple[int, int]:
-    """``(a + b*eps)^e`` with ``eps^2 = 0``, by square-and-multiply."""
-    x, y = 1, 0
-    while True:
-        if e & 1:
-            x, y = x * a, x * b + y * a
-        if not (e := e >> 1):
-            return x, y
-        a, b = a * a, 2 * a * b
+class _Dual:
+    """``a + b*eps`` with ``eps^2 = 0``: a point entry of
+    :func:`~poissonlift.poly.scaled_values` whose eps part carries a
+    derivative through every product and sum."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, other) -> "_Dual":
+        a, b = (other.a, other.b) if type(other) is _Dual else (other, 0)
+        return _Dual(self.a + a, self.b + b)
+
+    def __mul__(self, other) -> "_Dual":
+        a, b = (other.a, other.b) if type(other) is _Dual else (other, 0)
+        return _Dual(self.a * a, self.a * b + self.b * a)
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence[int],
                         denominator: int) -> dict[str, Fraction]:
     """Forward derivatives ("fd") against the symbolic partials at the point
     ``x = point / denominator``, whose integer entries are the values of
-    ``variables`` in that order (the format of ``SamplePlan.stream``).
+    ``variables`` in that order (the format of ``SamplePlan.stream``); they
+    must cover f's universe.
 
-    f is evaluated over dual numbers ``a + b*eps``, ``eps^2 = 0``, at
-    ``x + eps*e_v``: the eps part is the partial along v at x, exactly.
-    Scaled as ``Polynomial.scaled_values`` scales (L the lcm of the
-    coefficient denominators, D the denominator, ``top`` the total degree),
-    ``L * D^top * f`` is a sum of integer dual products, v standing for
-    ``n_v + D*eps`` and each power taken by square-and-multiply.  The route
-    calls no ``derivative``, ``_partials`` or power rule, so it is a second
-    route for ``_partials``, which every lift differentiates through.
-
-    Returns the nonzero differences ``eps part - _partials()[v](x)`` by
-    variable, over every v that f uses or that ``_partials`` returns.
-    ``variables`` must hold every variable of f's universe.
+    ``scaled_values`` evaluates f with the entry of v replaced by the dual
+    number ``n_v + denominator*eps``: the eps part of ``M * f(x + eps*e_v)``
+    is M times the partial along v at x, exactly.  The route calls no
+    ``derivative``, ``_partials`` or power rule, so it is a second route for
+    ``_partials``, which every lift differentiates through and which one
+    more call evaluates at x.  Returns the nonzero differences ``eps part -
+    _partials()[v](x)`` over every v that f uses or that ``_partials``
+    returns.
     """
     if len(point) != len(variables):
         raise DimensionMismatchError(f"point has {len(point)} coordinates, need {len(variables)}")
-    where = {v: k for k, v in enumerate(variables)}
-    if missing := [v for v in f.variables if v not in where]:
+    known = set(variables)
+    if missing := [v for v in f.variables if v not in known]:
         raise MissingAssignmentError(f"no value for variables {missing}")
-    values = [point[where[v]] for v in f.variables]
-    terms = [(c, _fields(key)) for key, c in f._terms.items()]
-    degrees = [sum(e for _, e in fields) for _, fields in terms]
-    top, scale = max(degrees, default=0), math.lcm(*(c.denominator for c, _ in terms))
-    forward: dict[int, int] = {}  # eps part of L * D^top * f(x + eps*e_i), by index i of f's universe
-    for (c, fields), degree in zip(terms, degrees):
-        duals = [(i, _dual_power(values[i], denominator, e)) for i, e in fields]
-        coeff = int(c * scale) * denominator ** (top - degree)
-        for i, (_, b) in duals:
-            forward[i] = forward.get(i, 0) + math.prod((a for j, (a, _) in duals if j != i), start=coeff * b)
-    partials, zero, differences = f._partials(), Polynomial.zero(f.variables), {}
-    total = scale * denominator ** top
-    for i in sorted(forward.keys() | partials.keys()):
-        (exact,), exact_scale = partials.get(i, zero).scaled_values(variables, [point], denominator)
-        if numerator := forward.get(i, 0) * exact_scale - exact * total:
-            differences[f.variables[i]] = Fraction(numerator, total * exact_scale)
+    partials = {f.variables[i]: p for i, p in f._partials().items()}
+    names = sorted({*f.used_variables(), *partials}, key=f.variables.index)
+    if not names:  # a constant: nothing to evaluate
+        return {}
+    duals = []
+    for v in names:
+        k = variables.index(v)
+        duals.append([*point[:k], _Dual(point[k], denominator), *point[k + 1:]])
+    (forward,), total = scaled_values([f], variables, duals, denominator)
+    exact, scale = scaled_values([partials[v] if v in partials else Polynomial.zero() for v in names],
+                                 variables, [point], denominator)
+    differences = {}
+    for v, value, (at_x,) in zip(names, forward, exact):
+        if numerator := (value.b if type(value) is _Dual else 0) * scale - at_x * total:
+            differences[v] = Fraction(numerator, total * scale)
     return differences
 
 
@@ -162,7 +169,8 @@ def sample_residual(value, plan: SamplePlan,
     if len(variables) not in streams:
         streams[len(variables)] = plan.stream(len(variables))
     denominator, numerators = streams[len(variables)]
+    values, scale = scaled_values(polys, variables, numerators, denominator)
     try:
-        return float(max(poly.max_abs(variables, numerators, denominator) for poly in polys))
+        return float(Fraction(max(abs(v) for column in values for v in column), scale))
     except OverflowError:  # beyond the double range, which rounds to inf
         return math.inf

@@ -12,10 +12,10 @@ denominator greater than 1.  ``int`` op ``int`` stays an ``int`` and needs
 no check; only a coefficient of ``+``, ``-``, ``*`` or ``derivative``
 computed from a ``Fraction`` is folded back to an ``int`` when its
 denominator is 1.  No coefficient is divided (``int / int`` gives a float).
-``scaled_values`` gives values at many points as integers over one common
-denominator, and is how the library samples; ``substitute``, the exact
-reference evaluation at one rational point, and ``max_abs`` give
-``Fraction`` objects.
+:func:`scaled_values` is the one evaluator: it gives the values of a family
+of polynomials at many points as integers over one common denominator.
+``substitute``, the exact reference evaluation at one rational point that
+the tests compare against, gives a ``Fraction``.
 
 A monomial key is one ``int`` holding the exponent of the i-th variable in
 bits ``[i*W, (i+1)*W)``, ``W = 32``: a multiply adds keys, ``derivative``
@@ -34,7 +34,7 @@ other, else onto their sorted union.  The universe order is read only where
 positions become names: printing, ``compose`` and ``scaled_values`` walk the
 set fields of each key (printing in its own loop, the others through
 :func:`_fields`), so their cost follows the variables a term uses, not the
-length of the universe, and sampled values follow the universe order too.
+length of the universe.
 Only the public constructor, the ``terms`` view and the reference evaluation
 ``substitute`` read dense exponent tuples.
 
@@ -399,49 +399,6 @@ class Polynomial:
             total += term
         return total
 
-    def scaled_values(self, variables: Sequence[str], points: Iterable[Sequence[int]],
-                      denominator: int) -> tuple[list[int], int]:
-        """Integers ``N`` and one ``M`` with ``self(n / denominator) = N / M``
-        at every integer numerator tuple ``n`` in ``points``, whose entries
-        are the values of ``variables`` in that order; every variable of the
-        polynomial must be among them.
-
-        With ``top`` the total degree and ``L`` the lcm of the coefficient
-        denominators, ``M = L * denominator^top`` and ``N`` is the integer sum
-        of ``L * c * denominator^(top - deg) * n^e`` over the terms, so every
-        point costs integer arithmetic only."""
-        where = {v: i for i, v in enumerate(variables)}
-        missing = [v for v in self.variables if v not in where]
-        if missing:
-            raise MissingAssignmentError(f"no value for variables {missing}")
-        if not self._terms:
-            return [0 for _ in points], 1
-        pos = [where[v] for v in self.variables]
-        # (coefficient, degree, point positions repeated by exponent) per term
-        rows = []
-        for key, c in self._terms.items():
-            fields = _fields(key)
-            rows.append((c, sum(e for _, e in fields), [pos[i] for i, e in fields for _ in range(e)]))
-        top = max(deg for _, deg, _ in rows)
-        scale = math.lcm(*(c.denominator for c, _, _ in rows))
-        terms = [(int(c * scale) * denominator ** (top - deg), factors) for c, deg, factors in rows]
-        values = []
-        for n in points:
-            total = 0
-            for value, factors in terms:
-                for p in factors:
-                    value *= n[p]
-                total += value
-            values.append(total)
-        return values, scale * denominator ** top
-
-    def max_abs(self, variables: Sequence[str], points: Iterable[Sequence[int]],
-                denominator: int) -> Fraction:
-        """Exact maximum of ``|self(n / denominator)|`` over the points of
-        :meth:`scaled_values`, built as a single ``Fraction``."""
-        values, scale = self.scaled_values(variables, points, denominator)
-        return Fraction(max(map(abs, values), default=0), scale)
-
     def compose(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute a polynomial for every variable.
 
@@ -518,3 +475,46 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()!r}, vars={self.variables})"
+
+
+def scaled_values(polys: Sequence[Polynomial], variables: Sequence[str], points: Iterable[Sequence],
+                  denominator: int) -> tuple[list[list], int]:
+    """The one evaluator: ``values`` and one ``M`` with
+    ``polys[k](n / denominator) = values[k][s] / M`` at the s-th tuple ``n``
+    of ``points``, whose entries are the values of ``variables`` in that
+    order; every variable of every polynomial must be among them.
+
+    With ``top`` the largest total degree and ``L`` the lcm of the
+    coefficient denominators over the whole family, ``M = L *
+    denominator^top`` and ``values[k][s]`` is the sum of ``L * c *
+    denominator^(top - deg) * n^e`` over the terms of ``polys[k]``, one
+    multiply per factor.  Integer entries cost integer arithmetic only; an
+    entry may be any value that adds and multiplies with ints and with its
+    own kind, such as a dual number."""
+    variables, points = tuple(variables), list(points)
+    families = []  # (coefficient, point positions repeated by exponent) per term
+    for poly in polys:
+        u = poly.variables
+        pos: Sequence[int] = range(len(u))
+        if variables[:len(u)] != u:
+            where = {v: i for i, v in enumerate(variables)}
+            if missing := [v for v in u if v not in where]:
+                raise MissingAssignmentError(f"no value for variables {missing}")
+            pos = [where[v] for v in u]
+        families.append([(c, [pos[i] for i, e in _fields(key) for _ in range(e)])
+                         for key, c in poly._terms.items()])
+    top = max((len(factors) for rows in families for _, factors in rows), default=0)
+    scale = math.lcm(*(c.denominator for rows in families for c, _ in rows))
+    values = []
+    for rows in families:
+        terms = [(int(c * scale) * denominator ** (top - len(factors)), factors) for c, factors in rows]
+        column = []
+        for n in points:
+            total = 0
+            for value, factors in terms:
+                for p in factors:
+                    value *= n[p]
+                total += value
+            column.append(total)
+        values.append(column)
+    return values, scale * denominator ** top

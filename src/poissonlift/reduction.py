@@ -31,7 +31,6 @@ step.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import Sequence
 
@@ -55,7 +54,7 @@ from .poisson import (
     pairing,
     sharp,
 )
-from .poly import Polynomial
+from .poly import Polynomial, scaled_values
 from .tangent import (
     CoordinateMap,
     TangentChart,
@@ -312,9 +311,10 @@ def level_set_tangency_residuals(momentum: CoordinateMap, parametrization: Coord
     G.C = d(J o phi) = 0: span C lies in ker G, and the two are equal
     exactly when rank C = n - rank G.  Each sample is an integer tuple
     ``p`` of ``points``, one entry per parameter, standing for the point
-    ``p / denominator``, as ``SamplePlan.stream`` draws them.  Every entry is
-    evaluated once over all samples; scaling a row of G or a column of C to
-    integers keeps the ranks.
+    ``p / denominator``, as ``SamplePlan.stream`` draws them.  The image is
+    one :func:`~poissonlift.poly.scaled_values` call over all samples, and
+    each row of G and each column of C one more: a row or column over one
+    common denominator keeps the ranks.
 
     A sample where the span is smaller gives the residual 1 under
     ``kernel-not-spanned[sample s]``.  A sample where the differential of J
@@ -327,10 +327,13 @@ def level_set_tangency_residuals(momentum: CoordinateMap, parametrization: Coord
     for s_index, s in enumerate(points):
         if len(s) != m:
             raise DimensionMismatchError(f"sample {s_index} has {len(s)} coordinates, need {m}")
-    (image,), (image_den,) = _scaled_entries([parametrization.components], params, points, denominator)
-    # rows of G and columns of C, each scaled to integers by one factor
-    g_values, _ = _scaled_entries(momentum.jacobian(), chart.coords, list(zip(*image)), image_den)
-    c_values, _ = _scaled_entries(list(zip(*parametrization.jacobian())), params, points, denominator)
+    image, image_den = scaled_values(parametrization.components, params, points, denominator)
+    # rows of G and columns of C, each over one common denominator
+    image_points = list(zip(*image))
+    g_values = [scaled_values(row, chart.coords, image_points, image_den)[0]
+                for row in momentum.jacobian()]
+    c_values = [scaled_values(col, params, points, denominator)[0]
+                for col in zip(*parametrization.jacobian())]
     residuals: dict = {}
     for s_index in range(len(points)):
         g_rank = _linalg.rank([[entry[s_index] for entry in row] for row in g_values])
@@ -340,20 +343,6 @@ def level_set_tangency_residuals(momentum: CoordinateMap, parametrization: Coord
         elif _linalg.rank([[entry[s_index] for entry in col] for col in c_values]) != n - g_rank:
             residuals[f"kernel-not-spanned[sample {s_index}]"] = 1
     return residuals
-
-
-def _scaled_entries(rows: Sequence[Sequence[Polynomial]], variables: Sequence[str],
-                    points: list[Sequence[int]], den: int) -> tuple[list[list[list[int]]], list[int]]:
-    """A matrix of polynomials at the points ``n / den`` of ``points``:
-    ``values[r][j][s]`` is entry (r, j) at point s times ``scales[r]``, the
-    lcm of row r's denominators, so each value is an integer."""
-    values, scales = [], []
-    for row in rows:
-        evaluated = [p.scaled_values(variables, points, den) for p in row]
-        scale = math.lcm(*(m for _, m in evaluated))
-        values.append([[v * (scale // m) for v in entry] for entry, m in evaluated])
-        scales.append(scale)
-    return values, scales
 
 
 # -- symplectic actions --------------------------------------------------------------------

@@ -59,7 +59,7 @@ def _text(value) -> str:
     return value.to_string()
 
 
-def make_report(check_id: str, identity: str, residuals, samples=(),
+def make_report(check_id: str, identity: str, residuals,
                 informative: bool = False, plan: SamplePlan | None = None) -> CheckReport:
     """Build a report from named residual values.
 
@@ -72,9 +72,9 @@ def make_report(check_id: str, identity: str, residuals, samples=(),
     residual's largest absolute value over the plan's points, each point
     stream drawn once per report.
     """
-    if plan is not None:
-        streams: dict = {}
-        samples = [(name, sample_residual(res, plan, streams)) for name, res in residuals.items()]
+    streams: dict = {}
+    samples = [(name, sample_residual(res, plan, streams))
+               for name, res in residuals.items() if plan is not None]
     entries = []
     notes = []
     for name in residuals:

@@ -96,7 +96,7 @@ def cayley_rotation(rng: random.Random) -> list[list[Fraction]]:
 def integer_points(points) -> tuple[list[tuple[int, ...]], int]:
     """Rational points as integer numerators over their least common
     denominator: the point format of ``SamplePlan.stream``, in the
-    ``(points, denominator)`` order of ``Polynomial.scaled_values``."""
+    ``(points, denominator)`` order of ``poly.scaled_values``."""
     points = [tuple(Fraction(x) for x in point) for point in points]
     denominator = math.lcm(*(x.denominator for point in points for x in point))
     return [tuple(int(x * denominator) for x in point) for point in points], denominator

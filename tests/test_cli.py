@@ -965,7 +965,7 @@ def test_all_on_gl3_walks_only_nonzero_support(monkeypatch):
     reports = run_checks(problem, "all")
     assert [rep.check_id for rep in reports if rep.verdict == "fail"] == []
     assert len(derivatives) <= 1000
-    # every sampled check evaluates through Polynomial.scaled_values
+    # every sampled check evaluates through poly.scaled_values
     assert substitutions == []
 
 

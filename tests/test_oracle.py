@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,10 +18,12 @@ from poissonlift import (
     sample_residual,
 )
 from poissonlift.errors import DimensionMismatchError, MissingAssignmentError
-from poissonlift.oracle import DEFAULT_BOX, GRID_RESOLUTION
+from poissonlift.oracle import DEFAULT_BOX, GRID_RESOLUTION, _Dual
+from poissonlift.poly import scaled_values
 from poissonlift.report import make_report
 
 from conftest import count_calls, rand_poly
+from reference import dense_gradient
 
 
 class TestForwardDerivatives:
@@ -47,6 +50,27 @@ class TestForwardDerivatives:
         monkeypatch.setattr(Polynomial, "_partials",
                             lambda f: {**exact(f), 1: Polynomial.constant(5, f.variables)})
         assert fd_derivative_check(parse_poly("q^3", ("q", "p")), ("q", "p"), (1, 1), 1) == {"p": -5}
+
+    @pytest.mark.parametrize("denominator", [1, 6, 3 * GRID_RESOLUTION])
+    def test_a_dual_entry_carries_the_partial(self, denominator):
+        # the evaluator alone, no _partials: at a point that orders the
+        # variables otherwise, with r in f's universe but unused and s outside
+        # it, the eps part of M * f(x + eps*e_v) is M times dense_gradient(f)[v](x)
+        rng = random.Random(8)
+        stream = ("r", "s", "p", "q")
+        for _ in range(12):
+            f = rand_poly(rng, ("q", "p"), max_degree=5).with_variables(("q", "p", "r"))
+            gradient = dense_gradient(f)
+            point = [rng.randint(-20, 20) for _ in stream]
+            x = {v: Fraction(n, denominator) for v, n in zip(stream, point)}
+            for k, v in enumerate(stream):
+                dual = list(point)
+                dual[k] = _Dual(point[k], denominator)
+                ((value,),), scale = scaled_values([f], stream, [dual], denominator)
+                real, eps = (value.a, value.b) if type(value) is _Dual else (value, 0)
+                partial = gradient.get(f.variables.index(v)) if v in f.variables else None
+                assert Fraction(real, scale) == f.substitute(x)
+                assert Fraction(eps, scale) == (partial.substitute(x) if partial else 0)
 
     @pytest.mark.parametrize("point", [(), (1,), (1, 2, 3)])
     def test_point_needs_one_coordinate_per_variable(self, point):
@@ -183,43 +207,46 @@ _BOXES = {
 
 @pytest.mark.parametrize("box", sorted(_BOXES))
 @pytest.mark.parametrize("seed", [0, 17])
-def test_max_abs_agrees_with_substitution(box, seed):
-    """Second route: the integer kernel against Fraction substitution at
-    every point of the plan's Fraction view, value by value and as the
-    maximum."""
+def test_scaled_values_agree_with_substitution(box, seed):
+    """Second route: one family over one ``M = L * D^top`` against Fraction
+    substitution at every point of the plan's Fraction view.  The points
+    name their variables in their own order; the family mixes their
+    universe and a prefix of it with reordered sub-universes of up to 70
+    variables (keys past 32 fields), constants, the zero polynomial,
+    rational coefficients and mixed degrees."""
     rng = random.Random(seed)
-    coords = ("q", "p", "r")
     plan = SamplePlan(25, seed, _BOXES[box])
-    denominator, numerators = plan.stream(len(coords))
-    points = plan.points(len(coords))
-    polys = [rand_poly(rng, coords, max_degree=4) for _ in range(6)]
-    polys += [
-        parse_poly("1/3*q^2*p - 5/7*r + 2", coords),  # Fraction coefficients
-        parse_poly("-3", coords),  # constant
-        parse_poly("-2/9", coords),
-        parse_poly("0", coords),
-        parse_poly("p^3 - 1/4*q*r", ("r", "q", "p")),  # another variable order
-        parse_poly("1/2*r^2 - q", ("q", "r")),  # a sub-universe of the stream's
-    ]
-    for poly in polys:
-        expected = [poly.substitute(dict(zip(coords, point))) for point in points]
-        values, scale = poly.scaled_values(coords, numerators, denominator)
-        assert all(type(v) is int for v in values) and type(scale) is int and scale > 0
-        assert [Fraction(v, scale) for v in values] == expected
-        assert poly.max_abs(coords, numerators, denominator) == max(map(abs, expected))
-
-
-def test_max_abs_needs_every_variable():
-    with pytest.raises(MissingAssignmentError):
-        parse_poly("q*s", ("q", "s")).max_abs(("q", "p"), [(1, 2)], 4096)
-    with pytest.raises(MissingAssignmentError):
-        parse_poly("q*s", ("q", "s")).scaled_values(("q", "p"), [(1, 2)], 4096)
-
-
-def test_scaled_values_without_points():
-    assert parse_poly("q - 1/2", ("q",)).scaled_values(("q",), [], 6) == ([], 12)
-    assert parse_poly("0", ("q",)).scaled_values(("q",), iter([(1,), (2,)]), 6) == ([0, 0], 1)
-    assert parse_poly("q", ("q",)).max_abs(("q",), [], 6) == 0
+    for n in (1, 3, 33, 70):
+        base = tuple(f"x{i}" for i in range(n))
+        stream = tuple(reversed(base)) + ("y",)
+        denominator, numerators = plan.stream(len(stream))
+        points = plan.points(len(stream))
+        family = [rand_poly(rng, base, max_degree=4) for _ in range(4)]
+        family += [
+            rand_poly(rng, stream, max_degree=3),  # the points' own universe
+            rand_poly(rng, stream[:2], max_degree=2),  # a prefix of it
+            parse_poly("1/3*y^2*x0 - 5/7*y + 2", ("y", "x0")),
+            parse_poly("-2/9", stream),
+            parse_poly("0", base),
+            Polynomial.zero(),
+        ]
+        values, scale = scaled_values(family, stream, numerators, denominator)
+        top = max(sum(exps) for poly in family for exps in poly.terms)
+        lcm = math.lcm(*(Fraction(c).denominator for poly in family for c in poly.terms.values()))
+        assert scale == lcm * denominator ** top
+        assert len(values) == len(family)
+        for poly, column in zip(family, values):
+            expected = [poly.substitute(dict(zip(stream, point))) for point in points]
+            assert all(type(v) is int for v in column)
+            assert [Fraction(v, scale) for v in column] == expected
+            if poly.variables == stream:  # sampled over the same points: the exact maximum, rounded once
+                assert sample_residual(poly, plan) == float(max(map(abs, expected)))
+        assert scaled_values(family, stream, [], denominator) == ([[] for _ in family], scale)
+    assert scaled_values([parse_poly("q - 1/2", ("q",))], ("q",), [], 6) == ([[]], 12)
+    assert scaled_values([parse_poly("0", ("q",))], ("q",), iter([(1,), (2,)]), 6) == ([[0, 0]], 1)
+    for family in ([parse_poly("q*s", ("q", "s"))], [parse_poly("q", ("q",)), parse_poly("0", ("s", "q"))]):
+        with pytest.raises(MissingAssignmentError, match=r"\['s'\]"):
+            scaled_values(family, ("q", "p"), [(1, 2)], 4096)
 
 
 def test_sampled_tensor_is_the_largest_component_value(chart_qp):

@@ -381,22 +381,6 @@ def test_packed_printing_matches_dense_reference():
                 assert (-wide).to_string() == _dense_to_string(-wide)
 
 
-def test_scaled_values_match_substitute_on_wide_universes():
-    rng = random.Random(21)
-    for n in (1, 2, 5, 31, 32, 33, 64, 70):
-        variables = tuple(f"x{i}" for i in range(n))
-        # the points name the polynomial's variables in another order, and more
-        stream = tuple(reversed(variables)) + ("y",)
-        for _ in range(5):
-            poly = _sparse_random_poly(rng, variables, 4)
-            denominator = rng.randint(1, 12)
-            points = [tuple(rng.randint(-20, 20) for _ in stream) for _ in range(3)]
-            values, scale = poly.scaled_values(stream, points, denominator)
-            for value, point in zip(values, points):
-                assignment = {v: Fraction(x, denominator) for v, x in zip(stream, point)}
-                assert Fraction(value, scale) == poly.substitute(assignment)
-
-
 def test_equality_with_a_rational_builds_no_constant(monkeypatch):
     polys = [P(text) for text in ("1", "0", "-1/2", "q", "q + 1", "1/2")]
     constants = count_calls(monkeypatch, Polynomial, "constant")

@@ -9,6 +9,7 @@ import pytest
 from poissonlift import (
     CheckReport,
     Chart,
+    SamplePlan,
     emit_reports,
     make_report,
     parse_form,
@@ -50,7 +51,7 @@ def test_exact_rationals_serialized_as_fractions(chart):
 
 def test_roundtrip(chart):
     reports = [
-        make_report("first", "lhs = rhs", {"r": chart.zero_poly()}, samples=(("r", 0.0),)),
+        make_report("first", "lhs = rhs", {"r": chart.zero_poly()}, plan=SamplePlan(5, 1)),
         make_report("second", "other", {"bad": parse_form("dq^dp", chart)}),
         make_report("third", "components", {"pi[q,p]": chart.coord_poly("p")}, informative=True),
     ]
