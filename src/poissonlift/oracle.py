@@ -105,6 +105,12 @@ class _Dual:
 
     __radd__, __rmul__ = __add__, __mul__
 
+    def __pow__(self, e: int) -> "_Dual":
+        power = self  # square-and-multiply over the bits of e, so no power rule enters
+        for bit in bin(e)[3:]:
+            power = power * power * self if bit == "1" else power * power
+        return power
+
 
 def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence[int],
                         denominator: int) -> dict[str, Fraction]:
@@ -131,10 +137,7 @@ def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence
     names = sorted({*f.used_variables(), *partials}, key=f.variables.index)
     if not names:  # a constant: nothing to evaluate
         return {}
-    duals = []
-    for v in names:
-        k = variables.index(v)
-        duals.append([*point[:k], _Dual(point[k], denominator), *point[k + 1:]])
+    duals = [[*point[:k], _Dual(point[k], denominator), *point[k + 1:]] for k in map(variables.index, names)]
     (forward,), total = scaled_values([f], variables, duals, denominator)
     exact, scale = scaled_values([partials[v] if v in partials else Polynomial.zero() for v in names],
                                  variables, [point], denominator)
@@ -143,13 +146,6 @@ def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence
         if numerator := (value.b if type(value) is _Dual else 0) * scale - at_x * total:
             differences[v] = Fraction(numerator, total * scale)
     return differences
-
-
-def _residual_polys(value) -> tuple[tuple[str, ...], list[Polynomial]]:
-    if isinstance(value, Polynomial):
-        return value.variables, [value]
-    # tensors expose a chart and polynomial components
-    return value.chart.coords, list(value.components.values())
 
 
 def sample_residual(value, plan: SamplePlan,
@@ -163,7 +159,10 @@ def sample_residual(value, plan: SamplePlan,
     """
     if value.is_zero():
         return 0.0
-    variables, polys = _residual_polys(value)
+    if isinstance(value, Polynomial):
+        variables, polys = value.variables, [value]
+    else:  # tensors expose a chart and polynomial components
+        variables, polys = value.chart.coords, list(value.components.values())
     if streams is None:
         streams = {}
     if len(variables) not in streams:

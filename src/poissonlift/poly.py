@@ -487,33 +487,34 @@ def scaled_values(polys: Sequence[Polynomial], variables: Sequence[str], points:
     With ``top`` the largest total degree and ``L`` the lcm of the
     coefficient denominators over the whole family, ``M = L *
     denominator^top`` and ``values[k][s]`` is the sum of ``L * c *
-    denominator^(top - deg) * n^e`` over the terms of ``polys[k]``, one
-    multiply per factor.  Integer entries cost integer arithmetic only; an
-    entry may be any value that adds and multiplies with ints and with its
-    own kind, such as a dual number."""
-    variables, points = tuple(variables), list(points)
-    families = []  # (coefficient, point positions repeated by exponent) per term
+    denominator^(top - deg) * n^e`` over the terms of ``polys[k]``.
+    Integer entries cost integer arithmetic only; an entry may be any value
+    that adds, multiplies and takes ``**`` with ints and with its own kind,
+    such as a dual number."""
+    points = list(points)
+    where = {v: i for i, v in enumerate(variables)}
+    families = []  # (coefficient, degree, (point position, exponent) pairs) per term
+    top, scale = 0, 1  # the largest degree and the lcm of the coefficient denominators
     for poly in polys:
-        u = poly.variables
-        pos: Sequence[int] = range(len(u))
-        if variables[:len(u)] != u:
-            where = {v: i for i, v in enumerate(variables)}
-            if missing := [v for v in u if v not in where]:
-                raise MissingAssignmentError(f"no value for variables {missing}")
-            pos = [where[v] for v in u]
-        families.append([(c, [pos[i] for i, e in _fields(key) for _ in range(e)])
-                         for key, c in poly._terms.items()])
-    top = max((len(factors) for rows in families for _, factors in rows), default=0)
-    scale = math.lcm(*(c.denominator for rows in families for c, _ in rows))
+        if missing := [v for v in poly.variables if v not in where]:
+            raise MissingAssignmentError(f"no value for variables {missing}")
+        pos = [where[v] for v in poly.variables]
+        rows = []
+        for key, c in poly._terms.items():
+            factors = [(pos[i], e) for i, e in _fields(key)]
+            degree = sum([e for _, e in factors])
+            top, scale = max(top, degree), math.lcm(scale, c.denominator)
+            rows.append((c, degree, factors))
+        families.append(rows)
     values = []
     for rows in families:
-        terms = [(int(c * scale) * denominator ** (top - len(factors)), factors) for c, factors in rows]
+        terms = [(int(c * scale) * denominator ** (top - degree), factors) for c, degree, factors in rows]
         column = []
         for n in points:
             total = 0
             for value, factors in terms:
-                for p in factors:
-                    value *= n[p]
+                for p, e in factors:
+                    value *= n[p] if e == 1 else n[p] ** e
                 total += value
             column.append(total)
         values.append(column)

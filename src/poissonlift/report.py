@@ -72,9 +72,10 @@ def make_report(check_id: str, identity: str, residuals,
     residual's largest absolute value over the plan's points, each point
     stream drawn once per report.
     """
-    streams: dict = {}
-    samples = [(name, sample_residual(res, plan, streams))
-               for name, res in residuals.items() if plan is not None]
+    samples = []
+    if plan is not None:
+        streams: dict = {}
+        samples = [(name, sample_residual(res, plan, streams)) for name, res in residuals.items()]
     entries = []
     notes = []
     for name in residuals:

@@ -121,6 +121,22 @@ def rand_poly(rng: random.Random, variables, max_degree: int = 3, terms: int = 3
     return poly
 
 
+def sparse_random_poly(rng: random.Random, variables, max_exponent: int) -> Polynomial:
+    """A few terms, each on a few variables, with int or Fraction coefficients
+    (±1 among them) and exponents up to ``max_exponent``; some terms share a
+    total degree so the lex tie-break decides their order."""
+    n = len(variables)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(n)] = rng.choice([1, 2, 3, rng.randint(1, max_exponent), max_exponent])
+        if rng.random() < 0.5 and any(exps):  # the same degree, the exponents elsewhere
+            terms[tuple(exps[1:] + exps[:1])] = rng.choice([1, -1, 2])
+        terms[tuple(exps)] = rng.choice([1, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 7))])
+    return Polynomial(variables, terms)
+
+
 def rand_form(rng: random.Random, chart: Chart, degree: int, max_degree: int = 2) -> DifferentialForm:
     comps = {}
     indices = _increasing_tuples(chart.dim, degree)

@@ -22,7 +22,7 @@ from poissonlift.oracle import DEFAULT_BOX, GRID_RESOLUTION, _Dual
 from poissonlift.poly import scaled_values
 from poissonlift.report import make_report
 
-from conftest import count_calls, rand_poly
+from conftest import count_calls, integer_points, rand_poly, sparse_random_poly
 from reference import dense_gradient
 
 
@@ -209,39 +209,46 @@ _BOXES = {
 @pytest.mark.parametrize("seed", [0, 17])
 def test_scaled_values_agree_with_substitution(box, seed):
     """Second route: one family over one ``M = L * D^top`` against Fraction
-    substitution at every point of the plan's Fraction view.  The points
-    name their variables in their own order; the family mixes their
-    universe and a prefix of it with reordered sub-universes of up to 70
-    variables (keys past 32 fields), constants, the zero polynomial,
-    rational coefficients and mixed degrees."""
+    substitution, at every point of the plan's Fraction view and at a few
+    points over a small denominator.  The points name their variables in
+    their own order; the family mixes their universe and a prefix of it
+    with reordered sub-universes of up to 70 variables (keys past 32
+    fields), sparse terms with exponents up to 4, constants, the zero
+    polynomial, rational coefficients and mixed degrees."""
     rng = random.Random(seed)
     plan = SamplePlan(25, seed, _BOXES[box])
-    for n in (1, 3, 33, 70):
+    for n in (1, 2, 5, 31, 32, 33, 64, 70):
         base = tuple(f"x{i}" for i in range(n))
         stream = tuple(reversed(base)) + ("y",)
-        denominator, numerators = plan.stream(len(stream))
-        points = plan.points(len(stream))
         family = [rand_poly(rng, base, max_degree=4) for _ in range(4)]
+        family += [sparse_random_poly(rng, base, 4) for _ in range(3)]
+        own = rand_poly(rng, stream, max_degree=3)  # over the points' own universe
         family += [
-            rand_poly(rng, stream, max_degree=3),  # the points' own universe
+            own,
             rand_poly(rng, stream[:2], max_degree=2),  # a prefix of it
             parse_poly("1/3*y^2*x0 - 5/7*y + 2", ("y", "x0")),
             parse_poly("-2/9", stream),
             parse_poly("0", base),
             Polynomial.zero(),
         ]
-        values, scale = scaled_values(family, stream, numerators, denominator)
+        small = rng.randint(1, 12)
+        small_points = [tuple(Fraction(rng.randint(-20, 20), small) for _ in stream) for _ in range(3)]
+        small_numerators, small_denominator = integer_points(small_points)
         top = max(sum(exps) for poly in family for exps in poly.terms)
         lcm = math.lcm(*(Fraction(c).denominator for poly in family for c in poly.terms.values()))
-        assert scale == lcm * denominator ** top
-        assert len(values) == len(family)
-        for poly, column in zip(family, values):
-            expected = [poly.substitute(dict(zip(stream, point))) for point in points]
-            assert all(type(v) is int for v in column)
-            assert [Fraction(v, scale) for v in column] == expected
-            if poly.variables == stream:  # sampled over the same points: the exact maximum, rounded once
-                assert sample_residual(poly, plan) == float(max(map(abs, expected)))
-        assert scaled_values(family, stream, [], denominator) == ([[] for _ in family], scale)
+        for denominator, numerators, points in ((*plan.stream(len(stream)), plan.points(len(stream))),
+                                                (small_denominator, small_numerators, small_points)):
+            values, scale = scaled_values(family, stream, numerators, denominator)
+            assert scale == lcm * denominator ** top
+            assert len(values) == len(family)
+            for poly, column in zip(family, values):
+                expected = [poly.substitute(dict(zip(stream, point))) for point in points]
+                assert all(type(v) is int for v in column)
+                assert [Fraction(v, scale) for v in column] == expected
+            assert scaled_values(family, stream, [], denominator) == ([[] for _ in family], scale)
+        # sampled over the plan's points: the exact maximum, rounded once
+        assert sample_residual(own, plan) == float(max(
+            abs(own.substitute(dict(zip(stream, point)))) for point in plan.points(len(stream))))
     assert scaled_values([parse_poly("q - 1/2", ("q",))], ("q",), [], 6) == ([[]], 12)
     assert scaled_values([parse_poly("0", ("q",))], ("q",), iter([(1,), (2,)]), 6) == ([[0, 0]], 1)
     for family in ([parse_poly("q*s", ("q", "s"))], [parse_poly("q", ("q",)), parse_poly("0", ("s", "q"))]):

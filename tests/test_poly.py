@@ -17,7 +17,7 @@ from poissonlift.errors import (
     UnknownSymbolError,
 )
 
-from conftest import count_calls, is_one_form, rand_poly
+from conftest import count_calls, is_one_form, rand_poly, sparse_random_poly
 from reference import dense_gradient, dense_sum_of_products
 
 
@@ -350,22 +350,6 @@ def _dense_to_string(poly: Polynomial) -> str:
     return out
 
 
-def _sparse_random_poly(rng: random.Random, variables, max_exponent: int) -> Polynomial:
-    """A few terms, each on a few variables, with int or Fraction coefficients
-    (±1 among them) and exponents up to ``max_exponent``; some terms share a
-    total degree so the lex tie-break decides their order."""
-    n = len(variables)
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        exps = [0] * n
-        for _ in range(rng.randint(0, 3)):
-            exps[rng.randrange(n)] = rng.choice([1, 2, 3, rng.randint(1, max_exponent), max_exponent])
-        if rng.random() < 0.5 and any(exps):  # the same degree, the exponents elsewhere
-            terms[tuple(exps[1:] + exps[:1])] = rng.choice([1, -1, 2])
-        terms[tuple(exps)] = rng.choice([1, -1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 7))])
-    return Polynomial(variables, terms)
-
-
 def test_packed_printing_matches_dense_reference():
     rng = random.Random(20)
     for n in range(1, 71):
@@ -373,7 +357,7 @@ def test_packed_printing_matches_dense_reference():
         extended = variables + ("y", "z")
         for max_exponent in (3, EXPONENT_LIMIT - 1):
             for _ in range(4):
-                poly = _sparse_random_poly(rng, variables, max_exponent)
+                poly = sparse_random_poly(rng, variables, max_exponent)
                 assert poly.to_string() == _dense_to_string(poly)
                 # an extension shares the term map and prints the same
                 wide = poly.with_variables(extended)
@@ -448,7 +432,7 @@ def test_one_walk_partials_match_one_derivative_per_variable(dim):
     polys = [Polynomial.zero(variables), Polynomial.constant(Fraction(7, 3), variables),
              Polynomial(variables, {(3,) + (0,) * (dim - 1): Fraction(1, 3)})]  # partial x0^2, coefficient int 1
     for max_exponent in (3, EXPONENT_LIMIT - 1):
-        polys += [_sparse_random_poly(rng, variables, max_exponent) for _ in range(10)]
+        polys += [sparse_random_poly(rng, variables, max_exponent) for _ in range(10)]
     polys += [rand_poly(rng, variables, max_degree=4, terms=5) for _ in range(10)]
     for poly in polys:
         partials = poly._partials()
