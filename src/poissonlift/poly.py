@@ -33,8 +33,8 @@ re-indexed by ``with_variables`` onto the longer one when it extends the
 other, else onto their sorted union.  The universe order is read only where
 positions become names: printing, ``compose`` and ``scaled_values`` walk the
 set fields of each key (printing in its own loop, the others through
-:func:`_fields`), so their cost follows the variables a term uses, not the
-length of the universe.
+:func:`_fields`), so their cost per term follows the variables a term
+uses, not the length of the universe.
 Only the public constructor, the ``terms`` view and the reference evaluation
 ``substitute`` read dense exponent tuples.
 
