@@ -108,19 +108,20 @@ def _prolongation(run: _Run) -> dict:
     sum_j A_j(q,v) theta_j + sum_jk B_jk(q,v) d_k theta_j.  A zero residual
     on dx_j gives A_j = 0, and one on x_k dx_j then gives B_jk = 0.  So the
     n + n^2 affine forms decide the lemma, and neither seed nor count is
-    read.  ``test_criterion_2_one_form_prolongation`` keeps seeded random
-    forms as a guard against an implementation that is not first-order."""
-    chart, tc = run.pi.chart, run.tc
+    read.  They go to ``one_form_lift_residuals`` in one mapping, labelled
+    ``d<cj>:`` and ``<ck>*d<cj>:``, whose n + 1 coefficients (1 and each
+    x_k) are shared objects: each is pulled back, lifted and differentiated
+    once, and every form still goes through the d_T kernel.
+    ``test_criterion_2_one_form_prolongation`` keeps seeded random forms as
+    a guard against an implementation that is not first-order."""
+    chart = run.pi.chart
     coefficients = {"": chart.constant_poly(1)}
     coefficients.update({f"{ck}*": chart.coord_poly(ck) for ck in chart.coords})
     # each coefficient is a nonzero polynomial over exactly chart.coords
-    return {
-        f"{label}d{cj}:{name}": poly
+    return one_form_lift_residuals(run.tc, {
+        f"{label}d{cj}:": DifferentialForm._make(chart, 1, {(j,): coefficient})
         for j, cj in enumerate(chart.coords)
-        for label, coefficient in coefficients.items()
-        for name, poly in one_form_lift_residuals(
-            tc, DifferentialForm._make(chart, 1, {(j,): coefficient})).items()
-    }
+        for label, coefficient in coefficients.items()})
 
 
 def _generator_fields(run: _Run) -> dict:
@@ -177,10 +178,7 @@ def _forward_derivatives(run: _Run) -> dict:
         polys.update((f"momentum[{name}]", poly)
                      for name, poly in zip(problem.momentum.target.coords, problem.momentum.components))
     denominator, points = run.plan.stream(len(coords), limit=len(polys))
-    return {f"{name}/d{v}": difference
-            for index, (name, poly) in enumerate(polys.items())
-            for v, difference in fd_derivative_check(
-                poly, coords, points[index % len(points)], denominator).items()}
+    return fd_derivative_check(polys, coords, points, denominator)
 
 
 # -- the table ----------------------------------------------------------------------

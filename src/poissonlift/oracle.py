@@ -27,17 +27,19 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ._value import _Value
-from .errors import DimensionMismatchError, MissingAssignmentError
-from .poly import Polynomial, scaled_values
+from .errors import DimensionMismatchError
+from .poly import Polynomial, _positions, _scaled_values, scaled_values
 
 GRID_RESOLUTION = 4096
 
 DEFAULT_SAMPLES = 100
 DEFAULT_SEED = 2026
 DEFAULT_BOX = (Fraction(-2), Fraction(2))
+
+_ZERO = Polynomial.zero()  # the partial of a used variable that _partials leaves out
 
 
 class SamplePlan(_Value, hashable=True):
@@ -112,12 +114,14 @@ class _Dual:
         return power
 
 
-def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence[int],
-                        denominator: int) -> dict[str, Fraction]:
-    """Forward derivatives ("fd") against the symbolic partials at the point
-    ``x = point / denominator``, whose integer entries are the values of
-    ``variables`` in that order (the format of ``SamplePlan.stream``); they
-    must cover f's universe.
+def fd_derivative_check(polys: Mapping[str, Polynomial], variables: Sequence[str],
+                        points: Sequence[Sequence[int]], denominator: int) -> dict[str, Fraction]:
+    """Forward derivatives ("fd") against the symbolic partials of each
+    polynomial of ``polys``, a mapping from name to polynomial: the k-th at
+    the point ``x = points[k % len(points)] / denominator``, whose integer
+    entries are the values of ``variables`` in that order (the format of
+    ``SamplePlan.stream``); they must cover every polynomial's universe,
+    which is mapped to point positions once per call.
 
     ``scaled_values`` evaluates f with the entry of v replaced by the dual
     number ``n_v + denominator*eps``: the eps part of ``M * f(x + eps*e_v)``
@@ -125,26 +129,31 @@ def fd_derivative_check(f: Polynomial, variables: Sequence[str], point: Sequence
     ``derivative``, ``_partials`` or power rule, so it is a second route for
     ``_partials``, which every lift differentiates through and which one
     more call evaluates at x.  Returns the nonzero differences ``eps part -
-    _partials()[v](x)`` over every v that f uses or that ``_partials``
-    returns.
+    _partials()[v](x)``, named ``<name>/d<v>``, over every v that f uses or
+    that ``_partials`` returns.
     """
-    if len(point) != len(variables):
-        raise DimensionMismatchError(f"point has {len(point)} coordinates, need {len(variables)}")
-    known = set(variables)
-    if missing := [v for v in f.variables if v not in known]:
-        raise MissingAssignmentError(f"no value for variables {missing}")
-    partials = {f.variables[i]: p for i, p in f._partials().items()}
-    names = sorted({*f.used_variables(), *partials}, key=f.variables.index)
-    if not names:  # a constant: nothing to evaluate
-        return {}
-    duals = [[*point[:k], _Dual(point[k], denominator), *point[k + 1:]] for k in map(variables.index, names)]
-    (forward,), total = scaled_values([f], variables, duals, denominator)
-    exact, scale = scaled_values([partials[v] if v in partials else Polynomial.zero() for v in names],
-                                 variables, [point], denominator)
+    where = {v: i for i, v in enumerate(variables)}
+    positions: dict[tuple[str, ...], list[int]] = {}  # universe -> point positions
     differences = {}
-    for v, value, (at_x,) in zip(names, forward, exact):
-        if numerator := (value.b if type(value) is _Dual else 0) * scale - at_x * total:
-            differences[v] = Fraction(numerator, total * scale)
+    for k, (name, f) in enumerate(polys.items()):
+        point = points[k % len(points)]
+        if len(point) != len(variables):
+            raise DimensionMismatchError(f"point has {len(point)} coordinates, need {len(variables)}")
+        universe = f.variables
+        if universe not in positions:
+            positions[universe] = _positions(universe, where)
+        pos = positions[universe]
+        partials = f._partials()
+        indices = sorted({*map(universe.index, f.used_variables()), *partials})
+        if not indices:  # a constant: nothing to evaluate
+            continue
+        duals = [[*point[:pos[i]], _Dual(point[pos[i]], denominator), *point[pos[i] + 1:]] for i in indices]
+        (forward,), total = _scaled_values([f], [pos], duals, denominator)
+        exact, scale = _scaled_values([partials.get(i, _ZERO) for i in indices], [pos] * len(indices),
+                                      [point], denominator)
+        for i, value, (at_x,) in zip(indices, forward, exact):
+            if numerator := (value.b if type(value) is _Dual else 0) * scale - at_x * total:
+                differences[f"{name}/d{universe[i]}"] = Fraction(numerator, total * scale)
     return differences
 
 

@@ -3,8 +3,9 @@
 A polynomial is a pair (variables, terms): ``variables`` is an ordered tuple
 of symbol names and ``terms`` maps monomials to nonzero rational
 coefficients.  The zero polynomial has an empty term map.  All values are
-immutable and every operation is a pure function, so polynomials can be
-shared freely between threads.
+immutable, apart from the partials a polynomial keeps once it has taken
+them (``_partials``), and every operation is a pure function, so
+polynomials can be shared freely between threads.
 
 A coefficient has exactly one form, the one :func:`rational` gives: an
 ``int`` when it is an integer, otherwise a ``fractions.Fraction`` with
@@ -24,7 +25,11 @@ subtracts a unit and ``used_variables`` ORs them.  Exponents stay below
 that reaches bit W-1 of its field (the guard) is a ``ValueError``.
 ``_partials`` takes every partial derivative in one walk: it visits the set
 fields of each key once and files the lowered key under that field's
-variable, so a polynomial is read once for all its partials.  A key does not
+variable, so a polynomial is read once for all its partials.  The walk runs
+on the first call only: its dict is kept in a slot of that polynomial
+object, which every later call returns, so callers never mutate it.  It is
+never keyed by the term map, which extensions share (below) while their
+partials live over their own universes.  A key does not
 depend on how many variables follow, so re-indexing onto an extension ``vs``
 of the universe ``u`` (``vs[:len(u)] == u``) shares the term map:
 polynomials on a base chart cross for free into its bundle charts, whose
@@ -51,7 +56,10 @@ it, so polynomials share them freely.  ``+`` and ``-`` are one signed loop,
 ``_plus``.  A sum of products ``sum scale * a * b``, the shape of every
 contraction in the package, is built by the internal
 ``Polynomial._sum_of_products(variables, products)``, the one loop that
-multiplies terms; ``*`` is its sum of one product.  All products are added
+multiplies terms; ``*`` is its sum of one product.  One product ``1 * a *
+b`` whose ``a`` or ``b`` is the unit constant is the other factor: the
+result shares that factor's term map, as ``_make``'s ownership rule allows,
+and multiplies nothing.  All other products are added
 into one term map: a key whose coefficient cancels is deleted at once and
 appended again if it comes back, as ``_plus`` does, coefficients are folded
 to their one form once, at the end, and the exponent guard is checked once.
@@ -81,6 +89,7 @@ Rational = int | Fraction
 W = 32  # bits per exponent field of a monomial key
 EXPONENT_LIMIT = 1 << (W - 1)  # every exponent is below this
 _FIELD = (1 << W) - 1
+_UNIT = {0: 1}  # the term map of the constant 1
 
 
 @cache
@@ -148,7 +157,7 @@ def _universe(variables: Iterable[str]) -> tuple[str, ...]:
 class Polynomial:
     """Immutable exact polynomial with rational coefficients."""
 
-    __slots__ = ("variables", "_terms")
+    __slots__ = ("variables", "_terms", "_partials_memo")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Rational]):
         vs = _universe(variables)
@@ -163,6 +172,7 @@ class Polynomial:
             canon[key] = canon.get(key, 0) + rational(coeff)
         self.variables = vs
         self._terms = {k: rational(c) for k, c in canon.items() if c}
+        self._partials_memo = None
 
     @classmethod
     def _make(cls, variables: tuple[str, ...], terms: dict[int, Rational]) -> "Polynomial":
@@ -171,6 +181,7 @@ class Polynomial:
         poly = object.__new__(cls)
         poly.variables = variables
         poly._terms = terms
+        poly._partials_memo = None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -303,7 +314,7 @@ class Polynomial:
 
     @classmethod
     def _sum_of_products(cls, variables: tuple[str, ...],
-                         products: Iterable[tuple[Rational, "Polynomial", "Polynomial"]]) -> "Polynomial":
+                         products: Sequence[tuple[Rational, "Polynomial", "Polynomial"]]) -> "Polynomial":
         """``sum scale * a * b`` over ``products``, built in one term map.
 
         Trusted like ``_make``: ``variables`` are distinct and every operand's
@@ -311,7 +322,16 @@ class Polynomial:
         they are.  A key whose coefficient cancels is deleted at once and
         appended again if it comes back, as the ``+`` chain deletes it;
         coefficients are folded to their one form once, at the end, and a
-        product exponent that reaches the guard is a ``ValueError``."""
+        product exponent that reaches the guard is a ``ValueError``.  One
+        product ``1 * a * b`` whose ``a`` or ``b`` is the unit constant is
+        the other factor, whose term map the result shares."""
+        if len(products) == 1:
+            (scale, a, b), = products
+            if scale == 1:
+                if b._terms == _UNIT:
+                    return cls._make(variables, a._terms)
+                if a._terms == _UNIT:
+                    return cls._make(variables, b._terms)
         terms: dict[int, Rational] = {}
         get = terms.get
         for scale, a, b in products:
@@ -373,7 +393,12 @@ class Polynomial:
 
     def _partials(self) -> dict[int, "Polynomial"]:
         """Every nonzero partial derivative, keyed by variable index in
-        ascending order, from one walk over the set fields of each key."""
+        ascending order, from one walk over the set fields of each key.  The
+        walk runs on the first call; its dict is kept in a slot of this
+        polynomial and returned by every later call, so callers never
+        mutate it."""
+        if self._partials_memo is not None:
+            return self._partials_memo
         parts: dict[int, dict[int, Rational]] = {}
         for key, coeff in self._terms.items():
             for i, e in _fields(key):
@@ -382,7 +407,8 @@ class Polynomial:
                     parts[i] = {}
                 parts[i][key - (1 << (i * W))] = c if type(c) is int or c.denominator != 1 else c.numerator
         vs = self.variables
-        return {i: Polynomial._make(vs, parts[i]) for i in sorted(parts)}
+        self._partials_memo = partials = {i: Polynomial._make(vs, parts[i]) for i in sorted(parts)}
+        return partials
 
     def substitute(self, assignment: Mapping[str, Rational]) -> Fraction:
         """Exact evaluation; every variable of the polynomial must be assigned."""
@@ -490,15 +516,29 @@ def scaled_values(polys: Sequence[Polynomial], variables: Sequence[str], points:
     denominator^(top - deg) * n^e`` over the terms of ``polys[k]``.
     Integer entries cost integer arithmetic only; an entry may be any value
     that adds, multiplies and takes ``**`` with ints and with its own kind,
-    such as a dual number."""
-    points = list(points)
+    such as a dual number.  The names are mapped to point positions once per
+    call (``_positions``); ``_scaled_values`` evaluates over those positions,
+    for a caller that maps a universe once for many calls."""
     where = {v: i for i, v in enumerate(variables)}
+    return _scaled_values(polys, [_positions(poly.variables, where) for poly in polys], points, denominator)
+
+
+def _positions(universe: Sequence[str], where: Mapping[str, int]) -> list[int]:
+    """The point position of each variable of ``universe``, by the name map
+    ``where``; a variable it lacks is a ``MissingAssignmentError``."""
+    if missing := [v for v in universe if v not in where]:
+        raise MissingAssignmentError(f"no value for variables {missing}")
+    return [where[v] for v in universe]
+
+
+def _scaled_values(polys: Sequence[Polynomial], positions: Sequence[Sequence[int]], points: Iterable[Sequence],
+                   denominator: int) -> tuple[list[list], int]:
+    """``scaled_values`` with the point position of the i-th variable of
+    ``polys[k]`` given as ``positions[k][i]``."""
+    points = list(points)
     families = []  # (coefficient, degree, (point position, exponent) pairs) per term
     top, scale = 0, 1  # the largest degree and the lcm of the coefficient denominators
-    for poly in polys:
-        if missing := [v for v in poly.variables if v not in where]:
-            raise MissingAssignmentError(f"no value for variables {missing}")
-        pos = [where[v] for v in poly.variables]
+    for poly, pos in zip(polys, positions):
         rows = []
         for key, c in poly._terms.items():
             factors = [(pos[i], e) for i, e in _fields(key)]

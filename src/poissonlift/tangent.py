@@ -46,6 +46,7 @@ which takes its partials from the chart's one-walk gradient.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Mapping
 
 from ._value import _Value
 from .chart import (
@@ -313,31 +314,44 @@ def tangent_lift_residuals(pi: PoissonStructure, candidate: PoissonStructure) ->
             for name, products in zip(names, slots)}
 
 
-def one_form_lift_residuals(tc: TangentChart, theta: DifferentialForm) -> dict[str, Polynomial]:
-    """Residual of alpha . T(theta) = d_T(theta) on the T*TM coordinates
-    where the two sides differ, in coordinate order.
+def one_form_lift_residuals(tc: TangentChart, forms: Mapping[str, DifferentialForm]) -> dict[str, Polynomial]:
+    """Residual of alpha . T(theta) = d_T(theta) for each 1-form theta of
+    ``forms``, a mapping from label to form, named ``<label><T*TM
+    coordinate>`` on the coordinates where the two sides differ: the forms
+    in their order, each in coordinate order.
 
     Each side is four sparse blocks, base index -> component: T(theta) =
     (q, theta, v, theta^c) in alpha's block order against the covector
     d_T(theta) = (q, v, dq-, dv-coefficients).  A slot neither side fills is
     zero on both, a block both take from one object is equal on both, and
-    any other slot is kept when the term maps of its sides differ, which a
-    base polynomial and a TM one show as they are (see ``poly``)."""
-    if theta.chart != tc.base or theta.degree != 1:
-        raise DegreeError("prolongation takes a 1-form on the base chart")
-    n = tc.dim
+    any other slot is kept when the term maps of its sides differ.  A
+    component object that several forms share is pulled back to TM and
+    lifted once, so its partials are walked once (``Polynomial._partials``
+    keeps them); every form still goes through the d_T kernel."""
+    n, total, coords = tc.dim, tc.total, tc.base.coords
     q, v = tc.coord_blocks
-    form = {j: t for (j,), t in theta._components.items()}
-    prolonged = (q, form, v, {j: _complete_lift_poly(tc, t) for j, t in form.items()})
-    covector = (q, v, {}, {})
-    for (i,), c in d_T(tc, theta)._components.items():
-        covector[2 + i // n][i % n] = c
-    zero = tc.total.zero_poly()
+    field, field_partials = tc.tautological, tc.tautological_partials
+    zero = total.zero_poly()
+    shared: dict[int, tuple] = {}  # id of a base component -> (it, its pullback, its complete lift)
     residuals = {}
-    for prefix, lhs, rhs in zip(_BLOCKS["T*T"], (prolonged[b] for b in _ALPHA_ORDER), covector):
-        if lhs is not rhs:
-            for j in sorted(lhs.keys() | rhs.keys()):
-                left, right = lhs.get(j, zero), rhs.get(j, zero)
-                if left._terms != right._terms:
-                    residuals[prefix + tc.base.coords[j]] = left - right
+    for label, theta in forms.items():
+        if theta.chart != tc.base or theta.degree != 1:
+            raise DegreeError("prolongation takes a 1-form on the base chart")
+        form, lifted = {}, {}  # base index -> pullback, complete lift
+        for (j,), t in theta._components.items():
+            if id(t) not in shared:
+                shared[id(t)] = (t, Polynomial._make(total.coords, t._terms), _complete_lift_poly(tc, t))
+            _, form[j], lifted[j] = shared[id(t)]
+        prolonged = (q, form, v, lifted)
+        covector = (q, v, {}, {})
+        pulled = DifferentialForm._make(total, 1, {(j,): t for j, t in form.items()})
+        for (i,), c in _lie_derivative_form(field, pulled, field_partials)._components.items():
+            covector[2 + i // n][i % n] = c
+        for prefix, b, rhs in zip(_BLOCKS["T*T"], _ALPHA_ORDER, covector):
+            lhs = prolonged[b]
+            if lhs is not rhs:
+                for j in sorted(lhs.keys() | rhs.keys()):
+                    left, right = lhs.get(j, zero), rhs.get(j, zero)
+                    if left._terms != right._terms:
+                        residuals[label + prefix + coords[j]] = left - right
     return residuals

@@ -133,7 +133,7 @@ def test_criterion_2_one_form_prolongation():
                 1,
                 {(i,): rand_poly(rng, chart.coords, max_degree=3) for i in range(chart.dim)},
             )
-            residuals = one_form_lift_residuals(tangent_chart(chart), theta)
+            residuals = one_form_lift_residuals(tangent_chart(chart), {"": theta})
             assert all(r.is_zero() for r in residuals.values()), (index, residuals)
 
 
@@ -343,7 +343,7 @@ def test_criterion_11_oracle_consistency():
             chart = charts[index % 3]
             f = rand_poly(rng, chart.coords, max_degree=4, terms=5)
             denominator, points = plan.stream(chart.dim)
-            assert fd_derivative_check(f, chart.coords, points[index % 100], denominator) == {}, index
+            assert fd_derivative_check({"f": f}, chart.coords, [points[index % 100]], denominator) == {}, index
 
 
 def test_criterion_12_jacobi_negative_control():

@@ -948,6 +948,20 @@ def test_verify_lemma_differentiates_each_tautological_component_once(monkeypatc
     assert len(gradients) <= 99
 
 
+def test_verify_lemma_lifts_each_coefficient_once(monkeypatch):
+    # the n(n+1) probes on gl(3) (n = 9) take n + 1 distinct coefficients,
+    # 1 and each x_k; each probe lifted its own coefficient, 90
+    # _complete_lift_poly calls.  Every probe still goes through the d_T
+    # kernel, so no probe skips the identity under test
+    problem = parse_problem(gl_problem(3))
+    lifts = count_calls(monkeypatch, tangent, "_complete_lift_poly")
+    kernels = count_calls(monkeypatch, chart, "_lie_derivative_form")
+    (report,) = run_checks(problem, "verify-lemma")
+    assert report.verdict == "pass"
+    assert len(lifts) == 10
+    assert len(kernels) == 90
+
+
 def test_symplectic_builds_its_pgmap_once(monkeypatch):
     calls = count_calls(monkeypatch, reduction, "symplectic_pgmap")
     assert main(["symplectic", "canonical-r2-rotation"]) == 0
@@ -1106,7 +1120,8 @@ def test_oracle_fd_draws_only_the_points_it_reads(monkeypatch, count):
 
     monkeypatch.setattr(SamplePlan, "stream", stream)
     monkeypatch.setattr(checks, "fd_derivative_check",
-                        lambda f, variables, point, denominator: read.append(point) or {})
+                        lambda polys, variables, points, denominator:
+                        read.extend(points[index % len(points)] for index in range(len(polys))) or {})
     run_checks(problem, "oracle-fd", plan)
     limited = False
     run_checks(problem, "oracle-fd", plan)

@@ -32,24 +32,40 @@ class TestForwardDerivatives:
     def test_exact_at_high_degree(self, text, point, denominator):
         # central differences with step 1/10^6 read a relative error of
         # 2.5e-6 on a degree-4096 component, above their 1e-6 tolerance
-        assert fd_derivative_check(parse_poly(text, ("q", "p")), ("q", "p"), point, denominator) == {}
+        assert fd_derivative_check({"f": parse_poly(text, ("q", "p"))}, ("q", "p"), [point], denominator) == {}
 
     @pytest.mark.parametrize("text", ["0", "3", "3*q - 7", "q^2", "1/2*q*p - 2/3*p^2"])
     def test_exact_at_low_degree(self, text):
-        assert fd_derivative_check(parse_poly(text, ("q", "p")), ("q", "p"), (5, -2), 1) == {}
+        assert fd_derivative_check({"f": parse_poly(text, ("q", "p"))}, ("q", "p"), [(5, -2)], 1) == {}
 
     def test_difference_is_exact_over_the_points_denominator(self, monkeypatch):
         # q = 3/2 read as 6/4: f'(3/2) = 27/4, and a doubled partial is off by -27/4
         exact = Polynomial._partials
         monkeypatch.setattr(Polynomial, "_partials", lambda f: {i: p * 2 for i, p in exact(f).items()})
-        assert fd_derivative_check(parse_poly("q^3", ("q",)), ("q",), (6,), 4) == {"q": Fraction(-27, 4)}
+        assert fd_derivative_check({"f": parse_poly("q^3", ("q",))}, ("q",), [(6,)], 4) == {"f/dq": Fraction(-27, 4)}
 
     def test_a_partial_of_an_unused_variable_is_a_difference(self, monkeypatch):
         # every variable that _partials returns is compared, not only those f uses
         exact = Polynomial._partials
         monkeypatch.setattr(Polynomial, "_partials",
                             lambda f: {**exact(f), 1: Polynomial.constant(5, f.variables)})
-        assert fd_derivative_check(parse_poly("q^3", ("q", "p")), ("q", "p"), (1, 1), 1) == {"p": -5}
+        assert fd_derivative_check({"f": parse_poly("q^3", ("q", "p"))}, ("q", "p"), [(1, 1)], 1) == {"f/dp": -5}
+
+    def test_the_kth_polynomial_reads_the_kth_point_by_name(self, monkeypatch):
+        # with doubled partials each difference is minus the partial at the
+        # polynomial's own point: h reads the first point again, and g, over
+        # the universe (p,), reads p from the second entry of its point
+        exact = Polynomial._partials
+        monkeypatch.setattr(Polynomial, "_partials", lambda f: {i: p * 2 for i, p in exact(f).items()})
+        f, g = parse_poly("q^3*p", ("q", "p")), parse_poly("p^2", ("p",))
+        assert fd_derivative_check({"f": f, "g": g, "h": f}, ("q", "p"), [(1, 2), (3, -5)], 1) == {
+            "f/dq": -6, "f/dp": -1, "g/dp": 10, "h/dq": -6, "h/dp": -1}
+
+    def test_a_used_variable_without_a_partial_is_a_difference(self, monkeypatch):
+        # every variable that f uses is compared, also one _partials leaves out
+        exact = Polynomial._partials
+        monkeypatch.setattr(Polynomial, "_partials", lambda f: {i: p for i, p in exact(f).items() if i})
+        assert fd_derivative_check({"f": parse_poly("q^3*p", ("q", "p"))}, ("q", "p"), [(1, 2)], 1) == {"f/dq": 6}
 
     @pytest.mark.parametrize("denominator", [1, 6, 3 * GRID_RESOLUTION])
     def test_a_dual_entry_carries_the_partial(self, denominator):
@@ -75,7 +91,7 @@ class TestForwardDerivatives:
     @pytest.mark.parametrize("point", [(), (1,), (1, 2, 3)])
     def test_point_needs_one_coordinate_per_variable(self, point):
         with pytest.raises(DimensionMismatchError):
-            fd_derivative_check(parse_poly("q^3", ("q", "p")), ("q", "p"), point, 1)
+            fd_derivative_check({"f": parse_poly("q^3", ("q", "p"))}, ("q", "p"), [point], 1)
 
     @pytest.mark.parametrize("text", ["3", "q^3", "p^3"])
     @pytest.mark.parametrize("point", [{"q": 1}, {"p": 1}, {"q": 1, "r": 1}])
@@ -83,7 +99,7 @@ class TestForwardDerivatives:
         # only the used variables are differentiated, but a point that leaves
         # a variable of f's universe unassigned is still refused
         with pytest.raises(MissingAssignmentError):
-            fd_derivative_check(parse_poly(text, ("q", "p")), tuple(point), tuple(point.values()), 1)
+            fd_derivative_check({"f": parse_poly(text, ("q", "p"))}, tuple(point), [tuple(point.values())], 1)
 
 
 class TestSampleResidual:

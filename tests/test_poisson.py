@@ -454,7 +454,7 @@ def test_kernels_match_dense_references(dim, monkeypatch):
             assert lifted.variables == tc.total.coords
             point = {c: rand_fraction(rng) for c in chart.coords}
             (numerators,), denominator = integer_points([point.values()])
-            assert fd_derivative_check(f, chart.coords, numerators, denominator) == {}
+            assert fd_derivative_check({"f": f}, chart.coords, [numerators], denominator) == {}
             gradient = dense_gradient(f)
             if not gradient:
                 continue
@@ -467,8 +467,8 @@ def test_kernels_match_dense_references(dim, monkeypatch):
                 patch.setattr(Polynomial, "_partials",
                               lambda g: {**exact(g), i: exact(g)[i] - term} if g is f else exact(g))
                 value = term.substitute(point)
-                assert fd_derivative_check(f, chart.coords, numerators, denominator) == (
-                    {f.variables[i]: value} if value else {})
+                assert fd_derivative_check({"f": f}, chart.coords, [numerators], denominator) == (
+                    {f"f/d{f.variables[i]}": value} if value else {})
     # dim 2 has only Poisson bivectors
     assert verdicts == ({True} if dim == 2 else {True, False})
 

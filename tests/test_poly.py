@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlift import Polynomial, parse_poly
+from poissonlift import poly as poly_module
 from poissonlift.poly import EXPONENT_LIMIT
 from poissonlift.errors import (
     MissingAssignmentError,
@@ -390,6 +391,7 @@ def test_sum_of_products_matches_the_operator_chain(dim):
     q = Polynomial.variable("x0", variables)
     # operands over prefixes of the universe, as the kernels' callers pass them
     pool = [rand_poly(rng, variables[:rng.randint(1, dim)], max_degree=3, terms=4) for _ in range(8)]
+    one = Polynomial.constant(1, variables[:1])
     pool += [Polynomial.zero(variables[:1]), Polynomial.constant(Fraction(3, 2), variables)]
     scales = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
     cases = [
@@ -398,6 +400,8 @@ def test_sum_of_products_matches_the_operator_chain(dim):
         [(1, pool[0], pool[1]), (-1, pool[1], pool[0])],  # full cancellation
         [(1, pool[2], pool[3]), (Fraction(1, 2), pool[3], pool[2]), (-3, pool[2], pool[3]),
          (Fraction(3, 2), pool[2], pool[3])],  # cancellation spread over four products
+        [(1, pool[4], one)], [(1, one, pool[5])], [(1, one, one)],  # the unit fast path
+        [(-1, pool[4], one)], [(2, one, pool[5])], [(1, pool[6], one), (1, one, pool[6])],  # and beside it
     ]
     for _ in range(40):
         cases.append([(rng.choice(scales), rng.choice(pool), rng.choice(pool))
@@ -410,6 +414,9 @@ def test_sum_of_products_matches_the_operator_chain(dim):
     assert Polynomial._sum_of_products(variables, cases[1]) == q ** 2
     assert Polynomial._sum_of_products(variables, cases[2]).is_zero()
     assert Polynomial._sum_of_products(variables, cases[3]).is_zero()
+    # one product with the unit constant shares the other factor's term map
+    for products, factor in zip(cases[4:7], (pool[4], pool[5], one)):
+        assert Polynomial._sum_of_products(variables, products)._terms is factor._terms
 
 
 def test_sum_of_products_keeps_the_exponent_guard():
@@ -442,3 +449,26 @@ def test_one_walk_partials_match_one_derivative_per_variable(dim):
             _assert_fused(partial, variables)
     assert polys[0]._partials() == {} and polys[1]._partials() == {}
     assert polys[2]._partials() == {0: Polynomial.variable("x0", variables) ** 2}
+
+
+def test_partials_are_kept_on_each_polynomial(monkeypatch):
+    # a polynomial, its extension onto the tangent chart and a sum of
+    # products that shares its term map each keep partials over their own
+    # universe; a repeated call walks no key again
+    rng = random.Random(900)
+    base, total = ("q", "p"), ("q", "p", "v_q", "v_p")
+    f = rand_poly(rng, base, max_degree=4, terms=5) + Polynomial.variable("q", base) ** 2
+    lifted = f.with_variables(total)
+    fused = Polynomial._sum_of_products(total, [(1, f, Polynomial.constant(1, total))])
+    assert lifted._terms is f._terms and fused._terms is f._terms
+    walks = count_calls(monkeypatch, poly_module, "_fields")
+    for poly in (f, lifted, fused):
+        partials = poly._partials()
+        assert walks
+        for i, v in enumerate(poly.variables):
+            assert partials.get(i, Polynomial.zero(poly.variables)) == poly.derivative(v)
+        assert all(partial.variables == poly.variables for partial in partials.values())
+        walks.clear()
+        assert poly._partials() == partials and poly._partials() is partials
+        assert walks == []
+    assert len({id(poly._partials()) for poly in (f, lifted, fused)}) == 3

@@ -89,7 +89,7 @@ REFUSALS = {
     "complete-lift-onto-another-base": (lambda: complete_lift_bivector(PI, tangent_chart(N)),
                                         ChartMismatchError),
     "lift-candidate-on-the-base": (lambda: tangent_lift_residuals(PI, PI), ChartMismatchError),
-    "prolongation-of-a-2-form": (lambda: one_form_lift_residuals(TM, OMEGA), DegreeError),
+    "prolongation-of-a-2-form": (lambda: one_form_lift_residuals(TM, {"": OMEGA}), DegreeError),
     # reduction.py
     "pgmap-image-count": (lambda: PGMap(E1, M, ()), DimensionMismatchError),
     "pgmap-image-chart": (lambda: PGMap(E1, M, (DQ_N,)), ChartMismatchError),

@@ -433,7 +433,7 @@ class TestCompleteLiftBivector:
 
 def lemma_holds(theta: DifferentialForm) -> bool:
     """Whether every residual of alpha . T(theta) = d_T(theta) is zero."""
-    residuals = one_form_lift_residuals(tangent_chart(theta.chart), theta)
+    residuals = one_form_lift_residuals(tangent_chart(theta.chart), {"": theta})
     return all(r.is_zero() for r in residuals.values())
 
 
@@ -475,7 +475,7 @@ class TestOneFormLiftIdentity:
                     for _ in range(8):
                         theta = rand_form(rng, chart, 1, max_degree=3)
                         dense = dense_lemma_residuals(tc, theta)
-                        residuals = one_form_lift_residuals(tc, theta)
+                        residuals = one_form_lift_residuals(tc, {"": theta})
                         assert list(residuals) == [name for name in dense if name in residuals]
                         assert all(dense[name].is_zero() for name in dense if name not in residuals)
                         assert all(residuals[name] == dense[name] for name in residuals)
