@@ -13,7 +13,10 @@ constants are ints.
 Three exact residual checks certify the data: the bracket Jacobi identity,
 the cocycle compatibility of the cobracket with the adjoint action, and the
 Jacobi identity of the dual bracket, whose rows are the cobracket table
-transposed.  Both Jacobi checks run one kernel that reads stored rows only.
+transposed.  Both Jacobi checks run one kernel that reads stored rows only;
+the cocycle check visits only the basis pairs (i, j) that some cobracket row
+enters (of e_i, of e_j or of an e_m in [e_i, e_j]), so a zero cobracket
+costs nothing.
 The three residual maps are computed once, on first use, and kept in
 ``structure_residuals``; ``verified`` says that all three are empty, and
 operations downstream refuse unverified inputs.
@@ -177,21 +180,27 @@ class LieBialgebra(_Value):
 
     def check_cocycle(self) -> dict[str, Rational]:
         """Residual of delta([e_i, e_j]) - ad_i delta(e_j) + ad_j delta(e_i)."""
+        rows = self._cobrackets
+        if not rows:
+            return {}
+        # a pair no cobracket row enters has a zero residual: neither e_i nor
+        # e_j has a row, and no e_m of [e_i, e_j] has one
+        touched = {(min(i, j), max(i, j)) for i in rows for j in range(self.dim) if j != i}
+        touched.update(key for key, row in self._brackets.items() if any(m in rows for m in row))
         residuals: dict[str, Rational] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                acc: PairRow = {}
-                for m, cm in self.bracket(i, j).items():
-                    for (a, b), c in self._cobrackets.get(m, {}).items():
-                        _wedge_add(acc, a, b, cm * c)
-                for (a, b), c in self._adjoint_on_pairs(i, self._cobrackets.get(j, {})).items():
-                    _wedge_add(acc, a, b, -c)
-                for (a, b), c in self._adjoint_on_pairs(j, self._cobrackets.get(i, {})).items():
-                    _wedge_add(acc, a, b, c)
-                for (a, b), c in _prune(acc).items():
-                    residuals[
-                        f"cocycle[{self.basis[i]},{self.basis[j]} -> {self.basis[a]}^{self.basis[b]}]"
-                    ] = c
+        for i, j in sorted(touched):
+            acc: PairRow = {}
+            for m, cm in self.bracket(i, j).items():
+                for (a, b), c in rows.get(m, {}).items():
+                    _wedge_add(acc, a, b, cm * c)
+            for (a, b), c in self._adjoint_on_pairs(i, rows.get(j, {})).items():
+                _wedge_add(acc, a, b, -c)
+            for (a, b), c in self._adjoint_on_pairs(j, rows.get(i, {})).items():
+                _wedge_add(acc, a, b, c)
+            for (a, b), c in _prune(acc).items():
+                residuals[
+                    f"cocycle[{self.basis[i]},{self.basis[j]} -> {self.basis[a]}^{self.basis[b]}]"
+                ] = c
         return residuals
 
     def check_cojacobi(self) -> dict[str, Rational]:

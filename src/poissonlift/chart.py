@@ -80,11 +80,23 @@ class Chart(_Value, hashable=True):
         return Polynomial.constant(value, self.coords)
 
 
-def _sort_index(indices: Iterable[int]) -> tuple[Index, int] | None:
+def _sort_index(indices: Index) -> tuple[Index, int] | None:
     """Sort an index tuple, tracking permutation parity.
 
-    Returns None when an index repeats (the component vanishes).
+    Returns None when an index repeats (the component vanishes).  Pairs and
+    triples, every 2-form and the Jacobi trivector, are sorted in closed
+    form; longer tuples by insertion.
     """
+    if len(indices) == 2:
+        a, b = indices
+        return (indices, 1) if a < b else ((b, a), -1) if a > b else None
+    if len(indices) == 3:
+        a, b, c = indices
+        if a == b or b == c or a == c:
+            return None
+        if a < b:
+            return (indices, 1) if b < c else ((a, c, b), -1) if a < c else ((c, a, b), 1)
+        return ((b, a, c), -1) if a < c else ((b, c, a), 1) if b < c else ((c, b, a), -1)
     seq = list(indices)
     if len(set(seq)) != len(seq):
         return None
@@ -356,11 +368,18 @@ def interior_product(field: Multivector, omega: DifferentialForm) -> Differentia
         raise ChartMismatchError(f"charts differ: {field.chart.name} vs {omega.chart.name}")
     if omega.degree == 0:
         raise DegreeError("interior product of a degree-0 form is undefined")
+    return DifferentialForm._from_products(omega.chart, omega.degree - 1,
+                                           _interior_products(field, omega, 1))
+
+
+def _interior_products(field: Multivector, omega: DifferentialForm, scale: int) -> list:
+    """The products of ``scale`` times i_X(omega), as ``_from_products``
+    takes them: a component w_I with X^i for each index i of I, the sign
+    that of i's position."""
     x = field._components
-    products = [(idx[:pos] + idx[pos + 1:], -1 if pos % 2 else 1, x[(i,)], poly)
-                for idx, poly in omega._components.items()
-                for pos, i in enumerate(idx) if (i,) in x]
-    return DifferentialForm._from_products(omega.chart, omega.degree - 1, products)
+    return [(idx[:pos] + idx[pos + 1:], -scale if pos % 2 else scale, x[(i,)], poly)
+            for idx, poly in omega._components.items()
+            for pos, i in enumerate(idx) if (i,) in x]
 
 
 def _lie_derivative_form(field: Multivector, omega: DifferentialForm,

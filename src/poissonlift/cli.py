@@ -19,6 +19,7 @@ prints the reports and writes the report file.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -80,6 +81,23 @@ _PARSER.add_argument("--quiet", action="store_true")
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; the exit code is returned, or raised by argparse.
+
+    The objects that exist at entry are frozen for the call, so that the
+    cyclic collector counts and walks this call's allocations only and
+    runs where this call's work puts it, whatever ran before.  ``gc`` can
+    only unfreeze everything, so a caller that froze objects of its own
+    gets no freeze here, and its objects stay frozen."""
+    if gc.get_freeze_count():
+        return _main(argv)
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _main(argv: list[str] | None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:

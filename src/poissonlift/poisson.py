@@ -26,14 +26,19 @@ i_(pi#beta) alpha = pi(beta, alpha) = -pi(alpha, beta), so
 
     [alpha, beta]_pi = i_(pi#alpha) d(beta) - i_(pi#beta) d(alpha) + d(pi(alpha, beta)),
 
-and no Lie derivative is taken.  ``_koszul`` evaluates this from the two
-sharps and the two differentials, and skips a contraction whose 2-form is
-zero (every d(phi_i) of a Lie-Poisson momentum map, where a pair costs one
-pairing and one differential).  ``koszul_bracket`` computes both sharps and
-both differentials; a caller bracketing many pairs of one family
+and no Lie derivative is taken.  ``_koszul`` is the one kernel: it returns
+the bracket as products ``(index, scale, a, b)`` for
+``DifferentialForm._from_products``, the two contractions from the two
+sharps and the two differentials (a zero 2-form, such as every d(phi_i) of
+a Lie-Poisson momentum map, adds none), and d(pi(alpha, beta)) =
+d<beta, pi#alpha> by the product rule, sum_k (d beta_k X^k + beta_k dX^k),
+over the memoized partials of the components of beta and X = pi#alpha.
+``koszul_bracket`` computes both sharps and both differentials and sums the
+products; a caller bracketing many pairs of one family
 (``reduction.pgmap_residuals``) takes each sharp from
 ``reduction.Resolved.sharps`` and each differential from
-``reduction.PGMap.differentials``, which compute them once.
+``reduction.PGMap.differentials``, which compute them once, and files the
+products with its own.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .chart import (
     Chart,
     DifferentialForm,
     Multivector,
+    _interior_products,
     exterior_derivative,
     interior_product,
     jacobi_check,
@@ -142,22 +148,29 @@ def koszul_bracket(pi: PoissonStructure, alpha: DifferentialForm,
     """Bracket on 1-forms induced by pi; satisfies [df, dg]_pi = d{f, g}."""
     if alpha.degree != 1 or beta.degree != 1:
         raise DegreeError("Koszul bracket takes 1-forms")
-    return _koszul(beta, sharp(pi, alpha), sharp(pi, beta),
-                   exterior_derivative(alpha), exterior_derivative(beta))
+    return DifferentialForm._from_products(alpha.chart, 1, _koszul(
+        beta, sharp(pi, alpha), sharp(pi, beta), exterior_derivative(alpha), exterior_derivative(beta), 1))
 
 
 def _koszul(beta: DifferentialForm, pi_alpha: Multivector, pi_beta: Multivector,
-            d_alpha: DifferentialForm, d_beta: DifferentialForm) -> DifferentialForm:
-    """[alpha, beta]_pi = i_(pi#alpha) d(beta) - i_(pi#beta) d(alpha) + d(pi(alpha, beta))
-    from the sharps pi#(alpha), pi#(beta) and the differentials d(alpha),
-    d(beta), so that a caller bracketing many pairs computes each once; a
-    contraction runs only when its 2-form is nonzero."""
-    out = differential(beta.chart, pairing(beta, pi_alpha))  # pi(alpha, beta)
-    if not d_beta.is_zero():
-        out = out + interior_product(pi_alpha, d_beta)
-    if not d_alpha.is_zero():
-        out = out - interior_product(pi_beta, d_alpha)
-    return out
+            d_alpha: DifferentialForm, d_beta: DifferentialForm, scale: int) -> list:
+    """The products of ``scale`` times
+    [alpha, beta]_pi = i_(pi#alpha) d(beta) - i_(pi#beta) d(alpha) + d(pi(alpha, beta)),
+    as ``DifferentialForm._from_products`` takes them, from the sharps
+    pi#(alpha), pi#(beta) and the differentials d(alpha), d(beta), so that a
+    caller bracketing many pairs computes each once.  d(pi(alpha, beta)) =
+    d<beta, pi#alpha> is taken by the product rule over the memoized
+    partials of the components of beta and pi#alpha."""
+    x = pi_alpha._components
+    products = []
+    for (k,), b_k in beta._components.items():
+        if (k,) in x:  # components are over the chart's coordinates: no re-indexing
+            x_k = x[(k,)]
+            products.extend(((l,), scale, partial, x_k) for l, partial in b_k._partials().items())
+            products.extend(((l,), scale, b_k, partial) for l, partial in x_k._partials().items())
+    products += _interior_products(pi_alpha, d_beta, scale)
+    products += _interior_products(pi_beta, d_alpha, -scale)
+    return products
 
 
 class SymplecticForm(_Value):

@@ -14,10 +14,13 @@ its basis images phi_i, and every function here takes a basis index, not a
 coefficient vector.  Each object derived per basis element has one owner
 that computes it once and passes it on.  ``PGMap.differentials`` holds the
 d(phi_i), which both axioms read: (i) through the Koszul bracket in Cartan
-form, (ii) as its left side.  The ``Resolved`` value that the lifted checks
-read holds the base generators pi#(phi_i), the axiom residuals, the c_i,
-their differentials dc_i and Hamiltonian fields X_(c_i) on TM, the twists
-i_T(d phi_i) and the lifted generators, and lifts pi.
+form, which contracts the sharps into them and takes d(pi(phi_i, phi_j)) by
+the product rule over the partials of phi_j and pi#(phi_i), each residual
+one sum of these products and phi_[i,j]'s; (ii) as its left side.  The
+``Resolved`` value that the lifted checks read holds the base generators
+pi#(phi_i), the axiom residuals, the c_i, their differentials dc_i and
+Hamiltonian fields X_(c_i) on TM, the twists i_T(d phi_i) and the lifted
+generators, and lifts pi.
 
 Each function here computes residuals, or the values a check lists; the
 check registry (:mod:`poissonlift.checks`) names each check, states its
@@ -101,12 +104,12 @@ def pgmap_residuals(pg: PGMap, sharps: Sequence[Multivector]) -> dict[str, Diffe
     residuals: dict[str, DifferentialForm] = {}
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
-            expected = DifferentialForm._from_products(pg.chart, 1, [
-                (idx, coeff, phi, one) for m, coeff in b.bracket(i, j).items()
-                for idx, phi in pg.images[m]._components.items()])
-            actual = _koszul(pg.images[j], sharps[i], sharps[j],
-                             pg.differentials[i], pg.differentials[j])
-            residuals[f"bracket-axiom[{b.basis[i]},{b.basis[j]}]"] = expected - actual
+            products = [(idx, coeff, phi, one) for m, coeff in b.bracket(i, j).items()
+                        for idx, phi in pg.images[m]._components.items()]
+            products += _koszul(pg.images[j], sharps[i], sharps[j],
+                                pg.differentials[i], pg.differentials[j], -1)
+            residuals[f"bracket-axiom[{b.basis[i]},{b.basis[j]}]"] = DifferentialForm._from_products(
+                pg.chart, 1, products)
     for i in range(b.dim):
         rhs = DifferentialForm.zero(pg.chart, 2)
         for (j, k), gamma in b.cobracket_row(i).items():

@@ -18,10 +18,15 @@ one term map.  ``dense_complete_lift``, ``dense_gradient`` and
 ``Polynomial.derivative`` over every coordinate, and call none of those
 kernels.
 
-The library computes the Koszul bracket in Cartan form from the held
+The library files the products of the Koszul bracket in Cartan form, with
+d(pi(alpha, beta)) by the product rule, from the held sharps and
 differentials; ``dense_koszul`` takes the defining formula with two
 coordinate Lie derivatives, walking every coordinate index, and pairs by
 hand, so it shares no kernel with that route.
+
+The library sorts index pairs and triples in closed form; ``parity_sort``
+counts inversions.  The cocycle check visits only the basis pairs that some
+cobracket row enters; ``dense_cocycle`` is its loop over every pair.
 
 The library files every product of a characteristic identity row into one
 term map, reading the base components of the images as polynomials on TM;
@@ -50,6 +55,7 @@ from poissonlift import (
     Chart,
     CoordinateMap,
     DifferentialForm,
+    LieBialgebra,
     Multivector,
     Polynomial,
     Resolved,
@@ -61,8 +67,9 @@ from poissonlift import (
     i_T,
     tangent,
 )
+from poissonlift.bialgebra import _prune, _wedge_add
 from poissonlift.errors import ChartMismatchError, DegreeError, ParseError, UnknownSymbolError
-from poissonlift.poly import EXPONENT_LIMIT
+from poissonlift.poly import EXPONENT_LIMIT, Rational
 
 from conftest import dense_matrix, dense_vector
 
@@ -228,6 +235,34 @@ def dense_koszul(bivector: Multivector, alpha: DifferentialForm,
     first = dense_lie_one_form(pi_alpha, beta)
     second = dense_lie_one_form(dense_sharp(bivector, beta), alpha)
     return first - second - dense_d(DifferentialForm.from_poly(chart, value))
+
+
+def parity_sort(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
+    """The sorted tuple and the sign of the permutation that sorts it, the
+    parity of its inversion count; None when an index repeats."""
+    if len(set(indices)) != len(indices):
+        return None
+    inversions = sum(a > b for pos, a in enumerate(indices) for b in indices[pos + 1:])
+    return tuple(sorted(indices)), -1 if inversions % 2 else 1
+
+
+def dense_cocycle(b: LieBialgebra) -> dict[str, Rational]:
+    """delta([e_i, e_j]) - ad_i delta(e_j) + ad_j delta(e_i) over every pair
+    i < j, the rows read through the public accessors."""
+    residuals = {}
+    for i in range(b.dim):
+        for j in range(i + 1, b.dim):
+            acc = {}
+            for m, cm in b.bracket(i, j).items():
+                for (x, y), c in b.cobracket_row(m).items():
+                    _wedge_add(acc, x, y, cm * c)
+            for (x, y), c in b._adjoint_on_pairs(i, b.cobracket_row(j)).items():
+                _wedge_add(acc, x, y, -c)
+            for (x, y), c in b._adjoint_on_pairs(j, b.cobracket_row(i)).items():
+                _wedge_add(acc, x, y, c)
+            for (x, y), c in _prune(acc).items():
+                residuals[f"cocycle[{b.basis[i]},{b.basis[j]} -> {b.basis[x]}^{b.basis[y]}]"] = c
+    return residuals
 
 
 def chained_characteristic_residuals(r: Resolved) -> dict[str, DifferentialForm]:

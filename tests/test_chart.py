@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from poissonlift import chart as chart_module
 from poissonlift.errors import ChartMismatchError, DegreeError, KindMismatchError
 
 from conftest import dense_matrix, dense_vector, rand_form, rand_fraction, rand_multivector, rand_poly
+from reference import parity_sort
 
 
 @pytest.fixture
@@ -432,3 +434,10 @@ def test_wedge_graded_commutative_and_associative(data):
         assert lhs == rhs
     else:
         assert lhs.is_zero() and rhs.is_zero()
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_sort_index_matches_the_inversion_count(length):
+    # pairs and triples are sorted in closed form, longer tuples by insertion
+    for indices in itertools.product(range(5), repeat=length):
+        assert chart_module._sort_index(indices) == parity_sort(indices), indices

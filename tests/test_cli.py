@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import copy
 import decimal
+import gc
 import io
 import json
 import math
@@ -822,15 +823,85 @@ def test_main_builds_no_argument_parser(monkeypatch):
     assert built == []
 
 
-def test_pgmap_residuals_sharps_each_image_once(monkeypatch):
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_pgmap_residuals_sharps_each_image_once(monkeypatch, perturbed):
     # one Koszul bracket per basis pair took both sharps afresh: 72 sharp
-    # calls for the 9 images of gl(3)
-    problem = parse_problem(gl_problem(3))
+    # calls for the 9 images of gl(3); d(pi(alpha, beta)) through
+    # poisson.differential took 36 more exterior derivatives and walked a
+    # fresh pairing polynomial per pair, where the product rule reads the
+    # partials of the held sharp components
+    problem = parse_problem(gl_problem(3, perturb_map=perturbed))
     sharps = count_calls(monkeypatch, poisson, "sharp")
     residuals = count_calls(monkeypatch, reduction, "pgmap_residuals")
+    derivatives = count_calls(monkeypatch, chart, "exterior_derivative")
+    differentials = count_calls(monkeypatch, poisson, "differential")
+    walked = []
+    partials = Polynomial._partials
+
+    def walk(poly):
+        if poly._partials_memo is None:
+            walked.append(poly)
+        return partials(poly)
+
+    monkeypatch.setattr(Polynomial, "_partials", walk)
     run_checks(problem, "certify-pgmap")
     assert len(residuals) == 1
     assert len(sharps) == problem.pgmap.bialgebra.dim == 9
+    (pg, held), = residuals
+    assert len(derivatives) == 9
+    assert all(form is image for (form,), image in zip(derivatives, pg.images))
+    assert differentials == []
+    components = [comp for field in held for comp in field._components.values()]
+    counts = [sum(poly is comp for poly in walked) for comp in components]
+    assert max(counts) == 1
+
+
+@pytest.mark.parametrize("exit_path", ["return 0", "return 1", "exit 2", "argparse", "exception"])
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_main_unfreezes_only_what_it_froze(monkeypatch, tmp_path, exit_path, caller_froze):
+    # main freezes the objects that exist at entry, so that the cyclic
+    # collector runs where the call's own work puts it; every exit path
+    # restores the freeze count, and a caller's frozen objects stay frozen
+    failing = tmp_path / "bad.pf"
+    failing.write_text(COUNTEREXAMPLE)
+    argv = {"return 0": ["check-poisson", "so3-coadjoint", "--quiet"],
+            "return 1": ["certify-pgmap", str(failing), "--quiet"],
+            "exit 2": ["all", "no-such-entry"],
+            "argparse": ["all", "so3-coadjoint", "--no-such-flag"],
+            "exception": ["check-poisson", "so3-coadjoint"]}[exit_path]
+    seen = []
+    checks_run = cli.run_checks
+
+    def spy(*args, **kwargs):
+        seen.append(gc.get_freeze_count())
+        if exit_path == "exception":
+            raise RuntimeError("injected")
+        return checks_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_checks", spy)
+    if caller_froze:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if exit_path == "argparse":
+                with pytest.raises(SystemExit):
+                    main(argv)
+            elif exit_path == "exception":
+                with pytest.raises(RuntimeError, match="^injected$"):
+                    main(argv)
+            else:
+                assert main(argv) == int(exit_path[-1])
+        assert gc.get_freeze_count() == before
+    finally:
+        if caller_froze:
+            gc.unfreeze()
+    if exit_path in ("exit 2", "argparse"):
+        assert seen == []
+    else:
+        # the checks ran with the caller's objects frozen, by main or before
+        assert len(seen) == 1
+        assert seen[0] == before if caller_froze else seen[0] > before
 
 
 def test_all_derives_each_image_object_once(monkeypatch):
@@ -849,8 +920,10 @@ def test_all_derives_each_image_object_once(monkeypatch):
 
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_certify_pgmap_takes_no_lie_derivative(monkeypatch, perturbed):
-    # the bracket axiom reads the Koszul bracket in Cartan form from the
-    # held d(phi_i); two Lie derivatives per basis pair made 72 calls on gl(3)
+    # the bracket axiom files the products of the Koszul bracket, d(pi(phi_i,
+    # phi_j)) by the product rule and the contractions into the held
+    # d(phi_i), with those of phi_[i,j]; two Lie derivatives per basis pair
+    # made 72 calls on gl(3)
     problem = parse_problem(gl_problem(3, perturb_map=perturbed))
     calls = count_calls(monkeypatch, chart, "lie_derivative")
     reports = run_checks(problem, "certify-pgmap")

@@ -120,20 +120,24 @@ class TestCertify:
         _, _, pi, pg = aff1_setup()
         assert run_lifted("pgmap-certification", pi, pg).verdict == "pass"
 
-    @pytest.mark.parametrize("name", ["gl2-perturbed", "gl3-perturbed", "aff1-cobracket"])
+    @pytest.mark.parametrize("name", ["gl2-perturbed", "gl3-perturbed", "gl3", *catalog_names()])
     def test_bracket_axiom_matches_the_dense_koszul_route(self, name):
         # second route: the Koszul bracket by its defining formula, two Lie
-        # derivatives over every coordinate index, against the Cartan form
-        # that pgmap_residuals evaluates from PGMap.differentials
+        # derivatives over every coordinate index, against the products
+        # that pgmap_residuals files from the sharps and PGMap.differentials;
+        # every catalog entry has a pgmap block, and aff1-cobracket the one
+        # nonzero cobracket
         if name.startswith("gl"):
-            problem = parse_problem(gl_problem(int(name[2]), perturb_map=True))
+            problem = parse_problem(gl_problem(int(name[2]), perturb_map=name.endswith("-perturbed")))
         else:
             problem = catalog(name)
         pi, pg = problem.poisson, problem.pgmap
         b = pg.bialgebra
         residuals = Resolved(pi, pg).certification
-        # some image has d(phi) != 0, so a contraction runs
-        assert any(not d.is_zero() for d in pg.differentials)
+        # the perturbed and aff1 maps have an image with d(phi) != 0, so a
+        # contraction runs; the other images are exact
+        non_exact = name.endswith("-perturbed") or name == "aff1-cobracket"
+        assert any(not d.is_zero() for d in pg.differentials) == non_exact
         for i in range(b.dim):
             for j in range(i + 1, b.dim):
                 expected = DifferentialForm.zero(pg.chart, 1)
@@ -145,8 +149,8 @@ class TestCertify:
                 assert residual.to_string() == expected.to_string()
         bracket_residuals = [res for key, res in residuals.items() if key.startswith("bracket-axiom")]
         assert len(bracket_residuals) == b.dim * (b.dim - 1) // 2
-        if name != "aff1-cobracket":  # the perturbed maps fail the axiom
-            assert any(not res.is_zero() for res in bracket_residuals)
+        # the perturbed maps fail the axiom
+        assert any(not res.is_zero() for res in bracket_residuals) == name.endswith("-perturbed")
 
     def test_refuses_unverified_bialgebra(self, chart_qp, canonical):
         bad = LieBialgebra(("e1", "e2", "e3"), {(0, 1): {2: 1}, (0, 2): {0: 1}}, {})
