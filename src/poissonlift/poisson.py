@@ -163,8 +163,10 @@ def _koszul(beta: DifferentialForm, pi_alpha: Multivector, pi_beta: Multivector,
     partials of the components of beta and pi#alpha."""
     x = pi_alpha._components
     products = []
+    # sum_k (d beta_k X^k + beta_k dX^k); tensor components are over the
+    # chart's coordinates, so their partials need no re-indexing
     for (k,), b_k in beta._components.items():
-        if (k,) in x:  # components are over the chart's coordinates: no re-indexing
+        if (k,) in x:
             x_k = x[(k,)]
             products.extend(((l,), scale, partial, x_k) for l, partial in b_k._partials().items())
             products.extend(((l,), scale, b_k, partial) for l, partial in x_k._partials().items())
