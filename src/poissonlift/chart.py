@@ -40,8 +40,8 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ._value import _Value
-from .errors import ChartMismatchError, DegreeError, KindMismatchError
-from .poly import Polynomial
+from .errors import ChartMismatchError, DegreeError, KindMismatchError, UnknownSymbolError
+from .poly import W, Polynomial
 
 Index = tuple[int, ...]
 
@@ -65,7 +65,10 @@ class Chart(_Value, hashable=True):
         return self.coords.index(name)
 
     def coord_poly(self, name: str) -> Polynomial:
-        return Polynomial.variable(name, self.coords)
+        """The coordinate function ``name``, built trusted (the names are distinct)."""
+        if name not in self.coords:
+            raise UnknownSymbolError(f"variable {name!r} not in {self.coords}")
+        return Polynomial._make(self.coords, {1 << (self.coords.index(name) * W): 1})
 
     @cached_property
     def _zero(self) -> Polynomial:
@@ -274,19 +277,17 @@ class _Tensor(_Value):
 
     # -- printing ------------------------------------------------------------
 
-    def _basis_str(self, idx: Index) -> str:
-        return "^".join(self._basis_fmt.format(self.chart.coords[i]) for i in idx)
-
     def to_string(self) -> str:
         if self.degree == 0:
             return self.as_poly().to_string()
         if not self._components:
             return "0"
+        fmt, coords = self._basis_fmt.format, self.chart.coords
         chunks = []
         for idx in sorted(self._components):
             poly = self._components[idx]
-            basis = self._basis_str(idx)
-            unit = poly.constant_value() if poly.is_constant() else None
+            basis = "^".join([fmt(coords[i]) for i in idx])
+            unit = poly._terms.get(0) if len(poly._terms) == 1 else None
             if unit == 1:
                 chunks.append(basis)
             elif unit == -1:

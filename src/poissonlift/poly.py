@@ -58,8 +58,9 @@ contraction in the package, is built by the internal
 ``Polynomial._sum_of_products(variables, products)``, the one loop that
 multiplies terms; ``*`` is its sum of one product.  One product ``1 * a *
 b`` whose ``a`` or ``b`` is the unit constant is the other factor: the
-result shares that factor's term map, as ``_make``'s ownership rule allows,
-and multiplies nothing.  All other products are added
+result is that factor when its universe is the result's, so its kept
+partials carry over, and otherwise shares its term map, as ``_make``'s
+ownership rule allows; it multiplies nothing.  All other products are added
 into one term map: a key whose coefficient cancels is deleted at once and
 appended again if it comes back, as ``_plus`` does, coefficients are folded
 to their one form once, at the end, and the exponent guard is checked once.
@@ -69,8 +70,9 @@ unless a running sum cancels inside one product, its term order too; no
 printed or sampled value reads that order.
 
 For printing, terms are ordered graded-lexicographically (total degree first,
-then exponents against the variable order), highest first.  The printed form
-is valid input for :func:`poissonlift.parser.parse_poly`.
+then exponents against the variable order), highest first; a polynomial of
+one term has no order to find and is written from its key's set fields
+alone.  The printed form is valid input for :func:`poissonlift.parser.parse_poly`.
 """
 
 from __future__ import annotations
@@ -145,6 +147,13 @@ def _digits(n: int) -> str:
     k = n.bit_length() * 3 // 20  # 10^k is about the square root of n
     high, low = divmod(n, 10 ** k)
     return _digits(high) + _digits(low).zfill(k)
+
+
+def _term_text(coeff: Rational, product: str) -> str:
+    """One term's text: its coefficient, a unit one left out, then its factors."""
+    if not product:
+        return rational_text(coeff)
+    return product if coeff == 1 else "-" + product if coeff == -1 else f"{rational_text(coeff)}*{product}"
 
 
 def _universe(variables: Iterable[str]) -> tuple[str, ...]:
@@ -235,7 +244,8 @@ class Polynomial:
 
     def with_variables(self, variables: Iterable[str]) -> "Polynomial":
         """Re-index onto a universe that holds every current variable; onto an
-        extension of the current universe the term map is shared."""
+        extension of the current universe the term map is shared, and onto
+        any other universe each key's set fields are moved (``_fields``)."""
         vs = tuple(variables)
         if vs == self.variables:
             return self
@@ -246,8 +256,8 @@ class Polynomial:
         missing = [v for v in self.variables if v not in where]
         if missing:
             raise UnknownSymbolError(f"variables {missing} absent from target universe {vs}")
-        moves = [(i * W, where[v] * W) for i, v in enumerate(self.variables)]
-        return Polynomial._make(vs, {sum(((key >> src) & _FIELD) << dst for src, dst in moves): c
+        shifts = [where[v] * W for v in self.variables]  # each set field moves to its name's place
+        return Polynomial._make(vs, {sum([e << shifts[i] for i, e in _fields(key)]): c
                                      for key, c in self._terms.items()})
 
     @staticmethod
@@ -324,14 +334,13 @@ class Polynomial:
         coefficients are folded to their one form once, at the end, and a
         product exponent that reaches the guard is a ``ValueError``.  One
         product ``1 * a * b`` whose ``a`` or ``b`` is the unit constant is
-        the other factor, whose term map the result shares."""
+        the other factor: that object when its universe is ``variables``, so
+        its kept partials carry over, else a polynomial sharing its term map."""
         if len(products) == 1:
             (scale, a, b), = products
-            if scale == 1:
-                if b._terms == _UNIT:
-                    return cls._make(variables, a._terms)
-                if a._terms == _UNIT:
-                    return cls._make(variables, b._terms)
+            if scale == 1 and (b._terms == _UNIT or a._terms == _UNIT):
+                factor = a if b._terms == _UNIT else b
+                return factor if factor.variables == variables else cls._make(variables, factor._terms)
         terms: dict[int, Rational] = {}
         get = terms.get
         for scale, a, b in products:
@@ -461,7 +470,18 @@ class Polynomial:
     def to_string(self) -> str:
         if not self._terms:
             return "0"
-        names, last = self.variables, (len(self.variables) - 1) * W
+        names = self.variables
+        if len(self._terms) == 1:  # most printed values: the factor text alone, no order
+            (key, coeff), = self._terms.items()
+            factors = []
+            while key:
+                shift = (key & -key).bit_length() - 1
+                shift -= shift % W
+                e = (key >> shift) & _FIELD
+                key -= e << shift
+                factors.append(names[shift // W] if e == 1 else f"{names[shift // W]}^{e}")
+            return _term_text(coeff, "*".join(factors))
+        last = (len(names) - 1) * W
         # one walk over the set fields of each key gives the total degree,
         # the exponents repacked with variable 0 in the most significant
         # field (every field is below 2^W, so that int orders as the dense
@@ -483,14 +503,7 @@ class Polynomial:
         rows.sort(reverse=True)
         chunks: list[str] = []
         for _, _, product, coeff in rows:
-            if not product:
-                text = rational_text(coeff)
-            elif coeff == 1:
-                text = product
-            elif coeff == -1:
-                text = "-" + product
-            else:
-                text = rational_text(coeff) + "*" + product
+            text = _term_text(coeff, product)
             if chunks:
                 text = " - " + text[1:] if text[0] == "-" else " + " + text
             chunks.append(text)

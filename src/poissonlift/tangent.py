@@ -320,38 +320,42 @@ def one_form_lift_residuals(tc: TangentChart, forms: Mapping[str, DifferentialFo
     coordinate>`` on the coordinates where the two sides differ: the forms
     in their order, each in coordinate order.
 
-    Each side is four sparse blocks, base index -> component: T(theta) =
-    (q, theta, v, theta^c) in alpha's block order against the covector
-    d_T(theta) = (q, v, dq-, dv-coefficients).  A slot neither side fills is
-    zero on both, a block both take from one object is equal on both, and
-    any other slot is kept when the term maps of its sides differ.  A
-    component object that several forms share is pulled back to TM and
-    lifted once, so its partials are walked once (``Polynomial._partials``
-    keeps them); every form still goes through the d_T kernel."""
-    n, total, coords = tc.dim, tc.total, tc.base.coords
+    Each side is keyed by T*TM coordinate index: T(theta) = (q, theta, v,
+    theta^c) puts its block b in the slot that alpha's block order gives
+    it, against the covector d_T(theta) = (q, v, dq-, dv-coefficients).  An
+    entry both sides take from one coordinate function of ``tc`` is equal
+    by construction and is dropped once per call, so under alpha only
+    theta, theta^c and d_T(theta) are compared: a slot is kept when the
+    term maps of its sides differ.  A component object that several forms
+    share is pulled back to TM and lifted once, so its partials are walked
+    once (``Polynomial._partials`` keeps them); every form still goes
+    through the d_T kernel."""
+    n, total = tc.dim, tc.total
+    names = [pre + c for pre in _BLOCKS["T*T"] for c in tc.base.coords]
     q, v = tc.coord_blocks
     field, field_partials = tc.tautological, tc.tautological_partials
     zero = total.zero_poly()
+    at = [n * _ALPHA_ORDER.index(b) for b in range(4)]  # the T*TM offset of T(theta)'s block b
+    fixed_lhs = {at[b] + j: block[j] for b, block in ((0, q), (2, v)) for j in block}
+    fixed_rhs = {s * n + j: block[j] for s, block in ((0, q), (1, v)) for j in block}
+    for i in [i for i, c in fixed_lhs.items() if fixed_rhs.get(i) is c]:
+        del fixed_lhs[i], fixed_rhs[i]
     shared: dict[int, tuple] = {}  # id of a base component -> (it, its pullback, its complete lift)
     residuals = {}
     for label, theta in forms.items():
         if theta.chart != tc.base or theta.degree != 1:
             raise DegreeError("prolongation takes a 1-form on the base chart")
-        form, lifted = {}, {}  # base index -> pullback, complete lift
+        lhs, rhs, pulled = fixed_lhs.copy(), fixed_rhs.copy(), {}
         for (j,), t in theta._components.items():
             if id(t) not in shared:
                 shared[id(t)] = (t, Polynomial._make(total.coords, t._terms), _complete_lift_poly(tc, t))
-            _, form[j], lifted[j] = shared[id(t)]
-        prolonged = (q, form, v, lifted)
-        covector = (q, v, {}, {})
-        pulled = DifferentialForm._make(total, 1, {(j,): t for j, t in form.items()})
-        for (i,), c in _lie_derivative_form(field, pulled, field_partials)._components.items():
-            covector[2 + i // n][i % n] = c
-        for prefix, b, rhs in zip(_BLOCKS["T*T"], _ALPHA_ORDER, covector):
-            lhs = prolonged[b]
-            if lhs is not rhs:
-                for j in sorted(lhs.keys() | rhs.keys()):
-                    left, right = lhs.get(j, zero), rhs.get(j, zero)
-                    if left._terms != right._terms:
-                        residuals[label + prefix + coords[j]] = left - right
+            _, lhs[at[1] + j], lhs[at[3] + j] = shared[id(t)]
+            pulled[(j,)] = lhs[at[1] + j]
+        for (i,), c in _lie_derivative_form(field, DifferentialForm._make(total, 1, pulled),
+                                            field_partials)._components.items():
+            rhs[2 * n + i] = c
+        for i in sorted(lhs.keys() | rhs.keys()):
+            left, right = lhs.get(i, zero), rhs.get(i, zero)
+            if left._terms != right._terms:
+                residuals[label + names[i]] = left - right
     return residuals

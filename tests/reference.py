@@ -43,6 +43,12 @@ operators, and ``reference_parse_tensor`` assembles the terms with
 ``from_terms``; ``reference_combo`` reads bialgebra combinations token
 object by token object.  ``reference_tokenize`` is a copy of the library's
 tokenizer, so a change to one shows against the other.
+
+The library prints a one-term polynomial without ordering its terms, and
+reads a tensor's unit components from their term maps; ``poly_text`` and
+``tensor_text`` are the general printing loops, which sort every
+polynomial's terms graded-lexicographically, format each basis element
+through the chart and ask each component whether it is constant.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from poissonlift import (
 )
 from poissonlift.bialgebra import _prune, _wedge_add
 from poissonlift.errors import ChartMismatchError, DegreeError, ParseError, UnknownSymbolError
-from poissonlift.poly import EXPONENT_LIMIT, Rational
+from poissonlift.poly import _FIELD, EXPONENT_LIMIT, W, Rational, rational_text
 
 from conftest import dense_matrix, dense_vector
 
@@ -235,6 +241,68 @@ def dense_koszul(bivector: Multivector, alpha: DifferentialForm,
     first = dense_lie_one_form(pi_alpha, beta)
     second = dense_lie_one_form(dense_sharp(bivector, beta), alpha)
     return first - second - dense_d(DifferentialForm.from_poly(chart, value))
+
+
+def poly_text(poly: Polynomial) -> str:
+    """``poly`` printed by sorting its terms graded-lexicographically, one
+    walk over the set fields of each key giving degree, order and text."""
+    if not poly._terms:
+        return "0"
+    names, last = poly.variables, (len(poly.variables) - 1) * W
+    rows = []
+    for key, coeff in poly._terms.items():
+        degree = glex = 0
+        factors = []
+        while key:
+            shift = (key & -key).bit_length() - 1
+            shift -= shift % W
+            e = (key >> shift) & _FIELD
+            key -= e << shift
+            degree += e
+            glex += e << (last - shift)
+            name = names[shift // W]
+            factors.append(name if e == 1 else f"{name}^{e}")
+        rows.append((degree, glex, "*".join(factors), coeff))
+    rows.sort(reverse=True)
+    chunks: list[str] = []
+    for _, _, product, coeff in rows:
+        if not product:
+            text = rational_text(coeff)
+        elif coeff == 1:
+            text = product
+        elif coeff == -1:
+            text = "-" + product
+        else:
+            text = rational_text(coeff) + "*" + product
+        if chunks:
+            text = " - " + text[1:] if text[0] == "-" else " + " + text
+        chunks.append(text)
+    return "".join(chunks)
+
+
+def tensor_text(tensor) -> str:
+    """A form or multivector printed component by component in index order,
+    each basis element formatted and each unit component read as it comes,
+    with ``poly_text`` for the components."""
+    if tensor.degree == 0:
+        return poly_text(tensor.as_poly())
+    if not tensor._components:
+        return "0"
+    chunks = []
+    for idx in sorted(tensor._components):
+        poly = tensor._components[idx]
+        basis = "^".join(tensor._basis_fmt.format(tensor.chart.coords[i]) for i in idx)
+        unit = poly.constant_value() if poly.is_constant() else None
+        if unit == 1:
+            chunks.append(basis)
+        elif unit == -1:
+            chunks.append(f"-{basis}")
+        else:
+            chunks.append(f"({poly_text(poly)})*{basis}")
+    out = chunks[0]
+    for text in chunks[1:]:
+        out += " - " + text[1:] if text.startswith("-") else " + " + text
+    return out
 
 
 def parity_sort(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:

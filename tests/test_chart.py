@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,9 @@ from poissonlift import (
 from poissonlift import chart as chart_module
 from poissonlift.errors import ChartMismatchError, DegreeError, KindMismatchError
 
-from conftest import dense_matrix, dense_vector, rand_form, rand_fraction, rand_multivector, rand_poly
-from reference import parity_sort
+from conftest import (dense_matrix, dense_vector, rand_form, rand_fraction, rand_multivector, rand_poly,
+                      sparse_random_poly)
+from reference import parity_sort, tensor_text
 
 
 @pytest.fixture
@@ -441,3 +443,32 @@ def test_sort_index_matches_the_inversion_count(length):
     # pairs and triples are sorted in closed form, longer tuples by insertion
     for indices in itertools.product(range(5), repeat=length):
         assert chart_module._sort_index(indices) == parity_sort(indices), indices
+
+
+def test_printing_matches_the_general_reference_loop():
+    # the tensor printer looks the basis format up once per tensor and reads
+    # a unit component from its term map; the reference formats each basis
+    # element through the chart and asks each component whether it is constant
+    rng = random.Random(970)
+    huge = 2 ** 20000  # past the interpreter's integer-to-text limit
+    coefficients = [1, -1, Fraction(1, 2), Fraction(-1, 2), 3, huge, -huge]
+    for dim in (1, 2, 3, 5):
+        chart = Chart("B", tuple(f"x{i}" for i in range(dim)))
+        for kind in (DifferentialForm, Multivector):
+            tensors = [kind.zero(chart, 0), kind.zero(chart, 1), kind.from_poly(chart, Fraction(-1, 2))]
+            for degree in range(min(dim, 3) + 1):
+                for _ in range(12):
+                    comps = {}
+                    for idx in itertools.combinations(range(dim), degree):
+                        pick = rng.random()
+                        if pick < 0.4:  # a constant, units among them
+                            comps[idx] = chart.constant_poly(rng.choice(coefficients))
+                        elif pick < 0.7:  # one term
+                            comps[idx] = rand_poly(rng, chart.coords, 3, terms=1) * rng.choice(coefficients)
+                        elif pick < 0.9:
+                            comps[idx] = sparse_random_poly(rng, chart.coords, 4)
+                    tensors.append(kind(chart, degree, comps))
+            tensors += [rand_form(rng, chart, 2) if kind is DifferentialForm else rand_multivector(rng, chart, 2)
+                        for _ in range(4) if dim >= 2]
+            for tensor in tensors:
+                assert tensor.to_string() == tensor_text(tensor)

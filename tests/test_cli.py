@@ -1071,6 +1071,33 @@ def test_all_on_gl3_builds_sums_in_one_term_map(monkeypatch):
     assert sum(map(len, calls)) <= 348
 
 
+@pytest.mark.parametrize("command, perturbed, most", [("all", False, 49), ("bracket-closure", True, 39)])
+def test_gl3_walks_each_held_polynomial_once(monkeypatch, command, perturbed, most):
+    # a unit product 1 * a * b gave a copy of the other factor, without its
+    # kept partials: sharp's +-pi^(ij) and the comomenta's v_j were walked
+    # again, 79 walks in `all` and 56 in a perturbed `bracket-closure`.  The
+    # repeats left are equal values in distinct objects that the parser
+    # built: components of pi (Jacobi) and the unit components of the images
+    walks, partials = [], Polynomial._partials
+
+    def counted(poly):  # a walk is a call that finds no partials kept on the object
+        if poly._partials_memo is None:
+            walks.append(poly)
+        return partials(poly)
+    monkeypatch.setattr(Polynomial, "_partials", counted)
+    run_checks(parse_problem(gl_problem(3, perturb_map=perturbed)), command)
+    assert len(walks) <= most
+
+
+def test_all_on_gl3_builds_no_coordinate_function_by_name(monkeypatch):
+    # Chart.coord_poly went through the validating Polynomial.variable, 63
+    # calls, each rebuilding a set of the chart's names
+    variables = count_calls(monkeypatch, Polynomial, "variable")
+    reports = run_checks(parse_problem(gl_problem(3)), "all")
+    assert [rep.check_id for rep in reports if rep.verdict == "fail"] == []
+    assert variables == []
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_all_makes_no_fraction_substitution(monkeypatch, name):
     # oracle-fd made 48 Fraction substitutions over the five entries

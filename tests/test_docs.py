@@ -169,6 +169,8 @@ UNCALLED = {
                              "the commands differentiate through Polynomial._partials",
     "Polynomial.terms": "the public constructor's form, which substitute and the benchmark's "
                         "polynomial pool read",
+    "Polynomial.variable": "the validating constructor of one variable for library callers and "
+                           "the tests; a chart builds its coordinate functions trusted (Chart.coord_poly)",
 }
 
 

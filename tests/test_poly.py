@@ -19,7 +19,7 @@ from poissonlift.errors import (
 )
 
 from conftest import count_calls, is_one_form, rand_poly, sparse_random_poly
-from reference import dense_gradient, dense_sum_of_products
+from reference import dense_gradient, dense_sum_of_products, poly_text
 
 
 def P(text, *variables):
@@ -472,3 +472,77 @@ def test_partials_are_kept_on_each_polynomial(monkeypatch):
         assert poly._partials() == partials and poly._partials() is partials
         assert walks == []
     assert len({id(poly._partials()) for poly in (f, lifted, fused)}) == 3
+
+
+def test_unit_product_is_the_factor_over_its_own_universe(monkeypatch):
+    # 1 * a * b with the unit constant returned a copy of the other factor
+    # that shared its term map but not its kept partials, so pi#(dx_i),
+    # built from the +-pi^(ij) of the Jacobi check, walked them again
+    rng = random.Random(910)
+    variables = ("q", "p", "r")
+    one = Polynomial.constant(1, variables[:1])
+    for universe in (variables, variables[:2]):
+        f = rand_poly(rng, universe, max_degree=4, terms=5) + Polynomial.variable("q", universe) ** 2
+        partials = f._partials()
+        walks = count_calls(monkeypatch, poly_module, "_fields")
+        for products in ([(1, f, one)], [(1, one, f)]):
+            got = Polynomial._sum_of_products(variables, products)
+            assert got.variables == variables and got._terms is f._terms
+            if universe == variables:
+                assert got is f
+                assert got._partials() is partials and walks == []
+            else:
+                assert got is not f and got._partials_memo is None
+                assert got._partials() == dense_gradient(got)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 33])
+def test_with_variables_onto_any_universe_matches_the_dense_route(dim):
+    # onto a universe that does not extend the current one, each key's set
+    # fields move to their names' places; the dense route rebuilds every key
+    # from its exponent tuple
+    rng = random.Random(950 + dim)
+    variables = tuple(f"x{i}" for i in range(dim))
+    extra = tuple(f"y{i}" for i in range(dim))
+    targets = [
+        tuple(reversed(variables)),
+        tuple(rng.sample(variables, dim)),
+        tuple(name for pair in zip(extra, variables) for name in pair),  # interleaved
+        tuple(rng.sample(variables + extra, 2 * dim)),
+        extra + variables,
+        variables + extra,  # an extension, which shares the term map
+    ]
+    for max_exponent in (3, EXPONENT_LIMIT - 1):
+        for poly in [sparse_random_poly(rng, variables, max_exponent) for _ in range(5)] + [
+                Polynomial.zero(variables), Polynomial.constant(Fraction(-1, 2), variables)]:
+            for target in targets:
+                got = poly.with_variables(target)
+                dense = Polynomial(target, {tuple(dict(zip(variables, exps)).get(v, 0) for v in target): c
+                                            for exps, c in poly.terms.items()})
+                assert got.variables == target and got._terms == dense._terms
+                if len(target) == dim:  # a permutation re-indexes back
+                    assert got.with_variables(variables)._terms == poly._terms
+    with pytest.raises(UnknownSymbolError):
+        poly.with_variables(extra)
+
+
+def test_printing_matches_the_general_reference_loop():
+    # one-term polynomials print without ordering their terms; the reference
+    # sorts every polynomial's terms graded-lexicographically
+    rng = random.Random(960)
+    variables = ("q", "p", "r", "s")
+    huge = 2 ** 20000  # past the interpreter's integer-to-text limit
+    coefficients = [1, -1, Fraction(1, 2), Fraction(-1, 2), 7, -3, huge, -huge, Fraction(huge, 3)]
+    polys = [Polynomial.zero(variables)]
+    for coeff in coefficients + [0]:
+        polys.append(Polynomial.constant(coeff, variables))
+        for _ in range(6):
+            exps = tuple(rng.choice([0, 0, 1, 2, 3, EXPONENT_LIMIT - 1]) for _ in variables)
+            polys.append(Polynomial(variables, {exps: coeff}))
+    for max_exponent in (3, EXPONENT_LIMIT - 1):
+        polys += [sparse_random_poly(rng, variables, max_exponent) for _ in range(40)]
+    polys += [poly * rng.choice(coefficients) + rng.choice(coefficients) for poly in polys[:40]]
+    assert sum(len(poly._terms) == 1 for poly in polys) > 60
+    for poly in polys:
+        assert poly.to_string() == poly_text(poly)
